@@ -1140,14 +1140,47 @@ class ProbeTransfer:
         object.__setattr__(self, "applied", tuple(tuple(p) for p in self.applied))
 
 
+def _usage_rows(rows, *kinds) -> Tuple[Tuple, ...]:
+    try:
+        out = tuple(tuple(row) for row in rows)
+    except TypeError as exc:
+        raise CodecError(f"malformed reservation report rows: {rows!r}") from exc
+    for row in out:
+        if len(row) != len(kinds) or not all(map(isinstance, row, kinds)):
+            raise CodecError(f"malformed reservation report row: {row!r}")
+    return out
+
+
+def _normalize_report(msg) -> None:
+    """``__post_init__`` of the two report-carrying messages: ``peers`` as
+    ``(peer, rtype, amount)`` rows, ``links`` as ``(u, v, bandwidth)``
+    rows, anything else refused — a malformed report is a
+    :class:`CodecError` at decode time, never a ``TypeError`` inside the
+    destination's handler."""
+    object.__setattr__(msg, "peers", _usage_rows(msg.peers, int, str, (int, float)))
+    object.__setattr__(msg, "links", _usage_rows(msg.links, int, int, (int, float)))
+
+
 @_message
 @dataclass(frozen=True)
 class FinalProbe:
-    """Last-hop peer → destination: a branch-complete probe arrives."""
+    """Last-hop peer → destination: a branch-complete probe arrives.
+
+    In distributed mode the frame also carries the demands of whatever
+    the sender reserved while admitting this probe (``peers`` / ``links``,
+    laid out as in :class:`ReservationReport`): the report would go to
+    the same destination one frame earlier, so it rides along and is
+    absorbed before the probe's credit is counted.  Both are empty in
+    shared mode and when the admission reserved nothing new.
+    """
 
     request_id: int
     probe: Probe
     credit: Fraction
+    peers: Tuple[Tuple[int, str, float], ...] = ()
+    links: Tuple[Tuple[int, int, float], ...] = ()
+
+    __post_init__ = _normalize_report
 
 
 @_message
@@ -1168,18 +1201,20 @@ class ReservationReport:
     Distributed mode only.  ``peers`` is ``((peer, rtype, amount), ...)``
     and ``links`` is ``((u, v, bandwidth), ...)``; the destination
     accumulates them per request so ψλ selection sees the whole wave's
-    load exactly as the shared-pool engines do.  The sender awaits the
-    ack *before* forwarding the probe's credit anywhere, so the
-    collection window cannot close with a report still in flight.
+    load exactly as the shared-pool engines do, and remembers the sender
+    as a peer to release when the window closes.  The sender awaits the
+    ack *before* the probe's credit moves anywhere, so the collection
+    window cannot close with a report still in flight; a reply marked
+    ``late`` means the window was already closed, and the sender drops
+    the reservations it just reported.  A last-hop peer sends no frame
+    of this kind: its report rides the :class:`FinalProbe`.
     """
 
     request_id: int
     peers: Tuple[Tuple[int, str, float], ...]
     links: Tuple[Tuple[int, int, float], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "peers", _tokens_tuple(self.peers))
-        object.__setattr__(self, "links", _tokens_tuple(self.links))
+    __post_init__ = _normalize_report
 
 
 @_message
@@ -1197,7 +1232,9 @@ class SessionConfirm:
 @_message
 @dataclass(frozen=True)
 class SessionRelease:
-    """Destination → all peers: drop this request's soft state (minus keep)."""
+    """Destination → the peers holding this request's reservations (those
+    that reported any; every peer in shared mode, which has no reports):
+    drop the request's soft state, minus ``keep``."""
 
     request_id: int
     keep: Tuple[Tuple, ...]

@@ -25,11 +25,22 @@ credit lost with a crashed peer.
 
 **Soft state.**  Reservations made during admission arm per-token expiry
 timers (the paper's soft allocation): a reservation not confirmed by the
-setup ack within the timeout evaporates on its own, which is also what
-cleans up after probes that were still in flight when the destination
-closed the window.  Confirmed (firm) tokens are tracked separately so a
-later release — a setup ack that fails partway, or a session teardown —
-frees them too instead of leaking capacity.
+setup ack within the timeout evaporates on its own, which is what cleans
+up after a crashed destination or a lost release.  Confirmed (firm)
+tokens are tracked separately so a later release — a setup ack that
+fails partway, or a session teardown — frees them too instead of leaking
+capacity.
+
+**Teardown.**  When the window closes the destination releases the
+request's losing reservations in *one* wave.  In distributed mode it
+already knows who holds any: every admitting peer reports its fresh
+reservations (``ReservationReport``, or inside the ``FinalProbe`` at the
+last hop) before its probe's credit can move, so exactly the reporting
+peers get a ``SessionRelease`` and the message cost of a composition
+stays bounded by the probing budget, not by the size of the overlay.  A
+report that reaches a closed window (a straggler after the wall-clock
+fallback) is answered ``late`` and the reporter drops what it just
+reserved.  Shared-state mode sends no reports and releases on every peer.
 
 **Distributed mode.**  With a ``directory``/``ring``/``dht`` triple the
 daemon stops consulting the shared :class:`ServiceRegistry` entirely:
@@ -116,9 +127,21 @@ class _Collection:
     deadline_handle: Optional[asyncio.TimerHandle] = None
     done: bool = False
     # distributed mode: remote peers' wave reservations, accumulated from
-    # ReservationReport frames ((peer, rtype) -> amount, link -> bandwidth)
+    # ReservationReport / FinalProbe rows ((peer, rtype) -> amount,
+    # link -> bandwidth), and the peers that sent them — the only remote
+    # peers holding tokens for this request, so the only ones released
     wave_peer_used: Dict[Tuple[int, str], float] = field(default_factory=dict)
     wave_link_used: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    holders: Set[int] = field(default_factory=set)
+
+    def absorb(self, src: int, peers, links) -> None:
+        """Book one admitting peer's reported reservation demands."""
+        self.holders.add(src)
+        for peer, rtype, amount in peers:
+            key = (peer, rtype)
+            self.wave_peer_used[key] = self.wave_peer_used.get(key, 0.0) + amount
+        for u, v, bw in links:
+            self.wave_link_used[(u, v)] = self.wave_link_used.get((u, v), 0.0) + bw
 
 
 class _WaveLoadView:
@@ -228,9 +251,11 @@ class PeerDaemon:
         self._timers: Dict[Tuple[int, Tuple], asyncio.TimerHandle] = {}
         self._seen = DedupCache()  # (rid, Probe.dedup_key()) application dedup
         # rid -> {(function, origin): future} single-flight lookup dedup
-        # (the tier-off wire path; entries are evicted when the request's
-        # session completes — release broadcast, source return, finalize)
+        # (the tier-off wire path).  A rid's map lives while this daemon
+        # is expanding a probe of that request (_expanding counts them):
+        # no message from the destination is needed to evict it
         self._lookup_flight: Dict[int, Dict[Tuple[str, int], asyncio.Future]] = {}
+        self._expanding: Dict[int, int] = {}
         # directory tier state (tier-on distributed mode only):
         # function -> (components, rtt, expires) positive cache
         self._dir_cache: Dict[str, Tuple[Tuple[ServiceMetadata, ...], float, float]] = {}
@@ -489,11 +514,6 @@ class PeerDaemon:
             msg = await asyncio.wait_for(future, wall)
         finally:
             self._pending_results.pop(rid, None)
-            # the source's root expansion opened this rid's flight map;
-            # the session is over for this daemon either way (the release
-            # broadcast also clears it, but not when the compose failed
-            # before the destination ever finalized)
-            self._lookup_flight.pop(rid, None)
         return self._result_from_message(request, msg)
 
     @staticmethod
@@ -514,6 +534,20 @@ class PeerDaemon:
     # steps 2.2-2.4: expansion at the probe's current peer
     # ------------------------------------------------------------------
     async def _expand_probe(self, probe: Probe, credit: Fraction, rid: int) -> None:
+        self._expanding[rid] = self._expanding.get(rid, 0) + 1
+        try:
+            await self._expand(probe, credit, rid)
+        finally:
+            left = self._expanding[rid] - 1
+            if left:
+                self._expanding[rid] = left
+            else:
+                # the last expansion of this request running here: its
+                # single-flight lookup futures have no one left to serve
+                del self._expanding[rid]
+                self._lookup_flight.pop(rid, None)
+
+    async def _expand(self, probe: Probe, credit: Fraction, rid: int) -> None:
         cfg = self.bcp.config
         request = probe.request
         candidates = derive_next_functions(
@@ -585,10 +619,11 @@ class PeerDaemon:
 
         When ``rid`` is given, identical queries within that request's
         wave are *single-flighted*: the first one performs the wire
-        exchange and every concurrent or later duplicate shares its
-        result (the wire analogue of the sync engine's per-wave lookup
-        cache — directory contents are fixed for the duration of a
-        composition).  Only the LookupRequest *frame* is deduplicated:
+        exchange and every duplicate issued while this daemon is still
+        expanding probes of the request shares its result (the wire
+        analogue of the sync engine's per-wave lookup cache — directory
+        contents are fixed for the duration of a composition).  Only the
+        LookupRequest *frame* is deduplicated:
         each logical lookup still routes the DHT itself, so ledger
         charges and the route-priced RTT are identical with and without
         the dedup.
@@ -847,28 +882,31 @@ class PeerDaemon:
         fresh = toks - before
         for token in fresh:
             self._arm_expiry(rid, token)
-        if fresh and self.distributed and self.peer_id != request.dest_peer:
-            # awaited before this probe's credit can move anywhere, so
-            # the destination has the load deltas before the window can
-            # possibly close (even for probes that die right here)
-            await self._report_reservations(rid, request.dest_peer, fresh)
+        # the destination must hold this admission's load deltas — and
+        # know this peer as a holder to release — before the probe's
+        # credit can move anywhere, so the window cannot close without
+        # them (even for probes that die right here)
+        report = bool(fresh) and self.distributed and self.peer_id != request.dest_peer
+        peers, links = self._reserved_usage(fresh) if report else ((), ())
         if child is None:
-            await self._return_credit(rid, request.dest_peer, msg.credit, "pruned")
+            dropped = "pruned"
+        elif self._seen.seen((rid, child.dedup_key())):
+            dropped = "duplicate"
+        elif child.elapsed > cfg.collect_timeout:
+            dropped = "late"
+        else:
+            dropped = None
+        if dropped is None and child.at_sink:
+            # the report rides the frame that delivers the credit
+            final = codec.FinalProbe(rid, child, msg.credit, peers, links)
+            await self._send_report(request.dest_peer, final, fresh)
             return
-        if self._seen.seen((rid, child.dedup_key())):
-            await self._return_credit(rid, request.dest_peer, msg.credit, "duplicate")
-            return
-        if child.elapsed > cfg.collect_timeout:
-            await self._return_credit(rid, request.dest_peer, msg.credit, "late")
-            return
-        if child.at_sink:
-            try:
-                await self.endpoint.call(
-                    request.dest_peer, codec.FinalProbe(rid, child, msg.credit),
-                    retry=self.probe_retry,
-                )
-            except RpcError:
-                pass  # destination gone: the whole request is dead
+        if report:
+            await self._send_report(
+                request.dest_peer, codec.ReservationReport(rid, peers, links), fresh
+            )
+        if dropped is not None:
+            await self._return_credit(rid, request.dest_peer, msg.credit, dropped)
             return
         await self._expand_probe(child, msg.credit, rid)
 
@@ -916,7 +954,11 @@ class PeerDaemon:
         rid = msg.request_id
         col = self._collections.get(rid)
         if col is None or col.done:
-            return {"ok": True}  # straggler after the window closed
+            return {"late": True}  # straggler after the window closed
+        if self.distributed and src != self.peer_id and self.bcp.config.soft_allocation:
+            # the sender admitted this probe, so it holds at least the
+            # last component's token even when this frame reports nothing
+            col.absorb(src, msg.peers, msg.links)
         toks = self._tokens.setdefault(rid, set())
         before = set(toks)
         arrival = self.bcp._final_hop(msg.probe, toks, col.result)
@@ -938,42 +980,40 @@ class PeerDaemon:
         self._credit(msg.request_id, col, msg.credit)
         return {"ok": True}
 
-    async def _report_reservations(self, rid: int, dest: int, tokens: Set[Tuple]) -> None:
-        """Ship freshly admitted reservations' demands to the destination."""
+    def _reserved_usage(self, tokens: Set[Tuple]) -> Tuple[Tuple, Tuple]:
+        """Just-admitted reservations' demands, as report rows."""
         peers: List[Tuple[int, str, float]] = []
         links: List[Tuple[int, int, float]] = []
         for token in sorted(tokens):
-            try:
-                claim_peers, claim_links = self.bcp.pool.claim_usage(token)
-            except KeyError:
-                continue  # already expired or released
+            claim_peers, claim_links = self.bcp.pool.claim_usage(token)
             for peer, demands in claim_peers:
                 for rtype in sorted(demands):
                     peers.append((peer, rtype, demands[rtype]))
             for link, bw in claim_links:
-                u, v = tuple(sorted(link))
+                u, v = sorted(link)
                 links.append((u, v, bw))
-        if not peers and not links:
-            return
+        return tuple(peers), tuple(links)
+
+    async def _send_report(self, dest: int, msg, fresh: Set[Tuple]) -> None:
+        """Deliver a report-carrying frame; drop ``fresh`` if it came late.
+
+        A ``late`` reply means the window closed first (the wall-clock
+        fallback beat this probe): the destination never booked this
+        peer as a holder and will send it no release, so the reservations
+        just reported are cancelled here instead of waiting out their
+        expiry timers.  Only still-soft tokens of this request go."""
         try:
-            await self.endpoint.call(
-                dest,
-                codec.ReservationReport(rid, tuple(peers), tuple(links)),
-                retry=self.probe_retry,
-            )
+            reply = await self.endpoint.call(dest, msg, retry=self.probe_retry)
         except RpcError:
-            pass  # destination gone: the whole request is dead anyway
+            return  # destination gone: the whole request is dead anyway
+        if isinstance(reply, dict) and reply.get("late"):
+            self._drop_soft(msg.request_id, fresh)
 
     async def _on_reservation(self, src: int, msg: codec.ReservationReport) -> dict:
         col = self._collections.get(msg.request_id)
         if col is None or col.done:
-            return {"ok": True}  # straggler after the window closed
-        for peer, rtype, amount in msg.peers:
-            key = (int(peer), str(rtype))
-            col.wave_peer_used[key] = col.wave_peer_used.get(key, 0.0) + float(amount)
-        for u, v, bw in msg.links:
-            key = (int(u), int(v))
-            col.wave_link_used[key] = col.wave_link_used.get(key, 0.0) + float(bw)
+            return {"late": True}  # straggler after the window closed
+        col.absorb(src, msg.peers, msg.links)
         return {"ok": True}
 
     def _credit(self, rid: int, col: _Collection, credit: Fraction) -> None:
@@ -1049,9 +1089,11 @@ class PeerDaemon:
             result.phases["setup_ack"] = ack_time
             result.setup_time = probing_time + ack_time
             keep = self.bcp._tokens_of(result.best, rid)
-        # release every losing reservation cluster-wide
-        await self._broadcast_release(rid, keep)
         success = result.best is not None
+        if not col.confirm:
+            keep = set()  # measurement-only run: the winner's tokens go too
+        # one wave: every reservation of this request but the ones kept
+        await self._release(col, keep)
         if success and col.confirm:
             if cfg.soft_allocation:
                 # same-peer hops never reserved a link token, so only the
@@ -1065,7 +1107,7 @@ class PeerDaemon:
                     result.failure_reason = "setup ack found expired reservation or dead peer"
                     if self.tap is not None:
                         self.tap.failure()
-                    await self._broadcast_release(rid, set())
+                    await self._release(col, set())
                     success = False
                 else:
                     result.session_tokens = sorted(confirmed)
@@ -1082,12 +1124,8 @@ class PeerDaemon:
                     if self.tap is not None:
                         self.tap.failure()
                     success = False
-        elif success and not col.confirm:
-            # measurement-only run: drop the winner's reservations too
-            await self._broadcast_release(rid, set())
         result.success = success
         self._collections.pop(rid, None)
-        self._lookup_flight.pop(rid, None)  # destination-side flight map
         self._trace(
             "compose_finished", request=rid, success=success, why=why,
             arrivals=len(arrivals), probes=result.probes_sent,
@@ -1154,14 +1192,19 @@ class PeerDaemon:
             self._tokens.pop(rid, None)
         return out
 
-    async def _broadcast_release(self, rid: int, keep: Set[Tuple]) -> None:
+    async def _release(self, col: _Collection, keep: Set[Tuple]) -> None:
+        """Drop the request's reservations (minus ``keep``) wherever any are.
+
+        Distributed mode: here plus the peers that reported reservations
+        to this window.  Shared-state mode sends no reports, so every
+        daemon is asked to drop whatever it tracks for the request."""
+        rid = col.request.request_id
+        self._apply_release(rid, keep)
+        targets = col.holders if self.distributed else self.peers
         msg = codec.SessionRelease(rid, tuple(sorted(keep)))
-        calls = []
-        for peer in self.peers:
-            if peer == self.peer_id:
-                self._apply_release(rid, keep)
-            else:
-                calls.append(self._release_one(peer, msg))
+        calls = [
+            self._release_one(peer, msg) for peer in sorted(targets) if peer != self.peer_id
+        ]
         if calls:
             await asyncio.gather(*calls)
 
@@ -1172,11 +1215,6 @@ class PeerDaemon:
             pass  # a dead peer's soft state expires on its own timers
 
     def _apply_release(self, rid: int, keep: Set[Tuple]) -> None:
-        keep = set(keep)
-        # the wave is over: drop its single-flight lookup futures (the
-        # destination broadcasts a release to every peer for every rid,
-        # so this is the per-request cleanup point on all daemons)
-        self._lookup_flight.pop(rid, None)
         firm = self._confirmed.get(rid)
         if firm:
             # a setup ack that failed after partially confirming (or a
@@ -1189,9 +1227,15 @@ class PeerDaemon:
             if not firm:
                 self._confirmed.pop(rid, None)
         mine = self._tokens.get(rid)
+        if mine:
+            self._drop_soft(rid, mine - keep)
+
+    def _drop_soft(self, rid: int, tokens: Set[Tuple]) -> None:
+        """Cancel those of ``tokens`` this daemon still holds soft for ``rid``."""
+        mine = self._tokens.get(rid)
         if not mine:
             return
-        for token in sorted(mine - keep):
+        for token in sorted(mine & tokens):
             self._cancel_timer(rid, token)
             try:
                 self.bcp.pool.cancel(token)

@@ -1,5 +1,7 @@
 """Round-trip and rejection tests for the live-runtime wire codec."""
 
+import dataclasses
+import json
 import struct
 from fractions import Fraction
 
@@ -153,6 +155,7 @@ class TestRoundTrips:
             ),
             codec.FinalProbe(1, probe, Fraction(2, 5)),
             codec.CreditReturn(1, Fraction(1, 6), "pruned"),
+            codec.ReservationReport(1, ((3, "cpu", 0.5),), ((2, 3, 1.25),)),
             codec.SessionConfirm(1, ((1, "comp", 7), (1, "link", -1, 7))),
             codec.SessionRelease(1, ((1, "comp", 7),)),
             codec.ComposeResult(
@@ -165,6 +168,33 @@ class TestRoundTrips:
         ]
         for msg in messages:
             assert roundtrip(msg, version) == msg, type(msg).__name__
+
+    def test_final_probe_with_and_without_report(self, request_obj, version):
+        probe = Probe.initial(request_obj, budget=8)
+        bare = codec.FinalProbe(1, probe, Fraction(2, 5))
+        out = roundtrip(bare, version)
+        assert out == bare
+        assert out.peers == () and out.links == ()
+        full = codec.FinalProbe(
+            1, probe, Fraction(2, 5),
+            peers=[[3, "cpu", 0.5], (3, "memory", 64)],
+            links=[(2, 3, 1.25)],
+        )
+        # rows normalize to tuples on construction and on decode alike
+        assert full.peers == ((3, "cpu", 0.5), (3, "memory", 64))
+        assert full.links == ((2, 3, 1.25),)
+        out = roundtrip(full, version)
+        assert out == full
+        assert isinstance(out.peers, tuple) and isinstance(out.peers[0], tuple)
+        assert out != bare
+
+    def test_final_probe_from_a_sender_without_report_fields(self, request_obj):
+        # a v1 payload that predates the report fields still decodes
+        doc = to_wire(codec.FinalProbe(1, Probe.initial(request_obj, budget=8), Fraction(1, 2)))
+        del doc["p"]["peers"], doc["p"]["links"]
+        out = from_wire(doc)
+        assert isinstance(out, codec.FinalProbe)
+        assert out.peers == () and out.links == ()
 
     def test_cross_version_equality(self, request_obj):
         # the two encodings must reconstruct indistinguishable objects
@@ -281,6 +311,51 @@ class TestRejection:
         header = struct.pack(">2sBI", b"SN", WIRE_VERSION, len(doc))
         with pytest.raises(CodecError, match="bad payload"):
             decode_frame(header + doc)
+
+    @pytest.mark.parametrize(
+        "field, rows",
+        [
+            ("peers", 7),  # not a sequence of rows
+            ("peers", [7]),  # a row that is not a sequence
+            ("peers", [[3, "cpu"]]),  # short row
+            ("peers", [[3, "cpu", 0.5, 1]]),  # long row
+            ("peers", [["3", "cpu", 0.5]]),  # peer id is not an int
+            ("peers", [[3, 9, 0.5]]),  # resource type is not a string
+            ("peers", [[3, "cpu", "much"]]),  # amount is not a number
+            ("links", [[2, 3]]),
+            ("links", [[2, "3", 1.0]]),
+            ("links", [[2, 3, None]]),
+            ("links", {"u": 2}),
+        ],
+    )
+    def test_malformed_report_rows(self, request_obj, version, field, rows):
+        # the rows cross the wire as plain lists, so a damaged or hostile
+        # frame can hold anything there: the decoder must refuse it as a
+        # CodecError, never let a TypeError out of a dataclass constructor
+        probe = Probe.initial(request_obj, budget=8)
+        good = {"peers": [[3, "cpu", 0.5]], "links": [[2, 3, 1.0]]}
+        for cls, head in (
+            (codec.FinalProbe, {"request_id": 1, "probe": probe, "credit": Fraction(1, 2)}),
+            (codec.ReservationReport, {"request_id": 1}),
+        ):
+            names = [f.name for f in dataclasses.fields(cls)]
+            values = {**head, **good, field: rows}
+            if version == WIRE_VERSION:
+                tag = "msg." + cls.__name__
+                doc = {"__w": tag, "p": {n: to_wire(values[n]) for n in names}}
+                payload = json.dumps(doc).encode("utf-8")
+            else:
+                # the generic v2 layout: type id, then the field values in order
+                packer = codec._Packer()
+                packer.out += bytes([codec._T_OBJ, codec._BIN_IDS[cls]])
+                for n in names:
+                    packer.pack_value(values[n])
+                payload = bytes(packer.out)
+            frame = struct.pack(">2sBI", b"SN", version, len(payload)) + payload
+            with pytest.raises(CodecError, match="malformed reservation report"):
+                decode_frame(frame)
+            with pytest.raises(CodecError, match="malformed reservation report"):
+                cls(**values)
 
     def test_unencodable_type(self):
         with pytest.raises(CodecError, match="not wire-encodable"):

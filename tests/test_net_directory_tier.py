@@ -21,6 +21,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.bcp import BCPConfig
 from repro.core.qos import QoSVector
 from repro.dht.id_space import key_for
 from repro.discovery.metadata import ServiceMetadata
@@ -348,11 +349,20 @@ def test_hot_function_rows_fan_out_past_base_replicas():
 # ----------------------------------------------------------------------
 # single-flight hygiene (the _lookup_flight eviction fix)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("dir_cache", [False, True], ids=["tier-off", "tier-on"])
-def test_lookup_flight_maps_drain_after_compose(dir_cache):
+@pytest.mark.parametrize(
+    "dir_cache, soft",
+    [(False, True), (True, True), (False, False)],
+    ids=["tier-off", "tier-on", "tier-off-no-soft-alloc"],
+)
+def test_lookup_flight_maps_drain_after_compose(dir_cache, soft):
+    # no teardown message reaches every daemon (releases go only to the
+    # peers that reported reservations, and without soft allocation
+    # nobody reports), so each daemon must drop a request's flight map
+    # on its own once it has stopped expanding that request's probes
     async def scenario():
         cluster = _cluster(
-            directory_tier=DirectoryTierConfig(enabled=dir_cache)
+            directory_tier=DirectoryTierConfig(enabled=dir_cache),
+            bcp_config=BCPConfig(soft_allocation=soft),
         )
         async with cluster:
             gen = cluster.scenario.requests
@@ -361,7 +371,7 @@ def test_lookup_flight_maps_drain_after_compose(dir_cache):
             for daemon in cluster.daemons.values():
                 await daemon.drain()
             flights = {
-                p: dict(d._lookup_flight) for p, d in cluster.daemons.items()
+                p: {**d._lookup_flight, **d._expanding} for p, d in cluster.daemons.items()
             }
             misses = {p: dict(d._miss_flight) for p, d in cluster.daemons.items()}
             return flights, misses, cluster.errors()

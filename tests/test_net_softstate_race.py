@@ -7,7 +7,7 @@ peer; an injected one-way latency delays only the frames headed at one
 probe wave itself is undisturbed and still matches the synchronous
 engine).  The target's soft timer fires while the SessionConfirm is in
 flight, the confirm pass comes up short, and the destination aborts the
-session with ``_broadcast_release(rid, set())``.
+session with a second, ``keep=∅`` release wave.
 
 Pre-fix, that final release could only cancel *soft* claims —
 ``ResourcePool.cancel`` refuses firm ones — so every token the pass had
