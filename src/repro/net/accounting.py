@@ -50,12 +50,10 @@ WIRE_CATEGORY = {
     codec.ProbeTransfer: "net_probe",
     codec.FinalProbe: "net_final",
     codec.CreditReturn: "net_credit",
-    codec.ReservationReport: "net_control",
     codec.SessionConfirm: "net_session",
     codec.SessionRelease: "net_session",
     codec.MaintenancePing: "net_ping",
     codec.ComposeBegin: "net_control",
-    codec.DiscoveryReport: "net_control",
     codec.ComposeResult: "net_control",
     codec.RegisterComponent: "net_directory",
     codec.RegisterBatch: "net_directory",

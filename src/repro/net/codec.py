@@ -62,11 +62,9 @@ __all__ = [
     "FrameReader",
     # wire messages
     "ComposeBegin",
-    "DiscoveryReport",
     "ProbeTransfer",
     "FinalProbe",
     "CreditReturn",
-    "ReservationReport",
     "SessionConfirm",
     "SessionRelease",
     "ComposeResult",
@@ -1105,13 +1103,38 @@ class ComposeBegin:
     confirm: bool
 
 
-@_message
-@dataclass(frozen=True)
-class DiscoveryReport:
-    """Source → destination: the root expansion's discovery RTT (phase split)."""
+def _usage_rows(rows, *kinds) -> Tuple[Tuple, ...]:
+    try:
+        out = tuple(tuple(row) for row in rows)
+    except TypeError as exc:
+        raise CodecError(f"malformed reservation report rows: {rows!r}") from exc
+    for row in out:
+        if len(row) != len(kinds) or not all(map(isinstance, row, kinds)):
+            raise CodecError(f"malformed reservation report row: {row!r}")
+    return out
 
-    request_id: int
-    rtt: float
+
+def _normalize_credit(msg) -> None:
+    """``__post_init__`` of the three credit-carrying messages.
+
+    ``reports`` is a tuple of bundles ``(holder, n, peers, links)``: what
+    ``holder`` reserved in its ``n``-th reporting admission, ``peers`` as
+    ``(peer, rtype, amount)`` rows and ``links`` as ``(u, v, bandwidth)``
+    rows.  Anything else is refused — a malformed report is a
+    :class:`CodecError` at decode time, never a ``TypeError`` inside the
+    destination's handler."""
+    bundles = tuple(
+        (
+            holder,
+            n,
+            _usage_rows(peers, int, str, (int, float)),
+            _usage_rows(links, int, int, (int, float)),
+        )
+        for holder, n, peers, links in _usage_rows(msg.reports, int, int, object, object)
+    )
+    object.__setattr__(msg, "reports", bundles)
+    if not isinstance(msg.discovery, (int, float, type(None))):
+        raise CodecError(f"malformed reservation report discovery rtt: {msg.discovery!r}")
 
 
 @_message
@@ -1124,6 +1147,15 @@ class ProbeTransfer:
     (QoS check + soft allocation) exactly as ``BCP._admit`` does.
     ``credit`` is this probe's share of the request's termination credit
     (splits on fan-out, returns to the destination on arrival/prune/loss).
+
+    Whatever the destination must know before its window may close
+    travels with that credit: ``reports`` holds the reservation bundles
+    of the admitting peers upstream (distributed mode; laid out as in
+    :func:`_normalize_credit`) and ``discovery`` the root expansion's
+    slowest lookup RTT.  On fan-out both go with the first child only,
+    so each reaches the destination exactly once — in the
+    :class:`FinalProbe` or :class:`CreditReturn` that ends this credit
+    share's journey.
     """
 
     request_id: int
@@ -1135,30 +1167,12 @@ class ProbeTransfer:
     budget: int
     lookup_rtt: float
     credit: Fraction
+    reports: Tuple[Tuple, ...] = ()
+    discovery: Optional[float] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "applied", tuple(tuple(p) for p in self.applied))
-
-
-def _usage_rows(rows, *kinds) -> Tuple[Tuple, ...]:
-    try:
-        out = tuple(tuple(row) for row in rows)
-    except TypeError as exc:
-        raise CodecError(f"malformed reservation report rows: {rows!r}") from exc
-    for row in out:
-        if len(row) != len(kinds) or not all(map(isinstance, row, kinds)):
-            raise CodecError(f"malformed reservation report row: {row!r}")
-    return out
-
-
-def _normalize_report(msg) -> None:
-    """``__post_init__`` of the two report-carrying messages: ``peers`` as
-    ``(peer, rtype, amount)`` rows, ``links`` as ``(u, v, bandwidth)``
-    rows, anything else refused — a malformed report is a
-    :class:`CodecError` at decode time, never a ``TypeError`` inside the
-    destination's handler."""
-    object.__setattr__(msg, "peers", _usage_rows(msg.peers, int, str, (int, float)))
-    object.__setattr__(msg, "links", _usage_rows(msg.links, int, int, (int, float)))
+        _normalize_credit(self)
 
 
 @_message
@@ -1166,55 +1180,34 @@ def _normalize_report(msg) -> None:
 class FinalProbe:
     """Last-hop peer → destination: a branch-complete probe arrives.
 
-    In distributed mode the frame also carries the demands of whatever
-    the sender reserved while admitting this probe (``peers`` / ``links``,
-    laid out as in :class:`ReservationReport`): the report would go to
-    the same destination one frame earlier, so it rides along and is
-    absorbed before the probe's credit is counted.  Both are empty in
-    shared mode and when the admission reserved nothing new.
+    ``reports`` / ``discovery`` are what the probe gathered on its way
+    (see :class:`ProbeTransfer`), the sender's own bundle last; the
+    destination absorbs them before it counts the credit.  A reply
+    marked ``late`` means the window had already closed.
     """
 
     request_id: int
     probe: Probe
     credit: Fraction
-    peers: Tuple[Tuple[int, str, float], ...] = ()
-    links: Tuple[Tuple[int, int, float], ...] = ()
+    reports: Tuple[Tuple, ...] = ()
+    discovery: Optional[float] = None
 
-    __post_init__ = _normalize_report
+    __post_init__ = _normalize_credit
 
 
 @_message
 @dataclass(frozen=True)
 class CreditReturn:
-    """Any peer → destination: credit whose probe will not arrive."""
+    """Any peer → destination: credit whose probe will not arrive, with
+    the ``reports`` / ``discovery`` that were travelling with it."""
 
     request_id: int
     credit: Fraction
     reason: str
+    reports: Tuple[Tuple, ...] = ()
+    discovery: Optional[float] = None
 
-
-@_message
-@dataclass(frozen=True)
-class ReservationReport:
-    """Admitting peer → destination: fresh soft reservations' demands.
-
-    Distributed mode only.  ``peers`` is ``((peer, rtype, amount), ...)``
-    and ``links`` is ``((u, v, bandwidth), ...)``; the destination
-    accumulates them per request so ψλ selection sees the whole wave's
-    load exactly as the shared-pool engines do, and remembers the sender
-    as a peer to release when the window closes.  The sender awaits the
-    ack *before* the probe's credit moves anywhere, so the collection
-    window cannot close with a report still in flight; a reply marked
-    ``late`` means the window was already closed, and the sender drops
-    the reservations it just reported.  A last-hop peer sends no frame
-    of this kind: its report rides the :class:`FinalProbe`.
-    """
-
-    request_id: int
-    peers: Tuple[Tuple[int, str, float], ...]
-    links: Tuple[Tuple[int, int, float], ...]
-
-    __post_init__ = _normalize_report
+    __post_init__ = _normalize_credit
 
 
 @_message
@@ -1233,11 +1226,14 @@ class SessionConfirm:
 @dataclass(frozen=True)
 class SessionRelease:
     """Destination → the peers holding this request's reservations (those
-    that reported any; every peer in shared mode, which has no reports):
-    drop the request's soft state, minus ``keep``."""
+    named in the wave's report bundles; every peer in shared mode, which
+    has no reports): drop the request's soft state, minus ``keep``.
+    ``soft_only`` spares firm tokens too — the cleanup after a frame that
+    met a closed window, when an established session may own them."""
 
     request_id: int
     keep: Tuple[Tuple, ...]
+    soft_only: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "keep", _tokens_tuple(self.keep))
@@ -1420,13 +1416,15 @@ def _pack_probe_transfer(p: _Packer, m: ProbeTransfer) -> None:
     p.pack_int(m.budget)
     p.pack_float(m.lookup_rtt)
     p.pack_object(m.credit)
+    p.pack_value(m.reports)
+    p.pack_value(m.discovery)
 
 
 def _unpack_probe_transfer(u: _Unpacker) -> ProbeTransfer:
     read = u.read_value
     # trusted decode skips __post_init__: the tuple normalization it
-    # exists for is done right here
-    return _new_with_dict(
+    # exists for is done right here, the bundle check just below
+    msg = _new_with_dict(
         ProbeTransfer,
         {
             "request_id": read(),
@@ -1438,8 +1436,12 @@ def _unpack_probe_transfer(u: _Unpacker) -> ProbeTransfer:
             "budget": read(),
             "lookup_rtt": read(),
             "credit": read(),
+            "reports": read(),
+            "discovery": read(),
         },
     )
+    _normalize_credit(msg)
+    return msg
 
 
 # ProbeTransfer is by far the most frequent frame on the wire (one per

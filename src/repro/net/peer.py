@@ -31,16 +31,24 @@ tokens are tracked separately so a later release — a setup ack that
 fails partway, or a session teardown — frees them too instead of leaking
 capacity.
 
+**Reports ride the credit.**  In distributed mode the destination must
+know, before its window may close, who reserved what along the wave.
+No peer stops to tell it: an admitting peer appends a bundle of its
+fresh reservations to the ones the probe already carries, a fan-out
+sends the lot on with its first child, and the ``FinalProbe`` or
+``CreditReturn`` that ends that credit share's journey hands them over
+— absorbed before the credit is counted, so "credit complete" implies
+"every holder booked, the whole wave's load known" by construction.
+
 **Teardown.**  When the window closes the destination releases the
-request's losing reservations in *one* wave.  In distributed mode it
-already knows who holds any: every admitting peer reports its fresh
-reservations (``ReservationReport``, or inside the ``FinalProbe`` at the
-last hop) before its probe's credit can move, so exactly the reporting
-peers get a ``SessionRelease`` and the message cost of a composition
-stays bounded by the probing budget, not by the size of the overlay.  A
-report that reaches a closed window (a straggler after the wall-clock
-fallback) is answered ``late`` and the reporter drops what it just
-reserved.  Shared-state mode sends no reports and releases on every peer.
+request's losing reservations in *one* wave, to exactly the holders its
+bundles name — the message cost of a composition stays bounded by the
+probing budget, not by the size of the overlay.  A credit-carrying frame
+that reaches a closed window (a straggler after the wall-clock fallback)
+is answered ``late`` and the holders named in it are sent one soft-only
+release.  A peer that dies holding a probe takes the probe's bundles
+with it; those holders' tokens fall to their expiry timers.  Shared-state
+mode sends no reports and releases on every peer.
 
 **Distributed mode.**  With a ``directory``/``ring``/``dht`` triple the
 daemon stops consulting the shared :class:`ServiceRegistry` entirely:
@@ -99,6 +107,10 @@ from .rpc import DedupCache, RetryPolicy, RpcEndpoint, RpcError
 
 __all__ = ["PeerDaemon", "LiveSession"]
 
+# what rides a share of the termination credit besides the probe: the
+# report bundles gathered so far and the discovery RTT (see ProbeTransfer)
+_NO_CARGO: Tuple[Tuple, Optional[float]] = ((), None)
+
 
 @dataclass
 class LiveSession:
@@ -127,21 +139,30 @@ class _Collection:
     deadline_handle: Optional[asyncio.TimerHandle] = None
     done: bool = False
     # distributed mode: remote peers' wave reservations, accumulated from
-    # ReservationReport / FinalProbe rows ((peer, rtype) -> amount,
-    # link -> bandwidth), and the peers that sent them — the only remote
-    # peers holding tokens for this request, so the only ones released
+    # the bundles of credit-carrying frames ((peer, rtype) -> amount,
+    # link -> bandwidth), the (holder, n) ids of the bundles booked so far
+    # and their holders — the only remote peers holding tokens for this
+    # request, so the only ones released
     wave_peer_used: Dict[Tuple[int, str], float] = field(default_factory=dict)
     wave_link_used: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    absorbed: Set[Tuple[int, int]] = field(default_factory=set)
     holders: Set[int] = field(default_factory=set)
+    keep: Tuple[Tuple, ...] = ()  # what the latest release wave spared
 
-    def absorb(self, src: int, peers, links) -> None:
-        """Book one admitting peer's reported reservation demands."""
-        self.holders.add(src)
-        for peer, rtype, amount in peers:
-            key = (peer, rtype)
-            self.wave_peer_used[key] = self.wave_peer_used.get(key, 0.0) + amount
-        for u, v, bw in links:
-            self.wave_link_used[(u, v)] = self.wave_link_used.get((u, v), 0.0) + bw
+    def absorb(self, reports) -> None:
+        """Book the admitting peers' reservation demands, each bundle once
+        (a probe processed by its receiver *and* reported lost by its
+        sender delivers the same bundles twice)."""
+        for holder, n, peers, links in reports:
+            if (holder, n) in self.absorbed:
+                continue
+            self.absorbed.add((holder, n))
+            self.holders.add(holder)
+            for peer, rtype, amount in peers:
+                key = (peer, rtype)
+                self.wave_peer_used[key] = self.wave_peer_used.get(key, 0.0) + amount
+            for u, v, bw in links:
+                self.wave_link_used[(u, v)] = self.wave_link_used.get((u, v), 0.0) + bw
 
 
 class _WaveLoadView:
@@ -149,10 +170,10 @@ class _WaveLoadView:
 
     A distributed destination's pool holds only the claims it admitted
     itself; the rest of the wave's soft reservations live in the
-    admitting peers' pools and arrive as :class:`ReservationReport`
-    deltas.  Subtracting those deltas from the local view reconstructs
-    exactly the availability a shared-pool engine would see at selection
-    time — wire-only, no remote reads.
+    admitting peers' pools and arrive as the report bundles of
+    credit-carrying frames.  Subtracting those deltas from the local view
+    reconstructs exactly the availability a shared-pool engine would see
+    at selection time — wire-only, no remote reads.
     """
 
     def __init__(
@@ -250,6 +271,7 @@ class PeerDaemon:
         self._confirmed: Dict[int, Set[Tuple]] = {}  # rid -> firm tokens owned here
         self._timers: Dict[Tuple[int, Tuple], asyncio.TimerHandle] = {}
         self._seen = DedupCache()  # (rid, Probe.dedup_key()) application dedup
+        self._bundles_made = 0  # the n of this peer's next report bundle
         # rid -> {(function, origin): future} single-flight lookup dedup
         # (the tier-off wire path).  A rid's map lives while this daemon
         # is expanding a probe of that request (_expanding counts them):
@@ -276,11 +298,9 @@ class PeerDaemon:
         self.sessions: Dict[int, LiveSession] = {}
         self._tasks: Set[asyncio.Task] = set()
         endpoint.on(codec.ComposeBegin, self._on_begin)
-        endpoint.on(codec.DiscoveryReport, self._on_discovery)
         endpoint.on(codec.ProbeTransfer, self._on_probe)
         endpoint.on(codec.FinalProbe, self._on_final)
         endpoint.on(codec.CreditReturn, self._on_credit)
-        endpoint.on(codec.ReservationReport, self._on_reservation)
         endpoint.on(codec.SessionRelease, self._on_release)
         endpoint.on(codec.SessionConfirm, self._on_confirm)
         endpoint.on(codec.ComposeResult, self._on_result)
@@ -533,10 +553,12 @@ class PeerDaemon:
     # ------------------------------------------------------------------
     # steps 2.2-2.4: expansion at the probe's current peer
     # ------------------------------------------------------------------
-    async def _expand_probe(self, probe: Probe, credit: Fraction, rid: int) -> None:
+    async def _expand_probe(
+        self, probe: Probe, credit: Fraction, rid: int, cargo=_NO_CARGO
+    ) -> None:
         self._expanding[rid] = self._expanding.get(rid, 0) + 1
         try:
-            await self._expand(probe, credit, rid)
+            await self._expand(probe, credit, rid, cargo)
         finally:
             left = self._expanding[rid] - 1
             if left:
@@ -547,14 +569,14 @@ class PeerDaemon:
                 del self._expanding[rid]
                 self._lookup_flight.pop(rid, None)
 
-    async def _expand(self, probe: Probe, credit: Fraction, rid: int) -> None:
+    async def _expand(self, probe: Probe, credit: Fraction, rid: int, cargo) -> None:
         cfg = self.bcp.config
         request = probe.request
         candidates = derive_next_functions(
             probe.graph, probe.current_function, probe.applied_swaps, cfg.explore_commutations
         )
         if not candidates:
-            await self._return_credit(rid, request.dest_peer, credit, "no-next-hop")
+            await self._return_credit(rid, request.dest_peer, credit, "no-next-hop", cargo)
             return
         # all candidate lookups run concurrently: a real implementation
         # would have all queries in flight at once, and the discovery
@@ -566,7 +588,7 @@ class PeerDaemon:
         max_rtt = max((rtt for _, rtt in results), default=0.0)
         if probe.branch == ():
             # the root expansion's slowest lookup is the discovery phase
-            await self.endpoint.call(request.dest_peer, codec.DiscoveryReport(rid, max_rtt))
+            cargo = (cargo[0], max_rtt)
         entries = [
             (fn, cfg.quota_policy(fn, len(comps)), is_dep)
             for (fn, _, _, is_dep), comps in zip(candidates, lookups)
@@ -593,13 +615,16 @@ class PeerDaemon:
             for comp in chosen:
                 sends.append((fn, graph, applied, comp, child_budget))
         if not sends:
-            await self._return_credit(rid, request.dest_peer, credit, "exhausted")
+            await self._return_credit(rid, request.dest_peer, credit, "exhausted", cargo)
             return
         share = credit / len(sends)  # exact: Fractions never leak credit
+        # what the destination must learn rides one share of the credit,
+        # the first child's: it gets there once, before the credit is whole
+        cargoes = [cargo] + [_NO_CARGO] * (len(sends) - 1)
         await asyncio.gather(
             *(
-                self._send_probe(rid, probe, fn, graph, applied, comp, b, max_rtt, share)
-                for fn, graph, applied, comp, b in sends
+                self._send_probe(rid, probe, *send, max_rtt, share, carried)
+                for send, carried in zip(sends, cargoes)
             )
         )
 
@@ -800,6 +825,7 @@ class PeerDaemon:
         budget: int,
         lookup_rtt: float,
         credit: Fraction,
+        cargo=_NO_CARGO,
     ) -> None:
         self.counters[rid] = self.counters.get(rid, 0) + 1
         if self.tap is not None:
@@ -814,6 +840,8 @@ class PeerDaemon:
             budget=budget,
             lookup_rtt=lookup_rtt,
             credit=credit,
+            reports=cargo[0],
+            discovery=cargo[1],
         )
         try:
             await self.endpoint.call(comp.peer, msg, retry=self.probe_retry)
@@ -821,15 +849,19 @@ class PeerDaemon:
             # the retry/backoff path ran dry: report the credit as lost so
             # the destination's window can still close without the fallback
             self._trace("probe_lost", request=rid, to_peer=comp.peer, function=fn)
-            await self._return_credit(rid, parent.request.dest_peer, credit, "lost")
+            await self._return_credit(rid, parent.request.dest_peer, credit, "lost", cargo)
 
-    async def _return_credit(self, rid: int, dest_peer: int, credit: Fraction, reason: str) -> None:
+    async def _return_credit(
+        self, rid: int, dest_peer: int, credit: Fraction, reason: str, cargo=_NO_CARGO
+    ) -> None:
         if credit == 0:
             return
+        await self._credit_home(dest_peer, codec.CreditReturn(rid, credit, reason, *cargo))
+
+    async def _credit_home(self, dest_peer: int, msg) -> None:
+        """Deliver a ``FinalProbe`` / ``CreditReturn`` to the destination."""
         try:
-            await self.endpoint.call(
-                dest_peer, codec.CreditReturn(rid, credit, reason), retry=self.probe_retry
-            )
+            await self.endpoint.call(dest_peer, msg, retry=self.probe_retry)
         except RpcError:
             pass  # destination unreachable: its wall-clock fallback closes the window
 
@@ -848,7 +880,8 @@ class PeerDaemon:
             self._trace("probe_shed", request=msg.request_id, from_peer=src)
             self._spawn(
                 self._return_credit(
-                    msg.request_id, msg.parent.request.dest_peer, msg.credit, "shed"
+                    msg.request_id, msg.parent.request.dest_peer, msg.credit, "shed",
+                    (msg.reports, msg.discovery),
                 )
             )
             return {"ok": True, "shed": True}
@@ -882,12 +915,14 @@ class PeerDaemon:
         fresh = toks - before
         for token in fresh:
             self._arm_expiry(rid, token)
-        # the destination must hold this admission's load deltas — and
-        # know this peer as a holder to release — before the probe's
-        # credit can move anywhere, so the window cannot close without
-        # them (even for probes that die right here)
-        report = bool(fresh) and self.distributed and self.peer_id != request.dest_peer
-        peers, links = self._reserved_usage(fresh) if report else ((), ())
+        reports = msg.reports
+        if fresh and self.distributed and self.peer_id != request.dest_peer:
+            # this admission's load deltas — and this peer as a holder to
+            # release — join what the probe already carries: wherever its
+            # credit goes from here (even if it dies right here), they go
+            # too, so the window cannot close without them
+            self._bundles_made += 1
+            reports += ((self.peer_id, self._bundles_made, *self._reserved_usage(fresh)),)
         if child is None:
             dropped = "pruned"
         elif self._seen.seen((rid, child.dedup_key())):
@@ -896,19 +931,15 @@ class PeerDaemon:
             dropped = "late"
         else:
             dropped = None
-        if dropped is None and child.at_sink:
-            # the report rides the frame that delivers the credit
-            final = codec.FinalProbe(rid, child, msg.credit, peers, links)
-            await self._send_report(request.dest_peer, final, fresh)
-            return
-        if report:
-            await self._send_report(
-                request.dest_peer, codec.ReservationReport(rid, peers, links), fresh
-            )
+        cargo = (reports, msg.discovery)
         if dropped is not None:
-            await self._return_credit(rid, request.dest_peer, msg.credit, dropped)
-            return
-        await self._expand_probe(child, msg.credit, rid)
+            await self._return_credit(rid, request.dest_peer, msg.credit, dropped, cargo)
+        elif child.at_sink:
+            await self._credit_home(
+                request.dest_peer, codec.FinalProbe(rid, child, msg.credit, *cargo)
+            )
+        else:
+            await self._expand_probe(child, msg.credit, rid, cargo)
 
     # ------------------------------------------------------------------
     # destination side: collection window
@@ -944,21 +975,32 @@ class PeerDaemon:
         self._collections[rid] = col
         return {"ok": True}
 
-    async def _on_discovery(self, src: int, msg: codec.DiscoveryReport) -> dict:
-        col = self._collections.get(msg.request_id)
-        if col is not None:
-            col.discovery = msg.rtt
-        return {"ok": True}
+    def _open_window(self, msg) -> Optional[_Collection]:
+        """The open window of a credit-carrying frame, the frame's reports
+        absorbed — to be done before its credit is counted.
 
-    async def _on_final(self, src: int, msg: codec.FinalProbe) -> dict:
+        ``None`` when the window already closed (a straggler after the
+        wall-clock fallback): nobody will book the holders the frame names
+        or send them the release wave, so each gets one soft-only release
+        now instead of sitting on its tokens until they expire."""
         rid = msg.request_id
         col = self._collections.get(rid)
         if col is None or col.done:
-            return {"late": True}  # straggler after the window closed
-        if self.distributed and src != self.peer_id and self.bcp.config.soft_allocation:
-            # the sender admitted this probe, so it holds at least the
-            # last component's token even when this frame reports nothing
-            col.absorb(src, msg.peers, msg.links)
+            keep = col.keep if col is not None else ()  # a winner awaiting its ack
+            release = codec.SessionRelease(rid, keep, soft_only=True)
+            for holder in sorted({bundle[0] for bundle in msg.reports}):
+                self._spawn(self._release_one(holder, release))
+            return None
+        col.absorb(msg.reports)
+        if msg.discovery is not None:
+            col.discovery = msg.discovery
+        return col
+
+    async def _on_final(self, src: int, msg: codec.FinalProbe) -> dict:
+        rid = msg.request_id
+        col = self._open_window(msg)
+        if col is None:
+            return {"late": True}
         toks = self._tokens.setdefault(rid, set())
         before = set(toks)
         arrival = self.bcp._final_hop(msg.probe, toks, col.result)
@@ -974,9 +1016,9 @@ class PeerDaemon:
         return {"ok": True}
 
     async def _on_credit(self, src: int, msg: codec.CreditReturn) -> dict:
-        col = self._collections.get(msg.request_id)
-        if col is None or col.done:
-            return {"ok": True}
+        col = self._open_window(msg)
+        if col is None:
+            return {"late": True}
         self._credit(msg.request_id, col, msg.credit)
         return {"ok": True}
 
@@ -993,28 +1035,6 @@ class PeerDaemon:
                 u, v = sorted(link)
                 links.append((u, v, bw))
         return tuple(peers), tuple(links)
-
-    async def _send_report(self, dest: int, msg, fresh: Set[Tuple]) -> None:
-        """Deliver a report-carrying frame; drop ``fresh`` if it came late.
-
-        A ``late`` reply means the window closed first (the wall-clock
-        fallback beat this probe): the destination never booked this
-        peer as a holder and will send it no release, so the reservations
-        just reported are cancelled here instead of waiting out their
-        expiry timers.  Only still-soft tokens of this request go."""
-        try:
-            reply = await self.endpoint.call(dest, msg, retry=self.probe_retry)
-        except RpcError:
-            return  # destination gone: the whole request is dead anyway
-        if isinstance(reply, dict) and reply.get("late"):
-            self._drop_soft(msg.request_id, fresh)
-
-    async def _on_reservation(self, src: int, msg: codec.ReservationReport) -> dict:
-        col = self._collections.get(msg.request_id)
-        if col is None or col.done:
-            return {"late": True}  # straggler after the window closed
-        col.absorb(src, msg.peers, msg.links)
-        return {"ok": True}
 
     def _credit(self, rid: int, col: _Collection, credit: Fraction) -> None:
         col.credit += credit
@@ -1195,13 +1215,14 @@ class PeerDaemon:
     async def _release(self, col: _Collection, keep: Set[Tuple]) -> None:
         """Drop the request's reservations (minus ``keep``) wherever any are.
 
-        Distributed mode: here plus the peers that reported reservations
-        to this window.  Shared-state mode sends no reports, so every
+        Distributed mode: here plus the holders this window's report
+        bundles named.  Shared-state mode sends no reports, so every
         daemon is asked to drop whatever it tracks for the request."""
         rid = col.request.request_id
         self._apply_release(rid, keep)
         targets = col.holders if self.distributed else self.peers
-        msg = codec.SessionRelease(rid, tuple(sorted(keep)))
+        col.keep = tuple(sorted(keep))
+        msg = codec.SessionRelease(rid, col.keep)
         calls = [
             self._release_one(peer, msg) for peer in sorted(targets) if peer != self.peer_id
         ]
@@ -1214,8 +1235,8 @@ class PeerDaemon:
         except RpcError:
             pass  # a dead peer's soft state expires on its own timers
 
-    def _apply_release(self, rid: int, keep: Set[Tuple]) -> None:
-        firm = self._confirmed.get(rid)
+    def _apply_release(self, rid: int, keep: Set[Tuple], soft_only: bool = False) -> None:
+        firm = None if soft_only else self._confirmed.get(rid)
         if firm:
             # a setup ack that failed after partially confirming (or a
             # torn-down session) leaves firm claims behind; cancel() puts
@@ -1246,7 +1267,7 @@ class PeerDaemon:
             self._tokens.pop(rid, None)
 
     async def _on_release(self, src: int, msg: codec.SessionRelease) -> dict:
-        self._apply_release(msg.request_id, {tuple(t) for t in msg.keep})
+        self._apply_release(msg.request_id, {tuple(t) for t in msg.keep}, msg.soft_only)
         return {"ok": True}
 
     async def _on_confirm(self, src: int, msg: codec.SessionConfirm) -> dict:

@@ -15,6 +15,7 @@ using shortest path routing".  We provide both layers:
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -132,13 +133,11 @@ class OverlayRouter:
     ) -> None:
         self.graph = overlay_graph
         self._overrides = dict(delay_overrides) if delay_overrides else {}
-        self._matrix, self._nodelist = graph_to_sparse(
+        matrix, self._nodelist = graph_to_sparse(
             overlay_graph, "delay", overrides=self._overrides or None
         )
         self._index = {v: i for i, v in enumerate(self._nodelist)}
-        self._dist, self._pred = dijkstra(
-            self._matrix, directed=False, return_predecessors=True
-        )
+        self._dist, self._pred = dijkstra(matrix, directed=False, return_predecessors=True)
         # canonical link ordering shared with vectorized bandwidth queries
         # (ResourcePool keeps its capacity/usage arrays in this order)
         self._link_order: List[Tuple[int, int]] = [
@@ -147,14 +146,16 @@ class OverlayRouter:
         self._link_index: Dict[Tuple[int, int], int] = {
             l: i for i, l in enumerate(self._link_order)
         }
+        # endpoints (matrix indices) and declared delays of the edges, in
+        # link order: all reweighted() needs of the graph
+        self._edge_ends = np.array(
+            [(self._index[u], self._index[v]) for u, v in self._link_order], dtype=np.intp
+        ).reshape(-1, 2)
+        self._edge_delays = np.array(
+            [float(d) for _, _, d in overlay_graph.edges(data="delay")], dtype=float
+        )
         self._cache_enabled = cache_paths
-        self._path_cache: Dict[Tuple[int, int], List[int]] = {}
-        self._links_cache: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        self._link_idx_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        self._link_idx_list_cache: Dict[Tuple[int, int], List[int]] = {}
-        self._batch_idx_cache: Dict[
-            Tuple[int, Tuple[int, ...]], Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
+        self.clear_cache()
 
     @property
     def peers(self) -> List[int]:
@@ -187,13 +188,34 @@ class OverlayRouter:
         replaced (canonical-link keyed; ``inf`` prices a link out of every
         shortest path without removing the edge).
 
-        Because the graph object — and therefore its edge iteration
-        order — is shared, the new router's :attr:`link_order` is
-        identical to this one's, so capacity/usage arrays indexed by it
-        (:class:`~repro.core.resources.ResourcePool`) remain valid."""
-        return OverlayRouter(
-            self.graph, cache_paths=self._cache_enabled, delay_overrides=overrides
+        Equal to ``OverlayRouter(graph, delay_overrides=overrides)``, but
+        only the shortest paths are recomputed: the node index, the link
+        order and the edge arrays are this router's own, shared — the
+        measurement plane rebuilds on every re-price, and walking the
+        networkx graph again cost more than the ``dijkstra`` it fed.  The
+        shared :attr:`link_order` is also what keeps capacity/usage arrays
+        indexed by it (:class:`~repro.core.resources.ResourcePool`) valid."""
+        delays = self._edge_delays.copy()
+        for link, delay in overrides.items():
+            i = self._link_index.get(link)
+            if i is not None:
+                delays[i] = delay
+        live = np.isfinite(delays)  # csr stores explicit values: omit the edge
+        rows, cols = self._edge_ends[live].T
+        delays = delays[live]
+        n = len(self._nodelist)
+        out = copy.copy(self)
+        out._overrides = dict(overrides)
+        matrix = csr_matrix(
+            (
+                np.concatenate((delays, delays)),
+                (np.concatenate((rows, cols)), np.concatenate((cols, rows))),
+            ),
+            shape=(n, n),
         )
+        out._dist, out._pred = dijkstra(matrix, directed=False, return_predecessors=True)
+        out.clear_cache()
+        return out
 
     def set_path_cache(self, enabled: bool) -> None:
         """Toggle path memoization (A/B tests); always clears the cache."""
@@ -202,11 +224,13 @@ class OverlayRouter:
 
     def clear_cache(self) -> None:
         """Invalidation hook: drop all memoized paths/links/indices."""
-        self._path_cache.clear()
-        self._links_cache.clear()
-        self._link_idx_cache.clear()
-        self._link_idx_list_cache.clear()
-        self._batch_idx_cache.clear()
+        self._path_cache: Dict[Tuple[int, int], List[int]] = {}
+        self._links_cache: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        self._link_idx_cache: Dict[Tuple[int, int], np.ndarray] = {}
+        self._link_idx_list_cache: Dict[Tuple[int, int], List[int]] = {}
+        self._batch_idx_cache: Dict[
+            Tuple[int, Tuple[int, ...]], Tuple[np.ndarray, np.ndarray, np.ndarray]
+        ] = {}
 
     def delay(self, src: int, dst: int) -> float:
         try:

@@ -1,9 +1,9 @@
 """Round-trip and rejection tests for the live-runtime wire codec."""
 
-import dataclasses
 import json
 import struct
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -58,6 +58,51 @@ def roundtrip(obj, version=WIRE_VERSION):
 @pytest.fixture(params=SUPPORTED_WIRE_VERSIONS, ids=lambda v: f"v{v}")
 def version(request):
     return request.param
+
+
+# what a credit-carrying frame gathers: (holder, n, peer rows, link rows)
+_BUNDLES = (
+    (3, 1, ((3, "cpu", 0.5), (3, "memory", 64)), ((2, 3, 1.25),)),
+    (5, 4, (), ((3, 5, 0.75),)),
+)
+
+
+def _assert_refused(request_obj, service_graph, version, **damage):
+    """Each credit-carrying frame refuses ``damage`` (values for its
+    ``reports`` / ``discovery``) with a CodecError: at decode time under
+    ``version`` and in its constructor."""
+    probe = Probe.initial(request_obj, budget=8)
+    fn = service_graph.pattern.functions[0]
+    heads = {
+        codec.FinalProbe: {"request_id": 1, "probe": probe, "credit": Fraction(1, 2)},
+        codec.CreditReturn: {"request_id": 1, "credit": Fraction(1, 2), "reason": "lost"},
+        codec.ProbeTransfer: {
+            "request_id": 1, "parent": probe, "function": fn,
+            "component": service_graph.assignment[fn],
+            "graph": request_obj.function_graph, "applied": (), "budget": 4,
+            "lookup_rtt": 0.05, "credit": Fraction(1, 2),
+        },
+    }
+    for cls, head in heads.items():
+        values = {**head, "reports": [], "discovery": None, **damage}
+        if version == WIRE_VERSION:
+            doc = {
+                "__w": "msg." + cls.__name__,
+                "p": {name: to_wire(value) for name, value in values.items()},
+            }
+            payload = json.dumps(doc).encode("utf-8")
+        else:
+            # the type's v2 layout, written from unvalidated field values
+            type_id = codec._BIN_IDS[cls]
+            packer = codec._Packer()
+            packer.out += bytes([codec._T_OBJ, type_id])
+            codec._BIN_PACKERS[type_id](packer, SimpleNamespace(**values))
+            payload = bytes(packer.out)
+        frame = struct.pack(">2sBI", b"SN", version, len(payload)) + payload
+        with pytest.raises(CodecError, match="malformed reservation report"):
+            decode_frame(frame)
+        with pytest.raises(CodecError, match="malformed reservation report"):
+            cls(**values)
 
 
 class TestRoundTrips:
@@ -148,16 +193,21 @@ class TestRoundTrips:
         meta = service_graph.assignment[fn]
         messages = [
             codec.ComposeBegin(1, request_obj, 16, True),
-            codec.DiscoveryReport(1, 0.125),
             codec.ProbeTransfer(
                 1, probe, fn, meta, request_obj.function_graph,
                 (("F001", "F002"),), 4, 0.05, Fraction(1, 3),
             ),
+            codec.ProbeTransfer(
+                1, probe, fn, meta, request_obj.function_graph,
+                (("F001", "F002"),), 4, 0.05, Fraction(1, 3), _BUNDLES, 0.125,
+            ),
             codec.FinalProbe(1, probe, Fraction(2, 5)),
+            codec.FinalProbe(1, probe, Fraction(2, 5), _BUNDLES, 0.125),
             codec.CreditReturn(1, Fraction(1, 6), "pruned"),
-            codec.ReservationReport(1, ((3, "cpu", 0.5),), ((2, 3, 1.25),)),
+            codec.CreditReturn(1, Fraction(1, 6), "lost", _BUNDLES, 0.125),
             codec.SessionConfirm(1, ((1, "comp", 7), (1, "link", -1, 7))),
             codec.SessionRelease(1, ((1, "comp", 7),)),
+            codec.SessionRelease(1, (), soft_only=True),
             codec.ComposeResult(
                 1, True, service_graph, QoSVector({"delay": 0.2}), 1.5,
                 None, 42, 7, 0.9, {"discovery": 0.1}, ((1, "comp", 7),),
@@ -174,27 +224,48 @@ class TestRoundTrips:
         bare = codec.FinalProbe(1, probe, Fraction(2, 5))
         out = roundtrip(bare, version)
         assert out == bare
-        assert out.peers == () and out.links == ()
+        assert out.reports == () and out.discovery is None
         full = codec.FinalProbe(
             1, probe, Fraction(2, 5),
-            peers=[[3, "cpu", 0.5], (3, "memory", 64)],
-            links=[(2, 3, 1.25)],
+            reports=[
+                [3, 1, [[3, "cpu", 0.5], (3, "memory", 64)], [(2, 3, 1.25)]],
+                (5, 2, [], ()),
+            ],
+            discovery=0.125,
         )
-        # rows normalize to tuples on construction and on decode alike
-        assert full.peers == ((3, "cpu", 0.5), (3, "memory", 64))
-        assert full.links == ((2, 3, 1.25),)
+        # bundles and rows normalize to tuples on construction and on
+        # decode alike
+        assert full.reports == (
+            (3, 1, ((3, "cpu", 0.5), (3, "memory", 64)), ((2, 3, 1.25),)),
+            (5, 2, (), ()),
+        )
         out = roundtrip(full, version)
-        assert out == full
-        assert isinstance(out.peers, tuple) and isinstance(out.peers[0], tuple)
+        assert out == full and out.discovery == 0.125
+        bundle = out.reports[0]
+        assert isinstance(out.reports, tuple) and isinstance(bundle, tuple)
+        assert isinstance(bundle[2], tuple) and isinstance(bundle[2][0], tuple)
         assert out != bare
 
-    def test_final_probe_from_a_sender_without_report_fields(self, request_obj):
-        # a v1 payload that predates the report fields still decodes
-        doc = to_wire(codec.FinalProbe(1, Probe.initial(request_obj, budget=8), Fraction(1, 2)))
-        del doc["p"]["peers"], doc["p"]["links"]
-        out = from_wire(doc)
-        assert isinstance(out, codec.FinalProbe)
-        assert out.peers == () and out.links == ()
+    def test_final_probe_from_a_sender_without_report_fields(
+        self, request_obj, service_graph
+    ):
+        # a v1 payload without ``reports`` / ``discovery`` still decodes,
+        # for each of the three frames that may carry them
+        probe = Probe.initial(request_obj, budget=8)
+        fn = service_graph.pattern.functions[0]
+        for msg in (
+            codec.FinalProbe(1, probe, Fraction(1, 2)),
+            codec.CreditReturn(1, Fraction(1, 2), "pruned"),
+            codec.ProbeTransfer(
+                1, probe, fn, service_graph.assignment[fn],
+                request_obj.function_graph, (), 4, 0.05, Fraction(1, 2),
+            ),
+        ):
+            doc = to_wire(msg)
+            del doc["p"]["reports"], doc["p"]["discovery"]
+            out = from_wire(doc)
+            assert out == msg
+            assert out.reports == () and out.discovery is None
 
     def test_cross_version_equality(self, request_obj):
         # the two encodings must reconstruct indistinguishable objects
@@ -328,34 +399,32 @@ class TestRejection:
             ("links", {"u": 2}),
         ],
     )
-    def test_malformed_report_rows(self, request_obj, version, field, rows):
+    def test_malformed_report_rows(self, request_obj, service_graph, version, field, rows):
         # the rows cross the wire as plain lists, so a damaged or hostile
         # frame can hold anything there: the decoder must refuse it as a
         # CodecError, never let a TypeError out of a dataclass constructor
-        probe = Probe.initial(request_obj, budget=8)
         good = {"peers": [[3, "cpu", 0.5]], "links": [[2, 3, 1.0]]}
-        for cls, head in (
-            (codec.FinalProbe, {"request_id": 1, "probe": probe, "credit": Fraction(1, 2)}),
-            (codec.ReservationReport, {"request_id": 1}),
-        ):
-            names = [f.name for f in dataclasses.fields(cls)]
-            values = {**head, **good, field: rows}
-            if version == WIRE_VERSION:
-                tag = "msg." + cls.__name__
-                doc = {"__w": tag, "p": {n: to_wire(values[n]) for n in names}}
-                payload = json.dumps(doc).encode("utf-8")
-            else:
-                # the generic v2 layout: type id, then the field values in order
-                packer = codec._Packer()
-                packer.out += bytes([codec._T_OBJ, codec._BIN_IDS[cls]])
-                for n in names:
-                    packer.pack_value(values[n])
-                payload = bytes(packer.out)
-            frame = struct.pack(">2sBI", b"SN", version, len(payload)) + payload
-            with pytest.raises(CodecError, match="malformed reservation report"):
-                decode_frame(frame)
-            with pytest.raises(CodecError, match="malformed reservation report"):
-                cls(**values)
+        rows_of = {**good, field: rows}
+        reports = [[4, 1, good["peers"], good["links"]], [3, 1, rows_of["peers"], rows_of["links"]]]
+        _assert_refused(request_obj, service_graph, version, reports=reports)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            {"reports": 7},  # not a sequence of bundles
+            {"reports": [7]},  # a bundle that is not a sequence
+            {"reports": [[3, 1, []]]},  # short bundle
+            {"reports": [[3, 1, [], [], []]]},  # long bundle
+            {"reports": [["3", 1, [], []]]},  # holder is not an int
+            {"reports": [[3, None, [], []]]},  # n is not an int
+            {"reports": [[3, 1, None, []]]},  # rows missing altogether
+            {"discovery": "soon"},
+            {"discovery": [0.1]},
+        ],
+        ids=repr,
+    )
+    def test_malformed_report_bundles(self, request_obj, service_graph, version, damage):
+        _assert_refused(request_obj, service_graph, version, **damage)
 
     def test_unencodable_type(self):
         with pytest.raises(CodecError, match="not wire-encodable"):

@@ -1,19 +1,25 @@
 """Session teardown: one release wave, sent only where reservations are.
 
-In distributed mode every admitting peer reports its fresh reservations
-to the destination before its probe's credit can move — a
-``ReservationReport`` mid-path, rows inside the ``FinalProbe`` at the
-last hop — so when the window closes the destination knows exactly which
-peers hold tokens for the request and releases those, once.  These tests
-pin down what the parity matrix cannot see:
+In distributed mode every admitting peer's report of its fresh
+reservations travels with its probe's termination credit — a bundle
+appended to the ones the probe carries, handed over by the ``FinalProbe``
+or ``CreditReturn`` that ends the credit's journey — so when the credit
+is whole the destination knows exactly which peers hold tokens for the
+request and releases those, once.  These tests pin down what the parity
+matrix cannot see:
 
 * fan-out — ``SessionRelease`` frames per compose equal the number of
-  reporting peers, in one wave (two only when the setup ack fails);
+  distinct holders the bundles name, in one wave (two only when the
+  setup ack fails);
 * hygiene — no soft token survives a compose in either state mode,
   without waiting for an expiry timer;
-* stragglers — a probe admitted after the wall-clock fallback closed the
-  window is told ``late`` and drops what it reserved;
-* dead holders — a crashed reporter neither fails nor stalls teardown.
+* the window's knowledge — at ``_finalize`` the booked holders and wave
+  load are exactly what the remote pools hold, also when a bundle was
+  delivered twice;
+* stragglers — a frame that meets a closed window leaves nothing behind,
+  not on its sender and not on the upstream holders it names;
+* dead holders — a crashed holder neither fails nor stalls teardown, and
+  bundles lost with a crashed probe-holder fall to the expiry timers.
 """
 
 import asyncio
@@ -70,13 +76,15 @@ class _Wire:
         return frames
 
 
-def _reporters(frames, dest):
-    """Peers that told the destination they hold reservations."""
+def _reporters(frames, rid=None):
+    """Peers the destination was told hold reservations: the holders named
+    in the bundles of the credit-carrying frames sent to it."""
     return {
-        src
-        for src, body in frames
-        if isinstance(body, codec.ReservationReport)
-        or (isinstance(body, codec.FinalProbe) and src != dest)
+        bundle[0]
+        for _, body in frames
+        if isinstance(body, (codec.FinalProbe, codec.CreditReturn))
+        and rid in (None, body.request_id)
+        for bundle in body.reports
     }
 
 
@@ -95,6 +103,49 @@ def _log_release_handlers(cluster):
 
         daemon.endpoint.on(codec.SessionRelease, on_release)
     return handled
+
+
+def _soft_holders(cluster, rid):
+    return {peer for peer, daemon in cluster.daemons.items() if daemon._tokens.get(rid)}
+
+
+def _admitted(cluster, rid, dest):
+    """(holders, peer load, link load) of a request, read straight from
+    the pools of the live daemons other than its destination."""
+    holders, peer_load, link_load = set(), {}, {}
+    for peer, daemon in cluster.daemons.items():
+        tokens = daemon._tokens.get(rid)
+        if peer == dest or daemon.stopped or not tokens:
+            continue
+        holders.add(peer)
+        peers, links = daemon._reserved_usage(tokens)
+        for at, rtype, amount in peers:
+            peer_load[(at, rtype)] = peer_load.get((at, rtype), 0.0) + amount
+        for u, v, bw in links:
+            link_load[(u, v)] = link_load.get((u, v), 0.0) + bw
+    return holders, peer_load, link_load
+
+
+def _snapshot_windows(cluster):
+    """Record, as each window closes: (why, what it booked, what is held)."""
+    closed = []
+    for peer, daemon in cluster.daemons.items():
+
+        async def finalize(rid, why, _peer=peer, _daemon=daemon, _inner=daemon._finalize):
+            col = _daemon._collections.get(rid)
+            if col is not None and not col.done:
+                booked = (set(col.holders), dict(col.wave_peer_used), dict(col.wave_link_used))
+                closed.append((why, booked, _admitted(cluster, rid, _peer)))
+            return await _inner(rid, why)
+
+        daemon._finalize = finalize
+    return closed
+
+
+def _assert_booked_is_held(booked, held):
+    assert booked[0] == held[0]
+    assert booked[1] == pytest.approx(held[1])
+    assert booked[2] == pytest.approx(held[2])
 
 
 def _held(cluster, skip=()):
@@ -126,7 +177,7 @@ def test_release_goes_once_to_exactly_the_reporting_peers(confirm):
                 seen.append(
                     (
                         result,
-                        _reporters(frames, request.dest_peer),
+                        _reporters(frames),
                         _releases(frames),
                         list(handled),
                         cluster.soft_tokens(),
@@ -191,7 +242,7 @@ def test_failed_setup_ack_costs_exactly_one_more_wave():
     request, result, frames, soft, held, errors = asyncio.run(scenario())
     assert errors == []
     assert not result.success and result.failure_reason == SETUP_ACK_FAILED
-    reporters = _reporters(frames, request.dest_peer)
+    reporters = _reporters(frames)
     releases = _releases(frames)
     assert len(releases) == 2 * len(reporters)
     waves = [r.keep for r in releases]
@@ -234,7 +285,118 @@ def test_no_soft_token_survives_a_compose(confirm, tier, distributed):
 
 
 # ----------------------------------------------------------------------
-# stragglers: a report that meets a closed window
+# what the window knows when it closes
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("distributed", [True, False], ids=["distributed", "shared"])
+@pytest.mark.parametrize("tier", [True, False], ids=["tier-on", "tier-off"])
+@pytest.mark.parametrize("confirm", [False, True], ids=["measure-only", "confirm"])
+def test_window_closes_knowing_every_holder_and_the_whole_wave_load(confirm, tier, distributed):
+    async def scenario():
+        cluster = _cluster(
+            distributed=distributed, directory_tier=DirectoryTierConfig(enabled=tier)
+        )
+        closed = _snapshot_windows(cluster)
+        async with cluster:
+            for request in cluster.scenario.requests.batch(2):
+                await cluster.compose(request, confirm=confirm, timeout=60)
+            errors = cluster.errors()
+        return closed, errors
+
+    closed, errors = asyncio.run(scenario())
+    assert errors == [] and len(closed) == 2
+    for why, booked, held in closed:
+        assert why == "credit-complete"
+        if distributed:
+            # no awaited ack says so: the credit could not be whole
+            # without every bundle having come in with it
+            assert held[0]
+            _assert_booked_is_held(booked, held)
+        else:
+            assert booked == (set(), {}, {})  # one shared pool: nothing to report
+
+
+def test_bundles_delivered_twice_are_booked_once():
+    """A ``ProbeTransfer`` whose replies are all dropped is processed by
+    its receiver *and* reported lost by its sender: both hand the bundles
+    it carried to the destination."""
+
+    async def scenario():
+        cluster = _cluster(probe_retry=RetryPolicy(timeout=0.1, retries=1, backoff=0.01))
+        closed = _snapshot_windows(cluster)
+        request = next(
+            r
+            for r in cluster.scenario.requests.batch(10)
+            if cluster.scenario.net.bcp.compose(r, confirm=False).success
+        )
+        rid = request.request_id
+        dest = cluster.daemons[request.dest_peer]
+        seen = {"twice_in_window": False}
+        doomed = set()  # (sender, rpc id) of the request whose replies vanish
+        send = cluster.transport.send
+
+        async def lose_replies_to_one_probe(src, dst, envelope):
+            body = envelope.get("body")
+            if envelope["kind"] == "req" and isinstance(body, codec.ProbeTransfer):
+                if body.reports and (not doomed or (src, envelope["id"]) in doomed):
+                    doomed.add((src, envelope["id"]))
+            elif envelope["kind"] == "res" and (dst, envelope["id"]) in doomed:
+                return
+            await send(src, dst, envelope)
+
+        cluster.transport.send = lose_replies_to_one_probe
+
+        # the credit over-counts by the lost probe's share, so the window
+        # would close just before the second copy lands: park one frame
+        # that carries no bundle until it has
+        lost_booked = asyncio.Event()
+        on_final, on_credit = dest._on_final, dest._on_credit
+        parked = []
+
+        async def park_one_bare_final(src, msg):
+            if msg.request_id == rid and not msg.reports and not parked:
+                parked.append(msg)
+
+                async def later():
+                    await lost_booked.wait()
+                    await on_final(src, msg)
+
+                dest._spawn(later())
+                return {"ok": True}
+            return await on_final(src, msg)
+
+        async def note_lost(src, msg):
+            col = dest._collections.get(rid)
+            if msg.reason == "lost" and col is not None and not col.done:
+                ids = {(holder, n) for holder, n, _, _ in msg.reports}
+                seen["twice_in_window"] = bool(ids) and ids <= col.absorbed
+            reply = await on_credit(src, msg)
+            if msg.reason == "lost":
+                lost_booked.set()
+            return reply
+
+        dest.endpoint.on(codec.FinalProbe, park_one_bare_final)
+        dest.endpoint.on(codec.CreditReturn, note_lost)
+        async with cluster:
+            result = await cluster.compose(request, confirm=False, timeout=60)
+            for daemon in cluster.daemons.values():
+                await daemon.drain()
+            soft, errors = cluster.soft_tokens(), cluster.errors()
+        return result, seen, doomed, parked, closed, soft, errors
+
+    result, seen, doomed, parked, closed, soft, errors = asyncio.run(scenario())
+    assert errors == []
+    assert len(doomed) == 1 and parked and seen["twice_in_window"]
+    assert result.success
+    ((why, booked, held),) = closed
+    assert why == "credit-complete"
+    # fails without the (holder, n) check in _Collection.absorb: the
+    # doubled rows overstate the wave's load
+    _assert_booked_is_held(booked, held)
+    assert soft == {}
+
+
+# ----------------------------------------------------------------------
+# stragglers: a frame that meets a closed window
 # ----------------------------------------------------------------------
 def test_straggler_after_wall_timeout_drops_its_reservations():
     delay = 0.8  # one-way, on frames headed at the slow peer once armed
@@ -258,36 +420,58 @@ def test_straggler_after_wall_timeout_drops_its_reservations():
         )
         async with cluster:
             # first pass, undelayed: fills every lookup cache the wave
-            # touches and names the peers its probes are admitted at
+            # touches and shows which bundles travel through which peer
             warm = await cluster.compose(request, confirm=False, timeout=60)
-            admitters = _reporters(wire.take(), request.dest_peer)
-            slow["peer"] = max(admitters - {request.source_peer, request.dest_peer})
+            frames = wire.take()
+            through = {}  # peer -> ids of the bundles its inbound probes carry
+            first_level = {request.source_peer, request.dest_peer}
+            for _, body in frames:
+                if isinstance(body, codec.ProbeTransfer):
+                    ids = through.setdefault(body.component.peer, set())
+                    ids.update((holder, n) for holder, n, _, _ in body.reports)
+                    if body.parent.branch == ():
+                        # the source awaits these acks before its result
+                        first_level.add(body.component.peer)
+            every = {
+                (holder, n)
+                for _, body in frames
+                if isinstance(body, (codec.FinalProbe, codec.CreditReturn))
+                for holder, n, _, _ in body.reports
+            }
+
+            def stranded_by(peer):
+                # holders the destination hears of only through this peer
+                return {h for h, _ in through[peer]} - {h for h, _ in every - through[peer]}
+
+            slow["peer"] = max(
+                set(through) - first_level,
+                key=lambda peer: (len(stranded_by(peer) - {peer}), peer),
+            )
             again = dataclasses.replace(request, request_id=request.request_id + 10_000_000)
             result = await cluster.compose(again, confirm=False, timeout=60)
-            closed_with = cluster.soft_tokens()
-            # the delayed probes land, are admitted, report, hear "late"
+            closed_with = _soft_holders(cluster, again.request_id)
+            # the delayed probes land, are admitted, and their credit
+            # reaches a window that is gone
             await asyncio.sleep(2 * delay)
             for daemon in cluster.daemons.values():
                 await daemon.drain()
-            frames = wire.take()
-            late_reports = [
-                src
-                for src, body in frames
-                if isinstance(body, (codec.ReservationReport, codec.FinalProbe))
-                and body.request_id == again.request_id
-            ]
+            late = wire.take()
             soft, held, errors = cluster.soft_tokens(), _held(cluster), cluster.errors()
-        return warm, result, slow["peer"], late_reports, closed_with, soft, held, errors
+        return warm, again, slow["peer"], late, closed_with, soft, held, errors
 
-    warm, result, slow_peer, late_reports, closed_with, soft, held, errors = asyncio.run(
-        scenario()
-    )
+    warm, again, slow_peer, late, closed_with, soft, held, errors = asyncio.run(scenario())
     assert errors == []
     assert warm.success
-    assert closed_with == {}  # the window's own wave was released at close
-    # the slow peer really did admit and report after the window closed
-    assert slow_peer in late_reports
-    # fails at the parent commit: the straggler's tokens sat until expiry
+    # the wave released whom it knew; the bundles of these upstream holders
+    # were still travelling with the delayed probes' credit
+    assert closed_with and slow_peer not in closed_with
+    # the slow peer really did admit after the window closed, and the
+    # frames that carried its credit on named it and the stranded holders
+    named_late = _reporters(late, again.request_id)
+    assert slow_peer in named_late and closed_with <= named_late
+    cleanup = [r for r in _releases(late) if r.request_id == again.request_id and r.soft_only]
+    assert cleanup and all(r.keep == () for r in cleanup)
+    # fails without the soft-only release: the tokens sat until expiry
     assert soft == {} and held == set()
 
 
@@ -308,7 +492,7 @@ def test_killed_holder_neither_fails_nor_stalls_the_compose():
         killed = []
 
         async def kill_a_holder_first(rid, why):
-            holders = _reporters(wire.frames, request.dest_peer) - {request.source_peer}
+            holders = _reporters(wire.frames) - {request.source_peer}
             killed.append(max(holders))
             cluster.kill_peer(killed[0])
             return await finalize(rid, why)
@@ -326,3 +510,52 @@ def test_killed_holder_neither_fails_nor_stalls_the_compose():
     assert killed and result.success
     assert elapsed < 2.0  # no retry budget burnt on the dead holder
     assert held == set()  # every live pool drained (soft and firm alike)
+
+
+@pytest.mark.parametrize("confirm", [False, True], ids=["measure-only", "confirm"])
+def test_bundles_lost_with_a_killed_probe_holder_expire(confirm):
+    """A peer that dies holding a probe takes the probe's bundles with it:
+    the holders they named get no release, only their expiry timers."""
+    soft_timeout = 0.6
+
+    async def scenario():
+        cluster = _cluster(collect_wall_timeout=0.2, soft_timeout=soft_timeout)
+        wire = _Wire(cluster)
+        request = next(
+            r
+            for r in cluster.scenario.requests.batch(10)
+            if cluster.scenario.net.bcp.compose(r, confirm=False).success
+        )
+        rid = request.request_id
+        killed = []
+        for peer, daemon in cluster.daemons.items():
+            if peer in (request.source_peer, request.dest_peer):
+                continue
+
+            async def die_holding_it(src, msg, _peer=peer, _inner=daemon._on_probe):
+                named = {holder for holder, _, _, _ in msg.reports}
+                if not killed and msg.request_id == rid and len(named - {_peer}) > 1:
+                    killed.append(_peer)
+                    cluster.kill_peer(_peer)  # acked nothing, forwards nothing
+                    return {"ok": True}
+                return await _inner(src, msg)
+
+            daemon.endpoint.on(codec.ProbeTransfer, die_holding_it)
+        async with cluster:
+            result = await cluster.compose(request, confirm=confirm, timeout=60)
+            frames = wire.take()
+            stranded = _soft_holders(cluster, rid) - set(killed)
+            await asyncio.sleep(soft_timeout + 0.3)
+            soft, held, errors = cluster.soft_tokens(), _held(cluster, skip=killed), cluster.errors()
+        return result, killed, frames, stranded, soft, held, errors
+
+    result, killed, frames, stranded, soft, held, errors = asyncio.run(scenario())
+    assert errors == []
+    assert killed
+    # the credit died with the peer, so the wall clock closed the window,
+    # and a holder it never heard of was left out of the release wave
+    assert stranded and not stranded & _reporters(frames, result.request.request_id)
+    # the backstop: every soft token is gone once soft_timeout has passed,
+    # and nothing but the session's own firm tokens is held anywhere live
+    assert soft == {}
+    assert held == set(result.session_tokens)

@@ -129,3 +129,68 @@ class TestOverlayRouter:
     def test_peers_property(self):
         router = OverlayRouter(small_weighted_graph())
         assert sorted(router.peers) == [0, 1, 2, 3]
+
+
+class TestReweighted:
+    """``reweighted`` re-runs only the shortest paths; everything else of
+    the new router is the old one's.  The reference is the constructor,
+    which walks the graph afresh."""
+
+    @pytest.fixture(scope="class")
+    def graph(self, ip):
+        from repro.topology.overlay import mesh_overlay
+
+        return mesh_overlay(ip, 24, k=4, rng=np.random.default_rng(3)).graph
+
+    @staticmethod
+    def _overrides(graph, rng):
+        links = [tuple(sorted(e)) for e in graph.edges]
+        picked = rng.choice(len(links), size=len(links) // 3, replace=False)
+        out = {links[i]: float(graph.edges[links[i]]["delay"]) * rng.uniform(0.2, 5.0) for i in picked}
+        for i in picked[:4]:
+            out[links[i]] = float("inf")  # priced out, edge still present
+        return out
+
+    def test_equals_a_router_built_from_the_graph(self, graph):
+        base = OverlayRouter(graph)
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            overrides = self._overrides(graph, rng)
+            fast = base.reweighted(overrides)
+            slow = OverlayRouter(graph, delay_overrides=overrides)
+            np.testing.assert_array_equal(fast._dist, slow._dist)
+            np.testing.assert_array_equal(fast._pred, slow._pred)
+            assert fast.link_order == slow.link_order == base.link_order
+            assert fast.link_index == slow.link_index
+            assert fast.peers == slow.peers
+            for link, delay in overrides.items():
+                assert fast.link_delay(*link) == slow.link_delay(*link) == delay
+
+    def test_no_overrides_equals_the_base(self, graph):
+        base = OverlayRouter(graph)
+        same = base.reweighted({})
+        np.testing.assert_array_equal(same._dist, base._dist)
+        np.testing.assert_array_equal(same._pred, base._pred)
+
+    def test_inf_links_are_omitted_from_every_path(self):
+        g = small_weighted_graph()  # 0-1-2-3 plus the slow shortcut 0-2
+        base = OverlayRouter(g)
+        cut = base.reweighted({(1, 2): float("inf")})
+        assert cut.path(0, 3) == [0, 2, 3] and cut.delay(0, 3) == 6.0
+        assert cut.links(0, 3) == [(0, 2), (2, 3)]
+        island = base.reweighted({(2, 3): float("inf")})
+        assert not island.reachable(0, 3)
+        with pytest.raises(nx.NetworkXNoPath):
+            island.path(0, 3)
+        # the edge set, and so every array indexed by link order, is unchanged
+        assert cut.link_order == island.link_order == base.link_order
+
+    def test_derived_router_shares_nothing_mutable_with_its_base(self, graph):
+        base = OverlayRouter(graph)
+        a, b = base.peers[0], base.peers[-1]
+        before = list(base.path(a, b))
+        link = tuple(sorted((before[0], before[1])))
+        other = base.reweighted({link: float("inf")})
+        assert other.path(a, b) != before
+        assert base.path(a, b) == before  # the base's memoized paths are its own
+        assert base.reweighted({}).path(a, b) == before  # and overrides do not stick
