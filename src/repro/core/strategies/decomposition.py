@@ -43,6 +43,7 @@ from ..bcp import CompositionResult
 from ..cost import CostWeights
 from ..function_graph import FunctionGraph
 from ..request import CompositeRequest
+from ..selection import SelectionOutcome
 from .base import (
     CompositionStrategy,
     StrategyContext,
@@ -53,8 +54,10 @@ from .search import (
     Candidate,
     PatternState,
     _complete_leaf,
+    _extend,
     _Incumbent,
     _NodeLimit,
+    _spend,
     prepare_candidates,
     search_compositions,
 )
@@ -190,8 +193,8 @@ class DecompositionComposer(CompositionStrategy):
                 try:
                     with timer.phase("stitch"):
                         self._stitch(
-                            state, segments, options, 0, incumbent, objective,
-                            stitch_budget, counters,
+                            state, segments, options, 0, incumbent, stitch_budget,
+                            counters,
                         )
                 except _NodeLimit:
                     exhausted = False
@@ -212,12 +215,11 @@ class DecompositionComposer(CompositionStrategy):
                     max_patterns=ctx.max_patterns,
                     node_limit=self.fallback_node_limit,
                     counters=counters,
+                    candidates=candidates,
                 )
             for cand in fallback.qualified:
                 incumbent.offer(cand)
             exhausted = exhausted and fallback.exhausted
-        from ..selection import SelectionOutcome
-
         selection = SelectionOutcome(
             best=incumbent.best,
             qualified=list(incumbent.qualified),
@@ -310,7 +312,6 @@ class DecompositionComposer(CompositionStrategy):
         options: List[List[_SegmentOption]],
         depth: int,
         incumbent: _Incumbent,
-        objective: str,
         budget: List[int],
         counters: OpCounters,
     ) -> None:
@@ -318,36 +319,20 @@ class DecompositionComposer(CompositionStrategy):
             _complete_leaf(state, incumbent, counters)
             return
         for option in options[depth]:
-            if budget[0] == 0:
-                raise _NodeLimit
-            if budget[0] > 0:
-                budget[0] -= 1
+            _spend(budget)
             counters.incr("stitch_expansions")
             undos = []
-            feasible = True
-            for fn in segments[depth]:
-                undo = state.assign(fn, option.assignment[fn])
-                if undo is None:
-                    feasible = False
-                    break
-                undos.append(undo)
-                if not state.qos_feasible():
-                    counters.incr("pruned_qos")
-                    feasible = False
-                    break
-                if objective == "cost":
-                    if state.cost_lower_bound() > incumbent.best_cost():
-                        counters.incr("pruned_bound")
-                        feasible = False
+            try:
+                for fn in segments[depth]:
+                    undo = _extend(state, fn, option.assignment[fn], incumbent)
+                    if undo is None:
                         break
-                elif state.delay_lower_bound() > incumbent.best_delay():
-                    counters.incr("pruned_bound")
-                    feasible = False
-                    break
-            if feasible:
-                self._stitch(
-                    state, segments, options, depth + 1, incumbent, objective,
-                    budget, counters,
-                )
-            for undo in reversed(undos):
-                state.unassign(undo)
+                    undos.append(undo)
+                else:
+                    self._stitch(
+                        state, segments, options, depth + 1, incumbent, budget,
+                        counters,
+                    )
+            finally:
+                for undo in reversed(undos):
+                    state.unassign(undo)

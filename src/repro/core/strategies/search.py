@@ -9,11 +9,15 @@ with incremental exact cost/QoS accounting and admissible lower bounds.
 Three pruning rules, all value-preserving (they never cut a subtree that
 could contain a strictly better solution):
 
-* **QoS lower bound** — each branch path accumulates its exact prefix
-  QoS (links + component Qp); the remaining functions contribute at
-  least the sum of their per-function minimum Qp plus the cheapest
+* **QoS lower bound** — a branch path's assigned prefix contributes its
+  exact QoS (links + component Qp); its remaining functions contribute
+  at least the sum of their per-function minimum Qp plus the cheapest
   last-hop to the destination.  If prefix + remainder already violates
-  ``Qreq``, every completion violates it too.
+  ``Qreq`` on some path, every completion violates it too.  The paths
+  are never enumerated: each assigned function carries the largest
+  prefix over the paths ending at it, each function the largest
+  remainder over the paths starting at it, and the worst path through a
+  frontier edge is the sum of the two (see :class:`PatternState`).
 * **Cost lower bound** — the assigned prefix contributes its exact ψλ
   terms (mirroring :func:`~repro.core.cost.psi_cost` term by term); the
   unassigned functions contribute at least their minimum resource term.
@@ -193,29 +197,43 @@ class _NodeLimit(Exception):
     """Internal: the expansion budget ran out mid-search."""
 
 
-@dataclass
-class _Undo:
-    fn: str
-    branch_updates: List[Tuple[int, float, float, int]]  # (b, d_delay, d_loss, prev_next)
-    cost_delta: float
-    rem_res_delta: float
+# what ``assign`` hands back and ``unassign`` restores: the function and
+# the two running sums as they were before it
+_Undo = Tuple[str, float, float]
 
 
 class PatternState:
     """A partial component assignment over one composition pattern.
 
     Functions are assigned strictly in topological order (callers may
-    assign one at a time, or whole consecutive segments).  The state
-    keeps, incrementally:
+    assign one at a time, or whole consecutive segments), so the assigned
+    set is closed under predecessors and every successor of the function
+    being assigned is still open.  The state keeps, incrementally:
 
     * exact ψλ terms of the assigned prefix (component resource terms +
-      every service link whose bandwidth is already determined),
-    * exact per-branch QoS prefixes (link delay/loss + component Qp),
-    * admissible remainders (suffix minima of Qp per branch + cheapest
-      final hop; minimum resource term per unassigned function).
+      every service link whose bandwidth is already determined) and the
+      minimum resource term of every unassigned function,
+    * ``head[f]`` for every assigned ``f``: its host peer, its output
+      rate, and the largest exact prefix QoS (link delay/loss + component
+      Qp, the final hop included at a sink) over all paths ending at
+      ``f`` — ``max`` over predecessors ``p`` of ``head[p] + step(p, f)``,
+    * ``tail_delay[f]`` / ``tail_loss[f]`` for every ``f``, built once:
+      the largest admissible remainder (Qp minima + the cheapest final
+      hop) over all paths starting at ``f``.
+
+    Floating-point addition is monotone in each argument, so the largest
+    ``prefix + remainder`` over all branch paths through an edge
+    ``u → v`` with ``u`` assigned and ``v`` not is ``head[u] + tail[v]``
+    to the last bit, and the bound over the whole graph is the largest
+    such value over the *frontier* (those edges, the finished sinks, and
+    the untouched sources).  No branch path is ever enumerated.
 
     ``assign`` returns an undo token or ``None`` when the extension is
-    immediately infeasible (quality mismatch or exhausted link).
+    immediately infeasible (quality mismatch or exhausted link);
+    ``unassign`` restores the saved sums, so a state that has been
+    unwound equals a freshly built one exactly.  The overlay and the
+    pool must not change while a state lives: link QoS and available
+    bandwidth are read once per peer pair.
     """
 
     def __init__(
@@ -236,175 +254,229 @@ class PatternState:
         self.weights = weights
         self.counters = counters
         self.order: List[str] = pattern.topological_order()
-        self.branches: List[Tuple[str, ...]] = pattern.branches()
-        self.sources = set(pattern.sources())
-        self.sinks = set(pattern.sinks())
-        # fn -> [(branch index, position)]
-        self.membership: Dict[str, List[Tuple[int, int]]] = {f: [] for f in self.order}
-        for b, branch in enumerate(self.branches):
-            for j, fn in enumerate(branch):
-                self.membership[fn].append((b, j))
+        self.sources = pattern.sources()
+        self._preds = {f: pattern.predecessors(f) for f in self.order}
+        self._succs = {f: pattern.successors(f) for f in self.order}
+        # what a source is extended from: (peer, rate, prefix delay, prefix loss)
+        self._origin = ((request.source_peer, request.bandwidth, 0.0, 0.0),)
+        # (a, b) -> (latency, additive loss, available bandwidth), a != b
+        self._links: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
         self._build_bounds()
         # mutable search state
         self.assignment: Dict[str, Candidate] = {}
-        self.rates: Dict[str, Tuple[float, float]] = {}
-        self.acc_delay = [0.0] * len(self.branches)
-        self.acc_loss = [0.0] * len(self.branches)
-        self.next_pos = [0] * len(self.branches)
+        self.head: Dict[str, Tuple[int, float, float, float]] = {}
         self.partial_cost = 0.0
-        self.rem_res = sum(min(c.res_term for c in candidates[f]) for f in self.order)
+        self.rem_res = sum(self.min_res[f] for f in self.order)
 
     # ------------------------------------------------------------------
     def _build_bounds(self) -> None:
         dest = self.request.dest_peer
-        min_qp_delay = {
-            f: min(c.qp_delay for c in self.candidates[f]) for f in self.order
-        }
-        min_qp_loss = {
-            f: min(c.qp_loss for c in self.candidates[f]) for f in self.order
-        }
         self.min_res = {
             f: min(c.res_term for c in self.candidates[f]) for f in self.order
         }
         # cheapest possible last hop (sink candidate -> destination)
-        dest_min_delay: Dict[str, float] = {}
-        dest_min_loss: Dict[str, float] = {}
-        for fn in self.sinks:
+        hop_delay: Dict[str, float] = {}
+        hop_loss: Dict[str, float] = {}
+        for fn, succs in self._succs.items():
+            if succs:
+                continue
             dd, dl = math.inf, math.inf
             for c in self.candidates[fn]:
                 if c.meta.peer == dest:
                     dd, dl = 0.0, 0.0
                     break
-                dd = min(dd, self.overlay.latency(c.meta.peer, dest))
-                dl = min(dl, self.overlay.path_loss_add(c.meta.peer, dest))
-            dest_min_delay[fn] = dd
-            dest_min_loss[fn] = dl
-        # suffix_delay[b][j] = admissible QoS still to come once positions
-        # < j are assigned (suffix Qp minima + the cheapest final hop)
-        self.suffix_delay: List[List[float]] = []
-        self.suffix_loss: List[List[float]] = []
-        for branch in self.branches:
-            sd = [0.0] * (len(branch) + 1)
-            sl = [0.0] * (len(branch) + 1)
-            sd[len(branch)] = 0.0
-            sl[len(branch)] = 0.0
-            for j in range(len(branch) - 1, -1, -1):
-                sd[j] = sd[j + 1] + min_qp_delay[branch[j]]
-                sl[j] = sl[j + 1] + min_qp_loss[branch[j]]
-            last = branch[-1]
-            # the final hop is still ahead until the last position is done
-            for j in range(len(branch)):
-                sd[j] += dest_min_delay[last]
-                sl[j] += dest_min_loss[last]
-            self.suffix_delay.append(sd)
-            self.suffix_loss.append(sl)
+                latency, loss, _ = self._link(c.meta.peer, dest)
+                dd = min(dd, latency)
+                dl = min(dl, loss)
+            hop_delay[fn] = dd
+            hop_loss[fn] = dl
+        self.tail_delay = self._tails(
+            {f: min(c.qp_delay for c in self.candidates[f]) for f in self.order},
+            hop_delay,
+        )
+        self.tail_loss = self._tails(
+            {f: min(c.qp_loss for c in self.candidates[f]) for f in self.order},
+            hop_loss,
+        )
+        # the largest remainder right behind each function (nothing at a sink)
+        self._ahead = {
+            f: (
+                max((self.tail_delay[s] for s in succs), default=0.0),
+                max((self.tail_loss[s] for s in succs), default=0.0),
+            )
+            for f, succs in self._succs.items()
+        }
         bounds = self.request.qos.bounds
         self.delay_bound = bounds.get("delay", math.inf)
         self.loss_bound = bounds.get("loss", math.inf)
+        # every source is open in the empty state; a state below it can
+        # only be feasible if this one is
+        self._root_feasible = all(
+            self.tail_delay[s] <= self.delay_bound
+            and self.tail_loss[s] <= self.loss_bound
+            for s in self.sources
+        )
+
+    def _tails(
+        self, min_qp: Dict[str, float], final_hop: Dict[str, float]
+    ) -> Dict[str, float]:
+        """Per function, the largest admissible QoS still to come over all
+        paths from it to a sink: the Qp minima summed from the sink back
+        to the function, then that sink's cheapest final hop — one
+        reverse topological pass, a row of per-sink sums per function
+        (the final hop is added last, so sums are kept apart by sink)."""
+        below: Dict[str, Dict[str, float]] = {}
+        tail: Dict[str, float] = {}
+        for fn in reversed(self.order):
+            succs = self._succs[fn]
+            if succs:
+                row: Dict[str, float] = {}
+                for s in succs:
+                    for sink, total in below[s].items():
+                        total = total + min_qp[fn]
+                        if total > row.get(sink, -math.inf):
+                            row[sink] = total
+            else:
+                row = {fn: 0.0 + min_qp[fn]}
+            below[fn] = row
+            tail[fn] = max(total + final_hop[sink] for sink, total in row.items())
+        return tail
 
     # ------------------------------------------------------------------
-    def _link_term(self, src: int, dst: int, bandwidth: float) -> float:
-        """One service link's ψλ term, mirroring psi_cost exactly."""
-        if src == dst or bandwidth <= 0 or self.weights.bandwidth_weight <= 0.0:
+    def _link(self, a: int, b: int) -> Tuple[float, float, float]:
+        key = (a, b)
+        hit = self._links.get(key)
+        if hit is None:
+            hit = self._links[key] = (
+                self.overlay.latency(a, b),
+                self.overlay.path_loss_add(a, b),
+                self.pool.path_available_bandwidth(a, b),
+            )
+        return hit
+
+    def _link_term(self, bandwidth: float, available: float) -> float:
+        """One service link's ψλ term between two different peers,
+        mirroring psi_cost exactly."""
+        if bandwidth <= 0 or self.weights.bandwidth_weight <= 0.0:
             return 0.0
-        ba = self.pool.path_available_bandwidth(src, dst)
-        if ba <= _EPS:
+        if available <= _EPS:
             return math.inf
-        if math.isinf(ba):
+        if math.isinf(available):
             return 0.0
-        return self.weights.bandwidth_weight * bandwidth / ba
+        return self.weights.bandwidth_weight * bandwidth / available
 
     def assign(self, fn: str, cand: Candidate) -> Optional[_Undo]:
         """Extend the prefix with ``fn -> cand``; None if infeasible."""
-        self.counters.incr("expansions")
-        pattern = self.pattern
+        counters = self.counters
+        counters.incr("expansions")
+        preds = self._preds[fn]
         meta = cand.meta
-        preds = pattern.predecessors(fn)
-        for p in preds:
-            if not self.assignment[p].meta.output_quality.compatible_with(
-                meta.input_quality
-            ):
-                self.counters.incr("pruned_quality")
-                return None
+        peer = meta.peer
         if preds:
-            in_rate = max(self.rates[p][1] for p in preds)
+            assignment = self.assignment
+            for p in preds:
+                if not assignment[p].meta.output_quality.compatible_with(
+                    meta.input_quality
+                ):
+                    counters.incr("pruned_quality")
+                    return None
+            head = self.head
+            inputs = [head[p] for p in preds]
+            in_rate = max(rate for _, rate, _, _ in inputs)
         else:
+            inputs = self._origin
             in_rate = self.request.bandwidth
         out_rate = in_rate * meta.bandwidth_factor
+        final = None
+        if not self._succs[fn] and peer != self.request.dest_peer:
+            final = self._link(peer, self.request.dest_peer)
         cost_delta = cand.res_term
-        for p in preds:
-            term = self._link_term(self.assignment[p].meta.peer, meta.peer, self.rates[p][1])
-            if math.isinf(term):
-                self.counters.incr("pruned_exhausted_link")
-                return None
-            cost_delta += term
-        if fn in self.sources:
-            term = self._link_term(self.request.source_peer, meta.peer, in_rate)
-            if math.isinf(term):
-                self.counters.incr("pruned_exhausted_link")
-                return None
-            cost_delta += term
-        if fn in self.sinks:
-            term = self._link_term(meta.peer, self.request.dest_peer, out_rate)
-            if math.isinf(term):
-                self.counters.incr("pruned_exhausted_link")
+        head_delay = head_loss = -math.inf
+        for prev_peer, rate, delay, loss in inputs:
+            step_delay, step_loss = cand.qp_delay, cand.qp_loss
+            if prev_peer != peer:
+                latency, link_loss, available = self._link(prev_peer, peer)
+                term = self._link_term(rate, available)
+                if term == math.inf:
+                    counters.incr("pruned_exhausted_link")
+                    return None
+                cost_delta += term
+                step_delay += latency
+                step_loss += link_loss
+            if final is not None:
+                step_delay += final[0]
+                step_loss += final[1]
+            delay += step_delay
+            loss += step_loss
+            if delay > head_delay:
+                head_delay = delay
+            if loss > head_loss:
+                head_loss = loss
+        if final is not None:
+            term = self._link_term(out_rate, final[2])
+            if term == math.inf:
+                counters.incr("pruned_exhausted_link")
                 return None
             cost_delta += term
         # commit
-        undo = _Undo(fn, [], cost_delta, self.min_res[fn])
+        undo = (fn, self.partial_cost, self.rem_res)
         self.assignment[fn] = cand
-        self.rates[fn] = (in_rate, out_rate)
+        self.head[fn] = (peer, out_rate, head_delay, head_loss)
         self.partial_cost += cost_delta
         self.rem_res -= self.min_res[fn]
-        src_peer, dest_peer = self.request.source_peer, self.request.dest_peer
-        for b, j in self.membership[fn]:
-            branch = self.branches[b]
-            prev_peer = src_peer if j == 0 else self.assignment[branch[j - 1]].meta.peer
-            d_delay = cand.qp_delay
-            d_loss = cand.qp_loss
-            if prev_peer != meta.peer:
-                d_delay += self.overlay.latency(prev_peer, meta.peer)
-                d_loss += self.overlay.path_loss_add(prev_peer, meta.peer)
-            if j == len(branch) - 1 and meta.peer != dest_peer:
-                d_delay += self.overlay.latency(meta.peer, dest_peer)
-                d_loss += self.overlay.path_loss_add(meta.peer, dest_peer)
-            undo.branch_updates.append((b, d_delay, d_loss, self.next_pos[b]))
-            self.acc_delay[b] += d_delay
-            self.acc_loss[b] += d_loss
-            self.next_pos[b] = j + 1
         return undo
 
     def unassign(self, undo: _Undo) -> None:
-        for b, d_delay, d_loss, prev_next in undo.branch_updates:
-            self.acc_delay[b] -= d_delay
-            self.acc_loss[b] -= d_loss
-            self.next_pos[b] = prev_next
-        self.partial_cost -= undo.cost_delta
-        self.rem_res += undo.rem_res_delta
-        del self.rates[undo.fn]
-        del self.assignment[undo.fn]
+        fn, self.partial_cost, self.rem_res = undo
+        del self.head[fn]
+        del self.assignment[fn]
 
     # ------------------------------------------------------------------
+    def extension_feasible(self, fn: str) -> bool:
+        """:meth:`qos_feasible` for a state that was feasible until ``fn``,
+        its latest function, was assigned: the only frontier entries that
+        are new are ``fn``'s own out-edges (``fn`` itself at a sink)."""
+        _, _, delay, loss = self.head[fn]
+        ahead_delay, ahead_loss = self._ahead[fn]
+        return (
+            self._root_feasible
+            and delay + ahead_delay <= self.delay_bound
+            and loss + ahead_loss <= self.loss_bound
+        )
+
+    def _frontier_worst(self) -> Tuple[float, float]:
+        """The largest ``exact prefix + admissible remainder`` over all
+        branch paths, as (delay, loss)."""
+        head = self.head
+        tail_delay, tail_loss = self.tail_delay, self.tail_loss
+        # (exact prefix, admissible remainder) of every frontier entry
+        entries = [
+            (0.0, 0.0, tail_delay[s], tail_loss[s])
+            for s in self.sources
+            if s not in head
+        ]
+        for fn, (_, _, delay, loss) in head.items():
+            succs = self._succs[fn]
+            if not succs:
+                entries.append((delay, loss, 0.0, 0.0))
+            for s in succs:
+                if s not in head:
+                    entries.append((delay, loss, tail_delay[s], tail_loss[s]))
+        return (
+            max(delay + ahead for delay, _, ahead, _ in entries),
+            max(loss + ahead for _, loss, _, ahead in entries),
+        )
+
     def qos_feasible(self) -> bool:
         """Can any completion of the prefix still satisfy ``Qreq``?"""
-        for b in range(len(self.branches)):
-            j = self.next_pos[b]
-            if self.acc_delay[b] + self.suffix_delay[b][j] > self.delay_bound:
-                return False
-            if self.acc_loss[b] + self.suffix_loss[b][j] > self.loss_bound:
-                return False
-        return True
+        delay, loss = self._frontier_worst()
+        return delay <= self.delay_bound and loss <= self.loss_bound
 
     def cost_lower_bound(self) -> float:
         return self.partial_cost + self.rem_res
 
     def delay_lower_bound(self) -> float:
-        worst = 0.0
-        for b in range(len(self.branches)):
-            lb = self.acc_delay[b] + self.suffix_delay[b][self.next_pos[b]]
-            if lb > worst:
-                worst = lb
-        return worst
+        return self._frontier_worst()[0]
 
     def complete_graph(self) -> ServiceGraph:
         return ServiceGraph(
@@ -433,13 +505,14 @@ class _Incumbent:
     def best(self) -> Optional[CandidateGraph]:
         return self.qualified[0] if self.qualified else None
 
-    def best_cost(self) -> float:
-        return self.qualified[0].cost if self.qualified else math.inf
-
-    def best_delay(self) -> float:
+    def rules_out(self, state: PatternState) -> bool:
+        """No completion of ``state`` can rank ahead of the best so far."""
         if not self.qualified:
-            return math.inf
-        return self.qualified[0].qos.values.get("delay", 0.0)
+            return False
+        best = self.qualified[0]
+        if self.objective == "cost":
+            return state.cost_lower_bound() > best.cost
+        return state.delay_lower_bound() > best.qos.values.get("delay", 0.0)
 
     def offer(self, cand: CandidateGraph) -> None:
         sig = cand.graph.signature()
@@ -466,6 +539,7 @@ def search_compositions(
     node_limit: Optional[int] = None,
     top_k: int = 32,
     counters: Optional[OpCounters] = None,
+    candidates: Optional[Dict[str, List[Candidate]]] = None,
 ) -> SearchOutcome:
     """Branch-and-bound over every composition pattern of the request.
 
@@ -474,15 +548,21 @@ def search_compositions(
     lower-bound cuts are value-preserving).  With a limit it becomes an
     anytime algorithm — the incumbent found so far is returned and
     ``exhausted`` is False.
+
+    A caller that already ran :func:`prepare_candidates` over these
+    ``duplicates`` passes the result as ``candidates``; they are then
+    neither prepared nor counted a second time.
     """
     if objective not in ("cost", "delay"):
         raise ValueError(f"unknown selection objective {objective!r}")
     weights = cost_weights or CostWeights.uniform(pool.resource_types)
     counters = counters if counters is not None else OpCounters()
     fg = request.function_graph
-    candidates = prepare_candidates(
-        fg.functions, duplicates, pool, weights, alive, objective, dominance, counters
-    )
+    if candidates is None:
+        candidates = prepare_candidates(
+            fg.functions, duplicates, pool, weights, alive, objective, dominance,
+            counters,
+        )
     incumbent = _Incumbent(objective, top_k)
     exhausted = True
     if candidates is not None:
@@ -492,7 +572,7 @@ def search_compositions(
                 pattern, candidates, request, overlay, pool, weights, counters
             )
             try:
-                _dfs(state, 0, incumbent, objective, budget, counters)
+                _dfs(state, 0, incumbent, budget, counters)
             except _NodeLimit:
                 exhausted = False
                 break
@@ -506,11 +586,38 @@ def search_compositions(
     )
 
 
+def _spend(budget: List[int]) -> None:
+    """Take one expansion out of the budget (negative: unlimited)."""
+    if budget[0] == 0:
+        raise _NodeLimit
+    if budget[0] > 0:
+        budget[0] -= 1
+
+
+def _extend(
+    state: PatternState, fn: str, cand: Candidate, incumbent: _Incumbent
+) -> Optional[_Undo]:
+    """Assign ``fn -> cand`` and run the prune ladder on the result:
+    immediate infeasibility, QoS lower bound, objective lower bound
+    against the incumbent.  Returns the undo token of a state worth
+    descending into; a pruned extension is already taken back."""
+    undo = state.assign(fn, cand)
+    if undo is None:
+        return None
+    if not state.extension_feasible(fn):
+        state.counters.incr("pruned_qos")
+    elif incumbent.rules_out(state):
+        state.counters.incr("pruned_bound")
+    else:
+        return undo
+    state.unassign(undo)
+    return None
+
+
 def _dfs(
     state: PatternState,
     depth: int,
     incumbent: _Incumbent,
-    objective: str,
     budget: List[int],
     counters: OpCounters,
 ) -> None:
@@ -519,26 +626,12 @@ def _dfs(
         return
     fn = state.order[depth]
     for cand in state.candidates[fn]:
-        if budget[0] == 0:
-            raise _NodeLimit
-        if budget[0] > 0:
-            budget[0] -= 1
-        undo = state.assign(fn, cand)
+        _spend(budget)
+        undo = _extend(state, fn, cand, incumbent)
         if undo is None:
             continue
         try:
-            if not state.qos_feasible():
-                counters.incr("pruned_qos")
-                continue
-            if objective == "cost":
-                if state.cost_lower_bound() > incumbent.best_cost():
-                    counters.incr("pruned_bound")
-                    continue
-            else:
-                if state.delay_lower_bound() > incumbent.best_delay():
-                    counters.incr("pruned_bound")
-                    continue
-            _dfs(state, depth + 1, incumbent, objective, budget, counters)
+            _dfs(state, depth + 1, incumbent, budget, counters)
         finally:
             state.unassign(undo)
 

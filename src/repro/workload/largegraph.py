@@ -15,9 +15,10 @@ Three graph shapes are supported:
 
 All generators keep the **source→sink path count** bounded
 (``max_branches``): the composition machinery enumerates branches
-explicitly (probe states, QoS suffix tables, end-to-end evaluation), so
-an uncontrolled DAG would make *every* algorithm exponential in a way
-no real request is.  Extra edges beyond the spanning structure are only
+explicitly (probe states, end-to-end evaluation of every complete
+graph), so an uncontrolled DAG would make *every* algorithm exponential
+in a way no real request is.  The search engine's QoS bounds are the
+exception: they are kept per function, not per branch.  Extra edges beyond the spanning structure are only
 committed if a full path-count recomputation stays within the cap.
 
 Function names use a ``G`` prefix (``G001``…) so a large-graph catalogue

@@ -31,7 +31,7 @@ from repro.workload.generator import RequestConfig
 from repro.workload.largegraph import LargeGraphConfig, largegraph_world
 from repro.workload.scenarios import simulation_testbed
 
-from worlds import MicroWorld
+from worlds import MicroWorld, micro_context
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 
@@ -64,20 +64,6 @@ def populated_micro_world():
     world.place("fc", 1, delay=0.005, cpu=8.0)
     world.place("fc", 6, delay=0.002, cpu=16.0)
     return world
-
-
-def micro_context(world):
-    from repro.core.strategies import StrategyContext
-
-    return StrategyContext(
-        overlay=world.overlay,
-        pool=world.pool,
-        registry=world.registry,
-        config=world.bcp.config,
-        alive=world.bcp.alive,
-        rng=world.bcp.rng,
-        bcp=world.bcp,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -237,6 +223,23 @@ class TestExactness:
         result = strategy.compose(request)
         assert result.success
         assert result.best_cost == pytest.approx(expected)
+
+    def test_decompose_fallback_does_not_prepare_candidates_again(self):
+        world = populated_micro_world()
+        world.place("fa", 2, delay=0.009, cpu=20.0)  # dominated by the fa already on peer 2
+        request = world.request(FunctionGraph.linear(["fa", "fb", "fc"]), source=0, dest=7)
+        bt = create_strategy("backtrack", micro_context(world)).compose(
+            request, confirm=False
+        )
+        # three one-function segments and a stitch budget that dies on
+        # the second: nothing qualified, so the exact fallback runs
+        dc = create_strategy(
+            "decompose", micro_context(world), partition_size=1, stitch_node_limit=1
+        ).compose(request, confirm=False)
+        assert dc.phases["ops_fallback_search"] == 1
+        assert bt.phases["ops_pruned_dominated"] == 1
+        assert dc.phases["ops_pruned_dominated"] == 1
+        assert dc.best_cost == bt.best_cost
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.core.bcp import BCP, BCPConfig
 from repro.core.qos import QoSRequirement, QoSVector, loss_to_additive
 from repro.core.request import CompositeRequest
 from repro.core.resources import ResourcePool, ResourceVector
+from repro.core.strategies import StrategyContext
 from repro.dht.pastry import PastryNetwork
 from repro.discovery.registry import ServiceRegistry
 from repro.services.component import ComponentSpec, QualitySpec
@@ -127,3 +128,16 @@ class MicroWorld:
         self.dead.add(peer)
         self.registry.peer_departed(peer)
         self.dht.node_departed(peer)
+
+
+def micro_context(world: MicroWorld) -> StrategyContext:
+    """What a composition strategy binds to, over a hand-built world."""
+    return StrategyContext(
+        overlay=world.overlay,
+        pool=world.pool,
+        registry=world.registry,
+        config=world.bcp.config,
+        alive=world.bcp.alive,
+        rng=world.bcp.rng,
+        bcp=world.bcp,
+    )
