@@ -15,7 +15,7 @@ Modules
 -------
 ``codec``      versioned wire frames + ``to_wire``/``from_wire``
 ``transport``  ``LoopbackTransport`` (queues, injectable latency/loss)
-               and ``TcpTransport`` (streams, connection pool)
+               and ``TcpTransport`` (protocols, connection pool)
 ``rpc``        request/response with timeouts, retries + backoff, dedup
 ``peer``       the peer daemon (probe processing, soft-state timers,
                session ack handling, maintenance pings)

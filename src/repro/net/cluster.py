@@ -99,9 +99,8 @@ class ClusterConfig:
     # wire fast path: preferred codec version (TCP negotiates down to
     # what the remote end speaks; 1 forces the JSON fallback everywhere)
     wire_version: int = WIRE_VERSION_BINARY
-    # batch frames per connection, one drain() per flush window
+    # batch frames per connection, one write per event-loop turn
     coalesce_writes: bool = True
-    flush_interval: float = 0.0  # tcp: extra dally per flush window (s)
     # per-peer overload survival (admission + shedding + RPC throttle):
     # None -> no guard at all; AdmissionConfig(enabled=False) -> guard
     # present but observing only.  Either way the protocol behaviour is
@@ -156,7 +155,7 @@ class LiveCluster:
             self.transport = TcpTransport(
                 port_base=cfg.port_base, tap=self.tap.on_frame,
                 max_wire_version=cfg.wire_version, coalesce=cfg.coalesce_writes,
-                flush_interval=cfg.flush_interval, latency=cfg.latency,
+                latency=cfg.latency,
             )
         else:
             raise ValueError(f"unknown transport {cfg.transport!r} (loopback|tcp)")

@@ -1460,10 +1460,9 @@ class PeerDaemon:
                         and rate >= tier.hot_threshold
                         and self.directory.mark_pushed(key)
                     ):
-                        # fan-out must not run inline: the transport's
-                        # receive loop awaits this handler, so an
-                        # outbound call here would deadlock (same
-                        # pattern as _on_probe's forwarding)
+                        # fan-out must not run inline: this lookup's
+                        # reply would wait out the pushes' round trips
+                        # (same pattern as _on_probe's forwarding)
                         self._spawn(self._push_replicas(key, msg.function))
             return reply
         res = self.bcp.registry.lookup(msg.function, msg.origin_peer)

@@ -26,7 +26,7 @@ import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, Hashable, Optional, Tuple, Type
+from typing import Any, Awaitable, Callable, Dict, Hashable, Optional, Set, Tuple, Type
 
 from ..sim.rng import as_generator
 from .transport import TransportError
@@ -111,6 +111,12 @@ class DedupCache:
 _INFLIGHT = object()  # reply-cache sentinel: handler still running
 
 
+def _expire(future: asyncio.Future) -> None:
+    """A call attempt's deadline: fail the wait unless the reply won."""
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
 class RpcEndpoint:
     """One peer's message port: typed handlers + outbound calls.
 
@@ -149,8 +155,10 @@ class RpcEndpoint:
         # (src, incarnation, msg_id) -> (expires_at | None, reply)
         self._replies: "OrderedDict[tuple, Tuple[Optional[float], Any]]" = OrderedDict()
         self._reply_cache = reply_cache
+        self._tasks: Set[asyncio.Task] = set()  # one per request being served
         self.calls_sent = 0
         self.retries_performed = 0
+        self.envelopes_rejected = 0  # inbound envelopes that were not a req/res
         # measurement hooks (assigned by the daemon, never required):
         # on_rtt(dst, rtt_seconds, method_name) fires for first-attempt
         # successes only — Karn's algorithm: a retransmitted exchange's
@@ -173,7 +181,6 @@ class RpcEndpoint:
         # control's RPC-level pressure-relief; 0 = unlimited)
         if inflight_limit < 0:
             raise ValueError("inflight_limit must be >= 0")
-        self._inflight_limit = inflight_limit
         self._gate: Optional[asyncio.Semaphore] = (
             asyncio.Semaphore(inflight_limit) if inflight_limit else None
         )
@@ -246,14 +253,13 @@ class RpcEndpoint:
             future: asyncio.Future = loop.create_future()
             self._pending[msg_id] = future
             sent_at = loop.time()
+            deadline: Optional[asyncio.TimerHandle] = None
             try:
                 await self.transport.send(self.peer_id, dst, envelope)
+                deadline = loop.call_later(policy.timeout, _expire, future)
+                reply = await future
             except TransportError as exc:
-                self._pending.pop(msg_id, None)
                 last_error = str(exc)
-                continue
-            try:
-                reply = await asyncio.wait_for(future, policy.timeout)
             except asyncio.TimeoutError:
                 last_error = f"no reply within {policy.timeout}s"
             else:
@@ -266,7 +272,9 @@ class RpcEndpoint:
                     )
                 return reply
             finally:
-                self._pending.pop(msg_id, None)
+                if deadline is not None:
+                    deadline.cancel()
+                del self._pending[msg_id]
         if self.on_failure is not None:
             self.on_failure(
                 RpcFailure(
@@ -284,39 +292,54 @@ class RpcEndpoint:
     # ------------------------------------------------------------------
     # inbound
     # ------------------------------------------------------------------
-    async def _on_envelope(self, envelope: dict) -> None:
-        kind = envelope.get("kind")
-        if kind == "res":
-            res_inc = envelope.get("inc")
-            if res_inc is not None and res_inc != self.incarnation:
-                return  # a reply addressed to a previous life of this peer
-            future = self._pending.get(envelope["id"])
-            if future is not None and not future.done():
-                future.set_result(envelope.get("body"))
+    def _on_envelope(self, envelope: dict) -> None:
+        """The transport's handler, called synchronously once per frame: a
+        reply resolves its caller's future on the spot, a request gets one
+        task (handler + reply) — so two requests from one sender *start*
+        in order, but the second may start before the first finishes."""
+        get = envelope.get if isinstance(envelope, dict) else {}.get
+        kind, msg_id, inc, src = get("kind"), get("id"), get("inc"), get("src")
+        if (
+            (kind != "req" and kind != "res")
+            or not isinstance(msg_id, int)
+            or not (inc is None or isinstance(inc, str))
+            or (kind == "req" and not isinstance(src, int))
+        ):
+            self.envelopes_rejected += 1  # malformed or unknown: dropped, not fatal
             return
-        if kind != "req":
-            return  # unknown envelope kinds are dropped, not fatal
-        src, msg_id = envelope["src"], envelope["id"]
-        req_inc = envelope.get("inc")
-        key = (src, req_inc, msg_id)
+        if kind == "res":
+            if inc is not None and inc != self.incarnation:
+                return  # a reply addressed to a previous life of this peer
+            future = self._pending.get(msg_id)
+            if future is not None and not future.done():
+                future.set_result(get("body"))
+            return
+        key = (src, inc, msg_id)
         cached = self._cached_reply(key)
         if cached is _INFLIGHT:
             return  # duplicate while the first delivery is still processing
         if cached is not None:
-            await self._respond(src, msg_id, cached, req_inc)
-            return
-        self._cache_reply(key, _INFLIGHT)
-        body = envelope.get("body")
+            self._spawn(self._respond(key, cached))
+        else:
+            self._cache_reply(key, _INFLIGHT)
+            self._spawn(self._handle(key, get("body")))
+
+    def _spawn(self, coro: Awaitable) -> None:
+        task = asyncio.get_running_loop().create_task(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _handle(self, key: tuple, body: Any) -> None:
         handler = self._handlers.get(type(body))
         if handler is None:
             reply: dict = {"error": f"no handler for {type(body).__name__}"}
         else:
             try:
-                reply = await handler(src, body) or {"ok": True}
+                reply = await handler(key[0], body) or {"ok": True}
             except Exception as exc:  # a handler bug must not kill the daemon
                 reply = {"error": f"{type(exc).__name__}: {exc}"}
         self._cache_reply(key, reply)
-        await self._respond(src, msg_id, reply, req_inc)
+        await self._respond(key, reply)
 
     def _cached_reply(self, key: tuple) -> Any:
         entry = self._replies.get(key)
@@ -329,23 +352,23 @@ class RpcEndpoint:
         return value
 
     def _cache_reply(self, key: tuple, value: Any) -> None:
+        now = self._clock()
         # in-flight markers never expire on their own: the handler's
         # completion always overwrites them with the real (TTL'd) reply
-        expires = None if value is _INFLIGHT else self._clock() + self.reply_ttl
-        self._replies[key] = (expires, value)
-        self._replies.move_to_end(key)
-        now = self._clock()
-        while self._replies:  # TTL eviction from the stale end
-            _, (head_exp, _head_val) = next(iter(self._replies.items()))
+        expires = None if value is _INFLIGHT else now + self.reply_ttl
+        replies = self._replies
+        replies[key] = (expires, value)
+        replies.move_to_end(key)
+        while replies:  # TTL eviction from the stale end
+            head_exp = next(iter(replies.values()))[0]
             if head_exp is None or head_exp > now:
                 break
-            self._replies.popitem(last=False)
-        while len(self._replies) > self._reply_cache:
-            self._replies.popitem(last=False)
+            replies.popitem(last=False)
+        while len(replies) > self._reply_cache:
+            replies.popitem(last=False)
 
-    async def _respond(
-        self, dst: int, msg_id: int, body: Any, req_inc: Optional[str] = None
-    ) -> None:
+    async def _respond(self, key: tuple, body: Any) -> None:
+        dst, req_inc, msg_id = key
         envelope = {"kind": "res", "id": msg_id, "src": self.peer_id, "body": body}
         if req_inc is not None:
             envelope["inc"] = req_inc  # echo the requester's incarnation

@@ -8,9 +8,16 @@ bytes a TCP deployment puts on the network.
 * :class:`LoopbackTransport` — asyncio queues with injectable one-way
   latency and probabilistic loss; the deterministic substrate for tests
   and the sim-parity harness.
-* :class:`TcpTransport` — asyncio streams on localhost (or any address
-  book), one server per hosted peer, a per-``(src, dst)`` outbound
-  connection pool, and write backpressure via ``drain()``.
+* :class:`TcpTransport` — :class:`asyncio.Protocol` objects on localhost
+  (or any address book), one listener per hosted peer, a per-``(src,
+  dst)`` outbound connection pool, and write backpressure through
+  ``pause_writing``/``resume_writing``.
+
+Delivery contract (both transports): a peer's handler is *called
+synchronously*, once per envelope, in the order the frames of one link
+arrived.  If the call returns a coroutine it is scheduled as a task —
+so delivery is ordered, execution is not serial.  A handler that raises
+costs that frame (``frames_dropped``), never the receive path.
 
 Two throughput levers sit here (and default on):
 
@@ -22,12 +29,12 @@ Two throughput levers sit here (and default on):
   metadata, not protocol messages — they are invisible to handlers, taps
   and frame counters.  Loopback has no connections, so its version is a
   constructor knob.
-* **Write coalescing** — instead of awaiting ``drain()`` per frame, a
-  per-connection flusher task drains the accumulated write buffer once
-  per wakeup (plus an optional ``flush_interval`` dally), so a burst of
-  frames to one peer costs one syscall batch.  Coalescing batches
-  *frames*, never messages: each logical message is still one frame,
-  counted once by the tap, so ledgers are identical with it on or off.
+* **Write coalescing** — frames sent to one peer within an event-loop
+  turn leave in one write (TCP: one flusher task per transport; loopback:
+  one queue item), so a burst costs one syscall or wakeup.  Coalescing
+  batches *frames*, never messages: each logical message is still one
+  frame, counted once by the tap, so ledgers are identical with it on
+  or off.
 
 Failure model: sending to a *killed* peer is a silent drop (a packet
 into the void) on loopback and a connection error on TCP; both surface
@@ -38,12 +45,11 @@ path and, ultimately, credit-loss reporting to the destination.
 from __future__ import annotations
 
 import asyncio
+from functools import partial
 from typing import Awaitable, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..sim.rng import as_generator
 from .codec import (
-    _HEADER,
-    _HEADER_SIZE,
     SUPPORTED_WIRE_VERSIONS,
     WIRE_VERSION,
     WIRE_VERSION_BINARY,
@@ -55,15 +61,16 @@ from .codec import (
 
 __all__ = ["TransportError", "LoopbackTransport", "TcpTransport"]
 
-Handler = Callable[[dict], Awaitable[None]]
+# called synchronously per envelope; a coroutine result runs as a task
+Handler = Callable[[dict], Optional[Awaitable[None]]]
 # tap(direction, envelope, n_bytes) — see net.accounting.LedgerTap
 Tap = Callable[[str, dict, int], None]
 
 _HELLO = "__hello__"
 _HELLO_ACK = "__hello_ack__"
 _HANDSHAKE_TIMEOUT = 5.0
-# coalesced writers buffer at most this many bytes before the *sender*
-# blocks awaiting a drain — per-connection backpressure, like drain()
+# a connection whose socket holds this many unsent bytes pauses its
+# *senders* until the kernel drains it — per-connection backpressure
 _HIGH_WATER = 256 * 1024
 
 
@@ -88,15 +95,14 @@ class _DelayPump:
     link back-to-back shares one delay instead of serializing N sleeps,
     and per-link ordering is preserved because due times on one pump are
     monotone.  ``stop()`` drains what is already in flight and then ends
-    the task; ``cancel()`` abandons it immediately.
+    the task; cancelling the task abandons it immediately.
     """
 
-    __slots__ = ("_deliver", "_queue", "task")
+    __slots__ = ("_deliver", "_queue")
 
-    def __init__(self, deliver: Callable[[object], Awaitable[None]], name: str) -> None:
+    def __init__(self, deliver: Callable[[object], None]) -> None:
         self._deliver = deliver
         self._queue: asyncio.Queue = asyncio.Queue()
-        self.task = asyncio.get_running_loop().create_task(self._run(), name=name)
 
     def put(self, delay: float, item) -> None:
         due = asyncio.get_running_loop().time() + max(0.0, delay)
@@ -105,29 +111,26 @@ class _DelayPump:
     def stop(self) -> None:
         self._queue.put_nowait(None)
 
-    def cancel(self) -> None:
-        self.task.cancel()
-
-    async def _run(self) -> None:
+    async def run(self) -> None:
         loop = asyncio.get_running_loop()
-        try:
-            while True:
-                item = await self._queue.get()
-                if item is None:
-                    break
-                due, payload = item
-                now = loop.time()
-                if due > now:
-                    await asyncio.sleep(due - now)
-                await self._deliver(payload)
-        except asyncio.CancelledError:
-            pass  # transport teardown
+        while True:
+            item = await self._queue.get()
+            if item is None:
+                break
+            due, payload = item
+            now = loop.time()
+            if due > now:
+                await asyncio.sleep(due - now)
+            self._deliver(payload)
 
 
 class _BaseTransport:
     def __init__(self, tap: Optional[Tap] = None) -> None:
         self._handlers: Dict[int, Handler] = {}
         self._killed: Set[int] = set()
+        # every task the transport owns: listeners, dispatchers, pumps,
+        # the flusher, and coroutine handler results still running
+        self._tasks: Set[asyncio.Task] = set()
         self.tap = tap
         self.frames_sent = 0
         self.bytes_sent = 0
@@ -164,6 +167,36 @@ class _BaseTransport:
         self.bytes_sent += n_bytes
         if self.tap is not None:
             self.tap("tx", envelope, n_bytes)
+
+    def _deliver(self, peer_id: int, envelope) -> None:
+        """Hand one envelope to ``peer_id``'s handler, on the spot."""
+        handler = self._handlers.get(peer_id)
+        if handler is None or peer_id in self._killed:
+            return
+        try:
+            result = handler(envelope)
+        except Exception:  # a handler bug costs the frame, not the receive path
+            self.frames_dropped += 1
+            return
+        if result is not None:
+            self._spawn(result)
+
+    def _spawn(self, coro, name: Optional[str] = None) -> None:
+        task = asyncio.get_running_loop().create_task(coro, name=name)
+        self._tasks.add(task)
+        task.add_done_callback(self._reap)
+
+    def _reap(self, task: asyncio.Task) -> None:
+        self._tasks.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            self.frames_dropped += 1  # a coroutine handler raised
+
+    async def _cancel_tasks(self) -> None:
+        tasks = list(self._tasks)
+        for task in tasks:
+            task.cancel()
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
 
     async def start(self) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -211,31 +244,19 @@ class LoopbackTransport(_BaseTransport):
         self.coalesce = coalesce
         self._queues: Dict[int, asyncio.Queue] = {}
         self._pending: Dict[int, List[bytes]] = {}
-        self._dispatchers: List[asyncio.Task] = []
         # latency emulation: one _DelayPump per active (src, dst) link
         self._pumps: Dict[Tuple[int, int], _DelayPump] = {}
         self._started = False
 
     async def start(self) -> None:
-        loop = asyncio.get_running_loop()
         for peer_id in self._handlers:
             if peer_id not in self._queues:
                 self._queues[peer_id] = asyncio.Queue()
-                self._dispatchers.append(
-                    loop.create_task(self._dispatch(peer_id), name=f"loopback-rx-{peer_id}")
-                )
+                self._spawn(self._dispatch(peer_id), f"loopback-rx-{peer_id}")
         self._started = True
 
     async def close(self) -> None:
-        tasks = list(self._dispatchers) + [p.task for p in self._pumps.values()]
-        for task in tasks:
-            task.cancel()
-        for task in tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._dispatchers.clear()
+        await self._cancel_tasks()
         self._pumps.clear()
         self._pending.clear()
         self._started = False
@@ -274,49 +295,122 @@ class LoopbackTransport(_BaseTransport):
         key = (src, dst)
         pump = self._pumps.get(key)
         if pump is None:
-            queue = self._queues[dst]
-
-            async def deliver(frame: bytes, _queue=queue) -> None:
-                _queue.put_nowait(frame)  # kill is re-checked at dispatch
-
-            pump = self._pumps[key] = _DelayPump(
-                deliver, name=f"loopback-delay-{src}-{dst}"
-            )
+            # kill is re-checked at dispatch
+            pump = self._pumps[key] = _DelayPump(self._queues[dst].put_nowait)
+            self._spawn(pump.run(), f"loopback-delay-{src}-{dst}")
         return pump
 
     async def _dispatch(self, peer_id: int) -> None:
         queue = self._queues[peer_id]
         while True:
             item: Union[bytes, List[bytes]] = await queue.get()
-            frames = item if isinstance(item, list) else (item,)
-            for frame in frames:
-                if peer_id in self._killed:
-                    break
-                handler = self._handlers.get(peer_id)
-                if handler is None:
-                    continue
-                await handler(decode_frame(frame))
+            for frame in item if isinstance(item, list) else (item,):
+                self._deliver(peer_id, decode_frame(frame))
 
 
-class _Conn:
-    """One pooled outbound stream: negotiated version + write coalescing."""
+class _Accepted(asyncio.Protocol):
+    """Accepted side of one connection: bytes in, envelopes to the hosted
+    peer's handler in arrival order, with no task in between."""
 
-    __slots__ = (
-        "reader", "writer", "lock", "version", "buf", "wake", "drained",
-        "broken", "flusher",
-    )
+    __slots__ = ("owner", "peer_id", "frames", "sock", "pump")
 
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.lock = asyncio.Lock()
+    def __init__(self, owner: "TcpTransport", peer_id: int) -> None:
+        self.owner = owner
+        self.peer_id = peer_id
+        self.frames = FrameReader()
+        self.sock: Optional[asyncio.Transport] = None
+        # latency emulation: releases each envelope at arrival_time + delay
+        self.pump: Optional[_DelayPump] = None
+
+    def connection_made(self, sock) -> None:
+        self.sock = sock
+        owner = self.owner
+        owner._accepted.add(self)
+        if owner._delay_inbound:
+            self.pump = _DelayPump(partial(owner._deliver, self.peer_id))
+            owner._spawn(self.pump.run(), f"tcp-delay-{self.peer_id}")
+
+    def data_received(self, data: bytes) -> None:
+        owner, peer_id, pump = self.owner, self.peer_id, self.pump
+        try:
+            envelopes = self.frames.feed(data)
+        except CodecError:  # the stream cannot be resynchronised
+            owner.frames_dropped += 1
+            self.sock.abort()
+            return
+        for envelope in envelopes:
+            if peer_id in owner._killed:
+                self.sock.abort()
+                return
+            if isinstance(envelope, dict) and envelope.get("kind") == _HELLO:
+                # connection metadata: answered on the accepted socket,
+                # invisible to handlers/taps/counters
+                self.sock.write(
+                    encode_frame({"kind": _HELLO_ACK, "max": owner.max_wire_version})
+                )
+            elif pump is not None:
+                src = envelope.get("src", peer_id) if isinstance(envelope, dict) else peer_id
+                pump.put(owner._latency(src, peer_id), envelope)
+            else:
+                owner._deliver(peer_id, envelope)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.owner._accepted.discard(self)
+        if self.pump is not None:
+            self.pump.stop()  # drain what's in flight, then stop
+
+
+class _Conn(asyncio.Protocol):
+    """Dialled side of one pooled ``(src, dst)`` connection: the hello
+    handshake through the same :class:`FrameReader`, then frames out."""
+
+    __slots__ = ("owner", "key", "frames", "sock", "version", "ready", "buf", "writable", "lost")
+
+    def __init__(self, owner: "TcpTransport", key: Tuple[int, int]) -> None:
+        self.owner = owner
+        self.key = key
+        self.frames = FrameReader()
+        self.sock: Optional[asyncio.Transport] = None
         self.version = WIRE_VERSION
-        self.buf = bytearray()
-        self.wake = asyncio.Event()
-        self.drained = asyncio.Event()
-        self.drained.set()
-        self.broken: Optional[BaseException] = None
-        self.flusher: Optional[asyncio.Task] = None
+        # resolves to the negotiated wire version
+        self.ready: asyncio.Future = asyncio.get_running_loop().create_future()
+        self.buf: List[bytes] = []  # frames awaiting the flusher
+        self.writable = asyncio.Event()
+        self.writable.set()
+        self.lost: Optional[BaseException] = None
+
+    def connection_made(self, sock) -> None:
+        self.sock = sock
+        sock.set_write_buffer_limits(high=_HIGH_WATER)
+        sock.write(encode_frame({"kind": _HELLO, "max": self.owner.max_wire_version}))
+
+    def data_received(self, data: bytes) -> None:
+        # frames flow one way; the acceptor only ever answers the hello
+        try:
+            for ack in self.frames.feed(data):
+                if not isinstance(ack, dict) or ack.get("kind") != _HELLO_ACK:
+                    raise CodecError(f"bad handshake ack: {ack!r}")
+                remote_max = int(ack.get("max", WIRE_VERSION))
+                if not self.ready.done():
+                    self.ready.set_result(_negotiate(self.owner.max_wire_version, remote_max))
+        except (CodecError, TypeError, ValueError) as exc:
+            if not self.ready.done():
+                self.ready.set_exception(CodecError(str(exc)))
+            self.sock.abort()
+
+    def pause_writing(self) -> None:
+        self.writable.clear()
+
+    def resume_writing(self) -> None:
+        self.writable.set()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.lost = exc or ConnectionResetError("connection closed")
+        if self.owner._pool.get(self.key) is self:
+            del self.owner._pool[self.key]
+        if not self.ready.done():
+            self.ready.set_exception(self.lost)
+        self.writable.set()  # senders held by backpressure wake and see `lost`
 
 
 class TcpTransport(_BaseTransport):
@@ -329,23 +423,20 @@ class TcpTransport(_BaseTransport):
     what this end advertises, so ``max_wire_version=1`` forces the JSON
     fallback against any peer).
 
-    With ``coalesce`` on (the default) each connection owns a flusher
-    task: ``send()`` appends the frame to the connection buffer and
-    returns, and the flusher writes whatever accumulated with a single
-    ``drain()`` per wakeup — ``flush_interval`` seconds of dallying (0
-    by default) trades latency for larger batches.  Senders block only
-    when a connection's buffer passes the high-water mark, preserving
-    per-connection backpressure; a broken connection fails *subsequent*
-    sends, which the RPC retry path already treats as message loss.
+    No connection owns a task: the accepted side parses frames in
+    ``data_received`` and calls the peer's handler there; the dialled
+    side appends frames to its connection for :meth:`_flush_loop`
+    (``coalesce`` off: one ``write`` per frame).  Senders block only
+    while a connection's socket buffer is past the high-water mark; a
+    lost connection fails the sends waiting on it and is re-dialled by
+    the next, which the RPC retry path already treats as message loss.
 
     ``latency`` emulates one-way wire delay just like the loopback
-    transport (a float, or ``(src, dst) -> float`` over peer ids):
-    inbound frames are timestamped on arrival and dispatched by a
-    per-connection pump once their delay elapses, so a burst keeps one
-    shared delay instead of serializing N sleeps.  Localhost TCP is
-    effectively zero-latency, which makes every topology look flat —
-    this knob lets benchmarks emulate the *modeled* overlay delays on a
-    real socket path.
+    transport (a float, or ``(src, dst) -> float`` over peer ids): a
+    per-connection pump dispatches each inbound frame once its delay
+    since arrival elapses.  Localhost TCP is effectively zero-latency,
+    which makes every topology look flat — this knob lets benchmarks
+    emulate the *modeled* overlay delays on a real socket path.
     """
 
     def __init__(
@@ -355,72 +446,69 @@ class TcpTransport(_BaseTransport):
         tap: Optional[Tap] = None,
         max_wire_version: int = WIRE_VERSION_BINARY,
         coalesce: bool = True,
-        flush_interval: float = 0.0,
         latency: float | Callable[[int, int], float] = 0.0,
     ) -> None:
         super().__init__(tap=tap)
         if max_wire_version not in SUPPORTED_WIRE_VERSIONS:
             raise ValueError(f"unsupported wire version {max_wire_version}")
-        if flush_interval < 0:
-            raise ValueError("flush_interval must be >= 0")
         self.host = host
         self.port_base = port_base
         self.max_wire_version = max_wire_version
         self.coalesce = coalesce
-        self.flush_interval = flush_interval
         self._latency = latency if callable(latency) else (lambda s, d, l=latency: l)
         self._delay_inbound = callable(latency) or latency > 0
         self.addresses: Dict[int, Tuple[str, int]] = {}
         self._servers: Dict[int, asyncio.base_events.Server] = {}
-        self._conn_tasks: Set[asyncio.Task] = set()
-        self._accepted: Dict[int, List[asyncio.StreamWriter]] = {}
+        self._accepted: Set[_Accepted] = set()
         self._pool: Dict[Tuple[int, int], _Conn] = {}
         self._dial_locks: Dict[Tuple[int, int], asyncio.Lock] = {}
+        self._dirty: List[_Conn] = []  # connections with frames to flush
+        self._wake = asyncio.Event()
         self._started = False
 
     async def start(self) -> None:
         for peer_id in self._handlers:
             if peer_id not in self._servers:
                 await self._listen(peer_id)
+        if self.coalesce and not self._started:
+            self._spawn(self._flush_loop(), "tcp-flush")
         self._started = True
 
     async def _listen(self, peer_id: int) -> None:
         port = 0 if self.port_base is None else self.port_base + peer_id
-        server = await asyncio.start_server(
-            lambda r, w, p=peer_id: self._serve(p, r, w), self.host, port
+        server = await asyncio.get_running_loop().create_server(
+            lambda: _Accepted(self, peer_id), self.host, port
         )
         self._servers[peer_id] = server
         self.addresses[peer_id] = server.sockets[0].getsockname()[:2]
+        self._spawn(self._serve(peer_id, server), f"tcp-listen-{peer_id}")
+
+    async def _serve(self, peer_id: int, server: asyncio.base_events.Server) -> None:
+        """A hosted peer's listener, for as long as it lives: ``kill`` and
+        ``close`` end it by closing the server, ``revive`` starts another."""
+        if server.is_serving():
+            await server.serve_forever()
 
     async def close(self) -> None:
+        self._started = False
         for server in self._servers.values():
             server.close()
-        for server in self._servers.values():
-            await server.wait_closed()
         self._servers.clear()
-        for conn in self._pool.values():
-            self._teardown_conn(conn)
-        self._pool.clear()
-        for writers in self._accepted.values():
-            for w in writers:
-                w.close()
-        self._accepted.clear()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
-        self._conn_tasks.clear()
-        self._started = False
+        for endpoint in (*self._pool.values(), *self._accepted):
+            endpoint.sock.close()  # each leaves its collection when lost
+        self._dirty.clear()
+        await self._cancel_tasks()
 
     def kill(self, peer_id: int) -> None:
         super().kill(peer_id)
         server = self._servers.pop(peer_id, None)
         if server is not None:
             server.close()
-        for w in self._accepted.pop(peer_id, []):
-            w.close()
+        for proto in self._accepted:
+            if proto.peer_id == peer_id:
+                proto.sock.abort()
         for key in [k for k in self._pool if peer_id in k]:
-            self._teardown_conn(self._pool.pop(key))
+            self._pool.pop(key).sock.abort()  # with whatever it had buffered
 
     async def revive(self, peer_id: int) -> None:
         """Restart a killed peer's listener (possibly on a new OS port —
@@ -430,11 +518,6 @@ class TcpTransport(_BaseTransport):
         if self._started and peer_id not in self._servers:
             await self._listen(peer_id)
 
-    def _teardown_conn(self, conn: _Conn) -> None:
-        if conn.flusher is not None:
-            conn.flusher.cancel()
-        conn.writer.close()
-
     async def send(self, src: int, dst: int, envelope: dict) -> None:
         if not self._started:
             raise TransportError("transport not started")
@@ -442,162 +525,56 @@ class TcpTransport(_BaseTransport):
             raise TransportError(f"peer {src} is down")
         if dst in self._killed:
             raise TransportError(f"peer {dst} is down")
-        conn = await self._get_conn(src, dst)
+        conn = self._pool.get((src, dst))
+        if conn is None or conn.sock.is_closing():
+            conn = await self._dial(src, dst)
         frame = encode_frame(envelope, conn.version)
         if self.coalesce:
-            await self._send_coalesced((src, dst), conn, frame)
+            if not conn.buf:
+                if not self._dirty:
+                    self._wake.set()
+                self._dirty.append(conn)
+            conn.buf.append(frame)
         else:
-            try:
-                async with conn.lock:
-                    conn.writer.write(frame)
-                    await conn.writer.drain()
-            except (ConnectionError, OSError) as exc:
-                self._drop_conn((src, dst), conn)
-                raise TransportError(f"send {src}->{dst} failed: {exc}") from exc
+            conn.sock.write(frame)
+        if not conn.writable.is_set():
+            await conn.writable.wait()
+        if conn.lost is not None:
+            raise TransportError(f"send {src}->{dst} failed: {conn.lost}")
         self._tap_send(envelope, len(frame))
 
-    async def _send_coalesced(self, key: Tuple[int, int], conn: _Conn, frame: bytes) -> None:
-        if conn.broken is not None:
-            self._drop_conn(key, conn)
-            raise TransportError(f"send {key[0]}->{key[1]} failed: {conn.broken}")
-        conn.buf += frame
-        conn.wake.set()
-        if len(conn.buf) >= _HIGH_WATER:
-            conn.drained.clear()
-            await conn.drained.wait()
-            if conn.broken is not None:
-                self._drop_conn(key, conn)
-                raise TransportError(f"send {key[0]}->{key[1]} failed: {conn.broken}")
+    async def _flush_loop(self) -> None:
+        """The transport's one flusher: every connection written to since
+        the last event-loop turn gets a single ``write``."""
+        wake = self._wake
+        while True:
+            await wake.wait()
+            wake.clear()
+            dirty, self._dirty = self._dirty, []
+            for conn in dirty:
+                if not conn.sock.is_closing():
+                    conn.sock.write(b"".join(conn.buf))
+                conn.buf.clear()
 
-    async def _flush_loop(self, key: Tuple[int, int], conn: _Conn) -> None:
-        try:
-            while True:
-                await conn.wake.wait()
-                conn.wake.clear()
-                if self.flush_interval > 0:
-                    await asyncio.sleep(self.flush_interval)
-                if conn.buf:
-                    data = bytes(conn.buf)
-                    conn.buf.clear()
-                    conn.writer.write(data)
-                    await conn.writer.drain()
-                conn.drained.set()
-        except asyncio.CancelledError:
-            pass  # transport teardown
-        except (ConnectionError, OSError) as exc:
-            conn.broken = exc
-            conn.drained.set()  # unblock high-water waiters; they re-check
-            self._drop_conn(key, conn)
-
-    def _drop_conn(self, key: Tuple[int, int], conn: _Conn) -> None:
-        if self._pool.get(key) is conn:
-            self._pool.pop(key, None)
-        if conn.flusher is not None and conn.flusher is not asyncio.current_task():
-            conn.flusher.cancel()
-        conn.writer.close()
-
-    async def _get_conn(self, src: int, dst: int) -> _Conn:
+    async def _dial(self, src: int, dst: int) -> _Conn:
         key = (src, dst)
-        conn = self._pool.get(key)
-        if conn is not None and conn.broken is None and not conn.writer.is_closing():
-            return conn
         lock = self._dial_locks.setdefault(key, asyncio.Lock())
         async with lock:
             conn = self._pool.get(key)
-            if conn is not None:
-                if conn.broken is None and not conn.writer.is_closing():
-                    return conn
-                self._drop_conn(key, conn)
+            if conn is not None and not conn.sock.is_closing():
+                return conn  # dialled while this sender waited for the lock
             addr = self.addresses.get(dst)
             if addr is None:
                 raise TransportError(f"no address for peer {dst}")
+            conn = _Conn(self, key)
             try:
-                reader, writer = await asyncio.open_connection(*addr)
-                conn = _Conn(reader, writer)
-                conn.version = await asyncio.wait_for(
-                    self._handshake(reader, writer), _HANDSHAKE_TIMEOUT
-                )
-            except (ConnectionError, OSError, asyncio.TimeoutError, CodecError) as exc:
+                await asyncio.get_running_loop().create_connection(lambda: conn, *addr)
+                conn.version = await asyncio.wait_for(conn.ready, _HANDSHAKE_TIMEOUT)
+                self._pool[key] = conn
+                return conn
+            except (OSError, asyncio.TimeoutError, CodecError) as exc:
                 raise TransportError(f"dial {src}->{dst} failed: {exc}") from exc
-            if self.coalesce:
-                conn.flusher = asyncio.get_running_loop().create_task(
-                    self._flush_loop(key, conn), name=f"tcp-flush-{src}-{dst}"
-                )
-            self._pool[key] = conn
-            return conn
-
-    async def _handshake(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> int:
-        """Dial-time version negotiation; always spoken in v1 JSON."""
-        writer.write(encode_frame({"kind": _HELLO, "max": self.max_wire_version}))
-        await writer.drain()
-        header = await reader.readexactly(_HEADER_SIZE)
-        _magic, _version, length = _HEADER.unpack(header)
-        payload = await reader.readexactly(length)
-        ack = decode_frame(header + payload)
-        if not isinstance(ack, dict) or ack.get("kind") != _HELLO_ACK:
-            raise CodecError(f"bad handshake ack: {ack!r}")
-        return _negotiate(self.max_wire_version, int(ack.get("max", WIRE_VERSION)))
-
-    async def _serve(
-        self, peer_id: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._accepted.setdefault(peer_id, []).append(writer)
-        frames = FrameReader()
-        # with latency emulation, frames go through a per-connection
-        # _DelayPump that releases each one at arrival_time + delay
-        pump: Optional[_DelayPump] = None
-        if self._delay_inbound:
-
-            async def deliver(envelope: dict) -> None:
-                if peer_id in self._killed:
-                    return
-                handler = self._handlers.get(peer_id)
-                if handler is not None:
-                    await handler(envelope)
-
-            pump = _DelayPump(deliver, name=f"tcp-delay-{peer_id}")
-            self._conn_tasks.add(pump.task)
-            pump.task.add_done_callback(self._conn_tasks.discard)
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                for envelope in frames.feed(chunk):
-                    if isinstance(envelope, dict) and envelope.get("kind") == _HELLO:
-                        # connection metadata: answer on the accepted
-                        # socket, invisible to handlers/taps/counters
-                        writer.write(
-                            encode_frame(
-                                {"kind": _HELLO_ACK, "max": self.max_wire_version}
-                            )
-                        )
-                        await writer.drain()
-                        continue
-                    if peer_id in self._killed:
-                        return
-                    if pump is not None:
-                        src = envelope.get("src", peer_id)
-                        pump.put(self._latency(src, peer_id), envelope)
-                        continue
-                    handler = self._handlers.get(peer_id)
-                    if handler is not None:
-                        await handler(envelope)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass  # transport teardown; exiting cleanly keeps the loop quiet
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            if pump is not None:
-                pump.stop()  # drain what's in flight, then stop
-            writer.close()
-            accepted = self._accepted.get(peer_id)
-            if accepted and writer in accepted:
-                accepted.remove(writer)
+            finally:
+                # failed, timed out or cancelled: leave no socket behind
+                if self._pool.get(key) is not conn and conn.sock is not None:
+                    conn.sock.abort()

@@ -338,8 +338,9 @@ def test_kill_mid_soak_bounded_tail():
     assert len(records) > 10
     summary = summarize_records(records, duration=2.0)
     assert summary["ok"] > 0  # the cluster kept composing around the corpse
-    # every record resolved within the request timeout: no unbounded tail
-    assert max(r.latency for r in records) < 8.0
+    # every record resolved before the request timeout: no unbounded tail
+    # (counted, not timed: on a loaded machine latency can graze the bound)
+    assert [r for r in records if r.reason.startswith("no result within")] == []
     # and the kill actually bit: calls already in flight may burn the
     # attempt they had on the wire, but nothing exhausts the full retry
     # budget, and calls issued after the kill fail fast with 0 attempts

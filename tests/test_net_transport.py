@@ -4,9 +4,25 @@ import asyncio
 
 import pytest
 
-from repro.net.codec import WIRE_VERSION, WIRE_VERSION_BINARY
-from repro.net.rpc import DedupCache, RetryPolicy, RpcEndpoint, RpcTimeout
-from repro.net.transport import LoopbackTransport, TcpTransport, TransportError, _negotiate
+from repro.net import rpc as net_rpc
+from repro.net import transport as net_transport
+from repro.net.cluster import ClusterConfig, LiveCluster
+from repro.net.codec import (
+    MAX_FRAME,
+    WIRE_VERSION,
+    WIRE_VERSION_BINARY,
+    MaintenancePing,
+    encode_frame,
+)
+from repro.net.rpc import DedupCache, RetryPolicy, RpcEndpoint, RpcFailure, RpcTimeout
+from repro.net.transport import (
+    LoopbackTransport,
+    TcpTransport,
+    TransportError,
+    _Accepted,
+    _Conn,
+    _negotiate,
+)
 
 
 def run(coro):
@@ -146,6 +162,235 @@ class TestTcp:
         run(scenario())
 
 
+class FakeSocket:
+    """Stands in for the asyncio transport under a protocol object."""
+
+    def __init__(self):
+        self.written = []
+        self.aborted = False
+
+    def write(self, data):
+        self.written.append(data)
+
+    def set_write_buffer_limits(self, high=None, low=None):
+        pass
+
+    def is_closing(self):
+        return self.aborted
+
+    def abort(self):
+        self.aborted = True
+
+
+def loop_errors():
+    """Route the running loop's exception handler into a list."""
+    errors = []
+    asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: errors.append(ctx))
+    return errors
+
+
+class TestTcpReceive:
+    @staticmethod
+    def accepted(handler):
+        t = TcpTransport()
+        t.register(1, handler)
+        proto = _Accepted(t, 1)
+        proto.connection_made(FakeSocket())
+        return t, proto
+
+    def test_burst_split_at_every_offset_delivers_once_in_order(self):
+        burst = b"".join(
+            encode_frame({"kind": "req", "n": n}, version)
+            for n, version in enumerate([WIRE_VERSION_BINARY, WIRE_VERSION, WIRE_VERSION_BINARY])
+        )
+        for cut in range(len(burst) + 1):
+            received = []
+            _, proto = self.accepted(received.append)  # a plain function: no loop needed
+            proto.data_received(burst[:cut])
+            proto.data_received(burst[cut:])
+            assert [e["n"] for e in received] == [0, 1, 2], f"split at byte {cut}"
+
+    def test_hello_is_answered_on_the_socket_and_never_delivered(self):
+        received = []
+        t, proto = self.accepted(received.append)
+        proto.data_received(encode_frame({"kind": "__hello__", "max": 2}))
+        assert received == [] and t.frames_sent == 0
+        assert proto.sock.written == [encode_frame({"kind": "__hello_ack__", "max": 2})]
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"XX\x02\x00\x00\x00\x01", b"SN\x02" + (MAX_FRAME + 1).to_bytes(4, "big")],
+        ids=["bad-magic", "oversize"],
+    )
+    def test_bad_header_closes_the_connection_quietly(self, header):
+        async def scenario():
+            errors = loop_errors()
+            t = TcpTransport()
+            received = []
+            t.register(0, collector([]))
+            t.register(1, collector(received))
+            await t.start()
+            reader, writer = await asyncio.open_connection(*t.addresses[1])
+            writer.write(encode_frame({"n": 0}, WIRE_VERSION_BINARY) + header + b"\x00" * 64)
+            await writer.drain()
+            closed = await asyncio.wait_for(reader.read(), 1)  # EOF: peer 1 hung up
+            writer.close()
+            await t.send(0, 1, {"n": 1})  # the listener itself is unharmed
+            await asyncio.sleep(0.05)
+            await t.close()
+            return closed, received, t.frames_dropped, errors
+
+        closed, received, dropped, errors = run(scenario())
+        # the good frame shared the poisoned chunk, so it went down with it
+        assert closed == b"" and received == [{"n": 1}]
+        assert dropped == 1 and errors == []
+
+    @pytest.mark.parametrize("make", [LoopbackTransport, TcpTransport], ids=["loopback", "tcp"])
+    def test_a_raising_handler_costs_the_frame_not_the_peer(self, make):
+        async def scenario():
+            errors = loop_errors()
+            t = make()
+            received = []
+
+            def plain(envelope):
+                if envelope["n"] == 0:
+                    raise KeyError("boom")
+                received.append(envelope["n"])
+
+            async def coro(envelope):
+                if envelope["n"] == 0:
+                    raise KeyError("boom")
+                received.append(envelope["n"])
+
+            t.register(0, plain)
+            t.register(1, coro)
+            await t.start()
+            for dst in (0, 1):
+                for n in range(3):
+                    await t.send(1 - dst, dst, {"n": n})
+            await asyncio.sleep(0.05)
+            await t.close()
+            return received, t.frames_dropped, errors
+
+        received, dropped, errors = run(scenario())
+        assert sorted(received) == [1, 1, 2, 2] and dropped == 2 and errors == []
+
+
+class TestTcpSend:
+    @staticmethod
+    def pooled():
+        """A started-looking transport with one fake pooled connection."""
+        t = TcpTransport()
+        t._started = True
+        conn = t._pool[(0, 1)] = _Conn(t, (0, 1))
+        conn.connection_made(FakeSocket())
+        conn.version = WIRE_VERSION_BINARY
+        return t, conn
+
+    def test_sender_past_high_water_blocks_until_resume(self):
+        async def scenario():
+            t, conn = self.pooled()
+            await t.send(0, 1, {"n": 0})  # below the mark: returns at once
+            conn.pause_writing()
+            blocked = asyncio.ensure_future(t.send(0, 1, {"n": 1}))
+            await asyncio.sleep(0.02)
+            was_blocked, sent_before = not blocked.done(), t.frames_sent
+            conn.resume_writing()
+            await asyncio.wait_for(blocked, 1)
+            return was_blocked, sent_before, t.frames_sent, len(conn.buf)
+
+        assert run(scenario()) == (True, 1, 2, 2)
+
+    def test_sender_fails_if_the_connection_is_lost_while_it_waits(self):
+        async def scenario():
+            t, conn = self.pooled()
+            conn.pause_writing()
+            blocked = asyncio.ensure_future(t.send(0, 1, {"n": 1}))
+            await asyncio.sleep(0.02)
+            conn.connection_lost(ConnectionResetError("gone"))
+            with pytest.raises(TransportError, match="gone"):
+                await asyncio.wait_for(blocked, 1)
+            return t.frames_sent, (0, 1) in t._pool
+
+        assert run(scenario()) == (0, False)
+
+    def test_kill_mid_burst_then_revive(self):
+        async def scenario():
+            t = TcpTransport()
+            received = []
+            t.register(0, collector([]))
+            t.register(1, collector(received))
+            await t.start()
+            await t.send(0, 1, {"n": 0})
+            await asyncio.sleep(0.05)
+            for n in range(1, 6):
+                await t.send(0, 1, {"n": n})  # buffered: the flusher has not run yet
+            t.kill(1)
+            with pytest.raises(TransportError, match="down"):
+                await t.send(0, 1, {"n": 6})
+            await asyncio.sleep(0.05)
+            after_kill = list(received)
+            t.unregister(1)
+            t.register(1, collector(received))
+            await t.revive(1)
+            await t.send(0, 1, {"n": 7})  # a fresh dial to the new listener
+            await asyncio.sleep(0.05)
+            await t.close()
+            return after_kill, received
+
+        after_kill, received = run(scenario())
+        assert [e["n"] for e in after_kill] == [0]
+        assert [e["n"] for e in received] == [0, 7]
+
+    @pytest.mark.parametrize("answer", [None, encode_frame({"kind": "nope"})], ids=["silent", "bad-ack"])
+    def test_failed_handshake_leaves_no_open_socket(self, answer, monkeypatch):
+        monkeypatch.setattr(net_transport, "_HANDSHAKE_TIMEOUT", 0.05)
+
+        async def scenario():
+            hung_up = asyncio.get_running_loop().create_future()
+
+            async def acceptor(reader, writer):
+                if answer is not None:
+                    writer.write(answer)
+                while await reader.read(4096):
+                    pass  # the hello, then EOF when the dialer lets go
+                hung_up.set_result(True)
+                writer.close()
+
+            server = await asyncio.start_server(acceptor, "127.0.0.1", 0)
+            t = TcpTransport()
+            t.register(0, collector([]))
+            await t.start()
+            t.addresses[1] = server.sockets[0].getsockname()[:2]
+            with pytest.raises(TransportError, match="dial 0->1 failed"):
+                await t.send(0, 1, {"n": 1})
+            await asyncio.wait_for(hung_up, 1)
+            pooled = dict(t._pool)
+            await t.close()
+            server.close()
+            await server.wait_closed()
+            return pooled
+
+        assert run(scenario()) == {}
+
+    def test_idle_cluster_owns_no_task_per_connection(self):
+        async def scenario():
+            peers = 16
+            cluster = LiveCluster(
+                ClusterConfig(n_peers=peers, n_functions=6, seed=2, capacity_scale=4.0, transport="tcp")
+            )
+            async with cluster:
+                for request in cluster.scenario.requests.batch(10):
+                    await cluster.compose(request, confirm=False, timeout=60)
+                await asyncio.sleep(0.2)
+                return peers, len(asyncio.all_tasks()), len(cluster.transport._pool)
+
+        peers, tasks, connections = run(scenario())
+        # listeners + measurement loops + flusher + this one; the parent ran
+        # two more per pooled connection
+        assert connections > peers and tasks <= 2 * peers + 8
+
+
 class TestNegotiation:
     def test_negotiate_picks_lowest_common_version(self):
         assert _negotiate(2, 2) == WIRE_VERSION_BINARY
@@ -214,10 +459,6 @@ class TestCoalescing:
     @pytest.mark.parametrize("coalesce", [False, True], ids=["drain-per-frame", "coalesced"])
     def test_tcp_burst_preserves_order(self, coalesce):
         out = run(self._burst_scenario(TcpTransport(coalesce=coalesce)))
-        assert [e["n"] for e in out] == list(range(50))
-
-    def test_tcp_flush_interval_still_delivers(self):
-        out = run(self._burst_scenario(TcpTransport(flush_interval=0.005)))
         assert [e["n"] for e in out] == list(range(50))
 
     def test_loopback_coalescing_batches_queue_items(self):
@@ -352,6 +593,122 @@ class TestRpc:
         invocations, first, second = run(scenario())
         assert len(invocations) == 1  # handler ran once
         assert first == second == {"val": 1}
+
+
+    @pytest.mark.parametrize("make", [LoopbackTransport, TcpTransport], ids=["loopback", "tcp"])
+    def test_malformed_envelope_does_not_silence_a_peer(self, make):
+        async def scenario():
+            errors = loop_errors()
+            policy = RetryPolicy(timeout=0.2, retries=1, backoff=0.01)
+            t, a, b = self.make_pair(make(), retry=policy)
+
+            async def pong(src, msg):
+                return {"seq": msg.seq}
+
+            b.on(MaintenancePing, pong)
+            await t.start()
+            first = await a.call(1, MaintenancePing(0, 1))
+            await t.send(0, 1, {"kind": "req", "id": 7})  # decodes fine, lacks src
+            await t.send(0, 1, {"kind": "res", "id": [7]})
+            await t.send(0, 1, ["not", "an", "envelope"])
+            second = await a.call(1, MaintenancePing(0, 2))
+            await t.close()
+            return first, second, b.envelopes_rejected, errors
+
+        first, second, rejected, errors = run(scenario())
+        assert (first, second) == ({"seq": 1}, {"seq": 2})
+        assert rejected == 3 and errors == []
+
+    def test_no_reply_times_out_after_exactly_retries_plus_one_attempts(self):
+        async def scenario():
+            policy = RetryPolicy(timeout=0.03, retries=2, backoff=0.005)
+            t, a, b = self.make_pair(retry=policy)
+            release = asyncio.Event()
+            failures = []
+            a.on_failure = failures.append
+
+            async def never(src, body):
+                await release.wait()
+
+            b.on(dict, never)
+            await t.start()
+            with pytest.raises(RpcTimeout, match="3 attempts: no reply within"):
+                await a.call(1, {"x": 1})
+            outcome = t.frames_sent, a.retries_performed, failures, dict(a._pending)
+            release.set()
+            await asyncio.sleep(0.01)
+            await t.close()
+            return outcome
+
+        frames, retries, failures, pending = run(scenario())
+        assert frames == 3 and retries == 2 and pending == {}
+        assert failures == [
+            RpcFailure(peer=1, method="dict", attempts=3, error="no reply within 0.03s")
+        ]
+
+    def test_cancelled_call_leaves_no_pending_entry_or_live_deadline(self):
+        async def scenario():
+            t, a, b = self.make_pair(retry=RetryPolicy(timeout=0.05, retries=0))
+            loop = asyncio.get_running_loop()
+            deadlines = []
+            real_call_later = loop.call_later
+
+            def call_later(delay, callback, *args):
+                handle = real_call_later(delay, callback, *args)
+                if callback is net_rpc._expire:
+                    deadlines.append((handle, args[0]))
+                return handle
+
+            loop.call_later = call_later
+            release = asyncio.Event()
+
+            async def slow(src, body):
+                await release.wait()
+
+            b.on(dict, slow)
+            await t.start()
+            call = asyncio.ensure_future(a.call(1, {"x": 1}))
+            await asyncio.sleep(0.01)
+            in_flight = len(a._pending)
+            call.cancel()
+            await asyncio.gather(call, return_exceptions=True)
+            await asyncio.sleep(0.08)  # past the deadline: it must not fire
+            release.set()
+            await asyncio.sleep(0.01)
+            await t.close()
+            return in_flight, dict(a._pending), deadlines
+
+        in_flight, pending, deadlines = run(scenario())
+        assert in_flight == 1 and pending == {}
+        [(handle, future)] = deadlines
+        assert handle.cancelled() and future.cancelled()
+
+    def test_requests_are_delivered_in_order_not_run_serially(self):
+        async def scenario():
+            t, a, b = self.make_pair()
+            release = asyncio.Event()
+            log = []
+
+            async def handler(src, body):
+                log.append(("start", body["n"]))
+                if body["n"] == 1:
+                    await release.wait()
+                log.append(("end", body["n"]))
+
+            b.on(dict, handler)
+            await t.start()
+            first = asyncio.ensure_future(a.call(1, {"n": 1}))
+            second = asyncio.ensure_future(a.call(1, {"n": 2}))
+            await asyncio.wait_for(second, 1)
+            overlapped = not first.done()
+            release.set()
+            await asyncio.wait_for(first, 1)
+            await t.close()
+            return overlapped, log
+
+        overlapped, log = run(scenario())
+        assert overlapped
+        assert log == [("start", 1), ("start", 2), ("end", 2), ("end", 1)]
 
 
 class TestPolicyAndDedup:

@@ -67,12 +67,14 @@ def test_reply_cache_entries_expire_after_ttl():
             "kind": "req", "id": 9, "src": 0, "dst": 1,
             "inc": a.incarnation, "body": codec.MaintenancePing(7, 1),
         }
-        await b._on_envelope(dict(envelope))
-        await b._on_envelope(dict(envelope))  # dedup: handler ran once
+        b._on_envelope(dict(envelope))
+        b._on_envelope(dict(envelope))  # dedup: handler ran once
+        await asyncio.sleep(0.01)  # the request's task runs on the loop
         assert served == [1]
 
         now[0] = 6.0  # past the TTL: the cached reply has aged out
-        await b._on_envelope(dict(envelope))
+        b._on_envelope(dict(envelope))
+        await asyncio.sleep(0.01)
         await t.close()
         return served
 
@@ -91,12 +93,12 @@ def test_responses_from_a_previous_incarnation_are_dropped():
 
         stale = {"kind": "res", "id": 1, "src": 1, "dst": 0,
                  "inc": "someone-elses-life", "body": {"seq": 99}}
-        await a._on_envelope(stale)
+        a._on_envelope(stale)
         dropped = not future.done()
 
         fresh = {"kind": "res", "id": 1, "src": 1, "dst": 0,
                  "inc": a.incarnation, "body": {"seq": 1}}
-        await a._on_envelope(fresh)
+        a._on_envelope(fresh)
         resolved = future.done() and future.result() == {"seq": 1}
         await t.close()
         return dropped, resolved
