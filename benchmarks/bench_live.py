@@ -23,10 +23,9 @@ leaked state, 2 parity violation.
 file accumulates a before/after trajectory across commits (tag entries
 with ``--note`` or ``BENCH_NOTE``).
 
-The script feature-detects optional :class:`ClusterConfig` knobs
-(``wire_version``, ``coalesce_writes``, ``directory_tier``) so one
-harness can measure builds with and without the wire fast path or the
-directory acceleration tier.
+The script feature-detects the optional :class:`ClusterConfig` field
+``directory_tier`` so one harness can measure builds with and without
+the directory acceleration tier.
 
 The **hot-function phase** (skippable with ``--no-hot``) repeatedly
 composes one request shape — the workload the directory tier is built
@@ -94,8 +93,6 @@ class BenchParams:
     parity_requests: int = 4
     seed: int = 11
     distributed: bool = True
-    wire_version: Optional[int] = None
-    coalesce: Optional[bool] = None
 
 
 # hot-function phase geometry (see run_hot_function).  The emulated
@@ -155,12 +152,6 @@ async def run_hot_function(params: BenchParams, cache_on: bool, shared: Dict) ->
         tier = None
     else:
         tier = DirectoryTierConfig(enabled=cache_on)
-    overrides = {}
-    if params.wire_version is not None:
-        overrides["wire_version"] = params.wire_version
-    if params.coalesce is not None:
-        overrides["coalesce_writes"] = params.coalesce
-
     def hot_config(**extra) -> ClusterConfig:
         return make_cluster_config(
             n_peers=HOT_PEERS,
@@ -175,7 +166,6 @@ async def run_hot_function(params: BenchParams, cache_on: bool, shared: Dict) ->
             ),
             capacity_scale=50.0,  # repeats must not exhaust the hot components
             directory_tier=tier,
-            **overrides,
             **extra,
         )
 
@@ -267,12 +257,6 @@ async def run_degradation(params: BenchParams, quick: bool) -> Dict:
         return {}
     from repro.net import MeasurementConfig
 
-    overrides = {}
-    if params.wire_version is not None:
-        overrides["wire_version"] = params.wire_version
-    if params.coalesce is not None:
-        overrides["coalesce_writes"] = params.coalesce
-
     def deg_config(**extra) -> ClusterConfig:
         return make_cluster_config(
             n_peers=HOT_PEERS,
@@ -287,7 +271,6 @@ async def run_degradation(params: BenchParams, quick: bool) -> Dict:
             ),
             capacity_scale=50.0,
             measurement=MeasurementConfig(probe_interval=DEGRADE_PROBE_INTERVAL),
-            **overrides,
             **extra,
         )
 
@@ -396,11 +379,6 @@ async def run_degradation(params: BenchParams, quick: bool) -> Dict:
 
 async def run_transport(params: BenchParams) -> Dict:
     """One transport's full pass: parity phase, then the concurrent load."""
-    overrides = {}
-    if params.wire_version is not None:
-        overrides["wire_version"] = params.wire_version
-    if params.coalesce is not None:
-        overrides["coalesce_writes"] = params.coalesce
     cfg = make_cluster_config(
         n_peers=params.peers,
         n_functions=6,
@@ -415,7 +393,6 @@ async def run_transport(params: BenchParams) -> Dict:
             nexthop_weights=NextHopWeights(delay=0.6, bandwidth=0.0, failure=0.4),
         ),
         capacity_scale=10.0,
-        **overrides,
     )
     cluster = LiveCluster(cfg)
     requests = cluster.scenario.requests.batch(params.parity_requests + params.requests)
@@ -511,14 +488,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--requests", type=int, default=None, help="total compositions")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument(
-        "--codec", type=int, default=None, metavar="V",
-        help="wire version override (needs a build with the wire fast path)",
-    )
-    parser.add_argument(
-        "--coalesce", type=int, choices=(0, 1), default=None,
-        help="force write coalescing off/on (needs the wire fast path)",
-    )
-    parser.add_argument(
         "--no-distributed", dest="distributed", action="store_false", default=True
     )
     parser.add_argument(
@@ -545,11 +514,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parity_n = 2 if args.quick else 4
     transports = ("loopback", "tcp") if args.transport == "both" else (args.transport,)
 
-    for knob, field in (("codec", "wire_version"), ("coalesce", "coalesce_writes")):
-        if getattr(args, knob) is not None and field not in _CONFIG_FIELDS:
-            print(f"warning: this build has no ClusterConfig.{field}; "
-                  f"--{knob} ignored", file=sys.stderr)
-
     results: Dict[str, Dict] = {}
     status = 0
     for transport in transports:
@@ -561,8 +525,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             parity_requests=parity_n,
             seed=args.seed,
             distributed=args.distributed,
-            wire_version=args.codec,
-            coalesce=None if args.coalesce is None else bool(args.coalesce),
         )
         print(f"[{transport}] {peers} peers, {sessions} concurrent sessions, "
               f"{requests} requests ...", flush=True)

@@ -27,9 +27,7 @@ and drives it with an open-loop Poisson load; ``--admission`` arms the
 per-peer overload guard so excess sessions are shed with a fast ``Busy``
 reply instead of timing out.
 
-Live subcommands negotiate the binary wire fast path by default;
-``--codec 1`` forces the JSON fallback and ``--no-coalesce`` disables
-per-connection write batching.  For them ``--profile`` prints a
+For the live subcommands ``--profile`` prints a
 :class:`~repro.perf.PhaseTimer` boot/compose/shutdown breakdown instead
 of a cProfile report.
 
@@ -162,21 +160,6 @@ def _add_cluster_options(sub: argparse.ArgumentParser) -> None:
         default=True,
         help="DHT-routed discovery with per-peer pools (default); "
         "--no-distributed keeps the shared in-process ground truth",
-    )
-    sub.add_argument(
-        "--codec",
-        type=int,
-        choices=(1, 2),
-        default=2,
-        help="wire codec ceiling: 2 negotiates the binary fast path "
-        "(default), 1 forces the JSON fallback",
-    )
-    sub.add_argument(
-        "--coalesce",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="batch frames per connection and drain once per flush "
-        "window (default); --no-coalesce drains after every frame",
     )
     sub.add_argument(
         "--dir-cache",
@@ -409,8 +392,6 @@ def _build_cluster(args, trace: Optional[EventTrace]):
         seed=args.seed,
         distributed=distributed,
         composer=composer,
-        wire_version=args.codec,
-        coalesce_writes=args.coalesce,
         directory_tier=DirectoryTierConfig(enabled=args.dir_cache),
         measurement=MeasurementConfig(**measure_kwargs),
     )

@@ -13,7 +13,7 @@ methods, so Steps 2.1–2.4 of the paper's protocol exist exactly once.
 
 Modules
 -------
-``codec``      versioned wire frames + ``to_wire``/``from_wire``
+``codec``      the wire format: binary frames behind a version byte
 ``transport``  ``LoopbackTransport`` (queues, injectable latency/loss)
                and ``TcpTransport`` (protocols, connection pool)
 ``rpc``        request/response with timeouts, retries + backoff, dedup
@@ -44,13 +44,9 @@ from .admission import AdmissionConfig, LoadGuard
 from .codec import (
     CodecError,
     FrameReader,
-    SUPPORTED_WIRE_VERSIONS,
     WIRE_VERSION,
-    WIRE_VERSION_BINARY,
     decode_frame,
     encode_frame,
-    from_wire,
-    to_wire,
 )
 from .bloom import BloomFilter
 from .cluster import ClusterConfig, LiveCluster
@@ -84,13 +80,9 @@ from .transport import LoopbackTransport, TcpTransport, TransportError
 __all__ = [
     "CodecError",
     "FrameReader",
-    "SUPPORTED_WIRE_VERSIONS",
     "WIRE_VERSION",
-    "WIRE_VERSION_BINARY",
     "decode_frame",
     "encode_frame",
-    "from_wire",
-    "to_wire",
     "LoopbackTransport",
     "TcpTransport",
     "TransportError",

@@ -47,7 +47,6 @@ from .directory import DirectorySlice, DirectoryTierConfig
 from .guard import SharedStateGuard
 from .measurement import MeasuredOverlayView, MeasurementConfig, MeasurementPlane
 from .peer import PeerDaemon
-from .codec import WIRE_VERSION_BINARY
 from .rpc import RetryPolicy, RpcEndpoint, RpcFailure
 from .transport import LoopbackTransport, TcpTransport
 
@@ -96,11 +95,6 @@ class ClusterConfig:
     # routing in distributed mode); MeasurementConfig(enabled=False)
     # reproduces the pre-measurement behaviour exactly
     measurement: Optional[MeasurementConfig] = None
-    # wire fast path: preferred codec version (TCP negotiates down to
-    # what the remote end speaks; 1 forces the JSON fallback everywhere)
-    wire_version: int = WIRE_VERSION_BINARY
-    # batch frames per connection, one write per event-loop turn
-    coalesce_writes: bool = True
     # per-peer overload survival (admission + shedding + RPC throttle):
     # None -> no guard at all; AdmissionConfig(enabled=False) -> guard
     # present but observing only.  Either way the protocol behaviour is
@@ -149,13 +143,10 @@ class LiveCluster:
         if cfg.transport == "loopback":
             self.transport = LoopbackTransport(
                 latency=cfg.latency, loss=cfg.loss, seed=cfg.seed, tap=self.tap.on_frame,
-                wire_version=cfg.wire_version, coalesce=cfg.coalesce_writes,
             )
         elif cfg.transport == "tcp":
             self.transport = TcpTransport(
-                port_base=cfg.port_base, tap=self.tap.on_frame,
-                max_wire_version=cfg.wire_version, coalesce=cfg.coalesce_writes,
-                latency=cfg.latency,
+                port_base=cfg.port_base, tap=self.tap.on_frame, latency=cfg.latency,
             )
         else:
             raise ValueError(f"unknown transport {cfg.transport!r} (loopback|tcp)")

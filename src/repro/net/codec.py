@@ -1,40 +1,33 @@
-"""Versioned wire codec for the live runtime.
+"""Wire codec for the live runtime.
 
 Frames are ``MAGIC (2) | version (1) | payload length (4, big-endian) |
-payload``.  Two payload encodings coexist on the same stream:
+payload``.  The payload is a single-pass tag-prefixed binary term
+format (struct-packed fixed-width scalars, length-prefixed strings and
+repeated sections) with per-frame *back-reference tables* for strings
+and typed objects, so a value that appears repeatedly in one frame (the
+request inside every probe, a function name inside every edge) is
+encoded once and referenced thereafter.
 
-* **v1 (JSON)** — the payload is a compact JSON document in which typed
-  protocol objects are embedded as ``{"__w": <tag>, "p": {...}}`` nodes.
-  This is the interoperability fallback and the reference encoding.
-* **v2 (binary)** — the hot-path encoding: a single-pass tag-prefixed
-  binary term format (struct-packed fixed-width scalars, length-prefixed
-  strings and repeated sections) with per-frame *back-reference tables*
-  for strings and typed objects, so a value that appears repeatedly in
-  one frame (the request inside every probe, a function name inside
-  every edge) is encoded once and referenced thereafter.  Decoding uses
-  trusted constructors — a peer only ever decodes frames produced by
-  this encoder from already-validated objects, so re-running dataclass
-  validation (``FunctionGraph.validate``, ``__post_init__`` range
-  checks) on every hop is pure overhead.
+There is one wire format.  The header's version byte is a refusal
+check: a frame that does not say :data:`WIRE_VERSION` is a
+:class:`CodecError`, so a stale peer is turned away loudly instead of
+being half-understood.
 
-Both encodings reconstruct the exact dataclasses the protocol code
-operates on: ``decode(encode(x)) == x`` for every registered type and
-both versions (the codec round-trip tests assert this property).  Every
-frame is self-describing via its header version byte, so
-:class:`FrameReader` accepts v1 and v2 frames interleaved on one
-stream; which version a *sender* uses is decided per connection by the
-transport's negotiation handshake (see :mod:`.transport` and
-``docs/PROTOCOL.md``).
-
-Unknown versions, unknown type tags, truncated frames and oversized
-frames all raise :class:`CodecError` — a peer never processes a frame it
-cannot fully and unambiguously decode.
+Decoding reconstructs the exact dataclasses the protocol code operates
+on — ``decode(encode(x)) == x`` for every registered type — through
+trusted constructors: frames come from this encoder and already-
+validated objects, so re-running dataclass validation
+(``FunctionGraph.validate``, ``__post_init__`` range checks) on every
+hop is pure overhead.  What is *structurally* wrong — unknown version
+or type id, truncated or oversized frame, a typed layout that meets a
+value of the wrong shape — raises :class:`CodecError` and nothing else:
+a peer never processes a frame it cannot fully and unambiguously
+decode.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,11 +45,7 @@ from ..services.component import ComponentSpec, QualitySpec
 __all__ = [
     "CodecError",
     "WIRE_VERSION",
-    "WIRE_VERSION_BINARY",
-    "SUPPORTED_WIRE_VERSIONS",
     "MAX_FRAME",
-    "to_wire",
-    "from_wire",
     "encode_frame",
     "decode_frame",
     "FrameReader",
@@ -80,9 +69,7 @@ __all__ = [
 ]
 
 MAGIC = b"SN"
-WIRE_VERSION = 1  # JSON payloads: the negotiation fallback
-WIRE_VERSION_BINARY = 2  # binary payloads: the live fast path
-SUPPORTED_WIRE_VERSIONS = (WIRE_VERSION, WIRE_VERSION_BINARY)
+WIRE_VERSION = 2  # the header's version byte; any other value is refused
 MAX_FRAME = 4 * 1024 * 1024  # one protocol message, not a data plane
 _HEADER = struct.Struct(">2sBI")
 _HEADER_SIZE = _HEADER.size
@@ -95,90 +82,27 @@ class CodecError(ValueError):
 # ----------------------------------------------------------------------
 # typed-object registry
 # ----------------------------------------------------------------------
-# v1: tag string <-> (enc -> plain dict, dec <- plain dict)
-_ENCODERS: Dict[Type, Tuple[str, Callable[[Any], dict]]] = {}
-_DECODERS: Dict[str, Callable[[dict], Any]] = {}
-# v2: numeric type id <-> (pack(packer, obj), unpack(unpacker) -> obj)
+# numeric type id <-> (pack(packer, obj), unpack(unpacker) -> obj); ids are
+# assigned in registration order, which is therefore wire format
 _BIN_IDS: Dict[Type, int] = {}
 _BIN_PACKERS: List[Callable] = []
 _BIN_UNPACKERS: List[Callable] = []
 _BIN_BLOB: List[bool] = []  # per type id: encode as content-addressed blob?
 
 
-def _register(
-    tag: str,
-    cls: Type,
-    enc: Callable[[Any], dict],
-    dec: Callable[[dict], Any],
-    pack: Optional[Callable] = None,
-    unpack: Optional[Callable] = None,
-) -> None:
-    if tag in _DECODERS:
-        raise ValueError(f"duplicate codec tag {tag!r}")
+def _register(cls: Type, pack: Callable, unpack: Callable) -> None:
+    if cls in _BIN_IDS:
+        raise ValueError(f"duplicate codec type {cls.__name__}")
     if len(_BIN_PACKERS) > 0xFF:
         raise ValueError("binary type-id space exhausted")
-    _ENCODERS[cls] = (tag, enc)
-    _DECODERS[tag] = dec
-    if pack is None:
-        # generic fallback: pack the v1 encoder's dict, decode through
-        # the v1 decoder — slower, but automatically correct for any
-        # type that has no dedicated binary layout
-        def pack(p, obj, _enc=enc):  # noqa: ANN001
-            p.pack_value(_enc(obj))
-
-        def unpack(u, _dec=dec):  # noqa: ANN001
-            return _dec(u.read_value())
-
     _BIN_IDS[cls] = len(_BIN_PACKERS)
     _BIN_PACKERS.append(pack)
     _BIN_UNPACKERS.append(unpack)
     _BIN_BLOB.append(False)
 
 
-def to_wire(obj: Any) -> Any:
-    """Recursively convert ``obj`` into JSON-safe structures (v1)."""
-    if obj is None or isinstance(obj, (str, bool, int, float)):
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [to_wire(v) for v in obj]
-    if isinstance(obj, dict):
-        out = {}
-        for k, v in obj.items():
-            if not isinstance(k, str):
-                raise CodecError(f"non-string mapping key on the wire: {k!r}")
-            if k == "__w":
-                raise CodecError('"__w" is a reserved wire key')
-            out[k] = to_wire(v)
-        return out
-    entry = _ENCODERS.get(type(obj))
-    if entry is None:
-        raise CodecError(f"type {type(obj).__name__} is not wire-encodable")
-    tag, enc = entry
-    return {"__w": tag, "p": to_wire(enc(obj))}
-
-
-def from_wire(obj: Any) -> Any:
-    """Inverse of :func:`to_wire`; reconstructs registered dataclasses."""
-    if isinstance(obj, list):
-        return [from_wire(v) for v in obj]
-    if isinstance(obj, dict):
-        if "__w" in obj:
-            tag = obj["__w"]
-            dec = _DECODERS.get(tag)
-            if dec is None:
-                raise CodecError(f"unknown wire type tag {tag!r}")
-            try:
-                return dec(from_wire(obj.get("p", {})))
-            except CodecError:
-                raise
-            except Exception as exc:  # malformed payload for a known tag
-                raise CodecError(f"bad payload for wire type {tag!r}: {exc}") from exc
-        return {k: from_wire(v) for k, v in obj.items()}
-    return obj
-
-
 # ----------------------------------------------------------------------
-# v2 binary term format
+# binary term format
 # ----------------------------------------------------------------------
 # one tag byte per value; fixed-width scalars via struct, length-prefixed
 # strings/containers, >H back-references into per-frame tables
@@ -229,7 +153,7 @@ _TABLE_LIMIT = 0xFFFF  # >H back-reference index space per frame
 # protocol-static string table (the HPACK idea): strings every session
 # sends constantly are pre-seeded at fixed indices on both ends, so even
 # their *first* occurrence in a frame is a 3-byte reference.  Order is
-# part of the v2 wire format — append only.
+# part of the wire format — append only.
 _STATIC_STRINGS = (
     "ok", "error", "confirmed", "components", "rtt", "fresh",
     "alive", "request", "seq", "comp", "link", "delay", "loss",
@@ -561,28 +485,26 @@ class _Unpacker:
 # ----------------------------------------------------------------------
 def encode_frame(obj: Any, version: int = WIRE_VERSION) -> bytes:
     """Serialize one message (envelope dict or typed object) to a frame."""
-    if version == WIRE_VERSION:
-        payload = json.dumps(to_wire(obj), separators=(",", ":")).encode("utf-8")
-    elif version == WIRE_VERSION_BINARY:
-        packer = _Packer()
-        packer.pack_value(obj)
-        payload = bytes(packer.out)
-    else:
+    if version != WIRE_VERSION:
         raise CodecError(f"cannot encode wire version {version}")
+    packer = _Packer()
+    packer.pack_value(obj)
+    payload = bytes(packer.out)
     if len(payload) > MAX_FRAME:
         raise CodecError(f"frame payload of {len(payload)} bytes exceeds {MAX_FRAME}")
     return _HEADER.pack(MAGIC, version, len(payload)) + payload
 
 
-def _decode_payload(payload: bytes, version: int) -> Any:
-    if version == WIRE_VERSION:
-        try:
-            doc = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CodecError(f"undecodable frame payload: {exc}") from exc
-        return from_wire(doc)
+def _decode_payload(payload: bytes) -> Any:
     unpacker = _Unpacker(payload)
-    value = unpacker.read_value()
+    try:
+        value = unpacker.read_value()
+    except CodecError:
+        raise
+    except Exception as exc:
+        # the term decoder reports damage itself; this is a typed layout
+        # or a message constructor meeting a value of the wrong shape
+        raise CodecError(f"malformed frame payload: {exc!r}") from exc
     if unpacker.pos != len(payload):
         raise CodecError(
             f"{len(payload) - unpacker.pos} trailing bytes inside binary payload"
@@ -593,10 +515,8 @@ def _decode_payload(payload: bytes, version: int) -> Any:
 def _check_header(magic: bytes, version: int, length: int) -> None:
     if magic != MAGIC:
         raise CodecError(f"bad frame magic {bytes(magic)!r}")
-    if version not in SUPPORTED_WIRE_VERSIONS:
-        raise CodecError(
-            f"unsupported wire version {version} (speak {SUPPORTED_WIRE_VERSIONS})"
-        )
+    if version != WIRE_VERSION:
+        raise CodecError(f"unsupported wire version {version} (speak {WIRE_VERSION})")
     if length > MAX_FRAME:
         raise CodecError(f"declared payload of {length} bytes exceeds {MAX_FRAME}")
 
@@ -614,17 +534,15 @@ def decode_frame(data: bytes) -> Any:
         )
     if len(data) > end:
         raise CodecError(f"{len(data) - end} trailing bytes after frame")
-    return _decode_payload(data[_HEADER_SIZE:end], version)
+    return _decode_payload(data[_HEADER_SIZE:end])
 
 
 class FrameReader:
     """Incremental frame parser for a byte stream.
 
     ``feed()`` buffers arbitrary chunks and returns every message whose
-    frame completed.  v1 and v2 frames may be interleaved — each frame's
-    header version byte selects its payload decoder.  A header error
-    (bad magic/version/length) poisons the stream permanently, since
-    resynchronisation is impossible.
+    frame completed.  A header error (bad magic/version/length) poisons
+    the stream permanently, since resynchronisation is impossible.
 
     The buffer is consumed through an offset cursor rather than
     re-trimming the front per frame (which made bursts O(n²) in the
@@ -652,9 +570,7 @@ class FrameReader:
                 end = pos + _HEADER_SIZE + length
                 if len(buf) < end:
                     break
-                out.append(
-                    _decode_payload(bytes(buf[pos + _HEADER_SIZE : end]), version)
-                )
+                out.append(_decode_payload(bytes(buf[pos + _HEADER_SIZE : end])))
                 pos = end
         finally:
             self._pos = pos
@@ -669,12 +585,13 @@ class FrameReader:
 
 
 # ----------------------------------------------------------------------
-# trusted construction helpers (v2 decode)
+# trusted construction helpers
 # ----------------------------------------------------------------------
-# The binary decoder only ever sees frames this module encoded from
-# already-validated objects, so reconstruction skips defensive copies
-# and __post_init__ re-validation.  Anything structurally damaged still
-# fails loudly in the term decoder above.
+# The decoder expects frames this module encoded from already-validated
+# objects, so reconstruction skips defensive copies and __post_init__
+# re-validation.  Anything structurally damaged still fails loudly: in
+# the term decoder above, or as whatever a layout below raises on a value
+# of the wrong shape, which ``_decode_payload`` reports as a CodecError.
 _OSET = object.__setattr__
 
 try:  # CPython's Fraction stores coprime ints in two slots; reuse them
@@ -720,30 +637,19 @@ def _unpack_str_float_map(u: _Unpacker) -> Dict[str, float]:
 
 
 _register(
-    "qos",
     QoSVector,
-    lambda x: {"values": dict(x.values)},
-    lambda p: QoSVector(p["values"]),
-    pack=lambda p, x: _pack_str_float_map(p, x.values),
-    unpack=lambda u: QoSVector._from_trusted(_unpack_str_float_map(u)),
+    lambda p, x: _pack_str_float_map(p, x.values),
+    lambda u: QoSVector._from_trusted(_unpack_str_float_map(u)),
 )
 _register(
-    "qosreq",
     QoSRequirement,
-    lambda x: {"bounds": dict(x.bounds)},
-    lambda p: QoSRequirement(p["bounds"]),
-    pack=lambda p, x: _pack_str_float_map(p, x.bounds),
-    unpack=lambda u: _new_with_dict(
-        QoSRequirement, {"bounds": _unpack_str_float_map(u)}
-    ),
+    lambda p, x: _pack_str_float_map(p, x.bounds),
+    lambda u: _new_with_dict(QoSRequirement, {"bounds": _unpack_str_float_map(u)}),
 )
 _register(
-    "res",
     ResourceVector,
-    lambda x: {"values": dict(x.values)},
-    lambda p: ResourceVector(p["values"]),
-    pack=lambda p, x: _pack_str_float_map(p, x.values),
-    unpack=lambda u: ResourceVector._from_trusted(_unpack_str_float_map(u)),
+    lambda p, x: _pack_str_float_map(p, x.values),
+    lambda u: ResourceVector._from_trusted(_unpack_str_float_map(u)),
 )
 
 
@@ -755,14 +661,7 @@ def _unpack_quality(u: _Unpacker) -> QualitySpec:
     return QualitySpec(frozenset(u.read_value()))
 
 
-_register(
-    "quality",
-    QualitySpec,
-    lambda x: {"formats": sorted(x.formats)},
-    lambda p: QualitySpec(frozenset(p["formats"])),
-    pack=_pack_quality,
-    unpack=_unpack_quality,
-)
+_register(QualitySpec, _pack_quality, _unpack_quality)
 
 
 def _pack_fraction(p: _Packer, x: Fraction) -> None:
@@ -778,14 +677,7 @@ def _unpack_fraction(u: _Unpacker) -> Fraction:
     return _make_fraction(n, d)
 
 
-_register(
-    "frac",
-    Fraction,
-    lambda x: {"n": x.numerator, "d": x.denominator},
-    lambda p: Fraction(p["n"], p["d"]),
-    pack=_pack_fraction,
-    unpack=_unpack_fraction,
-)
+_register(Fraction, _pack_fraction, _unpack_fraction)
 
 
 def _pack_svcmeta(p: _Packer, x: ServiceMetadata) -> None:
@@ -807,24 +699,7 @@ def _unpack_svcmeta(u: _Unpacker) -> ServiceMetadata:
     )
 
 
-_register(
-    "svcmeta",
-    ServiceMetadata,
-    lambda x: {
-        "component_id": x.component_id,
-        "function": x.function,
-        "peer": x.peer,
-        "qp": x.qp,
-        "resources": x.resources,
-        "input_quality": x.input_quality,
-        "output_quality": x.output_quality,
-        "bandwidth_factor": x.bandwidth_factor,
-        "registered_at": x.registered_at,
-    },
-    lambda p: ServiceMetadata(**p),
-    pack=_pack_svcmeta,
-    unpack=_unpack_svcmeta,
-)
+_register(ServiceMetadata, _pack_svcmeta, _unpack_svcmeta)
 
 
 def _pack_cspec(p: _Packer, x: ComponentSpec) -> None:
@@ -846,24 +721,7 @@ def _unpack_cspec(u: _Unpacker) -> ComponentSpec:
     )
 
 
-_register(
-    "cspec",
-    ComponentSpec,
-    lambda x: {
-        "component_id": x.component_id,
-        "function": x.function,
-        "peer": x.peer,
-        "qp": x.qp,
-        "resources": x.resources,
-        "input_quality": x.input_quality,
-        "output_quality": x.output_quality,
-        "n_inputs": x.n_inputs,
-        "bandwidth_factor": x.bandwidth_factor,
-    },
-    lambda p: ComponentSpec(**p),
-    pack=_pack_cspec,
-    unpack=_unpack_cspec,
-)
+_register(ComponentSpec, _pack_cspec, _unpack_cspec)
 
 
 def _pack_fgraph(p: _Packer, x: FunctionGraph) -> None:
@@ -881,22 +739,7 @@ def _unpack_fgraph(u: _Unpacker) -> FunctionGraph:
     return FunctionGraph(functions=functions, edges=edges, commutations=commutations)
 
 
-_register(
-    "fgraph",
-    FunctionGraph,
-    lambda x: {
-        "functions": list(x.functions),
-        "edges": sorted([a, b] for a, b in x.edges),
-        "commutations": sorted(sorted(pair) for pair in x.commutations),
-    },
-    lambda p: FunctionGraph.from_edges(
-        p["functions"],
-        [(a, b) for a, b in p["edges"]],
-        [(a, b) for a, b in p["commutations"]],
-    ),
-    pack=_pack_fgraph,
-    unpack=_unpack_fgraph,
-)
+_register(FunctionGraph, _pack_fgraph, _unpack_fgraph)
 
 
 def _pack_request(p: _Packer, x: CompositeRequest) -> None:
@@ -929,24 +772,7 @@ def _unpack_request(u: _Unpacker) -> CompositeRequest:
     )
 
 
-_register(
-    "request",
-    CompositeRequest,
-    lambda x: {
-        "request_id": x.request_id,
-        "function_graph": x.function_graph,
-        "qos": x.qos,
-        "source_peer": x.source_peer,
-        "dest_peer": x.dest_peer,
-        "bandwidth": x.bandwidth,
-        "failure_req": x.failure_req,
-        "duration": x.duration,
-        "priority": x.priority,
-    },
-    lambda p: CompositeRequest(**p),
-    pack=_pack_request,
-    unpack=_unpack_request,
-)
+_register(CompositeRequest, _pack_request, _unpack_request)
 
 
 def _pack_sgraph(p: _Packer, x: ServiceGraph) -> None:
@@ -971,20 +797,7 @@ def _unpack_sgraph(u: _Unpacker) -> ServiceGraph:
     )
 
 
-_register(
-    "sgraph",
-    ServiceGraph,
-    lambda x: {
-        "pattern": x.pattern,
-        "assignment": dict(x.assignment),
-        "source_peer": x.source_peer,
-        "dest_peer": x.dest_peer,
-        "base_bandwidth": x.base_bandwidth,
-    },
-    lambda p: ServiceGraph(**p),
-    pack=_pack_sgraph,
-    unpack=_unpack_sgraph,
-)
+_register(ServiceGraph, _pack_sgraph, _unpack_sgraph)
 
 
 def _pack_probe(p: _Packer, x: Probe) -> None:
@@ -1021,40 +834,7 @@ def _unpack_probe(u: _Unpacker) -> Probe:
     return probe
 
 
-_register(
-    "probe",
-    Probe,
-    lambda x: {
-        "probe_id": x.probe_id,
-        "request": x.request,
-        "graph": x.graph,
-        "applied_swaps": sorted(sorted(pair) for pair in x.applied_swaps),
-        "assignment": dict(x.assignment),
-        "branch": list(x.branch),
-        "current_peer": x.current_peer,
-        "qos": x.qos,
-        "budget": x.budget,
-        "out_bandwidth": x.out_bandwidth,
-        "elapsed": x.elapsed,
-        "hops": x.hops,
-    },
-    lambda p: Probe(
-        probe_id=p["probe_id"],
-        request=p["request"],
-        graph=p["graph"],
-        applied_swaps=frozenset(frozenset(pair) for pair in p["applied_swaps"]),
-        assignment=p["assignment"],
-        branch=tuple(p["branch"]),
-        current_peer=p["current_peer"],
-        qos=p["qos"],
-        budget=p["budget"],
-        out_bandwidth=p["out_bandwidth"],
-        elapsed=p["elapsed"],
-        hops=p["hops"],
-    ),
-    pack=_pack_probe,
-    unpack=_unpack_probe,
-)
+_register(Probe, _pack_probe, _unpack_probe)
 
 
 # ----------------------------------------------------------------------
@@ -1067,7 +847,7 @@ def _tokens_tuple(tokens) -> Tuple[Tuple, ...]:
 def _message(cls: Type) -> Type:
     """Register a message dataclass with shallow field-wise encoding.
 
-    The v2 layout packs the field *values* in declared order — both ends
+    The layout packs the field *values* in declared order — both ends
     share the schema, so field names never cross the wire; decode rebuilds
     through the dataclass constructor (cheap: message ``__post_init__``
     only normalizes container types).
@@ -1081,14 +861,7 @@ def _message(cls: Type) -> Type:
     def unpack(u: _Unpacker, _cls=cls, _names=names):
         return _cls(**{n: u.read_value() for n in _names})
 
-    _register(
-        "msg." + cls.__name__,
-        cls,
-        lambda m, names=names: {n: getattr(m, n) for n in names},
-        lambda p, cls=cls: cls(**p),
-        pack=pack,
-        unpack=unpack,
-    )
+    _register(cls, pack, unpack)
     return cls
 
 
@@ -1400,7 +1173,7 @@ class ProbeAck:
 # hot-message specializations
 # ----------------------------------------------------------------------
 def _specialize(cls: Type, pack: Callable, unpack: Callable) -> None:
-    """Swap a registered type's generic v2 layout for a dedicated one."""
+    """Swap a registered type's generic layout for a dedicated one."""
     tid = _BIN_IDS[cls]
     _BIN_PACKERS[tid] = pack
     _BIN_UNPACKERS[tid] = unpack

@@ -945,6 +945,8 @@ class PeerDaemon:
     # destination side: collection window
     # ------------------------------------------------------------------
     async def _on_begin(self, src: int, msg: codec.ComposeBegin) -> dict:
+        if self.stopped:
+            return {"error": "stopped"}
         rid = msg.request_id
         if rid in self._collections:
             return {"ok": True}
@@ -997,6 +999,8 @@ class PeerDaemon:
         return col
 
     async def _on_final(self, src: int, msg: codec.FinalProbe) -> dict:
+        if self.stopped:
+            return {"error": "stopped"}
         rid = msg.request_id
         col = self._open_window(msg)
         if col is None:
@@ -1016,6 +1020,8 @@ class PeerDaemon:
         return {"ok": True}
 
     async def _on_credit(self, src: int, msg: codec.CreditReturn) -> dict:
+        if self.stopped:
+            return {"error": "stopped"}
         col = self._open_window(msg)
         if col is None:
             return {"late": True}

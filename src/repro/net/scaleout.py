@@ -97,7 +97,6 @@ class ScaleoutConfig:
     collect_wall_timeout: float = 3.0
     soft_timeout: float = 30.0
     measure: bool = True
-    wire_version: int = 2
     admission: Optional[AdmissionConfig] = None
     # scripted churn, offsets in seconds from the start of the load
     # phase: kill_peer dies at kill_after, revives at revive_after
@@ -136,7 +135,6 @@ class ScaleoutConfig:
             collect_wall_timeout=self.collect_wall_timeout,
             distributed=True,
             measurement=MeasurementConfig(enabled=self.measure),
-            wire_version=self.wire_version,
             admission=self.admission,
             hosted=self.hosted_by(shard) if multi else None,
         )

@@ -19,22 +19,13 @@ arrived.  If the call returns a coroutine it is scheduled as a task —
 so delivery is ordered, execution is not serial.  A handler that raises
 costs that frame (``frames_dropped``), never the receive path.
 
-Two throughput levers sit here (and default on):
-
-* **Codec version** — senders prefer the v2 binary encoding.  On TCP the
-  version is negotiated per connection: the dialer's first frame is a v1
-  ``__hello__`` carrying its maximum supported version, the acceptor
-  answers with a v1 ``__hello_ack__``, and the connection speaks
-  ``min(max_client, max_server)``.  Handshake frames are connection
-  metadata, not protocol messages — they are invisible to handlers, taps
-  and frame counters.  Loopback has no connections, so its version is a
-  constructor knob.
-* **Write coalescing** — frames sent to one peer within an event-loop
-  turn leave in one write (TCP: one flusher task per transport; loopback:
-  one queue item), so a burst costs one syscall or wakeup.  Coalescing
-  batches *frames*, never messages: each logical message is still one
-  frame, counted once by the tap, so ledgers are identical with it on
-  or off.
+Writes are coalesced: frames sent to one peer within an event-loop turn
+leave in one write (TCP: one flusher task per transport; loopback: one
+queue item), so a burst costs one syscall or wakeup.  Coalescing batches
+*frames*, never messages: each logical message is still one frame,
+counted once by the tap.  A TCP connection carries frames one way and
+nothing else — a dial is ``create_connection``, and bytes arriving on
+the dialled side abort it.
 
 Failure model: sending to a *killed* peer is a silent drop (a packet
 into the void) on loopback and a connection error on TCP; both surface
@@ -49,15 +40,7 @@ from functools import partial
 from typing import Awaitable, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..sim.rng import as_generator
-from .codec import (
-    SUPPORTED_WIRE_VERSIONS,
-    WIRE_VERSION,
-    WIRE_VERSION_BINARY,
-    CodecError,
-    FrameReader,
-    decode_frame,
-    encode_frame,
-)
+from .codec import CodecError, FrameReader, decode_frame, encode_frame
 
 __all__ = ["TransportError", "LoopbackTransport", "TcpTransport"]
 
@@ -66,20 +49,9 @@ Handler = Callable[[dict], Optional[Awaitable[None]]]
 # tap(direction, envelope, n_bytes) — see net.accounting.LedgerTap
 Tap = Callable[[str, dict, int], None]
 
-_HELLO = "__hello__"
-_HELLO_ACK = "__hello_ack__"
-_HANDSHAKE_TIMEOUT = 5.0
 # a connection whose socket holds this many unsent bytes pauses its
 # *senders* until the kernel drains it — per-connection backpressure
 _HIGH_WATER = 256 * 1024
-
-
-def _negotiate(local_max: int, remote_max: int) -> int:
-    """Pick the connection's wire version from two advertised maxima."""
-    version = min(local_max, remote_max)
-    if version not in SUPPORTED_WIRE_VERSIONS:
-        version = WIRE_VERSION  # v1 JSON is the universal floor
-    return version
 
 
 class TransportError(RuntimeError):
@@ -216,11 +188,11 @@ class LoopbackTransport(_BaseTransport):
     independently with the given probability, using a seeded generator
     so tests are reproducible.
 
-    With ``coalesce`` on (the default), zero-latency frames to one
-    destination accumulate within an event-loop turn and are delivered
-    as one queue item — one dispatcher wakeup per burst instead of one
-    per frame.  Delayed frames keep their own timers: coalescing must
-    never reorder a link's delivery schedule.
+    Zero-latency frames to one destination accumulate within an
+    event-loop turn and are delivered as one queue item — one dispatcher
+    wakeup per burst instead of one per frame.  Delayed frames keep
+    their own timers: coalescing must never reorder a link's delivery
+    schedule.
     """
 
     def __init__(
@@ -229,19 +201,13 @@ class LoopbackTransport(_BaseTransport):
         loss: float = 0.0,
         seed: int = 0,
         tap: Optional[Tap] = None,
-        wire_version: int = WIRE_VERSION_BINARY,
-        coalesce: bool = True,
     ) -> None:
         super().__init__(tap=tap)
         if not 0.0 <= loss < 1.0:
             raise ValueError(f"loss must be in [0, 1), got {loss}")
-        if wire_version not in SUPPORTED_WIRE_VERSIONS:
-            raise ValueError(f"unsupported wire version {wire_version}")
         self._latency = latency if callable(latency) else (lambda s, d, l=latency: l)
         self._loss = loss
         self._rng = as_generator(seed)
-        self.wire_version = wire_version
-        self.coalesce = coalesce
         self._queues: Dict[int, asyncio.Queue] = {}
         self._pending: Dict[int, List[bytes]] = {}
         # latency emulation: one _DelayPump per active (src, dst) link
@@ -269,7 +235,7 @@ class LoopbackTransport(_BaseTransport):
         queue = self._queues.get(dst)
         if queue is None:
             raise TransportError(f"no such peer {dst}")
-        frame = encode_frame(envelope, self.wire_version)
+        frame = encode_frame(envelope)
         self._tap_send(envelope, len(frame))
         if dst in self._killed or (self._loss > 0 and self._rng.random() < self._loss):
             self.frames_dropped += 1
@@ -277,14 +243,12 @@ class LoopbackTransport(_BaseTransport):
         delay = self._latency(src, dst)
         if delay > 0:
             self._link_pump(src, dst).put(delay, frame)
-        elif self.coalesce:
+        else:
             batch = self._pending.get(dst)
             if batch is None:
                 batch = self._pending[dst] = []
                 asyncio.get_running_loop().call_soon(self._flush, dst)
             batch.append(frame)
-        else:
-            queue.put_nowait(frame)
 
     def _flush(self, dst: int) -> None:
         batch = self._pending.pop(dst, None)
@@ -342,13 +306,7 @@ class _Accepted(asyncio.Protocol):
             if peer_id in owner._killed:
                 self.sock.abort()
                 return
-            if isinstance(envelope, dict) and envelope.get("kind") == _HELLO:
-                # connection metadata: answered on the accepted socket,
-                # invisible to handlers/taps/counters
-                self.sock.write(
-                    encode_frame({"kind": _HELLO_ACK, "max": owner.max_wire_version})
-                )
-            elif pump is not None:
+            if pump is not None:
                 src = envelope.get("src", peer_id) if isinstance(envelope, dict) else peer_id
                 pump.put(owner._latency(src, peer_id), envelope)
             else:
@@ -361,19 +319,15 @@ class _Accepted(asyncio.Protocol):
 
 
 class _Conn(asyncio.Protocol):
-    """Dialled side of one pooled ``(src, dst)`` connection: the hello
-    handshake through the same :class:`FrameReader`, then frames out."""
+    """Dialled side of one pooled ``(src, dst)`` connection: frames out,
+    nothing in."""
 
-    __slots__ = ("owner", "key", "frames", "sock", "version", "ready", "buf", "writable", "lost")
+    __slots__ = ("owner", "key", "sock", "buf", "writable", "lost")
 
     def __init__(self, owner: "TcpTransport", key: Tuple[int, int]) -> None:
         self.owner = owner
         self.key = key
-        self.frames = FrameReader()
         self.sock: Optional[asyncio.Transport] = None
-        self.version = WIRE_VERSION
-        # resolves to the negotiated wire version
-        self.ready: asyncio.Future = asyncio.get_running_loop().create_future()
         self.buf: List[bytes] = []  # frames awaiting the flusher
         self.writable = asyncio.Event()
         self.writable.set()
@@ -382,21 +336,9 @@ class _Conn(asyncio.Protocol):
     def connection_made(self, sock) -> None:
         self.sock = sock
         sock.set_write_buffer_limits(high=_HIGH_WATER)
-        sock.write(encode_frame({"kind": _HELLO, "max": self.owner.max_wire_version}))
 
     def data_received(self, data: bytes) -> None:
-        # frames flow one way; the acceptor only ever answers the hello
-        try:
-            for ack in self.frames.feed(data):
-                if not isinstance(ack, dict) or ack.get("kind") != _HELLO_ACK:
-                    raise CodecError(f"bad handshake ack: {ack!r}")
-                remote_max = int(ack.get("max", WIRE_VERSION))
-                if not self.ready.done():
-                    self.ready.set_result(_negotiate(self.owner.max_wire_version, remote_max))
-        except (CodecError, TypeError, ValueError) as exc:
-            if not self.ready.done():
-                self.ready.set_exception(CodecError(str(exc)))
-            self.sock.abort()
+        self.sock.abort()  # frames flow one way; the acceptor never writes
 
     def pause_writing(self) -> None:
         self.writable.clear()
@@ -408,8 +350,6 @@ class _Conn(asyncio.Protocol):
         self.lost = exc or ConnectionResetError("connection closed")
         if self.owner._pool.get(self.key) is self:
             del self.owner._pool[self.key]
-        if not self.ready.done():
-            self.ready.set_exception(self.lost)
         self.writable.set()  # senders held by backpressure wake and see `lost`
 
 
@@ -418,15 +358,12 @@ class TcpTransport(_BaseTransport):
 
     Ports are allocated by the OS unless ``port_base`` is given (then
     peer ``p`` listens on ``port_base + p``).  Outbound frames reuse a
-    pooled connection per ``(src, dst)`` pair whose wire version is
-    fixed by the dial-time hello handshake (``max_wire_version`` caps
-    what this end advertises, so ``max_wire_version=1`` forces the JSON
-    fallback against any peer).
+    pooled connection per ``(src, dst)`` pair.
 
     No connection owns a task: the accepted side parses frames in
     ``data_received`` and calls the peer's handler there; the dialled
-    side appends frames to its connection for :meth:`_flush_loop`
-    (``coalesce`` off: one ``write`` per frame).  Senders block only
+    side appends frames to its connection for :meth:`_flush_loop`, which
+    gives each connection one ``write`` per turn.  Senders block only
     while a connection's socket buffer is past the high-water mark; a
     lost connection fails the sends waiting on it and is re-dialled by
     the next, which the RPC retry path already treats as message loss.
@@ -444,17 +381,11 @@ class TcpTransport(_BaseTransport):
         host: str = "127.0.0.1",
         port_base: Optional[int] = None,
         tap: Optional[Tap] = None,
-        max_wire_version: int = WIRE_VERSION_BINARY,
-        coalesce: bool = True,
         latency: float | Callable[[int, int], float] = 0.0,
     ) -> None:
         super().__init__(tap=tap)
-        if max_wire_version not in SUPPORTED_WIRE_VERSIONS:
-            raise ValueError(f"unsupported wire version {max_wire_version}")
         self.host = host
         self.port_base = port_base
-        self.max_wire_version = max_wire_version
-        self.coalesce = coalesce
         self._latency = latency if callable(latency) else (lambda s, d, l=latency: l)
         self._delay_inbound = callable(latency) or latency > 0
         self.addresses: Dict[int, Tuple[str, int]] = {}
@@ -470,7 +401,7 @@ class TcpTransport(_BaseTransport):
         for peer_id in self._handlers:
             if peer_id not in self._servers:
                 await self._listen(peer_id)
-        if self.coalesce and not self._started:
+        if not self._started:
             self._spawn(self._flush_loop(), "tcp-flush")
         self._started = True
 
@@ -528,15 +459,12 @@ class TcpTransport(_BaseTransport):
         conn = self._pool.get((src, dst))
         if conn is None or conn.sock.is_closing():
             conn = await self._dial(src, dst)
-        frame = encode_frame(envelope, conn.version)
-        if self.coalesce:
-            if not conn.buf:
-                if not self._dirty:
-                    self._wake.set()
-                self._dirty.append(conn)
-            conn.buf.append(frame)
-        else:
-            conn.sock.write(frame)
+        frame = encode_frame(envelope)
+        if not conn.buf:
+            if not self._dirty:
+                self._wake.set()
+            self._dirty.append(conn)
+        conn.buf.append(frame)
         if not conn.writable.is_set():
             await conn.writable.wait()
         if conn.lost is not None:
@@ -569,12 +497,11 @@ class TcpTransport(_BaseTransport):
             conn = _Conn(self, key)
             try:
                 await asyncio.get_running_loop().create_connection(lambda: conn, *addr)
-                conn.version = await asyncio.wait_for(conn.ready, _HANDSHAKE_TIMEOUT)
                 self._pool[key] = conn
                 return conn
-            except (OSError, asyncio.TimeoutError, CodecError) as exc:
+            except OSError as exc:
                 raise TransportError(f"dial {src}->{dst} failed: {exc}") from exc
             finally:
-                # failed, timed out or cancelled: leave no socket behind
+                # refused or cancelled: leave no socket behind
                 if self._pool.get(key) is not conn and conn.sock is not None:
                     conn.sock.abort()

@@ -6,18 +6,13 @@ the same service graph with the same probe accounting.  Credit-based
 termination makes the live finalize quiescent (no in-flight probes),
 which is what makes the comparison exact rather than statistical.
 
-The parity matrix also spans the wire fast path: codec version (v1 JSON
-vs v2 binary) and write coalescing are pure transport concerns, so every
-combination must reproduce the same selections — and charge the same
-*logical* message counts to the ledger (batching changes frames, never
-logical messages).
-
-A third axis covers the directory acceleration tier: with the tier on,
-repeated lookups are served from peer-local caches instead of routing
-the DHT, yet selections stay bit-identical — the cached (components,
-rtt) pair is exactly what re-routing a static ring would produce.  What
-*does* change is the ``dht_route`` charge per compose, which a dedicated
-test pins down (fewer routes with caching, same bcp_* books).
+The parity matrix spans the state model (shared / distributed) and the
+directory acceleration tier: with the tier on, repeated lookups are
+served from peer-local caches instead of routing the DHT, yet selections
+stay bit-identical — the cached (components, rtt) pair is exactly what
+re-routing a static ring would produce.  What *does* change is the
+``dht_route`` charge per compose, which a dedicated test pins down
+(fewer routes with caching, same bcp_* books).
 
 A further test drives a real TCP cluster through a peer kill and shows a
 composition still completing end-to-end with the retry/backoff path
@@ -56,24 +51,12 @@ def _parity_config(transport="loopback", **overrides):
     return ClusterConfig(**base)
 
 
-# every (codec, coalescing) combination the transports can negotiate,
-# plus the directory tier toggled off on the fast-path combo — caching
-# must be invisible to selections in both states
-_WIRE_AXES = [
-    (1, False, True),
-    (1, True, True),
-    (2, False, True),
-    (2, True, True),
-    (2, True, False),
-]
-_WIRE_IDS = ["v1-drain", "v1-coalesced", "v2-drain", "v2-coalesced", "v2-nocache"]
-
-
-@pytest.mark.parametrize("wire_version,coalesce,dir_cache", _WIRE_AXES, ids=_WIRE_IDS)
+# the directory tier on and off — caching must be invisible to selections
+# in both states.  (The ids date from a matrix that also had codec and
+# coalescing axes; they are kept so test histories stay comparable.)
+@pytest.mark.parametrize("dir_cache", [True, False], ids=["v2-coalesced", "v2-nocache"])
 @pytest.mark.parametrize("distributed", [False, True], ids=["shared", "distributed"])
-def test_loopback_cluster_matches_synchronous_bcp(
-    distributed, wire_version, coalesce, dir_cache
-):
+def test_loopback_cluster_matches_synchronous_bcp(distributed, dir_cache):
     """Both state models must reproduce the sync engine's exact choices.
 
     The distributed variant additionally proves the selections were made
@@ -86,8 +69,6 @@ def test_loopback_cluster_matches_synchronous_bcp(
         cluster = LiveCluster(
             _parity_config(
                 distributed=distributed,
-                wire_version=wire_version,
-                coalesce_writes=coalesce,
                 directory_tier=DirectoryTierConfig(enabled=dir_cache),
             )
         )
@@ -126,67 +107,6 @@ def test_loopback_cluster_matches_synchronous_bcp(
         assert live_r.candidates_examined == sync_r.candidates_examined, rid
 
 
-def test_wire_options_change_frames_not_logical_messages():
-    """Across the whole (codec x coalescing) matrix the live pass must
-    make identical selections and charge identical logical message
-    counts — the fast path may change how bytes travel, never what the
-    protocol says."""
-
-    # one shared scenario for every combo: component/request ids come
-    # from process-global counters, so only same-scenario runs are
-    # comparable.  confirm=False releases every reservation, leaving the
-    # pools in their initial state for the next combo's pass.
-    # hot_threshold=0 disables the popularity fan-out, whose wall-clock
-    # EWMA makes push counts timing-dependent; the cache hit/miss books
-    # are deterministic (one miss + N-1 hits per (daemon, function)).
-    # Measurement is pinned off for the same reason: how many active
-    # probe cycles fire during a pass is wall-clock-dependent, and this
-    # test asserts *full-dict* count equality.  (The selection-parity
-    # matrix above runs with measurement on — its default — which is
-    # what proves the plane never perturbs choices.)
-    shared = {}
-    tier = DirectoryTierConfig(hot_threshold=0.0)
-
-    def one_combo(wire_version, coalesce):
-        async def scenario():
-            cluster = LiveCluster(
-                _parity_config(
-                    distributed=True,
-                    wire_version=wire_version,
-                    coalesce_writes=coalesce,
-                    directory_tier=tier,
-                    measurement=MeasurementConfig(enabled=False),
-                ),
-                scenario=shared.get("scenario"),
-            )
-            if "scenario" not in shared:
-                shared["scenario"] = cluster.scenario
-                shared["requests"] = cluster.scenario.requests.batch(4)
-            async with cluster:
-                snap = cluster.ledger.snapshot()
-                results = []
-                for r in shared["requests"]:
-                    results.append(await cluster.compose(r, confirm=False, timeout=60))
-                delta = cluster.ledger.delta_since(snap)
-            assert cluster.errors() == []
-            assert cluster.soft_tokens() == {}
-            sigs = [r.best.signature() if r.success else None for r in results]
-            # counts only: encoded byte sizes legitimately differ by codec
-            counts = {cat: dc for cat, (dc, _db) in delta.items() if dc}
-            return sigs, counts
-
-        return asyncio.run(scenario())
-
-    combos = [(wv, co) for wv, co, cache in _WIRE_AXES if cache]
-    baseline_sigs, baseline_counts = one_combo(*combos[0])
-    assert any(s is not None for s in baseline_sigs), "fixture must compose something"
-    assert baseline_counts.get("bcp_probe", 0) > 0
-    for wire_version, coalesce in combos[1:]:
-        sigs, counts = one_combo(wire_version, coalesce)
-        assert sigs == baseline_sigs, (wire_version, coalesce)
-        assert counts == baseline_counts, (wire_version, coalesce)
-
-
 def test_directory_cache_changes_routing_charges_not_selections():
     """The directory tier's entire ledger effect must be the discovery
     plane: identical selections and identical bcp_* books, strictly
@@ -200,7 +120,8 @@ def test_directory_cache_changes_routing_charges_not_selections():
             cluster = LiveCluster(
                 _parity_config(
                     distributed=True,
-                    # fan-out off for count determinism (see above); the
+                    # hot_threshold=0 disables the popularity fan-out, whose
+                    # wall-clock EWMA makes push counts timing-dependent; the
                     # positive/negative caches are the axis under test
                     directory_tier=DirectoryTierConfig(
                         enabled=dir_cache, hot_threshold=0.0

@@ -4,16 +4,10 @@ import asyncio
 
 import pytest
 
+from repro.net import codec
 from repro.net import rpc as net_rpc
-from repro.net import transport as net_transport
 from repro.net.cluster import ClusterConfig, LiveCluster
-from repro.net.codec import (
-    MAX_FRAME,
-    WIRE_VERSION,
-    WIRE_VERSION_BINARY,
-    MaintenancePing,
-    encode_frame,
-)
+from repro.net.codec import MAX_FRAME, MaintenancePing, encode_frame
 from repro.net.rpc import DedupCache, RetryPolicy, RpcEndpoint, RpcFailure, RpcTimeout
 from repro.net.transport import (
     LoopbackTransport,
@@ -21,8 +15,8 @@ from repro.net.transport import (
     TransportError,
     _Accepted,
     _Conn,
-    _negotiate,
 )
+from repro.services.component import QualitySpec
 
 
 def run(coro):
@@ -199,10 +193,7 @@ class TestTcpReceive:
         return t, proto
 
     def test_burst_split_at_every_offset_delivers_once_in_order(self):
-        burst = b"".join(
-            encode_frame({"kind": "req", "n": n}, version)
-            for n, version in enumerate([WIRE_VERSION_BINARY, WIRE_VERSION, WIRE_VERSION_BINARY])
-        )
+        burst = b"".join(encode_frame({"kind": "req", "n": n}) for n in range(3))
         for cut in range(len(burst) + 1):
             received = []
             _, proto = self.accepted(received.append)  # a plain function: no loop needed
@@ -210,17 +201,18 @@ class TestTcpReceive:
             proto.data_received(burst[cut:])
             assert [e["n"] for e in received] == [0, 1, 2], f"split at byte {cut}"
 
-    def test_hello_is_answered_on_the_socket_and_never_delivered(self):
-        received = []
-        t, proto = self.accepted(received.append)
-        proto.data_received(encode_frame({"kind": "__hello__", "max": 2}))
-        assert received == [] and t.frames_sent == 0
-        assert proto.sock.written == [encode_frame({"kind": "__hello_ack__", "max": 2})]
-
     @pytest.mark.parametrize(
         "header",
-        [b"XX\x02\x00\x00\x00\x01", b"SN\x02" + (MAX_FRAME + 1).to_bytes(4, "big")],
-        ids=["bad-magic", "oversize"],
+        [
+            b"XX\x02\x00\x00\x00\x01",
+            b"SN\x02" + (MAX_FRAME + 1).to_bytes(4, "big"),
+            b"SN\x01\x00\x00\x00\x07" + b'{"n":5}',  # the retired JSON version
+            # a valid header over a typed layout that meets a value of the
+            # wrong shape (QualitySpec's formats are the integer 5)
+            b"SN\x02\x00\x00\x00\x04"
+            + bytes([codec._T_OBJ, codec._BIN_IDS[QualitySpec], codec._T_INT8, 5]),
+        ],
+        ids=["bad-magic", "oversize", "version-1", "bad-typed-payload"],
     )
     def test_bad_header_closes_the_connection_quietly(self, header):
         async def scenario():
@@ -231,7 +223,7 @@ class TestTcpReceive:
             t.register(1, collector(received))
             await t.start()
             reader, writer = await asyncio.open_connection(*t.addresses[1])
-            writer.write(encode_frame({"n": 0}, WIRE_VERSION_BINARY) + header + b"\x00" * 64)
+            writer.write(encode_frame({"n": 0}) + header + b"\x00" * 64)
             await writer.drain()
             closed = await asyncio.wait_for(reader.read(), 1)  # EOF: peer 1 hung up
             writer.close()
@@ -284,7 +276,6 @@ class TestTcpSend:
         t._started = True
         conn = t._pool[(0, 1)] = _Conn(t, (0, 1))
         conn.connection_made(FakeSocket())
-        conn.version = WIRE_VERSION_BINARY
         return t, conn
 
     def test_sender_past_high_water_blocks_until_resume(self):
@@ -342,18 +333,31 @@ class TestTcpSend:
         assert [e["n"] for e in after_kill] == [0]
         assert [e["n"] for e in received] == [0, 7]
 
-    @pytest.mark.parametrize("answer", [None, encode_frame({"kind": "nope"})], ids=["silent", "bad-ack"])
-    def test_failed_handshake_leaves_no_open_socket(self, answer, monkeypatch):
-        monkeypatch.setattr(net_transport, "_HANDSHAKE_TIMEOUT", 0.05)
-
+    def test_refused_dial_leaves_no_open_socket(self):
         async def scenario():
-            hung_up = asyncio.get_running_loop().create_future()
+            server = await asyncio.start_server(lambda r, w: None, "127.0.0.1", 0)
+            nobody_home = server.sockets[0].getsockname()[:2]
+            server.close()
+            await server.wait_closed()
+            t = TcpTransport()
+            t.register(0, collector([]))
+            await t.start()
+            t.addresses[1] = nobody_home
+            with pytest.raises(TransportError, match="dial 0->1 failed"):
+                await t.send(0, 1, {"n": 1})
+            pooled = dict(t._pool)
+            await t.close()
+            return pooled
+
+        assert run(scenario()) == {}
+
+    def test_cancelled_dial_leaves_no_open_socket(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            hung_up = loop.create_future()
 
             async def acceptor(reader, writer):
-                if answer is not None:
-                    writer.write(answer)
-                while await reader.read(4096):
-                    pass  # the hello, then EOF when the dialer lets go
+                await reader.read()  # EOF when the dialer lets go
                 hung_up.set_result(True)
                 writer.close()
 
@@ -362,8 +366,18 @@ class TestTcpSend:
             t.register(0, collector([]))
             await t.start()
             t.addresses[1] = server.sockets[0].getsockname()[:2]
-            with pytest.raises(TransportError, match="dial 0->1 failed"):
-                await t.send(0, 1, {"n": 1})
+            real_dial = loop.create_connection
+
+            async def slow_dial(*args, **kwargs):
+                made = await real_dial(*args, **kwargs)
+                await asyncio.sleep(1)  # the sender is cancelled in here
+                return made
+
+            loop.create_connection = slow_dial
+            sender = asyncio.ensure_future(t.send(0, 1, {"n": 1}))
+            await asyncio.sleep(0.05)
+            sender.cancel()
+            await asyncio.gather(sender, return_exceptions=True)
             await asyncio.wait_for(hung_up, 1)
             pooled = dict(t._pool)
             await t.close()
@@ -372,6 +386,30 @@ class TestTcpSend:
             return pooled
 
         assert run(scenario()) == {}
+
+    def test_bytes_on_a_dialled_connection_abort_it(self):
+        async def scenario():
+            async def acceptor(reader, writer):
+                writer.write(b"anything")  # frames flow one way only
+                await reader.read()  # until the dialler hangs up
+                writer.close()
+
+            server = await asyncio.start_server(acceptor, "127.0.0.1", 0)
+            t = TcpTransport()
+            t.register(0, collector([]))
+            await t.start()
+            t.addresses[1] = server.sockets[0].getsockname()[:2]
+            await t.send(0, 1, {"n": 1})
+            conn = t._pool[(0, 1)]
+            await asyncio.sleep(0.05)
+            pooled = dict(t._pool)
+            await t.close()
+            server.close()
+            await server.wait_closed()
+            return conn.lost, pooled
+
+        lost, pooled = run(scenario())
+        assert lost is not None and pooled == {}
 
     def test_idle_cluster_owns_no_task_per_connection(self):
         async def scenario():
@@ -391,54 +429,6 @@ class TestTcpSend:
         assert connections > peers and tasks <= 2 * peers + 8
 
 
-class TestNegotiation:
-    def test_negotiate_picks_lowest_common_version(self):
-        assert _negotiate(2, 2) == WIRE_VERSION_BINARY
-        assert _negotiate(2, 1) == WIRE_VERSION
-        assert _negotiate(1, 2) == WIRE_VERSION
-        # a hypothetical future version neither side implements here
-        # degrades to the universal JSON floor, never to garbage
-        assert _negotiate(9, 9) == WIRE_VERSION
-
-    @staticmethod
-    async def _version_scenario(**kwargs):
-        t = TcpTransport(**kwargs)
-        received = []
-        t.register(0, collector([]))
-        t.register(1, collector(received))
-        await t.start()
-        await t.send(0, 1, {"kind": "req", "n": 1})
-        await asyncio.sleep(0.05)
-        version = t._pool[(0, 1)].version
-        frames = t.frames_sent
-        await t.close()
-        return version, frames, received
-
-    def test_tcp_negotiates_binary_by_default(self):
-        version, frames, received = run(self._version_scenario())
-        assert version == WIRE_VERSION_BINARY
-        assert received == [{"kind": "req", "n": 1}]
-        # the hello/ack handshake frames are protocol plumbing: they are
-        # invisible to handlers and never counted as sent frames
-        assert frames == 1
-
-    def test_tcp_version_ceiling_forces_json_fallback(self):
-        version, frames, received = run(
-            self._version_scenario(max_wire_version=WIRE_VERSION)
-        )
-        assert version == WIRE_VERSION
-        assert received == [{"kind": "req", "n": 1}]
-        assert frames == 1
-
-    def test_tcp_rejects_unknown_version_ceiling(self):
-        with pytest.raises(ValueError):
-            TcpTransport(max_wire_version=99)
-
-    def test_loopback_rejects_unknown_version(self):
-        with pytest.raises(ValueError):
-            LoopbackTransport(wire_version=99)
-
-
 class TestCoalescing:
     @staticmethod
     async def _burst_scenario(t):
@@ -451,19 +441,17 @@ class TestCoalescing:
         await t.close()
         return received
 
-    @pytest.mark.parametrize("coalesce", [False, True], ids=["drain-per-frame", "coalesced"])
-    def test_loopback_burst_preserves_order(self, coalesce):
-        out = run(self._burst_scenario(LoopbackTransport(coalesce=coalesce)))
+    def test_loopback_burst_preserves_order(self):
+        out = run(self._burst_scenario(LoopbackTransport()))
         assert [e["n"] for e in out] == list(range(50))
 
-    @pytest.mark.parametrize("coalesce", [False, True], ids=["drain-per-frame", "coalesced"])
-    def test_tcp_burst_preserves_order(self, coalesce):
-        out = run(self._burst_scenario(TcpTransport(coalesce=coalesce)))
+    def test_tcp_burst_preserves_order(self):
+        out = run(self._burst_scenario(TcpTransport()))
         assert [e["n"] for e in out] == list(range(50))
 
     def test_loopback_coalescing_batches_queue_items(self):
         async def scenario():
-            t = LoopbackTransport(coalesce=True)
+            t = LoopbackTransport()
             received = []
             t.register(0, collector([]))
             t.register(1, collector(received))
