@@ -1,28 +1,45 @@
-"""Wire codec for the live runtime.
+"""Wire codec for the live runtime (wire version 3).
 
 Frames are ``MAGIC (2) | version (1) | payload length (4, big-endian) |
-payload``.  The payload is a single-pass tag-prefixed binary term
-format (struct-packed fixed-width scalars, length-prefixed strings and
-repeated sections) with per-frame *back-reference tables* for strings
-and typed objects, so a value that appears repeatedly in one frame (the
-request inside every probe, a function name inside every edge) is
-encoded once and referenced thereafter.
+payload``.  A payload is written in one pass in two kinds of encoding:
+
+*Typed layouts.*  Every registered class declares the kind of each of
+its fields once (:func:`_layout`), and both ends share that schema, so
+the bytes of a field carry no tag and decoding it takes no dispatch.
+All fixed-width scalars of a class (``i32`` peer ids, ``i64`` ids and
+counters, ``f64``, bool) are one ``struct`` call at the head of its
+layout; the remaining fields follow in declared order: strings through
+the per-frame string table, typed runs as a count byte and a typed loop
+(at most 255 entries), a credit as two ``i64`` with an escape for
+bigger ones, reservation reports as ``struct`` rows.  The RPC envelopes
+are ``tag | id i64 | src i32 | inc | body``, and a reply whose body is
+exactly ``{"ok": True}`` — nearly half of all frames — has a tag of its
+own and no body.  ``docs/PROTOCOL.md`` §8 has the tables.
+
+*Tagged terms.*  What is genuinely dynamic (reply dicts, ``phases``,
+reservation tokens, lookup replies) stays a tag-prefixed term: one tag
+byte per value, length-prefixed strings and containers, per-frame
+*back-reference tables* for strings and typed objects.  Session
+constants (the request, its function graph, directory rows) travel as
+content-addressed blobs that both ends memoize across frames.
 
 There is one wire format.  The header's version byte is a refusal
 check: a frame that does not say :data:`WIRE_VERSION` is a
 :class:`CodecError`, so a stale peer is turned away loudly instead of
 being half-understood.
 
-Decoding reconstructs the exact dataclasses the protocol code operates
-on — ``decode(encode(x)) == x`` for every registered type — through
-trusted constructors: frames come from this encoder and already-
-validated objects, so re-running dataclass validation
-(``FunctionGraph.validate``, ``__post_init__`` range checks) on every
-hop is pure overhead.  What is *structurally* wrong — unknown version
-or type id, truncated or oversized frame, a typed layout that meets a
-value of the wrong shape — raises :class:`CodecError` and nothing else:
-a peer never processes a frame it cannot fully and unambiguously
-decode.
+Trust model.  Decoding rebuilds the exact dataclasses the protocol code
+operates on — ``decode(encode(x)) == x`` for every registered type —
+without running their constructors: a typed field has its type by
+construction, and what the bytes could still get wrong is checked where
+it is read (run counts and lengths against the end of the payload, the
+class of an object field, a presence byte, a credit's denominator).
+Anything else that is structurally wrong — unknown version, tag or type
+id, truncated or oversized frame — raises :class:`CodecError` and
+nothing else: a peer never processes a frame it cannot fully and
+unambiguously decode.  The encoder is as strict: a field that does not
+fit its layout (an id past ``i64``, a 256-entry run, a string where a
+number goes) is a :class:`CodecError` from :func:`encode_frame`.
 """
 
 from __future__ import annotations
@@ -31,7 +48,7 @@ import dataclasses
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Type
 
 from ..core.function_graph import FunctionGraph
 from ..core.probe import Probe
@@ -69,7 +86,7 @@ __all__ = [
 ]
 
 MAGIC = b"SN"
-WIRE_VERSION = 2  # the header's version byte; any other value is refused
+WIRE_VERSION = 3  # the header's version byte; any other value is refused
 MAX_FRAME = 4 * 1024 * 1024  # one protocol message, not a data plane
 _HEADER = struct.Struct(">2sBI")
 _HEADER_SIZE = _HEADER.size
@@ -82,15 +99,24 @@ class CodecError(ValueError):
 # ----------------------------------------------------------------------
 # typed-object registry
 # ----------------------------------------------------------------------
-# numeric type id <-> (pack(packer, obj), unpack(unpacker) -> obj); ids are
-# assigned in registration order, which is therefore wire format
+class _Kind(NamedTuple):
+    """How one kind of value crosses the wire where its type is known."""
+
+    pack: Callable  # (packer, value) -> None
+    unpack: Callable  # (unpacker) -> value
+
+
+# numeric type id <-> the class's layout; ids are assigned in registration
+# order, which is therefore wire format
 _BIN_IDS: Dict[Type, int] = {}
 _BIN_PACKERS: List[Callable] = []
 _BIN_UNPACKERS: List[Callable] = []
 _BIN_BLOB: List[bool] = []  # per type id: encode as content-addressed blob?
 
 
-def _register(cls: Type, pack: Callable, unpack: Callable) -> None:
+def _register(cls: Type, pack: Callable, unpack: Callable) -> _Kind:
+    """Give ``cls`` a type id; the returned kind is its layout *inline*:
+    no tag, no type id, no entry in the object back-reference table."""
     if cls in _BIN_IDS:
         raise ValueError(f"duplicate codec type {cls.__name__}")
     if len(_BIN_PACKERS) > 0xFF:
@@ -99,6 +125,7 @@ def _register(cls: Type, pack: Callable, unpack: Callable) -> None:
     _BIN_PACKERS.append(pack)
     _BIN_UNPACKERS.append(unpack)
     _BIN_BLOB.append(False)
+    return _Kind(pack, unpack)
 
 
 # ----------------------------------------------------------------------
@@ -123,15 +150,16 @@ _T_DICT8 = 0x0D
 _T_DICT32 = 0x0E
 _T_OBJ = 0x0F
 _T_OBJREF = 0x10
-# dedicated layouts for the RPC envelope wrappers: every frame is one of
-# these two dicts, so spelling their keys per frame is pure overhead
+# typed layouts of the RPC envelope dicts, which every frame is one of:
+# tag | id i64 | src i32 | inc (string or _T_NONE) | body (a term)
 _T_REQ_ENV = 0x11  # {"kind":"req","id","src","inc","body"}
-_T_RES_ENV = 0x12  # {"kind":"res","id","src","body"} (+ optional "inc")
+_T_RES_ENV = 0x12  # {"kind":"res","id","src","body"} (+ "inc" when a string)
 # content-addressed sub-message: tag | type_id(1B) | length(>I) | payload,
 # where the payload is the object encoded against *fresh* (static-only)
 # back-reference tables.  Making the bytes context-free lets both ends
 # memoize across frames — see the cache note above ``pack_object``.
 _T_BLOB = 0x13
+_T_ACK_ENV = 0x14  # a _T_RES_ENV whose body is exactly {"ok": True}: no body
 
 _S_INT8 = struct.Struct(">Bb")
 _S_INT32 = struct.Struct(">Bi")
@@ -147,6 +175,7 @@ _S_i = struct.Struct(">i")
 _S_q = struct.Struct(">q")
 _S_d = struct.Struct(">d")
 _S_I = struct.Struct(">I")
+_S_ENV = struct.Struct(">Bqi")  # envelope tag, id, src
 
 _TABLE_LIMIT = 0xFFFF  # >H back-reference index space per frame
 
@@ -255,28 +284,28 @@ class _Packer:
             self.pack_object(v)
 
     def _pack_envelope(self, v: dict) -> bool:
-        """Emit an RPC envelope dict in its dedicated layout, if it is one."""
-        n = len(v)
-        kind = v.get("kind")
-        if kind == "req" and n == 5:
-            try:
-                msg_id, src, inc, body = v["id"], v["src"], v["inc"], v["body"]
-            except KeyError:
-                return False
-            self.out.append(_T_REQ_ENV)
-        elif kind == "res" and (n == 4 or (n == 5 and "inc" in v)):
-            try:
-                msg_id, src, body = v["id"], v["src"], v["body"]
-            except KeyError:
-                return False
-            inc = v.get("inc")
-            self.out.append(_T_RES_ENV)
+        """Emit an RPC envelope dict in its typed layout, if it is one."""
+        try:
+            kind, msg_id, src, body = v["kind"], v["id"], v["src"], v["body"]
+        except KeyError:
+            return False
+        inc = v.get("inc")
+        if type(msg_id) is not int or type(src) is not int:
+            return False
+        if kind == "req" and len(v) == 5 and "inc" in v and (inc is None or type(inc) is str):
+            tag = _T_REQ_ENV
+        elif kind == "res" and len(v) == 4 + (type(inc) is str):
+            bare = type(body) is dict and len(body) == 1 and body.get("ok") is True
+            tag = _T_ACK_ENV if bare else _T_RES_ENV
         else:
             return False
-        self.pack_value(msg_id)
-        self.pack_value(src)
-        self.pack_value(inc)
-        self.pack_value(body)
+        self.out += _S_ENV.pack(tag, msg_id, src)
+        if inc is None:
+            self.out.append(_T_NONE)
+        else:
+            self.pack_str(inc)
+        if tag != _T_ACK_ENV:
+            self.pack_value(body)
         return True
 
     def pack_object(self, v: Any) -> None:
@@ -327,6 +356,33 @@ class _Unpacker:
         self._strs: List[str] = list(_STATIC_STRINGS)
         self._objs: List[Any] = []
 
+    def read_str(self) -> str:
+        """A string where the layout says one is: literal or back-reference."""
+        buf = self.buf
+        pos = self.pos
+        tag = buf[pos]
+        if tag == _T_STRREF:
+            idx = (buf[pos + 1] << 8) | buf[pos + 2]
+            self.pos = pos + 3
+            strs = self._strs
+            if idx >= len(strs):
+                raise CodecError(f"dangling string back-reference {idx}")
+            return strs[idx]
+        if tag == _T_STR8:
+            start = pos + 2
+            end = start + buf[pos + 1]
+        elif tag == _T_STR32:
+            start = pos + 5
+            end = start + _S_I.unpack_from(buf, pos + 1)[0]
+        else:
+            raise CodecError(f"tag 0x{tag:02x} where the layout reads a string")
+        if end > len(buf):
+            raise CodecError("truncated binary payload: string runs past the end")
+        self.pos = end
+        s = buf[start:end].decode("utf-8")
+        self._strs.append(s)
+        return s
+
     def read_value(self) -> Any:
         buf = self.buf
         pos = self.pos
@@ -334,49 +390,6 @@ class _Unpacker:
             tag = buf[pos]
             pos += 1
             # ordered roughly by observed frequency on the live path
-            if tag == _T_STRREF:
-                idx = (buf[pos] << 8) | buf[pos + 1]
-                self.pos = pos + 2
-                strs = self._strs
-                if idx >= len(strs):
-                    raise CodecError(f"dangling string back-reference {idx}")
-                return strs[idx]
-            if tag == _T_STR8:
-                n = buf[pos]
-                pos += 1
-                end = pos + n
-                if end > len(buf):
-                    raise CodecError(
-                        f"truncated binary payload: string runs past the end"
-                    )
-                self.pos = end
-                s = buf[pos:end].decode("utf-8")
-                self._strs.append(s)
-                return s
-            if tag == _T_INT8:
-                self.pos = pos + 1
-                return _S_b.unpack_from(buf, pos)[0]
-            if tag == _T_FLOAT:
-                self.pos = pos + 8
-                return _S_d.unpack_from(buf, pos)[0]
-            if tag == _T_INT32:
-                self.pos = pos + 4
-                return _S_i.unpack_from(buf, pos)[0]
-            if tag == _T_OBJ:
-                tid = buf[pos]
-                self.pos = pos + 1
-                if tid >= len(_BIN_UNPACKERS):
-                    raise CodecError(f"unknown binary type id {tid}")
-                obj = _BIN_UNPACKERS[tid](self)
-                self._objs.append(obj)
-                return obj
-            if tag == _T_OBJREF:
-                idx = (buf[pos] << 8) | buf[pos + 1]
-                self.pos = pos + 2
-                objs = self._objs
-                if idx >= len(objs):
-                    raise CodecError(f"dangling object back-reference {idx}")
-                return objs[idx]
             if tag == _T_BLOB:
                 tid = buf[pos]
                 n = _S_I.unpack_from(buf, pos + 1)[0]
@@ -399,6 +412,48 @@ class _Unpacker:
                     _DEC_BLOBS[key] = obj
                 self._objs.append(obj)
                 return obj
+            if tag == _T_OBJREF:
+                idx = (buf[pos] << 8) | buf[pos + 1]
+                self.pos = pos + 2
+                objs = self._objs
+                if idx >= len(objs):
+                    raise CodecError(f"dangling object back-reference {idx}")
+                return objs[idx]
+            if tag == _T_OBJ:
+                tid = buf[pos]
+                self.pos = pos + 1
+                if tid >= len(_BIN_UNPACKERS):
+                    raise CodecError(f"unknown binary type id {tid}")
+                obj = _BIN_UNPACKERS[tid](self)
+                self._objs.append(obj)
+                return obj
+            if tag == _T_ACK_ENV or tag == _T_REQ_ENV or tag == _T_RES_ENV:
+                _, msg_id, src = _S_ENV.unpack_from(buf, pos - 1)
+                self.pos = pos = pos - 1 + _S_ENV.size
+                if buf[pos] == _T_NONE:
+                    inc = None
+                    self.pos = pos + 1
+                else:
+                    inc = self.read_str()
+                body = {"ok": True} if tag == _T_ACK_ENV else self.read_value()
+                if tag == _T_REQ_ENV:
+                    return {"kind": "req", "id": msg_id, "src": src,
+                            "inc": inc, "body": body}
+                env = {"kind": "res", "id": msg_id, "src": src, "body": body}
+                if inc is not None:
+                    env["inc"] = inc
+                return env
+            if tag == _T_STRREF or tag == _T_STR8 or tag == _T_STR32:
+                return self.read_str()
+            if tag == _T_INT8:
+                self.pos = pos + 1
+                return _S_b.unpack_from(buf, pos)[0]
+            if tag == _T_FLOAT:
+                self.pos = pos + 8
+                return _S_d.unpack_from(buf, pos)[0]
+            if tag == _T_INT32:
+                self.pos = pos + 4
+                return _S_i.unpack_from(buf, pos)[0]
             if tag == _T_LIST8 or tag == _T_LIST32:
                 if tag == _T_LIST8:
                     n = buf[pos]
@@ -423,20 +478,6 @@ class _Unpacker:
                         raise CodecError(f"non-string mapping key on the wire: {k!r}")
                     out[k] = read()
                 return out
-            if tag == _T_REQ_ENV or tag == _T_RES_ENV:
-                self.pos = pos
-                read = self.read_value
-                msg_id = read()
-                src = read()
-                inc = read()
-                body = read()
-                if tag == _T_REQ_ENV:
-                    return {"kind": "req", "id": msg_id, "src": src,
-                            "inc": inc, "body": body}
-                env = {"kind": "res", "id": msg_id, "src": src, "body": body}
-                if inc is not None:
-                    env["inc"] = inc
-                return env
             if tag == _T_NONE:
                 self.pos = pos
                 return None
@@ -449,18 +490,6 @@ class _Unpacker:
             if tag == _T_INT64:
                 self.pos = pos + 8
                 return _S_q.unpack_from(buf, pos)[0]
-            if tag == _T_STR32:
-                n = _S_I.unpack_from(buf, pos)[0]
-                pos += 4
-                end = pos + n
-                if end > len(buf):
-                    raise CodecError(
-                        f"truncated binary payload: string runs past the end"
-                    )
-                self.pos = end
-                s = buf[pos:end].decode("utf-8")
-                self._strs.append(s)
-                return s
             if tag == _T_INTBIG:
                 n = _S_I.unpack_from(buf, pos)[0]
                 pos += 4
@@ -488,7 +517,13 @@ def encode_frame(obj: Any, version: int = WIRE_VERSION) -> bytes:
     if version != WIRE_VERSION:
         raise CodecError(f"cannot encode wire version {version}")
     packer = _Packer()
-    packer.pack_value(obj)
+    try:
+        packer.pack_value(obj)
+    except CodecError:
+        raise
+    except Exception as exc:
+        # a typed layout handed a value of another type, range or shape
+        raise CodecError(f"value does not fit its wire layout: {exc!r}") from exc
     payload = bytes(packer.out)
     if len(payload) > MAX_FRAME:
         raise CodecError(f"frame payload of {len(payload)} bytes exceeds {MAX_FRAME}")
@@ -587,11 +622,11 @@ class FrameReader:
 # ----------------------------------------------------------------------
 # trusted construction helpers
 # ----------------------------------------------------------------------
-# The decoder expects frames this module encoded from already-validated
-# objects, so reconstruction skips defensive copies and __post_init__
-# re-validation.  Anything structurally damaged still fails loudly: in
-# the term decoder above, or as whatever a layout below raises on a value
-# of the wrong shape, which ``_decode_payload`` reports as a CodecError.
+# Reconstruction skips defensive copies and __post_init__ re-validation:
+# a typed field has its type by construction, and a layout checks what
+# the bytes could still get wrong where it reads it.  Anything else a
+# layout or a constructor raises on damaged bytes, ``_decode_payload``
+# reports as a CodecError.
 _OSET = object.__setattr__
 
 try:  # CPython's Fraction stores coprime ints in two slots; reuse them
@@ -612,116 +647,221 @@ def _make_fraction(n: int, d: int) -> Fraction:
     return Fraction(n, d)  # pragma: no cover - exotic runtimes
 
 
-def _new_with_dict(cls: Type, fields: dict) -> Any:
-    """Build a frozen (non-slots) dataclass without running __init__."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+# ----------------------------------------------------------------------
+# typed layouts: field kinds and the layout compiler
+# ----------------------------------------------------------------------
+# A fixed-width scalar kind is its ``struct`` format character; every other
+# kind is a :class:`_Kind`.  Runs carry a count byte, so they hold at most
+# 255 entries; the encoder refuses a longer one.
+_I32, _I64, _F64, _BOOL = "i", "q", "d", "?"
+_STR = _Kind(_Packer.pack_str, _Unpacker.read_str)
+_TERM = _Kind(_Packer.pack_value, _Unpacker.read_value)  # a tagged term
+
+
+def _term(load: Callable) -> _Kind:
+    """A tagged term that ``load`` normalizes (lists to tuples) on decode."""
+    return _Kind(_Packer.pack_value, lambda u: load(u.read_value()))
+
+
+def _obj(cls: Type) -> _Kind:
+    """A registered object — blob, tagged layout or back-reference — that
+    must turn out to be a ``cls``."""
+
+    def unpack(u: _Unpacker) -> Any:
+        obj = u.read_value()
+        if type(obj) is not cls:
+            raise CodecError(f"{type(obj).__name__} where the layout reads a {cls.__name__}")
+        return obj
+
+    return _Kind(_Packer.pack_object, unpack)
+
+
+def _write_count(p: _Packer, items: Any) -> None:
+    n = len(items)
+    if n > 0xFF:
+        raise CodecError(f"run of {n} entries exceeds the layout's 255")
+    p.out.append(n)
+
+
+def _read_count(u: _Unpacker) -> int:
+    pos = u.pos
+    u.pos = pos + 1
+    return u.buf[pos]
+
+
+def _pack_strs(p: _Packer, items: Tuple[str, ...]) -> None:
+    _write_count(p, items)
+    for s in items:
+        p.pack_str(s)
+
+
+def _unpack_strs(u: _Unpacker) -> Tuple[str, ...]:
+    read = u.read_str
+    return tuple([read() for _ in range(_read_count(u))])
+
+
+def _pack_pairs(p: _Packer, pairs) -> None:
+    _write_count(p, pairs)
+    for a, b in pairs:
+        p.pack_str(a)
+        p.pack_str(b)
+
+
+def _unpack_pairs(u: _Unpacker) -> Tuple[Tuple[str, str], ...]:
+    read = u.read_str
+    return tuple([(read(), read()) for _ in range(_read_count(u))])
+
+
+_STRS = _Kind(_pack_strs, _unpack_strs)
+_PAIRS = _Kind(_pack_pairs, _unpack_pairs)
+# commutation pairs applied so far: unordered on both levels, sorted on the wire
+_SWAPS = _Kind(
+    lambda p, swaps: _pack_pairs(p, sorted(sorted(pair) for pair in swaps)),
+    lambda u: frozenset(map(frozenset, _unpack_pairs(u))),
+)
+
+
+def _pack_metrics(p: _Packer, values: Dict[str, float]) -> None:
+    _write_count(p, values)
+    for k, v in values.items():
+        p.pack_str(k)
+        p.out += _S_d.pack(v)
+
+
+def _unpack_metrics(u: _Unpacker) -> Dict[str, float]:
+    out = {}
+    for _ in range(_read_count(u)):
+        k = u.read_str()
+        pos = u.pos
+        out[k] = _S_d.unpack_from(u.buf, pos)[0]
+        u.pos = pos + 8
+    return out
+
+
+_METRICS = _Kind(_pack_metrics, _unpack_metrics)
+_S_PRESENT = struct.Struct(">Bd")
+
+
+def _pack_opt_f64(p: _Packer, v: Optional[float]) -> None:
+    if v is None:
+        p.out.append(0)
+    else:
+        p.out += _S_PRESENT.pack(1, v)
+
+
+def _unpack_opt_f64(u: _Unpacker) -> Optional[float]:
+    pos = u.pos
+    present = u.buf[pos]
+    if present == 0:
+        u.pos = pos + 1
+        return None
+    if present != 1:
+        raise CodecError(f"presence byte {present} is neither 0 nor 1")
+    u.pos = pos + 9
+    return _S_d.unpack_from(u.buf, pos + 1)[0]
+
+
+_OPT_F64 = _Kind(_pack_opt_f64, _unpack_opt_f64)
+
+
+def _layout(cls: Type, **kinds: Any) -> _Kind:
+    """Compile and register the wire layout of dataclass ``cls``.
+
+    ``kinds`` names the kind of every constructor field, in order.  On
+    the wire the fixed-width scalars come first, as one ``struct``, then
+    the other fields in declared order; the pack and unpack functions are
+    generated as straight-line code, one statement per field.  Decode
+    builds the object without running ``__init__`` / ``__post_init__``:
+    each kind yields its field already in normal form.
+    """
+    fields = dataclasses.fields(cls)
+    if [f.name for f in fields if f.init] != list(kinds):
+        raise TypeError(f"the layout of {cls.__name__} must name its fields in order")
+    fixed = [n for n, kind in kinds.items() if type(kind) is str]
+    head = struct.Struct(">" + "".join(kinds[n] for n in fixed))
+    scope: Dict[str, Any] = {"cls": cls, "head": head, "new": object.__new__, "oset": _OSET}
+    pack = ["def pack(p, x):"]
+    unpack = ["def unpack(u):"]
+    if fixed:
+        pack.append(f" p.out += head.pack({', '.join('x.' + n for n in fixed)})")
+        unpack.append(f" {', '.join(fixed)}, = head.unpack_from(u.buf, u.pos)")
+        unpack.append(f" u.pos += {head.size}")
+    for n, kind in kinds.items():
+        if n not in fixed:
+            scope["pack_" + n], scope["unpack_" + n] = kind
+            pack.append(f" pack_{n}(p, x.{n})")
+            unpack.append(f" {n} = unpack_{n}(u)")
+    # a field the constructor does not take (a lazy cache) starts at its default
+    values = {f.name: f.name if f.init else repr(f.default) for f in fields}
+    unpack.append(" obj = new(cls)")
+    if hasattr(cls, "__slots__"):
+        unpack += [f" oset(obj, {n!r}, {v})" for n, v in values.items()]
+    else:
+        items = ", ".join(f"{n!r}: {v}" for n, v in values.items())
+        unpack.append(f" obj.__dict__.update({{{items}}})")
+    unpack.append(" return obj")
+    exec("\n".join(pack + unpack), scope)
+    return _register(cls, scope["pack"], scope["unpack"])
 
 
 # ----------------------------------------------------------------------
 # core protocol objects
 # ----------------------------------------------------------------------
-def _pack_str_float_map(p: _Packer, values: Dict[str, float]) -> None:
-    p.pack_count(_T_DICT8, _T_DICT32, len(values))
-    for k, v in values.items():
-        p.pack_str(k)
-        p.pack_float(v)
-
-
-def _unpack_str_float_map(u: _Unpacker) -> Dict[str, float]:
-    value = u.read_value()
-    if type(value) is not dict:
-        raise CodecError("expected a metric map")
-    return value
-
-
+_QOS_VECTOR = _layout(QoSVector, values=_METRICS)
+_layout(QoSRequirement, bounds=_METRICS)
+_layout(ResourceVector, values=_METRICS)
 _register(
-    QoSVector,
-    lambda p, x: _pack_str_float_map(p, x.values),
-    lambda u: QoSVector._from_trusted(_unpack_str_float_map(u)),
-)
-_register(
-    QoSRequirement,
-    lambda p, x: _pack_str_float_map(p, x.bounds),
-    lambda u: _new_with_dict(QoSRequirement, {"bounds": _unpack_str_float_map(u)}),
-)
-_register(
-    ResourceVector,
-    lambda p, x: _pack_str_float_map(p, x.values),
-    lambda u: ResourceVector._from_trusted(_unpack_str_float_map(u)),
+    QualitySpec,
+    lambda p, x: p.pack_value(sorted(x.formats)),
+    lambda u: QualitySpec(frozenset(u.read_value())),
 )
 
-
-def _pack_quality(p: _Packer, x: QualitySpec) -> None:
-    p.pack_value(sorted(x.formats))
-
-
-def _unpack_quality(u: _Unpacker) -> QualitySpec:
-    return QualitySpec(frozenset(u.read_value()))
-
-
-_register(QualitySpec, _pack_quality, _unpack_quality)
+_S_CREDIT = struct.Struct(">Bqq")  # form 0, numerator, denominator
 
 
 def _pack_fraction(p: _Packer, x: Fraction) -> None:
-    p.pack_int(x.numerator)
-    p.pack_int(x.denominator)
+    n, d = x.numerator, x.denominator
+    try:
+        p.out += _S_CREDIT.pack(0, n, d)
+    except struct.error:  # past i64 (deep credit splits): two tagged ints
+        p.out.append(1)
+        p.pack_int(n)
+        p.pack_int(d)
 
 
 def _unpack_fraction(u: _Unpacker) -> Fraction:
-    n = u.read_value()
-    d = u.read_value()
-    if type(n) is not int or type(d) is not int or d == 0:
-        raise CodecError(f"bad fraction {n!r}/{d!r}")
+    pos = u.pos
+    form = u.buf[pos]
+    if form == 0:
+        _, n, d = _S_CREDIT.unpack_from(u.buf, pos)
+        u.pos = pos + _S_CREDIT.size
+    elif form == 1:
+        u.pos = pos + 1
+        n = u.read_value()
+        d = u.read_value()
+        if type(n) is not int or type(d) is not int:
+            raise CodecError(f"bad fraction {n!r}/{d!r}")
+    else:
+        raise CodecError(f"fraction form byte {form} is neither 0 nor 1")
+    if d <= 0:
+        raise CodecError(f"bad fraction {n}/{d}")
     return _make_fraction(n, d)
 
 
-_register(Fraction, _pack_fraction, _unpack_fraction)
+_FRACTION = _register(Fraction, _pack_fraction, _unpack_fraction)
 
-
-def _pack_svcmeta(p: _Packer, x: ServiceMetadata) -> None:
-    p.pack_int(x.component_id)
-    p.pack_str(x.function)
-    p.pack_int(x.peer)
-    p.pack_object(x.qp)
-    p.pack_object(x.resources)
-    p.pack_object(x.input_quality)
-    p.pack_object(x.output_quality)
-    p.pack_float(x.bandwidth_factor)
-    p.pack_float(x.registered_at)
-
-
-def _unpack_svcmeta(u: _Unpacker) -> ServiceMetadata:
-    read = u.read_value
-    return ServiceMetadata(
-        read(), read(), read(), read(), read(), read(), read(), read(), read()
-    )
-
-
-_register(ServiceMetadata, _pack_svcmeta, _unpack_svcmeta)
-
-
-def _pack_cspec(p: _Packer, x: ComponentSpec) -> None:
-    p.pack_int(x.component_id)
-    p.pack_str(x.function)
-    p.pack_int(x.peer)
-    p.pack_object(x.qp)
-    p.pack_object(x.resources)
-    p.pack_object(x.input_quality)
-    p.pack_object(x.output_quality)
-    p.pack_int(x.n_inputs)
-    p.pack_float(x.bandwidth_factor)
-
-
-def _unpack_cspec(u: _Unpacker) -> ComponentSpec:
-    read = u.read_value
-    return ComponentSpec(
-        read(), read(), read(), read(), read(), read(), read(), read(), read()
-    )
-
-
-_register(ComponentSpec, _pack_cspec, _unpack_cspec)
+_layout(
+    ServiceMetadata,
+    component_id=_I64, function=_STR, peer=_I32, qp=_obj(QoSVector),
+    resources=_obj(ResourceVector), input_quality=_obj(QualitySpec),
+    output_quality=_obj(QualitySpec), bandwidth_factor=_F64, registered_at=_F64,
+)
+_layout(
+    ComponentSpec,
+    component_id=_I64, function=_STR, peer=_I32, qp=_obj(QoSVector),
+    resources=_obj(ResourceVector), input_quality=_obj(QualitySpec),
+    output_quality=_obj(QualitySpec), n_inputs=_I32, bandwidth_factor=_F64,
+)
 
 
 def _pack_fgraph(p: _Packer, x: FunctionGraph) -> None:
@@ -740,101 +880,46 @@ def _unpack_fgraph(u: _Unpacker) -> FunctionGraph:
 
 
 _register(FunctionGraph, _pack_fgraph, _unpack_fgraph)
+_layout(
+    CompositeRequest,
+    request_id=_I64, function_graph=_obj(FunctionGraph), qos=_obj(QoSRequirement),
+    source_peer=_I32, dest_peer=_I32, bandwidth=_F64, failure_req=_F64,
+    duration=_F64, priority=_F64,
+)
+# a service graph covers its whole pattern, which no run length bounds
+_layout(
+    ServiceGraph,
+    pattern=_obj(FunctionGraph), assignment=_TERM, source_peer=_I32, dest_peer=_I32,
+    base_bandwidth=_F64,
+)
 
 
-def _pack_request(p: _Packer, x: CompositeRequest) -> None:
-    p.pack_int(x.request_id)
-    p.pack_object(x.function_graph)
-    p.pack_object(x.qos)
-    p.pack_int(x.source_peer)
-    p.pack_int(x.dest_peer)
-    p.pack_float(x.bandwidth)
-    p.pack_float(x.failure_req)
-    p.pack_float(x.duration)
-    p.pack_float(x.priority)
+_COMPONENT = _obj(ServiceMetadata)
 
 
-def _unpack_request(u: _Unpacker) -> CompositeRequest:
-    read = u.read_value
-    return _new_with_dict(
-        CompositeRequest,
-        {
-            "request_id": read(),
-            "function_graph": read(),
-            "qos": read(),
-            "source_peer": read(),
-            "dest_peer": read(),
-            "bandwidth": read(),
-            "failure_req": read(),
-            "duration": read(),
-            "priority": read(),
-        },
-    )
+def _pack_assignment(p: _Packer, assignment: Dict[str, ServiceMetadata]) -> None:
+    _write_count(p, assignment)
+    for fn, meta in assignment.items():
+        p.pack_str(fn)
+        p.pack_object(meta)
 
 
-_register(CompositeRequest, _pack_request, _unpack_request)
+def _unpack_assignment(u: _Unpacker) -> Dict[str, ServiceMetadata]:
+    read_meta = _COMPONENT.unpack
+    out = {}
+    for _ in range(_read_count(u)):
+        fn = u.read_str()
+        out[fn] = read_meta(u)
+    return out
 
 
-def _pack_sgraph(p: _Packer, x: ServiceGraph) -> None:
-    p.pack_object(x.pattern)
-    p.pack_value(x.assignment)
-    p.pack_int(x.source_peer)
-    p.pack_int(x.dest_peer)
-    p.pack_float(x.base_bandwidth)
-
-
-def _unpack_sgraph(u: _Unpacker) -> ServiceGraph:
-    read = u.read_value
-    return _new_with_dict(
-        ServiceGraph,
-        {
-            "pattern": read(),
-            "assignment": read(),
-            "source_peer": read(),
-            "dest_peer": read(),
-            "base_bandwidth": read(),
-        },
-    )
-
-
-_register(ServiceGraph, _pack_sgraph, _unpack_sgraph)
-
-
-def _pack_probe(p: _Packer, x: Probe) -> None:
-    p.pack_int(x.probe_id)
-    p.pack_object(x.request)
-    p.pack_object(x.graph)
-    p.pack_value(sorted(sorted(pair) for pair in x.applied_swaps))
-    p.pack_value(x.assignment)
-    p.pack_value(x.branch)
-    p.pack_int(x.current_peer)
-    p.pack_object(x.qos)
-    p.pack_int(x.budget)
-    p.pack_float(x.out_bandwidth)
-    p.pack_float(x.elapsed)
-    p.pack_int(x.hops)
-
-
-def _unpack_probe(u: _Unpacker) -> Probe:
-    read = u.read_value
-    probe = object.__new__(Probe)
-    _OSET(probe, "probe_id", read())
-    _OSET(probe, "request", read())
-    _OSET(probe, "graph", read())
-    _OSET(probe, "applied_swaps", frozenset(frozenset(pair) for pair in read()))
-    _OSET(probe, "assignment", read())
-    _OSET(probe, "branch", tuple(read()))
-    _OSET(probe, "current_peer", read())
-    _OSET(probe, "qos", read())
-    _OSET(probe, "budget", read())
-    _OSET(probe, "out_bandwidth", read())
-    _OSET(probe, "elapsed", read())
-    _OSET(probe, "hops", read())
-    _OSET(probe, "_dedup", None)
-    return probe
-
-
-_register(Probe, _pack_probe, _unpack_probe)
+_PROBE = _layout(
+    Probe,
+    probe_id=_I64, request=_obj(CompositeRequest), graph=_obj(FunctionGraph),
+    applied_swaps=_SWAPS, assignment=_Kind(_pack_assignment, _unpack_assignment),
+    branch=_STRS, current_peer=_I32, qos=_QOS_VECTOR, budget=_I32, out_bandwidth=_F64,
+    elapsed=_F64, hops=_I32,
+)
 
 
 # ----------------------------------------------------------------------
@@ -844,28 +929,21 @@ def _tokens_tuple(tokens) -> Tuple[Tuple, ...]:
     return tuple(tuple(t) for t in tokens)
 
 
-def _message(cls: Type) -> Type:
-    """Register a message dataclass with shallow field-wise encoding.
-
-    The layout packs the field *values* in declared order — both ends
-    share the schema, so field names never cross the wire; decode rebuilds
-    through the dataclass constructor (cheap: message ``__post_init__``
-    only normalizes container types).
-    """
-    names = [f.name for f in dataclasses.fields(cls)]
-
-    def pack(p: _Packer, m, _names=names) -> None:
-        for n in _names:
-            p.pack_value(getattr(m, n))
-
-    def unpack(u: _Unpacker, _cls=cls, _names=names):
-        return _cls(**{n: u.read_value() for n in _names})
-
-    _register(cls, pack, unpack)
-    return cls
+_TOKENS = _term(_tokens_tuple)
+_TUPLE = _term(tuple)
 
 
-@_message
+def _message(**kinds: Any) -> Callable[[Type], Type]:
+    """Class decorator: register a message dataclass under :func:`_layout`."""
+
+    def register(cls: Type) -> Type:
+        _layout(cls, **kinds)
+        return cls
+
+    return register
+
+
+@_message(request_id=_I64, request=_obj(CompositeRequest), budget=_I32, confirm=_BOOL)
 @dataclass(frozen=True)
 class ComposeBegin:
     """Source → destination: open a probe collection window for a request."""
@@ -893,9 +971,8 @@ def _normalize_credit(msg) -> None:
     ``reports`` is a tuple of bundles ``(holder, n, peers, links)``: what
     ``holder`` reserved in its ``n``-th reporting admission, ``peers`` as
     ``(peer, rtype, amount)`` rows and ``links`` as ``(u, v, bandwidth)``
-    rows.  Anything else is refused — a malformed report is a
-    :class:`CodecError` at decode time, never a ``TypeError`` inside the
-    destination's handler."""
+    rows.  Anything else is refused here, where a message is made; the
+    wire layout (:data:`_REPORTS`) cannot represent a malformed row."""
     bundles = tuple(
         (
             holder,
@@ -910,7 +987,52 @@ def _normalize_credit(msg) -> None:
         raise CodecError(f"malformed reservation report discovery rtt: {msg.discovery!r}")
 
 
-@_message
+_S_BUNDLE = struct.Struct(">iqBB")  # holder, n, peer rows, link rows
+_S_PEER_ROW = struct.Struct(">id")  # peer, amount; the resource type follows
+_S_LINK_ROW = struct.Struct(">iid")  # u, v, bandwidth
+
+
+def _pack_reports(p: _Packer, reports) -> None:
+    _write_count(p, reports)
+    out = p.out
+    for holder, n, peers, links in reports:
+        out += _S_BUNDLE.pack(holder, n, len(peers), len(links))
+        for peer, rtype, amount in peers:
+            out += _S_PEER_ROW.pack(peer, amount)
+            p.pack_str(rtype)
+        for u, v, bandwidth in links:
+            out += _S_LINK_ROW.pack(u, v, bandwidth)
+
+
+def _unpack_reports(u: _Unpacker) -> Tuple[Tuple, ...]:
+    buf = u.buf
+    bundles = []
+    for _ in range(_read_count(u)):
+        pos = u.pos
+        holder, n, n_peers, n_links = _S_BUNDLE.unpack_from(buf, pos)
+        pos += _S_BUNDLE.size
+        peers = []
+        for _ in range(n_peers):
+            peer, amount = _S_PEER_ROW.unpack_from(buf, pos)
+            u.pos = pos + _S_PEER_ROW.size
+            peers.append((peer, u.read_str(), amount))
+            pos = u.pos
+        u.pos = end = pos + n_links * _S_LINK_ROW.size
+        if end > len(buf):
+            raise CodecError("truncated binary payload: link rows run past the end")
+        links = tuple(_S_LINK_ROW.iter_unpack(buf[pos:end]))
+        bundles.append((holder, n, tuple(peers), links))
+    return tuple(bundles)
+
+
+_REPORTS = _Kind(_pack_reports, _unpack_reports)
+
+
+@_message(
+    request_id=_I64, parent=_PROBE, function=_STR, component=_obj(ServiceMetadata),
+    graph=_obj(FunctionGraph), applied=_PAIRS, budget=_I32, lookup_rtt=_F64, credit=_FRACTION,
+    reports=_REPORTS, discovery=_OPT_F64,
+)
 @dataclass(frozen=True)
 class ProbeTransfer:
     """Peer → peer: one child probe dispatch (Step 2.4 → Step 2.1).
@@ -948,7 +1070,9 @@ class ProbeTransfer:
         _normalize_credit(self)
 
 
-@_message
+@_message(
+    request_id=_I64, probe=_PROBE, credit=_FRACTION, reports=_REPORTS, discovery=_OPT_F64
+)
 @dataclass(frozen=True)
 class FinalProbe:
     """Last-hop peer → destination: a branch-complete probe arrives.
@@ -968,7 +1092,9 @@ class FinalProbe:
     __post_init__ = _normalize_credit
 
 
-@_message
+@_message(
+    request_id=_I64, credit=_FRACTION, reason=_STR, reports=_REPORTS, discovery=_OPT_F64
+)
 @dataclass(frozen=True)
 class CreditReturn:
     """Any peer → destination: credit whose probe will not arrive, with
@@ -983,7 +1109,7 @@ class CreditReturn:
     __post_init__ = _normalize_credit
 
 
-@_message
+@_message(request_id=_I64, tokens=_TOKENS)
 @dataclass(frozen=True)
 class SessionConfirm:
     """Destination → path peers: setup ack confirming soft reservations."""
@@ -995,7 +1121,7 @@ class SessionConfirm:
         object.__setattr__(self, "tokens", _tokens_tuple(self.tokens))
 
 
-@_message
+@_message(request_id=_I64, keep=_TOKENS, soft_only=_BOOL)
 @dataclass(frozen=True)
 class SessionRelease:
     """Destination → the peers holding this request's reservations (those
@@ -1012,7 +1138,10 @@ class SessionRelease:
         object.__setattr__(self, "keep", _tokens_tuple(self.keep))
 
 
-@_message
+@_message(
+    request_id=_I64, success=_BOOL, graph=_TERM, qos=_TERM, cost=_F64, failure_reason=_TERM,
+    probes_sent=_I64, candidates_examined=_I64, setup_time=_F64, phases=_TERM, session_tokens=_TOKENS,
+)
 @dataclass(frozen=True)
 class ComposeResult:
     """Destination → source: the composition outcome."""
@@ -1033,7 +1162,7 @@ class ComposeResult:
         object.__setattr__(self, "session_tokens", _tokens_tuple(self.session_tokens))
 
 
-@_message
+@_message(request_id=_I64, reason=_STR, inflight=_I64)
 @dataclass(frozen=True)
 class Busy:
     """Destination → source, inside the :class:`ComposeBegin` reply:
@@ -1050,7 +1179,7 @@ class Busy:
     inflight: int
 
 
-@_message
+@_message(request_id=_I64, seq=_I64)
 @dataclass(frozen=True)
 class MaintenancePing:
     """Source → session peers: periodic liveness probe for an active session."""
@@ -1059,7 +1188,7 @@ class MaintenancePing:
     seq: int
 
 
-@_message
+@_message(spec=_obj(ComponentSpec), registered_at=_F64)
 @dataclass(frozen=True)
 class RegisterComponent:
     """Hosting peer → directory owner: store a component's meta-data.
@@ -1072,7 +1201,7 @@ class RegisterComponent:
     registered_at: float = 0.0
 
 
-@_message
+@_message(specs=_TUPLE, registered_at=_F64)
 @dataclass(frozen=True)
 class RegisterBatch:
     """Hosting peer → directory replica: store many rows in one frame.
@@ -1091,7 +1220,7 @@ class RegisterBatch:
         object.__setattr__(self, "specs", tuple(self.specs))
 
 
-@_message
+@_message(function=_STR, origin_peer=_I32)
 @dataclass(frozen=True)
 class LookupRequest:
     """Querying peer → directory owner: a function's duplicate list.
@@ -1106,7 +1235,7 @@ class LookupRequest:
     origin_peer: int
 
 
-@_message
+@_message(function=_STR, rows=_TUPLE, version=_I64)
 @dataclass(frozen=True)
 class ReplicatePush:
     """Hot key's holder → extended ring successors: replicate the rows.
@@ -1124,7 +1253,7 @@ class ReplicatePush:
         object.__setattr__(self, "rows", tuple(self.rows))
 
 
-@_message
+@_message(function=_STR, version=_I64)
 @dataclass(frozen=True)
 class ReplicaInvalidate:
     """Registrant → stale holders: a function's rows changed.
@@ -1140,7 +1269,7 @@ class ReplicaInvalidate:
     version: int
 
 
-@_message
+@_message(origin=_I32, seq=_I64, sent_at=_F64)
 @dataclass(frozen=True)
 class PathProbe:
     """Measurement plane, prober → overlay neighbour: active RTT probe.
@@ -1156,7 +1285,7 @@ class PathProbe:
     sent_at: float
 
 
-@_message
+@_message(seq=_I64, echo=_F64)
 @dataclass(frozen=True)
 class ProbeAck:
     """Measurement plane, neighbour → prober: :class:`PathProbe` echo.
@@ -1167,59 +1296,6 @@ class ProbeAck:
 
     seq: int
     echo: float
-
-
-# ----------------------------------------------------------------------
-# hot-message specializations
-# ----------------------------------------------------------------------
-def _specialize(cls: Type, pack: Callable, unpack: Callable) -> None:
-    """Swap a registered type's generic layout for a dedicated one."""
-    tid = _BIN_IDS[cls]
-    _BIN_PACKERS[tid] = pack
-    _BIN_UNPACKERS[tid] = unpack
-
-
-def _pack_probe_transfer(p: _Packer, m: ProbeTransfer) -> None:
-    p.pack_int(m.request_id)
-    p.pack_object(m.parent)
-    p.pack_str(m.function)
-    p.pack_object(m.component)
-    p.pack_object(m.graph)
-    p.pack_value(m.applied)
-    p.pack_int(m.budget)
-    p.pack_float(m.lookup_rtt)
-    p.pack_object(m.credit)
-    p.pack_value(m.reports)
-    p.pack_value(m.discovery)
-
-
-def _unpack_probe_transfer(u: _Unpacker) -> ProbeTransfer:
-    read = u.read_value
-    # trusted decode skips __post_init__: the tuple normalization it
-    # exists for is done right here, the bundle check just below
-    msg = _new_with_dict(
-        ProbeTransfer,
-        {
-            "request_id": read(),
-            "parent": read(),
-            "function": read(),
-            "component": read(),
-            "graph": read(),
-            "applied": tuple(tuple(pair) for pair in read()),
-            "budget": read(),
-            "lookup_rtt": read(),
-            "credit": read(),
-            "reports": read(),
-            "discovery": read(),
-        },
-    )
-    _normalize_credit(msg)
-    return msg
-
-
-# ProbeTransfer is by far the most frequent frame on the wire (one per
-# probe hop), so it alone earns a hand-rolled layout
-_specialize(ProbeTransfer, _pack_probe_transfer, _unpack_probe_transfer)
 
 
 def _blob_cached(cls: Type) -> None:

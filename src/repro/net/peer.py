@@ -82,6 +82,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import secrets
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -271,7 +272,10 @@ class PeerDaemon:
         self._confirmed: Dict[int, Set[Tuple]] = {}  # rid -> firm tokens owned here
         self._timers: Dict[Tuple[int, Tuple], asyncio.TimerHandle] = {}
         self._seen = DedupCache()  # (rid, Probe.dedup_key()) application dedup
-        self._bundles_made = 0  # the n of this peer's next report bundle
+        # the n of this peer's latest report bundle: a counter under a boot
+        # nonce (the high half), so the daemon a revive builds for this peer
+        # id never repeats a (holder, n) a still-open window has booked
+        self._bundles_made = secrets.randbits(31) << 32
         # rid -> {(function, origin): future} single-flight lookup dedup
         # (the tier-off wire path).  A rid's map lives while this daemon
         # is expanding a probe of that request (_expanding counts them):

@@ -321,7 +321,9 @@ class RpcEndpoint:
         if cached is not None:
             self._spawn(self._respond(key, cached))
         else:
-            self._cache_reply(key, _INFLIGHT)
+            # in-flight markers never expire on their own: the handler's
+            # completion always overwrites them with the real (TTL'd) reply
+            self._replies[key] = (None, _INFLIGHT)
             self._spawn(self._handle(key, get("body")))
 
     def _spawn(self, coro: Awaitable) -> None:
@@ -353,11 +355,8 @@ class RpcEndpoint:
 
     def _cache_reply(self, key: tuple, value: Any) -> None:
         now = self._clock()
-        # in-flight markers never expire on their own: the handler's
-        # completion always overwrites them with the real (TTL'd) reply
-        expires = None if value is _INFLIGHT else now + self.reply_ttl
         replies = self._replies
-        replies[key] = (expires, value)
+        replies[key] = (now + self.reply_ttl, value)
         replies.move_to_end(key)
         while replies:  # TTL eviction from the stale end
             head_exp = next(iter(replies.values()))[0]

@@ -9,10 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import SpiderNet
 from repro.topology import generate_ip_network, mesh_overlay, wan_overlay
 from repro.workload import PopulationConfig, RequestConfig, RequestGenerator, generate_population
+
+# ``--hypothesis-profile=long``: the seed budget of CI's long-schedule job.
+# Tests that defer to a selected profile (tests/test_net_codec.py::_fuzz)
+# run this many fresh examples instead of their short derandomized tier-1
+# schedule, and print the blob that reproduces a failure.
+settings.register_profile(
+    "long", max_examples=5000, derandomize=False, print_blob=True, deadline=None
+)
 
 
 @pytest.fixture(scope="session")

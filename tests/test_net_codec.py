@@ -2,7 +2,6 @@
 
 import struct
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -59,13 +58,55 @@ def roundtrip(obj, version=WIRE_VERSION):
     return decode_frame(encode_frame(obj, version))
 
 
-@pytest.fixture(params=[WIRE_VERSION], ids=lambda v: f"v{v}")
+# the id is the label these tests have carried since the binary encoding
+# was version 2; test ids are compared across commits, so it stays
+@pytest.fixture(params=[WIRE_VERSION], ids=["v2"])
 def version(request):
     return request.param
 
 
+def _fuzz(examples: int) -> settings:
+    """Settings of a property test here: ``examples`` derandomized ones, so
+    tier-1 is repeatable; a profile selected on the command line
+    (``--hypothesis-profile=long``, see conftest.py) decides both instead."""
+    if settings.default is not settings.get_profile("default"):
+        return settings(deadline=None)
+    return settings(max_examples=examples, deadline=None, derandomize=True)
+
+
 def _frame(payload: bytes, version: int = WIRE_VERSION) -> bytes:
     return struct.pack(">2sBI", b"SN", version, len(payload)) + payload
+
+
+def _credit_return(
+    credit: bytes = struct.pack(">Bqq", 0, 1, 2), reports: bytes = b"\x00", discovery: bytes = b"\x00"
+) -> bytes:
+    """A ``CreditReturn(1, credit, "lost", reports, discovery)`` payload in
+    its typed layout, written by hand so each part can be damaged."""
+    head = bytes([codec._T_OBJ, codec._BIN_IDS[codec.CreditReturn]]) + struct.pack(">q", 1)
+    return head + credit + bytes([codec._T_STR8, 4]) + b"lost" + reports + discovery
+
+
+_BUNDLE = struct.Struct(">iqBB")  # holder, n, peer rows, link rows
+_PEER_ROW = struct.pack(">id", 3, 0.5) + bytes([codec._T_STRREF, 0, 13])  # "cpu" in the static table
+_LINK_ROW = struct.pack(">iid", 2, 3, 1.25)
+
+# values at the edges of the typed layouts' widths
+_EDGES = [0, 1, -1, 2**31 - 1, 2**31, -(2**31), -(2**31) - 1, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1]
+_ints = st.sampled_from(_EDGES) | st.integers(-(2**70), 2**70)
+_runs = st.sampled_from([0, 1, 2, 3, 255, 256])
+_names = st.text(min_size=1, max_size=8) | st.just("\u00e9" * 200)
+_floats = st.floats(min_value=0, allow_nan=False)
+_amounts = _floats | st.integers(0, 2**53)  # an integer-valued amount comes back equal
+_credits = st.builds(Fraction, _ints, st.sampled_from([1, 3, 2**63 - 1, 2**63, 2**64 + 1, 3**60]))
+
+
+def _i32(*values: int) -> bool:
+    return all(-(2**31) <= v < 2**31 for v in values)
+
+
+def _i64(*values: int) -> bool:
+    return all(-(2**63) <= v < 2**63 for v in values)
 
 
 @pytest.fixture(scope="module")
@@ -109,17 +150,29 @@ def messages(scenario, request_obj, service_graph):
 
 @pytest.fixture(scope="module")
 def frames(messages):
-    """Each message as the frame an RPC request carries it in."""
+    """Each message as the frame an RPC request carries it in, and the two
+    shapes of reply: the bare ack and one with a body of its own."""
     return [
-        encode_frame({"kind": "req", "id": 9, "src": 0, "inc": 1, "body": msg})
+        encode_frame({"kind": "req", "id": 9, "src": 0, "inc": "5f0c2a9e", "body": msg})
         for msg in messages
+    ] + [
+        encode_frame({"kind": "res", "id": 9, "src": 1, "inc": "5f0c2a9e", "body": {"ok": True}}),
+        encode_frame({"kind": "res", "id": 9, "src": 1, "body": {"confirmed": [[1, "comp", 7]]}}),
     ]
 
 
+def _unchecked(cls, **values):
+    """A message made past its constructor: what a buggy sender hands the encoder."""
+    msg = object.__new__(cls)
+    msg.__dict__.update(values)
+    return msg
+
+
 def _assert_refused(request_obj, service_graph, version, **damage):
-    """Each credit-carrying frame refuses ``damage`` (values for its
-    ``reports`` / ``discovery``) with a CodecError: at decode time and
-    in its constructor."""
+    """Each credit-carrying message refuses ``damage`` (values for its
+    ``reports`` / ``discovery``) with a CodecError: in its constructor,
+    and in the encoder when the message was made past the constructor —
+    the typed layout has no bytes for such a value."""
     probe = Probe.initial(request_obj, budget=8)
     fn = service_graph.pattern.functions[0]
     heads = {
@@ -134,15 +187,11 @@ def _assert_refused(request_obj, service_graph, version, **damage):
     }
     for cls, head in heads.items():
         values = {**head, "reports": [], "discovery": None, **damage}
-        # the type's layout, written from unvalidated field values
-        type_id = codec._BIN_IDS[cls]
-        packer = codec._Packer()
-        packer.out += bytes([codec._T_OBJ, type_id])
-        codec._BIN_PACKERS[type_id](packer, SimpleNamespace(**values))
-        with pytest.raises(CodecError, match="malformed reservation report"):
-            decode_frame(_frame(bytes(packer.out), version))
         with pytest.raises(CodecError, match="malformed reservation report"):
             cls(**values)
+        # never struct.error or TypeError: the encoder is strict
+        with pytest.raises(CodecError, match="does not fit its wire layout"):
+            encode_frame(_unchecked(cls, **values), version)
 
 
 class TestRoundTrips:
@@ -261,6 +310,68 @@ class TestRoundTrips:
         assert out != bare
 
 
+    @_fuzz(150)
+    @given(data=st.data())
+    def test_round_trip_at_the_layout_edges(self, data, request_obj, service_graph):
+        """The typed layouts at their limits: what fits comes back equal,
+        what does not (an id past i64, a peer past i32, a 256-entry run) is
+        refused by the encoder with a CodecError."""
+        draw = data.draw
+        meta = next(iter(service_graph.assignment.values()))
+        graph = request_obj.function_graph
+        name = draw(_names, label="name")
+
+        def run(label):
+            return [f"{name}{i}" for i in range(draw(_runs, label=label))]
+
+        branch, assigned, swaps, applied, metrics = map(
+            run, ["branch", "assigned", "swaps", "applied", "metrics"]
+        )
+        probe_id, request_id, n = (draw(_ints, label=lb) for lb in ["probe_id", "request_id", "n"])
+        peer, holder, hops = (draw(_ints, label=lb) for lb in ["peer", "holder", "hops"])
+        budget = abs(draw(_ints, label="budget"))
+        x, amount = draw(_floats, label="x"), draw(_amounts, label="amount")
+        credit = draw(_credits, label="credit")
+        discovery = draw(st.none() | _amounts, label="discovery")
+        n_bundles, peer_rows, link_rows = (
+            draw(_runs, label=lb) for lb in ["bundles", "peer_rows", "link_rows"]
+        )
+        # one bundle holds the long runs of rows, the others one row each
+        long = (holder, n, ((holder, name, amount),) * peer_rows, ((holder, holder, amount),) * link_rows)
+        bundles = ((long,) + ((holder, n, ((holder, name, amount),), ()),) * 255)[:n_bundles]
+
+        probe = Probe(
+            probe_id, request_obj, graph, frozenset(frozenset((s, s + "'")) for s in swaps),
+            {fn: meta for fn in assigned}, tuple(branch), peer, QoSVector({m: x for m in metrics}),
+            budget, x, x, hops,
+        )
+        probe_fits = (
+            _i64(probe_id) and _i32(peer, budget, hops)
+            and max(map(len, [branch, assigned, swaps, metrics])) <= 255
+        )
+        cargo_fits = _i64(request_id) and (
+            n_bundles == 0
+            or (max(n_bundles, peer_rows, link_rows) <= 255 and _i64(n) and _i32(holder))
+        )
+        pairs = tuple((a, a) for a in applied)
+        for msg, fits in [
+            (probe, probe_fits),
+            (
+                codec.ProbeTransfer(
+                    request_id, probe, name, meta, graph, pairs, budget, x, credit, bundles, discovery
+                ),
+                probe_fits and cargo_fits and len(pairs) <= 255,
+            ),
+            (codec.FinalProbe(request_id, probe, credit, bundles, discovery), probe_fits and cargo_fits),
+            (codec.CreditReturn(request_id, credit, name, bundles, discovery), cargo_fits),
+        ]:
+            if fits:
+                assert roundtrip(msg) == msg, type(msg).__name__
+            else:
+                with pytest.raises(CodecError):
+                    encode_frame(msg)
+
+
 class TestBinaryFormat:
     """Back-references and damage rejection in the term format."""
 
@@ -318,13 +429,14 @@ class TestRejection:
             decode_frame(bytes(frame))
 
     def test_version_1_is_refused(self):
-        # the retired JSON encoding: a stale peer is turned away at the
-        # header, and nothing here will write such a frame either
-        stale = _frame(b'{"x":1}', version=1)
-        with pytest.raises(CodecError, match="unsupported wire version 1"):
-            decode_frame(stale)
-        with pytest.raises(CodecError, match="cannot encode wire version 1"):
-            encode_frame({"x": 1}, 1)
+        # the retired encodings (1: JSON, 2: tagged terms throughout): a
+        # stale peer is turned away at the header, and nothing here will
+        # write such a frame either
+        for retired, payload in [(1, b'{"x":1}'), (2, encode_frame({"x": 1})[7:])]:
+            with pytest.raises(CodecError, match=f"unsupported wire version {retired}"):
+                decode_frame(_frame(payload, version=retired))
+            with pytest.raises(CodecError, match=f"cannot encode wire version {retired}"):
+                encode_frame({"x": 1}, retired)
 
     def test_bad_magic(self):
         frame = b"XX" + encode_frame({"x": 1})[2:]
@@ -366,6 +478,51 @@ class TestRejection:
             reader.feed(good + _frame(payload))
 
     @pytest.mark.parametrize(
+        "damage",
+        [
+            {"reports": b"\x02" + _BUNDLE.pack(3, 1, 0, 0)},
+            {"reports": b"\x01" + _BUNDLE.pack(3, 1, 2, 0) + _PEER_ROW},
+            {"reports": b"\x01" + _BUNDLE.pack(3, 1, 0, 2) + _LINK_ROW},
+            {"reports": b"\x01" + _BUNDLE.pack(3, 1, 1, 0) + _PEER_ROW[:12] + bytes([codec._T_INT8, 9])},
+            {"credit": struct.pack(">Bqq", 0, 1, 0)},
+            {"credit": struct.pack(">Bqq", 0, 1, -2)},
+            {"credit": bytes([1, codec._T_INT8, 1, codec._T_INT8, 0])},
+            {"credit": bytes([1, codec._T_INT8, 1, codec._T_FLOAT]) + struct.pack(">d", 2.0)},
+            {"credit": struct.pack(">Bqq", 2, 1, 2)},
+            {"discovery": b"\x02" + struct.pack(">d", 0.125)},
+            {"discovery": b"\x01"},
+        ],
+        ids=[
+            "bundle-count-past-the-end", "peer-rows-past-the-end", "link-rows-past-the-end",
+            "resource-type-not-a-string", "zero-denominator", "negative-denominator",
+            "zero-big-denominator", "float-denominator", "credit-form-byte",
+            "presence-byte", "discovery-past-the-end",
+        ],
+    )
+    def test_damaged_typed_bytes(self, damage):
+        # what damage the typed layouts *can* express on the wire: the hand
+        # writer is right about the layout, and each damaged part is refused
+        whole = _credit_return(
+            reports=b"\x01" + _BUNDLE.pack(3, 1, 1, 1) + _PEER_ROW + _LINK_ROW,
+            discovery=b"\x01" + struct.pack(">d", 0.125),
+        )
+        assert decode_frame(_frame(whole)) == codec.CreditReturn(
+            1, Fraction(1, 2), "lost", ((3, 1, ((3, "cpu", 0.5),), ((2, 3, 1.25),)),), 0.125
+        )
+        with pytest.raises(CodecError):
+            decode_frame(_frame(_credit_return(**damage)))
+
+    def test_object_of_another_class_is_refused(self, request_obj):
+        # an object field names its class in the layout; the bytes may hold
+        # any registered object there, and only that class is let through
+        good = encode_frame(codec.ComposeBegin(1, request_obj, 16, True))[7:]
+        head = good[: 2 + struct.calcsize(">qi?")]
+        assert decode_frame(_frame(good)).request == request_obj
+        stray = encode_frame(QoSVector({"delay": 0.2}))[7:]
+        with pytest.raises(CodecError, match="where the layout reads a CompositeRequest"):
+            decode_frame(_frame(head + stray))
+
+    @pytest.mark.parametrize(
         "field, rows",
         [
             ("peers", 7),  # not a sequence of rows
@@ -382,9 +539,9 @@ class TestRejection:
         ],
     )
     def test_malformed_report_rows(self, request_obj, service_graph, version, field, rows):
-        # the rows cross the wire as plain lists, so a damaged or hostile
-        # frame can hold anything there: the decoder must refuse it as a
-        # CodecError, never let a TypeError out of a dataclass constructor
+        # the rows cross the wire as struct rows that cannot say any of
+        # this (what damaged bytes can say is test_damaged_typed_bytes);
+        # the constructor and the encoder must refuse it as a CodecError
         good = {"peers": [[3, "cpu", 0.5]], "links": [[2, 3, 1.0]]}
         rows_of = {**good, field: rows}
         reports = [[4, 1, good["peers"], good["links"]], [3, 1, rows_of["peers"], rows_of["links"]]]
@@ -422,13 +579,14 @@ class TestFrameReader:
     def test_mixed_versions_on_one_stream(self):
         # there is one version: a frame that claims another poisons the
         # stream where it starts, and the reader stays poisoned
-        reader = FrameReader()
-        assert reader.feed(encode_frame({"n": 0})) == [{"n": 0}]
-        stale = _frame(b'{"n":1}', version=1)
-        with pytest.raises(CodecError, match="unsupported wire version 1"):
-            reader.feed(stale + encode_frame({"n": 2}))
-        with pytest.raises(CodecError, match="unsupported wire version 1"):
-            reader.feed(encode_frame({"n": 3}))
+        for retired in (1, 2):
+            reader = FrameReader()
+            assert reader.feed(encode_frame({"n": 0})) == [{"n": 0}]
+            stale = _frame(encode_frame({"n": 1})[7:], version=retired)
+            with pytest.raises(CodecError, match=f"unsupported wire version {retired}"):
+                reader.feed(stale + encode_frame({"n": 2}))
+            with pytest.raises(CodecError, match=f"unsupported wire version {retired}"):
+                reader.feed(encode_frame({"n": 3}))
 
     def test_burst_of_many_frames(self):
         # the offset-cursor path: one big burst must come back intact
@@ -469,12 +627,12 @@ class TestFuzz:
         except CodecError:
             pass
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @_fuzz(300)
     @given(payload=st.binary(max_size=96))
     def test_arbitrary_bytes_behind_a_valid_header(self, payload):
         self._decodes_or_refuses(_frame(payload))
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
+    @_fuzz(400)
     @given(data=st.data())
     def test_damaged_frames_of_every_message_type(self, data, frames):
         frame = bytearray(data.draw(st.sampled_from(frames), label="frame"))
@@ -494,7 +652,7 @@ class TestFuzz:
         frame[3:7] = (len(frame) - 7).to_bytes(4, "big")
         self._decodes_or_refuses(bytes(frame))
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @_fuzz(60)
     @given(data=st.data())
     def test_any_chunking_of_a_burst_decodes_like_frame_by_frame(self, data, frames):
         burst = b"".join(frames)

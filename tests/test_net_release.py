@@ -30,6 +30,7 @@ import pytest
 
 from repro.core.bcp import BCPConfig, NextHopWeights
 from repro.net import ClusterConfig, DirectoryTierConfig, LiveCluster, MeasurementConfig, codec
+from repro.net.peer import _Collection
 from repro.net.rpc import RetryPolicy
 
 N_PEERS = 16
@@ -393,6 +394,65 @@ def test_bundles_delivered_twice_are_booked_once():
     # doubled rows overstate the wave's load
     _assert_booked_is_held(booked, held)
     assert soft == {}
+
+
+def test_bundle_keys_survive_a_restart():
+    """A holder killed and revived while a window stays open reports to it
+    from both lives.  The revived daemon's bundle counter starts over, so
+    without a boot nonce in ``n`` its ``(holder, 1)`` repeats the old
+    life's and the window books only one of the two."""
+
+    async def scenario():
+        cluster = _cluster()
+        wire = _Wire(cluster)
+        handled = []  # (peer, ProbeTransfer) as each daemon processes one
+        for peer, daemon in cluster.daemons.items():
+
+            async def process(msg, _peer=peer, _inner=daemon._process_probe):
+                handled.append((_peer, msg))
+                return await _inner(msg)
+
+            daemon._process_probe = process
+
+        def bundles_of(peer, frames):
+            return {
+                bundle
+                for src, body in frames
+                if src == peer and hasattr(body, "reports")
+                for bundle in body.reports
+                if bundle[0] == peer
+            }
+
+        async with cluster:
+            request = cluster.scenario.requests.batch(1)[0]
+            await cluster.compose(request, confirm=False, timeout=60)
+            frames = wire.take()
+            # a probe hop whose receiver reserved something and said so
+            holder, msg = next(
+                (peer, msg) for peer, msg in handled
+                if peer != request.dest_peer and bundles_of(peer, frames)
+            )
+            first_life = bundles_of(holder, frames)
+            cluster.kill_peer(holder)
+            await cluster.revive_peer(holder)
+            await cluster.daemons[holder]._process_probe(msg)
+            for daemon in cluster.daemons.values():
+                await daemon.drain()
+            second_life = bundles_of(holder, wire.take())
+            errors = cluster.errors()
+        return request, first_life, second_life, errors
+
+    request, first_life, second_life, errors = asyncio.run(scenario())
+    assert errors == [] and first_life and second_life
+    assert not {b[:2] for b in first_life} & {b[:2] for b in second_life}
+    window = _Collection(request=request, confirm=False, budget=1, result=None, started=0.0)
+    window.absorb(sorted(first_life))
+    window.absorb(sorted(second_life))
+    booked = {}
+    for _, _, peers, _ in [*first_life, *second_life]:
+        for peer, rtype, amount in peers:
+            booked[(peer, rtype)] = booked.get((peer, rtype), 0.0) + amount
+    assert booked and window.wave_peer_used == pytest.approx(booked)
 
 
 # ----------------------------------------------------------------------

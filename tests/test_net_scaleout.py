@@ -37,7 +37,8 @@ def _port_base() -> int:
 # ----------------------------------------------------------------------
 # Busy frame + guard units
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("version", [codec.WIRE_VERSION])
+# the id predates wire version 3; test ids are compared across commits, so it stays
+@pytest.mark.parametrize("version", [codec.WIRE_VERSION], ids=["2"])
 def test_busy_frame_round_trips_both_codecs(version):
     busy = codec.Busy(request_id=41, reason="sessions", inflight=9)
     env = {"kind": "res", "id": 5, "src": 2, "body": {"busy": busy}}
