@@ -428,9 +428,12 @@ def _print_measurement_stats(cluster) -> None:
     print("  measurement:")
     print(
         f"    probes {stats['probes_sent']} sent / "
-        f"{stats['probe_failures']} failed, "
+        f"{stats['probe_failures']} failed / "
+        f"{stats['probes_suppressed']} suppressed by traffic "
+        f"({stats['measure_frames']} frames, {stats['measure_bytes']} B), "
         f"samples {stats['samples_active']} active + "
-        f"{stats['samples_passive']} passive"
+        f"{stats['samples_passive']} passive, "
+        f"{stats['samples_discarded']} discarded (send waited)"
     )
     down = stats["paths_down"]
     n_down = sum(len(peers) for peers in down.values())
@@ -438,7 +441,8 @@ def _print_measurement_stats(cluster) -> None:
         f"    paths down {n_down} "
         f"({stats['down_events']} down / {stats['up_events']} up events), "
         f"reprices {stats['reprices']}, "
-        f"router rebuilds {stats['router_rebuilds']}"
+        f"router rebuilds {stats['router_rebuilds']}, "
+        f"private routers {stats['private_routers']}"
     )
 
 

@@ -30,7 +30,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -202,16 +202,30 @@ class BCP:
         # distrusts (weight = config.nexthop_weights.trust)
         self.trust = trust
         # per-pair link QoS and per-component Qp vectors are static while
-        # the overlay/registry are (overlay.clear_caches() invalidates)
+        # the overlay/registry are.  A static overlay can only flush
+        # everything (overlay.clear_caches()); a measured view names the
+        # pairs a re-price moved
         self._pair_qos: Dict[Tuple[int, int], QoSVector] = {}
         self._comp_qos: Dict[int, QoSVector] = {}
-        if hasattr(overlay, "add_cache_listener"):
-            overlay.add_cache_listener(self.clear_caches)
+        listen = getattr(overlay, "add_route_listener", None) or getattr(
+            overlay, "add_cache_listener", None
+        )
+        if listen is not None:
+            listen(self.clear_caches)
 
-    def clear_caches(self) -> None:
-        """Drop memoized link-QoS/Qp vectors (overlay invalidation hook)."""
-        self._pair_qos.clear()
-        self._comp_qos.clear()
+    def clear_caches(self, pairs: Optional[Iterable[Tuple[int, int]]] = None) -> None:
+        """Drop memoized QoS vectors (the overlay's invalidation hook).
+
+        With ``pairs`` — the ``(src, dst)`` whose route an overlay change
+        moved — exactly those link-QoS entries go: nothing an overlay can
+        do changes a component's Qp.  Without, both caches are flushed
+        (registry or wholesale overlay changes)."""
+        if pairs is None:
+            self._pair_qos.clear()
+            self._comp_qos.clear()
+        else:
+            for pair in pairs:
+                self._pair_qos.pop(pair, None)
 
     # ------------------------------------------------------------------
     # public entry point

@@ -610,18 +610,28 @@ class LiveCluster:
         planes = [
             d.measurement for d in self.daemons.values() if d.measurement is not None
         ]
+        views = [p.view for p in planes if p.view is not None]
+        ledger = self.tap.ledger
         out: Dict[str, object] = {
             "enabled": self.measure_cfg.enabled,
             "probes_sent": sum(p.probes_sent for p in planes),
+            "probes_suppressed": sum(p.probes_suppressed for p in planes),
             "probe_failures": sum(p.probe_failures for p in planes),
             "samples_active": sum(p.samples_active for p in planes),
             "samples_passive": sum(p.samples_passive for p in planes),
+            "samples_discarded": sum(
+                p.endpoint.samples_discarded for p in planes
+            ),
             "down_events": sum(p.down_events for p in planes),
             "up_events": sum(p.up_events for p in planes),
             "reprices": sum(p.reprices for p in planes),
-            "router_rebuilds": sum(
-                p.view.rebuilds for p in planes if p.view is not None
-            ),
+            "router_rebuilds": sum(v.rebuilds for v in views),
+            # views routing on a router of their own right now
+            "private_routers": sum(v.private for v in views),
+            # the plane's own traffic, apart from compose traffic: the
+            # PathProbe frames (their acks ride the shared net_ack book)
+            "measure_frames": ledger.count.get("net_measure", 0),
+            "measure_bytes": ledger.bytes.get("net_measure", 0),
             "paths_down": {
                 p.peer_id: p.down_paths for p in planes if p.down_paths
             },

@@ -7,16 +7,20 @@ overlay as continuously *measured* — peers benchmark their links and
 react to degradation.  This module closes that gap for the live runtime
 without touching the simulator substrates:
 
+* **Passive measurement** — every RPC round-trip already crosses the
+  link; :class:`~repro.net.rpc.RpcEndpoint` reports per-call RTTs via
+  its ``on_rtt`` hook, so hot paths are measured for free.  Two kinds of
+  exchange are never sampled (Karn's rule): one that was retransmitted,
+  whose RTT is ambiguous, and one whose send waited for a dial or on
+  backpressure, whose wait was the connection's and not the link's.
 * **Active probing** — each daemon's :class:`MeasurementPlane`
   periodically sends ``PathProbe`` frames (answered with ``ProbeAck``)
   to a bounded set of its overlay neighbours, charged to the
-  ``net_measure`` ledger category.  Down paths are probed first, so a
-  recovered peer is re-admitted by the next cycle.
-* **Passive measurement** — every RPC round-trip already crosses the
-  link; :class:`~repro.net.rpc.RpcEndpoint` reports per-call RTTs via
-  its ``on_rtt`` hook (first-attempt successes only — Karn's algorithm:
-  a retransmitted exchange's RTT is ambiguous), so hot paths are
-  measured for free.
+  ``net_measure`` ledger category — but only where traffic has not
+  measured: a neighbour that took a sample within the last interval is
+  skipped.  Down paths are probed first and failing ones always, so a
+  dead peer is detected, and a recovered one re-admitted, at the pace of
+  the probe cycle whatever the traffic.
 * **Estimation** — per-destination :class:`LinkEstimator` maintains a
   TCP-style smoothed RTT (``srtt``/``rttvar`` EWMA).  After a warm-up
   it locks a *baseline*; estimates that stop receiving samples decay
@@ -26,19 +30,27 @@ without touching the simulator substrates:
   failures to a peer trigger :meth:`MeasurementPlane.mark_path_down`;
   any later successful exchange (typically a recovery probe) triggers
   :meth:`~MeasurementPlane.mark_path_up`.
-* **Adaptive routing** — material deltas feed a
-  :class:`MeasuredOverlayView` layered over the static overlay.  The
-  view keeps the base topology's edge set and canonical link order (so
+* **Adaptive routing** — a sample feeds its estimator and marks the link
+  dirty, nothing more.  Once per probe interval the plane judges every
+  dirty link and pushes the verdicts into a :class:`MeasuredOverlayView`
+  layered over the static overlay as *one* mutation: at most one router
+  is built per daemon and interval.  The view keeps the base topology's
+  edge set and canonical link order (so
   :class:`~repro.core.resources.ResourcePool` arrays stay aligned) but
-  re-prices individual links and prices down-peer links at ``inf``,
-  then fires the overlay cache listeners so BCP's per-pair QoS caches
-  re-price.
+  re-prices individual links and prices down-peer links at ``inf``;
+  paths the mutation did not move keep their memoised lists, and the
+  view's listeners — BCP's per-pair QoS cache — are told exactly which
+  ``(src, dst)`` pairs it did move.
 
-**Parity by construction.**  Wall-clock RTTs and modeled delays live in
-different unit systems, so measurements are applied as *ratios*: a
-link's modeled delay is scaled by ``srtt / baseline``, and only when the
-inflation is material (``material_ratio`` and ``min_delta`` both
-exceeded).  Over an unchanged topology the ratio hovers at ~1, no
+**Parity by construction, under load too.**  Wall-clock RTTs and modeled
+delays live in different unit systems, so measurements are applied as
+*ratios*: a link's modeled delay is scaled by ``srtt / baseline``, and
+only when the inflation is material (``material_ratio``) *and* stands
+clear of the estimator's own noise (``max(min_delta, 4 x rttvar)`` above
+baseline).  Scheduler jitter under load inflates ``rttvar`` along with
+``srtt``, so it cannot pass the second test however often it passes the
+first; an installed scale is held through a band below the gate, so a
+ratio hovering there does not flap.  Over an unchanged topology no
 override is ever installed, and the view delegates every query verbatim
 to the base overlay — selections are bit-identical to the static
 substrates, which is what the parity suite asserts with measurement on.
@@ -99,14 +111,13 @@ class MeasurementConfig:
     decay_halflife: float = 5.0
     # consecutive exhausted exchanges before mark_path_down fires
     down_after: int = 3
-    # a link is re-priced only when srtt/baseline exceeds this ratio AND
-    # the absolute wall-clock change exceeds min_delta — keeps scheduler
-    # jitter from ever perturbing routing (the parity guarantee)
+    # a link is re-priced only when srtt/baseline reaches this ratio AND
+    # the estimate is above baseline by max(min_delta, 4 x rttvar) —
+    # keeps scheduler jitter from ever perturbing routing (the parity
+    # guarantee).  Half the ratio's excess over 1 is the band an installed
+    # scale is held through (MeasurementPlane._reprice)
     material_ratio: float = 1.5
     min_delta: float = 0.002
-    # an installed scale is only replaced when it moves by this relative
-    # amount, so per-sample jitter does not thrash router rebuilds
-    rescale_tolerance: float = 0.25
     # feed deltas into the MeasuredOverlayView (distributed mode only;
     # False collects statistics without touching routing)
     adapt_routing: bool = True
@@ -196,29 +207,34 @@ class MeasuredOverlayView:
     """An overlay facade layering measured deltas onto the static map.
 
     With no deltas installed every query delegates verbatim to the base
-    overlay (including its router, so memoized paths are shared) —
-    selections are bit-identical to the static substrate by
-    construction.  The first material delta materializes a private
+    overlay (:attr:`router` *is* the base's router, so memoized paths are
+    shared) — selections are bit-identical to the static substrate by
+    construction.  A delta puts a private
     :meth:`~repro.topology.routing.OverlayRouter.reweighted` router over
-    the *same* graph object: scaled links carry ``declared_delay x
-    scale``, links incident to a down peer carry ``inf``.  The edge set
-    and canonical link order are unchanged, so pool capacity/usage
-    arrays indexed by ``router.link_order`` remain valid.
+    the *same* graph object in its place: scaled links carry
+    ``declared_delay x scale``, links incident to a down peer carry
+    ``inf``.  The edge set and canonical link order are unchanged, so
+    pool capacity/usage arrays indexed by ``router.link_order`` remain
+    valid.
 
-    Mutations fire the view's cache listeners (BCP registers its
-    ``clear_caches`` at construction), so per-pair QoS caches re-price
-    against the new router.
+    **Invalidation contract.**  Every mutation builds its router at once
+    and compares it with the one it replaces: pairs that route as before
+    keep their memoised path lists (the same objects), and listeners
+    registered with :meth:`add_route_listener` get exactly the ordered
+    ``(src, dst)`` pairs whose delay or path changed — BCP drops those
+    per-pair QoS entries and nothing else.  When the last delta clears,
+    the view delegates to the shared base router again.
     """
 
     def __init__(self, base) -> None:
         self.base = base
         self.graph = base.graph
+        self.router = base.router
         self._scales: Dict[Link, float] = {}
         self._down: Set[int] = set()
-        self._router = None  # materialized lazily; None -> delegate
         self._loss_cache: Dict[Tuple[int, int], float] = {}
-        self._cache_listeners: List[Callable[[], None]] = []
-        self.rebuilds = 0  # private routers materialized (cost telemetry)
+        self._route_listeners: List[Callable[[List[Tuple[int, int]]], None]] = []
+        self.rebuilds = 0  # private routers built (cost telemetry)
 
     # -- delegation ----------------------------------------------------
     def __getattr__(self, name):
@@ -233,21 +249,10 @@ class MeasuredOverlayView:
         return self.base.peers()
 
     @property
-    def router(self):
-        if not self._scales and not self._down:
-            return self.base.router
-        if self._router is None:
-            overrides: Dict[Link, float] = {}
-            for link, scale in self._scales.items():
-                overrides[link] = float(self.graph.edges[link]["delay"]) * scale
-            if self._down:
-                for u, v in self.graph.edges:
-                    link = _canon(u, v)
-                    if u in self._down or v in self._down:
-                        overrides[link] = float("inf")
-            self._router = self.base.router.reweighted(overrides)
-            self.rebuilds += 1
-        return self._router
+    def private(self) -> bool:
+        """Whether a delta is installed: the view routes on a router of
+        its own instead of delegating to the shared base router."""
+        return self.router is not self.base.router
 
     def latency(self, a: int, b: int) -> float:
         return self.router.delay(a, b)
@@ -265,14 +270,14 @@ class MeasuredOverlayView:
         prices its links at ``inf``): an unreachable pair reports ``inf``
         loss rather than raising, mirroring the delay metric.
         """
-        if not self._scales and not self._down:
+        router = self.router
+        if router is self.base.router:
             return self.base.path_loss_add(a, b)
         if a == b:
             return 0.0
         key = (a, b)
         hit = self._loss_cache.get(key)
         if hit is None:
-            router = self.router
             if not router.reachable(a, b):
                 hit = float("inf")
             else:
@@ -282,11 +287,17 @@ class MeasuredOverlayView:
             self._loss_cache[key] = hit
         return hit
 
-    def add_cache_listener(self, callback: Callable[[], None]) -> None:
-        self._cache_listeners.append(callback)
+    def add_route_listener(
+        self, callback: Callable[[List[Tuple[int, int]]], None]
+    ) -> None:
+        """``callback(pairs)`` after every mutation, with the ordered
+        ``(src, dst)`` pairs whose delay or path it changed."""
+        self._route_listeners.append(callback)
 
-    def clear_caches(self) -> None:
-        self._invalidate()
+    def add_cache_listener(self, callback: Callable[[], None]) -> None:
+        """The base overlay's coarser hook: ``callback()`` after every
+        mutation, whatever it changed."""
+        self._route_listeners.append(lambda pairs: callback())
 
     # -- mutation surface (driven by MeasurementPlane) -----------------
     @property
@@ -297,35 +308,39 @@ class MeasuredOverlayView:
     def link_scales(self) -> Dict[Link, float]:
         return dict(self._scales)
 
+    def set_link_scales(self, scales: Dict[Link, Optional[float]]) -> bool:
+        """Install (``None``: clear) delay multipliers for any number of
+        overlay links as *one* mutation — one router, one notification.
+        Returns whether anything changed."""
+        dirty = False
+        for link, scale in scales.items():
+            link = _canon(*link)
+            if link not in self.graph.edges:
+                continue
+            if scale is None:
+                dirty |= self._scales.pop(link, None) is not None
+            elif self._scales.get(link) != scale:
+                self._scales[link] = float(scale)
+                dirty = True
+        if dirty:
+            self._reroute()
+        return dirty
+
     def set_link_scale(self, link: Link, scale: Optional[float]) -> bool:
-        """Install (or with ``None`` clear) a delay multiplier for one
-        overlay link.  Returns whether anything changed."""
-        link = _canon(*link)
-        if link not in self.graph.edges:
-            return False
-        if scale is None:
-            if link not in self._scales:
-                return False
-            del self._scales[link]
-        else:
-            if self._scales.get(link) == scale:
-                return False
-            self._scales[link] = float(scale)
-        self._invalidate()
-        return True
+        return self.set_link_scales({link: scale})
 
     def set_peer_down(self, peer: int) -> bool:
         if peer in self._down:
             return False
         self._down.add(peer)
-        self._invalidate()
+        self._reroute()
         return True
 
     def clear_peer_down(self, peer: int) -> bool:
         if peer not in self._down:
             return False
         self._down.discard(peer)
-        self._invalidate()
+        self._reroute()
         return True
 
     def reset(self) -> None:
@@ -333,13 +348,33 @@ class MeasuredOverlayView:
         if self._scales or self._down:
             self._scales.clear()
             self._down.clear()
-            self._invalidate()
+            self._reroute()
 
-    def _invalidate(self) -> None:
-        self._router = None
-        self._loss_cache.clear()
-        for callback in self._cache_listeners:
-            callback()
+    def _reroute(self) -> None:
+        """Swap in the router of the current deltas and tell listeners
+        which pairs it moved."""
+        old, shared = self.router, self.base.router
+        overrides: Dict[Link, float] = {
+            link: float(self.graph.edges[link]["delay"]) * scale
+            for link, scale in self._scales.items()
+        }
+        if self._down:
+            for u, v in self.graph.edges:
+                if u in self._down or v in self._down:
+                    overrides[_canon(u, v)] = float("inf")
+        if overrides:
+            new = shared.reweighted(overrides)
+            self.rebuilds += 1
+        else:
+            new = shared
+        changed = old.changed_pairs(new)
+        if new is not shared:
+            new.adopt_cache(old, changed)
+        self.router = new
+        for pair in changed:
+            self._loss_cache.pop(pair, None)
+        for callback in self._route_listeners:
+            callback(changed)
 
 
 class MeasurementPlane:
@@ -352,12 +387,22 @@ class MeasurementPlane:
     * ``record_failure(peer, method)`` — from the endpoint's
       ``on_failure`` hook whenever an RPC exhausts its retries.
 
+    A sample only feeds its estimator and marks the path dirty.  Routing
+    is decided once per probe interval, by :meth:`_reprice` at the end of
+    each probe cycle (a passive-only plane has no cycle: there the first
+    sample ``PASSIVE_TICK`` after the last decision decides).  Path
+    up/down transitions are the exception — rare, and urgent — and reach
+    the view at once.
+
     When constructed with a :class:`MeasuredOverlayView` (distributed
-    mode with ``adapt_routing``), material estimate changes and path
-    up/down transitions are pushed into the view; otherwise the plane is
-    a pure observer (shared-state mode keeps one global BCP whose
-    overlay must not be mutated per-peer).
+    mode with ``adapt_routing``) those decisions are pushed into the
+    view; otherwise the plane is a pure observer (shared-state mode keeps
+    one global BCP whose overlay must not be mutated per-peer).
     """
+
+    # seconds between routing decisions of a plane that sends no probes
+    # (``probe_interval=0``): the default probe interval
+    PASSIVE_TICK = MeasurementConfig.probe_interval
 
     def __init__(
         self,
@@ -373,7 +418,7 @@ class MeasurementPlane:
         self.peer_id = peer_id
         self.config = config
         self.endpoint = endpoint
-        self.view = view
+        self.view = view if config.adapt_routing else None
         self._tap = tap
         self._trace = trace
         self._clock = clock
@@ -384,21 +429,23 @@ class MeasurementPlane:
             key=lambda q: float(base_overlay.graph.edges[peer_id, q]["delay"]),
         )
         self.neighbours: List[int] = neighbours[: config.probe_fanout]
-        self._links: Set[Link] = {
-            _canon(peer_id, q) for q in base_overlay.graph.neighbors(peer_id)
-        }
+        # only direct links re-price (a sample to any other peer measured
+        # a multi-hop path), and only when there is a view to re-price
+        self._adjacent = frozenset(neighbours if self.view is not None else ())
         self._probe_retry = RetryPolicy(
             timeout=config.probe_timeout, retries=0, backoff=0.01
         )
         self._estimators: Dict[int, LinkEstimator] = {}
         self._failures: Dict[int, int] = {}
         self._down: Dict[int, float] = {}  # peer -> clock() at transition
-        self._applied: Dict[Link, float] = {}  # scales installed in the view
+        self._dirty: Set[int] = set()  # peers sampled since the last _reprice
+        self._decide_at = 0.0  # passive-only: clock() of the next decision
         self._task: Optional[asyncio.Task] = None
         self._seq = 0
         self._rotate = 0
         # counters (surfaced via stats() / the CLI --profile block)
         self.probes_sent = 0
+        self.probes_suppressed = 0
         self.probe_failures = 0
         self.samples_active = 0
         self.samples_passive = 0
@@ -434,7 +481,7 @@ class MeasurementPlane:
         self._estimators.clear()
         self._failures.clear()
         self._down.clear()
-        self._applied.clear()
+        self._dirty.clear()
         self._seq = 0
         if self.view is not None:
             self.view.reset()
@@ -445,6 +492,7 @@ class MeasurementPlane:
             while True:
                 await asyncio.sleep(self.config.probe_interval)
                 await self._probe_cycle()
+                self._reprice(self._clock())
         except asyncio.CancelledError:
             pass
 
@@ -454,14 +502,31 @@ class MeasurementPlane:
         Down paths can only come back via a successful probe, so they
         always make the cut; remaining budget goes to the neighbour set,
         rotated so a fanout larger than the budget still covers every
-        neighbour over successive cycles."""
+        neighbour over successive cycles.  A neighbour that traffic
+        measured within the last interval needs no probe: its estimator
+        is fresher than a probe would leave it.  (A probe's own ack never
+        suppresses the next one — the interval's sleep starts after it.)
+        A neighbour whose last exchange failed is probed regardless, so
+        dead-path detection runs at the same pace as ever."""
         targets = sorted(self._down)
         if self.neighbours:
             n = len(self.neighbours)
             start = self._rotate % n
             self._rotate += 1
-            ring = self.neighbours[start:] + self.neighbours[:start]
-            targets += [q for q in ring if q not in self._down]
+            now, interval = self._clock(), self.config.probe_interval
+            for q in self.neighbours[start:] + self.neighbours[:start]:
+                if q in self._down:
+                    continue
+                est = self._estimators.get(q)
+                if (
+                    est is not None
+                    and est.samples
+                    and now - est.last_at < interval
+                    and not self._failures.get(q)
+                ):
+                    self.probes_suppressed += 1
+                else:
+                    targets.append(q)
         return targets[: self.config.probe_budget]
 
     async def _probe_cycle(self) -> None:
@@ -504,7 +569,10 @@ class MeasurementPlane:
         self._failures[peer] = 0
         if peer in self._down:
             self.mark_path_up(peer)
-        self._reprice(peer, now)
+        self._dirty.add(peer)
+        if self._task is None and now >= self._decide_at:
+            self._decide_at = now + self.PASSIVE_TICK
+            self._reprice(now)
 
     def record_failure(self, peer: int, method: str = "") -> None:
         """One exhausted exchange toward ``peer`` (probe or RPC)."""
@@ -528,7 +596,7 @@ class MeasurementPlane:
                 "path_down", peer=self.peer_id, target=peer,
                 failures=self._failures.get(peer, 0),
             )
-        if self.view is not None and self.config.adapt_routing:
+        if self.view is not None:
             self.view.set_peer_down(peer)
 
     def mark_path_up(self, peer: int) -> None:
@@ -539,7 +607,7 @@ class MeasurementPlane:
         self.up_events += 1
         if self._trace is not None:
             self._trace.record("path_up", peer=self.peer_id, target=peer)
-        if self.view is not None and self.config.adapt_routing:
+        if self.view is not None:
             self.view.clear_peer_down(peer)
 
     def is_down(self, peer: int) -> bool:
@@ -550,42 +618,73 @@ class MeasurementPlane:
         return sorted(self._down)
 
     # -- routing adaptation --------------------------------------------
-    def _reprice(self, peer: int, now: float) -> None:
-        """Push a material estimate change for an adjacent link into the
-        view (ratio-scaled; see module docstring for the unit argument)."""
-        if self.view is None or not self.config.adapt_routing:
+    def _reprice(self, now: float) -> None:
+        """The interval's one routing decision: judge every adjacent link
+        sampled since the last one, and every link still carrying a
+        scale, and push all the verdicts into the view as one mutation.
+
+        A link is judged on its *own* excess over baseline: what its
+        estimate shows beyond the excess common to the other paths
+        sampled this interval (their lower median).  Queueing in this
+        peer's own event loop inflates every path alike and is no
+        property of a link; a degraded link stands out from its siblings.
+
+        *Install* when that inflation is material (``material_ratio``)
+        and stands clear of the estimator's own noise, ``max(min_delta,
+        4 x rttvar)`` — the RFC 6298 deviation that also sizes TCP's
+        retransmit timer.  An installed scale is *held* through a band
+        half as wide as the gate's excess over 1 (0.25 at the default
+        1.5): it is replaced when the ratio moves by more than that band
+        relative to it (and by more than the noise), and *cleared* only
+        under ``1 + band`` — so a ratio hovering at the gate installs
+        once instead of flapping.  Ratio-scaled; see the module docstring
+        for the unit argument."""
+        fresh, self._dirty = self._dirty, set()
+        if self.view is None:
             return
-        link = _canon(self.peer_id, peer)
-        if link not in self._links:
-            return  # measured a multi-hop path; only direct links re-price
-        est = self._estimators[peer]
-        if est.baseline is None:
-            return
-        ratio = est.ratio(now)
-        estimate = est.estimate(now)
-        material = (
-            ratio >= self.config.material_ratio
-            and estimate is not None
-            and abs(estimate - est.baseline) >= self.config.min_delta
-        )
-        applied = self._applied.get(link)
-        if material:
-            if (
-                applied is None
-                or abs(ratio - applied) / applied > self.config.rescale_tolerance
-            ):
-                if self.view.set_link_scale(link, ratio):
-                    self._applied[link] = ratio
-                    self.reprices += 1
-                    if self._trace is not None:
-                        self._trace.record(
-                            "link_repriced", peer=self.peer_id, target=peer,
-                            ratio=round(ratio, 3),
-                        )
-        elif applied is not None:
-            if self.view.set_link_scale(link, None):
-                del self._applied[link]
-                self.reprices += 1
+        cfg, me = self.config, self.peer_id
+        gate = cfg.material_ratio
+        band = (gate - 1.0) / 2.0
+        applied = {b if a == me else a: k for (a, b), k in self.view.link_scales.items()}
+        excess: Optional[Dict[int, float]] = None  # of the fresh paths, on demand
+        verdicts: Dict[int, Optional[float]] = {}
+        for peer in fresh & self._adjacent | applied.keys():
+            est = self._estimators.get(peer)
+            if est is None or not est.baseline:
+                continue
+            baseline = est.baseline
+            scale = applied.get(peer)
+            own = est.estimate(now) - baseline
+            if scale is None and own < (gate - 1.0) * baseline:
+                continue  # immaterial whatever the other paths read
+            if excess is None:
+                excess = {
+                    q: e.estimate(now) - e.baseline
+                    for q in fresh
+                    if (e := self._estimators.get(q)) is not None and e.baseline
+                }
+            others = sorted(x for q, x in excess.items() if q != peer)
+            if others:
+                own -= max(0.0, others[(len(others) - 1) // 2])
+            ratio = 1.0 + own / baseline
+            noise = max(cfg.min_delta, 4.0 * est.rttvar) / baseline
+            if scale is None:
+                if ratio >= gate and ratio - 1.0 >= noise:
+                    verdicts[peer] = ratio
+            elif ratio < 1.0 + band:
+                verdicts[peer] = None
+            elif abs(ratio - scale) > max(band * scale, noise):
+                verdicts[peer] = ratio
+        if verdicts and self.view.set_link_scales(
+            {(me, peer): ratio for peer, ratio in verdicts.items()}
+        ):
+            self.reprices += len(verdicts)
+            if self._trace is not None:
+                for peer, ratio in verdicts.items():
+                    self._trace.record(
+                        "link_repriced", peer=me, target=peer,
+                        ratio=round(ratio or 1.0, 3),
+                    )
 
     # -- introspection -------------------------------------------------
     def estimator(self, peer: int) -> Optional[LinkEstimator]:
@@ -593,16 +692,25 @@ class MeasurementPlane:
 
     def stats(self) -> Dict[str, object]:
         now = self._clock()
+        view = self.view
+        ledger = self._tap.ledger if self._tap is not None else None
         return {
             "probes_sent": self.probes_sent,
+            "probes_suppressed": self.probes_suppressed,
             "probe_failures": self.probe_failures,
             "samples_active": self.samples_active,
             "samples_passive": self.samples_passive,
+            "samples_discarded": self.endpoint.samples_discarded,
             "down_events": self.down_events,
             "up_events": self.up_events,
             "reprices": self.reprices,
             "paths_down": self.down_paths,
-            "router_rebuilds": self.view.rebuilds if self.view is not None else 0,
+            "router_rebuilds": view.rebuilds if view is not None else 0,
+            "private_routers": int(view is not None and view.private),
+            # the tap's net_measure book: every PathProbe frame booked
+            # there, by this plane and by any other sharing the tap
+            "measure_frames": ledger.count.get("net_measure", 0) if ledger else 0,
+            "measure_bytes": ledger.bytes.get("net_measure", 0) if ledger else 0,
             "links": {
                 peer: est.snapshot(now)
                 for peer, est in sorted(self._estimators.items())

@@ -162,11 +162,15 @@ class RpcEndpoint:
         # measurement hooks (assigned by the daemon, never required):
         # on_rtt(dst, rtt_seconds, method_name) fires for first-attempt
         # successes only — Karn's algorithm: a retransmitted exchange's
-        # RTT is ambiguous, so retried calls are never sampled.
+        # RTT is ambiguous, so retried calls are never sampled.  Nor is a
+        # call whose send waited for a dial or on backpressure: that wait
+        # is the connection's, not the link's (samples_discarded counts
+        # those instead).
         # on_failure(RpcFailure) fires once per call that exhausts its
         # retries, just before RpcTimeout raises.
         self.on_rtt: Optional[Callable[[int, float, str], None]] = None
         self.on_failure: Optional[Callable[[RpcFailure], None]] = None
+        self.samples_discarded = 0
         # fail-fast hook (assigned by the daemon, never required):
         # peer_down(dst) -> True aborts a call's remaining attempts
         # immediately instead of burning the full retry/timeout budget
@@ -255,7 +259,7 @@ class RpcEndpoint:
             sent_at = loop.time()
             deadline: Optional[asyncio.TimerHandle] = None
             try:
-                await self.transport.send(self.peer_id, dst, envelope)
+                waited = await self.transport.send(self.peer_id, dst, envelope)
                 deadline = loop.call_later(policy.timeout, _expire, future)
                 reply = await future
             except TransportError as exc:
@@ -266,10 +270,14 @@ class RpcEndpoint:
                 if attempt == 0 and self.on_rtt is not None:
                     # the sample window opens before send(): queueing and
                     # coalescing delays are genuine sojourn time the next
-                    # caller will also pay
-                    self.on_rtt(
-                        dst, loop.time() - sent_at, type(message).__name__
-                    )
+                    # caller will also pay.  A dial or a paused connection
+                    # is not — the next caller finds the connection open
+                    if waited:
+                        self.samples_discarded += 1
+                    else:
+                        self.on_rtt(
+                            dst, loop.time() - sent_at, type(message).__name__
+                        )
                 return reply
             finally:
                 if deadline is not None:

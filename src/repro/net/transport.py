@@ -176,7 +176,12 @@ class _BaseTransport:
     async def close(self) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
 
-    async def send(self, src: int, dst: int, envelope: dict) -> None:  # pragma: no cover
+    async def send(self, src: int, dst: int, envelope: dict) -> bool:  # pragma: no cover
+        """Queue one frame for ``dst``.  True when the call first had to
+        wait for the network itself — a dial, another sender's dial, a
+        connection paused by backpressure — so the exchange's round trip
+        says nothing about the link (:class:`~repro.net.rpc.RpcEndpoint`
+        reports no RTT sample for it)."""
         raise NotImplementedError
 
 
@@ -227,7 +232,7 @@ class LoopbackTransport(_BaseTransport):
         self._pending.clear()
         self._started = False
 
-    async def send(self, src: int, dst: int, envelope: dict) -> None:
+    async def send(self, src: int, dst: int, envelope: dict) -> bool:
         if not self._started:
             raise TransportError("transport not started")
         if src in self._killed:
@@ -239,7 +244,7 @@ class LoopbackTransport(_BaseTransport):
         self._tap_send(envelope, len(frame))
         if dst in self._killed or (self._loss > 0 and self._rng.random() < self._loss):
             self.frames_dropped += 1
-            return  # the void acknowledges nothing
+            return False  # the void acknowledges nothing
         delay = self._latency(src, dst)
         if delay > 0:
             self._link_pump(src, dst).put(delay, frame)
@@ -249,6 +254,7 @@ class LoopbackTransport(_BaseTransport):
                 batch = self._pending[dst] = []
                 asyncio.get_running_loop().call_soon(self._flush, dst)
             batch.append(frame)
+        return False  # a queue put never waits
 
     def _flush(self, dst: int) -> None:
         batch = self._pending.pop(dst, None)
@@ -449,7 +455,7 @@ class TcpTransport(_BaseTransport):
         if self._started and peer_id not in self._servers:
             await self._listen(peer_id)
 
-    async def send(self, src: int, dst: int, envelope: dict) -> None:
+    async def send(self, src: int, dst: int, envelope: dict) -> bool:
         if not self._started:
             raise TransportError("transport not started")
         if src in self._killed:
@@ -457,7 +463,8 @@ class TcpTransport(_BaseTransport):
         if dst in self._killed:
             raise TransportError(f"peer {dst} is down")
         conn = self._pool.get((src, dst))
-        if conn is None or conn.sock.is_closing():
+        waited = conn is None or conn.sock.is_closing()
+        if waited:
             conn = await self._dial(src, dst)
         frame = encode_frame(envelope)
         if not conn.buf:
@@ -466,10 +473,12 @@ class TcpTransport(_BaseTransport):
             self._dirty.append(conn)
         conn.buf.append(frame)
         if not conn.writable.is_set():
+            waited = True
             await conn.writable.wait()
         if conn.lost is not None:
             raise TransportError(f"send {src}->{dst} failed: {conn.lost}")
         self._tap_send(envelope, len(frame))
+        return waited
 
     async def _flush_loop(self) -> None:
         """The transport's one flusher: every connection written to since

@@ -122,7 +122,10 @@ class OverlayRouter:
     the hottest calls of BCP probing (bandwidth admission and ψλ evaluate
     them per candidate per hop).  Cached lists are shared: treat them as
     read-only.  ``clear_cache`` (or ``set_path_cache``) is the
-    invalidation hook for the rare callers that rebuild routing state.
+    invalidation hook for the rare callers that rebuild routing state; a
+    router that *replaces* another over the same graph (the measurement
+    plane's re-prices) keeps what still holds instead: ``changed_pairs``
+    names the pairs that moved, ``adopt_cache`` carries the rest over.
     """
 
     def __init__(
@@ -190,11 +193,13 @@ class OverlayRouter:
 
         Equal to ``OverlayRouter(graph, delay_overrides=overrides)``, but
         only the shortest paths are recomputed: the node index, the link
-        order and the edge arrays are this router's own, shared — the
-        measurement plane rebuilds on every re-price, and walking the
-        networkx graph again cost more than the ``dijkstra`` it fed.  The
-        shared :attr:`link_order` is also what keeps capacity/usage arrays
-        indexed by it (:class:`~repro.core.resources.ResourcePool`) valid."""
+        order and the edge arrays are this router's own, shared — walking
+        the networkx graph again cost more than the ``dijkstra`` it fed.
+        The shared :attr:`link_order` is also what keeps capacity/usage
+        arrays indexed by it (:class:`~repro.core.resources.ResourcePool`)
+        valid.  The new router starts with empty path caches; a caller
+        replacing one router by another fills them with
+        :meth:`adopt_cache`."""
         delays = self._edge_delays.copy()
         for link, delay in overrides.items():
             i = self._link_index.get(link)
@@ -216,6 +221,47 @@ class OverlayRouter:
         out._dist, out._pred = dijkstra(matrix, directed=False, return_predecessors=True)
         out.clear_cache()
         return out
+
+    def changed_pairs(self, other: "OverlayRouter") -> List[Tuple[int, int]]:
+        """The ordered ``(src, dst)`` pairs whose delay or path differs
+        between this router and ``other``, a router over the same graph.
+
+        A path is its predecessor chain, so ``src -> dst`` re-routes
+        when its own predecessor entry differs or when ``src ->
+        pred(dst)`` re-routed; the second clause is closed over by walking
+        the mask one tree level per pass (a handful of passes: overlay
+        paths are short)."""
+        pred = other._pred
+        rerouted = self._pred != pred
+        if rerouted.any():
+            # roots and unreachable entries (pred < 0) point at themselves
+            parent = np.where(pred >= 0, pred, np.arange(pred.shape[1]))
+            while True:
+                wider = rerouted | np.take_along_axis(rerouted, parent, axis=1)
+                if np.array_equal(wider, rerouted):
+                    break
+                rerouted = wider
+        changed = rerouted | (self._dist != other._dist)
+        nodes = self._nodelist
+        return [(nodes[i], nodes[j]) for i, j in zip(*np.nonzero(changed))]
+
+    def adopt_cache(self, old: "OverlayRouter", changed: Sequence[Tuple[int, int]]) -> None:
+        """Start from ``old``'s memoised paths instead of from nothing.
+
+        ``changed`` is ``old.changed_pairs(self)``: every other pair
+        routes exactly as before, so its cached lists are carried over —
+        the same objects — and only the changed pairs are walked again,
+        on demand."""
+        for name in ("_path_cache", "_links_cache", "_link_idx_cache", "_link_idx_list_cache"):
+            kept = dict(getattr(old, name))
+            for pair in changed:
+                kept.pop(pair, None)
+            setattr(self, name, kept)
+        # a batch entry concatenates one source's paths to many peers
+        sources = {src for src, _ in changed}
+        self._batch_idx_cache = {
+            key: hit for key, hit in old._batch_idx_cache.items() if key[0] not in sources
+        }
 
     def set_path_cache(self, enabled: bool) -> None:
         """Toggle path memoization (A/B tests); always clears the cache."""

@@ -24,12 +24,14 @@ import asyncio
 import dataclasses
 import time
 
+import numpy as np
 import pytest
 
-from repro.core.bcp import BCPConfig, NextHopWeights
+from repro.core.bcp import BCP, BCPConfig, NextHopWeights
 from repro.net import ClusterConfig, LiveCluster, MeasurementConfig
-from repro.net.measurement import LinkEstimator, MeasuredOverlayView
+from repro.net.measurement import LinkEstimator, MeasuredOverlayView, MeasurementPlane
 from repro.net.rpc import RetryPolicy
+from repro.topology.routing import OverlayRouter
 
 
 # ----------------------------------------------------------------------
@@ -545,3 +547,370 @@ def test_measurement_disabled_reproduces_pre_plane_behaviour():
     assert stats["samples_passive"] == 0
     assert all(p is None for p in planes)
     assert delta.get("net_measure", (0, 0))[0] == 0
+
+
+# ----------------------------------------------------------------------
+# the decision rule on seeded sample schedules: no cluster, fake clock
+# ----------------------------------------------------------------------
+#
+# A passive-only plane (``probe_interval=0``) decides at the first sample
+# ``PASSIVE_TICK`` after its last decision, so feeding ``record_rtt``
+# against a fake clock drives the whole rule through the public intake;
+# one "interval" below is one such tick.
+
+
+class _Clock:
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+class _NoCalls:
+    """Endpoint stand-in: the schedule tests never send a frame."""
+
+    samples_discarded = 0
+
+
+INTERVAL = MeasurementPlane.PASSIVE_TICK
+
+
+def _passive_plane(peer=None, n_peers=6, **config):
+    """A plane over its own view, fed by hand.  ``peer`` defaults to the
+    best-connected one."""
+    base = _overlay(n_peers=n_peers)
+    if peer is None:
+        peer = max(base.peers(), key=base.graph.degree)
+    view = MeasuredOverlayView(base)
+    clock = _Clock()
+    plane = MeasurementPlane(
+        peer, base, _NoCalls(), MeasurementConfig(probe_interval=0.0, **config),
+        view=view, clock=clock,
+    )
+    return plane, view, base, clock
+
+
+def _declared_rtt(base, a, b):
+    """A wall-clock RTT for the link, in the range of a real WAN hop."""
+    return 0.004 + 0.010 * float(base.graph.edges[a, b]["delay"])
+
+
+class _Jitter:
+    """Heavy-tailed multiplicative jitter around a constant mean: mostly
+    a tight log-normal, now and then a burst of 2-5 samples at 2-4x —
+    shorter than the dozen-odd consistent samples the rule needs to
+    believe a step (test (b) bounds that from the other side)."""
+
+    def __init__(self, seed: int) -> None:
+        self.rng = np.random.default_rng(seed)
+        self.burst = 0
+        self.factor = 1.0
+
+    def __call__(self) -> float:
+        rng = self.rng
+        if self.burst == 0 and rng.random() < 0.04:
+            self.burst = int(rng.integers(2, 6))
+            self.factor = float(rng.uniform(2.0, 4.0))
+        if self.burst:
+            self.burst -= 1
+            return self.factor * float(rng.lognormal(0.0, 0.1))
+        return float(rng.lognormal(0.0, 0.2))
+
+
+def _run_schedule(plane, clock, rtt_of, intervals, per_interval=4, watch=None):
+    """Feed every adjacent link ``per_interval`` samples per interval for
+    ``intervals`` intervals; ``rtt_of(peer, t)`` is the schedule.  Returns
+    the watched link's raw ratio at the end of each interval."""
+    peers = sorted(plane._adjacent)
+    step = INTERVAL / per_interval
+    ratios = []
+    for _ in range(intervals):
+        for _ in range(per_interval):
+            clock.now += step
+            for q in peers:
+                plane.record_rtt(q, rtt_of(q, clock.now), "ProbeTransfer")
+        if watch is not None:
+            ratios.append(plane.estimator(watch).ratio(clock.now))
+    return ratios
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_schedule_jitter_on_every_neighbour_never_reprices(seed):
+    """(a) The estimates cross the materiality ratio again and again —
+    the ungated rule re-priced at each crossing — but never clear of
+    their own noise: no scale, no private router, parity kept."""
+    plane, view, base, clock = _passive_plane()
+    me = plane.peer_id
+    jitter = {q: _Jitter(100 * seed + q) for q in plane._adjacent}
+    crossings = 0
+
+    def rtt_of(q, t):
+        nonlocal crossings
+        est = plane.estimator(q)
+        if est is not None and est.ratio(t) >= plane.config.material_ratio:
+            crossings += 1
+        return _declared_rtt(base, me, q) * jitter[q]()
+
+    _run_schedule(plane, clock, rtt_of, intervals=240)
+    assert crossings > 20, "the schedule must actually cross the ratio gate"
+    assert plane.reprices == 0
+    assert view.rebuilds == 0
+    assert view.router is base.router
+
+
+def _reroutable_link(base):
+    """A link ``(me, q)`` whose x6 inflation moves the route me -> q."""
+    for me in base.peers():
+        for q in base.graph.neighbors(me):
+            link = tuple(sorted((me, q)))
+            slow = 6.0 * float(base.graph.edges[link]["delay"])
+            if OverlayRouter(base.graph, delay_overrides={link: slow}).path(me, q) != [me, q]:
+                return me, q
+    raise AssertionError("fixture overlay has no detour")
+
+
+@pytest.mark.parametrize(
+    "per_interval, within", [(4, 7), (1, 24)], ids=["traffic", "probe-rate"]
+)
+def test_schedule_step_amid_jitter_installs_within_bound(per_interval, within):
+    """(b) A x6 step on one link, the same jitter on all of them: the
+    scale is installed within 7 intervals of the step when traffic
+    samples the link four times an interval, within 24 when one probe an
+    interval is all it gets (the rule wants some 16 consistent samples,
+    whatever the size of the step) — and the route leaves the link."""
+    base = _overlay()
+    me, hot = _reroutable_link(base)
+    plane, view, base, clock = _passive_plane(peer=me)
+    jitter = {q: _Jitter(7 + q) for q in plane._adjacent}
+    step_at = [float("inf")]
+
+    def rtt_of(q, t):
+        # the wire got slower; the queueing noise on top of it did not grow
+        slower = 5.0 if q == hot and t > step_at[0] else 0.0
+        return _declared_rtt(base, me, q) * (slower + jitter[q]())
+
+    _run_schedule(plane, clock, rtt_of, intervals=40, per_interval=per_interval)
+    assert plane.reprices == 0 and view.router.path(me, hot) == [me, hot]
+    step_at[0] = clock.now
+    took = 0
+    while not view.link_scales and took < 2 * within:
+        _run_schedule(plane, clock, rtt_of, intervals=1, per_interval=per_interval)
+        took += 1
+    link = tuple(sorted((me, hot)))
+    assert took <= within, f"installed after {took} intervals"
+    assert set(view.link_scales) == {link}
+    assert view.link_scales[link] >= plane.config.material_ratio
+    assert view.router.path(me, hot) != [me, hot]
+
+
+def test_schedule_ratio_hovering_at_the_gate_installs_once():
+    """(c) A ratio swinging 1.35-1.75 around the 1.5 gate: one install,
+    then held — the parent cleared at every downward crossing and
+    re-installed at every upward one."""
+    plane, view, base, clock = _passive_plane()
+    me = plane.peer_id
+    hot = min(plane._adjacent)
+    period = 40 * INTERVAL
+
+    def rtt_of(q, t):
+        swing = 1.55 + 0.2 * np.sin(2 * np.pi * t / period) if q == hot else 1.0
+        return swing * _declared_rtt(base, me, q)
+
+    _run_schedule(plane, clock, lambda q, t: _declared_rtt(base, me, q), intervals=4)
+    ratios = _run_schedule(plane, clock, rtt_of, intervals=200, watch=hot)
+    gate = plane.config.material_ratio
+    crossings = sum((a < gate) != (b < gate) for a, b in zip(ratios, ratios[1:]))
+    assert crossings >= 8, "the schedule must cross the gate both ways"
+    assert plane.reprices == 1
+    assert view.rebuilds == 1
+    assert set(view.link_scales) == {tuple(sorted((me, hot)))}
+
+
+def test_schedule_five_links_in_one_interval_are_one_rebuild():
+    """(d) Coalescing: five links inflate inside one interval; the plane
+    decides once, the view mutates once, one router is built."""
+    plane, view, base, clock = _passive_plane(n_peers=10)
+    me = plane.peer_id
+    adjacent = sorted(plane._adjacent)
+    assert len(adjacent) >= 7
+    hot = set(adjacent[:5])
+    fired = []
+    view.add_route_listener(fired.append)
+    inflated = [False]
+
+    def rtt_of(q, t):
+        factor = 4.0 if inflated[0] and q in hot else 1.0
+        return factor * _declared_rtt(base, me, q)
+
+    _run_schedule(plane, clock, rtt_of, intervals=4)
+    assert plane.reprices == 0
+    inflated[0] = True
+    # 32 samples per link between two decisions: every estimator
+    # converges and settles within the one interval
+    _run_schedule(plane, clock, rtt_of, intervals=2, per_interval=32)
+    assert plane.reprices == 5
+    assert view.rebuilds == 1
+    assert len(fired) == 1
+    assert set(view.link_scales) == {tuple(sorted((me, q))) for q in hot}
+
+
+def _all_pairs(router):
+    return [(a, b) for a in router.peers for b in router.peers]
+
+
+def _warm(router):
+    """Memoise every reachable pair in all four per-pair caches."""
+    for a, b in _all_pairs(router):
+        if router.reachable(a, b):
+            router.link_indices(a, b)
+            router.link_index_list(a, b)
+
+
+def _cached(router, pair):
+    return (
+        router._path_cache.get(pair), router._links_cache.get(pair),
+        router._link_idx_cache.get(pair), router._link_idx_list_cache.get(pair),
+    )
+
+
+def _moved(old, new):
+    """Reference for the invalidation contract: the pairs that differ in
+    delay or in path between two routers, found the slow way."""
+    out = set()
+    for a, b in _all_pairs(old):
+        if old.reachable(a, b) != new.reachable(a, b) or old.delay(a, b) != new.delay(a, b):
+            out.add((a, b))
+        elif old.reachable(a, b) and old.path(a, b) != new.path(a, b):
+            out.add((a, b))
+    return out
+
+
+def test_view_mutation_equals_fresh_router_and_names_the_moved_pairs():
+    """(e) Whatever sequence of mutations led to it, the view's router is
+    the router the constructor builds from the same overrides; pairs a
+    mutation did not move keep their memoised lists — the same objects —
+    and listeners are handed exactly the pairs it did move."""
+    base = _overlay(n_peers=12)
+    graph = base.graph
+    _warm(base.router)
+    view = MeasuredOverlayView(base)
+    heard = []
+    view.add_route_listener(heard.append)
+    links = base.router.link_order
+    declared = {link: float(graph.edges[link]["delay"]) for link in links}
+    down_peer = max(base.peers(), key=graph.degree)
+    steps = [
+        lambda: view.set_link_scales({links[0]: 6.0, links[5]: 2.5, links[9]: 1.6}),
+        lambda: view.set_link_scales({links[0]: None, links[3]: 4.0}),
+        lambda: view.set_peer_down(down_peer),
+        lambda: view.clear_peer_down(down_peer),
+        lambda: view.reset(),
+    ]
+    for step in steps:
+        old = view.router
+        before = {pair: _cached(old, pair) for pair in _all_pairs(old)}
+        step()
+        overrides = {link: declared[link] * k for link, k in view.link_scales.items()}
+        for link in links:
+            if set(link) & view.down_peers:
+                overrides[link] = float("inf")
+        fresh = OverlayRouter(graph, delay_overrides=overrides)
+        new = view.router
+        np.testing.assert_array_equal(new._dist, fresh._dist)
+        moved = _moved(old, fresh)
+        assert moved, "every step of this schedule moves some pair"
+        assert len(heard[-1]) == len(set(heard[-1])) and set(heard[-1]) == moved
+        if not overrides:
+            assert new is base.router
+            continue
+        for pair in _all_pairs(new):
+            if pair not in moved:
+                # carried over, not recomputed: identical objects
+                assert all(x is y for x, y in zip(_cached(new, pair), before[pair]))
+            else:
+                assert _cached(new, pair) == (None, None, None, None)
+            if fresh.reachable(*pair):
+                assert new.path(*pair) == fresh.path(*pair)
+                assert new.links(*pair) == fresh.links(*pair)
+                assert new.link_index_list(*pair) == fresh.link_index_list(*pair)
+    assert len(heard) == len(steps)
+    assert view.rebuilds == 4  # the reset went back to the shared router
+
+
+def test_link_reprice_drops_exactly_the_moved_pair_qos():
+    """A link re-price is no registry change: BCP keeps every component
+    Qp vector and every link-QoS entry the re-price did not move (the
+    parent flushed both caches on each of ten re-prices per compose)."""
+    cluster = LiveCluster(ClusterConfig(n_peers=8, seed=7))
+    shared = cluster.scenario.net.bcp
+    base = cluster.scenario.overlay
+    view = MeasuredOverlayView(base)
+    bcp = BCP(view, shared.pool.clone_empty(overlay=view), shared.registry, config=shared.config)
+    for a, b in _all_pairs(base.router):
+        bcp._link_qos(a, b)
+    for spec in cluster.scenario.population:
+        bcp._qp_as_qos(spec)
+    comp_qos, comp_entries = bcp._comp_qos, dict(bcp._comp_qos)
+    pair_entries = dict(bcp._pair_qos)
+    assert comp_entries and len(pair_entries) == base.n_peers ** 2
+    heard = []
+    view.add_route_listener(heard.append)
+    link = base.router.link_order[0]
+    assert view.set_link_scale(link, 6.0)
+    moved = set(heard[-1])
+    assert moved and moved == _moved(base.router, view.router)
+    assert bcp._comp_qos is comp_qos and bcp._comp_qos == comp_entries
+    assert all(bcp._comp_qos[k] is v for k, v in comp_entries.items())
+    assert set(pair_entries) - set(bcp._pair_qos) == moved
+    assert all(bcp._pair_qos[k] is v for k, v in pair_entries.items() if k not in moved)
+    # the refill prices the moved pairs on the new router
+    a, b = link
+    assert bcp._link_qos(a, b).get("delay") == view.router.delay(a, b) != base.router.delay(a, b)
+    # an argument-less clear (registry change) still flushes both
+    bcp.clear_caches()
+    assert not bcp._pair_qos and not bcp._comp_qos
+
+
+def test_probes_go_only_where_traffic_has_not_measured():
+    """(f) Per cycle: a neighbour with passive traffic inside the last
+    interval is skipped, an idle one is probed every interval (its own
+    acks never suppress it), a failing or down one always; probing of the
+    busy neighbour resumes one interval after its traffic stops."""
+    base = _overlay(n_peers=10)
+    me = max(base.peers(), key=base.graph.degree)
+    clock = _Clock()
+    interval = 0.5
+    plane = MeasurementPlane(
+        me, base, _NoCalls(),
+        MeasurementConfig(probe_interval=interval, probe_fanout=4, down_after=2),
+        view=MeasuredOverlayView(base), clock=clock,
+    )
+    busy, idle, dead, flaky = plane.neighbours
+    rtt = 0.01
+    probed = []
+    for cycle in range(1, 13):
+        clock.now = cycle * interval
+        targets = plane._targets()
+        probed.append(targets)
+        for q in targets:  # the cycle's probes are answered — except by the dead
+            if q == dead:
+                plane.record_failure(q, "PathProbe")
+            else:
+                plane.record_rtt(q, rtt, "PathProbe")
+        clock.now += interval / 2
+        if cycle <= 8:
+            plane.record_rtt(busy, rtt, "ProbeTransfer")
+        if cycle == 5:  # fresh sample, then a failed exchange: not healthy
+            plane.record_rtt(flaky, rtt, "ProbeTransfer")
+            plane.record_failure(flaky, "ProbeTransfer")
+    assert all(idle in targets for targets in probed)
+    assert all(dead in targets for targets in probed)
+    assert plane.is_down(dead) and all(t[0] == dead for t in probed[2:])
+    assert flaky in probed[5], "a failing path is probed however fresh its last sample"
+    # busy: probed in the first cycle (nothing measured yet), suppressed
+    # while traffic flows (last sample half an interval old), probed again
+    # from the cycle a whole interval after the last sample (cycle 8.5)
+    assert [busy in targets for targets in probed] == [True] + [False] * 8 + [True] * 3
+    assert plane.probes_suppressed == 8
+    assert plane.stats()["probes_suppressed"] == 8

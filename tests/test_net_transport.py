@@ -608,6 +608,41 @@ class TestRpc:
         assert (first, second) == ({"seq": 1}, {"seq": 2})
         assert rejected == 3 and errors == []
 
+    def test_a_call_whose_send_dialled_or_waited_is_not_an_rtt_sample(self):
+        """Over a real socket: the first call on a fresh ``(src, dst)``
+        pair waits for ``create_connection``, a later one for a paused
+        connection — neither wait is the link's, so neither reports
+        ``on_rtt`` (at the parent both did, and the first locked the
+        measurement plane's baseline several times too high)."""
+
+        async def scenario():
+            t, a, b = self.make_pair(TcpTransport())
+            samples = []
+            a.on_rtt = lambda dst, rtt, method: samples.append((dst, method))
+
+            async def handler(src, body):
+                return {"seq": body.seq}
+
+            b.on(MaintenancePing, handler)
+            await t.start()
+            await a.call(1, MaintenancePing(0, 1))  # dials 0 -> 1
+            after_dial = list(samples)
+            await a.call(1, MaintenancePing(0, 2))  # connection is pooled
+            pooled = list(samples)
+            conn = t._pool[(0, 1)]
+            conn.pause_writing()
+            held = asyncio.ensure_future(a.call(1, MaintenancePing(0, 3)))
+            await asyncio.sleep(0.02)
+            conn.resume_writing()
+            await asyncio.wait_for(held, 1)
+            await t.close()
+            return after_dial, pooled, list(samples), a
+
+        after_dial, pooled, after_pause, a = run(scenario())
+        assert after_dial == []
+        assert pooled == after_pause == [(1, "MaintenancePing")]
+        assert a.samples_discarded == 2
+
     def test_no_reply_times_out_after_exactly_retries_plus_one_attempts(self):
         async def scenario():
             policy = RetryPolicy(timeout=0.03, retries=2, backoff=0.005)
