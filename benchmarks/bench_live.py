@@ -92,7 +92,6 @@ class BenchParams:
     requests: int = 64
     parity_requests: int = 4
     seed: int = 11
-    distributed: bool = True
 
 
 # hot-function phase geometry (see run_hot_function).  The emulated
@@ -158,7 +157,6 @@ async def run_hot_function(params: BenchParams, cache_on: bool, shared: Dict) ->
             n_functions=6,
             transport=params.transport,
             seed=HOT_SEED,
-            distributed=True,
             components_per_peer=HOT_COMPONENTS,
             bcp_config=BCPConfig(
                 budget=32,
@@ -263,7 +261,6 @@ async def run_degradation(params: BenchParams, quick: bool) -> Dict:
             n_functions=6,
             transport=params.transport,
             seed=HOT_SEED,
-            distributed=True,
             components_per_peer=HOT_COMPONENTS,
             bcp_config=BCPConfig(
                 budget=32,
@@ -384,7 +381,6 @@ async def run_transport(params: BenchParams) -> Dict:
         n_functions=6,
         transport=params.transport,
         seed=params.seed,
-        distributed=params.distributed,
         # bandwidth=0 keeps next-hop scoring independent of mid-wave pool
         # state, which is what makes the sequential parity phase exact
         # (same reasoning as tests/test_net_parity.py).
@@ -488,9 +484,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--requests", type=int, default=None, help="total compositions")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument(
-        "--no-distributed", dest="distributed", action="store_false", default=True
-    )
-    parser.add_argument(
         "--no-hot", dest="hot", action="store_false", default=True,
         help="skip the hot-function (directory-tier) phase",
     )
@@ -524,7 +517,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             requests=requests,
             parity_requests=parity_n,
             seed=args.seed,
-            distributed=args.distributed,
         )
         print(f"[{transport}] {peers} peers, {sessions} concurrent sessions, "
               f"{requests} requests ...", flush=True)
@@ -548,7 +540,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             status = max(status, 1)
 
-        if args.hot and args.distributed:
+        if args.hot:
             hot: Dict[str, Dict] = {}
             hot_shared: Dict = {}
             for cache_on in (True, False):
@@ -584,7 +576,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
                 res["hot_function"] = hot
 
-        if args.degrade and args.distributed:
+        if args.degrade:
             deg = asyncio.run(run_degradation(params, args.quick))
             if deg:
                 res["degradation"] = deg

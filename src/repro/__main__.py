@@ -155,19 +155,12 @@ def _add_cluster_options(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--seed", type=int, default=0, help="environment RNG seed")
     sub.add_argument(
-        "--distributed",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="DHT-routed discovery with per-peer pools (default); "
-        "--no-distributed keeps the shared in-process ground truth",
-    )
-    sub.add_argument(
         "--dir-cache",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="directory acceleration tier: peer-local lookup caches, "
         "Bloom negative caching, hot-key replica fan-out (default); "
-        "--no-dir-cache routes every lookup (distributed mode only)",
+        "--no-dir-cache routes every lookup",
     )
     sub.add_argument(
         "--measure",
@@ -184,15 +177,6 @@ def _add_cluster_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--probe-budget", type=int, default=None, metavar="N",
         help="max active probes per cycle per peer",
-    )
-    sub.add_argument(
-        "--composer",
-        default="bcp",
-        metavar="NAME",
-        help="composition strategy from the registry (default: bcp; "
-        "see `repro.core.strategies` — e.g. backtrack, decompose, "
-        "optimal, random, static, centralized); non-bcp strategies "
-        "need a global view, so --no-distributed is forced",
     )
     sub.add_argument(
         "--profile",
@@ -377,21 +361,12 @@ def _build_cluster(args, trace: Optional[EventTrace]):
         measure_kwargs["probe_interval"] = args.probe_interval
     if args.probe_budget is not None:
         measure_kwargs["probe_budget"] = args.probe_budget
-    composer = getattr(args, "composer", "bcp")
-    distributed = args.distributed
-    if composer != "bcp" and distributed:
-        # every non-bcp strategy composes over the global registry/pool
-        # view, which distributed mode seals off
-        print(f"composer {composer!r} needs the global view; forcing --no-distributed")
-        distributed = False
     cfg = ClusterConfig(
         n_peers=args.peers,
         n_functions=args.functions,
         transport=args.transport,
         port_base=args.port_base,
         seed=args.seed,
-        distributed=distributed,
-        composer=composer,
         directory_tier=DirectoryTierConfig(enabled=args.dir_cache),
         measurement=MeasurementConfig(**measure_kwargs),
     )
@@ -406,8 +381,6 @@ def _print_phase_timer(timer) -> None:
 
 
 def _print_directory_stats(cluster) -> None:
-    if not cluster.distributed:
-        return
     stats = cluster.directory_stats()
     print("  directory:")
     print(
@@ -478,7 +451,7 @@ async def _serve(args, trace: Optional[EventTrace]) -> int:
     return 0
 
 
-def _print_compose_result(request, result, profile: bool = False) -> None:
+def _print_compose_result(request, result) -> None:
     status = "ok" if result.success else f"FAILED ({result.failure_reason})"
     print(
         f"  request {request.request_id}: {status} — "
@@ -486,17 +459,6 @@ def _print_compose_result(request, result, profile: bool = False) -> None:
         f"{result.candidates_examined} candidates, "
         f"setup {result.setup_time * 1000:.0f} ms (virtual)"
     )
-    if profile and result.phases:
-        ops = {
-            k[len("ops_"):]: v
-            for k, v in sorted(result.phases.items())
-            if k.startswith("ops_")
-        }
-        if ops:
-            print(
-                "    ops: "
-                + ", ".join(f"{k}={int(v)}" for k, v in ops.items())
-            )
 
 
 async def _compose_live(args, trace: Optional[EventTrace]) -> int:
@@ -525,7 +487,7 @@ async def _compose_live(args, trace: Optional[EventTrace]) -> int:
                 failures += 1
                 results = []
             for request, result in zip(requests, results):
-                _print_compose_result(request, result, profile=args.profile)
+                _print_compose_result(request, result)
                 failures += 0 if result.success else 1
         else:
             for i, request in enumerate(requests):
@@ -539,7 +501,7 @@ async def _compose_live(args, trace: Optional[EventTrace]) -> int:
                     print(f"  request {request.request_id}: FAILED ({exc})")
                     failures += 1
                     continue
-                _print_compose_result(request, result, profile=args.profile)
+                _print_compose_result(request, result)
                 failures += 0 if result.success else 1
                 if args.kill is not None and i == 0:
                     if args.kill in (request.source_peer, request.dest_peer):

@@ -4,14 +4,14 @@ Composition used to be hard-wired to BCP; the baselines of §6.1 lived in
 ``core/baselines.py`` behind ad-hoc constructors.  This module puts one
 abstract interface in front of all of them — ``compose(request)`` on a
 shared :class:`StrategyContext` — plus a name registry so the sim
-harness, the live daemons, and the CLI (``--composer``) can select an
-algorithm by string.
+harness and the benchmarks can select an algorithm by string
+(``SpiderNet.use_composer(name)``).
 
 Strategies declare ``requires_global_view``: BCP composes from purely
 local state plus probing, so it runs in every substrate including the
-distributed live cluster; the search/baseline strategies read the whole
-registry and resource pool and therefore only run where that global view
-exists (simulation and shared-state live mode).
+live cluster, whose daemons share nothing but the wire; the
+search/baseline strategies read the whole registry and resource pool
+and therefore only run where that global view exists — the simulation.
 """
 
 from __future__ import annotations

@@ -62,9 +62,9 @@ class ServiceRegistry:
 
     def set_access_hook(self, hook: Optional[Callable[[str], None]]) -> None:
         """Install (or clear) a callable invoked with the method name
-        before every registry read/write.  Live clusters in distributed
-        mode use this to *prove* peers never consult the shared
-        registry — the hook records a violation and raises."""
+        before every registry read/write.  Live clusters use this to
+        *prove* peers never consult the shared registry — the hook
+        records a violation and raises."""
         self._access_hook = hook
 
     def _accessed(self, name: str) -> None:

@@ -19,12 +19,12 @@ Modules
 ``rpc``        request/response with timeouts, retries + backoff, dedup
 ``peer``       the peer daemon (probe processing, soft-state timers,
                session ack handling, maintenance pings)
-``directory``  the per-peer slice of the distributed service directory
+``directory``  the per-peer slice of the service directory
                plus the acceleration-tier bookkeeping (versions,
                popularity, replica rows, Bloom summaries)
 ``bloom``      the compact set summary piggybacked on lookup replies
-``guard``      ``SharedStateGuard`` — seals shared registry/pool/DHT
-               storage to prove distributed mode never reads them
+``guard``      ``SharedStateGuard`` — seals the scenario's registry,
+               pool and DHT storage to prove no daemon ever reads them
 ``measurement`` the topology measurement plane: active probing, passive
                RTT sampling, per-link EWMA estimators, dead-path
                detection, and the ``MeasuredOverlayView`` adaptive

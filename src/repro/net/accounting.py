@@ -17,7 +17,7 @@ cluster report the same books:
   true encoded sizes, plus every response frame as ``net_ack``.  These
   keys are live-only (the simulator has no real frames) and never
   pollute the ``BCP_CATEGORIES`` totals.  ``net_directory`` covers the
-  distributed-mode discovery plane (RegisterComponent / RegisterBatch /
+  discovery plane (RegisterComponent / RegisterBatch /
   LookupRequest / ReplicatePush / ReplicaInvalidate to the DHT owner of
   a function key); the DHT *routing* cost of finding that owner still
   lands in ``dht_route``, charged per hop by

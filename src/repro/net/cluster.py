@@ -12,22 +12,21 @@ compositions end-to-end over the wire:
         request = cluster.scenario.requests.next_request()
         result = await cluster.compose(request)
 
-Two state models are supported.  **Distributed mode** (the default)
-gives every daemon its own resource pool and its own
-:class:`~repro.net.directory.DirectorySlice`: component meta-data lives
-with the peer owning ``hash(function)`` in the DHT id space, discovery
-and registration travel as DHT-routed RPCs, and soft-state reservations
-are owned by the hosting peer — there is no shared ground truth, and a
-:class:`~repro.net.guard.SharedStateGuard` seals the shared registry,
-pool and DHT storage while the cluster runs to *prove* it.  **Shared
-mode** (``distributed=False``) keeps the original arrangement — one
-shared overlay, pool and registry, with daemons as separate actors over
-shared ground truth — and remains the apples-to-apples baseline for the
-sim-parity harness.  In both modes every protocol step crosses the
-transport as encoded frames, and the shared
-:class:`~repro.net.accounting.LedgerTap` wraps the SpiderNet ledger, so
+There is one state model: every daemon has its own resource pool and
+its own :class:`~repro.net.directory.DirectorySlice`.  Component
+meta-data lives with the peer owning ``hash(function)`` in the DHT id
+space, discovery and registration travel as DHT-routed RPCs, soft-state
+reservations are owned by the hosting peer, and what a destination must
+know about a wave rides the wave's own frames — daemons share nothing
+but the wire, and a :class:`~repro.net.guard.SharedStateGuard` seals the
+scenario's registry, pool and DHT storage while the cluster runs to
+*prove* it.  What stays shared in process is not protocol state: the
+static topology (overlay, ring snapshot, DHT routing tables — read-only
+inputs every real peer would hold a copy of), the scenario's liveness
+oracles, and the observer side — one
+:class:`~repro.net.accounting.LedgerTap` over the SpiderNet ledger, so
 sim-category books (``bcp_probe`` …) and live wire books (``net_*``)
-land in one place.
+land in one place, and the optional ``EventTrace``.
 """
 
 from __future__ import annotations
@@ -76,24 +75,14 @@ class ClusterConfig:
     probe_retry: Optional[RetryPolicy] = None
     control_retry: Optional[RetryPolicy] = None
     maint_interval: Optional[float] = None  # source-side session pings; None = off
-    # True: DHT-routed discovery + per-peer pools, shared state sealed.
-    # False: the original shared-ground-truth arrangement (sim parity).
-    distributed: bool = True
-    # composition strategy by registry name (repro.core.strategies).
-    # "bcp" (the default) keeps the wire-probing path bit-for-bit
-    # untouched; any other name composes at the source daemon over the
-    # cluster's global view, which requires shared-state mode
-    # (distributed=False) — distributed mode seals exactly the state a
-    # global-view strategy must read.
-    composer: str = "bcp"
-    # directory acceleration tier (distributed mode only): None -> the
-    # tier's defaults (enabled); DirectoryTierConfig(enabled=False)
-    # reproduces the pre-tier per-lookup routing exactly
+    # directory acceleration tier: None -> the tier's defaults (enabled);
+    # DirectoryTierConfig(enabled=False) reproduces the pre-tier
+    # per-lookup routing exactly
     directory_tier: Optional[DirectoryTierConfig] = None
     # topology measurement plane: None -> the plane's defaults (enabled:
-    # active probing + passive RTT + dead-path detection, with adaptive
-    # routing in distributed mode); MeasurementConfig(enabled=False)
-    # reproduces the pre-measurement behaviour exactly
+    # active probing + passive RTT + dead-path detection + adaptive
+    # routing); MeasurementConfig(enabled=False) reproduces the
+    # pre-measurement behaviour exactly
     measurement: Optional[MeasurementConfig] = None
     # per-peer overload survival (admission + shedding + RPC throttle):
     # None -> no guard at all; AdmissionConfig(enabled=False) -> guard
@@ -102,9 +91,8 @@ class ClusterConfig:
     admission: Optional[AdmissionConfig] = None
     # scale-out sharding: the subset of overlay peers hosted by THIS
     # process (None = host all of them, the single-process default).
-    # A proper subset requires distributed mode plus tcp + port_base,
-    # so remote peers sit at computable (host, port_base + peer)
-    # addresses in sibling processes.
+    # A proper subset requires tcp + port_base, so remote peers sit at
+    # computable (host, port_base + peer) addresses in sibling processes.
     hosted: Optional[Tuple[int, ...]] = None
 
 
@@ -138,7 +126,6 @@ class LiveCluster:
         # one tap over the SpiderNet ledger: BCP._final_hop / registry
         # charges and the live wire books share a single MessageLedger
         self.tap = LedgerTap(self.net.ledger)
-        self._counters: Dict[int, int] = {}  # rid -> probes sent, all daemons
         self._t0 = 0.0
         if cfg.transport == "loopback":
             self.transport = LoopbackTransport(
@@ -150,30 +137,13 @@ class LiveCluster:
             )
         else:
             raise ValueError(f"unknown transport {cfg.transport!r} (loopback|tcp)")
-        self.distributed = cfg.distributed
-        self.dir_tier = (
-            (cfg.directory_tier or DirectoryTierConfig()) if self.distributed else None
-        )
+        self.dir_tier = cfg.directory_tier or DirectoryTierConfig()
         self.measure_cfg = cfg.measurement or MeasurementConfig()
-        # distributed mode seals the shared registry/pool/DHT storage for
-        # the cluster's lifetime: any read through them is a bug, and the
+        # the scenario's registry/pool/DHT storage are sealed for the
+        # cluster's lifetime: any read through them is a bug, and the
         # guard records it (then raises) instead of letting it pass
-        self.shared_guard = SharedStateGuard() if self.distributed else None
-        self._ring = self.net.dht.ring_snapshot() if self.distributed else None
-        self.composer_strategy = None
-        if cfg.composer != "bcp":
-            from ..core.strategies import StrategyContext, get_strategy
-
-            strategy_cls = get_strategy(cfg.composer)  # raises on unknown name
-            if strategy_cls.requires_global_view and self.distributed:
-                raise ValueError(
-                    f"composer {cfg.composer!r} needs a global registry/pool "
-                    f"view and cannot run in distributed mode (shared state is "
-                    f"sealed); use ClusterConfig(distributed=False)"
-                )
-            self.composer_strategy = strategy_cls.from_context(
-                StrategyContext.from_spidernet(self.net)
-            )
+        self.shared_guard = SharedStateGuard()
+        self._ring = self.net.dht.ring_snapshot()
         all_peers = sorted(scenario.overlay.peers())
         if cfg.hosted is None:
             hosted = all_peers
@@ -182,15 +152,14 @@ class LiveCluster:
             unknown = [p for p in hosted if p not in set(all_peers)]
             if unknown:
                 raise ValueError(f"hosted peers not in the overlay: {unknown}")
-            if set(hosted) != set(all_peers):
-                if not cfg.distributed:
-                    raise ValueError("hosted shards require distributed mode")
-                if cfg.transport != "tcp" or cfg.port_base is None:
-                    raise ValueError(
-                        "hosted shards require transport='tcp' with port_base "
-                        "set, so sibling processes' peers have computable "
-                        "addresses"
-                    )
+            if set(hosted) != set(all_peers) and (
+                cfg.transport != "tcp" or cfg.port_base is None
+            ):
+                raise ValueError(
+                    "hosted shards require transport='tcp' with port_base "
+                    "set, so sibling processes' peers have computable "
+                    "addresses"
+                )
         self.hosted: Tuple[int, ...] = tuple(hosted)
         self.daemons: Dict[int, PeerDaemon] = {}
         for peer in hosted:
@@ -209,43 +178,31 @@ class LiveCluster:
 
     def _build_daemon(self, peer: int) -> PeerDaemon:
         """Wire one peer's endpoint, engine, and measurement plane."""
-        cfg = self.config
         shared = self.net.bcp
-        endpoint = RpcEndpoint(
-            self.transport,
-            peer,
-            retry=cfg.control_retry,
-            seed=cfg.seed + peer,
-            inflight_limit=self._rpc_inflight_limit(),
-        )
+        endpoint = self._endpoint(peer)
         measuring = self.measure_cfg.enabled
+        # each daemon owns its soft state: a private (empty) pool clone
+        # plus a private directory slice.  The registry reference stays
+        # wired for API symmetry but is sealed.  With measurement on, the
+        # daemon's whole engine sits over its MeasuredOverlayView: until
+        # the plane installs a material delta the view delegates verbatim
+        # to the shared static overlay, so selections are unchanged by
+        # default.
         view: Optional[MeasuredOverlayView] = None
-        if self.distributed:
-            # each daemon owns its soft state: a private (empty) pool
-            # clone plus a private directory slice.  The registry
-            # reference stays wired for API symmetry but is sealed.
-            # With measurement on, the daemon's whole engine sits over
-            # its MeasuredOverlayView: until the plane installs a
-            # material delta the view delegates verbatim to the shared
-            # static overlay, so selections are unchanged by default.
-            overlay = shared.overlay
-            if measuring and self.measure_cfg.adapt_routing:
-                view = MeasuredOverlayView(shared.overlay)
-                overlay = view
-            bcp = BCP(
-                overlay,
-                shared.pool.clone_empty(overlay=overlay),
-                shared.registry,
-                config=shared.config,
-                ledger=shared.ledger,
-                peer_failure=shared.peer_failure,
-                alive=shared.alive,
-                rng=shared.rng,
-                trust=shared.trust,
-            )
-            directory: Optional[DirectorySlice] = DirectorySlice()
-        else:
-            bcp, directory = shared, None
+        overlay = shared.overlay
+        if measuring and self.measure_cfg.adapt_routing:
+            overlay = view = MeasuredOverlayView(shared.overlay)
+        bcp = BCP(
+            overlay,
+            shared.pool.clone_empty(overlay=overlay),
+            shared.registry,
+            config=shared.config,
+            ledger=shared.ledger,
+            peer_failure=shared.peer_failure,
+            alive=shared.alive,
+            rng=shared.rng,
+            trust=shared.trust,
+        )
         plane: Optional[MeasurementPlane] = None
         if measuring:
             plane = MeasurementPlane(
@@ -258,21 +215,43 @@ class LiveCluster:
                 trace=self.trace,
                 clock=self._clock,
             )
-            if self.distributed:
-                # candidates on downed paths are filtered at Step 2.3a
-                # (shared mode keeps one global BCP, which must not be
-                # narrowed by any single peer's connectivity)
-                base_alive = bcp.alive
-                bcp.alive = (
-                    lambda p, _alive=base_alive, _plane=plane: _alive(p)
-                    and not _plane.is_down(p)
-                )
+            # candidates on downed paths are filtered at Step 2.3a
+            base_alive = bcp.alive
+            bcp.alive = (
+                lambda p, _alive=base_alive, _plane=plane: _alive(p)
+                and not _plane.is_down(p)
+            )
+        return self._daemon(peer, bcp, endpoint, DirectorySlice(), plane)
+
+    def _endpoint(self, peer: int) -> RpcEndpoint:
+        adm = self.config.admission
+        return RpcEndpoint(
+            self.transport,
+            peer,
+            retry=self.config.control_retry,
+            seed=self.config.seed + peer,
+            inflight_limit=adm.rpc_max_inflight if adm is not None and adm.enabled else 0,
+        )
+
+    def _daemon(
+        self,
+        peer: int,
+        bcp: BCP,
+        endpoint: RpcEndpoint,
+        directory: DirectorySlice,
+        plane: Optional[MeasurementPlane],
+    ) -> PeerDaemon:
+        """The one place a :class:`PeerDaemon` is constructed (boot and
+        revive): everything but the five arguments is the cluster's."""
+        cfg = self.config
         return PeerDaemon(
             peer_id=peer,
             bcp=bcp,
             endpoint=endpoint,
-            peers=sorted(self.scenario.overlay.peers()),
-            counters=self._counters,
+            directory=directory,
+            ring=self._ring,
+            dht=self.net.dht,
+            dir_tier=self.dir_tier,
             tap=self.tap,
             trace=self.trace,
             clock=self._clock,
@@ -281,24 +260,11 @@ class LiveCluster:
             probe_retry=cfg.probe_retry,
             control_retry=cfg.control_retry,
             maint_interval=cfg.maint_interval,
-            directory=directory,
-            ring=self._ring,
-            dht=self.net.dht,
-            dir_tier=self.dir_tier,
             measurement=plane,
-            guard=self._make_guard(),
-            composer=self.composer_strategy,
+            # a fresh guard each time: admission state is the process's,
+            # and a restarted process forgets
+            guard=LoadGuard(cfg.admission) if cfg.admission is not None else None,
         )
-
-    def _make_guard(self) -> Optional[LoadGuard]:
-        """A fresh per-daemon guard (admission state is process-local)."""
-        if self.config.admission is None:
-            return None
-        return LoadGuard(self.config.admission)
-
-    def _rpc_inflight_limit(self) -> int:
-        adm = self.config.admission
-        return adm.rpc_max_inflight if adm is not None and adm.enabled else 0
 
     # ------------------------------------------------------------------
     def _clock(self) -> float:
@@ -326,11 +292,10 @@ class LiveCluster:
 
     async def activate(self) -> "LiveCluster":
         """Boot phase 2: seal shared state, register components, probe."""
-        if self.shared_guard is not None:
-            # seal *before* populating the directory: registration must
-            # itself be wire-only for the no-shared-reads proof to hold
-            self.shared_guard.seal(self.net.registry, self.net.pool, self.net.dht)
-            await self._populate_directory()
+        # seal *before* populating the directory: registration must
+        # itself be wire-only for the no-shared-reads proof to hold
+        self.shared_guard.seal(self.net.registry, self.net.pool, self.net.dht)
+        await self._populate_directory()
         # active probing starts after the boot registration pass, so the
         # first measured cycles see steady-state traffic
         for daemon in self.daemons.values():
@@ -396,8 +361,7 @@ class LiveCluster:
         for daemon in self.daemons.values():
             await daemon.drain()
         await self.transport.close()
-        if self.shared_guard is not None:
-            self.shared_guard.unseal()
+        self.shared_guard.unseal()
         if self.trace is not None:
             self.trace.record("cluster_stopped", time=self._clock())
 
@@ -464,8 +428,8 @@ class LiveCluster:
         """Pipeline a batch: up to ``concurrency`` sessions overlap.
 
         Every piece of per-session daemon state — soft tokens, firm
-        tokens, collection windows, credit, probe counters, pending
-        results — is keyed by request id, so overlapping sessions stay
+        tokens, collection windows, credit, pending results — is keyed
+        by request id, so overlapping sessions stay
         isolated; overlap changes wall-clock time and resource
         contention (later admissions see earlier sessions' soft
         reservations, as concurrent arrivals would in a real overlay),
@@ -523,39 +487,14 @@ class LiveCluster:
         if not self.transport.is_killed(peer_id):
             raise RuntimeError(f"peer {peer_id} is not down")
         self.transport.unregister(peer_id)
-        endpoint = RpcEndpoint(
-            self.transport,
-            peer_id,
-            retry=self.config.control_retry,
-            seed=self.config.seed + peer_id,
-            inflight_limit=self._rpc_inflight_limit(),
-        )
+        endpoint = self._endpoint(peer_id)
         await self.transport.revive(peer_id)
         plane = old.measurement
         if plane is not None:
             plane.rebind(endpoint)
-        daemon = PeerDaemon(
-            peer_id=peer_id,
-            bcp=old.bcp,
-            endpoint=endpoint,
-            peers=old.peers,
-            counters=self._counters,
-            tap=self.tap,
-            trace=self.trace,
-            clock=self._clock,
-            soft_timeout=self.config.soft_timeout,
-            collect_wall_timeout=self.config.collect_wall_timeout,
-            probe_retry=self.config.probe_retry,
-            control_retry=self.config.control_retry,
-            maint_interval=self.config.maint_interval,
-            directory=old.directory,
-            ring=self._ring,
-            dht=self.net.dht,
-            dir_tier=self.dir_tier,
-            measurement=plane,
-            guard=self._make_guard(),  # fresh: a restarted process forgets
+        self.daemons[peer_id] = self._daemon(
+            peer_id, old.bcp, endpoint, old.directory, plane
         )
-        self.daemons[peer_id] = daemon
         if plane is not None and self._started:
             plane.start()
         if self.trace is not None:
@@ -576,9 +515,8 @@ class LiveCluster:
     def pool_tokens(self) -> Dict[int, List]:
         """Active allocation tokens per daemon pool (soft *and* firm).
 
-        In shared mode every daemon reports the same shared pool; in
-        distributed mode each entry is that peer's private pool — the
-        union is the cluster-wide allocation state."""
+        Each entry is that peer's private pool — the union is the
+        cluster-wide allocation state."""
         out: Dict[int, List] = {}
         for peer, daemon in sorted(self.daemons.items()):
             out[peer] = sorted(daemon.bcp.pool.active_tokens(), key=repr)
@@ -639,7 +577,7 @@ class LiveCluster:
         return out
 
     def directory_stats(self) -> Dict[str, object]:
-        """Aggregate directory-tier health across daemons (distributed).
+        """Aggregate directory-tier health across daemons.
 
         ``hit_rate`` is positive-cache hits over (hits + misses); Bloom
         negative hits are counted separately — they short-circuit absent
@@ -652,12 +590,10 @@ class LiveCluster:
             "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
             "neg_hits": sum(d.neg_hits for d in self.daemons.values()),
             "replica_serves": sum(d.replica_serves for d in self.daemons.values()),
-            "slices": {},
         }
-        slices: Dict[int, Dict[str, int]] = {}
-        for peer, daemon in sorted(self.daemons.items()):
-            if daemon.directory is not None:
-                slices[peer] = daemon.directory.stats()
+        slices = {
+            peer: daemon.directory.stats() for peer, daemon in sorted(self.daemons.items())
+        }
         out["slices"] = slices
         out["directory_serves"] = sum(s["serves"] for s in slices.values())
         out["directory_rows"] = sum(s["rows"] for s in slices.values())

@@ -1,4 +1,4 @@
-"""Wire codec for the live runtime (wire version 3).
+"""Wire codec for the live runtime (wire version 4).
 
 Frames are ``MAGIC (2) | version (1) | payload length (4, big-endian) |
 payload``.  A payload is written in one pass in two kinds of encoding:
@@ -86,7 +86,7 @@ __all__ = [
 ]
 
 MAGIC = b"SN"
-WIRE_VERSION = 3  # the header's version byte; any other value is refused
+WIRE_VERSION = 4  # the header's version byte; any other value is refused
 MAX_FRAME = 4 * 1024 * 1024  # one protocol message, not a data plane
 _HEADER = struct.Struct(">2sBI")
 _HEADER_SIZE = _HEADER.size
@@ -968,10 +968,11 @@ def _usage_rows(rows, *kinds) -> Tuple[Tuple, ...]:
 def _normalize_credit(msg) -> None:
     """``__post_init__`` of the three credit-carrying messages.
 
-    ``reports`` is a tuple of bundles ``(holder, n, peers, links)``: what
-    ``holder`` reserved in its ``n``-th reporting admission, ``peers`` as
-    ``(peer, rtype, amount)`` rows and ``links`` as ``(u, v, bandwidth)``
-    rows.  Anything else is refused here, where a message is made; the
+    ``reports`` is a tuple of bundles ``(holder, n, peers, links, sent)``:
+    what ``holder`` did in its ``n``-th report — an admission's
+    reservations, ``peers`` as ``(peer, rtype, amount)`` rows and
+    ``links`` as ``(u, v, bandwidth)`` rows, or a fan-out's ``sent``
+    probes.  Anything else is refused here, where a message is made; the
     wire layout (:data:`_REPORTS`) cannot represent a malformed row."""
     bundles = tuple(
         (
@@ -979,15 +980,18 @@ def _normalize_credit(msg) -> None:
             n,
             _usage_rows(peers, int, str, (int, float)),
             _usage_rows(links, int, int, (int, float)),
+            sent,
         )
-        for holder, n, peers, links in _usage_rows(msg.reports, int, int, object, object)
+        for holder, n, peers, links, sent in _usage_rows(
+            msg.reports, int, int, object, object, int
+        )
     )
     object.__setattr__(msg, "reports", bundles)
     if not isinstance(msg.discovery, (int, float, type(None))):
         raise CodecError(f"malformed reservation report discovery rtt: {msg.discovery!r}")
 
 
-_S_BUNDLE = struct.Struct(">iqBB")  # holder, n, peer rows, link rows
+_S_BUNDLE = struct.Struct(">iqBBI")  # holder, n, peer rows, link rows, probes sent
 _S_PEER_ROW = struct.Struct(">id")  # peer, amount; the resource type follows
 _S_LINK_ROW = struct.Struct(">iid")  # u, v, bandwidth
 
@@ -995,8 +999,8 @@ _S_LINK_ROW = struct.Struct(">iid")  # u, v, bandwidth
 def _pack_reports(p: _Packer, reports) -> None:
     _write_count(p, reports)
     out = p.out
-    for holder, n, peers, links in reports:
-        out += _S_BUNDLE.pack(holder, n, len(peers), len(links))
+    for holder, n, peers, links, sent in reports:
+        out += _S_BUNDLE.pack(holder, n, len(peers), len(links), sent)
         for peer, rtype, amount in peers:
             out += _S_PEER_ROW.pack(peer, amount)
             p.pack_str(rtype)
@@ -1009,7 +1013,7 @@ def _unpack_reports(u: _Unpacker) -> Tuple[Tuple, ...]:
     bundles = []
     for _ in range(_read_count(u)):
         pos = u.pos
-        holder, n, n_peers, n_links = _S_BUNDLE.unpack_from(buf, pos)
+        holder, n, n_peers, n_links, sent = _S_BUNDLE.unpack_from(buf, pos)
         pos += _S_BUNDLE.size
         peers = []
         for _ in range(n_peers):
@@ -1021,7 +1025,7 @@ def _unpack_reports(u: _Unpacker) -> Tuple[Tuple, ...]:
         if end > len(buf):
             raise CodecError("truncated binary payload: link rows run past the end")
         links = tuple(_S_LINK_ROW.iter_unpack(buf[pos:end]))
-        bundles.append((holder, n, tuple(peers), links))
+        bundles.append((holder, n, tuple(peers), links, sent))
     return tuple(bundles)
 
 
@@ -1044,13 +1048,13 @@ class ProbeTransfer:
     (splits on fan-out, returns to the destination on arrival/prune/loss).
 
     Whatever the destination must know before its window may close
-    travels with that credit: ``reports`` holds the reservation bundles
-    of the admitting peers upstream (distributed mode; laid out as in
-    :func:`_normalize_credit`) and ``discovery`` the root expansion's
-    slowest lookup RTT.  On fan-out both go with the first child only,
-    so each reaches the destination exactly once — in the
-    :class:`FinalProbe` or :class:`CreditReturn` that ends this credit
-    share's journey.
+    travels with that credit: ``reports`` holds the bundles of the peers
+    upstream — what each admission reserved, how many probes each
+    fan-out sent (laid out as in :func:`_normalize_credit`) — and
+    ``discovery`` the root expansion's slowest lookup RTT.  On fan-out
+    both go with the first child only, so each reaches the destination
+    exactly once — in the :class:`FinalProbe` or :class:`CreditReturn`
+    that ends this credit share's journey.
     """
 
     request_id: int
@@ -1125,8 +1129,8 @@ class SessionConfirm:
 @dataclass(frozen=True)
 class SessionRelease:
     """Destination → the peers holding this request's reservations (those
-    named in the wave's report bundles; every peer in shared mode, which
-    has no reports): drop the request's soft state, minus ``keep``.
+    named in the wave's report bundles): drop the request's soft state,
+    minus ``keep``.
     ``soft_only`` spares firm tokens too — the cleanup after a frame that
     met a closed window, when an established session may own them."""
 

@@ -1,8 +1,8 @@
 """A live peer's slice of the decentralized service directory.
 
-In distributed mode every :class:`~repro.net.peer.PeerDaemon` stores the
-meta-data rows whose DHT keys it owns (or replicates) — the live
-counterpart of one Pastry node's ``store``.  Rows arrive exclusively as
+Every :class:`~repro.net.peer.PeerDaemon` stores the meta-data rows
+whose DHT keys it owns (or replicates) — the live counterpart of one
+Pastry node's ``store``.  Rows arrive exclusively as
 ``RegisterComponent`` / ``RegisterBatch`` frames and leave as
 ``LookupRequest`` replies; the slice never consults the shared
 :class:`ServiceRegistry`, which is what the cluster's shared-state guard
@@ -50,7 +50,7 @@ _BLOOM_RECIPIENT_CAP = 512
 
 @dataclass(frozen=True)
 class DirectoryTierConfig:
-    """Knobs for the directory acceleration tier (distributed mode).
+    """Knobs for the directory acceleration tier.
 
     ``enabled=False`` reproduces the pre-tier behaviour exactly: every
     logical lookup routes the DHT and crosses the wire to the key's

@@ -1,9 +1,11 @@
-"""Runtime proof that distributed peers never touch shared ground truth.
+"""Runtime proof that live peers never touch shared ground truth.
 
 The live cluster keeps the *environment* objects of the simulated
-testbed around (shared registry, shared resource pool, DHT storage) —
-in distributed mode these must be dead weight: every daemon owns its own
-pool and directory slice, and all coordination crosses the transport.
+testbed around (the scenario's registry, resource pool, DHT storage) —
+to a running cluster these must be dead weight: every daemon owns its
+own pool and directory slice, and all coordination crosses the
+transport.  Every :class:`~repro.net.cluster.LiveCluster` arms one for
+its whole lifetime.
 
 :class:`SharedStateGuard` enforces that claim mechanically.  While
 sealed, every read or write of the shared registry / pool / DHT storage
@@ -44,7 +46,7 @@ DHT_STORAGE_METHODS = ("put", "get", "remove_values")
 
 
 class SharedStateViolation(RuntimeError):
-    """A distributed-mode peer read or wrote shared in-process state."""
+    """A live peer read or wrote shared in-process state."""
 
 
 class SharedStateGuard:
@@ -58,7 +60,7 @@ class SharedStateGuard:
     def trip(self, what: str) -> None:
         self.violations.append(what)
         raise SharedStateViolation(
-            f"distributed peer touched shared state: {what} "
+            f"live peer touched shared state: {what} "
             "(must go over the wire)"
         )
 

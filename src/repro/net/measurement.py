@@ -118,8 +118,8 @@ class MeasurementConfig:
     # scale is held through (MeasurementPlane._reprice)
     material_ratio: float = 1.5
     min_delta: float = 0.002
-    # feed deltas into the MeasuredOverlayView (distributed mode only;
-    # False collects statistics without touching routing)
+    # feed deltas into the MeasuredOverlayView (False collects
+    # statistics without touching routing)
     adapt_routing: bool = True
 
     def __post_init__(self) -> None:
@@ -394,10 +394,9 @@ class MeasurementPlane:
     up/down transitions are the exception — rare, and urgent — and reach
     the view at once.
 
-    When constructed with a :class:`MeasuredOverlayView` (distributed
-    mode with ``adapt_routing``) those decisions are pushed into the
-    view; otherwise the plane is a pure observer (shared-state mode keeps
-    one global BCP whose overlay must not be mutated per-peer).
+    When constructed with a :class:`MeasuredOverlayView` (the cluster
+    hands every daemon its own under ``adapt_routing``) those decisions
+    are pushed into the view; otherwise the plane is a pure observer.
     """
 
     # seconds between routing decisions of a plane that sends no probes

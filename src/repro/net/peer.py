@@ -14,7 +14,7 @@ asyncio tasks, *reusing the wrapped* :class:`~repro.core.bcp.BCP`
 * ``BCP._tokens_of`` + pool confirm — the Step 4 ack pass.
 
 **Termination detection.**  The synchronous engine knows the wave is
-over when its heap drains; a distributed destination cannot see remote
+over when its heap drains; a live destination cannot see remote
 queues.  Instead every composition carries one unit of *credit*: the
 root probe holds ``Fraction(1)``, each fan-out splits the parent's
 credit exactly among its children, and credit returns to the destination
@@ -31,14 +31,17 @@ tokens are tracked separately so a later release — a setup ack that
 fails partway, or a session teardown — frees them too instead of leaking
 capacity.
 
-**Reports ride the credit.**  In distributed mode the destination must
-know, before its window may close, who reserved what along the wave.
-No peer stops to tell it: an admitting peer appends a bundle of its
-fresh reservations to the ones the probe already carries, a fan-out
-sends the lot on with its first child, and the ``FinalProbe`` or
-``CreditReturn`` that ends that credit share's journey hands them over
-— absorbed before the credit is counted, so "credit complete" implies
-"every holder booked, the whole wave's load known" by construction.
+**Reports ride the credit.**  The destination must know, before its
+window may close, who reserved what along the wave and how many probes
+the wave sent.  No peer stops to tell it: an admitting peer appends a
+bundle of its fresh reservations to the ones the probe already carries,
+a fan-out appends one naming the number of children it sends and hands
+the lot to its first child, and the ``FinalProbe`` or ``CreditReturn``
+that ends that credit share's journey delivers them — absorbed before
+the credit is counted, each ``(holder, n)`` once, so "credit complete"
+implies "every holder booked, the whole wave's load and probe count
+known" by construction.  No daemon keeps a per-request counter, and
+nothing is shared between daemons to keep one in.
 
 **Teardown.**  When the window closes the destination releases the
 request's losing reservations in *one* wave, to exactly the holders its
@@ -47,18 +50,17 @@ probing budget, not by the size of the overlay.  A credit-carrying frame
 that reaches a closed window (a straggler after the wall-clock fallback)
 is answered ``late`` and the holders named in it are sent one soft-only
 release.  A peer that dies holding a probe takes the probe's bundles
-with it; those holders' tokens fall to their expiry timers.  Shared-state
-mode sends no reports and releases on every peer.
+with it; those holders' tokens fall to their expiry timers.
 
-**Distributed mode.**  With a ``directory``/``ring``/``dht`` triple the
-daemon stops consulting the shared :class:`ServiceRegistry` entirely:
-component meta-data lives in the :class:`DirectorySlice` of the peer
-owning ``hash(function)`` in the DHT id space (plus its replica-ring
-successors), registration and discovery travel as
-:class:`~repro.net.codec.RegisterComponent` /
+**Discovery.**  A daemon never consults the scenario's
+:class:`ServiceRegistry`: component meta-data lives in the
+:class:`DirectorySlice` of the peer owning ``hash(function)`` in the DHT
+id space (plus its replica-ring successors), registration and discovery
+travel as :class:`~repro.net.codec.RegisterComponent` /
 :class:`~repro.net.codec.LookupRequest` RPCs, and the lookup RTT is
 derived from the same Pastry route a sync lookup would take — so the
-message ledger and probe timing stay comparable across modes.
+message ledger and probe timing stay comparable with the synchronous
+engine's.
 
 **Directory acceleration tier.**  With a
 :class:`~repro.net.directory.DirectoryTierConfig` enabled (the cluster
@@ -139,26 +141,30 @@ class _Collection:
     discovery: float = 0.0
     deadline_handle: Optional[asyncio.TimerHandle] = None
     done: bool = False
-    # distributed mode: remote peers' wave reservations, accumulated from
-    # the bundles of credit-carrying frames ((peer, rtype) -> amount,
-    # link -> bandwidth), the (holder, n) ids of the bundles booked so far
-    # and their holders — the only remote peers holding tokens for this
-    # request, so the only ones released
+    # what the wave's peers reported, accumulated from the bundles of
+    # credit-carrying frames: their reservations ((peer, rtype) -> amount,
+    # link -> bandwidth), the probes their fan-outs sent, the (holder, n)
+    # ids of the bundles booked so far and the holders among them — the
+    # only remote peers holding tokens for this request, so the only ones
+    # released
     wave_peer_used: Dict[Tuple[int, str], float] = field(default_factory=dict)
     wave_link_used: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    probes_sent: int = 0
     absorbed: Set[Tuple[int, int]] = field(default_factory=set)
     holders: Set[int] = field(default_factory=set)
     keep: Tuple[Tuple, ...] = ()  # what the latest release wave spared
 
     def absorb(self, reports) -> None:
-        """Book the admitting peers' reservation demands, each bundle once
+        """Book what the wave's peers reserved and sent, each bundle once
         (a probe processed by its receiver *and* reported lost by its
         sender delivers the same bundles twice)."""
-        for holder, n, peers, links in reports:
+        for holder, n, peers, links, sent in reports:
             if (holder, n) in self.absorbed:
                 continue
             self.absorbed.add((holder, n))
-            self.holders.add(holder)
+            self.probes_sent += sent
+            if peers or links:
+                self.holders.add(holder)
             for peer, rtype, amount in peers:
                 key = (peer, rtype)
                 self.wave_peer_used[key] = self.wave_peer_used.get(key, 0.0) + amount
@@ -169,12 +175,12 @@ class _Collection:
 class _WaveLoadView:
     """The pool interface ψλ needs, over (local pool − remote wave load).
 
-    A distributed destination's pool holds only the claims it admitted
-    itself; the rest of the wave's soft reservations live in the
-    admitting peers' pools and arrive as the report bundles of
-    credit-carrying frames.  Subtracting those deltas from the local view
-    reconstructs exactly the availability a shared-pool engine would see
-    at selection time — wire-only, no remote reads.
+    A destination's pool holds only the claims it admitted itself; the
+    rest of the wave's soft reservations live in the admitting peers'
+    pools and arrive as the report bundles of credit-carrying frames.
+    Subtracting those deltas from the local view reconstructs exactly the
+    availability the synchronous engine's one pool shows at selection
+    time — wire-only, no remote reads.
     """
 
     def __init__(
@@ -216,8 +222,10 @@ class PeerDaemon:
         peer_id: int,
         bcp: BCP,
         endpoint: RpcEndpoint,
-        peers: List[int],
-        counters: Dict[int, int],
+        directory: DirectorySlice,
+        ring: RingSnapshot,
+        dht,
+        dir_tier: DirectoryTierConfig,
         tap: Optional[LedgerTap] = None,
         trace=None,
         clock=None,
@@ -226,25 +234,19 @@ class PeerDaemon:
         probe_retry: Optional[RetryPolicy] = None,
         control_retry: Optional[RetryPolicy] = None,
         maint_interval: Optional[float] = None,
-        directory: Optional[DirectorySlice] = None,
-        ring: Optional[RingSnapshot] = None,
-        dht=None,
-        dir_tier: Optional[DirectoryTierConfig] = None,
         measurement=None,
         guard: Optional[LoadGuard] = None,
-        composer=None,
     ) -> None:
         self.peer_id = peer_id
         self.bcp = bcp
         self.endpoint = endpoint
-        self.peers = list(peers)
-        # distributed mode: all three are set and the shared registry is
-        # never read — discovery goes over the wire to the key's owner
+        # the registry is never read: component meta-data lives in the
+        # directory slices, and discovery goes over the wire to the peer
+        # owning the function's key on the ring (``dht`` prices the route)
         self.directory = directory
         self.ring = ring
-        self.dht = dht if dht is not None else getattr(bcp.registry, "dht", None)
+        self.dht = dht
         self.dir_tier = dir_tier
-        self.counters = counters  # shared rid -> probes_sent (harness bookkeeping)
         self.tap = tap
         self.trace = trace
         self._clock = clock if clock is not None else time.monotonic
@@ -258,10 +260,6 @@ class PeerDaemon:
         self.measurement = measurement
         # admission control (None = pre-admission behaviour, bit-exact)
         self.guard = guard
-        # optional CompositionStrategy (repro.core.strategies): when set
-        # (shared-state clusters only), start_compose runs it at the
-        # source daemon instead of probing over the wire
-        self.composer = composer
         self.stopped = False
         self.errors: List[str] = []
         # structured retry-exhaustion records (RpcFailure) — expected
@@ -282,7 +280,7 @@ class PeerDaemon:
         # no message from the destination is needed to evict it
         self._lookup_flight: Dict[int, Dict[Tuple[str, int], asyncio.Future]] = {}
         self._expanding: Dict[int, int] = {}
-        # directory tier state (tier-on distributed mode only):
+        # directory tier state (tier on only):
         # function -> (components, rtt, expires) positive cache
         self._dir_cache: Dict[str, Tuple[Tuple[ServiceMetadata, ...], float, float]] = {}
         # function -> route-priced rtt; never invalidated (the ring and
@@ -328,18 +326,9 @@ class PeerDaemon:
     # plumbing
     # ------------------------------------------------------------------
     @property
-    def distributed(self) -> bool:
-        """True when discovery is DHT-routed instead of shared-registry."""
-        return self.directory is not None and self.ring is not None
-
-    @property
     def tier_enabled(self) -> bool:
         """True when the directory acceleration tier is active."""
-        return (
-            self.distributed
-            and self.dir_tier is not None
-            and self.dir_tier.enabled
-        )
+        return self.dir_tier.enabled
 
     def _now(self) -> float:
         return float(self._clock())
@@ -490,21 +479,6 @@ class PeerDaemon:
         """Run one live composition from this (source) peer."""
         if request.source_peer != self.peer_id:
             raise ValueError(f"request sources at {request.source_peer}, daemon is {self.peer_id}")
-        if self.composer is not None:
-            # a global-view strategy is attached (shared-state mode):
-            # compose locally at the source daemon — no probes on the
-            # wire, only the strategy's own ledger accounting
-            rid = request.request_id
-            self._trace(
-                "compose_started", request=rid, dest=request.dest_peer,
-                budget=0, composer=self.composer.name,
-            )
-            result = self.composer.compose(request, budget=budget, confirm=confirm)
-            self._trace(
-                "compose_finished", request=rid, success=result.success,
-                composer=self.composer.name,
-            )
-            return result
         cfg = self.bcp.config
         beta = cfg.budget if budget is None else budget
         if beta < 1:
@@ -622,9 +596,12 @@ class PeerDaemon:
             await self._return_credit(rid, request.dest_peer, credit, "exhausted", cargo)
             return
         share = credit / len(sends)  # exact: Fractions never leak credit
-        # what the destination must learn rides one share of the credit,
-        # the first child's: it gets there once, before the credit is whole
-        cargoes = [cargo] + [_NO_CARGO] * (len(sends) - 1)
+        # what the destination must learn — with it, how many probes this
+        # fan-out sends — rides one share of the credit, the first child's:
+        # it gets there once, before the credit is whole
+        self._bundles_made += 1
+        count = (self.peer_id, self._bundles_made, (), (), len(sends))
+        cargoes = [(cargo[0] + (count,), cargo[1])] + [_NO_CARGO] * (len(sends) - 1)
         await asyncio.gather(
             *(
                 self._send_probe(rid, probe, *send, max_rtt, share, carried)
@@ -635,13 +612,12 @@ class PeerDaemon:
     async def _lookup(
         self, function: str, origin_peer: int, rid: Optional[int] = None
     ) -> Tuple[List[ServiceMetadata], float]:
-        """Resolve a function's duplicate list: shared registry, or the
-        DHT-routed directory owner in distributed mode.
+        """Resolve a function's duplicate list at its directory owner.
 
-        The distributed path routes ``hash(function)`` through Pastry
-        first — charging the DHT ledger per hop exactly as a sync lookup
-        would, and pricing the query RTT off that route — then asks the
-        owning peer's directory slice over the wire.  A dead owner is
+        The lookup routes ``hash(function)`` through Pastry first —
+        charging the DHT ledger per hop exactly as a sync lookup would,
+        and pricing the query RTT off that route — then asks the owning
+        peer's directory slice over the wire.  A dead owner is
         skipped in favour of its replica-ring successors; if every
         replica is unreachable the function simply has no visible
         duplicates this wave (the probe's credit returns as exhausted).
@@ -667,9 +643,6 @@ class PeerDaemon:
         unchanged; only the ``dht_route`` / ``net_directory`` charges
         shrink, which is the tier's entire effect on the books.
         """
-        if not self.distributed:
-            res = self.bcp.registry.lookup(function, origin_peer)
-            return list(res.components), res.rtt
         if self.tier_enabled:
             return await self._lookup_cached(function, origin_peer)
         key = key_for(function)
@@ -775,7 +748,7 @@ class PeerDaemon:
     async def _fetch_components(
         self, key, function: str, origin_peer: int
     ) -> List[ServiceMetadata]:
-        """The wire half of a distributed lookup: ask the key's replicas."""
+        """The wire half of a lookup: ask the key's replicas."""
         replicas = self.ring.replica_peers(key)
         if self.tier_enabled:
             if self.peer_id in replicas:
@@ -831,7 +804,6 @@ class PeerDaemon:
         credit: Fraction,
         cargo=_NO_CARGO,
     ) -> None:
-        self.counters[rid] = self.counters.get(rid, 0) + 1
         if self.tap is not None:
             self.tap.probe_sent()
         msg = codec.ProbeTransfer(
@@ -920,13 +892,13 @@ class PeerDaemon:
         for token in fresh:
             self._arm_expiry(rid, token)
         reports = msg.reports
-        if fresh and self.distributed and self.peer_id != request.dest_peer:
+        if fresh and self.peer_id != request.dest_peer:
             # this admission's load deltas — and this peer as a holder to
             # release — join what the probe already carries: wherever its
             # credit goes from here (even if it dies right here), they go
             # too, so the window cannot close without them
             self._bundles_made += 1
-            reports += ((self.peer_id, self._bundles_made, *self._reserved_usage(fresh)),)
+            reports += ((self.peer_id, self._bundles_made, *self._reserved_usage(fresh), 0),)
         if child is None:
             dropped = "pruned"
         elif self._seen.seen((rid, child.dedup_key())):
@@ -994,7 +966,8 @@ class PeerDaemon:
         if col is None or col.done:
             keep = col.keep if col is not None else ()  # a winner awaiting its ack
             release = codec.SessionRelease(rid, keep, soft_only=True)
-            for holder in sorted({bundle[0] for bundle in msg.reports}):
+            holders = {h for h, _, peers, links, _ in msg.reports if peers or links}
+            for holder in sorted(holders):
                 self._spawn(self._release_one(holder, release))
             return None
         col.absorb(msg.reports)
@@ -1066,7 +1039,7 @@ class PeerDaemon:
         cfg = self.bcp.config
         request = col.request
         result = col.result
-        result.probes_sent += self.counters.pop(rid, 0)
+        result.probes_sent += col.probes_sent
         result.candidates_examined = len(col.arrivals)
         result.phases["discovery"] = col.discovery
         arrivals = list(col.arrivals.values())
@@ -1080,15 +1053,11 @@ class PeerDaemon:
                 request, arrivals, self.bcp.overlay,
                 max_patterns=cfg.max_patterns, max_candidates=cfg.max_candidates,
             )
-            sel_pool = self.bcp.pool
-            if self.distributed:
-                # rank against the whole wave's load, not just the claims
-                # this destination admitted itself (see _WaveLoadView)
-                sel_pool = _WaveLoadView(
-                    self.bcp.pool, col.wave_peer_used, col.wave_link_used
-                )
+            # rank against the whole wave's load, not just the claims
+            # this destination admitted itself
+            wave_pool = _WaveLoadView(self.bcp.pool, col.wave_peer_used, col.wave_link_used)
             selection = select_composition(
-                candidates, request.qos, sel_pool, cfg.cost_weights,
+                candidates, request.qos, wave_pool, cfg.cost_weights,
                 objective=cfg.objective,
             )
             result.qualified = selection.qualified
@@ -1223,18 +1192,14 @@ class PeerDaemon:
         return out
 
     async def _release(self, col: _Collection, keep: Set[Tuple]) -> None:
-        """Drop the request's reservations (minus ``keep``) wherever any are.
-
-        Distributed mode: here plus the holders this window's report
-        bundles named.  Shared-state mode sends no reports, so every
-        daemon is asked to drop whatever it tracks for the request."""
+        """Drop the request's reservations (minus ``keep``) wherever any
+        are: here, plus the holders this window's report bundles named."""
         rid = col.request.request_id
         self._apply_release(rid, keep)
-        targets = col.holders if self.distributed else self.peers
         col.keep = tuple(sorted(keep))
         msg = codec.SessionRelease(rid, col.keep)
         calls = [
-            self._release_one(peer, msg) for peer in sorted(targets) if peer != self.peer_id
+            self._release_one(peer, msg) for peer in sorted(col.holders) if peer != self.peer_id
         ]
         if calls:
             await asyncio.gather(*calls)
@@ -1331,10 +1296,10 @@ class PeerDaemon:
         return {"alive": not self.stopped, "request": msg.request_id, "seq": msg.seq}
 
     # ------------------------------------------------------------------
-    # directory slice (distributed) / registry passthrough (shared)
+    # directory slice
     # ------------------------------------------------------------------
     async def register_components(self, specs: List[ComponentSpec], now: float = 0.0) -> None:
-        """Publish this peer's components over the wire (distributed boot).
+        """Publish this peer's components over the wire (boot, churn).
 
         Each spec travels to the DHT owner of its function key and to
         that owner's replica-ring successors, so lookups survive the
@@ -1352,8 +1317,6 @@ class PeerDaemon:
         of those holder sets are empty, so booting a cluster produces
         zero invalidation traffic.
         """
-        if not self.distributed:
-            raise RuntimeError("register_components requires distributed mode")
         if not self.tier_enabled:
             for spec in specs:
                 key = key_for(spec.function)
@@ -1409,23 +1372,16 @@ class PeerDaemon:
                     pass  # holder unreachable: its TTL bounds the staleness
 
     async def _on_register(self, src: int, msg: codec.RegisterComponent) -> dict:
-        if self.distributed:
-            if self.stopped:
-                return {"error": "stopped"}
-            self._dir_cache.pop(msg.spec.function, None)
-            fresh = self.directory.store(
-                key_for(msg.spec.function),
-                ServiceMetadata.from_spec(msg.spec, registered_at=msg.registered_at),
-            )
-            return {"ok": True, "fresh": fresh}
-        self.bcp.registry.register(msg.spec)
-        return {"ok": True}
+        if self.stopped:
+            return {"error": "stopped"}
+        self._dir_cache.pop(msg.spec.function, None)
+        fresh = self.directory.store(
+            key_for(msg.spec.function),
+            ServiceMetadata.from_spec(msg.spec, registered_at=msg.registered_at),
+        )
+        return {"ok": True, "fresh": fresh}
 
     async def _on_register_batch(self, src: int, msg: codec.RegisterBatch) -> dict:
-        if not self.distributed:
-            for spec in msg.specs:
-                self.bcp.registry.register(spec)
-            return {"ok": True}
         if self.stopped:
             return {"error": "stopped"}
         stale: Dict[str, List] = {}
@@ -1448,35 +1404,28 @@ class PeerDaemon:
         return reply
 
     async def _on_lookup(self, src: int, msg: codec.LookupRequest) -> dict:
-        if self.distributed:
-            if self.stopped:
-                return {"error": "stopped"}
-            key = key_for(msg.function)
-            rows = self.directory.lookup(key)
-            reply: dict = {"components": rows, "rtt": 0.0}
-            if self.tier_enabled:
-                tier = self.dir_tier
-                self.directory.note_querier(key, msg.origin_peer)
-                reply["version"] = self.directory.key_version(key)
-                if tier.negative_cache:
-                    reply["bloom"] = self.directory.bloom_wire()
-                    self.directory.note_bloom_recipient(msg.origin_peer)
-                if tier.hot_threshold > 0:
-                    rate = self.directory.note_serve_rate(
-                        key, self._now(), tier.popularity_halflife
-                    )
-                    if (
-                        rows
-                        and rate >= tier.hot_threshold
-                        and self.directory.mark_pushed(key)
-                    ):
-                        # fan-out must not run inline: this lookup's
-                        # reply would wait out the pushes' round trips
-                        # (same pattern as _on_probe's forwarding)
-                        self._spawn(self._push_replicas(key, msg.function))
-            return reply
-        res = self.bcp.registry.lookup(msg.function, msg.origin_peer)
-        return {"components": list(res.components), "rtt": res.rtt}
+        if self.stopped:
+            return {"error": "stopped"}
+        key = key_for(msg.function)
+        rows = self.directory.lookup(key)
+        reply: dict = {"components": rows}
+        if self.tier_enabled:
+            tier = self.dir_tier
+            self.directory.note_querier(key, msg.origin_peer)
+            reply["version"] = self.directory.key_version(key)
+            if tier.negative_cache:
+                reply["bloom"] = self.directory.bloom_wire()
+                self.directory.note_bloom_recipient(msg.origin_peer)
+            if tier.hot_threshold > 0:
+                rate = self.directory.note_serve_rate(
+                    key, self._now(), tier.popularity_halflife
+                )
+                if rows and rate >= tier.hot_threshold and self.directory.mark_pushed(key):
+                    # fan-out must not run inline: this lookup's reply
+                    # would wait out the pushes' round trips (same
+                    # pattern as _on_probe's forwarding)
+                    self._spawn(self._push_replicas(key, msg.function))
+        return reply
 
     async def _push_replicas(self, key: int, function: str) -> None:
         """Push a hot key's rows to the ring peers past the base replicas."""
@@ -1503,7 +1452,7 @@ class PeerDaemon:
                 pass  # best-effort: the target keeps resolving via the owner
 
     async def _on_replica_push(self, src: int, msg: codec.ReplicatePush) -> dict:
-        if not self.distributed or self.stopped:
+        if self.stopped:
             return {"error": "stopped"}
         key = key_for(msg.function)
         if self.peer_id not in self.ring.replica_peers(key):
@@ -1514,14 +1463,14 @@ class PeerDaemon:
         key = key_for(msg.function)
         self._dir_cache.pop(msg.function, None)
         self.directory.drop_replica(key)
-        if self.dir_tier is not None and self.dir_tier.negative_cache:
+        if self.dir_tier.negative_cache:
             # the key's holders rebuilt their Bloom summaries; drop our
             # cached copies so absence is re-proved against fresh state
             for holder in self.ring.replica_peers(key):
                 self._owner_blooms.pop(holder, None)
 
     async def _on_replica_invalidate(self, src: int, msg: codec.ReplicaInvalidate) -> dict:
-        if not self.distributed or self.stopped:
+        if self.stopped:
             return {"error": "stopped"}
         self._apply_invalidate(msg)
         return {"ok": True}

@@ -133,7 +133,6 @@ class ScaleoutConfig:
             capacity_scale=self.capacity_scale,
             soft_timeout=self.soft_timeout,
             collect_wall_timeout=self.collect_wall_timeout,
-            distributed=True,
             measurement=MeasurementConfig(enabled=self.measure),
             admission=self.admission,
             hosted=self.hosted_by(shard) if multi else None,

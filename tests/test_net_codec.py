@@ -47,10 +47,12 @@ def service_graph(scenario):
     pytest.fail("no composition succeeded while building the fixture")
 
 
-# what a credit-carrying frame gathers: (holder, n, peer rows, link rows)
+# what a credit-carrying frame gathers: (holder, n, peer rows, link rows,
+# probes sent) — an admission's reservations, a fan-out's count
 _BUNDLES = (
-    (3, 1, ((3, "cpu", 0.5), (3, "memory", 64)), ((2, 3, 1.25),)),
-    (5, 4, (), ((3, 5, 0.75),)),
+    (3, 1, ((3, "cpu", 0.5), (3, "memory", 64)), ((2, 3, 1.25),), 0),
+    (5, 4, (), ((3, 5, 0.75),), 0),
+    (5, 5, (), (), 7),
 )
 
 
@@ -87,7 +89,7 @@ def _credit_return(
     return head + credit + bytes([codec._T_STR8, 4]) + b"lost" + reports + discovery
 
 
-_BUNDLE = struct.Struct(">iqBB")  # holder, n, peer rows, link rows
+_BUNDLE = struct.Struct(">iqBBI")  # holder, n, peer rows, link rows, probes sent
 _PEER_ROW = struct.pack(">id", 3, 0.5) + bytes([codec._T_STRREF, 0, 13])  # "cpu" in the static table
 _LINK_ROW = struct.pack(">iid", 2, 3, 1.25)
 
@@ -291,16 +293,16 @@ class TestRoundTrips:
         full = codec.FinalProbe(
             1, probe, Fraction(2, 5),
             reports=[
-                [3, 1, [[3, "cpu", 0.5], (3, "memory", 64)], [(2, 3, 1.25)]],
-                (5, 2, [], ()),
+                [3, 1, [[3, "cpu", 0.5], (3, "memory", 64)], [(2, 3, 1.25)], 0],
+                (5, 2, [], (), 4),
             ],
             discovery=0.125,
         )
         # bundles and rows normalize to tuples on construction and on
         # decode alike
         assert full.reports == (
-            (3, 1, ((3, "cpu", 0.5), (3, "memory", 64)), ((2, 3, 1.25),)),
-            (5, 2, (), ()),
+            (3, 1, ((3, "cpu", 0.5), (3, "memory", 64)), ((2, 3, 1.25),), 0),
+            (5, 2, (), (), 4),
         )
         out = roundtrip(full, version)
         assert out == full and out.discovery == 0.125
@@ -328,7 +330,7 @@ class TestRoundTrips:
             run, ["branch", "assigned", "swaps", "applied", "metrics"]
         )
         probe_id, request_id, n = (draw(_ints, label=lb) for lb in ["probe_id", "request_id", "n"])
-        peer, holder, hops = (draw(_ints, label=lb) for lb in ["peer", "holder", "hops"])
+        peer, holder, hops, sent = (draw(_ints, label=lb) for lb in ["peer", "holder", "hops", "sent"])
         budget = abs(draw(_ints, label="budget"))
         x, amount = draw(_floats, label="x"), draw(_amounts, label="amount")
         credit = draw(_credits, label="credit")
@@ -337,8 +339,8 @@ class TestRoundTrips:
             draw(_runs, label=lb) for lb in ["bundles", "peer_rows", "link_rows"]
         )
         # one bundle holds the long runs of rows, the others one row each
-        long = (holder, n, ((holder, name, amount),) * peer_rows, ((holder, holder, amount),) * link_rows)
-        bundles = ((long,) + ((holder, n, ((holder, name, amount),), ()),) * 255)[:n_bundles]
+        long = (holder, n, ((holder, name, amount),) * peer_rows, ((holder, holder, amount),) * link_rows, sent)
+        bundles = ((long,) + ((holder, n, ((holder, name, amount),), (), 0),) * 255)[:n_bundles]
 
         probe = Probe(
             probe_id, request_obj, graph, frozenset(frozenset((s, s + "'")) for s in swaps),
@@ -351,7 +353,10 @@ class TestRoundTrips:
         )
         cargo_fits = _i64(request_id) and (
             n_bundles == 0
-            or (max(n_bundles, peer_rows, link_rows) <= 255 and _i64(n) and _i32(holder))
+            or (
+                max(n_bundles, peer_rows, link_rows) <= 255
+                and _i64(n) and _i32(holder) and 0 <= sent < 2**32
+            )
         )
         pairs = tuple((a, a) for a in applied)
         for msg, fits in [
@@ -429,10 +434,12 @@ class TestRejection:
             decode_frame(bytes(frame))
 
     def test_version_1_is_refused(self):
-        # the retired encodings (1: JSON, 2: tagged terms throughout): a
-        # stale peer is turned away at the header, and nothing here will
-        # write such a frame either
-        for retired, payload in [(1, b'{"x":1}'), (2, encode_frame({"x": 1})[7:])]:
+        # the retired encodings (1: JSON, 2: tagged terms throughout, 3:
+        # report bundles without the probe count): a stale peer is turned
+        # away at the header, and nothing here will write such a frame
+        # either
+        terms = encode_frame({"x": 1})[7:]
+        for retired, payload in [(1, b'{"x":1}'), (2, terms), (3, terms)]:
             with pytest.raises(CodecError, match=f"unsupported wire version {retired}"):
                 decode_frame(_frame(payload, version=retired))
             with pytest.raises(CodecError, match=f"cannot encode wire version {retired}"):
@@ -480,10 +487,11 @@ class TestRejection:
     @pytest.mark.parametrize(
         "damage",
         [
-            {"reports": b"\x02" + _BUNDLE.pack(3, 1, 0, 0)},
-            {"reports": b"\x01" + _BUNDLE.pack(3, 1, 2, 0) + _PEER_ROW},
-            {"reports": b"\x01" + _BUNDLE.pack(3, 1, 0, 2) + _LINK_ROW},
-            {"reports": b"\x01" + _BUNDLE.pack(3, 1, 1, 0) + _PEER_ROW[:12] + bytes([codec._T_INT8, 9])},
+            {"reports": b"\x02" + _BUNDLE.pack(3, 1, 0, 0, 0)},
+            {"reports": b"\x01" + _BUNDLE.pack(3, 1, 2, 0, 0) + _PEER_ROW},
+            {"reports": b"\x01" + _BUNDLE.pack(3, 1, 0, 2, 0) + _LINK_ROW},
+            {"reports": b"\x01" + _BUNDLE.pack(3, 1, 1, 0, 0) + _PEER_ROW[:12] + bytes([codec._T_INT8, 9])},
+            {"reports": b"\x01" + _BUNDLE.pack(3, 1, 0, 0, 7)[:-2]},
             {"credit": struct.pack(">Bqq", 0, 1, 0)},
             {"credit": struct.pack(">Bqq", 0, 1, -2)},
             {"credit": bytes([1, codec._T_INT8, 1, codec._T_INT8, 0])},
@@ -494,7 +502,7 @@ class TestRejection:
         ],
         ids=[
             "bundle-count-past-the-end", "peer-rows-past-the-end", "link-rows-past-the-end",
-            "resource-type-not-a-string", "zero-denominator", "negative-denominator",
+            "resource-type-not-a-string", "count-past-the-end", "zero-denominator", "negative-denominator",
             "zero-big-denominator", "float-denominator", "credit-form-byte",
             "presence-byte", "discovery-past-the-end",
         ],
@@ -503,11 +511,11 @@ class TestRejection:
         # what damage the typed layouts *can* express on the wire: the hand
         # writer is right about the layout, and each damaged part is refused
         whole = _credit_return(
-            reports=b"\x01" + _BUNDLE.pack(3, 1, 1, 1) + _PEER_ROW + _LINK_ROW,
+            reports=b"\x01" + _BUNDLE.pack(3, 1, 1, 1, 7) + _PEER_ROW + _LINK_ROW,
             discovery=b"\x01" + struct.pack(">d", 0.125),
         )
         assert decode_frame(_frame(whole)) == codec.CreditReturn(
-            1, Fraction(1, 2), "lost", ((3, 1, ((3, "cpu", 0.5),), ((2, 3, 1.25),)),), 0.125
+            1, Fraction(1, 2), "lost", ((3, 1, ((3, "cpu", 0.5),), ((2, 3, 1.25),), 7),), 0.125
         )
         with pytest.raises(CodecError):
             decode_frame(_frame(_credit_return(**damage)))
@@ -544,7 +552,7 @@ class TestRejection:
         # the constructor and the encoder must refuse it as a CodecError
         good = {"peers": [[3, "cpu", 0.5]], "links": [[2, 3, 1.0]]}
         rows_of = {**good, field: rows}
-        reports = [[4, 1, good["peers"], good["links"]], [3, 1, rows_of["peers"], rows_of["links"]]]
+        reports = [[4, 1, good["peers"], good["links"], 0], [3, 1, rows_of["peers"], rows_of["links"], 2]]
         _assert_refused(request_obj, service_graph, version, reports=reports)
 
     @pytest.mark.parametrize(
@@ -552,11 +560,18 @@ class TestRejection:
         [
             {"reports": 7},  # not a sequence of bundles
             {"reports": [7]},  # a bundle that is not a sequence
+            # (ids are reprs and are kept: these date from four-part bundles)
             {"reports": [[3, 1, []]]},  # short bundle
-            {"reports": [[3, 1, [], [], []]]},  # long bundle
-            {"reports": [["3", 1, [], []]]},  # holder is not an int
-            {"reports": [[3, None, [], []]]},  # n is not an int
-            {"reports": [[3, 1, None, []]]},  # rows missing altogether
+            {"reports": [[3, 1, [], [], []]]},  # the count is not an int
+            {"reports": [["3", 1, [], []]]},  # short bundle: no count
+            {"reports": [[3, None, [], []]]},
+            {"reports": [[3, 1, None, []]]},
+            {"reports": [[3, 1, [], [], 2, 2]]},  # long bundle
+            {"reports": [["3", 1, [], [], 2]]},  # holder is not an int
+            {"reports": [[3, None, [], [], 2]]},  # n is not an int
+            {"reports": [[3, 1, None, [], 2]]},  # rows missing altogether
+            {"reports": [[3, 1, [], [], 2.0]]},  # the count is not an int
+            {"reports": [[3, 1, [], [], None]]},  # the count is missing
             {"discovery": "soon"},
             {"discovery": [0.1]},
         ],
@@ -579,7 +594,7 @@ class TestFrameReader:
     def test_mixed_versions_on_one_stream(self):
         # there is one version: a frame that claims another poisons the
         # stream where it starts, and the reader stays poisoned
-        for retired in (1, 2):
+        for retired in (1, 2, 3):
             reader = FrameReader()
             assert reader.feed(encode_frame({"n": 0})) == [{"n": 0}]
             stale = _frame(encode_frame({"n": 1})[7:], version=retired)

@@ -1,6 +1,6 @@
 """The directory acceleration tier: caching, churn, Bloom, fan-out.
 
-The tier (``DirectoryTierConfig``) rides on distributed mode: peer-local
+The tier (``DirectoryTierConfig``) rides on the directory slices: peer-local
 positive caches invalidated by registration churn, Bloom-summary
 negative caching, popularity-driven replica pushes and batched boot
 registration.  These tests pin down the correctness edges the parity
@@ -197,36 +197,6 @@ def test_churn_invalidation_reaches_warm_caches_distributed():
         assert rows[spec.component_id] != 99.0, peer
     for peer, rows in after.items():
         assert rows[spec.component_id] == 99.0, peer
-
-
-def test_churn_visible_immediately_shared_mode():
-    """Shared mode has no caches: a registration RPC is visible to every
-    daemon's next lookup the moment it completes."""
-
-    async def scenario():
-        cluster = _cluster(distributed=False)
-        async with cluster:
-            template = cluster.scenario.population[0]
-            spec = dataclasses.replace(template, function="zz_churn_fn", peer=4)
-            before, _ = await cluster.daemons[0]._lookup("zz_churn_fn", 0)
-            # shared-mode registration path: a RegisterComponent RPC into
-            # any daemon lands in the shared registry
-            from repro.net import codec
-
-            await cluster.daemons[4].endpoint.call(
-                0, codec.RegisterComponent(spec, registered_at=1.0)
-            )
-            after = [
-                (await cluster.daemons[p]._lookup("zz_churn_fn", p))[0]
-                for p in (0, 3, 7)
-            ]
-            return before, after, cluster.errors()
-
-    before, after, errors = asyncio.run(scenario())
-    assert errors == []
-    assert before == []
-    for rows in after:
-        assert [m.peer for m in rows] == [4]
 
 
 # ----------------------------------------------------------------------

@@ -203,7 +203,6 @@ def _live_config(**overrides):
         n_functions=6,
         transport="loopback",
         seed=11,
-        distributed=True,
         bcp_config=BCPConfig(
             budget=32,
             nexthop_weights=NextHopWeights(delay=0.6, bandwidth=0.0, failure=0.4),

@@ -6,8 +6,8 @@ the same service graph with the same probe accounting.  Credit-based
 termination makes the live finalize quiescent (no in-flight probes),
 which is what makes the comparison exact rather than statistical.
 
-The parity matrix spans the state model (shared / distributed) and the
-directory acceleration tier: with the tier on, repeated lookups are
+The parity matrix spans the directory acceleration tier: with the tier
+on, repeated lookups are
 served from peer-local caches instead of routing the DHT, yet selections
 stay bit-identical — the cached (components, rtt) pair is exactly what
 re-routing a static ring would produce.  What *does* change is the
@@ -51,26 +51,22 @@ def _parity_config(transport="loopback", **overrides):
     return ClusterConfig(**base)
 
 
-# the directory tier on and off — caching must be invisible to selections
-# in both states.  (The ids date from a matrix that also had codec and
+# the directory tier on and off — caching must be invisible to selections.
+# (The ids date from a matrix that also had state-model, codec and
 # coalescing axes; they are kept so test histories stay comparable.)
-@pytest.mark.parametrize("dir_cache", [True, False], ids=["v2-coalesced", "v2-nocache"])
-@pytest.mark.parametrize("distributed", [False, True], ids=["shared", "distributed"])
-def test_loopback_cluster_matches_synchronous_bcp(distributed, dir_cache):
-    """Both state models must reproduce the sync engine's exact choices.
-
-    The distributed variant additionally proves the selections were made
-    with *zero* reads of the shared registry / pool / DHT storage: the
-    cluster's SharedStateGuard seals them for its whole lifetime and
+@pytest.mark.parametrize(
+    "dir_cache", [True, False], ids=["distributed-v2-coalesced", "distributed-v2-nocache"]
+)
+def test_loopback_cluster_matches_synchronous_bcp(dir_cache):
+    """The live cluster must reproduce the sync engine's exact choices —
+    with *zero* reads of the scenario's registry / pool / DHT storage:
+    the cluster's SharedStateGuard seals them for its whole lifetime and
     records (then raises on) any access.
     """
 
     async def scenario():
         cluster = LiveCluster(
-            _parity_config(
-                distributed=distributed,
-                directory_tier=DirectoryTierConfig(enabled=dir_cache),
-            )
+            _parity_config(directory_tier=DirectoryTierConfig(enabled=dir_cache))
         )
         requests = cluster.scenario.requests.batch(5)
         sync_bcp = cluster.scenario.net.bcp
@@ -86,12 +82,7 @@ def test_loopback_cluster_matches_synchronous_bcp(distributed, dir_cache):
                 live.append(await cluster.compose(r, confirm=False, timeout=60))
         leaked = cluster.soft_tokens()
         errors = cluster.errors()
-        violations = (
-            list(cluster.shared_guard.violations)
-            if cluster.shared_guard is not None
-            else []
-        )
-        return expected, live, leaked, errors, violations
+        return expected, live, leaked, errors, cluster.shared_guard.violations
 
     expected, live, leaked, errors, violations = asyncio.run(scenario())
     assert errors == []
@@ -119,7 +110,6 @@ def test_directory_cache_changes_routing_charges_not_selections():
         async def scenario():
             cluster = LiveCluster(
                 _parity_config(
-                    distributed=True,
                     # hot_threshold=0 disables the popularity fan-out, whose
                     # wall-clock EWMA makes push counts timing-dependent; the
                     # positive/negative caches are the axis under test

@@ -13,6 +13,7 @@ from repro.net import (
     LiveCluster,
     LoadDriver,
     LoadGuard,
+    MeasurementConfig,
     ScaleoutConfig,
     ScaleoutController,
     summarize_records,
@@ -137,6 +138,67 @@ def test_hosted_shard_requires_tcp_and_port_base():
         )
     with pytest.raises(ValueError):
         LiveCluster(_small_config(hosted=(0, 99)))  # unknown peer
+
+
+def test_shards_report_the_probe_count_of_one_cluster():
+    """A wave that crosses shards counts its probes like one that does
+    not: the count rides the credit to the destination, and no shard
+    keeps a per-request tally of what its own daemons sent."""
+    base = _port_base()
+
+    def shard(hosted, scenario=None, offset=0):
+        config = _small_config(
+            n_peers=8, transport="tcp", port_base=base + offset, hosted=hosted,
+            measurement=MeasurementConfig(enabled=False),
+        )
+        return LiveCluster(config, scenario=scenario)
+
+    def keyed_by_request(cluster, rids):
+        """Every dict on the cluster or a daemon still keyed by a request."""
+        owners = {"cluster": cluster, **cluster.daemons}
+        return {
+            (owner, name)
+            for owner, obj in owners.items()
+            for name, value in vars(obj).items()
+            if isinstance(value, dict) and rids & set(value)
+        }
+
+    async def compose_all(requests, *shards):
+        by_source = {peer: s for s in shards for peer in s.daemons}
+        return [
+            (await by_source[r.source_peer].compose(r, confirm=False, timeout=30)).probes_sent
+            for r in requests
+        ]
+
+    async def scenario():
+        whole = shard(None)
+        # ids no peer id can be mistaken for
+        requests = [
+            dataclasses.replace(r, request_id=r.request_id + 10_000_000)
+            for r in whole.scenario.requests.batch(6)
+        ]
+        rids = {r.request_id for r in requests}
+        async with whole:
+            one = await compose_all(requests, whole)
+        # both shards over one scenario: component and request ids are
+        # process-global, so two builds in one process would not agree
+        even = shard((0, 2, 4, 6), whole.scenario, offset=100)
+        odd = shard((1, 3, 5, 7), whole.scenario, offset=100)
+        await even.start_transport()
+        await odd.start_transport()
+        await asyncio.gather(even.activate(), odd.activate())
+        try:
+            two = await compose_all(requests, even, odd)
+            left_behind = keyed_by_request(even, rids) | keyed_by_request(odd, rids)
+        finally:
+            await odd.stop()  # the guards seal one scenario: last sealed, first unsealed
+            await even.stop()
+        return one, two, left_behind, whole.errors() + even.errors() + odd.errors()
+
+    one, two, left_behind, errors = asyncio.run(scenario())
+    assert errors == []
+    assert sum(one) > 0 and two == one
+    assert left_behind == set()
 
 
 # ----------------------------------------------------------------------

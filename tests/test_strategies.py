@@ -8,7 +8,6 @@ dispatch layer, not a behaviour change; (3) the new anytime composers
 large DAGs and match the exact optimum where the optimum is computable.
 """
 
-import asyncio
 import itertools
 import math
 import re
@@ -322,54 +321,6 @@ class TestLargeGraphValidity:
         strategy = create_strategy("centralized", world.net.strategy_context())
         with pytest.raises(SearchSpaceExceeded, match="backtrack"):
             strategy.compose(world.request, confirm=False)
-
-
-# ----------------------------------------------------------------------
-# live cluster plumbing
-# ----------------------------------------------------------------------
-class TestLiveClusterComposer:
-    def _config(self, **overrides):
-        from repro.net import ClusterConfig
-
-        base = dict(
-            n_peers=6, n_functions=5, seed=2, capacity_scale=4.0,
-            distributed=False,
-        )
-        base.update(overrides)
-        return ClusterConfig(**base)
-
-    def test_cluster_routes_through_selected_composer(self):
-        from repro.net import LiveCluster
-        from repro.sim.tracing import EventTrace
-
-        async def scenario():
-            trace = EventTrace()
-            cluster = LiveCluster(self._config(composer="backtrack"), trace=trace)
-            async with cluster:
-                request = cluster.scenario.requests.next_request()
-                result = await cluster.compose(request, confirm=False, timeout=60)
-            return cluster, trace, result
-
-        cluster, trace, result = asyncio.run(scenario())
-        assert cluster.errors() == []
-        assert result.success
-        started = [
-            e for e in trace.events if e.category == "compose_started"
-        ]
-        assert started and started[0].fields["composer"] == "backtrack"
-        assert result.probes_sent == 0  # no probing: global-view search
-
-    def test_distributed_mode_rejects_global_view_strategies(self):
-        from repro.net import LiveCluster
-
-        with pytest.raises(ValueError, match="global"):
-            LiveCluster(self._config(composer="backtrack", distributed=True))
-
-    def test_unknown_composer_rejected_at_build(self):
-        from repro.net import LiveCluster
-
-        with pytest.raises(UnknownStrategyError):
-            LiveCluster(self._config(composer="nope"))
 
 
 # ----------------------------------------------------------------------
