@@ -297,10 +297,16 @@ class LiveCluster:
         self.shared_guard.seal(self.net.registry, self.net.pool, self.net.dht)
         await self._populate_directory()
         # active probing starts after the boot registration pass, so the
-        # first measured cycles see steady-state traffic
+        # first measured cycles see steady-state traffic — and what the
+        # pass itself measured is forgotten: every registrant's batches
+        # leave at once, so those round trips time the burst, not the
+        # link, and the first sample seeds a link's baseline.  (On TCP
+        # they never counted: each waited for its connection's dial.)
         for daemon in self.daemons.values():
-            if daemon.measurement is not None:
-                daemon.measurement.start()
+            plane = daemon.measurement
+            if plane is not None:
+                plane.rebind(plane.endpoint)
+                plane.start()
         self._started = True
         if self.trace is not None:
             self.trace.record(

@@ -43,6 +43,19 @@ implies "every holder booked, the whole wave's load and probe count
 known" by construction.  No daemon keeps a per-request counter, and
 nothing is shared between daemons to keep one in.
 
+**No handshake.**  The source hands ``ComposeBegin`` to the transport
+and sends the wave behind it without waiting for the reply — nothing in
+the reply is needed to probe.  A credit-carrying frame that overtakes
+the begin on another connection is *early*: the destination parks it
+and counts it, in arrival order, when the begin lands (or treats it as
+late if none does within the wall-clock timeout).  Only where the reply
+can end the compose — admission is configured, or the destination is
+already known down — does the source wait for it, so a compose that is
+not going to run still costs one round trip and zero probes.  In the
+same spirit the setup ack, a registration's batches and its
+invalidations each go to all their peers at once: no round trip waits
+for another it does not depend on.
+
 **Teardown.**  When the window closes the destination releases the
 request's losing reservations in *one* wave, to exactly the holders its
 bundles name — the message cost of a composition stays bounded by the
@@ -75,7 +88,9 @@ exact (components, rtt) pair the routed lookup produced the first time
 — the DHT route is deterministic over a static ring, so selections and
 probe timing are bit-identical with the tier on or off; only the
 ``dht_route`` / ``net_directory`` charges genuinely shrink, which the
-ledger's ``dir_*`` counters audit.  Staleness is bounded by the awaited
+ledger's ``dir_*`` counters audit.  A hit is answered on the spot: an
+expansion builds tasks only for the lookups that miss.  Staleness is
+bounded by the awaited
 invalidation fan-out on re-registration plus the cache TTL backstop
 (see ``docs/ARCHITECTURE.md`` for the exact window).
 """
@@ -296,6 +311,12 @@ class PeerDaemon:
         self.neg_hits = 0
         self.replica_serves = 0
         self._collections: Dict[int, _Collection] = {}
+        # credit-carrying frames that beat their ComposeBegin here:
+        # rid -> (expiry timer, frames in arrival order); and the rids
+        # whose window will not open (again), which is what makes a frame
+        # without a window late instead of early
+        self._parked: Dict[int, Tuple[asyncio.TimerHandle, List]] = {}
+        self._closed = DedupCache()
         self._pending_results: Dict[int, asyncio.Future] = {}
         self.sessions: Dict[int, LiveSession] = {}
         self._tasks: Set[asyncio.Task] = set()
@@ -404,6 +425,10 @@ class PeerDaemon:
         for col in self._collections.values():
             if col.deadline_handle is not None:
                 col.deadline_handle.cancel()
+        for expiry, _ in self._parked.values():
+            expiry.cancel()
+        self._parked.clear()
+        self._closed = DedupCache()
         self._lookup_flight.clear()
         self._miss_flight.clear()
         for task in list(self._tasks):
@@ -476,7 +501,10 @@ class PeerDaemon:
         confirm: bool = True,
         timeout: Optional[float] = None,
     ) -> CompositionResult:
-        """Run one live composition from this (source) peer."""
+        """Run one live composition from this (source) peer.
+
+        Raises :class:`~repro.net.rpc.RpcTimeout` when the destination
+        cannot be told to open its window (the begin's retries ran out)."""
         if request.source_peer != self.peer_id:
             raise ValueError(f"request sources at {request.source_peer}, daemon is {self.peer_id}")
         cfg = self.bcp.config
@@ -484,35 +512,65 @@ class PeerDaemon:
         if beta < 1:
             raise ValueError(f"probing budget must be >= 1, got {beta}")
         rid = request.request_id
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending_results[rid] = future
-        self._trace("compose_started", request=rid, dest=request.dest_peer, budget=beta)
+        dest = request.dest_peer
+        # resolves to the ComposeResult — or to what the begin came to, if
+        # that ends the compose first: a Busy refusal or the RpcError
+        outcome: asyncio.Future = asyncio.get_running_loop().create_future()
+        self._pending_results[rid] = outcome
+        self._trace("compose_started", request=rid, dest=dest, budget=beta)
+        begin = codec.ComposeBegin(rid, request, beta, confirm)
+        overlapped: Optional[asyncio.Task] = None
         try:
-            reply = await self.endpoint.call(
-                request.dest_peer, codec.ComposeBegin(rid, request, beta, confirm)
-            )
-            busy = reply.get("busy") if isinstance(reply, dict) else None
-            if isinstance(busy, codec.Busy):
-                # admission refused the window in the begin reply itself:
-                # one round trip, no probes sent, no reservation anywhere
-                # — there is nothing to release and nothing to await
-                self._trace(
-                    "compose_rejected", request=rid,
-                    reason=busy.reason, inflight=busy.inflight,
-                )
-                result = CompositionResult(request=request, success=False)
-                result.failure_reason = (
-                    f"busy: destination shed the request "
-                    f"({busy.reason} limit, {busy.inflight} in flight)"
-                )
-                return result
-            root = Probe.initial(request, beta)
-            await self._expand_probe(root, Fraction(1), rid)
+            if self.guard is not None or self._peer_down(dest):
+                # the reply can refuse (admission is configured) or cannot
+                # come (the destination is known dead): a compose that is
+                # not going to run costs one round trip and zero probes
+                await self._begin(dest, begin, outcome)
+            else:
+                # nothing in the reply is needed to probe: the wave leaves
+                # behind the begin, not behind its round trip.  One turn
+                # hands the begin to the transport first, so on the
+                # source -> destination link it precedes the wave's frames
+                overlapped = self._spawn(self._begin(dest, begin, outcome))
+                await asyncio.sleep(0)
+            if not outcome.done():
+                await self._expand_probe(Probe.initial(request, beta), Fraction(1), rid)
             wall = timeout if timeout is not None else self.collect_wall_timeout + 30.0
-            msg = await asyncio.wait_for(future, wall)
+            msg = await asyncio.wait_for(outcome, wall)
         finally:
             self._pending_results.pop(rid, None)
+            if overlapped is not None:
+                overlapped.cancel()
+        if isinstance(msg, RpcError):
+            raise msg
+        if isinstance(msg, codec.Busy):
+            # admission refused the window in the begin reply itself:
+            # there is no result to await (and, where the source waited
+            # for the reply, no probe sent and no reservation anywhere)
+            self._trace(
+                "compose_rejected", request=rid, reason=msg.reason, inflight=msg.inflight
+            )
+            result = CompositionResult(request=request, success=False)
+            result.failure_reason = (
+                f"busy: destination shed the request "
+                f"({msg.reason} limit, {msg.inflight} in flight)"
+            )
+            return result
         return self._result_from_message(request, msg)
+
+    async def _begin(self, dest: int, msg: codec.ComposeBegin, outcome: asyncio.Future) -> None:
+        """Open the destination's window; only a refusal or a failure is
+        news to the compose, and ends it through ``outcome``."""
+        try:
+            reply = await self.endpoint.call(dest, msg)
+        except RpcError as exc:
+            ended = exc
+        else:
+            ended = reply.get("busy") if isinstance(reply, dict) else None
+            if not isinstance(ended, codec.Busy):
+                return
+        if not outcome.done():
+            outcome.set_result(ended)
 
     @staticmethod
     def _result_from_message(request: CompositeRequest, msg: codec.ComposeResult) -> CompositionResult:
@@ -559,9 +617,21 @@ class PeerDaemon:
         # all candidate lookups run concurrently: a real implementation
         # would have all queries in flight at once, and the discovery
         # phase is priced off the *slowest* of them either way
-        results = await asyncio.gather(
-            *(self._lookup(fn, probe.current_peer, rid) for fn, _, _, _ in candidates)
-        )
+        origin = probe.current_peer
+        if self.tier_enabled:
+            # a cache hit is not a task: only the misses fly
+            results = [self._cached(fn) for fn, _, _, _ in candidates]
+            missed = [idx for idx, hit in enumerate(results) if hit is None]
+            if missed:
+                fetched = await asyncio.gather(
+                    *(self._lookup_cached(candidates[idx][0], origin) for idx in missed)
+                )
+                for idx, found in zip(missed, fetched):
+                    results[idx] = found
+        else:
+            results = await asyncio.gather(
+                *(self._lookup(fn, origin, rid) for fn, _, _, _ in candidates)
+            )
         lookups = [comps for comps, _ in results]
         max_rtt = max((rtt for _, rtt in results), default=0.0)
         if probe.branch == ():
@@ -671,15 +741,23 @@ class PeerDaemon:
     # ------------------------------------------------------------------
     # directory tier: cached lookup path
     # ------------------------------------------------------------------
+    def _cached(self, function: str) -> Optional[Tuple[List[ServiceMetadata], float]]:
+        """A positive-cache hit, booked — or ``None``: there is nothing to
+        await in one, so an expansion whose lookups all hit builds no task."""
+        entry = self._dir_cache.get(function)
+        if entry is None or self._now() >= entry[2]:
+            return None
+        self.cache_hits += 1
+        if self.tap is not None:
+            self.tap.dir_cache_hit()
+        return list(entry[0]), entry[1]
+
     async def _lookup_cached(
         self, function: str, origin_peer: int
     ) -> Tuple[List[ServiceMetadata], float]:
-        entry = self._dir_cache.get(function)
-        if entry is not None and self._now() < entry[2]:
-            self.cache_hits += 1
-            if self.tap is not None:
-                self.tap.dir_cache_hit()
-            return list(entry[0]), entry[1]
+        hit = self._cached(function)
+        if hit is not None:
+            return hit
         fut = self._miss_flight.get(function)
         if fut is not None:
             comps, rtt = await asyncio.shield(fut)
@@ -932,6 +1010,7 @@ class PeerDaemon:
             self._trace(
                 "begin_rejected", request=rid, inflight=self.guard.sessions_inflight
             )
+            self._expire_parked(rid)  # a source that did not wait has sent its wave
             return {
                 "busy": codec.Busy(
                     request_id=rid,
@@ -951,59 +1030,95 @@ class PeerDaemon:
             lambda: self._spawn(self._finalize(rid, "wall-timeout")),
         )
         self._collections[rid] = col
+        for early in self._unpark(rid):
+            self._count(col, early)
         return {"ok": True}
 
-    def _open_window(self, msg) -> Optional[_Collection]:
-        """The open window of a credit-carrying frame, the frame's reports
-        absorbed — to be done before its credit is counted.
+    def _arrive(self, msg) -> dict:
+        """A credit-carrying frame finds its window in one of three states.
 
-        ``None`` when the window already closed (a straggler after the
-        wall-clock fallback): nobody will book the holders the frame names
-        or send them the release wave, so each gets one soft-only release
-        now instead of sitting on its tokens until they expire."""
+        *Open*: counted.  *Late* — closed, by the wall-clock fallback or a
+        refusal: nobody will book the holders the frame names or send them
+        the release wave, so each gets one soft-only release now instead
+        of sitting on its tokens until they expire.  *Early* — not yet
+        opened: the source does not wait for the begin's reply, so a third
+        peer's frame can overtake the begin (a connection still being
+        dialled, an asymmetric delay); it is parked, acked, and counted in
+        arrival order when the begin lands.  ``_closed`` is what tells
+        early from late."""
+        if self.stopped:
+            return {"error": "stopped"}
         rid = msg.request_id
         col = self._collections.get(rid)
-        if col is None or col.done:
-            keep = col.keep if col is not None else ()  # a winner awaiting its ack
-            release = codec.SessionRelease(rid, keep, soft_only=True)
-            holders = {h for h, _, peers, links, _ in msg.reports if peers or links}
-            for holder in sorted(holders):
-                self._spawn(self._release_one(holder, release))
-            return None
+        if col is None and rid not in self._closed:
+            held = self._parked.get(rid)
+            if held is None:
+                # a begin that never comes must not strand the holders:
+                # after the wall timeout the parked frames are late
+                expiry = asyncio.get_running_loop().call_later(
+                    self.collect_wall_timeout, self._expire_parked, rid
+                )
+                held = self._parked[rid] = (expiry, [])
+            held[1].append(msg)
+        elif col is None or col.done:
+            # a done window still here is a winner awaiting its setup ack
+            self._release_named(rid, (msg,), col.keep if col is not None else ())
+            return {"late": True}
+        else:
+            self._count(col, msg)
+        return {"ok": True}
+
+    async def _on_final(self, src: int, msg: codec.FinalProbe) -> dict:
+        return self._arrive(msg)
+
+    async def _on_credit(self, src: int, msg: codec.CreditReturn) -> dict:
+        return self._arrive(msg)
+
+    def _count(self, col: _Collection, msg) -> None:
+        """Book one credit-carrying frame in its open window: the reports
+        first, then the arrival if it is one, the credit last — so "credit
+        complete" implies everything the wave had to say has been said."""
+        rid = msg.request_id
         col.absorb(msg.reports)
         if msg.discovery is not None:
             col.discovery = msg.discovery
-        return col
+        if isinstance(msg, codec.FinalProbe):
+            toks = self._tokens.setdefault(rid, set())
+            before = set(toks)
+            arrival = self.bcp._final_hop(msg.probe, toks, col.result)
+            for token in toks - before:
+                self._arm_expiry(rid, token)
+            if arrival is not None and arrival.elapsed <= self.bcp.config.collect_timeout:
+                key = arrival.dedup_key()
+                prev = col.arrivals.get(key)
+                if prev is None or arrival.elapsed < prev.elapsed:
+                    col.arrivals[key] = arrival
+                self._trace("arrival", request=rid, branch=list(arrival.branch))
+        col.credit += msg.credit
+        if col.credit >= 1 and not col.done:
+            self._spawn(self._finalize(rid, "credit-complete"))
 
-    async def _on_final(self, src: int, msg: codec.FinalProbe) -> dict:
-        if self.stopped:
-            return {"error": "stopped"}
-        rid = msg.request_id
-        col = self._open_window(msg)
-        if col is None:
-            return {"late": True}
-        toks = self._tokens.setdefault(rid, set())
-        before = set(toks)
-        arrival = self.bcp._final_hop(msg.probe, toks, col.result)
-        for token in toks - before:
-            self._arm_expiry(rid, token)
-        if arrival is not None and arrival.elapsed <= self.bcp.config.collect_timeout:
-            key = arrival.dedup_key()
-            prev = col.arrivals.get(key)
-            if prev is None or arrival.elapsed < prev.elapsed:
-                col.arrivals[key] = arrival
-            self._trace("arrival", request=rid, branch=list(arrival.branch))
-        self._credit(rid, col, msg.credit)
-        return {"ok": True}
+    def _unpark(self, rid: int) -> List:
+        """The frames parked for ``rid`` in arrival order, their expiry disarmed."""
+        expiry, frames = self._parked.pop(rid, (None, []))
+        if expiry is not None:
+            expiry.cancel()
+        return frames
 
-    async def _on_credit(self, src: int, msg: codec.CreditReturn) -> dict:
-        if self.stopped:
-            return {"error": "stopped"}
-        col = self._open_window(msg)
-        if col is None:
-            return {"late": True}
-        self._credit(msg.request_id, col, msg.credit)
-        return {"ok": True}
+    def _expire_parked(self, rid: int) -> None:
+        """No window will open for ``rid`` (its begin was lost or refused):
+        from here its frames are late, the parked ones included."""
+        self._closed.seen(rid)
+        self._release_named(rid, self._unpark(rid), ())
+
+    def _release_named(self, rid: int, frames, keep: Tuple[Tuple, ...]) -> None:
+        """One soft-only release to every holder ``frames`` name."""
+        release = codec.SessionRelease(rid, keep, soft_only=True)
+        holders = {
+            h for msg in frames for h, _, peers, links, _ in msg.reports if peers or links
+        }
+        for holder in sorted(holders):
+            self._spawn(self._control(holder, release))
 
     def _reserved_usage(self, tokens: Set[Tuple]) -> Tuple[Tuple, Tuple]:
         """Just-admitted reservations' demands, as report rows."""
@@ -1018,11 +1133,6 @@ class PeerDaemon:
                 u, v = sorted(link)
                 links.append((u, v, bw))
         return tuple(peers), tuple(links)
-
-    def _credit(self, rid: int, col: _Collection, credit: Fraction) -> None:
-        col.credit += credit
-        if col.credit >= 1 and not col.done:
-            self._spawn(self._finalize(rid, "credit-complete"))
 
     # ------------------------------------------------------------------
     # steps 3 + 4 at the destination
@@ -1125,6 +1235,7 @@ class PeerDaemon:
                     success = False
         result.success = success
         self._collections.pop(rid, None)
+        self._closed.seen(rid)
         self._trace(
             "compose_finished", request=rid, success=success, why=why,
             arrivals=len(arrivals), probes=result.probes_sent,
@@ -1151,20 +1262,16 @@ class PeerDaemon:
         """Destination-driven setup ack: every path peer confirms its tokens.
 
         Mirrors ``AsyncBCP._confirm_setup``: if any keep token cannot be
-        confirmed — expired reservation, dead peer — setup fails."""
-        peers = set(graph.peers()) | {self.peer_id}
-        keep_list = sorted(keep)
-        confirmed: Set[Tuple] = set()
-        for peer in sorted(peers):
-            if peer == self.peer_id:
-                confirmed |= self._apply_confirm(rid, keep)
-                continue
-            try:
-                reply = await self.endpoint.call(
-                    peer, codec.SessionConfirm(rid, tuple(keep_list)), retry=self.control_retry
-                )
-            except RpcError:
-                return None
+        confirmed — expired reservation, dead peer — setup fails (``None``;
+        the release that follows frees whatever the others did confirm)."""
+        ack = codec.SessionConfirm(rid, tuple(sorted(keep)))
+        confirmed = self._apply_confirm(rid, keep)
+        # every path peer at once: the ack costs one round trip, whatever
+        # the length of the path
+        replies = await asyncio.gather(
+            *(self._control(peer, ack) for peer in sorted(set(graph.peers()) - {self.peer_id}))
+        )
+        for reply in replies:
             if not isinstance(reply, dict) or reply.get("error"):
                 return None
             confirmed |= {tuple(t) for t in reply.get("confirmed", [])}
@@ -1199,16 +1306,19 @@ class PeerDaemon:
         col.keep = tuple(sorted(keep))
         msg = codec.SessionRelease(rid, col.keep)
         calls = [
-            self._release_one(peer, msg) for peer in sorted(col.holders) if peer != self.peer_id
+            self._control(peer, msg) for peer in sorted(col.holders) if peer != self.peer_id
         ]
         if calls:
             await asyncio.gather(*calls)
 
-    async def _release_one(self, peer: int, msg: codec.SessionRelease) -> None:
+    async def _control(self, peer: int, msg) -> Optional[dict]:
+        """A control call whose failure is an answer (``None``), not an
+        error: a dead peer's soft state expires on its own timers, its
+        caches on their TTL, and a setup ack it misses fails the setup."""
         try:
-            await self.endpoint.call(peer, msg, retry=self.control_retry)
+            return await self.endpoint.call(peer, msg, retry=self.control_retry)
         except RpcError:
-            pass  # a dead peer's soft state expires on its own timers
+            return None
 
     def _apply_release(self, rid: int, keep: Set[Tuple], soft_only: bool = False) -> None:
         firm = None if soft_only else self._confirmed.get(rid)
@@ -1315,7 +1425,11 @@ class PeerDaemon:
         replica holders, Bloom-summary recipients — so churn is visible
         to other peers' caches as soon as this call returns.  At boot all
         of those holder sets are empty, so booting a cluster produces
-        zero invalidation traffic.
+        zero invalidation traffic.  The batches go out together, then the
+        invalidations together: two round trips, however many replicas
+        and holders.  A replica that cannot be reached raises
+        (:class:`~repro.net.rpc.RpcError`) only after every other one has
+        the rows and the invalidations they named have been sent.
         """
         if not self.tier_enabled:
             for spec in specs:
@@ -1346,12 +1460,23 @@ class PeerDaemon:
                             versions[spec.function] = self.directory.key_version(key)
                 else:
                     by_target.setdefault(target, []).append(spec)
-        for target in sorted(by_target):
-            reply = await self.endpoint.call(
-                target,
-                codec.RegisterBatch(tuple(by_target[target]), registered_at=now),
-                retry=self.control_retry,
-            )
+        # every replica target at once.  One that cannot be reached must
+        # not stop the rest half-way: the rows go wherever they can, the
+        # invalidations those replies name still go out, and only then
+        # does the caller hear of the failure
+        replies = await asyncio.gather(
+            *(
+                self.endpoint.call(
+                    target,
+                    codec.RegisterBatch(tuple(by_target[target]), registered_at=now),
+                    retry=self.control_retry,
+                )
+                for target in sorted(by_target)
+            ),
+            return_exceptions=True,
+        )
+        failed = next((r for r in replies if isinstance(r, BaseException)), None)
+        for reply in replies:
             if isinstance(reply, dict):
                 for function, entry in (reply.get("stale") or {}).items():
                     version, holders = entry
@@ -1359,17 +1484,19 @@ class PeerDaemon:
                     versions[function] = max(versions.get(function, 0), version)
         # churn fan-out: invalidate every peer that may cache pre-churn
         # state, awaited so the registration's completion implies
-        # cluster-wide cache coherence (the churn test's contract)
+        # cluster-wide cache coherence (the churn test's contract); an
+        # unreachable holder's staleness is bounded by its TTL
+        fanout = []
         for function in sorted(stale):
             inval = codec.ReplicaInvalidate(function, versions.get(function, 0))
             for holder in sorted(stale[function]):
                 if holder == self.peer_id:
                     self._apply_invalidate(inval)
-                    continue
-                try:
-                    await self.endpoint.call(holder, inval, retry=self.control_retry)
-                except RpcError:
-                    pass  # holder unreachable: its TTL bounds the staleness
+                else:
+                    fanout.append(self._control(holder, inval))
+        await asyncio.gather(*fanout)
+        if failed is not None:
+            raise failed
 
     async def _on_register(self, src: int, msg: codec.RegisterComponent) -> dict:
         if self.stopped:
@@ -1445,11 +1572,8 @@ class PeerDaemon:
         if self.tap is not None:
             self.tap.dir_replica_push(len(targets))
         push = codec.ReplicatePush(function, tuple(rows), version)
-        for target in targets:
-            try:
-                await self.endpoint.call(target, push, retry=self.control_retry)
-            except RpcError:
-                pass  # best-effort: the target keeps resolving via the owner
+        # best-effort: a target that misses it keeps resolving via the owner
+        await asyncio.gather(*(self._control(target, push) for target in targets))
 
     async def _on_replica_push(self, src: int, msg: codec.ReplicatePush) -> dict:
         if self.stopped:

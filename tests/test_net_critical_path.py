@@ -3,17 +3,26 @@
 Everything the destination must know before its window may close (who
 reserved what, the discovery RTT) travels with the probes' termination
 credit, so no admitting peer — and not the source — stops for a round
-trip of its own to the destination.  With a constant one-way delay L on
-every frame and warm lookup caches, a sequential measurement-only
-compose of an n-function chain is therefore bounded by
+trip of its own to the destination; and the source does not wait for the
+reply to its ``ComposeBegin`` either: the wave leaves right behind it.
+With a constant one-way delay L on every frame and warm lookup caches, a
+sequential measurement-only compose of an n-function chain is therefore
+bounded by
 
-    begin RTT + (n + 1) one-way probe hops + release RTT + result
-    = (n + 6) * L
+    (n + 1) one-way probe hops + release RTT + result
+    = (n + 4) * L
 
-plus processing.  A report awaited at every admitting hop adds 2L per
-hop, and a discovery report 2L more: the bound below leaves half of
-that as slack, so a re-serialised round trip fails here instead of only
-moving a benchmark number.
+plus processing, and a confirmed one by one setup-ack round trip more,
+``(n + 6) * L``, however many peers the chosen path has: the acks go out
+together.  A report awaited at every admitting hop adds 2L per hop, a
+begin or discovery round trip 2L more, an ack per path peer 2L each: the
+bounds below leave three quarters of ONE round trip as slack for
+processing, so a single re-serialised round trip fails here instead of
+only moving a benchmark number.
+
+The same holds for a re-registration: the rows go to every replica
+target at once and the invalidations they name to every stale holder at
+once — two round trips, not one per peer.
 """
 
 import asyncio
@@ -21,28 +30,36 @@ import dataclasses
 import time
 
 from repro.core.bcp import BCPConfig, NextHopWeights
-from repro.net import ClusterConfig, LiveCluster, MeasurementConfig
+from repro.core.qos import QoSVector
+from repro.dht.id_space import key_for
+from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec
+from test_net_begin_overlap import sent_requests
 
-ONE_WAY = 0.02
+ONE_WAY = 0.04
+SLACK = 1.5 * ONE_WAY  # less than the one round trip a regression would add
+
+
+def _cluster():
+    return LiveCluster(
+        ClusterConfig(
+            n_peers=16,
+            n_functions=6,
+            seed=7,
+            capacity_scale=10.0,
+            latency=ONE_WAY,
+            # no PathProbe frames, no re-pricing between the passes
+            measurement=MeasurementConfig(enabled=False),
+            bcp_config=BCPConfig(
+                budget=32,
+                nexthop_weights=NextHopWeights(delay=0.6, bandwidth=0.0, failure=0.4),
+            ),
+        )
+    )
 
 
 def test_compose_waits_for_one_way_hops_not_per_hop_round_trips():
     async def scenario():
-        cluster = LiveCluster(
-            ClusterConfig(
-                n_peers=16,
-                n_functions=6,
-                seed=7,
-                capacity_scale=10.0,
-                latency=ONE_WAY,
-                # no PathProbe frames, no re-pricing between the passes
-                measurement=MeasurementConfig(enabled=False),
-                bcp_config=BCPConfig(
-                    budget=32,
-                    nexthop_weights=NextHopWeights(delay=0.6, bandwidth=0.0, failure=0.4),
-                ),
-            )
-        )
+        cluster = _cluster()
         request = next(
             r
             for r in cluster.scenario.requests.batch(20)
@@ -50,31 +67,91 @@ def test_compose_waits_for_one_way_hops_not_per_hop_round_trips():
             and len(r.function_graph.functions) >= 3
             and cluster.scenario.net.bcp.compose(r, confirm=False).success
         )
+        sent = sent_requests(cluster)
         async with cluster:
             # first pass: fills every lookup cache the wave touches
             warm = await cluster.compose(request, confirm=False, timeout=60)
-            results, times = [], []
-            for k in (1, 2, 3):
-                again = dataclasses.replace(request, request_id=request.request_id + k * 10_000_000)
-                t0 = time.perf_counter()
-                results.append(await cluster.compose(again, confirm=False, timeout=60))
-                times.append(time.perf_counter() - t0)
+            results, times = {False: [], True: []}, {False: [], True: []}
+            rid = request.request_id
+            for confirm in (False, True):
+                for _ in (1, 2, 3):
+                    rid += 10_000_000
+                    again = dataclasses.replace(request, request_id=rid)
+                    t0 = time.perf_counter()
+                    results[confirm].append(
+                        await cluster.compose(again, confirm=confirm, timeout=60)
+                    )
+                    times[confirm].append(time.perf_counter() - t0)
             soft, errors = cluster.soft_tokens(), cluster.errors()
-        return request, warm, results, times, soft, errors
+        return request, warm, results, times, sent, soft, errors
 
-    request, warm, results, times, soft, errors = asyncio.run(scenario())
+    request, warm, results, times, sent, soft, errors = asyncio.run(scenario())
     assert errors == [] and soft == {}
     assert warm.success
-    for result in results:
+    for result in results[False]:
         assert result.success and result.best.signature() == warm.best.signature()
-    # the bound is on what the protocol puts in series, so a scheduling
-    # hiccup in one pass must not decide it: the fastest of three counts
-    elapsed = min(times)
+    # the earlier sessions' firm load may move a later confirmed choice
+    assert all(result.success and result.session_tokens for result in results[True])
+    # on the wire a compose's begin is handed over before its first probe
+    for result in (warm, *results[False], *results[True]):
+        mine = [
+            type(body)
+            for body in sent
+            if isinstance(body, (codec.ComposeBegin, codec.ProbeTransfer))
+            and body.request_id == result.request.request_id
+        ]
+        assert mine[0] is codec.ComposeBegin and codec.ProbeTransfer in mine
     n = len(request.function_graph.functions)
-    hops = n + 6  # begin 2, probes n, final 1, release 2, result 1
-    assert elapsed >= hops * ONE_WAY  # the emulated delay really applies
-    slack = n * ONE_WAY  # half of what a report round trip per hop would add
-    assert elapsed < hops * ONE_WAY + slack, (
-        f"{n}-function chain took {elapsed * 1e3:.0f} ms: more than "
-        f"{hops} one-way hops of {ONE_WAY * 1e3:.0f} ms + {slack * 1e3:.0f} ms"
+    for confirm, hops in (
+        (False, n + 4),  # probes n, final 1, release 2, result 1
+        (True, n + 6),  # and one setup-ack round trip, whatever the path's length
+    ):
+        # the bound is on what the protocol puts in series, so a scheduling
+        # hiccup in one pass must not decide it: the fastest of three counts
+        elapsed = min(times[confirm])
+        assert elapsed >= hops * ONE_WAY  # the emulated delay really applies
+        assert elapsed < hops * ONE_WAY + SLACK, (
+            f"{n}-function chain, confirm={confirm}, took {elapsed * 1e3:.0f} ms: more "
+            f"than {hops} one-way hops of {ONE_WAY * 1e3:.0f} ms + {SLACK * 1e3:.0f} ms"
+        )
+
+
+def test_reregistration_waits_for_two_round_trips_not_one_per_peer():
+    async def scenario():
+        cluster = _cluster()
+        async with cluster:
+            spec, targets = next(
+                (s, cluster.daemons[s.peer].ring.replica_peers(key_for(s.function)))
+                for s in cluster.scenario.population
+                if s.peer not in cluster.daemons[s.peer].ring.replica_peers(key_for(s.function))
+            )
+            host = cluster.daemons[spec.peer]
+            queriers = [
+                d for p, d in sorted(cluster.daemons.items())
+                if p not in targets and p != spec.peer
+            ][:4]
+            for d in queriers:  # warm caches: the owner books them as stale holders
+                await d._lookup(spec.function, d.peer_id)
+            changed = dataclasses.replace(spec, qp=QoSVector({"delay": 99.0}))
+            t0 = time.perf_counter()
+            await host.register_components([changed], now=1.0)
+            elapsed = time.perf_counter() - t0
+            seen = [
+                {m.component_id: m.qp.values.get("delay")
+                 for m in (await d._lookup(spec.function, d.peer_id))[0]}
+                for d in queriers
+            ]
+            errors = cluster.errors()
+        return spec, targets, queriers, elapsed, seen, errors
+
+    spec, targets, queriers, elapsed, seen, errors = asyncio.run(scenario())
+    assert errors == []
+    assert len(targets) >= 2 and len(queriers) >= 2, "fixture: nothing to serialise"
+    assert all(rows[spec.component_id] == 99.0 for rows in seen)  # coherent on return
+    # rows to every target, then invalidations to every holder: 2 round trips
+    assert elapsed >= 4 * ONE_WAY
+    assert elapsed < 4 * ONE_WAY + SLACK, (
+        f"re-registration with {len(targets)} replica targets and {len(queriers)} "
+        f"stale holders took {elapsed * 1e3:.0f} ms: more than two round trips of "
+        f"{2 * ONE_WAY * 1e3:.0f} ms + {SLACK * 1e3:.0f} ms"
     )

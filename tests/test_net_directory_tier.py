@@ -28,7 +28,7 @@ from repro.discovery.metadata import ServiceMetadata
 from repro.net import ClusterConfig, DirectoryTierConfig, LiveCluster
 from repro.net.bloom import BloomFilter
 from repro.net.directory import DirectorySlice
-from repro.net.rpc import RetryPolicy
+from repro.net.rpc import RetryPolicy, RpcError
 
 
 def _cluster(**overrides):
@@ -197,6 +197,58 @@ def test_churn_invalidation_reaches_warm_caches_distributed():
         assert rows[spec.component_id] != 99.0, peer
     for peer, rows in after.items():
         assert rows[spec.component_id] == 99.0, peer
+
+
+def test_reregistration_past_a_dead_replica_still_reaches_the_rest():
+    """One replica target that cannot be reached must not stop a
+    re-registration half-way: the surviving replicas get the new row, the
+    invalidations their replies name still go out — a warm cache sees the
+    change on its next lookup, not after its TTL — and the caller still
+    hears that a replica was missed."""
+
+    async def scenario():
+        cluster = _cluster()
+        async with cluster:
+            ring = next(iter(cluster.daemons.values())).ring
+            # the victim sorts first among the targets, so a registrant
+            # that stops at the first failure has told nobody
+            spec, replicas = next(
+                (s, ring.replica_peers(key_for(s.function)))
+                for s in cluster.scenario.population
+                if s.peer not in ring.replica_peers(key_for(s.function))
+                and min(ring.replica_peers(key_for(s.function)))
+                != ring.replica_peers(key_for(s.function))[0]
+            )
+            fn, key = spec.function, key_for(spec.function)
+            victim = min(replicas)
+            querier = next(
+                d for p, d in sorted(cluster.daemons.items())
+                if p not in replicas and p != spec.peer
+            )
+            await querier._lookup(fn, querier.peer_id)
+            assert fn in querier._dir_cache  # warm
+
+            cluster.kill_peer(victim)
+            changed = dataclasses.replace(spec, qp=QoSVector({"delay": 99.0}))
+            with pytest.raises(RpcError):
+                await cluster.daemons[spec.peer].register_components([changed], now=1.0)
+
+            stored = {
+                p: {m.component_id: m.qp.values.get("delay")
+                    for m in cluster.daemons[p].directory.lookup(key)}
+                for p in replicas
+                if p != victim
+            }
+            rows, _ = await querier._lookup(fn, querier.peer_id)
+            seen = {m.component_id: m.qp.values.get("delay") for m in rows}
+            return spec, stored, seen, cluster.errors()
+
+    spec, stored, seen, errors = asyncio.run(scenario())
+    assert errors == []
+    assert stored, "fixture: no surviving replica"
+    for peer, rows in stored.items():
+        assert rows[spec.component_id] == 99.0, peer
+    assert seen[spec.component_id] == 99.0
 
 
 # ----------------------------------------------------------------------
