@@ -1,6 +1,5 @@
 """SpiderNet's core: QoS model, composition problem, BCP, recovery, sessions."""
 
-from .async_bcp import AsyncBCP, InFlightComposition
 from .baselines import (
     CentralizedComposer,
     OptimalComposer,
@@ -72,11 +71,9 @@ from .strategies import (
 
 __all__ = [
     "AdaptiveBudgetPolicy",
-    "AsyncBCP",
     "BudgetPolicyConfig",
     "BCP",
     "BCPConfig",
-    "InFlightComposition",
     "CandidateGraph",
     "ConditionalAnnotation",
     "ConditionalRouter",

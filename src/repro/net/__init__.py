@@ -1,14 +1,16 @@
 """Live peer runtime: the SpiderNet protocols over real asyncio transports.
 
-The reproduction has three execution substrates for the same protocol
+The reproduction has two execution substrates for the same protocol
 logic (see ``docs/ARCHITECTURE.md``):
 
 * the synchronous wave execution in :mod:`repro.core.bcp`,
-* the simulated event-driven execution in :mod:`repro.core.async_bcp`,
 * this package — a **live runtime** where probes, session acks and
-  maintenance pings are length-prefixed frames on asyncio transports.
+  maintenance pings are length-prefixed frames on asyncio transports,
+  run on a real event loop or on the virtual-time loop of :mod:`.vtime`
+  (the paper's event-driven simulator, with the production daemon as
+  the node model).
 
-All three call the same wrapped :class:`~repro.core.bcp.BCP` per-hop
+Both call the same wrapped :class:`~repro.core.bcp.BCP` per-hop
 methods, so Steps 2.1–2.4 of the paper's protocol exist exactly once.
 
 Modules
@@ -37,6 +39,8 @@ Modules
                throttling
 ``scaleout``   multi-process launcher + open-loop load driver
                (``python -m repro cluster``)
+``vtime``      ``VirtualTimeLoop``: an event loop whose clock jumps to the
+               next timer when nothing is runnable (loopback only)
 """
 
 from .accounting import LedgerTap

@@ -41,7 +41,7 @@ from . import codec
 
 __all__ = ["LedgerTap", "WIRE_CATEGORY"]
 
-# the simulation's nominal message sizes (bcp.py / async_bcp.py)
+# the simulation's nominal message sizes (bcp.py)
 PROBE_SIZE = 256
 ACK_SIZE = 128
 FAILURE_SIZE = 64

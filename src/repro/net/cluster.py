@@ -32,9 +32,10 @@ land in one place, and the optional ``EventTrace``.
 from __future__ import annotations
 
 import asyncio
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+
+import numpy as np
 
 from ..core.bcp import BCP, BCPConfig, CompositionResult
 from ..core.request import CompositeRequest
@@ -48,6 +49,7 @@ from .measurement import MeasuredOverlayView, MeasurementConfig, MeasurementPlan
 from .peer import PeerDaemon
 from .rpc import RetryPolicy, RpcEndpoint, RpcFailure
 from .transport import LoopbackTransport, TcpTransport
+from .vtime import loop_time
 
 __all__ = ["ClusterConfig", "LiveCluster"]
 
@@ -72,8 +74,8 @@ class ClusterConfig:
     capacity_scale: float = 1.0
     soft_timeout: float = 30.0  # reservation expiry (paper's soft state)
     collect_wall_timeout: float = 10.0  # dest fallback when credit is lost
-    probe_retry: Optional[RetryPolicy] = None
-    control_retry: Optional[RetryPolicy] = None
+    # every daemon call's timeout and retries (a measurement probe has its own)
+    retry: RetryPolicy = RetryPolicy(timeout=1.0, retries=2, backoff=0.05)
     maint_interval: Optional[float] = None  # source-side session pings; None = off
     # directory acceleration tier: None -> the tier's defaults (enabled);
     # DirectoryTierConfig(enabled=False) reproduces the pre-tier
@@ -126,7 +128,8 @@ class LiveCluster:
         # one tap over the SpiderNet ledger: BCP._final_hop / registry
         # charges and the live wire books share a single MessageLedger
         self.tap = LedgerTap(self.net.ledger)
-        self._t0 = 0.0
+        # peer -> lives begun (boot is the first, each revive one more)
+        self._lives: Dict[int, int] = {}
         if cfg.transport == "loopback":
             self.transport = LoopbackTransport(
                 latency=cfg.latency, loss=cfg.loss, seed=cfg.seed, tap=self.tap.on_frame,
@@ -213,7 +216,6 @@ class LiveCluster:
                 view=view,
                 tap=self.tap,
                 trace=self.trace,
-                clock=self._clock,
             )
             # candidates on downed paths are filtered at Step 2.3a
             base_alive = bcp.alive
@@ -224,12 +226,19 @@ class LiveCluster:
         return self._daemon(peer, bcp, endpoint, DirectorySlice(), plane)
 
     def _endpoint(self, peer: int) -> RpcEndpoint:
-        adm = self.config.admission
+        """A fresh endpoint for the peer's next life.  Its incarnation is
+        the life's one nonce, drawn from (seed, peer, life): unique per life,
+        and the same for the same seed — the daemon takes its bundle-key
+        nonce from it too, so a seeded cluster sends the same bytes."""
+        cfg = self.config
+        life = self._lives[peer] = self._lives.get(peer, 0) + 1
+        adm = cfg.admission
         return RpcEndpoint(
             self.transport,
             peer,
-            retry=self.config.control_retry,
-            seed=self.config.seed + peer,
+            retry=cfg.retry,
+            seed=cfg.seed + peer,
+            incarnation=np.random.default_rng([cfg.seed, peer, life]).bytes(8).hex(),
             inflight_limit=adm.rpc_max_inflight if adm is not None and adm.enabled else 0,
         )
 
@@ -254,21 +263,14 @@ class LiveCluster:
             dir_tier=self.dir_tier,
             tap=self.tap,
             trace=self.trace,
-            clock=self._clock,
             soft_timeout=cfg.soft_timeout,
             collect_wall_timeout=cfg.collect_wall_timeout,
-            probe_retry=cfg.probe_retry,
-            control_retry=cfg.control_retry,
             maint_interval=cfg.maint_interval,
             measurement=plane,
             # a fresh guard each time: admission state is the process's,
             # and a restarted process forgets
             guard=LoadGuard(cfg.admission) if cfg.admission is not None else None,
         )
-
-    # ------------------------------------------------------------------
-    def _clock(self) -> float:
-        return time.monotonic() - self._t0
 
     @property
     def ledger(self):
@@ -286,7 +288,6 @@ class LiveCluster:
         frame is sent).  Split out so a multi-process launch can bring
         every shard's listeners up before any shard starts registering —
         boot registration is DHT-routed and may land on any process."""
-        self._t0 = time.monotonic()
         await self.transport.start()
         return self
 
@@ -310,7 +311,7 @@ class LiveCluster:
         self._started = True
         if self.trace is not None:
             self.trace.record(
-                "cluster_started", time=0.0,
+                "cluster_started", time=loop_time(),
                 peers=len(self.daemons), transport=self.config.transport,
             )
         return self
@@ -369,7 +370,7 @@ class LiveCluster:
         await self.transport.close()
         self.shared_guard.unseal()
         if self.trace is not None:
-            self.trace.record("cluster_stopped", time=self._clock())
+            self.trace.record("cluster_stopped", time=loop_time())
 
     async def __aenter__(self) -> "LiveCluster":
         return await self.start()
@@ -475,7 +476,7 @@ class LiveCluster:
         self.daemons[peer_id].abort_pending("peer killed")
         self.transport.kill(peer_id)
         if self.trace is not None:
-            self.trace.record("peer_killed", time=self._clock(), peer=peer_id)
+            self.trace.record("peer_killed", time=loop_time(), peer=peer_id)
 
     async def revive_peer(self, peer_id: int) -> None:
         """Restart a killed peer: fresh endpoint incarnation, same engine.
@@ -504,7 +505,7 @@ class LiveCluster:
         if plane is not None and self._started:
             plane.start()
         if self.trace is not None:
-            self.trace.record("peer_revived", time=self._clock(), peer=peer_id)
+            self.trace.record("peer_revived", time=loop_time(), peer=peer_id)
 
     # ------------------------------------------------------------------
     # introspection (tests / CLI)

@@ -59,12 +59,12 @@ substrates, which is what the parity suite asserts with measurement on.
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import codec
 from .rpc import RetryPolicy, RpcError
+from .vtime import loop_time
 
 __all__ = [
     "MeasurementConfig",
@@ -412,7 +412,7 @@ class MeasurementPlane:
         view: Optional[MeasuredOverlayView] = None,
         tap=None,
         trace=None,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Callable[[], float] = loop_time,
     ) -> None:
         self.peer_id = peer_id
         self.config = config

@@ -2,8 +2,8 @@
 
 Each daemon owns one overlay peer id and processes protocol messages as
 asyncio tasks, *reusing the wrapped* :class:`~repro.core.bcp.BCP`
-*per-hop methods exactly as* :mod:`repro.core.async_bcp` *does* — Steps
-2.1–2.4 of the paper exist once, in ``bcp.py``:
+*per-hop methods the synchronous engine runs* — Steps 2.1–2.4 of the
+paper exist once, in ``bcp.py``:
 
 * ``BCP._admit``          — Step 2.1 admission (QoS check + soft alloc)
   at the probe's *receiving* peer,
@@ -99,8 +99,6 @@ from __future__ import annotations
 
 import asyncio
 import math
-import secrets
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Awaitable, Dict, List, Optional, Set, Tuple
@@ -121,7 +119,8 @@ from .accounting import LedgerTap
 from .admission import LoadGuard
 from .bloom import BloomFilter
 from .directory import DirectorySlice, DirectoryTierConfig
-from .rpc import DedupCache, RetryPolicy, RpcEndpoint, RpcError
+from .rpc import DedupCache, RpcEndpoint, RpcError
+from .vtime import loop_time
 
 __all__ = ["PeerDaemon", "LiveSession"]
 
@@ -243,11 +242,8 @@ class PeerDaemon:
         dir_tier: DirectoryTierConfig,
         tap: Optional[LedgerTap] = None,
         trace=None,
-        clock=None,
         soft_timeout: float = 30.0,
         collect_wall_timeout: float = 10.0,
-        probe_retry: Optional[RetryPolicy] = None,
-        control_retry: Optional[RetryPolicy] = None,
         maint_interval: Optional[float] = None,
         measurement=None,
         guard: Optional[LoadGuard] = None,
@@ -264,11 +260,8 @@ class PeerDaemon:
         self.dir_tier = dir_tier
         self.tap = tap
         self.trace = trace
-        self._clock = clock if clock is not None else time.monotonic
         self.soft_timeout = soft_timeout
         self.collect_wall_timeout = collect_wall_timeout
-        self.probe_retry = probe_retry or RetryPolicy(timeout=1.0, retries=2, backoff=0.05)
-        self.control_retry = control_retry or RetryPolicy(timeout=1.0, retries=2, backoff=0.05)
         self.maint_interval = maint_interval
         # measurement plane (None when measurement is disabled): fed by
         # the endpoint's RTT/failure hooks, owner of the active prober
@@ -287,8 +280,9 @@ class PeerDaemon:
         self._seen = DedupCache()  # (rid, Probe.dedup_key()) application dedup
         # the n of this peer's latest report bundle: a counter under a boot
         # nonce (the high half), so the daemon a revive builds for this peer
-        # id never repeats a (holder, n) a still-open window has booked
-        self._bundles_made = secrets.randbits(31) << 32
+        # id never repeats a (holder, n) a still-open window has booked.  The
+        # nonce is the life's: 31 bits of the endpoint's (hex) incarnation
+        self._bundles_made = int(endpoint.incarnation, 16) >> 33 << 32
         # rid -> {(function, origin): future} single-flight lookup dedup
         # (the tier-off wire path).  A rid's map lives while this daemon
         # is expanding a probe of that request (_expanding counts them):
@@ -351,12 +345,9 @@ class PeerDaemon:
         """True when the directory acceleration tier is active."""
         return self.dir_tier.enabled
 
-    def _now(self) -> float:
-        return float(self._clock())
-
     def _trace(self, category: str, **fields) -> None:
         if self.trace is not None:
-            self.trace.record(category, time=self._now(), peer=self.peer_id, **fields)
+            self.trace.record(category, time=loop_time(), peer=self.peer_id, **fields)
 
     def _spawn(self, coro: Awaitable) -> asyncio.Task:
         task = asyncio.get_running_loop().create_task(coro)
@@ -745,7 +736,7 @@ class PeerDaemon:
         """A positive-cache hit, booked — or ``None``: there is nothing to
         await in one, so an expansion whose lookups all hit builds no task."""
         entry = self._dir_cache.get(function)
-        if entry is None or self._now() >= entry[2]:
+        if entry is None or loop_time() >= entry[2]:
             return None
         self.cache_hits += 1
         if self.tap is not None:
@@ -792,7 +783,7 @@ class PeerDaemon:
             held = self._owner_blooms.get(owner)
             if (
                 held is not None
-                and self._now() < held[1]
+                and loop_time() < held[1]
                 and function not in held[0]
             ):
                 # the owner's summary proves absence: no route, no wire.
@@ -803,7 +794,7 @@ class PeerDaemon:
                 if self.tap is not None:
                     self.tap.dir_neg_hit()
                 rtt = self._rtt_cache.get(function, 0.0)
-                self._dir_cache[function] = ((), rtt, self._now() + tier.cache_ttl)
+                self._dir_cache[function] = ((), rtt, loop_time() + tier.cache_ttl)
                 return [], rtt
         self.cache_misses += 1
         if self.tap is not None:
@@ -819,7 +810,7 @@ class PeerDaemon:
             self._rtt_cache[function] = rtt
         comps = await self._fetch_components(key, function, origin_peer)
         self._dir_cache[function] = (
-            tuple(comps), rtt, self._now() + tier.cache_ttl
+            tuple(comps), rtt, loop_time() + tier.cache_ttl
         )
         return comps, rtt
 
@@ -845,7 +836,7 @@ class PeerDaemon:
                 return self.directory.lookup(key)
             try:
                 reply = await self.endpoint.call(
-                    target, codec.LookupRequest(function, origin_peer), retry=self.probe_retry
+                    target, codec.LookupRequest(function, origin_peer)
                 )
             except RpcError:
                 continue  # owner unreachable: fall back to the next replica
@@ -867,7 +858,7 @@ class PeerDaemon:
             summary = BloomFilter.from_wire(wire)
         except (ValueError, TypeError):
             return  # malformed summary: negative caching just doesn't apply
-        self._owner_blooms[target] = (summary, self._now() + self.dir_tier.cache_ttl)
+        self._owner_blooms[target] = (summary, loop_time() + self.dir_tier.cache_ttl)
 
     async def _send_probe(
         self,
@@ -898,7 +889,7 @@ class PeerDaemon:
             discovery=cargo[1],
         )
         try:
-            await self.endpoint.call(comp.peer, msg, retry=self.probe_retry)
+            await self.endpoint.call(comp.peer, msg)
         except RpcError:
             # the retry/backoff path ran dry: report the credit as lost so
             # the destination's window can still close without the fallback
@@ -915,7 +906,7 @@ class PeerDaemon:
     async def _credit_home(self, dest_peer: int, msg) -> None:
         """Deliver a ``FinalProbe`` / ``CreditReturn`` to the destination."""
         try:
-            await self.endpoint.call(dest_peer, msg, retry=self.probe_retry)
+            await self.endpoint.call(dest_peer, msg)
         except RpcError:
             pass  # destination unreachable: its wall-clock fallback closes the window
 
@@ -1023,7 +1014,7 @@ class PeerDaemon:
             confirm=msg.confirm,
             budget=msg.budget,
             result=CompositionResult(request=msg.request, success=False),
-            started=self._now(),
+            started=loop_time(),
         )
         col.deadline_handle = asyncio.get_running_loop().call_later(
             self.collect_wall_timeout,
@@ -1254,16 +1245,15 @@ class PeerDaemon:
             session_tokens=tuple(result.session_tokens),
         )
         try:
-            await self.endpoint.call(request.source_peer, out, retry=self.control_retry)
+            await self.endpoint.call(request.source_peer, out)
         except RpcError:
             self._trace("result_undeliverable", request=rid)
 
     async def _confirm_session(self, rid: int, keep: Set[Tuple], graph: ServiceGraph):
-        """Destination-driven setup ack: every path peer confirms its tokens.
-
-        Mirrors ``AsyncBCP._confirm_setup``: if any keep token cannot be
-        confirmed — expired reservation, dead peer — setup fails (``None``;
-        the release that follows frees whatever the others did confirm)."""
+        """Destination-driven setup ack (the paper's Step 4): every path peer
+        confirms its tokens.  If any keep token cannot be confirmed —
+        expired reservation, dead peer — setup fails (``None``; the release
+        that follows frees whatever the others did confirm)."""
         ack = codec.SessionConfirm(rid, tuple(sorted(keep)))
         confirmed = self._apply_confirm(rid, keep)
         # every path peer at once: the ack costs one round trip, whatever
@@ -1314,9 +1304,10 @@ class PeerDaemon:
     async def _control(self, peer: int, msg) -> Optional[dict]:
         """A control call whose failure is an answer (``None``), not an
         error: a dead peer's soft state expires on its own timers, its
-        caches on their TTL, and a setup ack it misses fails the setup."""
+        caches on their TTL, and a setup ack or a maintenance ping it
+        misses fails the setup or the session."""
         try:
-            return await self.endpoint.call(peer, msg, retry=self.control_retry)
+            return await self.endpoint.call(peer, msg)
         except RpcError:
             return None
 
@@ -1371,7 +1362,7 @@ class PeerDaemon:
                 request_id=msg.request_id,
                 graph=msg.graph,
                 tokens=msg.session_tokens,
-                established_at=self._now(),
+                established_at=loop_time(),
             )
             self.sessions[msg.request_id] = session
             self._trace("session_established", request=msg.request_id)
@@ -1380,27 +1371,24 @@ class PeerDaemon:
         return {"ok": True}
 
     async def _maintain(self, session: LiveSession) -> None:
-        """Periodic liveness pings along the session's service peers."""
-        peers = [p for p in session.graph.peers() if p != self.peer_id]
+        """Periodic liveness pings to the session's service peers, all of
+        them at once: a check costs one round trip, whatever the path's
+        length.  A peer that does not answer fails the session."""
+        peers = sorted(set(session.graph.peers()) - {self.peer_id})
         seq = 0
         while not self.stopped and not session.failed:
             await asyncio.sleep(self.maint_interval)
             if self.stopped or session.failed:
                 return
             seq += 1
-            for peer in peers:
-                try:
-                    await self.endpoint.call(
-                        peer, codec.MaintenancePing(session.request_id, seq),
-                        retry=self.control_retry,
-                    )
-                    session.pings += 1
-                except RpcError:
-                    session.failed = True
-                    self._trace(
-                        "session_failure", request=session.request_id, failed_peer=peer
-                    )
-                    return
+            ping = codec.MaintenancePing(session.request_id, seq)
+            replies = await asyncio.gather(*(self._control(peer, ping) for peer in peers))
+            session.pings += sum(reply is not None for reply in replies)
+            dead = [peer for peer, reply in zip(peers, replies) if reply is None]
+            if dead:
+                session.failed = True
+                self._trace("session_failure", request=session.request_id, failed_peer=dead[0])
+                return
 
     async def _on_ping(self, src: int, msg: codec.MaintenancePing) -> dict:
         return {"alive": not self.stopped, "request": msg.request_id, "seq": msg.seq}
@@ -1439,7 +1427,7 @@ class PeerDaemon:
                     if target == self.peer_id:
                         self.directory.store(key, ServiceMetadata.from_spec(spec, registered_at=now))
                     else:
-                        await self.endpoint.call(target, msg, retry=self.control_retry)
+                        await self.endpoint.call(target, msg)
             return
         by_target: Dict[int, List[ComponentSpec]] = {}
         stale: Dict[str, Set[int]] = {}
@@ -1469,7 +1457,6 @@ class PeerDaemon:
                 self.endpoint.call(
                     target,
                     codec.RegisterBatch(tuple(by_target[target]), registered_at=now),
-                    retry=self.control_retry,
                 )
                 for target in sorted(by_target)
             ),
@@ -1545,7 +1532,7 @@ class PeerDaemon:
                 self.directory.note_bloom_recipient(msg.origin_peer)
             if tier.hot_threshold > 0:
                 rate = self.directory.note_serve_rate(
-                    key, self._now(), tier.popularity_halflife
+                    key, loop_time(), tier.popularity_halflife
                 )
                 if rows and rate >= tier.hot_threshold and self.directory.mark_pushed(key):
                     # fan-out must not run inline: this lookup's reply

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -30,6 +29,7 @@ from typing import Any, Awaitable, Callable, Dict, Hashable, Optional, Set, Tupl
 
 from ..sim.rng import as_generator
 from .transport import TransportError
+from .vtime import loop_time
 
 __all__ = [
     "RpcError",
@@ -147,7 +147,7 @@ class RpcEndpoint:
         # reply-cache entries recorded for the previous incarnation
         self.incarnation = incarnation if incarnation is not None else uuid.uuid4().hex[:16]
         self.reply_ttl = reply_ttl
-        self._clock = clock if clock is not None else time.monotonic
+        self._clock = clock if clock is not None else loop_time
         self._rng = as_generator(seed)
         self._ids = itertools.count(1)
         self._pending: Dict[int, asyncio.Future] = {}

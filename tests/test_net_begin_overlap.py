@@ -28,6 +28,7 @@ from repro.net import (
     LiveCluster,
     MeasurementConfig,
     codec,
+    vtime,
 )
 from repro.net.rpc import RetryPolicy, RpcTimeout
 
@@ -41,8 +42,7 @@ def _cluster(**overrides):
         n_functions=6,
         seed=11,
         capacity_scale=10.0,
-        probe_retry=fast,
-        control_retry=fast,
+        retry=fast,
         collect_wall_timeout=WALL,
         measurement=MeasurementConfig(enabled=False),
         bcp_config=BCPConfig(
@@ -124,7 +124,7 @@ def test_frames_that_overtake_the_begin_are_counted_when_it_lands():
             soft, errors = _consistent(cluster)
         return expected, result, replies, waiting, parked, soft, errors
 
-    expected, result, replies, waiting, parked, soft, errors = asyncio.run(scenario())
+    expected, result, replies, waiting, parked, soft, errors = vtime.run(scenario())
     assert errors == [] and soft == {}
     assert waiting and waiting[0] > 0, "fixture: no frame overtook the begin"
     assert replies and all(reply == {"ok": True} for reply in replies)
@@ -160,7 +160,7 @@ def test_a_begin_that_never_arrives_fails_the_compose_and_frees_the_holders():
             soft, errors = _consistent(cluster)
         return held, parked, left, soft, errors, dict(dest._parked), len(dest._closed)
 
-    held, parked, left, soft, errors, after_stop, closed = asyncio.run(scenario())
+    held, parked, left, soft, errors, after_stop, closed = vtime.run(scenario())
     assert errors == []
     assert parked > 0 and held, "fixture: the wave reserved nothing"
     assert left == {} and soft == {}

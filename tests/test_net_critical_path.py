@@ -6,37 +6,37 @@ credit, so no admitting peer — and not the source — stops for a round
 trip of its own to the destination; and the source does not wait for the
 reply to its ``ComposeBegin`` either: the wave leaves right behind it.
 With a constant one-way delay L on every frame and warm lookup caches, a
-sequential measurement-only compose of an n-function chain is therefore
-bounded by
+sequential measurement-only compose of an n-function chain therefore takes
 
     (n + 1) one-way probe hops + release RTT + result
     = (n + 4) * L
 
-plus processing, and a confirmed one by one setup-ack round trip more,
-``(n + 6) * L``, however many peers the chosen path has: the acks go out
-together.  A report awaited at every admitting hop adds 2L per hop, a
-begin or discovery round trip 2L more, an ack per path peer 2L each: the
-bounds below leave three quarters of ONE round trip as slack for
-processing, so a single re-serialised round trip fails here instead of
-only moving a benchmark number.
+and a confirmed one one setup-ack round trip more, ``(n + 6) * L``,
+however many peers the chosen path has: the acks go out together.  A
+report awaited at every admitting hop would add 2L per hop, a begin or
+discovery round trip 2L more, an ack per path peer 2L each.
 
 The same holds for a re-registration: the rows go to every replica
 target at once and the invalidations they name to every stale holder at
 once — two round trips, not one per peer.
+
+The cluster runs on the virtual-time loop, where processing takes no
+time: each duration is exactly its count of one-way delays, so one extra
+hop anywhere on the path fails here instead of hiding in slack.
 """
 
 import asyncio
 import dataclasses
-import time
+
+import pytest
 
 from repro.core.bcp import BCPConfig, NextHopWeights
 from repro.core.qos import QoSVector
 from repro.dht.id_space import key_for
-from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec
+from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec, vtime
 from test_net_begin_overlap import sent_requests
 
 ONE_WAY = 0.04
-SLACK = 1.5 * ONE_WAY  # less than the one round trip a regression would add
 
 
 def _cluster():
@@ -68,24 +68,25 @@ def test_compose_waits_for_one_way_hops_not_per_hop_round_trips():
             and cluster.scenario.net.bcp.compose(r, confirm=False).success
         )
         sent = sent_requests(cluster)
+        loop = asyncio.get_running_loop()
         async with cluster:
             # first pass: fills every lookup cache the wave touches
             warm = await cluster.compose(request, confirm=False, timeout=60)
             results, times = {False: [], True: []}, {False: [], True: []}
             rid = request.request_id
             for confirm in (False, True):
-                for _ in (1, 2, 3):
+                for _ in (1, 2):
                     rid += 10_000_000
                     again = dataclasses.replace(request, request_id=rid)
-                    t0 = time.perf_counter()
+                    t0 = loop.time()
                     results[confirm].append(
                         await cluster.compose(again, confirm=confirm, timeout=60)
                     )
-                    times[confirm].append(time.perf_counter() - t0)
+                    times[confirm].append(loop.time() - t0)
             soft, errors = cluster.soft_tokens(), cluster.errors()
         return request, warm, results, times, sent, soft, errors
 
-    request, warm, results, times, sent, soft, errors = asyncio.run(scenario())
+    request, warm, results, times, sent, soft, errors = vtime.run(scenario())
     assert errors == [] and soft == {}
     assert warm.success
     for result in results[False]:
@@ -106,14 +107,11 @@ def test_compose_waits_for_one_way_hops_not_per_hop_round_trips():
         (False, n + 4),  # probes n, final 1, release 2, result 1
         (True, n + 6),  # and one setup-ack round trip, whatever the path's length
     ):
-        # the bound is on what the protocol puts in series, so a scheduling
-        # hiccup in one pass must not decide it: the fastest of three counts
-        elapsed = min(times[confirm])
-        assert elapsed >= hops * ONE_WAY  # the emulated delay really applies
-        assert elapsed < hops * ONE_WAY + SLACK, (
-            f"{n}-function chain, confirm={confirm}, took {elapsed * 1e3:.0f} ms: more "
-            f"than {hops} one-way hops of {ONE_WAY * 1e3:.0f} ms + {SLACK * 1e3:.0f} ms"
-        )
+        for elapsed in times[confirm]:
+            assert elapsed / ONE_WAY == pytest.approx(hops, rel=1e-9), (
+                f"{n}-function chain, confirm={confirm}: {elapsed / ONE_WAY:.3f} "
+                f"one-way hops, not {hops}"
+            )
 
 
 def test_reregistration_waits_for_two_round_trips_not_one_per_peer():
@@ -133,9 +131,10 @@ def test_reregistration_waits_for_two_round_trips_not_one_per_peer():
             for d in queriers:  # warm caches: the owner books them as stale holders
                 await d._lookup(spec.function, d.peer_id)
             changed = dataclasses.replace(spec, qp=QoSVector({"delay": 99.0}))
-            t0 = time.perf_counter()
+            loop = asyncio.get_running_loop()
+            t0 = loop.time()
             await host.register_components([changed], now=1.0)
-            elapsed = time.perf_counter() - t0
+            elapsed = loop.time() - t0
             seen = [
                 {m.component_id: m.qp.values.get("delay")
                  for m in (await d._lookup(spec.function, d.peer_id))[0]}
@@ -144,14 +143,12 @@ def test_reregistration_waits_for_two_round_trips_not_one_per_peer():
             errors = cluster.errors()
         return spec, targets, queriers, elapsed, seen, errors
 
-    spec, targets, queriers, elapsed, seen, errors = asyncio.run(scenario())
+    spec, targets, queriers, elapsed, seen, errors = vtime.run(scenario())
     assert errors == []
     assert len(targets) >= 2 and len(queriers) >= 2, "fixture: nothing to serialise"
     assert all(rows[spec.component_id] == 99.0 for rows in seen)  # coherent on return
     # rows to every target, then invalidations to every holder: 2 round trips
-    assert elapsed >= 4 * ONE_WAY
-    assert elapsed < 4 * ONE_WAY + SLACK, (
+    assert elapsed / ONE_WAY == pytest.approx(4, rel=1e-9), (
         f"re-registration with {len(targets)} replica targets and {len(queriers)} "
-        f"stale holders took {elapsed * 1e3:.0f} ms: more than two round trips of "
-        f"{2 * ONE_WAY * 1e3:.0f} ms + {SLACK * 1e3:.0f} ms"
+        f"stale holders took {elapsed / ONE_WAY:.3f} one-way hops, not 4"
     )

@@ -29,8 +29,7 @@ def _cluster(**overrides):
         n_functions=6,
         seed=7,
         capacity_scale=10.0,
-        probe_retry=fast,
-        control_retry=fast,
+        retry=fast,
     )
     base.update(overrides)
     return LiveCluster(ClusterConfig(**base))

@@ -12,7 +12,10 @@ served from peer-local caches instead of routing the DHT, yet selections
 stay bit-identical — the cached (components, rtt) pair is exactly what
 re-routing a static ring would produce.  What *does* change is the
 ``dht_route`` charge per compose, which a dedicated test pins down
-(fewer routes with caching, same bcp_* books).
+(fewer routes with caching, same bcp_* books).  It also spans the event
+loop: the same cluster on the virtual-time loop (``repro.net.vtime``)
+makes the same choices, and so do diamond and commutation requests, which
+the seeded request pools draw neither of.
 
 A further test drives a real TCP cluster through a peer kill and shows a
 composition still completing end-to-end with the retry/backoff path
@@ -29,8 +32,10 @@ from repro.net import (
     DirectoryTierConfig,
     LiveCluster,
     MeasurementConfig,
+    vtime,
 )
 from repro.net.rpc import RetryPolicy
+from repro.workload.generator import RequestConfig
 
 
 def _parity_config(transport="loopback", **overrides):
@@ -51,13 +56,7 @@ def _parity_config(transport="loopback", **overrides):
     return ClusterConfig(**base)
 
 
-# the directory tier on and off — caching must be invisible to selections.
-# (The ids date from a matrix that also had state-model, codec and
-# coalescing axes; they are kept so test histories stay comparable.)
-@pytest.mark.parametrize(
-    "dir_cache", [True, False], ids=["distributed-v2-coalesced", "distributed-v2-nocache"]
-)
-def test_loopback_cluster_matches_synchronous_bcp(dir_cache):
+def _matches_synchronous_bcp(run, **overrides):
     """The live cluster must reproduce the sync engine's exact choices —
     with *zero* reads of the scenario's registry / pool / DHT storage:
     the cluster's SharedStateGuard seals them for its whole lifetime and
@@ -65,9 +64,7 @@ def test_loopback_cluster_matches_synchronous_bcp(dir_cache):
     """
 
     async def scenario():
-        cluster = LiveCluster(
-            _parity_config(directory_tier=DirectoryTierConfig(enabled=dir_cache))
-        )
+        cluster = LiveCluster(_parity_config(**overrides))
         requests = cluster.scenario.requests.batch(5)
         sync_bcp = cluster.scenario.net.bcp
 
@@ -84,7 +81,7 @@ def test_loopback_cluster_matches_synchronous_bcp(dir_cache):
         errors = cluster.errors()
         return expected, live, leaked, errors, cluster.shared_guard.violations
 
-    expected, live, leaked, errors, violations = asyncio.run(scenario())
+    expected, live, leaked, errors, violations = run(scenario())
     assert errors == []
     assert leaked == {}
     assert violations == []
@@ -96,6 +93,43 @@ def test_loopback_cluster_matches_synchronous_bcp(dir_cache):
             assert live_r.best.signature() == sync_r.best.signature(), rid
         assert live_r.probes_sent == sync_r.probes_sent, rid
         assert live_r.candidates_examined == sync_r.candidates_examined, rid
+    return expected
+
+
+# the directory tier on and off — caching must be invisible to selections.
+# (The ids date from a matrix that also had state-model, codec and
+# coalescing axes; they are kept so test histories stay comparable.)
+@pytest.mark.parametrize(
+    "dir_cache", [True, False], ids=["distributed-v2-coalesced", "distributed-v2-nocache"]
+)
+def test_loopback_cluster_matches_synchronous_bcp(dir_cache):
+    _matches_synchronous_bcp(
+        asyncio.run, directory_tier=DirectoryTierConfig(enabled=dir_cache)
+    )
+
+
+@pytest.mark.parametrize("dir_cache", [True, False], ids=["cache", "nocache"])
+def test_loopback_cluster_on_virtual_time_matches_synchronous_bcp(dir_cache):
+    _matches_synchronous_bcp(
+        vtime.run, directory_tier=DirectoryTierConfig(enabled=dir_cache)
+    )
+
+
+@pytest.mark.parametrize(
+    "shape, requests",
+    [
+        ("diamond", RequestConfig(function_count=(4, 4), dag_probability=1.0)),
+        ("commutation", RequestConfig(function_count=(3, 3), commutation_probability=1.0)),
+    ],
+    ids=["diamond", "commutation"],
+)
+def test_dag_and_commutation_requests_match_synchronous_bcp(shape, requests):
+    expected = _matches_synchronous_bcp(vtime.run, request_config=requests)
+    graphs = [r.request.function_graph for r in expected]
+    if shape == "diamond":
+        assert all(not g.is_linear() for g in graphs)
+    else:
+        assert all(g.commutations for g in graphs)
 
 
 def test_directory_cache_changes_routing_charges_not_selections():
@@ -158,7 +192,7 @@ def test_tcp_cluster_survives_peer_kill():
     async def scenario():
         fast = RetryPolicy(timeout=0.3, retries=2, backoff=0.02)
         cluster = LiveCluster(
-            _parity_config(transport="tcp", probe_retry=fast, control_retry=fast)
+            _parity_config(transport="tcp", retry=fast)
         )
         async with cluster:
             gen = cluster.scenario.requests

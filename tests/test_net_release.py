@@ -23,13 +23,12 @@ matrix cannot see:
 
 import asyncio
 import dataclasses
-import time
 from fractions import Fraction
 
 import pytest
 
 from repro.core.bcp import BCPConfig, NextHopWeights
-from repro.net import ClusterConfig, DirectoryTierConfig, LiveCluster, MeasurementConfig, codec
+from repro.net import ClusterConfig, DirectoryTierConfig, LiveCluster, MeasurementConfig, codec, vtime
 from repro.net.peer import _Collection
 from repro.net.rpc import RetryPolicy
 
@@ -44,8 +43,7 @@ def _cluster(**overrides):
         n_functions=6,
         seed=7,
         capacity_scale=10.0,
-        probe_retry=fast,
-        control_retry=fast,
+        retry=fast,
         # active probing would interleave PathProbe frames with the
         # composes; the protocol under test is identical without it
         measurement=MeasurementConfig(enabled=False),
@@ -316,7 +314,7 @@ def test_bundles_delivered_twice_are_booked_once():
     it carried — reservations and probe counts — to the destination."""
 
     async def scenario():
-        cluster = _cluster(probe_retry=RetryPolicy(timeout=0.1, retries=1, backoff=0.01))
+        cluster = _cluster(retry=RetryPolicy(timeout=0.1, retries=1, backoff=0.01))
         closed = _snapshot_windows(cluster)
         request, expected = next(
             (r, sync_r)
@@ -467,7 +465,7 @@ def test_straggler_after_wall_timeout_drops_its_reservations():
             latency=latency,
             collect_wall_timeout=0.3,
             soft_timeout=30.0,  # no expiry timer can fire inside this test
-            probe_retry=RetryPolicy(timeout=3.0, retries=0),
+            retry=RetryPolicy(timeout=3.0, retries=0),
         )
         wire = _Wire(cluster)
         request = next(
@@ -516,7 +514,7 @@ def test_straggler_after_wall_timeout_drops_its_reservations():
             soft, held, errors = cluster.soft_tokens(), _held(cluster), cluster.errors()
         return warm, again, slow["peer"], late, closed_with, soft, held, errors
 
-    warm, again, slow_peer, late, closed_with, soft, held, errors = asyncio.run(scenario())
+    warm, again, slow_peer, late, closed_with, soft, held, errors = vtime.run(scenario())
     assert errors == []
     assert warm.success
     # the wave released whom it knew; the bundles of these upstream holders
@@ -555,17 +553,18 @@ def test_killed_holder_neither_fails_nor_stalls_the_compose():
             return await finalize(rid, why)
 
         dest._finalize = kill_a_holder_first
+        loop = asyncio.get_running_loop()
         async with cluster:
-            t0 = time.monotonic()
+            t0 = loop.time()
             result = await cluster.compose(request, confirm=False, timeout=60)
-            elapsed = time.monotonic() - t0
+            elapsed = loop.time() - t0
             held, errors = _held(cluster, skip=killed), cluster.errors()
         return result, killed, elapsed, held, errors
 
-    result, killed, elapsed, held, errors = asyncio.run(scenario())
+    result, killed, elapsed, held, errors = vtime.run(scenario())
     assert errors == []
     assert killed and result.success
-    assert elapsed < 2.0  # no retry budget burnt on the dead holder
+    assert elapsed == 0.0  # an undelayed wire, and no retry timeout on the dead holder
     assert held == set()  # every live pool drained (soft and firm alike)
 
 
@@ -606,7 +605,7 @@ def test_bundles_lost_with_a_killed_probe_holder_expire(confirm):
             soft, held, errors = cluster.soft_tokens(), _held(cluster, skip=killed), cluster.errors()
         return result, killed, frames, stranded, soft, held, errors
 
-    result, killed, frames, stranded, soft, held, errors = asyncio.run(scenario())
+    result, killed, frames, stranded, soft, held, errors = vtime.run(scenario())
     assert errors == []
     assert killed
     # the credit died with the peer, so the wall clock closed the window,

@@ -379,8 +379,7 @@ def test_kill_mid_soak_bounded_tail():
                 n_peers=8,
                 seed=7,
                 collect_wall_timeout=2.0,
-                probe_retry=fast,
-                control_retry=fast,
+                retry=fast,
             )
         )
         async with cluster:

@@ -20,7 +20,7 @@ import asyncio
 
 from repro.core.bcp import BCPConfig, NextHopWeights
 from repro.core.resources import ResourceVector
-from repro.net import ClusterConfig, LiveCluster
+from repro.net import ClusterConfig, LiveCluster, vtime
 
 DELAY = 0.6  # one-way latency injected toward the target peer
 SOFT = 1.5 * DELAY  # expires between the release gather and the confirm
@@ -109,7 +109,7 @@ def test_failed_setup_ack_releases_already_confirmed_tokens():
             errors = cluster.errors()
         return result, went_firm, soft_left, pool_left, errors
 
-    result, went_firm, soft_left, pool_left, errors = asyncio.run(scenario())
+    result, went_firm, soft_left, pool_left, errors = vtime.run(scenario())
     assert errors == []
     # the target's reservation expired mid-confirm: setup must fail ...
     assert not result.success

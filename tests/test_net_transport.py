@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.net import codec
+from repro.net import codec, vtime
 from repro.net import rpc as net_rpc
 from repro.net.cluster import ClusterConfig, LiveCluster
 from repro.net.codec import MAX_FRAME, MaintenancePing, encode_frame
@@ -552,7 +552,8 @@ class TestRpc:
             await t.close()
             return calls, a.retries_performed
 
-        calls, retries = run(scenario())
+        # timeouts and backoff are timers: on virtual time they cost no wall time
+        calls, retries = vtime.run(scenario())
         # every logical message processed exactly once despite loss + retries
         assert calls == list(range(10))
         assert retries > 0
