@@ -23,19 +23,13 @@ leaked state, 2 parity violation.
 file accumulates a before/after trajectory across commits (tag entries
 with ``--note`` or ``BENCH_NOTE``).
 
-The script feature-detects the optional :class:`ClusterConfig` field
-``directory_tier`` so one harness can measure builds with and without
-the directory acceleration tier.
-
 The **hot-function phase** (skippable with ``--no-hot``) repeatedly
 composes one request shape — the workload the directory tier is built
-for — once with the tier on and once off, and reports the compose/sec
-speedup plus the measured ``dht_route`` charges per compose.  It runs
-over emulated topology latency (the modeled overlay link delays, scaled
-to wall milliseconds) on *both* transports, since flat localhost wires
-hide exactly the remote-lookup cost the tier removes.  Crash and parity
-gating applies; the speedup itself is informational per run and
-asserted in the recorded history.
+for — and reports compose/sec, the measured ``dht_route`` charges per
+compose and the cache hit rate.  It runs over emulated topology latency
+(the modeled overlay link delays, scaled to wall milliseconds) on
+*both* transports, since flat localhost wires hide exactly the
+remote-lookup cost the tier removes.  Crash gating applies.
 
 The **link-degradation phase** (skippable with ``--no-degrade``)
 exercises the topology measurement plane: over the same emulated
@@ -119,14 +113,14 @@ DEGRADE_PROBE_INTERVAL = 0.05
 DEGRADE_CONVERGE_TIMEOUT = 10.0
 
 
-async def run_hot_function(params: BenchParams, cache_on: bool, shared: Dict) -> Dict:
+async def run_hot_function(params: BenchParams) -> Dict:
     """Hot-function pass: the same request shape composed repeatedly.
 
-    This is the workload ISSUE's directory tier targets: every compose
-    resolves the same few function keys, so with the tier on the first
-    compose pays the DHT routes and every later one hits peer-local
-    caches.  Reports compose/sec and the ``dht_route`` charges actually
-    booked per compose.
+    This is the workload the directory tier targets: every compose
+    resolves the same few function keys, so the first compose pays the
+    DHT routes and every later one hits peer-local caches.  Reports
+    compose/sec and the ``dht_route`` charges actually booked per
+    compose.
 
     Unlike the concurrent load phase, this one emulates the *modeled*
     overlay link delays on the wire (scaled by
@@ -137,20 +131,9 @@ async def run_hot_function(params: BenchParams, cache_on: bool, shared: Dict) ->
     so lookups pay average topology edges while probes travel cheap
     ones.  Sessions run sequentially (one client stream: latency is the
     point, concurrency would mask it) and ``HOT_WARMUP`` composes are
-    excluded from the timed window, so the numbers are steady-state;
-    first-touch composes pay the routes either way.
-
-    Both cache passes reuse one scenario (via ``shared``) so they drive
-    identical populations over identical emulated links.
+    excluded from the timed window, so the numbers are steady-state.
     """
-    try:
-        from repro.net import DirectoryTierConfig
-    except ImportError:  # pre-tier build: only the baseline is measurable
-        if cache_on:
-            return {}
-        tier = None
-    else:
-        tier = DirectoryTierConfig(enabled=cache_on)
+
     def hot_config(**extra) -> ClusterConfig:
         return make_cluster_config(
             n_peers=HOT_PEERS,
@@ -163,18 +146,13 @@ async def run_hot_function(params: BenchParams, cache_on: bool, shared: Dict) ->
                 nexthop_weights=NextHopWeights(delay=0.6, bandwidth=0.0, failure=0.4),
             ),
             capacity_scale=50.0,  # repeats must not exhaust the hot components
-            directory_tier=tier,
             **extra,
         )
 
-    if "scenario" not in shared:
-        shared["scenario"] = LiveCluster(hot_config()).scenario
-        # the generator is stateful: draw the hot request shape once so
-        # both cache passes replay the identical workload
-        shared["template"] = shared["scenario"].requests.next_request(
-            source=HOT_SOURCE, dest=HOT_DEST
-        )
-    scenario = shared["scenario"]
+    # the wire delays are the scenario's own link delays, so the scenario
+    # is built first
+    scenario = LiveCluster(hot_config()).scenario
+    template = scenario.requests.next_request(source=HOT_SOURCE, dest=HOT_DEST)
     overlay = scenario.overlay
 
     def wire_delay(src: int, dst: int) -> float:
@@ -183,7 +161,6 @@ async def run_hot_function(params: BenchParams, cache_on: bool, shared: Dict) ->
         return overlay.latency(src, dst) * TOPOLOGY_LATENCY_SCALE
 
     cluster = LiveCluster(hot_config(latency=wire_delay), scenario=scenario)
-    template = shared["template"]
     # same function graph / endpoints every time, distinct request ids
     requests = [
         dataclasses.replace(template, request_id=10_000_000 + i)
@@ -212,7 +189,6 @@ async def run_hot_function(params: BenchParams, cache_on: bool, shared: Dict) ->
     n = params.requests
     routes = delta.get("dht_route", (0, 0))[0]
     return {
-        "cache": cache_on,
         "peers": HOT_PEERS,
         "seed": HOT_SEED,
         "requests": n,
@@ -541,40 +517,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             status = max(status, 1)
 
         if args.hot:
-            hot: Dict[str, Dict] = {}
-            hot_shared: Dict = {}
-            for cache_on in (True, False):
-                hot_res = asyncio.run(run_hot_function(params, cache_on, hot_shared))
-                if not hot_res:
-                    continue  # pre-tier build: no cached variant to run
-                hot["cache_on" if cache_on else "cache_off"] = hot_res
-                if hot_res["daemon_errors"] or hot_res["compose_failures"]:
-                    print(
-                        f"[{transport}] hot-function FAILURE: "
-                        f"errors={hot_res['daemon_errors']} "
-                        f"failed_composes={hot_res['compose_failures']}",
-                        file=sys.stderr,
-                    )
-                    status = max(status, 1)
-            if "cache_on" in hot and "cache_off" in hot:
-                on, off = hot["cache_on"], hot["cache_off"]
-                speedup = (
-                    on["compose_per_sec"] / off["compose_per_sec"]
-                    if off["compose_per_sec"] else 0.0
-                )
-                hot["speedup"] = round(speedup, 2)
-                hot["dht_route_saved_per_compose"] = round(
-                    off["dht_route_per_compose"] - on["dht_route_per_compose"], 2
-                )
+            hot = asyncio.run(run_hot_function(params))
+            res["hot_function"] = hot
+            print(
+                f"[{transport}] hot-function: {hot['compose_per_sec']} compose/sec, "
+                f"dht_route/compose {hot['dht_route_per_compose']} "
+                f"(hit rate {hot['cache_hit_rate']:.1%})"
+            )
+            if hot["daemon_errors"] or hot["compose_failures"]:
                 print(
-                    f"[{transport}] hot-function: "
-                    f"{on['compose_per_sec']} vs {off['compose_per_sec']} "
-                    f"compose/sec (speedup {hot['speedup']}x), "
-                    f"dht_route/compose {on['dht_route_per_compose']} vs "
-                    f"{off['dht_route_per_compose']} "
-                    f"(hit rate {on['cache_hit_rate']:.1%})"
+                    f"[{transport}] hot-function FAILURE: "
+                    f"errors={hot['daemon_errors']} "
+                    f"failed_composes={hot['compose_failures']}",
+                    file=sys.stderr,
                 )
-                res["hot_function"] = hot
+                status = max(status, 1)
 
         if args.degrade:
             deg = asyncio.run(run_degradation(params, args.quick))

@@ -155,14 +155,6 @@ def _add_cluster_options(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--seed", type=int, default=0, help="environment RNG seed")
     sub.add_argument(
-        "--dir-cache",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="directory acceleration tier: peer-local lookup caches, "
-        "Bloom negative caching, hot-key replica fan-out (default); "
-        "--no-dir-cache routes every lookup",
-    )
-    sub.add_argument(
         "--measure",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -351,7 +343,6 @@ def _run_one(
 def _build_cluster(args, trace: Optional[EventTrace]):
     from .net import (
         ClusterConfig,
-        DirectoryTierConfig,
         LiveCluster,
         MeasurementConfig,
     )
@@ -367,7 +358,6 @@ def _build_cluster(args, trace: Optional[EventTrace]):
         transport=args.transport,
         port_base=args.port_base,
         seed=args.seed,
-        directory_tier=DirectoryTierConfig(enabled=args.dir_cache),
         measurement=MeasurementConfig(**measure_kwargs),
     )
     return LiveCluster(cfg, trace=trace)

@@ -17,17 +17,17 @@ cluster report the same books:
   true encoded sizes, plus every response frame as ``net_ack``.  These
   keys are live-only (the simulator has no real frames) and never
   pollute the ``BCP_CATEGORIES`` totals.  ``net_directory`` covers the
-  discovery plane (RegisterComponent / RegisterBatch /
-  LookupRequest / ReplicatePush / ReplicaInvalidate to the DHT owner of
-  a function key); the DHT *routing* cost of finding that owner still
-  lands in ``dht_route``, charged per hop by
+  discovery plane (RegisterBatch / LookupRequest / ReplicatePush /
+  ReplicaInvalidate to the DHT owner of a function key); the DHT
+  *routing* cost of finding that owner still lands in ``dht_route``,
+  charged per hop by
   :meth:`~repro.dht.pastry.PastryNetwork.route` exactly as in sim mode.
   ``net_measure`` books the measurement plane's active ``PathProbe``
   frames — the overhead budget of topology measurement, kept separate
   so probe traffic never inflates the protocol-comparison categories.
 * **directory-tier counters** (``dir_cache_hit`` / ``dir_cache_miss`` /
   ``dir_neg_hit`` / ``dir_replica_serve`` / ``dir_replica_push``) audit
-  the acceleration tier: every lookup the cache absorbs is a hit *and*
+  the directory tier: every lookup the cache absorbs is a hit *and*
   a ``dht_route`` charge that never happened — the saved work is
   visible as the gap between the two books.
 """
@@ -55,7 +55,6 @@ WIRE_CATEGORY = {
     codec.MaintenancePing: "net_ping",
     codec.ComposeBegin: "net_control",
     codec.ComposeResult: "net_control",
-    codec.RegisterComponent: "net_directory",
     codec.RegisterBatch: "net_directory",
     codec.LookupRequest: "net_directory",
     codec.ReplicatePush: "net_directory",

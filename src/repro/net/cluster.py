@@ -77,9 +77,8 @@ class ClusterConfig:
     # every daemon call's timeout and retries (a measurement probe has its own)
     retry: RetryPolicy = RetryPolicy(timeout=1.0, retries=2, backoff=0.05)
     maint_interval: Optional[float] = None  # source-side session pings; None = off
-    # directory acceleration tier: None -> the tier's defaults (enabled);
-    # DirectoryTierConfig(enabled=False) reproduces the pre-tier
-    # per-lookup routing exactly
+    # directory tier (peer-local lookup caches, Bloom negative caching,
+    # hot-key replica fan-out): None -> the tier's defaults
     directory_tier: Optional[DirectoryTierConfig] = None
     # topology measurement plane: None -> the plane's defaults (enabled:
     # active probing + passive RTT + dead-path detection + adaptive
@@ -319,8 +318,7 @@ class LiveCluster:
     async def _populate_directory(self) -> None:
         """Boot-time registration pass: every hosting daemon pushes its
         components to their DHT owners — one RegisterBatch per (registrant,
-        owner) pair with the tier on, per-spec RegisterComponent frames
-        with it off.  Registrants run concurrently: each row still only
+        replica) pair.  Registrants run concurrently: each row still only
         becomes visible through its owner's RPC reply, and at boot no
         peer holds cached state, so ordering between registrants is
         immaterial."""

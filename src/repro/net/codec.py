@@ -1,4 +1,4 @@
-"""Wire codec for the live runtime (wire version 4).
+"""Wire codec for the live runtime (wire version 5).
 
 Frames are ``MAGIC (2) | version (1) | payload length (4, big-endian) |
 payload``.  A payload is written in one pass in two kinds of encoding:
@@ -76,7 +76,6 @@ __all__ = [
     "ComposeResult",
     "Busy",
     "MaintenancePing",
-    "RegisterComponent",
     "RegisterBatch",
     "LookupRequest",
     "ReplicatePush",
@@ -86,7 +85,7 @@ __all__ = [
 ]
 
 MAGIC = b"SN"
-WIRE_VERSION = 4  # the header's version byte; any other value is refused
+WIRE_VERSION = 5  # the header's version byte; any other value is refused
 MAX_FRAME = 4 * 1024 * 1024  # one protocol message, not a data plane
 _HEADER = struct.Struct(">2sBI")
 _HEADER_SIZE = _HEADER.size
@@ -182,7 +181,8 @@ _TABLE_LIMIT = 0xFFFF  # >H back-reference index space per frame
 # protocol-static string table (the HPACK idea): strings every session
 # sends constantly are pre-seeded at fixed indices on both ends, so even
 # their *first* occurrence in a frame is a 3-byte reference.  Order is
-# part of the wire format — append only.
+# part of the wire format — append only ("rtt" and "fresh" are no longer
+# sent, and keep their places so that the indices after them hold).
 _STATIC_STRINGS = (
     "ok", "error", "confirmed", "components", "rtt", "fresh",
     "alive", "request", "seq", "comp", "link", "delay", "loss",
@@ -1192,30 +1192,18 @@ class MaintenancePing:
     seq: int
 
 
-@_message(spec=_obj(ComponentSpec), registered_at=_F64)
-@dataclass(frozen=True)
-class RegisterComponent:
-    """Hosting peer → directory owner: store a component's meta-data.
-
-    In distributed mode the receiver holds the row in its own
-    :class:`~repro.net.directory.DirectorySlice`; ``registered_at`` is
-    the registrant's clock so replicas stamp identical meta-data."""
-
-    spec: ComponentSpec
-    registered_at: float = 0.0
-
-
 @_message(specs=_TUPLE, registered_at=_F64)
 @dataclass(frozen=True)
 class RegisterBatch:
-    """Hosting peer → directory replica: store many rows in one frame.
+    """Hosting peer → directory replica: store a component's meta-data.
 
-    Boot-time registration ships every component a registrant owes one
-    target as a single frame instead of one ``RegisterComponent`` per
-    spec.  The reply's ``stale`` map reports content-*changing* rows
-    back to the registrant — ``{function: [version, [holder peers]]}``
-    — so the registrant can invalidate exactly the peers that may cache
-    the old rows (see :class:`ReplicaInvalidate`)."""
+    A registration ships every component a registrant owes one replica
+    as a single frame; ``registered_at`` is the registrant's clock, so
+    every replica stamps identical meta-data.  The reply's ``stale`` map
+    reports content-*changing* rows back to the registrant —
+    ``{function: [version, [holder peers]]}`` — so the registrant can
+    invalidate exactly the peers that may cache the old rows (see
+    :class:`ReplicaInvalidate`)."""
 
     specs: Tuple[ComponentSpec, ...]
     registered_at: float = 0.0
@@ -1231,9 +1219,9 @@ class LookupRequest:
 
     The reply carries the owner slice's ``ServiceMetadata`` rows; the
     querier computes the lookup RTT itself from the DHT route it took
-    to find the owner.  With the directory tier enabled the reply also
-    stamps the key's content ``version`` and piggybacks the slice's
-    Bloom summary (``bloom``) for the querier's negative cache."""
+    to find the owner.  The reply also stamps the key's content
+    ``version`` and piggybacks the slice's Bloom summary (``bloom``) for
+    the querier's negative cache."""
 
     function: str
     origin_peer: int

@@ -2,18 +2,19 @@
 
 Every :class:`~repro.net.peer.PeerDaemon` stores the meta-data rows
 whose DHT keys it owns (or replicates) — the live counterpart of one
-Pastry node's ``store``.  Rows arrive exclusively as
-``RegisterComponent`` / ``RegisterBatch`` frames and leave as
-``LookupRequest`` replies; the slice never consults the shared
-:class:`ServiceRegistry`, which is what the cluster's shared-state guard
-asserts.
+Pastry node's ``store``.  Rows arrive exclusively as ``RegisterBatch``
+frames and leave as ``LookupRequest`` replies; the slice never consults
+the shared :class:`ServiceRegistry`, which is what the cluster's
+shared-state guard asserts.
 
 Rows are keyed by ``(key, component_id)`` so re-registration (a peer
 retrying a boot-time RPC, or a replica receiving the same row from two
 paths) is idempotent rather than duplicating directory entries.
 
 Beyond the authoritative rows, the slice carries the bookkeeping for the
-**directory acceleration tier** (see ``docs/ARCHITECTURE.md``):
+**directory tier**, the one way a live peer registers and looks up (see
+``docs/ARCHITECTURE.md``; the sync engine, which routes every lookup, is
+its per-lookup reference):
 
 * a monotonic **version** counter, bumped on every content-*changing*
   store, stamped on lookup/registration replies so peer-local caches can
@@ -50,20 +51,15 @@ _BLOOM_RECIPIENT_CAP = 512
 
 @dataclass(frozen=True)
 class DirectoryTierConfig:
-    """Knobs for the directory acceleration tier.
+    """Knobs for the directory tier: cache lifetime and hot-key fan-out.
 
-    ``enabled=False`` reproduces the pre-tier behaviour exactly: every
-    logical lookup routes the DHT and crosses the wire to the key's
-    owner, registration travels one ``RegisterComponent`` per (spec,
-    replica), and no state is cached anywhere.
+    Positive and Bloom negative caching are always on; these fields only
+    tune them.
     """
 
-    enabled: bool = True
     # peer-local positive-cache TTL (seconds); also bounds the staleness
     # window for holders the precise invalidation could not reach
     cache_ttl: float = 30.0
-    # short-circuit absent-function lookups via the owner's Bloom summary
-    negative_cache: bool = True
     # decayed remote-serve count that triggers replica fan-out; 0 turns
     # fan-out off (peer-local caching still applies)
     hot_threshold: float = 8.0

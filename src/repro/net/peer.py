@@ -69,28 +69,26 @@ with it; those holders' tokens fall to their expiry timers.
 :class:`ServiceRegistry`: component meta-data lives in the
 :class:`DirectorySlice` of the peer owning ``hash(function)`` in the DHT
 id space (plus its replica-ring successors), registration and discovery
-travel as :class:`~repro.net.codec.RegisterComponent` /
+travel as :class:`~repro.net.codec.RegisterBatch` /
 :class:`~repro.net.codec.LookupRequest` RPCs, and the lookup RTT is
 derived from the same Pastry route a sync lookup would take — so the
 message ledger and probe timing stay comparable with the synchronous
 engine's.
 
-**Directory acceleration tier.**  With a
-:class:`~repro.net.directory.DirectoryTierConfig` enabled (the cluster
-default), repeated lookups stop converging on the key's owner: each
-daemon keeps a TTL'd *positive cache* of resolved duplicate lists
-(invalidated precisely on registration churn via content versions and
-``ReplicaInvalidate``), a *negative cache* built from the owners' Bloom
-summaries (absent functions short-circuit without routing the DHT), and
-serves keys whose owner pushed replica rows here (``ReplicatePush``,
-triggered by the owner's decayed serve rate).  A cache hit returns the
-exact (components, rtt) pair the routed lookup produced the first time
-— the DHT route is deterministic over a static ring, so selections and
-probe timing are bit-identical with the tier on or off; only the
-``dht_route`` / ``net_directory`` charges genuinely shrink, which the
-ledger's ``dir_*`` counters audit.  A hit is answered on the spot: an
-expansion builds tasks only for the lookups that miss.  Staleness is
-bounded by the awaited
+**Directory tier.**  Repeated lookups do not converge on the key's
+owner: each daemon keeps a TTL'd *positive cache* of resolved duplicate
+lists (invalidated precisely on registration churn via content versions
+and ``ReplicaInvalidate``), a *negative cache* built from the owners'
+Bloom summaries (absent functions short-circuit without routing the
+DHT), and serves keys whose owner pushed replica rows here
+(``ReplicatePush``, triggered by the owner's decayed serve rate).  A
+cache hit returns the exact (components, rtt) pair the routed lookup
+produced the first time — the DHT route is deterministic over a static
+ring, so selections and probe timing are bit-identical with the sync
+engine, which routes every lookup; only the ``dht_route`` /
+``net_directory`` charges shrink, which the ledger's ``dir_*`` counters
+audit.  A hit is answered on the spot: an expansion builds tasks only
+for the lookups that miss.  Staleness is bounded by the awaited
 invalidation fan-out on re-registration plus the cache TTL backstop
 (see ``docs/ARCHITECTURE.md`` for the exact window).
 """
@@ -283,13 +281,7 @@ class PeerDaemon:
         # id never repeats a (holder, n) a still-open window has booked.  The
         # nonce is the life's: 31 bits of the endpoint's (hex) incarnation
         self._bundles_made = int(endpoint.incarnation, 16) >> 33 << 32
-        # rid -> {(function, origin): future} single-flight lookup dedup
-        # (the tier-off wire path).  A rid's map lives while this daemon
-        # is expanding a probe of that request (_expanding counts them):
-        # no message from the destination is needed to evict it
-        self._lookup_flight: Dict[int, Dict[Tuple[str, int], asyncio.Future]] = {}
-        self._expanding: Dict[int, int] = {}
-        # directory tier state (tier on only):
+        # directory tier state:
         # function -> (components, rtt, expires) positive cache
         self._dir_cache: Dict[str, Tuple[Tuple[ServiceMetadata, ...], float, float]] = {}
         # function -> route-priced rtt; never invalidated (the ring and
@@ -322,7 +314,6 @@ class PeerDaemon:
         endpoint.on(codec.SessionConfirm, self._on_confirm)
         endpoint.on(codec.ComposeResult, self._on_result)
         endpoint.on(codec.MaintenancePing, self._on_ping)
-        endpoint.on(codec.RegisterComponent, self._on_register)
         endpoint.on(codec.RegisterBatch, self._on_register_batch)
         endpoint.on(codec.LookupRequest, self._on_lookup)
         endpoint.on(codec.ReplicatePush, self._on_replica_push)
@@ -340,11 +331,6 @@ class PeerDaemon:
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    @property
-    def tier_enabled(self) -> bool:
-        """True when the directory acceleration tier is active."""
-        return self.dir_tier.enabled
-
     def _trace(self, category: str, **fields) -> None:
         if self.trace is not None:
             self.trace.record(category, time=loop_time(), peer=self.peer_id, **fields)
@@ -420,7 +406,6 @@ class PeerDaemon:
             expiry.cancel()
         self._parked.clear()
         self._closed = DedupCache()
-        self._lookup_flight.clear()
         self._miss_flight.clear()
         for task in list(self._tasks):
             task.cancel()
@@ -525,7 +510,7 @@ class PeerDaemon:
                 overlapped = self._spawn(self._begin(dest, begin, outcome))
                 await asyncio.sleep(0)
             if not outcome.done():
-                await self._expand_probe(Probe.initial(request, beta), Fraction(1), rid)
+                await self._expand(Probe.initial(request, beta), Fraction(1), rid)
             wall = timeout if timeout is not None else self.collect_wall_timeout + 30.0
             msg = await asyncio.wait_for(outcome, wall)
         finally:
@@ -580,23 +565,9 @@ class PeerDaemon:
     # ------------------------------------------------------------------
     # steps 2.2-2.4: expansion at the probe's current peer
     # ------------------------------------------------------------------
-    async def _expand_probe(
+    async def _expand(
         self, probe: Probe, credit: Fraction, rid: int, cargo=_NO_CARGO
     ) -> None:
-        self._expanding[rid] = self._expanding.get(rid, 0) + 1
-        try:
-            await self._expand(probe, credit, rid, cargo)
-        finally:
-            left = self._expanding[rid] - 1
-            if left:
-                self._expanding[rid] = left
-            else:
-                # the last expansion of this request running here: its
-                # single-flight lookup futures have no one left to serve
-                del self._expanding[rid]
-                self._lookup_flight.pop(rid, None)
-
-    async def _expand(self, probe: Probe, credit: Fraction, rid: int, cargo) -> None:
         cfg = self.bcp.config
         request = probe.request
         candidates = derive_next_functions(
@@ -607,22 +578,17 @@ class PeerDaemon:
             return
         # all candidate lookups run concurrently: a real implementation
         # would have all queries in flight at once, and the discovery
-        # phase is priced off the *slowest* of them either way
+        # phase is priced off the *slowest* of them either way.  A cache
+        # hit is not a task: only the misses fly
         origin = probe.current_peer
-        if self.tier_enabled:
-            # a cache hit is not a task: only the misses fly
-            results = [self._cached(fn) for fn, _, _, _ in candidates]
-            missed = [idx for idx, hit in enumerate(results) if hit is None]
-            if missed:
-                fetched = await asyncio.gather(
-                    *(self._lookup_cached(candidates[idx][0], origin) for idx in missed)
-                )
-                for idx, found in zip(missed, fetched):
-                    results[idx] = found
-        else:
-            results = await asyncio.gather(
-                *(self._lookup(fn, origin, rid) for fn, _, _, _ in candidates)
+        results = [self._cached(fn) for fn, _, _, _ in candidates]
+        missed = [idx for idx, hit in enumerate(results) if hit is None]
+        if missed:
+            fetched = await asyncio.gather(
+                *(self._lookup(candidates[idx][0], origin) for idx in missed)
             )
+            for idx, found in zip(missed, fetched):
+                results[idx] = found
         lookups = [comps for comps, _ in results]
         max_rtt = max((rtt for _, rtt in results), default=0.0)
         if probe.branch == ():
@@ -670,67 +636,8 @@ class PeerDaemon:
             )
         )
 
-    async def _lookup(
-        self, function: str, origin_peer: int, rid: Optional[int] = None
-    ) -> Tuple[List[ServiceMetadata], float]:
-        """Resolve a function's duplicate list at its directory owner.
-
-        The lookup routes ``hash(function)`` through Pastry first —
-        charging the DHT ledger per hop exactly as a sync lookup would,
-        and pricing the query RTT off that route — then asks the owning
-        peer's directory slice over the wire.  A dead owner is
-        skipped in favour of its replica-ring successors; if every
-        replica is unreachable the function simply has no visible
-        duplicates this wave (the probe's credit returns as exhausted).
-
-        When ``rid`` is given, identical queries within that request's
-        wave are *single-flighted*: the first one performs the wire
-        exchange and every duplicate issued while this daemon is still
-        expanding probes of the request shares its result (the wire
-        analogue of the sync engine's per-wave lookup cache — directory
-        contents are fixed for the duration of a composition).  Only the
-        LookupRequest *frame* is deduplicated:
-        each logical lookup still routes the DHT itself, so ledger
-        charges and the route-priced RTT are identical with and without
-        the dedup.
-
-        With the directory tier enabled the per-rid flights are replaced
-        by a daemon-wide positive cache: a miss performs one DHT route +
-        wire fetch (misses for the same function single-flight across
-        requests too) and every hit — within a wave or across composes —
-        returns the cached (components, rtt) pair without routing.  The
-        route is deterministic over a static ring, so the cached rtt is
-        exactly what re-routing would price and probe timing is
-        unchanged; only the ``dht_route`` / ``net_directory`` charges
-        shrink, which is the tier's entire effect on the books.
-        """
-        if self.tier_enabled:
-            return await self._lookup_cached(function, origin_peer)
-        key = key_for(function)
-        route = self.dht.route(key, origin_peer)
-        rtt = 2.0 * route.latency
-        if rid is None:
-            return await self._fetch_components(key, function, origin_peer), rtt
-        flights = self._lookup_flight.setdefault(rid, {})
-        flight_key = (function, origin_peer)
-        fut = flights.get(flight_key)
-        if fut is not None:
-            return list(await asyncio.shield(fut)), rtt
-        fut = asyncio.get_running_loop().create_future()
-        flights[flight_key] = fut
-        try:
-            comps = await self._fetch_components(key, function, origin_peer)
-        except BaseException:
-            flights.pop(flight_key, None)
-            if not fut.done():
-                fut.set_result([])  # followers degrade to "no duplicates"
-            raise
-        if not fut.done():
-            fut.set_result(comps)
-        return list(comps), rtt
-
     # ------------------------------------------------------------------
-    # directory tier: cached lookup path
+    # directory lookups: the positive cache, then the wire
     # ------------------------------------------------------------------
     def _cached(self, function: str) -> Optional[Tuple[List[ServiceMetadata], float]]:
         """A positive-cache hit, booked — or ``None``: there is nothing to
@@ -743,9 +650,26 @@ class PeerDaemon:
             self.tap.dir_cache_hit()
         return list(entry[0]), entry[1]
 
-    async def _lookup_cached(
+    async def _lookup(
         self, function: str, origin_peer: int
     ) -> Tuple[List[ServiceMetadata], float]:
+        """Resolve a function's duplicate list: the positive cache, or one
+        DHT route and a fetch from the key's directory replicas.
+
+        A miss routes ``hash(function)`` through Pastry — charging the
+        DHT ledger per hop exactly as a sync lookup would, and pricing the
+        query RTT off that route — then asks the owning peer's directory
+        slice over the wire.  A dead owner is skipped in favour of its
+        replica-ring successors; if every replica is unreachable the
+        function simply has no visible duplicates this wave (the probe's
+        credit returns as exhausted).  Concurrent misses for one function
+        share one route and fetch, across requests too, and every later
+        hit returns the cached (components, rtt) pair without routing.
+        The route is deterministic over a static ring, so the cached rtt
+        is exactly what re-routing would price and probe timing matches
+        the sync engine's; only the ``dht_route`` / ``net_directory``
+        charges shrink.
+        """
         hit = self._cached(function)
         if hit is not None:
             return hit
@@ -778,31 +702,25 @@ class PeerDaemon:
         """Resolve one positive-cache miss: negative cache, route, fetch."""
         tier = self.dir_tier
         key = key_for(function)
-        if tier.negative_cache:
-            owner = self.ring.owner_peer(key)
-            held = self._owner_blooms.get(owner)
-            if (
-                held is not None
-                and loop_time() < held[1]
-                and function not in held[0]
-            ):
-                # the owner's summary proves absence: no route, no wire.
-                # Bloom filters have no false negatives, so a present
-                # function can never be hidden — only churn staleness
-                # applies, and registration invalidates summary holders.
-                self.neg_hits += 1
-                if self.tap is not None:
-                    self.tap.dir_neg_hit()
-                rtt = self._rtt_cache.get(function, 0.0)
-                self._dir_cache[function] = ((), rtt, loop_time() + tier.cache_ttl)
-                return [], rtt
+        held = self._owner_blooms.get(self.ring.owner_peer(key))
+        if held is not None and loop_time() < held[1] and function not in held[0]:
+            # the owner's summary proves absence: no route, no wire.
+            # Bloom filters have no false negatives, so a present
+            # function can never be hidden — only churn staleness
+            # applies, and registration invalidates summary holders.
+            self.neg_hits += 1
+            if self.tap is not None:
+                self.tap.dir_neg_hit()
+            rtt = self._rtt_cache.get(function, 0.0)
+            self._dir_cache[function] = ((), rtt, loop_time() + tier.cache_ttl)
+            return [], rtt
         self.cache_misses += 1
         if self.tap is not None:
             self.tap.dir_cache_miss()
         rtt = self._rtt_cache.get(function)
         if rtt is None:
             # first resolution from this daemon: route the DHT exactly as
-            # the tier-off path would (charging dht_route per hop) and
+            # a sync lookup would (charging dht_route per hop) and
             # remember the priced rtt — the route is a pure function of
             # (key, origin) over the static ring, so reuse is exact
             route = self.dht.route(key, origin_peer)
@@ -817,23 +735,20 @@ class PeerDaemon:
     async def _fetch_components(
         self, key, function: str, origin_peer: int
     ) -> List[ServiceMetadata]:
-        """The wire half of a lookup: ask the key's replicas."""
+        """The wire half of a lookup: the local rows if this peer holds
+        the key, else ask the key's replicas, the owner first."""
         replicas = self.ring.replica_peers(key)
-        if self.tier_enabled:
-            if self.peer_id in replicas:
-                # authoritative local copy: registration populates every
-                # base replica synchronously, so this equals the owner's
-                # rows (the tier-off path asks the owner first regardless)
-                return self.directory.lookup(key)
-            held = self.directory.replica_lookup(key)
-            if held is not None:
-                self.replica_serves += 1
-                if self.tap is not None:
-                    self.tap.dir_replica_serve()
-                return held
+        if self.peer_id in replicas:
+            # authoritative local copy: registration populates every base
+            # replica before it returns, so this equals the owner's rows
+            return self.directory.lookup(key)
+        held = self.directory.replica_lookup(key)
+        if held is not None:
+            self.replica_serves += 1
+            if self.tap is not None:
+                self.tap.dir_replica_serve()
+            return held
         for target in replicas:
-            if target == self.peer_id:
-                return self.directory.lookup(key)
             try:
                 reply = await self.endpoint.call(
                     target, codec.LookupRequest(function, origin_peer)
@@ -849,8 +764,6 @@ class PeerDaemon:
 
     def _note_lookup_reply(self, target: int, reply: dict) -> None:
         """Stash the serving replica's piggybacked Bloom summary."""
-        if not self.tier_enabled or not self.dir_tier.negative_cache:
-            return
         wire = reply.get("bloom")
         if not wire:
             return
@@ -984,7 +897,7 @@ class PeerDaemon:
                 request.dest_peer, codec.FinalProbe(rid, child, msg.credit, *cargo)
             )
         else:
-            await self._expand_probe(child, msg.credit, rid, cargo)
+            await self._expand(child, msg.credit, rid, cargo)
 
     # ------------------------------------------------------------------
     # destination side: collection window
@@ -1402,16 +1315,16 @@ class PeerDaemon:
         Each spec travels to the DHT owner of its function key and to
         that owner's replica-ring successors, so lookups survive the
         owner's death.  A row is visible to other peers only once the
-        owner's RegisterComponent RPC completed — there is no
+        replica's ``RegisterBatch`` RPC completed — there is no
         read-your-own-unregistered-write through shared memory.
 
-        With the directory tier enabled the per-(spec, replica) frames are
-        coalesced into one ``RegisterBatch`` per target peer, and any
-        content-*changing* registration (new function, replaced QoS) is
-        followed by awaited ``ReplicaInvalidate`` fan-out to exactly the
-        peers that may hold a stale copy — recent queriers, pushed
-        replica holders, Bloom-summary recipients — so churn is visible
-        to other peers' caches as soon as this call returns.  At boot all
+        The specs bound for one replica share one ``RegisterBatch``
+        frame, and any content-*changing* registration (new function,
+        replaced QoS) is followed by awaited ``ReplicaInvalidate``
+        fan-out to exactly the peers that may hold a stale copy — recent
+        queriers, pushed replica holders, Bloom-summary recipients — so
+        churn is visible to other peers' caches as soon as this call
+        returns.  At boot all
         of those holder sets are empty, so booting a cluster produces
         zero invalidation traffic.  The batches go out together, then the
         invalidations together: two round trips, however many replicas
@@ -1419,16 +1332,6 @@ class PeerDaemon:
         (:class:`~repro.net.rpc.RpcError`) only after every other one has
         the rows and the invalidations they named have been sent.
         """
-        if not self.tier_enabled:
-            for spec in specs:
-                key = key_for(spec.function)
-                msg = codec.RegisterComponent(spec, registered_at=now)
-                for target in self.ring.replica_peers(key):
-                    if target == self.peer_id:
-                        self.directory.store(key, ServiceMetadata.from_spec(spec, registered_at=now))
-                    else:
-                        await self.endpoint.call(target, msg)
-            return
         by_target: Dict[int, List[ComponentSpec]] = {}
         stale: Dict[str, Set[int]] = {}
         versions: Dict[str, int] = {}
@@ -1485,16 +1388,6 @@ class PeerDaemon:
         if failed is not None:
             raise failed
 
-    async def _on_register(self, src: int, msg: codec.RegisterComponent) -> dict:
-        if self.stopped:
-            return {"error": "stopped"}
-        self._dir_cache.pop(msg.spec.function, None)
-        fresh = self.directory.store(
-            key_for(msg.spec.function),
-            ServiceMetadata.from_spec(msg.spec, registered_at=msg.registered_at),
-        )
-        return {"ok": True, "fresh": fresh}
-
     async def _on_register_batch(self, src: int, msg: codec.RegisterBatch) -> dict:
         if self.stopped:
             return {"error": "stopped"}
@@ -1522,24 +1415,21 @@ class PeerDaemon:
             return {"error": "stopped"}
         key = key_for(msg.function)
         rows = self.directory.lookup(key)
-        reply: dict = {"components": rows}
-        if self.tier_enabled:
-            tier = self.dir_tier
-            self.directory.note_querier(key, msg.origin_peer)
-            reply["version"] = self.directory.key_version(key)
-            if tier.negative_cache:
-                reply["bloom"] = self.directory.bloom_wire()
-                self.directory.note_bloom_recipient(msg.origin_peer)
-            if tier.hot_threshold > 0:
-                rate = self.directory.note_serve_rate(
-                    key, loop_time(), tier.popularity_halflife
-                )
-                if rows and rate >= tier.hot_threshold and self.directory.mark_pushed(key):
-                    # fan-out must not run inline: this lookup's reply
-                    # would wait out the pushes' round trips (same
-                    # pattern as _on_probe's forwarding)
-                    self._spawn(self._push_replicas(key, msg.function))
-        return reply
+        tier = self.dir_tier
+        self.directory.note_querier(key, msg.origin_peer)
+        self.directory.note_bloom_recipient(msg.origin_peer)
+        if tier.hot_threshold > 0:
+            rate = self.directory.note_serve_rate(key, loop_time(), tier.popularity_halflife)
+            if rows and rate >= tier.hot_threshold and self.directory.mark_pushed(key):
+                # fan-out must not run inline: this lookup's reply would
+                # wait out the pushes' round trips (same pattern as
+                # _on_probe's forwarding)
+                self._spawn(self._push_replicas(key, msg.function))
+        return {
+            "components": rows,
+            "version": self.directory.key_version(key),
+            "bloom": self.directory.bloom_wire(),
+        }
 
     async def _push_replicas(self, key: int, function: str) -> None:
         """Push a hot key's rows to the ring peers past the base replicas."""
@@ -1574,11 +1464,10 @@ class PeerDaemon:
         key = key_for(msg.function)
         self._dir_cache.pop(msg.function, None)
         self.directory.drop_replica(key)
-        if self.dir_tier.negative_cache:
-            # the key's holders rebuilt their Bloom summaries; drop our
-            # cached copies so absence is re-proved against fresh state
-            for holder in self.ring.replica_peers(key):
-                self._owner_blooms.pop(holder, None)
+        # the key's holders rebuilt their Bloom summaries; drop our cached
+        # copies so absence is re-proved against fresh state
+        for holder in self.ring.replica_peers(key):
+            self._owner_blooms.pop(holder, None)
 
     async def _on_replica_invalidate(self, src: int, msg: codec.ReplicaInvalidate) -> dict:
         if self.stopped:

@@ -140,7 +140,6 @@ def messages(scenario, request_obj, service_graph):
         ),
         codec.Busy(1, "sessions", 9),
         codec.MaintenancePing(1, 3),
-        codec.RegisterComponent(scenario.population[0]),
         codec.RegisterBatch(tuple(scenario.population[:3]), 1.5),
         codec.LookupRequest("F001", 4),
         codec.ReplicatePush("F001", (meta,), 3),
@@ -435,11 +434,11 @@ class TestRejection:
 
     def test_version_1_is_refused(self):
         # the retired encodings (1: JSON, 2: tagged terms throughout, 3:
-        # report bundles without the probe count): a stale peer is turned
-        # away at the header, and nothing here will write such a frame
-        # either
+        # report bundles without the probe count, 4: type ids counting a
+        # per-spec registration frame): a stale peer is turned away at the
+        # header, and nothing here will write such a frame either
         terms = encode_frame({"x": 1})[7:]
-        for retired, payload in [(1, b'{"x":1}'), (2, terms), (3, terms)]:
+        for retired, payload in [(1, b'{"x":1}'), (2, terms), (3, terms), (4, terms)]:
             with pytest.raises(CodecError, match=f"unsupported wire version {retired}"):
                 decode_frame(_frame(payload, version=retired))
             with pytest.raises(CodecError, match=f"cannot encode wire version {retired}"):
@@ -594,7 +593,7 @@ class TestFrameReader:
     def test_mixed_versions_on_one_stream(self):
         # there is one version: a frame that claims another poisons the
         # stream where it starts, and the reader stays poisoned
-        for retired in (1, 2, 3):
+        for retired in (1, 2, 3, 4):
             reader = FrameReader()
             assert reader.feed(encode_frame({"n": 0})) == [{"n": 0}]
             stale = _frame(encode_frame({"n": 1})[7:], version=retired)

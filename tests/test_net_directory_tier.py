@@ -1,4 +1,4 @@
-"""The directory acceleration tier: caching, churn, Bloom, fan-out.
+"""The directory tier: caching, churn, Bloom, fan-out.
 
 The tier (``DirectoryTierConfig``) rides on the directory slices: peer-local
 positive caches invalidated by registration churn, Bloom-summary
@@ -13,7 +13,7 @@ matrix cannot see:
   registered function (no false negatives by construction);
 * fan-out — a hot key's rows land past the base replica set and serve
   lookups there without touching the owner;
-* hygiene — the single-flight maps drain after every compose.
+* hygiene — the miss single-flight map drains after every compose.
 """
 
 import asyncio
@@ -128,25 +128,28 @@ def test_slice_versions_track_content_changes():
 # boot-time registration batching
 # ----------------------------------------------------------------------
 def test_register_batch_coalesces_boot_frames():
-    def boot_frames(tier):
-        async def scenario():
-            # a small ring concentrates each registrant's specs on few
-            # owners, which is where per-target batching pays off
-            cluster = _cluster(n_peers=5, directory_tier=tier)
-            async with cluster:
-                wire = cluster.tap.wire_summary()
-            assert cluster.errors() == []
-            return wire.get("net_directory", (0, 0))[0]
+    async def scenario():
+        # a small ring concentrates each registrant's specs on few
+        # replicas, which is where per-target batching pays off
+        cluster = _cluster(n_peers=5)
+        async with cluster:
+            wire = cluster.tap.wire_summary()
+        assert cluster.errors() == []
+        return cluster, wire.get("net_directory", (0, 0))[0]
 
-        return asyncio.run(scenario())
-
-    batched = boot_frames(DirectoryTierConfig())
-    unbatched = boot_frames(DirectoryTierConfig(enabled=False))
-    # same rows reach the same owners, in fewer frames: one
-    # RegisterBatch per (registrant, owner) pair instead of one
-    # RegisterComponent per (spec, replica)
-    assert batched > 0
-    assert batched <= unbatched * 0.65
+    cluster, frames = asyncio.run(scenario())
+    ring = next(iter(cluster.daemons.values())).ring
+    sends = [
+        (spec.peer, replica)
+        for spec in cluster.scenario.population
+        for replica in ring.replica_peers(key_for(spec.function))
+        if replica != spec.peer
+    ]
+    # exactly one RegisterBatch per (registrant, remote base replica): a
+    # batch split in two, or sent twice, is one frame too many here, and
+    # boot sends no invalidation (no peer holds cached state yet)
+    assert len(set(sends)) < len(sends)  # the fixture has specs to coalesce
+    assert frames == len(set(sends))
 
 
 # ----------------------------------------------------------------------
@@ -368,37 +371,24 @@ def test_hot_function_rows_fan_out_past_base_replicas():
 
 
 # ----------------------------------------------------------------------
-# single-flight hygiene (the _lookup_flight eviction fix)
+# single-flight hygiene
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "dir_cache, soft",
-    [(False, True), (True, True), (False, False)],
-    ids=["tier-off", "tier-on", "tier-off-no-soft-alloc"],
-)
-def test_lookup_flight_maps_drain_after_compose(dir_cache, soft):
-    # no teardown message reaches every daemon (releases go only to the
-    # peers that reported reservations, and without soft allocation
-    # nobody reports), so each daemon must drop a request's flight map
-    # on its own once it has stopped expanding that request's probes
+@pytest.mark.parametrize("soft", [True], ids=["tier-on"])
+def test_lookup_flight_maps_drain_after_compose(soft):
+    # a miss's flight entry lives only while its leader fetches: no
+    # teardown message reaches every daemon, so none may outlive it
     async def scenario():
-        cluster = _cluster(
-            directory_tier=DirectoryTierConfig(enabled=dir_cache),
-            bcp_config=BCPConfig(soft_allocation=soft),
-        )
+        cluster = _cluster(bcp_config=BCPConfig(soft_allocation=soft))
         async with cluster:
             gen = cluster.scenario.requests
             for _ in range(3):
                 await cluster.compose(gen.next_request(), timeout=60)
             for daemon in cluster.daemons.values():
                 await daemon.drain()
-            flights = {
-                p: {**d._lookup_flight, **d._expanding} for p, d in cluster.daemons.items()
-            }
             misses = {p: dict(d._miss_flight) for p, d in cluster.daemons.items()}
-            return flights, misses, cluster.errors()
+            return misses, cluster.errors(), cluster.soft_tokens()
 
-    flights, misses, errors = asyncio.run(scenario())
+    misses, errors, soft_tokens = asyncio.run(scenario())
     assert errors == []
-    # per-rid flight maps must not leak entries across compositions
-    assert all(not f for f in flights.values()), flights
+    assert soft_tokens == {}
     assert all(not m for m in misses.values()), misses

@@ -6,14 +6,14 @@ the same service graph with the same probe accounting.  Credit-based
 termination makes the live finalize quiescent (no in-flight probes),
 which is what makes the comparison exact rather than statistical.
 
-The parity matrix spans the directory acceleration tier: with the tier
-on, repeated lookups are
-served from peer-local caches instead of routing the DHT, yet selections
-stay bit-identical — the cached (components, rtt) pair is exactly what
-re-routing a static ring would produce.  What *does* change is the
+The live cluster serves repeated lookups from its directory tier's
+peer-local caches, while the sync engine routes every lookup; selections
+stay bit-identical all the same — the cached (components, rtt) pair is
+exactly what re-routing a static ring would produce.  The sync engine is
+therefore the per-lookup reference: what *does* differ is the
 ``dht_route`` charge per compose, which a dedicated test pins down
-(fewer routes with caching, same bcp_* books).  It also spans the event
-loop: the same cluster on the virtual-time loop (``repro.net.vtime``)
+(fewer routes live, the same bcp_* books).  The matrix also spans the
+event loop: the same cluster on the virtual-time loop (``repro.net.vtime``)
 makes the same choices, and so do diamond and commutation requests, which
 the seeded request pools draw neither of.
 
@@ -27,13 +27,7 @@ import asyncio
 import pytest
 
 from repro.core.bcp import BCPConfig, NextHopWeights
-from repro.net import (
-    ClusterConfig,
-    DirectoryTierConfig,
-    LiveCluster,
-    MeasurementConfig,
-    vtime,
-)
+from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, vtime
 from repro.net.rpc import RetryPolicy
 from repro.workload.generator import RequestConfig
 
@@ -96,23 +90,17 @@ def _matches_synchronous_bcp(run, **overrides):
     return expected
 
 
-# the directory tier on and off — caching must be invisible to selections.
-# (The ids date from a matrix that also had state-model, codec and
-# coalescing axes; they are kept so test histories stay comparable.)
-@pytest.mark.parametrize(
-    "dir_cache", [True, False], ids=["distributed-v2-coalesced", "distributed-v2-nocache"]
-)
-def test_loopback_cluster_matches_synchronous_bcp(dir_cache):
-    _matches_synchronous_bcp(
-        asyncio.run, directory_tier=DirectoryTierConfig(enabled=dir_cache)
-    )
+# (The ids date from a matrix that also had state-model, codec,
+# coalescing and directory-cache axes; they are kept so test histories
+# stay comparable.)
+@pytest.mark.parametrize("run", [asyncio.run], ids=["distributed-v2-coalesced"])
+def test_loopback_cluster_matches_synchronous_bcp(run):
+    _matches_synchronous_bcp(run)
 
 
-@pytest.mark.parametrize("dir_cache", [True, False], ids=["cache", "nocache"])
-def test_loopback_cluster_on_virtual_time_matches_synchronous_bcp(dir_cache):
-    _matches_synchronous_bcp(
-        vtime.run, directory_tier=DirectoryTierConfig(enabled=dir_cache)
-    )
+@pytest.mark.parametrize("run", [vtime.run], ids=["cache"])
+def test_loopback_cluster_on_virtual_time_matches_synchronous_bcp(run):
+    _matches_synchronous_bcp(run)
 
 
 @pytest.mark.parametrize(
@@ -134,58 +122,55 @@ def test_dag_and_commutation_requests_match_synchronous_bcp(shape, requests):
 
 def test_directory_cache_changes_routing_charges_not_selections():
     """The directory tier's entire ledger effect must be the discovery
-    plane: identical selections and identical bcp_* books, strictly
-    fewer ``dht_route`` charges, and the saved work visible as
+    plane: against the sync engine, which routes every lookup, the live
+    cluster makes identical selections with identical bcp_* books,
+    strictly fewer ``dht_route`` charges, and the saved work visible as
     ``dir_cache_hit`` entries."""
 
-    shared = {}
-
-    def one_pass(dir_cache):
-        async def scenario():
-            cluster = LiveCluster(
-                _parity_config(
-                    # hot_threshold=0 disables the popularity fan-out, whose
-                    # wall-clock EWMA makes push counts timing-dependent; the
-                    # positive/negative caches are the axis under test
-                    directory_tier=DirectoryTierConfig(
-                        enabled=dir_cache, hot_threshold=0.0
-                    ),
-                    # the 6th request has two candidates 0.35 % apart in
-                    # ψλ: with the measurement plane on, whether a link
-                    # re-price lands between the two passes decides which
-                    # wins.  This test is about the directory tier only
-                    measurement=MeasurementConfig(enabled=False),
-                ),
-                scenario=shared.get("scenario"),
+    async def scenario():
+        cluster = LiveCluster(
+            _parity_config(
+                # the 6th request has two candidates 0.35 % apart in ψλ:
+                # with the measurement plane on, whether a link re-price
+                # lands before it decides which wins.  This test is about
+                # the directory tier only
+                measurement=MeasurementConfig(enabled=False),
             )
-            if "scenario" not in shared:
-                shared["scenario"] = cluster.scenario
-                shared["requests"] = cluster.scenario.requests.batch(6)
-            async with cluster:
-                snap = cluster.ledger.snapshot()
-                results = []
-                for r in shared["requests"]:
-                    results.append(await cluster.compose(r, confirm=False, timeout=60))
-                delta = cluster.ledger.delta_since(snap)
-            assert cluster.errors() == []
-            assert cluster.shared_guard is not None
-            assert list(cluster.shared_guard.violations) == []
-            sigs = [r.best.signature() if r.success else None for r in results]
-            counts = {cat: dc for cat, (dc, _db) in delta.items() if dc}
-            return sigs, counts
+        )
+        requests = cluster.scenario.requests.batch(6)
+        ledger = cluster.ledger
+        # the sync pass runs before the cluster starts (the guard seals the
+        # scenario only while it runs); confirm=False releases every
+        # reservation, so the live pass starts from the same pool state
+        snap = ledger.snapshot()
+        expected = [cluster.scenario.net.bcp.compose(r, confirm=False) for r in requests]
+        sync_delta = ledger.delta_since(snap)
+        async with cluster:
+            snap = ledger.snapshot()
+            live = [await cluster.compose(r, confirm=False, timeout=60) for r in requests]
+            live_delta = ledger.delta_since(snap)
+        assert cluster.errors() == []
+        assert cluster.soft_tokens() == {}
+        assert cluster.shared_guard.violations == []
+        return expected, live, sync_delta, live_delta
 
-        return asyncio.run(scenario())
+    expected, live, sync_delta, live_delta = vtime.run(scenario())
 
-    on_sigs, on_counts = one_pass(True)
-    off_sigs, off_counts = one_pass(False)
-    assert any(s is not None for s in on_sigs), "fixture must compose something"
-    assert on_sigs == off_sigs
+    def signatures(results):
+        return [r.best.signature() if r.success else None for r in results]
+
+    def counts(delta):
+        return {cat: n for cat, (n, _bytes) in delta.items() if n}
+
+    sync_counts, live_counts = counts(sync_delta), counts(live_delta)
+    assert any(s is not None for s in signatures(expected)), "fixture must compose something"
+    assert signatures(live) == signatures(expected)
     for cat in ("bcp_probe", "bcp_ack", "bcp_failure"):
-        assert on_counts.get(cat, 0) == off_counts.get(cat, 0), cat
+        assert live_counts.get(cat, 0) == sync_counts.get(cat, 0), cat
     # the headline: cached lookups really skip the DHT routing work
-    assert on_counts.get("dht_route", 0) < off_counts.get("dht_route", 0)
-    assert on_counts.get("dir_cache_hit", 0) > 0
-    assert "dir_cache_hit" not in off_counts
+    assert live_counts.get("dht_route", 0) < sync_counts.get("dht_route", 0)
+    assert live_counts.get("dir_cache_hit", 0) > 0
+    assert "dir_cache_hit" not in sync_counts
 
 
 def test_tcp_cluster_survives_peer_kill():

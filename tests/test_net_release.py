@@ -256,13 +256,13 @@ def test_failed_setup_ack_costs_exactly_one_more_wave():
 # ----------------------------------------------------------------------
 # hygiene across the configuration matrix
 # ----------------------------------------------------------------------
-# (the ids date from a matrix that also had a shared-state axis; they are
-# kept so test histories stay comparable)
-@pytest.mark.parametrize("tier", [True, False], ids=["tier-on-distributed", "tier-off-distributed"])
+# (the ids date from a matrix that also had shared-state and directory-tier
+# axes; they are kept so test histories stay comparable)
+@pytest.mark.parametrize("tier", [DirectoryTierConfig()], ids=["tier-on-distributed"])
 @pytest.mark.parametrize("confirm", [False, True], ids=["measure-only", "confirm"])
 def test_no_soft_token_survives_a_compose(confirm, tier):
     async def scenario():
-        cluster = _cluster(directory_tier=DirectoryTierConfig(enabled=tier))
+        cluster = _cluster(directory_tier=tier)
         wire = _Wire(cluster)
         firm, seen = set(), []
         async with cluster:
@@ -286,11 +286,11 @@ def test_no_soft_token_survives_a_compose(confirm, tier):
 # ----------------------------------------------------------------------
 # what the window knows when it closes
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("tier", [True, False], ids=["tier-on-distributed", "tier-off-distributed"])
+@pytest.mark.parametrize("tier", [DirectoryTierConfig()], ids=["tier-on-distributed"])
 @pytest.mark.parametrize("confirm", [False, True], ids=["measure-only", "confirm"])
 def test_window_closes_knowing_every_holder_and_the_whole_wave_load(confirm, tier):
     async def scenario():
-        cluster = _cluster(directory_tier=DirectoryTierConfig(enabled=tier))
+        cluster = _cluster(directory_tier=tier)
         closed = _snapshot_windows(cluster)
         async with cluster:
             for request in cluster.scenario.requests.batch(2):
