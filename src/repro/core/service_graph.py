@@ -153,23 +153,40 @@ class ServiceGraph:
 
     def branch_qos(self, overlay: Overlay, branch: Sequence[str]) -> QoSVector:
         """Additive QoS along one branch: link delays/losses + component Qp."""
-        metrics = {"delay": 0.0, "loss": 0.0}
-        hops = [self.source_peer] + [self.assignment[f].peer for f in branch] + [self.dest_peer]
-        for u, v in zip(hops, hops[1:]):
+        return self._branch_qos(overlay, branch, {})
+
+    def _branch_qos(
+        self,
+        overlay: Overlay,
+        branch: Sequence[str],
+        hops: Dict[Tuple[int, int], Tuple[float, float]],
+    ) -> QoSVector:
+        """:meth:`branch_qos` with the (latency, loss) of every peer pair
+        read through ``hops``.  Every link is added before any Qp: that
+        order is the value, to the last bit."""
+        delay = loss = 0.0
+        u = self.source_peer
+        for v in [self.assignment[f].peer for f in branch] + [self.dest_peer]:
             if u != v:
-                metrics["delay"] += overlay.latency(u, v)
-                metrics["loss"] += overlay.path_loss_add(u, v)
+                hop = hops.get((u, v))
+                if hop is None:
+                    hop = hops[u, v] = (overlay.latency(u, v), overlay.path_loss_add(u, v))
+                delay += hop[0]
+                loss += hop[1]
+            u = v
         for f in branch:
             qp = self.assignment[f].qp.values
-            metrics["delay"] += qp.get("delay", 0.0)
-            metrics["loss"] += qp.get("loss", 0.0)
-        return QoSVector(metrics)
+            delay += qp.get("delay", 0.0)
+            loss += qp.get("loss", 0.0)
+        return QoSVector({"delay": delay, "loss": loss})
 
     def end_to_end_qos(self, overlay: Overlay) -> QoSVector:
-        """Metric-wise maximum over branch paths (the worst branch rules)."""
+        """Metric-wise maximum over branch paths (the worst branch rules);
+        each distinct peer pair is read from the overlay once."""
+        hops: Dict[Tuple[int, int], Tuple[float, float]] = {}
         result: Optional[QoSVector] = None
         for branch in self.pattern.branches():
-            q = self.branch_qos(overlay, branch)
+            q = self._branch_qos(overlay, branch, hops)
             result = q if result is None else result.elementwise_max(q)
         assert result is not None  # validated non-empty pattern
         return result

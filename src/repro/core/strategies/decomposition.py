@@ -54,9 +54,9 @@ from .search import (
     Candidate,
     PatternState,
     _complete_leaf,
-    _extend,
     _Incumbent,
     _NodeLimit,
+    _Slot,
     _spend,
     prepare_candidates,
     search_compositions,
@@ -67,15 +67,18 @@ __all__ = ["DecompositionComposer"]
 
 @dataclass
 class _SegmentOption:
-    """One precomputed sub-assignment for a segment, with its beam score."""
+    """One precomputed sub-assignment for a segment, with its beam score:
+    per segment function, in segment order, the index of its candidate
+    (which is also the index of that candidate's row in a state's slot)."""
 
-    assignment: Dict[str, Candidate]
+    picks: Tuple[int, ...]
     score: float
 
 
 @dataclass
 class _Partial:
     assignment: Dict[str, Candidate]
+    picks: Tuple[int, ...]
     score: float
 
 
@@ -193,12 +196,15 @@ class DecompositionComposer(CompositionStrategy):
                 try:
                     with timer.phase("stitch"):
                         self._stitch(
-                            state, segments, options, 0, incumbent, stitch_budget,
-                            counters,
+                            state,
+                            [[state.slots[fn] for fn in seg] for seg in segments],
+                            options, 0, incumbent, stitch_budget, counters,
                         )
                 except _NodeLimit:
                     exhausted = False
                     break
+                finally:
+                    state.fold_counts()
         if incumbent.best is None and candidates is not None:
             # front-runner combinations missed every qualified graph (or
             # the stitch budget ran dry): bounded exact search fallback
@@ -255,7 +261,7 @@ class DecompositionComposer(CompositionStrategy):
         intra-segment link delay relative to the requirement bounds);
         boundary links are priced later, exactly, by the stitch."""
         in_segment = set(segment)
-        partials: List[_Partial] = [_Partial({}, 0.0)]
+        partials: List[_Partial] = [_Partial({}, (), 0.0)]
         for fn in segment:
             cands = candidates[fn]
             peers = [c.meta.peer for c in cands]
@@ -288,7 +294,11 @@ class DecompositionComposer(CompositionStrategy):
             del scored[self.beam_width:]
             counters.incr("beam_partials", len(scored))
             partials = [
-                _Partial({**partials[pi].assignment, fn: cands[ci]}, sc)
+                _Partial(
+                    {**partials[pi].assignment, fn: cands[ci]},
+                    partials[pi].picks + (ci,),
+                    sc,
+                )
                 for sc, pi, ci in scored
             ]
             if not partials:
@@ -300,7 +310,7 @@ class DecompositionComposer(CompositionStrategy):
             if key in seen:
                 continue
             seen.add(key)
-            options.append(_SegmentOption(part.assignment, part.score))
+            options.append(_SegmentOption(part.picks, part.score))
             if len(options) >= self.per_partition_k:
                 break
         return options
@@ -308,7 +318,7 @@ class DecompositionComposer(CompositionStrategy):
     def _stitch(
         self,
         state: PatternState,
-        segments: List[List[str]],
+        segments: List[List[_Slot]],
         options: List[List[_SegmentOption]],
         depth: int,
         incumbent: _Incumbent,
@@ -318,13 +328,14 @@ class DecompositionComposer(CompositionStrategy):
         if depth == len(segments):
             _complete_leaf(state, incumbent, counters)
             return
+        slots = segments[depth]
         for option in options[depth]:
             _spend(budget)
             counters.incr("stitch_expansions")
             undos = []
             try:
-                for fn in segments[depth]:
-                    undo = _extend(state, fn, option.assignment[fn], incumbent)
+                for slot, pick in zip(slots, option.picks):
+                    undo = state.extend(slot, slot[2][pick], incumbent)
                     if undo is None:
                         break
                     undos.append(undo)

@@ -32,7 +32,9 @@ could contain a strictly better solution):
 Complete assignments are re-evaluated *exactly* via ``ServiceGraph`` +
 ``psi_cost`` + ``end_to_end_qos``, so reported values are identical to
 what :func:`~repro.core.selection.select_composition` would compute for
-the same graph.
+the same graph.  The running sums cannot stand in for that: a branch's
+QoS adds every link before any Qp, ``head`` adds them hop by hop, and
+the two differ in the last bits.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...discovery.metadata import ServiceMetadata
 from ...perf.counters import OpCounters
+from ...services.component import QualitySpec
 from ...topology.overlay import Overlay
 from ..cost import CostWeights, psi_cost
 from ..function_graph import FunctionGraph
@@ -197,9 +200,27 @@ class _NodeLimit(Exception):
     """Internal: the expansion budget ran out mid-search."""
 
 
-# what ``assign`` hands back and ``unassign`` restores: the function and
+# what ``extend`` hands back and ``unassign`` restores: the function and
 # the two running sums as they were before it
 _Undo = Tuple[str, float, float]
+# (latency, additive loss, available bandwidth) of one routed peer pair
+_Link = Tuple[float, float, float]
+# one candidate compiled for one state: (candidate, host peer, the
+# compatibility row of its input quality — indexed by an output code —,
+# its output code, bandwidth factor, res term, Qp delay, Qp loss, the
+# links into its peer keyed by the peer they leave, and at a sink off the
+# destination the final hop)
+_Row = Tuple[
+    Candidate, int, Tuple[bool, ...], int, float, float, float, float,
+    Dict[int, _Link], Optional[_Link],
+]
+# one function compiled for one state: (name, predecessors, rows, the
+# largest delay and loss remainder right behind it, its least res term)
+_Slot = Tuple[str, Tuple[str, ...], List[_Row], float, float, float]
+# the counts ``extend`` keeps as integers on the state until folded
+_HOT_COUNTS = (
+    "expansions", "pruned_quality", "pruned_exhausted_link", "pruned_qos", "pruned_bound",
+)
 
 
 class PatternState:
@@ -214,9 +235,10 @@ class PatternState:
       every service link whose bandwidth is already determined) and the
       minimum resource term of every unassigned function,
     * ``head[f]`` for every assigned ``f``: its host peer, its output
-      rate, and the largest exact prefix QoS (link delay/loss + component
+      rate, the largest exact prefix QoS (link delay/loss + component
       Qp, the final hop included at a sink) over all paths ending at
-      ``f`` — ``max`` over predecessors ``p`` of ``head[p] + step(p, f)``,
+      ``f`` — ``max`` over predecessors ``p`` of ``head[p] + step(p, f)``
+      — and the code of its output quality,
     * ``tail_delay[f]`` / ``tail_loss[f]`` for every ``f``, built once:
       the largest admissible remainder (Qp minima + the cheapest final
       hop) over all paths starting at ``f``.
@@ -228,12 +250,19 @@ class PatternState:
     such value over the *frontier* (those edges, the finished sinks, and
     the untouched sources).  No branch path is ever enumerated.
 
-    ``assign`` returns an undo token or ``None`` when the extension is
-    immediately infeasible (quality mismatch or exhausted link);
-    ``unassign`` restores the saved sums, so a state that has been
-    unwound equals a freshly built one exactly.  The overlay and the
-    pool must not change while a state lives: link QoS and available
-    bandwidth are read once per peer pair.
+    Every candidate is compiled once into a row of ``slots[fn]`` (see
+    ``_Row``), with quality specs interned to small integer codes and
+    one compatibility table filled by ``QualitySpec.compatible_with``, so
+    :meth:`extend` — the only place an extension is decided — is tuple
+    reads and float arithmetic.  It counts what it does in integers on
+    the state; :meth:`fold_counts` moves them into ``counters``.
+
+    ``extend`` and ``assign`` return an undo token or ``None`` when the
+    extension is cut (``assign``: only when immediately infeasible —
+    quality mismatch or exhausted link); ``unassign`` restores the saved
+    sums, so a state that has been unwound equals a freshly built one
+    exactly.  The overlay and the pool must not change while a state
+    lives: link QoS and available bandwidth are read once per peer pair.
     """
 
     def __init__(
@@ -255,18 +284,22 @@ class PatternState:
         self.counters = counters
         self.order: List[str] = pattern.topological_order()
         self.sources = pattern.sources()
-        self._preds = {f: pattern.predecessors(f) for f in self.order}
+        self._preds = {f: tuple(pattern.predecessors(f)) for f in self.order}
         self._succs = {f: pattern.successors(f) for f in self.order}
-        # what a source is extended from: (peer, rate, prefix delay, prefix loss)
-        self._origin = ((request.source_peer, request.bandwidth, 0.0, 0.0),)
-        # (a, b) -> (latency, additive loss, available bandwidth), a != b
-        self._links: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
+        # what a source is extended from: the head entry of no function
+        # (a source has no predecessor, so its quality is never checked)
+        self._origin = ((request.source_peer, request.bandwidth, 0.0, 0.0, None),)
+        # b -> a -> the link a → b, a != b
+        self._links: Dict[int, Dict[int, _Link]] = {}
         self._build_bounds()
+        self._compile()
         # mutable search state
         self.assignment: Dict[str, Candidate] = {}
-        self.head: Dict[str, Tuple[int, float, float, float]] = {}
+        self.head: Dict[str, Tuple[int, float, float, float, int]] = {}
         self.partial_cost = 0.0
         self.rem_res = sum(self.min_res[f] for f in self.order)
+        self.expansions = self.pruned_quality = self.pruned_exhausted_link = 0
+        self.pruned_qos = self.pruned_bound = 0
 
     # ------------------------------------------------------------------
     def _build_bounds(self) -> None:
@@ -342,65 +375,94 @@ class PatternState:
             tail[fn] = max(total + final_hop[sink] for sink, total in row.items())
         return tail
 
+    def _compile(self) -> None:
+        """Build ``slots`` (and ``path``, the slots in topological order):
+        every candidate as a ``_Row``, with its quality specs interned and
+        the compatibility of every (output, input) code pair decided once."""
+        codes: Dict[QualitySpec, int] = {}
+        for fn in self.order:
+            for c in self.candidates[fn]:
+                codes.setdefault(c.meta.input_quality, len(codes))
+                codes.setdefault(c.meta.output_quality, len(codes))
+        # accepts[input spec][output code]: can that output feed this input
+        accepts = {
+            spec: tuple(out.compatible_with(spec) for out in codes) for spec in codes
+        }
+        dest = self.request.dest_peer
+        self.slots: Dict[str, _Slot] = {}
+        for fn in self.order:
+            sink = not self._succs[fn]
+            rows: List[_Row] = []
+            for c in self.candidates[fn]:
+                meta = c.meta
+                peer = meta.peer
+                rows.append((
+                    c, peer, accepts[meta.input_quality], codes[meta.output_quality],
+                    meta.bandwidth_factor, c.res_term, c.qp_delay, c.qp_loss,
+                    self._links.setdefault(peer, {}),
+                    self._link(peer, dest) if sink and peer != dest else None,
+                ))
+            ahead_delay, ahead_loss = self._ahead[fn]
+            self.slots[fn] = (
+                fn, self._preds[fn], rows, ahead_delay, ahead_loss, self.min_res[fn]
+            )
+        self.path = [self.slots[fn] for fn in self.order]
+
     # ------------------------------------------------------------------
-    def _link(self, a: int, b: int) -> Tuple[float, float, float]:
-        key = (a, b)
-        hit = self._links.get(key)
+    def _link(self, a: int, b: int) -> _Link:
+        into = self._links.setdefault(b, {})
+        hit = into.get(a)
         if hit is None:
-            hit = self._links[key] = (
+            hit = into[a] = (
                 self.overlay.latency(a, b),
                 self.overlay.path_loss_add(a, b),
                 self.pool.path_available_bandwidth(a, b),
             )
         return hit
 
-    def _link_term(self, bandwidth: float, available: float) -> float:
-        """One service link's ψλ term between two different peers,
-        mirroring psi_cost exactly."""
-        if bandwidth <= 0 or self.weights.bandwidth_weight <= 0.0:
-            return 0.0
-        if available <= _EPS:
-            return math.inf
-        if math.isinf(available):
-            return 0.0
-        return self.weights.bandwidth_weight * bandwidth / available
+    def extend(
+        self, slot: _Slot, row: _Row, incumbent: Optional["_Incumbent"]
+    ) -> Optional[_Undo]:
+        """Extend the prefix with one row at its slot's function: the one
+        place an extension is decided.
 
-    def assign(self, fn: str, cand: Candidate) -> Optional[_Undo]:
-        """Extend the prefix with ``fn -> cand``; None if infeasible."""
-        counters = self.counters
-        counters.incr("expansions")
-        preds = self._preds[fn]
-        meta = cand.meta
-        peer = meta.peer
+        The prune ladder, in order: a predecessor's output quality the
+        row's input does not accept, a link with no bandwidth left (ψλ
+        terms mirror psi_cost exactly), then — unless ``incumbent`` is
+        None — the QoS bound of :meth:`extension_feasible` and the
+        incumbent's cutoff on the objective's lower bound.  Returns the
+        undo token, or None with the state untouched."""
+        fn, preds, _, ahead_delay, ahead_loss, min_res = slot
+        (cand, peer, accepts, out_code, factor, cost_delta, qp_delay, qp_loss,
+         into, final) = row
+        self.expansions += 1
         if preds:
-            assignment = self.assignment
-            for p in preds:
-                if not assignment[p].meta.output_quality.compatible_with(
-                    meta.input_quality
-                ):
-                    counters.incr("pruned_quality")
-                    return None
             head = self.head
             inputs = [head[p] for p in preds]
-            in_rate = max(rate for _, rate, _, _ in inputs)
+            for entry in inputs:
+                if not accepts[entry[4]]:
+                    self.pruned_quality += 1
+                    return None
         else:
             inputs = self._origin
-            in_rate = self.request.bandwidth
-        out_rate = in_rate * meta.bandwidth_factor
-        final = None
-        if not self._succs[fn] and peer != self.request.dest_peer:
-            final = self._link(peer, self.request.dest_peer)
-        cost_delta = cand.res_term
-        head_delay = head_loss = -math.inf
-        for prev_peer, rate, delay, loss in inputs:
-            step_delay, step_loss = cand.qp_delay, cand.qp_loss
+        weight = self.weights.bandwidth_weight
+        head_delay = head_loss = in_rate = -math.inf
+        for prev_peer, rate, delay, loss, _ in inputs:
+            if rate > in_rate:
+                in_rate = rate
+            step_delay = qp_delay
+            step_loss = qp_loss
             if prev_peer != peer:
-                latency, link_loss, available = self._link(prev_peer, peer)
-                term = self._link_term(rate, available)
-                if term == math.inf:
-                    counters.incr("pruned_exhausted_link")
-                    return None
-                cost_delta += term
+                link = into.get(prev_peer)
+                if link is None:
+                    link = self._link(prev_peer, peer)
+                latency, link_loss, available = link
+                if rate > 0 and weight > 0.0:
+                    if available <= _EPS:
+                        self.pruned_exhausted_link += 1
+                        return None
+                    if available != math.inf:
+                        cost_delta += weight * rate / available
                 step_delay += latency
                 step_loss += link_loss
             if final is not None:
@@ -412,31 +474,67 @@ class PatternState:
                 head_delay = delay
             if loss > head_loss:
                 head_loss = loss
-        if final is not None:
-            term = self._link_term(out_rate, final[2])
-            if term == math.inf:
-                counters.incr("pruned_exhausted_link")
+        out_rate = in_rate * factor
+        if final is not None and out_rate > 0 and weight > 0.0:
+            available = final[2]
+            if available <= _EPS:
+                self.pruned_exhausted_link += 1
                 return None
-            cost_delta += term
-        # commit
+            if available != math.inf:
+                cost_delta += weight * out_rate / available
+        partial_cost = self.partial_cost + cost_delta
+        rem_res = self.rem_res - min_res
+        if incumbent is not None:
+            if not (
+                self._root_feasible
+                and head_delay + ahead_delay <= self.delay_bound
+                and head_loss + ahead_loss <= self.loss_bound
+            ):
+                self.pruned_qos += 1
+                return None
+            if partial_cost + rem_res > incumbent.cost_cutoff:
+                self.pruned_bound += 1
+                return None
         undo = (fn, self.partial_cost, self.rem_res)
         self.assignment[fn] = cand
-        self.head[fn] = (peer, out_rate, head_delay, head_loss)
-        self.partial_cost += cost_delta
-        self.rem_res -= self.min_res[fn]
+        self.head[fn] = (peer, out_rate, head_delay, head_loss, out_code)
+        self.partial_cost = partial_cost
+        self.rem_res = rem_res
+        if (
+            incumbent is not None
+            and incumbent.delay_cutoff != math.inf
+            and self.delay_lower_bound() > incumbent.delay_cutoff
+        ):
+            self.pruned_bound += 1
+            self.unassign(undo)
+            return None
         return undo
+
+    def assign(self, fn: str, cand: Candidate) -> Optional[_Undo]:
+        """Extend the prefix with ``fn -> cand``, one of ``candidates[fn]``,
+        without the bound checks; None if immediately infeasible."""
+        slot = self.slots[fn]
+        return self.extend(slot, slot[2][self.candidates[fn].index(cand)], None)
 
     def unassign(self, undo: _Undo) -> None:
         fn, self.partial_cost, self.rem_res = undo
         del self.head[fn]
         del self.assignment[fn]
 
+    def fold_counts(self) -> None:
+        """Move the counts kept on the state into ``counters``."""
+        for name in _HOT_COUNTS:
+            n = getattr(self, name)
+            if n:
+                self.counters.incr(name, n)
+                setattr(self, name, 0)
+
     # ------------------------------------------------------------------
     def extension_feasible(self, fn: str) -> bool:
         """:meth:`qos_feasible` for a state that was feasible until ``fn``,
         its latest function, was assigned: the only frontier entries that
         are new are ``fn``'s own out-edges (``fn`` itself at a sink)."""
-        _, _, delay, loss = self.head[fn]
+        _, _, delay, loss, _ = self.head[fn]
         ahead_delay, ahead_loss = self._ahead[fn]
         return (
             self._root_feasible
@@ -455,7 +553,7 @@ class PatternState:
             for s in self.sources
             if s not in head
         ]
-        for fn, (_, _, delay, loss) in head.items():
+        for fn, (_, _, delay, loss, _) in head.items():
             succs = self._succs[fn]
             if not succs:
                 entries.append((delay, loss, 0.0, 0.0))
@@ -496,6 +594,10 @@ class _Incumbent:
         self.top_k = top_k
         self.qualified: List[CandidateGraph] = []
         self._seen: Set[Tuple] = set()
+        # a state whose lower bound on the objective exceeds its cutoff
+        # cannot rank ahead of the best so far; inf until there is one
+        self.cost_cutoff = math.inf
+        self.delay_cutoff = math.inf
 
     def _key(self, cand: CandidateGraph) -> Tuple[float, float]:
         delay = cand.qos.values.get("delay", 0.0)
@@ -504,15 +606,6 @@ class _Incumbent:
     @property
     def best(self) -> Optional[CandidateGraph]:
         return self.qualified[0] if self.qualified else None
-
-    def rules_out(self, state: PatternState) -> bool:
-        """No completion of ``state`` can rank ahead of the best so far."""
-        if not self.qualified:
-            return False
-        best = self.qualified[0]
-        if self.objective == "cost":
-            return state.cost_lower_bound() > best.cost
-        return state.delay_lower_bound() > best.qos.values.get("delay", 0.0)
 
     def offer(self, cand: CandidateGraph) -> None:
         sig = cand.graph.signature()
@@ -524,6 +617,11 @@ class _Incumbent:
         if len(self.qualified) > self.top_k:
             dropped = self.qualified.pop()
             self._seen.discard(dropped.graph.signature())
+        best = self.qualified[0]
+        if self.objective == "cost":
+            self.cost_cutoff = best.cost
+        else:
+            self.delay_cutoff = best.qos.values.get("delay", 0.0)
 
 
 def search_compositions(
@@ -594,26 +692,6 @@ def _spend(budget: List[int]) -> None:
         budget[0] -= 1
 
 
-def _extend(
-    state: PatternState, fn: str, cand: Candidate, incumbent: _Incumbent
-) -> Optional[_Undo]:
-    """Assign ``fn -> cand`` and run the prune ladder on the result:
-    immediate infeasibility, QoS lower bound, objective lower bound
-    against the incumbent.  Returns the undo token of a state worth
-    descending into; a pruned extension is already taken back."""
-    undo = state.assign(fn, cand)
-    if undo is None:
-        return None
-    if not state.extension_feasible(fn):
-        state.counters.incr("pruned_qos")
-    elif incumbent.rules_out(state):
-        state.counters.incr("pruned_bound")
-    else:
-        return undo
-    state.unassign(undo)
-    return None
-
-
 def _dfs(
     state: PatternState,
     depth: int,
@@ -621,17 +699,33 @@ def _dfs(
     budget: List[int],
     counters: OpCounters,
 ) -> None:
-    if depth == len(state.order):
+    """Branch and bound below ``depth``; the state's counts reach its
+    ``counters`` however the search ends."""
+    try:
+        _descend(state, depth, incumbent, budget, counters)
+    finally:
+        state.fold_counts()
+
+
+def _descend(
+    state: PatternState,
+    depth: int,
+    incumbent: _Incumbent,
+    budget: List[int],
+    counters: OpCounters,
+) -> None:
+    if depth == len(state.path):
         _complete_leaf(state, incumbent, counters)
         return
-    fn = state.order[depth]
-    for cand in state.candidates[fn]:
+    slot = state.path[depth]
+    extend = state.extend
+    for row in slot[2]:
         _spend(budget)
-        undo = _extend(state, fn, cand, incumbent)
+        undo = extend(slot, row, incumbent)
         if undo is None:
             continue
         try:
-            _dfs(state, depth + 1, incumbent, budget, counters)
+            _descend(state, depth + 1, incumbent, budget, counters)
         finally:
             state.unassign(undo)
 

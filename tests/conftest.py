@@ -16,7 +16,7 @@ from repro.topology import generate_ip_network, mesh_overlay, wan_overlay
 from repro.workload import PopulationConfig, RequestConfig, RequestGenerator, generate_population
 
 # ``--hypothesis-profile=long``: the seed budget of CI's long-schedule job.
-# Tests that defer to a selected profile (tests/test_net_codec.py::_fuzz)
+# Tests that defer to a selected profile (tests/worlds.py::fuzz_settings)
 # run this many fresh examples instead of their short derandomized tier-1
 # schedule, and print the blob that reproduces a failure.
 settings.register_profile(

@@ -4,7 +4,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.bcp import BCPConfig
@@ -22,6 +22,8 @@ from repro.net.codec import (
 )
 from repro.services.component import QualitySpec
 from repro.workload.scenarios import simulation_testbed
+
+from worlds import fuzz_settings
 
 
 @pytest.fixture(scope="module")
@@ -65,15 +67,6 @@ def roundtrip(obj, version=WIRE_VERSION):
 @pytest.fixture(params=[WIRE_VERSION], ids=["v2"])
 def version(request):
     return request.param
-
-
-def _fuzz(examples: int) -> settings:
-    """Settings of a property test here: ``examples`` derandomized ones, so
-    tier-1 is repeatable; a profile selected on the command line
-    (``--hypothesis-profile=long``, see conftest.py) decides both instead."""
-    if settings.default is not settings.get_profile("default"):
-        return settings(deadline=None)
-    return settings(max_examples=examples, deadline=None, derandomize=True)
 
 
 def _frame(payload: bytes, version: int = WIRE_VERSION) -> bytes:
@@ -311,7 +304,7 @@ class TestRoundTrips:
         assert out != bare
 
 
-    @_fuzz(150)
+    @fuzz_settings(150)
     @given(data=st.data())
     def test_round_trip_at_the_layout_edges(self, data, request_obj, service_graph):
         """The typed layouts at their limits: what fits comes back equal,
@@ -641,12 +634,12 @@ class TestFuzz:
         except CodecError:
             pass
 
-    @_fuzz(300)
+    @fuzz_settings(300)
     @given(payload=st.binary(max_size=96))
     def test_arbitrary_bytes_behind_a_valid_header(self, payload):
         self._decodes_or_refuses(_frame(payload))
 
-    @_fuzz(400)
+    @fuzz_settings(400)
     @given(data=st.data())
     def test_damaged_frames_of_every_message_type(self, data, frames):
         frame = bytearray(data.draw(st.sampled_from(frames), label="frame"))
@@ -666,7 +659,7 @@ class TestFuzz:
         frame[3:7] = (len(frame) - 7).to_bytes(4, "big")
         self._decodes_or_refuses(bytes(frame))
 
-    @_fuzz(60)
+    @fuzz_settings(60)
     @given(data=st.data())
     def test_any_chunking_of_a_burst_decodes_like_frame_by_frame(self, data, frames):
         burst = b"".join(frames)

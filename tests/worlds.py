@@ -2,7 +2,8 @@
 
 The figure-scale scenarios randomise everything; protocol tests instead
 need exact control over who hosts what, at which delay, with how much
-capacity — so assertions can be computed by hand.
+capacity — so assertions can be computed by hand.  Property tests take
+their hypothesis settings from here too.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
+from hypothesis import settings
 
 from repro.core.bcp import BCP, BCPConfig
 from repro.core.qos import QoSRequirement, QoSVector, loss_to_additive
@@ -23,6 +25,15 @@ from repro.discovery.registry import ServiceRegistry
 from repro.services.component import ComponentSpec, QualitySpec
 from repro.topology.overlay import Overlay
 from repro.topology.routing import OverlayRouter
+
+
+def fuzz_settings(examples: int) -> settings:
+    """Settings of a property test: ``examples`` derandomized ones, so
+    tier-1 is repeatable; a profile selected on the command line
+    (``--hypothesis-profile=long``, see conftest.py) decides both instead."""
+    if settings.default is not settings.get_profile("default"):
+        return settings(deadline=None)
+    return settings(max_examples=examples, deadline=None, derandomize=True)
 
 
 def micro_overlay(n_peers: int = 8, unit_delay: float = 0.010) -> Overlay:
