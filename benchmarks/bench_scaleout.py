@@ -54,9 +54,7 @@ BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_scaleout.json"
 
 # the admission point used at every matrix cell (rpc throttle off: the
 # session/probe guards are what the experiment isolates)
-ADMISSION = AdmissionConfig(
-    enabled=True, max_sessions=3, probe_soft_limit=24, max_probe_tasks=48
-)
+ADMISSION = AdmissionConfig(max_sessions=3, probe_soft_limit=24, max_probe_tasks=48)
 
 
 def _port_base(slot: int) -> int:
@@ -191,7 +189,7 @@ async def run_smoke() -> int:
         peers=8,
         procs=2,
         rate=24.0,
-        admission=AdmissionConfig(enabled=True, max_sessions=1),
+        admission=AdmissionConfig(max_sessions=1),
         duration=2.5,
         slot=77,
     )

@@ -524,7 +524,6 @@ def _scaleout_config(args):
     admission = None
     if args.admission:
         admission = AdmissionConfig(
-            enabled=True,
             max_sessions=args.max_sessions,
             probe_soft_limit=args.probe_soft_limit,
             max_probe_tasks=args.max_probe_tasks,

@@ -34,10 +34,11 @@ independently tunable mechanisms:
   concurrent outbound calls, keeping one peer's fan-out from flooding
   the transport during overload (0 = unlimited, the default).
 
-All three default **off** (``enabled=False``): an un-configured cluster
-is bit-identical to the pre-admission build, and the parity harness
-holds by construction.  With the guard on but limits never reached the
-fast paths are also unchanged — the guard only observes.
+A guard exists only where one is configured (``ClusterConfig.admission``
+is an :class:`AdmissionConfig`); without one there is nothing to refuse
+or shed.  With the guard on but limits never reached the protocol makes
+the same choices — the guard only observes — though a source then
+awaits the begin's reply before it probes, since that reply can refuse.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ __all__ = ["AdmissionConfig", "LoadGuard"]
 
 @dataclass(frozen=True)
 class AdmissionConfig:
-    """Per-peer overload-survival knobs (all enforcement needs ``enabled``)."""
+    """Per-peer overload-survival knobs."""
 
-    enabled: bool = False
     # destination side: concurrent probe-collection windows accepted
     max_sessions: int = 8
     # expanding side: concurrent probe tasks before budgets halve…
@@ -101,7 +101,7 @@ class LoadGuard:
 
     def try_open_session(self, rid: int) -> bool:
         """Admit request ``rid``'s collection window, or refuse it."""
-        if not self.config.enabled or rid in self._sessions:
+        if rid in self._sessions:
             return True
         if len(self._sessions) >= self.config.max_sessions:
             self.sessions_rejected += 1
@@ -117,17 +117,11 @@ class LoadGuard:
     # -- probe pressure (expanding side) -------------------------------
     def probe_overloaded(self) -> bool:
         """True when further probes should be shed outright."""
-        return (
-            self.config.enabled
-            and self.probes_inflight >= self.config.max_probe_tasks
-        )
+        return self.probes_inflight >= self.config.max_probe_tasks
 
     def degraded(self) -> bool:
         """True when probe waves should expand with reduced budget."""
-        return (
-            self.config.enabled
-            and self.probes_inflight >= self.config.probe_soft_limit
-        )
+        return self.probes_inflight >= self.config.probe_soft_limit
 
     def begin_probe(self) -> None:
         self.probes_inflight += 1

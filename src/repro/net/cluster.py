@@ -86,9 +86,8 @@ class ClusterConfig:
     # pre-measurement behaviour exactly
     measurement: Optional[MeasurementConfig] = None
     # per-peer overload survival (admission + shedding + RPC throttle):
-    # None -> no guard at all; AdmissionConfig(enabled=False) -> guard
-    # present but observing only.  Either way the protocol behaviour is
-    # identical to the pre-admission build until a limit is exceeded.
+    # None -> no guard at all.  A guard whose limits are never exceeded
+    # makes the same selections as none.
     admission: Optional[AdmissionConfig] = None
     # scale-out sharding: the subset of overlay peers hosted by THIS
     # process (None = host all of them, the single-process default).
@@ -238,7 +237,7 @@ class LiveCluster:
             retry=cfg.retry,
             seed=cfg.seed + peer,
             incarnation=np.random.default_rng([cfg.seed, peer, life]).bytes(8).hex(),
-            inflight_limit=adm.rpc_max_inflight if adm is not None and adm.enabled else 0,
+            inflight_limit=adm.rpc_max_inflight if adm is not None else 0,
         )
 
     def _daemon(
@@ -608,7 +607,7 @@ class LiveCluster:
         """Aggregate load-guard books across this process's daemons."""
         guards = [d.guard for d in self.daemons.values() if d.guard is not None]
         return {
-            "enabled": any(g.config.enabled for g in guards),
+            "enabled": bool(guards),
             "sessions_admitted": sum(g.sessions_admitted for g in guards),
             "sessions_rejected": sum(g.sessions_rejected for g in guards),
             "sessions_inflight": sum(g.sessions_inflight for g in guards),

@@ -1,4 +1,4 @@
-"""Wire codec for the live runtime (wire version 5).
+"""Wire codec for the live runtime (wire version 6).
 
 Frames are ``MAGIC (2) | version (1) | payload length (4, big-endian) |
 payload``.  A payload is written in one pass in two kinds of encoding:
@@ -6,19 +6,20 @@ payload``.  A payload is written in one pass in two kinds of encoding:
 *Typed layouts.*  Every registered class declares the kind of each of
 its fields once (:func:`_layout`), and both ends share that schema, so
 the bytes of a field carry no tag and decoding it takes no dispatch.
-All fixed-width scalars of a class (``i32`` peer ids, ``i64`` ids and
-counters, ``f64``, bool) are one ``struct`` call at the head of its
-layout; the remaining fields follow in declared order: strings through
-the per-frame string table, typed runs as a count byte and a typed loop
-(at most 255 entries), a credit as two ``i64`` with an escape for
-bigger ones, reservation reports as ``struct`` rows.  The RPC envelopes
+All fixed-width scalars of a class (``i32`` peer ids, ``i64`` ids,
+counters and termination credit, ``f64``, bool) are one ``struct`` call
+at the head of its layout; the remaining fields follow in declared
+order: strings through the per-frame string table, typed runs as a count
+byte and a typed loop (at most 255 entries), reservation reports as
+``struct`` rows.  The RPC envelopes
 are ``tag | id i64 | src i32 | inc | body``, and a reply whose body is
 exactly ``{"ok": True}`` — nearly half of all frames — has a tag of its
 own and no body.  ``docs/PROTOCOL.md`` §8 has the tables.
 
 *Tagged terms.*  What is genuinely dynamic (reply dicts, ``phases``,
 reservation tokens, lookup replies) stays a tag-prefixed term: one tag
-byte per value, length-prefixed strings and containers, per-frame
+byte per value, integers up to ``i64``, length-prefixed strings and
+containers, per-frame
 *back-reference tables* for strings and typed objects.  Session
 constants (the request, its function graph, directory rows) travel as
 content-addressed blobs that both ends memoize across frames.
@@ -33,13 +34,14 @@ operates on — ``decode(encode(x)) == x`` for every registered type —
 without running their constructors: a typed field has its type by
 construction, and what the bytes could still get wrong is checked where
 it is read (run counts and lengths against the end of the payload, the
-class of an object field, a presence byte, a credit's denominator).
+class of an object field, a presence byte).
 Anything else that is structurally wrong — unknown version, tag or type
 id, truncated or oversized frame — raises :class:`CodecError` and
 nothing else: a peer never processes a frame it cannot fully and
-unambiguously decode.  The encoder is as strict: a field that does not
-fit its layout (an id past ``i64``, a 256-entry run, a string where a
-number goes) is a :class:`CodecError` from :func:`encode_frame`.
+unambiguously decode.  The encoder is as strict: a value that does not
+fit its layout (an id or credit past ``i64``, any term integer past it,
+a 256-entry run, a string where a number goes) is a :class:`CodecError`
+from :func:`encode_frame`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from __future__ import annotations
 import dataclasses
 import struct
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Type
 
 from ..core.function_graph import FunctionGraph
@@ -85,7 +86,7 @@ __all__ = [
 ]
 
 MAGIC = b"SN"
-WIRE_VERSION = 5  # the header's version byte; any other value is refused
+WIRE_VERSION = 6  # the header's version byte; any other value is refused
 MAX_FRAME = 4 * 1024 * 1024  # one protocol message, not a data plane
 _HEADER = struct.Struct(">2sBI")
 _HEADER_SIZE = _HEADER.size
@@ -138,7 +139,7 @@ _T_FALSE = 0x02
 _T_INT8 = 0x03
 _T_INT32 = 0x04
 _T_INT64 = 0x05
-_T_INTBIG = 0x06
+# 0x06 stays unassigned (version 5's big-integer tag), so it is an unknown tag
 _T_FLOAT = 0x07
 _T_STR8 = 0x08
 _T_STR32 = 0x09
@@ -242,10 +243,8 @@ class _Packer:
             self.out += _S_INT32.pack(_T_INT32, v)
         elif -(1 << 63) <= v < (1 << 63):
             self.out += _S_INT64.pack(_T_INT64, v)
-        else:  # arbitrary precision (deep credit-split denominators)
-            raw = v.to_bytes((v.bit_length() + 8) // 8, "big", signed=True)
-            self.out += _S_LEN32.pack(_T_INTBIG, len(raw))
-            self.out += raw
+        else:
+            raise CodecError(f"integer {v} does not fit i64")
 
     def pack_float(self, v: float) -> None:
         self.out += _S_FLOAT.pack(_T_FLOAT, v)
@@ -490,16 +489,6 @@ class _Unpacker:
             if tag == _T_INT64:
                 self.pos = pos + 8
                 return _S_q.unpack_from(buf, pos)[0]
-            if tag == _T_INTBIG:
-                n = _S_I.unpack_from(buf, pos)[0]
-                pos += 4
-                end = pos + n
-                if end > len(buf):
-                    raise CodecError(
-                        f"truncated binary payload: bigint runs past the end"
-                    )
-                self.pos = end
-                return int.from_bytes(buf[pos:end], "big", signed=True)
         except CodecError:
             raise
         except (IndexError, struct.error) as exc:
@@ -628,23 +617,6 @@ class FrameReader:
 # layout or a constructor raises on damaged bytes, ``_decode_payload``
 # reports as a CodecError.
 _OSET = object.__setattr__
-
-try:  # CPython's Fraction stores coprime ints in two slots; reuse them
-    _probe_frac = Fraction.__new__(Fraction)
-    _probe_frac._numerator = 1
-    _probe_frac._denominator = 1
-    _FAST_FRACTION = True
-except (AttributeError, TypeError):  # pragma: no cover - exotic runtimes
-    _FAST_FRACTION = False
-
-
-def _make_fraction(n: int, d: int) -> Fraction:
-    if _FAST_FRACTION:
-        f = Fraction.__new__(Fraction)
-        f._numerator = n
-        f._denominator = d
-        return f
-    return Fraction(n, d)  # pragma: no cover - exotic runtimes
 
 
 # ----------------------------------------------------------------------
@@ -815,41 +787,6 @@ _register(
     lambda p, x: p.pack_value(sorted(x.formats)),
     lambda u: QualitySpec(frozenset(u.read_value())),
 )
-
-_S_CREDIT = struct.Struct(">Bqq")  # form 0, numerator, denominator
-
-
-def _pack_fraction(p: _Packer, x: Fraction) -> None:
-    n, d = x.numerator, x.denominator
-    try:
-        p.out += _S_CREDIT.pack(0, n, d)
-    except struct.error:  # past i64 (deep credit splits): two tagged ints
-        p.out.append(1)
-        p.pack_int(n)
-        p.pack_int(d)
-
-
-def _unpack_fraction(u: _Unpacker) -> Fraction:
-    pos = u.pos
-    form = u.buf[pos]
-    if form == 0:
-        _, n, d = _S_CREDIT.unpack_from(u.buf, pos)
-        u.pos = pos + _S_CREDIT.size
-    elif form == 1:
-        u.pos = pos + 1
-        n = u.read_value()
-        d = u.read_value()
-        if type(n) is not int or type(d) is not int:
-            raise CodecError(f"bad fraction {n!r}/{d!r}")
-    else:
-        raise CodecError(f"fraction form byte {form} is neither 0 nor 1")
-    if d <= 0:
-        raise CodecError(f"bad fraction {n}/{d}")
-    return _make_fraction(n, d)
-
-
-_FRACTION = _register(Fraction, _pack_fraction, _unpack_fraction)
-
 _layout(
     ServiceMetadata,
     component_id=_I64, function=_STR, peer=_I32, qp=_obj(QoSVector),
@@ -1034,7 +971,7 @@ _REPORTS = _Kind(_pack_reports, _unpack_reports)
 
 @_message(
     request_id=_I64, parent=_PROBE, function=_STR, component=_obj(ServiceMetadata),
-    graph=_obj(FunctionGraph), applied=_PAIRS, budget=_I32, lookup_rtt=_F64, credit=_FRACTION,
+    graph=_obj(FunctionGraph), applied=_PAIRS, budget=_I32, lookup_rtt=_F64, credit=_I64,
     reports=_REPORTS, discovery=_OPT_F64,
 )
 @dataclass(frozen=True)
@@ -1044,8 +981,9 @@ class ProbeTransfer:
     Carries the parent probe plus the chosen ``(function, component)``
     and the effective pattern so the *receiving* peer performs admission
     (QoS check + soft allocation) exactly as ``BCP._admit`` does.
-    ``credit`` is this probe's share of the request's termination credit
-    (splits on fan-out, returns to the destination on arrival/prune/loss).
+    ``credit`` is this probe's integer share of the request's termination
+    credit, at least ``budget`` (splits on fan-out, returns to the
+    destination on arrival/prune/loss).
 
     Whatever the destination must know before its window may close
     travels with that credit: ``reports`` holds the bundles of the peers
@@ -1065,7 +1003,7 @@ class ProbeTransfer:
     applied: Tuple[Tuple[str, str], ...]
     budget: int
     lookup_rtt: float
-    credit: Fraction
+    credit: int
     reports: Tuple[Tuple, ...] = ()
     discovery: Optional[float] = None
 
@@ -1075,7 +1013,7 @@ class ProbeTransfer:
 
 
 @_message(
-    request_id=_I64, probe=_PROBE, credit=_FRACTION, reports=_REPORTS, discovery=_OPT_F64
+    request_id=_I64, probe=_PROBE, credit=_I64, reports=_REPORTS, discovery=_OPT_F64
 )
 @dataclass(frozen=True)
 class FinalProbe:
@@ -1089,7 +1027,7 @@ class FinalProbe:
 
     request_id: int
     probe: Probe
-    credit: Fraction
+    credit: int
     reports: Tuple[Tuple, ...] = ()
     discovery: Optional[float] = None
 
@@ -1097,7 +1035,7 @@ class FinalProbe:
 
 
 @_message(
-    request_id=_I64, credit=_FRACTION, reason=_STR, reports=_REPORTS, discovery=_OPT_F64
+    request_id=_I64, credit=_I64, reason=_STR, reports=_REPORTS, discovery=_OPT_F64
 )
 @dataclass(frozen=True)
 class CreditReturn:
@@ -1105,7 +1043,7 @@ class CreditReturn:
     the ``reports`` / ``discovery`` that were travelling with it."""
 
     request_id: int
-    credit: Fraction
+    credit: int
     reason: str
     reports: Tuple[Tuple, ...] = ()
     discovery: Optional[float] = None

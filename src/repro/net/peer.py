@@ -15,13 +15,15 @@ paper exist once, in ``bcp.py``:
 
 **Termination detection.**  The synchronous engine knows the wave is
 over when its heap drains; a live destination cannot see remote
-queues.  Instead every composition carries one unit of *credit*: the
-root probe holds ``Fraction(1)``, each fan-out splits the parent's
-credit exactly among its children, and credit returns to the destination
-on arrival (``FinalProbe``), prune/duplicate/late drop or send failure
-(``CreditReturn``).  The collection window closes exactly when the
-credit sums back to 1 — or when a wall-clock fallback fires, covering
-credit lost with a crashed peer.
+queues.  Instead every composition carries integer *credit* (weight
+throwing, Mattern 1989): the root probe holds :data:`CREDIT`, each
+fan-out splits the parent's credit exactly among its children in
+proportion to their budgets (:func:`_split_credit`), and credit returns
+to the destination on arrival (``FinalProbe``), prune/duplicate/late
+drop or send failure (``CreditReturn``).  The collection window closes
+exactly when the credit sums back to :data:`CREDIT` — or when a
+wall-clock fallback fires, covering credit lost with a crashed peer.
+A probe's credit is never below its budget, so no share is ever zero.
 
 **Soft state.**  Reservations made during admission arm per-token expiry
 timers (the paper's soft allocation): a reservation not confirmed by the
@@ -98,8 +100,7 @@ from __future__ import annotations
 import asyncio
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Awaitable, Dict, List, Optional, Set, Tuple
+from typing import Awaitable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.bcp import BCP, CompositionResult, derive_next_functions
 from ..core.probe import Probe
@@ -122,9 +123,30 @@ from .vtime import loop_time
 
 __all__ = ["PeerDaemon", "LiveSession"]
 
+# a composition's whole termination credit, held by its root probe: far
+# above any probing budget, and an i64 on the wire
+CREDIT = 1 << 62
+
 # what rides a share of the termination credit besides the probe: the
 # report bundles gathered so far and the discovery RTT (see ProbeTransfer)
 _NO_CARGO: Tuple[Tuple, Optional[float]] = ((), None)
+
+
+def _split_credit(credit: int, budget: int, child_budgets: Sequence[int]) -> List[int]:
+    """The children's shares of a fan-out's ``credit``: each in proportion
+    to its budget, the first child also taking the remainder, so the
+    shares sum to ``credit`` exactly.
+
+    An expansion's child budgets sum to at most the ``budget`` it split,
+    and a probe's credit is at least its budget (the root's is
+    :data:`CREDIT`), so ``credit * b // budget >= b``: every share is at
+    least its child's budget, which keeps the invariant one hop on and
+    no share at zero, at any depth."""
+    shares = [credit * b // budget for b in child_budgets]
+    shares[0] += credit - sum(shares)
+    for share, b in zip(shares, child_budgets):
+        assert share >= b, (credit, budget, child_budgets)
+    return shares
 
 
 @dataclass
@@ -149,7 +171,7 @@ class _Collection:
     result: CompositionResult
     started: float
     arrivals: Dict[Tuple, Probe] = field(default_factory=dict)
-    credit: Fraction = Fraction(0)
+    credit: int = 0
     discovery: float = 0.0
     deadline_handle: Optional[asyncio.TimerHandle] = None
     done: bool = False
@@ -264,7 +286,7 @@ class PeerDaemon:
         # measurement plane (None when measurement is disabled): fed by
         # the endpoint's RTT/failure hooks, owner of the active prober
         self.measurement = measurement
-        # admission control (None = pre-admission behaviour, bit-exact)
+        # admission control (None = no guard: nothing refused or shed)
         self.guard = guard
         self.stopped = False
         self.errors: List[str] = []
@@ -510,7 +532,7 @@ class PeerDaemon:
                 overlapped = self._spawn(self._begin(dest, begin, outcome))
                 await asyncio.sleep(0)
             if not outcome.done():
-                await self._expand(Probe.initial(request, beta), Fraction(1), rid)
+                await self._expand(Probe.initial(request, beta), CREDIT, rid)
             wall = timeout if timeout is not None else self.collect_wall_timeout + 30.0
             msg = await asyncio.wait_for(outcome, wall)
         finally:
@@ -565,9 +587,7 @@ class PeerDaemon:
     # ------------------------------------------------------------------
     # steps 2.2-2.4: expansion at the probe's current peer
     # ------------------------------------------------------------------
-    async def _expand(
-        self, probe: Probe, credit: Fraction, rid: int, cargo=_NO_CARGO
-    ) -> None:
+    async def _expand(self, probe: Probe, credit: int, rid: int, cargo=_NO_CARGO) -> None:
         cfg = self.bcp.config
         request = probe.request
         candidates = derive_next_functions(
@@ -622,7 +642,7 @@ class PeerDaemon:
         if not sends:
             await self._return_credit(rid, request.dest_peer, credit, "exhausted", cargo)
             return
-        share = credit / len(sends)  # exact: Fractions never leak credit
+        shares = _split_credit(credit, budget, [send[-1] for send in sends])
         # what the destination must learn — with it, how many probes this
         # fan-out sends — rides one share of the credit, the first child's:
         # it gets there once, before the credit is whole
@@ -632,7 +652,7 @@ class PeerDaemon:
         await asyncio.gather(
             *(
                 self._send_probe(rid, probe, *send, max_rtt, share, carried)
-                for send, carried in zip(sends, cargoes)
+                for send, share, carried in zip(sends, shares, cargoes)
             )
         )
 
@@ -783,7 +803,7 @@ class PeerDaemon:
         comp,
         budget: int,
         lookup_rtt: float,
-        credit: Fraction,
+        credit: int,
         cargo=_NO_CARGO,
     ) -> None:
         if self.tap is not None:
@@ -810,10 +830,8 @@ class PeerDaemon:
             await self._return_credit(rid, parent.request.dest_peer, credit, "lost", cargo)
 
     async def _return_credit(
-        self, rid: int, dest_peer: int, credit: Fraction, reason: str, cargo=_NO_CARGO
+        self, rid: int, dest_peer: int, credit: int, reason: str, cargo=_NO_CARGO
     ) -> None:
-        if credit == 0:
-            return
         await self._credit_home(dest_peer, codec.CreditReturn(rid, credit, reason, *cargo))
 
     async def _credit_home(self, dest_peer: int, msg) -> None:
@@ -847,57 +865,53 @@ class PeerDaemon:
         # deep probe chains never stack RPC timeouts
         if self.guard is not None:
             self.guard.begin_probe()
-            self._spawn(self._process_probe_guarded(msg))
-        else:
-            self._spawn(self._process_probe(msg))
+        self._spawn(self._process_probe(msg))
         return {"ok": True}
 
-    async def _process_probe_guarded(self, msg: codec.ProbeTransfer) -> None:
-        try:
-            await self._process_probe(msg)
-        finally:
-            self.guard.end_probe()
-
     async def _process_probe(self, msg: codec.ProbeTransfer) -> None:
-        rid = msg.request_id
-        parent = msg.parent
-        request = parent.request
-        cfg = self.bcp.config
-        applied = frozenset(frozenset(p) for p in msg.applied)
-        toks = self._tokens.setdefault(rid, set())
-        before = set(toks)
-        child = self.bcp._admit(
-            parent, msg.function, msg.component, msg.graph, applied,
-            msg.budget, msg.lookup_rtt, toks,
-        )
-        fresh = toks - before
-        for token in fresh:
-            self._arm_expiry(rid, token)
-        reports = msg.reports
-        if fresh and self.peer_id != request.dest_peer:
-            # this admission's load deltas — and this peer as a holder to
-            # release — join what the probe already carries: wherever its
-            # credit goes from here (even if it dies right here), they go
-            # too, so the window cannot close without them
-            self._bundles_made += 1
-            reports += ((self.peer_id, self._bundles_made, *self._reserved_usage(fresh), 0),)
-        if child is None:
-            dropped = "pruned"
-        elif self._seen.seen((rid, child.dedup_key())):
-            dropped = "duplicate"
-        elif child.elapsed > cfg.collect_timeout:
-            dropped = "late"
-        else:
-            dropped = None
-        cargo = (reports, msg.discovery)
-        if dropped is not None:
-            await self._return_credit(rid, request.dest_peer, msg.credit, dropped, cargo)
-        elif child.at_sink:
-            await self._credit_home(
-                request.dest_peer, codec.FinalProbe(rid, child, msg.credit, *cargo)
+        try:
+            rid = msg.request_id
+            parent = msg.parent
+            request = parent.request
+            cfg = self.bcp.config
+            applied = frozenset(frozenset(p) for p in msg.applied)
+            toks = self._tokens.setdefault(rid, set())
+            before = set(toks)
+            child = self.bcp._admit(
+                parent, msg.function, msg.component, msg.graph, applied,
+                msg.budget, msg.lookup_rtt, toks,
             )
-        else:
-            await self._expand(child, msg.credit, rid, cargo)
+            fresh = toks - before
+            for token in fresh:
+                self._arm_expiry(rid, token)
+            reports = msg.reports
+            if fresh and self.peer_id != request.dest_peer:
+                # this admission's load deltas — and this peer as a holder
+                # to release — join what the probe already carries:
+                # wherever its credit goes from here (even if it dies right
+                # here), they go too, so the window cannot close without them
+                self._bundles_made += 1
+                reports += ((self.peer_id, self._bundles_made, *self._reserved_usage(fresh), 0),)
+            if child is None:
+                dropped = "pruned"
+            elif self._seen.seen((rid, child.dedup_key())):
+                dropped = "duplicate"
+            elif child.elapsed > cfg.collect_timeout:
+                dropped = "late"
+            else:
+                dropped = None
+            cargo = (reports, msg.discovery)
+            if dropped is not None:
+                await self._return_credit(rid, request.dest_peer, msg.credit, dropped, cargo)
+            elif child.at_sink:
+                await self._credit_home(
+                    request.dest_peer, codec.FinalProbe(rid, child, msg.credit, *cargo)
+                )
+            else:
+                await self._expand(child, msg.credit, rid, cargo)
+        finally:
+            if self.guard is not None:
+                self.guard.end_probe()
 
     # ------------------------------------------------------------------
     # destination side: collection window
@@ -999,7 +1013,7 @@ class PeerDaemon:
                     col.arrivals[key] = arrival
                 self._trace("arrival", request=rid, branch=list(arrival.branch))
         col.credit += msg.credit
-        if col.credit >= 1 and not col.done:
+        if col.credit >= CREDIT and not col.done:
             self._spawn(self._finalize(rid, "credit-complete"))
 
     def _unpark(self, rid: int) -> List:

@@ -17,7 +17,6 @@ every ``compose`` returned or raised, no daemon error.
 
 import asyncio
 import dataclasses
-from fractions import Fraction
 
 import pytest
 
@@ -30,6 +29,7 @@ from repro.net import (
     codec,
     vtime,
 )
+from repro.net.peer import CREDIT
 from repro.net.rpc import RetryPolicy, RpcTimeout
 
 WALL = 0.6  # collect_wall_timeout: how long a parked frame waits for its begin
@@ -184,7 +184,7 @@ def test_a_frame_for_a_closed_window_is_late_not_parked():
             result = await cluster.compose(request, confirm=False, timeout=30)
             del released[:]
             straggler = codec.CreditReturn(
-                request.request_id, Fraction(1, 8), "lost",
+                request.request_id, CREDIT // 8, "lost",
                 reports=((holder, 1, ((holder, "cpu", 1.0),), (), 0),),
             )
             reply = await dest._on_credit(holder, straggler)
@@ -202,7 +202,7 @@ def test_a_frame_for_a_closed_window_is_late_not_parked():
 
 def test_a_refused_compose_costs_one_round_trip_and_no_probe():
     async def scenario():
-        cluster = _cluster(admission=AdmissionConfig(enabled=True, max_sessions=1))
+        cluster = _cluster(admission=AdmissionConfig(max_sessions=1))
         request, _ = _a_request(cluster)
         bodies = sent_requests(cluster)
         dest = cluster.daemons[request.dest_peer]

@@ -23,7 +23,6 @@ matrix cannot see:
 
 import asyncio
 import dataclasses
-from fractions import Fraction
 
 import pytest
 
@@ -354,7 +353,7 @@ def test_bundles_delivered_twice_are_booked_once():
                     await on_credit(src, codec.CreditReturn(rid, msg.credit, "withheld"))
 
                 dest._spawn(later())
-                msg = dataclasses.replace(msg, credit=Fraction(0))
+                msg = dataclasses.replace(msg, credit=0)
             return await on_final(src, msg)
 
         async def note_lost(src, msg):

@@ -57,7 +57,7 @@ def test_admission_config_validation():
 
 
 def test_load_guard_session_admission():
-    guard = LoadGuard(AdmissionConfig(enabled=True, max_sessions=2))
+    guard = LoadGuard(AdmissionConfig(max_sessions=2))
     assert guard.try_open_session(1)
     assert guard.try_open_session(2)
     assert guard.try_open_session(1)  # re-admitting an open rid is free
@@ -70,18 +70,8 @@ def test_load_guard_session_admission():
     assert stats["sessions_peak"] == 2
 
 
-def test_load_guard_disabled_is_transparent():
-    guard = LoadGuard(AdmissionConfig(enabled=False, max_sessions=1))
-    assert all(guard.try_open_session(rid) for rid in range(50))
-    assert not guard.probe_overloaded()
-    assert not guard.degraded()
-    assert guard.stats()["sessions_rejected"] == 0
-
-
 def test_load_guard_probe_watermarks():
-    guard = LoadGuard(
-        AdmissionConfig(enabled=True, probe_soft_limit=2, max_probe_tasks=3)
-    )
+    guard = LoadGuard(AdmissionConfig(probe_soft_limit=2, max_probe_tasks=3))
     assert not guard.degraded()
     guard.begin_probe()
     guard.begin_probe()
@@ -114,7 +104,7 @@ def test_scaleout_config_round_trip_and_sharding():
     cfg = ScaleoutConfig(
         n_peers=12,
         procs=3,
-        admission=AdmissionConfig(enabled=True, max_sessions=4),
+        admission=AdmissionConfig(max_sessions=4),
         kill_peer=5,
     )
     clone = ScaleoutConfig.from_dict(cfg.to_dict())
@@ -212,7 +202,7 @@ def test_admission_rejects_fast_and_leaks_nothing():
     async def scenario():
         cluster = LiveCluster(
             _small_config(
-                admission=AdmissionConfig(enabled=True, max_sessions=1),
+                admission=AdmissionConfig(max_sessions=1),
             )
         )
         async with cluster:
@@ -277,9 +267,7 @@ def test_admission_unhit_limits_preserve_parity():
 
         return asyncio.run(scenario())
 
-    generous = AdmissionConfig(
-        enabled=True, max_sessions=64, probe_soft_limit=512, max_probe_tasks=1024
-    )
+    generous = AdmissionConfig(max_sessions=64, probe_soft_limit=512, max_probe_tasks=1024)
     on = one_pass(generous)
     off = one_pass(None)
     assert any(s is not None for s in on), "fixture must compose something"
@@ -295,7 +283,6 @@ def test_probe_shedding_under_tiny_limits():
             _small_config(
                 collect_wall_timeout=5.0,
                 admission=AdmissionConfig(
-                    enabled=True,
                     max_sessions=64,
                     probe_soft_limit=1,
                     max_probe_tasks=1,
@@ -432,7 +419,7 @@ def test_two_process_scaleout_smoke():
             confirm=False,
             request_timeout=8.0,
             collect_wall_timeout=2.0,
-            admission=AdmissionConfig(enabled=True, max_sessions=2),
+            admission=AdmissionConfig(max_sessions=2),
         )
         return await ScaleoutController(cfg).run()
 
