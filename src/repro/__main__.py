@@ -379,8 +379,7 @@ def _print_directory_stats(cluster) -> None:
     )
     print(
         f"    cache hits {stats['cache_hits']} / misses {stats['cache_misses']} "
-        f"(hit rate {stats['hit_rate']:.1%}), "
-        f"neg hits {stats['neg_hits']}, replica serves {stats['replica_serves']}"
+        f"(hit rate {stats['hit_rate']:.1%})"
     )
 
 

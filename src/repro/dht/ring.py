@@ -71,18 +71,3 @@ class RingSnapshot:
     def replica_peers(self, key: int) -> List[int]:
         """Peers to ask for a key, in preference order (owner first)."""
         return [self._peer_of[nid] for nid in self.replica_nodes(key)]
-
-    def extended_replica_peers(self, key: int, extra: int = 0) -> List[int]:
-        """The replica peers plus the next ``extra`` ring successors.
-
-        The extension is where popularity-driven replica fan-out lands:
-        a hot key's owner pushes its rows to the peers just past the
-        base replica set, so the *routing neighbourhood* of the key can
-        serve lookups without touching the owner (``ReplicatePush`` in
-        :mod:`repro.net.peer`).  Order matches :meth:`replica_peers`
-        with the extra successors appended."""
-        root = self.responsible_node(key)
-        i = self._ring.index(root)
-        n = len(self._ring)
-        count = min(self.replicas + 1 + max(extra, 0), n)
-        return [self._peer_of[self._ring[(i + off) % n]] for off in range(count)]

@@ -21,10 +21,8 @@ Modules
 ``rpc``        request/response with timeouts, retries + backoff, dedup
 ``peer``       the peer daemon (probe processing, soft-state timers,
                session ack handling, maintenance pings)
-``directory``  the per-peer slice of the service directory
-               plus the acceleration-tier bookkeeping (versions,
-               popularity, replica rows, Bloom summaries)
-``bloom``      the compact set summary piggybacked on lookup replies
+``directory``  the per-peer slice of the service directory and the
+               peers that queried each key (the invalidation targets)
 ``guard``      ``SharedStateGuard`` — seals the scenario's registry,
                pool and DHT storage to prove no daemon ever reads them
 ``measurement`` the topology measurement plane: active probing, passive
@@ -52,9 +50,8 @@ from .codec import (
     decode_frame,
     encode_frame,
 )
-from .bloom import BloomFilter
 from .cluster import ClusterConfig, LiveCluster
-from .directory import DirectorySlice, DirectoryTierConfig
+from .directory import DirectorySlice
 from .guard import SharedStateGuard, SharedStateViolation
 from .measurement import (
     LinkEstimator,
@@ -102,9 +99,7 @@ __all__ = [
     "MeasurementConfig",
     "MeasurementPlane",
     "PeerDaemon",
-    "BloomFilter",
     "DirectorySlice",
-    "DirectoryTierConfig",
     "SharedStateGuard",
     "SharedStateViolation",
     "ClusterConfig",

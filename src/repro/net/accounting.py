@@ -17,17 +17,16 @@ cluster report the same books:
   true encoded sizes, plus every response frame as ``net_ack``.  These
   keys are live-only (the simulator has no real frames) and never
   pollute the ``BCP_CATEGORIES`` totals.  ``net_directory`` covers the
-  discovery plane (RegisterBatch / LookupRequest / ReplicatePush /
-  ReplicaInvalidate to the DHT owner of a function key); the DHT
+  discovery plane (RegisterBatch / LookupRequest to the DHT owner of a
+  function key, ReplicaInvalidate to the peers that queried it); the DHT
   *routing* cost of finding that owner still lands in ``dht_route``,
   charged per hop by
   :meth:`~repro.dht.pastry.PastryNetwork.route` exactly as in sim mode.
   ``net_measure`` books the measurement plane's active ``PathProbe``
   frames — the overhead budget of topology measurement, kept separate
   so probe traffic never inflates the protocol-comparison categories.
-* **directory-tier counters** (``dir_cache_hit`` / ``dir_cache_miss`` /
-  ``dir_neg_hit`` / ``dir_replica_serve`` / ``dir_replica_push``) audit
-  the directory tier: every lookup the cache absorbs is a hit *and*
+* **directory-tier counters** (``dir_cache_hit`` / ``dir_cache_miss``)
+  audit the directory tier: every lookup the cache absorbs is a hit *and*
   a ``dht_route`` charge that never happened — the saved work is
   visible as the gap between the two books.
 """
@@ -57,7 +56,6 @@ WIRE_CATEGORY = {
     codec.ComposeResult: "net_control",
     codec.RegisterBatch: "net_directory",
     codec.LookupRequest: "net_directory",
-    codec.ReplicatePush: "net_directory",
     codec.ReplicaInvalidate: "net_directory",
     # measurement plane: active probes are the only frames the plane
     # originates (acks ride the generic response path as net_ack)
@@ -116,18 +114,6 @@ class LedgerTap:
     def dir_cache_miss(self) -> None:
         """A lookup that had to route the DHT and cross the wire."""
         self.ledger.record("dir_cache_miss")
-
-    def dir_neg_hit(self) -> None:
-        """An absent-function lookup short-circuited by a Bloom summary."""
-        self.ledger.record("dir_neg_hit")
-
-    def dir_replica_serve(self) -> None:
-        """A lookup served from locally held pushed replica rows."""
-        self.ledger.record("dir_replica_serve")
-
-    def dir_replica_push(self, n_targets: int) -> None:
-        """One hot-key fan-out: ``n_targets`` ReplicatePush frames queued."""
-        self.ledger.record("dir_replica_push", 0, max(n_targets, 1))
 
     def directory_summary(self) -> dict:
         """The directory-tier books: {dir_* category: count}."""

@@ -43,7 +43,7 @@ from ..workload.generator import RequestConfig
 from ..workload.scenarios import Scenario, simulation_testbed
 from .accounting import LedgerTap
 from .admission import AdmissionConfig, LoadGuard
-from .directory import DirectorySlice, DirectoryTierConfig
+from .directory import DirectorySlice
 from .guard import SharedStateGuard
 from .measurement import MeasuredOverlayView, MeasurementConfig, MeasurementPlane
 from .peer import PeerDaemon
@@ -77,9 +77,6 @@ class ClusterConfig:
     # every daemon call's timeout and retries (a measurement probe has its own)
     retry: RetryPolicy = RetryPolicy(timeout=1.0, retries=2, backoff=0.05)
     maint_interval: Optional[float] = None  # source-side session pings; None = off
-    # directory tier (peer-local lookup caches, Bloom negative caching,
-    # hot-key replica fan-out): None -> the tier's defaults
-    directory_tier: Optional[DirectoryTierConfig] = None
     # topology measurement plane: None -> the plane's defaults (enabled:
     # active probing + passive RTT + dead-path detection + adaptive
     # routing); MeasurementConfig(enabled=False) reproduces the
@@ -138,7 +135,6 @@ class LiveCluster:
             )
         else:
             raise ValueError(f"unknown transport {cfg.transport!r} (loopback|tcp)")
-        self.dir_tier = cfg.directory_tier or DirectoryTierConfig()
         self.measure_cfg = cfg.measurement or MeasurementConfig()
         # the scenario's registry/pool/DHT storage are sealed for the
         # cluster's lifetime: any read through them is a bug, and the
@@ -258,7 +254,6 @@ class LiveCluster:
             directory=directory,
             ring=self._ring,
             dht=self.net.dht,
-            dir_tier=self.dir_tier,
             tap=self.tap,
             trace=self.trace,
             soft_timeout=cfg.soft_timeout,
@@ -583,17 +578,13 @@ class LiveCluster:
     def directory_stats(self) -> Dict[str, object]:
         """Aggregate directory-tier health across daemons.
 
-        ``hit_rate`` is positive-cache hits over (hits + misses); Bloom
-        negative hits are counted separately — they short-circuit absent
-        functions, not repeats."""
+        ``hit_rate`` is positive-cache hits over (hits + misses)."""
         hits = sum(d.cache_hits for d in self.daemons.values())
         misses = sum(d.cache_misses for d in self.daemons.values())
         out: Dict[str, object] = {
             "cache_hits": hits,
             "cache_misses": misses,
             "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-            "neg_hits": sum(d.neg_hits for d in self.daemons.values()),
-            "replica_serves": sum(d.replica_serves for d in self.daemons.values()),
         }
         slices = {
             peer: daemon.directory.stats() for peer, daemon in sorted(self.daemons.items())

@@ -1,4 +1,4 @@
-"""Wire codec for the live runtime (wire version 6).
+"""Wire codec for the live runtime (wire version 7).
 
 Frames are ``MAGIC (2) | version (1) | payload length (4, big-endian) |
 payload``.  A payload is written in one pass in two kinds of encoding:
@@ -79,14 +79,13 @@ __all__ = [
     "MaintenancePing",
     "RegisterBatch",
     "LookupRequest",
-    "ReplicatePush",
     "ReplicaInvalidate",
     "PathProbe",
     "ProbeAck",
 ]
 
 MAGIC = b"SN"
-WIRE_VERSION = 6  # the header's version byte; any other value is refused
+WIRE_VERSION = 7  # the header's version byte; any other value is refused
 MAX_FRAME = 4 * 1024 * 1024  # one protocol message, not a data plane
 _HEADER = struct.Struct(">2sBI")
 _HEADER_SIZE = _HEADER.size
@@ -182,15 +181,11 @@ _TABLE_LIMIT = 0xFFFF  # >H back-reference index space per frame
 # protocol-static string table (the HPACK idea): strings every session
 # sends constantly are pre-seeded at fixed indices on both ends, so even
 # their *first* occurrence in a frame is a 3-byte reference.  Order is
-# part of the wire format — append only ("rtt" and "fresh" are no longer
-# sent, and keep their places so that the indices after them hold).
+# part of the wire format: a change to it is a new wire version.
 _STATIC_STRINGS = (
-    "ok", "error", "confirmed", "components", "rtt", "fresh",
+    "ok", "error", "confirmed", "components", "stale",
     "alive", "request", "seq", "comp", "link", "delay", "loss",
     "cpu", "memory", "discovery", "composition", "setup_ack",
-    # directory tier reply keys (appended in a later revision; order is
-    # wire format, so new entries only ever go at the end)
-    "version", "bloom", "stale",
 )
 _STATIC_MAP = {s: i for i, s in enumerate(_STATIC_STRINGS)}
 
@@ -1139,8 +1134,8 @@ class RegisterBatch:
     as a single frame; ``registered_at`` is the registrant's clock, so
     every replica stamps identical meta-data.  The reply's ``stale`` map
     reports content-*changing* rows back to the registrant —
-    ``{function: [version, [holder peers]]}`` — so the registrant can
-    invalidate exactly the peers that may cache the old rows (see
+    ``{function: [querier peers]}`` — so the registrant can invalidate
+    exactly the peers that may cache the old rows (see
     :class:`ReplicaInvalidate`)."""
 
     specs: Tuple[ComponentSpec, ...]
@@ -1155,48 +1150,27 @@ class RegisterBatch:
 class LookupRequest:
     """Querying peer → directory owner: a function's duplicate list.
 
-    The reply carries the owner slice's ``ServiceMetadata`` rows; the
-    querier computes the lookup RTT itself from the DHT route it took
-    to find the owner.  The reply also stamps the key's content
-    ``version`` and piggybacks the slice's Bloom summary (``bloom``) for
-    the querier's negative cache."""
+    The reply, ``{"components": rows}``, carries the owner slice's
+    ``ServiceMetadata`` rows; the querier computes the lookup RTT itself
+    from the DHT route it took to find the owner, and the owner notes
+    ``origin_peer`` as a peer that may now cache the rows."""
 
     function: str
     origin_peer: int
 
 
-@_message(function=_STR, rows=_TUPLE, version=_I64)
-@dataclass(frozen=True)
-class ReplicatePush:
-    """Hot key's holder → extended ring successors: replicate the rows.
-
-    Sent when a key's decayed remote-serve rate crosses the configured
-    hotness threshold: the peers just past the base replica set store
-    the rows as a *replica tier* (newest ``version`` wins) and serve
-    their own lookups locally thereafter."""
-
-    function: str
-    rows: Tuple[ServiceMetadata, ...]
-    version: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-
-
-@_message(function=_STR, version=_I64)
+@_message(function=_STR)
 @dataclass(frozen=True)
 class ReplicaInvalidate:
-    """Registrant → stale holders: a function's rows changed.
+    """Registrant → the key's queriers: a function's rows changed.
 
     Fan-out sent (and awaited) by ``register_components`` after a
     content-changing re-registration, to every peer the directory
-    replicas report as a possible stale holder: recipients drop their
-    cached entry and replica rows for ``function`` and the Bloom
-    summaries covering its key, so the next lookup re-resolves.
-    ``version`` is the key's new content version."""
+    replicas saw query the function: recipients drop their cached entry
+    for ``function`` (and forget a lookup of it still in flight), so
+    the next lookup re-resolves."""
 
     function: str
-    version: int
 
 
 @_message(origin=_I32, seq=_I64, sent_at=_F64)

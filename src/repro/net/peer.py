@@ -78,21 +78,21 @@ message ledger and probe timing stay comparable with the synchronous
 engine's.
 
 **Directory tier.**  Repeated lookups do not converge on the key's
-owner: each daemon keeps a TTL'd *positive cache* of resolved duplicate
-lists (invalidated precisely on registration churn via content versions
-and ``ReplicaInvalidate``), a *negative cache* built from the owners'
-Bloom summaries (absent functions short-circuit without routing the
-DHT), and serves keys whose owner pushed replica rows here
-(``ReplicatePush``, triggered by the owner's decayed serve rate).  A
-cache hit returns the exact (components, rtt) pair the routed lookup
-produced the first time — the DHT route is deterministic over a static
-ring, so selections and probe timing are bit-identical with the sync
-engine, which routes every lookup; only the ``dht_route`` /
+owner: each daemon keeps a positive cache of resolved duplicate lists,
+for :data:`CACHE_TTL` seconds or until a ``ReplicaInvalidate`` names
+the function.  An absent function's empty answer is cached like any
+other.  A cache hit returns the exact (components, rtt) pair the routed
+lookup produced the first time — the DHT route is deterministic over a
+static ring, so selections and probe timing are bit-identical with the
+sync engine, which routes every lookup; only the ``dht_route`` /
 ``net_directory`` charges shrink, which the ledger's ``dir_*`` counters
 audit.  A hit is answered on the spot: an expansion builds tasks only
-for the lookups that miss.  Staleness is bounded by the awaited
-invalidation fan-out on re-registration plus the cache TTL backstop
-(see ``docs/ARCHITECTURE.md`` for the exact window).
+for the lookups that miss.  The key's replicas remember who queried
+it, and a content-changing re-registration awaits a
+``ReplicaInvalidate`` to each of those peers, so it returns only once
+every warm cache has forgotten the old rows; the TTL bounds the
+staleness of a querier the fan-out could not reach (see
+``docs/ARCHITECTURE.md`` for the exact window).
 """
 
 from __future__ import annotations
@@ -116,8 +116,7 @@ from ..services.component import ComponentSpec
 from . import codec
 from .accounting import LedgerTap
 from .admission import LoadGuard
-from .bloom import BloomFilter
-from .directory import DirectorySlice, DirectoryTierConfig
+from .directory import DirectorySlice
 from .rpc import DedupCache, RpcEndpoint, RpcError
 from .vtime import loop_time
 
@@ -126,6 +125,10 @@ __all__ = ["PeerDaemon", "LiveSession"]
 # a composition's whole termination credit, held by its root probe: far
 # above any probing budget, and an i64 on the wire
 CREDIT = 1 << 62
+
+# seconds a resolved lookup stays in a daemon's positive cache: the
+# staleness bound for a querier the invalidation fan-out cannot reach
+CACHE_TTL = 30.0
 
 # what rides a share of the termination credit besides the probe: the
 # report bundles gathered so far and the discovery RTT (see ProbeTransfer)
@@ -259,7 +262,6 @@ class PeerDaemon:
         directory: DirectorySlice,
         ring: RingSnapshot,
         dht,
-        dir_tier: DirectoryTierConfig,
         tap: Optional[LedgerTap] = None,
         trace=None,
         soft_timeout: float = 30.0,
@@ -277,7 +279,6 @@ class PeerDaemon:
         self.directory = directory
         self.ring = ring
         self.dht = dht
-        self.dir_tier = dir_tier
         self.tap = tap
         self.trace = trace
         self.soft_timeout = soft_timeout
@@ -309,15 +310,11 @@ class PeerDaemon:
         # function -> route-priced rtt; never invalidated (the ring and
         # topology are static, so the route is a pure function of the key)
         self._rtt_cache: Dict[str, float] = {}
-        # serving peer -> (BloomFilter, expires) negative-cache summaries
-        self._owner_blooms: Dict[int, Tuple[BloomFilter, float]] = {}
         # function -> in-flight miss future (daemon-wide single flight:
         # concurrent misses share one route+fetch, then hit the cache)
         self._miss_flight: Dict[str, asyncio.Future] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        self.neg_hits = 0
-        self.replica_serves = 0
         self._collections: Dict[int, _Collection] = {}
         # credit-carrying frames that beat their ComposeBegin here:
         # rid -> (expiry timer, frames in arrival order); and the rids
@@ -338,7 +335,6 @@ class PeerDaemon:
         endpoint.on(codec.MaintenancePing, self._on_ping)
         endpoint.on(codec.RegisterBatch, self._on_register_batch)
         endpoint.on(codec.LookupRequest, self._on_lookup)
-        endpoint.on(codec.ReplicatePush, self._on_replica_push)
         endpoint.on(codec.ReplicaInvalidate, self._on_replica_invalidate)
         endpoint.on(codec.PathProbe, self._on_path_probe)
         # passive measurement intake: every RPC round-trip feeds the
@@ -689,6 +685,11 @@ class PeerDaemon:
         is exactly what re-routing would price and probe timing matches
         the sync engine's; only the ``dht_route`` / ``net_directory``
         charges shrink.
+
+        An invalidation of ``function`` that lands while the fetch is in
+        flight ends the flight (:meth:`_forget`): the fetched rows may
+        predate the change, so they answer the lookups that were waiting
+        on them but are not cached.
         """
         hit = self._cached(function)
         if hit is not None:
@@ -707,36 +708,26 @@ class PeerDaemon:
         try:
             comps, rtt = await self._lookup_miss(function, origin_peer)
         except BaseException:
-            if not fut.done():
-                fut.set_result(([], self._rtt_cache.get(function, 0.0)))
+            fut.set_result(([], self._rtt_cache.get(function, 0.0)))
             raise
         finally:
-            self._miss_flight.pop(function, None)
-        if not fut.done():
-            fut.set_result((tuple(comps), rtt))
+            current = self._miss_flight.get(function) is fut
+            if current:
+                del self._miss_flight[function]
+        comps = tuple(comps)
+        if current:
+            self._dir_cache[function] = (comps, rtt, loop_time() + CACHE_TTL)
+        fut.set_result((comps, rtt))
         return list(comps), rtt
 
     async def _lookup_miss(
         self, function: str, origin_peer: int
     ) -> Tuple[List[ServiceMetadata], float]:
-        """Resolve one positive-cache miss: negative cache, route, fetch."""
-        tier = self.dir_tier
-        key = key_for(function)
-        held = self._owner_blooms.get(self.ring.owner_peer(key))
-        if held is not None and loop_time() < held[1] and function not in held[0]:
-            # the owner's summary proves absence: no route, no wire.
-            # Bloom filters have no false negatives, so a present
-            # function can never be hidden — only churn staleness
-            # applies, and registration invalidates summary holders.
-            self.neg_hits += 1
-            if self.tap is not None:
-                self.tap.dir_neg_hit()
-            rtt = self._rtt_cache.get(function, 0.0)
-            self._dir_cache[function] = ((), rtt, loop_time() + tier.cache_ttl)
-            return [], rtt
+        """Resolve one positive-cache miss: route (once), fetch."""
         self.cache_misses += 1
         if self.tap is not None:
             self.tap.dir_cache_miss()
+        key = key_for(function)
         rtt = self._rtt_cache.get(function)
         if rtt is None:
             # first resolution from this daemon: route the DHT exactly as
@@ -746,11 +737,7 @@ class PeerDaemon:
             route = self.dht.route(key, origin_peer)
             rtt = 2.0 * route.latency
             self._rtt_cache[function] = rtt
-        comps = await self._fetch_components(key, function, origin_peer)
-        self._dir_cache[function] = (
-            tuple(comps), rtt, loop_time() + tier.cache_ttl
-        )
-        return comps, rtt
+        return await self._fetch_components(key, function, origin_peer), rtt
 
     async def _fetch_components(
         self, key, function: str, origin_peer: int
@@ -762,12 +749,6 @@ class PeerDaemon:
             # authoritative local copy: registration populates every base
             # replica before it returns, so this equals the owner's rows
             return self.directory.lookup(key)
-        held = self.directory.replica_lookup(key)
-        if held is not None:
-            self.replica_serves += 1
-            if self.tap is not None:
-                self.tap.dir_replica_serve()
-            return held
         for target in replicas:
             try:
                 reply = await self.endpoint.call(
@@ -777,21 +758,15 @@ class PeerDaemon:
                 continue  # owner unreachable: fall back to the next replica
             if not isinstance(reply, dict) or reply.get("error"):
                 continue
-            self._note_lookup_reply(target, reply)
             return [c for c in reply.get("components", ()) if isinstance(c, ServiceMetadata)]
         self._trace("lookup_failed", function=function, origin=origin_peer)
         return []
 
-    def _note_lookup_reply(self, target: int, reply: dict) -> None:
-        """Stash the serving replica's piggybacked Bloom summary."""
-        wire = reply.get("bloom")
-        if not wire:
-            return
-        try:
-            summary = BloomFilter.from_wire(wire)
-        except (ValueError, TypeError):
-            return  # malformed summary: negative caching just doesn't apply
-        self._owner_blooms[target] = (summary, loop_time() + self.dir_tier.cache_ttl)
+    def _forget(self, function: str) -> None:
+        """Drop ``function``'s cached rows, and end a fetch of them in
+        flight so that what it brings back is not cached either."""
+        self._dir_cache.pop(function, None)
+        self._miss_flight.pop(function, None)
 
     async def _send_probe(
         self,
@@ -1335,36 +1310,27 @@ class PeerDaemon:
         The specs bound for one replica share one ``RegisterBatch``
         frame, and any content-*changing* registration (new function,
         replaced QoS) is followed by awaited ``ReplicaInvalidate``
-        fan-out to exactly the peers that may hold a stale copy — recent
-        queriers, pushed replica holders, Bloom-summary recipients — so
-        churn is visible to other peers' caches as soon as this call
-        returns.  At boot all
-        of those holder sets are empty, so booting a cluster produces
-        zero invalidation traffic.  The batches go out together, then the
+        fan-out to exactly the peers that may hold a stale copy — the
+        ones the replicas saw query the function — so churn is visible
+        to other peers' caches as soon as this call returns.  At boot no
+        peer has queried anything, so booting a cluster produces zero
+        invalidation traffic.  The batches go out together, then the
         invalidations together: two round trips, however many replicas
-        and holders.  A replica that cannot be reached raises
+        and queriers.  A replica that cannot be reached raises
         (:class:`~repro.net.rpc.RpcError`) only after every other one has
         the rows and the invalidations they named have been sent.
         """
         by_target: Dict[int, List[ComponentSpec]] = {}
         stale: Dict[str, Set[int]] = {}
-        versions: Dict[str, int] = {}
         for spec in specs:
             key = key_for(spec.function)
             # our own positive cache may hold the pre-churn rows
-            self._dir_cache.pop(spec.function, None)
+            self._forget(spec.function)
             for target in self.ring.replica_peers(key):
-                if target == self.peer_id:
-                    changed = self.directory.store(
-                        key, ServiceMetadata.from_spec(spec, registered_at=now)
-                    )
-                    if changed:
-                        holders = self.directory.stale_holders(key)
-                        if holders:
-                            stale.setdefault(spec.function, set()).update(holders)
-                            versions[spec.function] = self.directory.key_version(key)
-                else:
+                if target != self.peer_id:
                     by_target.setdefault(target, []).append(spec)
+                elif self.directory.store(key, ServiceMetadata.from_spec(spec, registered_at=now)):
+                    stale.setdefault(spec.function, set()).update(self.directory.queriers(key))
         # every replica target at once.  One that cannot be reached must
         # not stop the rest half-way: the rows go wherever they can, the
         # invalidations those replies name still go out, and only then
@@ -1382,20 +1348,18 @@ class PeerDaemon:
         failed = next((r for r in replies if isinstance(r, BaseException)), None)
         for reply in replies:
             if isinstance(reply, dict):
-                for function, entry in (reply.get("stale") or {}).items():
-                    version, holders = entry
+                for function, holders in (reply.get("stale") or {}).items():
                     stale.setdefault(function, set()).update(holders)
-                    versions[function] = max(versions.get(function, 0), version)
         # churn fan-out: invalidate every peer that may cache pre-churn
         # state, awaited so the registration's completion implies
         # cluster-wide cache coherence (the churn test's contract); an
         # unreachable holder's staleness is bounded by its TTL
         fanout = []
         for function in sorted(stale):
-            inval = codec.ReplicaInvalidate(function, versions.get(function, 0))
+            inval = codec.ReplicaInvalidate(function)
             for holder in sorted(stale[function]):
                 if holder == self.peer_id:
-                    self._apply_invalidate(inval)
+                    self._forget(function)
                 else:
                     fanout.append(self._control(holder, inval))
         await asyncio.gather(*fanout)
@@ -1405,20 +1369,15 @@ class PeerDaemon:
     async def _on_register_batch(self, src: int, msg: codec.RegisterBatch) -> dict:
         if self.stopped:
             return {"error": "stopped"}
-        stale: Dict[str, List] = {}
+        stale: Dict[str, List[int]] = {}
         for spec in msg.specs:
             key = key_for(spec.function)
-            self._dir_cache.pop(spec.function, None)
-            changed = self.directory.store(
-                key, ServiceMetadata.from_spec(spec, registered_at=msg.registered_at)
-            )
-            if changed:
-                holders = self.directory.stale_holders(key)
+            self._forget(spec.function)
+            meta = ServiceMetadata.from_spec(spec, registered_at=msg.registered_at)
+            if self.directory.store(key, meta):
+                holders = self.directory.queriers(key)
                 if holders:
-                    stale[spec.function] = [
-                        self.directory.key_version(key),
-                        sorted(holders),
-                    ]
+                    stale[spec.function] = sorted(holders)
         reply: dict = {"ok": True}
         if stale:
             reply["stale"] = stale
@@ -1428,63 +1387,11 @@ class PeerDaemon:
         if self.stopped:
             return {"error": "stopped"}
         key = key_for(msg.function)
-        rows = self.directory.lookup(key)
-        tier = self.dir_tier
         self.directory.note_querier(key, msg.origin_peer)
-        self.directory.note_bloom_recipient(msg.origin_peer)
-        if tier.hot_threshold > 0:
-            rate = self.directory.note_serve_rate(key, loop_time(), tier.popularity_halflife)
-            if rows and rate >= tier.hot_threshold and self.directory.mark_pushed(key):
-                # fan-out must not run inline: this lookup's reply would
-                # wait out the pushes' round trips (same pattern as
-                # _on_probe's forwarding)
-                self._spawn(self._push_replicas(key, msg.function))
-        return {
-            "components": rows,
-            "version": self.directory.key_version(key),
-            "bloom": self.directory.bloom_wire(),
-        }
-
-    async def _push_replicas(self, key: int, function: str) -> None:
-        """Push a hot key's rows to the ring peers past the base replicas."""
-        rows = self.directory.rows(key)
-        if not rows:
-            return
-        version = self.directory.key_version(key)
-        base = set(self.ring.replica_peers(key))
-        targets = [
-            p
-            for p in self.ring.extended_replica_peers(key, self.dir_tier.replica_span)
-            if p not in base and p != self.peer_id
-        ]
-        if not targets:
-            return
-        self.directory.note_pushed(key, targets)
-        if self.tap is not None:
-            self.tap.dir_replica_push(len(targets))
-        push = codec.ReplicatePush(function, tuple(rows), version)
-        # best-effort: a target that misses it keeps resolving via the owner
-        await asyncio.gather(*(self._control(target, push) for target in targets))
-
-    async def _on_replica_push(self, src: int, msg: codec.ReplicatePush) -> dict:
-        if self.stopped:
-            return {"error": "stopped"}
-        key = key_for(msg.function)
-        if self.peer_id not in self.ring.replica_peers(key):
-            self.directory.store_replica(key, msg.rows, msg.version)
-        return {"ok": True}
-
-    def _apply_invalidate(self, msg: codec.ReplicaInvalidate) -> None:
-        key = key_for(msg.function)
-        self._dir_cache.pop(msg.function, None)
-        self.directory.drop_replica(key)
-        # the key's holders rebuilt their Bloom summaries; drop our cached
-        # copies so absence is re-proved against fresh state
-        for holder in self.ring.replica_peers(key):
-            self._owner_blooms.pop(holder, None)
+        return {"components": self.directory.lookup(key)}
 
     async def _on_replica_invalidate(self, src: int, msg: codec.ReplicaInvalidate) -> dict:
         if self.stopped:
             return {"error": "stopped"}
-        self._apply_invalidate(msg)
+        self._forget(msg.function)
         return {"ok": True}

@@ -14,7 +14,7 @@ import shlex
 import pytest
 
 import repro.__main__ as cli
-from repro.net import ClusterConfig, DirectoryTierConfig, MeasurementConfig
+from repro.net import ClusterConfig, MeasurementConfig
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 DOCS = [README, *sorted((README.parent / "docs").glob("*.md"))]
@@ -105,7 +105,7 @@ class TestDriftGate:
             except SystemExit:
                 pytest.fail(f"{doc.name} shows `python -m repro {' '.join(argv)}`, which the parser refuses")
 
-    @pytest.mark.parametrize("config", [ClusterConfig, MeasurementConfig, DirectoryTierConfig])
+    @pytest.mark.parametrize("config", [ClusterConfig, MeasurementConfig])
     def test_shown_config_keywords_are_fields(self, config):
         fields = {f.name for f in dataclasses.fields(config)}
         for doc in DOCS:

@@ -80,7 +80,8 @@ def _credit_return(reports: bytes = b"\x00", discovery: bytes = b"\x00") -> byte
 
 
 _BUNDLE = struct.Struct(">iqBBI")  # holder, n, peer rows, link rows, probes sent
-_PEER_ROW = struct.pack(">id", 3, 0.5) + bytes([codec._T_STRREF, 0, 13])  # "cpu" in the static table
+# the resource type is "cpu", a reference into the static string table
+_PEER_ROW = struct.pack(">idBH", 3, 0.5, codec._T_STRREF, codec._STATIC_MAP["cpu"])
 _LINK_ROW = struct.pack(">iid", 2, 3, 1.25)
 
 # values at the edges of the typed layouts' widths
@@ -132,8 +133,7 @@ def messages(scenario, request_obj, service_graph):
         codec.MaintenancePing(1, 3),
         codec.RegisterBatch(tuple(scenario.population[:3]), 1.5),
         codec.LookupRequest("F001", 4),
-        codec.ReplicatePush("F001", (meta,), 3),
-        codec.ReplicaInvalidate("F001", 4),
+        codec.ReplicaInvalidate("F001"),
         codec.PathProbe(2, 7, 0.25),
         codec.ProbeAck(7, 0.25),
     ]
@@ -424,11 +424,13 @@ class TestRejection:
     def test_version_1_is_refused(self):
         # the retired encodings (1: JSON, 2: tagged terms throughout, 3:
         # report bundles without the probe count, 4: type ids counting a
-        # per-spec registration frame, 5: Fraction credit): a stale peer
-        # is turned away at the header, and nothing here will write such a
-        # frame either
+        # per-spec registration frame, 5: Fraction credit, 6: type ids
+        # counting the replica push frame): a stale peer is turned away at
+        # the header, and nothing here will write such a frame either
         terms = encode_frame({"x": 1})[7:]
-        for retired, payload in [(1, b'{"x":1}'), (2, terms), (3, terms), (4, terms), (5, terms)]:
+        for retired, payload in [
+            (1, b'{"x":1}'), (2, terms), (3, terms), (4, terms), (5, terms), (6, terms),
+        ]:
             with pytest.raises(CodecError, match=f"unsupported wire version {retired}"):
                 decode_frame(_frame(payload, version=retired))
             with pytest.raises(CodecError, match=f"cannot encode wire version {retired}"):
@@ -577,7 +579,7 @@ class TestFrameReader:
     def test_mixed_versions_on_one_stream(self):
         # there is one version: a frame that claims another poisons the
         # stream where it starts, and the reader stays poisoned
-        for retired in (1, 2, 3, 4, 5):
+        for retired in (1, 2, 3, 4, 5, 6):
             reader = FrameReader()
             assert reader.feed(encode_frame({"n": 0})) == [{"n": 0}]
             stale = _frame(encode_frame({"n": 1})[7:], version=retired)

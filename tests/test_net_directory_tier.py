@@ -1,18 +1,13 @@
-"""The directory tier: caching, churn, Bloom, fan-out.
+"""The directory tier: caching, churn, invalidation.
 
-The tier (``DirectoryTierConfig``) rides on the directory slices: peer-local
-positive caches invalidated by registration churn, Bloom-summary
-negative caching, popularity-driven replica pushes and batched boot
-registration.  These tests pin down the correctness edges the parity
-matrix cannot see:
+The tier rides on the directory slices: peer-local positive caches,
+invalidated by registration churn, and batched boot registration.
+These tests pin down the correctness edges the parity matrix cannot see:
 
 * churn invalidation — a content-changing re-registration must be
-  visible to every peer's next lookup, not after a TTL;
-* Bloom semantics — a false positive degrades to a real routed lookup
-  (never a phantom *presence*), and absence proofs can never hide a
-  registered function (no false negatives by construction);
-* fan-out — a hot key's rows land past the base replica set and serve
-  lookups there without touching the owner;
+  visible to every peer's next lookup, not after a TTL, even when the
+  lookup that warmed the cache was still in flight;
+* invalidation targets — exactly the peers that queried the function;
 * hygiene — the miss single-flight map drains after every compose.
 """
 
@@ -25,8 +20,7 @@ from repro.core.bcp import BCPConfig
 from repro.core.qos import QoSVector
 from repro.dht.id_space import key_for
 from repro.discovery.metadata import ServiceMetadata
-from repro.net import ClusterConfig, DirectoryTierConfig, LiveCluster
-from repro.net.bloom import BloomFilter
+from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec, vtime
 from repro.net.directory import DirectorySlice
 from repro.net.rpc import RetryPolicy, RpcError
 
@@ -44,84 +38,29 @@ def _cluster(**overrides):
     return LiveCluster(ClusterConfig(**base))
 
 
-def _functions(cluster):
-    return sorted({s.function for s in cluster.scenario.population})
-
-
-def _wire_function(cluster, daemon):
-    """A (function, key) pair the daemon must resolve over the wire."""
-    for fn in _functions(cluster):
-        key = key_for(fn)
-        if daemon.peer_id not in daemon.ring.replica_peers(key):
-            return fn, key
-    pytest.skip("fixture: daemon replicates every function key")
-
-
-# ----------------------------------------------------------------------
-# Bloom filter
-# ----------------------------------------------------------------------
-def test_bloom_filter_no_false_negatives_and_wire_roundtrip():
-    bloom = BloomFilter()
-    names = [f"F{i:03d}" for i in range(40)]
-    for name in names:
-        bloom.add(name)
-    # no false negatives, ever — that is the invariant negative caching
-    # leans on (a FP costs a wasted lookup; a FN would hide a service)
-    assert all(name in bloom for name in names)
-    assert len(bloom) > 0
-
-    wire = bloom.to_wire()
-    m, k, bits = wire
-    assert isinstance(bits, str)
-    copy = BloomFilter.from_wire(wire)
-    assert copy == bloom
-    assert all(name in copy for name in names)
-
-    with pytest.raises(ValueError):
-        BloomFilter(m=0)
-    with pytest.raises(ValueError):
-        BloomFilter(k=0)
-
-
-def test_bloom_false_positive_rate_is_small():
-    bloom = BloomFilter(m=512, k=4)
-    for i in range(30):
-        bloom.add(f"member{i}")
-    fps = sum(1 for i in range(1000) if f"absent{i}" in bloom)
-    # 30 members in 512 bits / 4 hashes -> theoretical FP ~0.03%
-    assert fps < 50
+def _delay(rows, component_id):
+    return {m.component_id: m.qp.values.get("delay") for m in rows}[component_id]
 
 
 # ----------------------------------------------------------------------
 # slice bookkeeping
 # ----------------------------------------------------------------------
 def test_slice_versions_track_content_changes():
+    # (the id dates from per-key content versions; what is left of them
+    # is store()'s answer, which decides whether a registration invalidates)
     cluster = _cluster()
     spec = cluster.scenario.population[0]
     key = key_for(spec.function)
     d = DirectorySlice()
     meta = ServiceMetadata.from_spec(spec, registered_at=0.0)
 
-    assert d.store(key, meta) is True
-    v1 = d.key_version(key)
-    assert v1 == d.version > 0
-    assert d.store(key, meta) is False  # exact replay: no version bump
-    assert d.key_version(key) == v1
+    assert d.store(key, meta) is True  # a new row = content change
+    assert d.store(key, meta) is False  # exact replay: no change
 
     changed = ServiceMetadata.from_spec(
         dataclasses.replace(spec, qp=QoSVector({"delay": 99.0})), registered_at=1.0
     )
     assert d.store(key, changed) is True  # replaced row = content change
-    assert d.key_version(key) > v1
-    assert spec.function in d.bloom
-
-    # replica rows: newest version wins, stale pushes are dropped
-    assert d.store_replica(key, [meta], version=5) is True
-    assert d.store_replica(key, [changed], version=4) is False
-    assert [m.registered_at for m in d.replica_lookup(key)] == [0.0]
-    assert d.store_replica(key, [changed], version=6) is True
-    d.drop_replica(key)
-    assert d.replica_lookup(key) is None
 
 
 # ----------------------------------------------------------------------
@@ -253,121 +192,93 @@ def test_reregistration_past_a_dead_replica_still_reaches_the_rest():
     assert seen[spec.component_id] == 99.0
 
 
-# ----------------------------------------------------------------------
-# Bloom negative caching on the live path
-# ----------------------------------------------------------------------
-def test_bloom_short_circuits_absent_function_lookups():
+def test_an_invalidation_is_not_lost_to_a_lookup_in_flight():
+    """A re-registration that completes while a querier's lookup of the
+    function is still in flight must reach that querier's cache as well.
+    Here the lookup's reply is lost, the owner has already counted the
+    querier, and the retry is answered from the owner's reply cache with
+    the rows from before the change: those rows may answer the lookup
+    that was waiting, but must not sit in the cache for its TTL."""
+
     async def scenario():
-        cluster = _cluster()
+        cluster = _cluster(measurement=MeasurementConfig(enabled=False))
+        spec = cluster.scenario.population[0]
+        fn, key = spec.function, key_for(spec.function)
+        replicas = next(iter(cluster.daemons.values())).ring.replica_peers(key)
+        querier = next(p for p in sorted(cluster.daemons) if p not in replicas and p != spec.peer)
+        lookups, dropped = set(), []
+        send = cluster.transport.send
+
+        async def lose_one_lookup_reply(src, dst, envelope):
+            body = envelope.get("body")
+            if envelope["kind"] == "req" and isinstance(body, codec.LookupRequest):
+                lookups.add((src, envelope["id"]))
+            elif envelope["kind"] == "res" and (dst, envelope["id"]) in lookups and not dropped:
+                dropped.append(src)
+                return
+            await send(src, dst, envelope)
+
+        cluster.transport.send = lose_one_lookup_reply
         async with cluster:
-            daemon = next(
-                d for d in cluster.daemons.values()
-                if d.ring.owner_peer(key_for("zz_nowhere")) != d.peer_id
-            )
-            first, _ = await daemon._lookup("zz_nowhere", daemon.peer_id)
-            owner = daemon.ring.owner_peer(key_for("zz_nowhere"))
-            learned = owner in daemon._owner_blooms
-            # drop the positive (empty) cache entry so the second lookup
-            # exercises the negative path, not the positive cache
-            daemon._dir_cache.clear()
-            frames_before = cluster.transport.frames_sent
-            second, _ = await daemon._lookup("zz_nowhere", daemon.peer_id)
-            frames_after = cluster.transport.frames_sent
-            return (
-                first, second, learned, daemon.neg_hits,
-                frames_after - frames_before, cluster.errors(),
-            )
+            daemon = cluster.daemons[querier]
+            in_flight = asyncio.ensure_future(daemon._lookup(fn, querier))
+            await asyncio.sleep(0.05)
+            assert dropped == [replicas[0]] and not in_flight.done()
+            changed = dataclasses.replace(spec, qp=QoSVector({"delay": 99.0}))
+            await cluster.daemons[spec.peer].register_components([changed], now=1.0)
+            during, _ = await in_flight
+            await asyncio.sleep(1.0)
+            after, _ = await daemon._lookup(fn, querier)
+            return spec, during, after, cluster.errors()
 
-    first, second, learned, neg_hits, frames, errors = asyncio.run(scenario())
+    spec, during, after, errors = vtime.run(scenario())
     assert errors == []
-    assert first == [] and second == []
-    assert learned  # the miss carried the owner's summary back
-    assert neg_hits >= 1
-    assert frames == 0  # absence proved without touching the wire
+    assert _delay(during, spec.component_id) != 99.0  # the replayed reply
+    assert _delay(after, spec.component_id) == 99.0
 
 
-def test_bloom_false_positive_falls_back_to_real_lookup():
-    """A Bloom false positive must degrade to a routed wire lookup that
-    returns the truth (no rows) — never to a phantom presence."""
+def test_invalidation_reaches_exactly_the_functions_queriers():
+    """A re-registration invalidates the peers that queried its function
+    and no other: a peer that asked the same replica about another
+    function caches nothing the change could make stale."""
 
     async def scenario():
-        cluster = _cluster()
-        async with cluster:
-            fn = "zz_phantom"
-            key = key_for(fn)
-            daemon = next(
-                d for d in cluster.daemons.values()
-                if d.peer_id not in d.ring.replica_peers(key)
-            )
-            owner = daemon.ring.owner_peer(key)
-            # forge a summary that claims the absent function is present
-            # (the worst-case false positive)
-            fp = BloomFilter()
-            fp.add(fn)
-            daemon._owner_blooms[owner] = (fp, 1e9)
-            frames_before = cluster.transport.frames_sent
-            rows, _ = await daemon._lookup(fn, daemon.peer_id)
-            frames_after = cluster.transport.frames_sent
-            return rows, frames_after - frames_before, cluster.errors()
-
-    rows, frames, errors = asyncio.run(scenario())
-    assert errors == []
-    assert rows == []  # ground truth wins
-    assert frames > 0  # the FP cost a real wire exchange, nothing more
-
-
-# ----------------------------------------------------------------------
-# popularity-driven replica fan-out
-# ----------------------------------------------------------------------
-def test_hot_function_rows_fan_out_past_base_replicas():
-    async def scenario():
-        tier = DirectoryTierConfig(
-            hot_threshold=3.0, replica_span=2, popularity_halflife=100.0
+        cluster = _cluster(measurement=MeasurementConfig(enabled=False))
+        ring = next(iter(cluster.daemons.values())).ring
+        functions = sorted({s.function for s in cluster.scenario.population})
+        # function A (spec's) and a function B whose owner is one of A's replicas
+        spec, other = next(
+            (s, b)
+            for s in cluster.scenario.population
+            for b in functions
+            if b != s.function
+            and ring.owner_peer(key_for(b)) in ring.replica_peers(key_for(s.function))
         )
-        cluster = _cluster(directory_tier=tier)
+        fn = spec.function
+        inside = set(ring.replica_peers(key_for(fn))) | set(ring.replica_peers(key_for(other)))
+        outsiders = [p for p in sorted(cluster.daemons) if p not in inside and p != spec.peer]
+        assert len(outsiders) >= 2, "fixture: too few peers outside both replica sets"
+        querier_a, querier_b = outsiders[:2]
+        invalidated = []
+        send = cluster.transport.send
+
+        async def record(src, dst, envelope):
+            body = envelope.get("body")
+            if envelope["kind"] == "req" and isinstance(body, codec.ReplicaInvalidate):
+                invalidated.append((dst, body.function))
+            await send(src, dst, envelope)
+
+        cluster.transport.send = record
         async with cluster:
-            ring = next(iter(cluster.daemons.values())).ring
-            # a function whose extended ring has room past the base set
-            fn = key = extended = None
-            for cand in _functions(cluster):
-                k = key_for(cand)
-                base = ring.replica_peers(k)
-                ext = [p for p in ring.extended_replica_peers(k, 2) if p not in base]
-                if ext:
-                    fn, key, extended = cand, k, ext
-                    break
-            assert fn is not None
+            await cluster.daemons[querier_a]._lookup(fn, querier_a)
+            await cluster.daemons[querier_b]._lookup(other, querier_b)
+            changed = dataclasses.replace(spec, qp=QoSVector({"delay": 99.0}))
+            await cluster.daemons[spec.peer].register_components([changed], now=1.0)
+            return fn, querier_a, invalidated, cluster.errors()
 
-            owner = ring.owner_peer(key)
-            expected = sorted(
-                s.component_id
-                for s in cluster.scenario.population
-                if s.function == fn
-            )
-            outsiders = [
-                p for p in sorted(cluster.daemons)
-                if p not in ring.replica_peers(key) and p not in extended
-            ]
-            for p in outsiders[:4]:
-                await cluster.daemons[p]._lookup(fn, p)
-            await cluster.daemons[owner].drain()  # let the spawned push land
-
-            target = cluster.daemons[extended[0]]
-            held = target.directory.replica_lookup(key)
-
-            frames_before = cluster.transport.frames_sent
-            rows, _ = await target._lookup(fn, target.peer_id)
-            frames_local = cluster.transport.frames_sent - frames_before
-            return expected, held, rows, frames_local, target.replica_serves, cluster.errors()
-
-    expected, held, rows, frames_local, serves, errors = asyncio.run(scenario())
+    fn, querier_a, invalidated, errors = vtime.run(scenario())
     assert errors == []
-    assert held is not None, "hot rows never reached the extended replica"
-    assert sorted(m.component_id for m in held) == expected
-    # the holder now serves the hot key without any wire traffic
-    assert sorted(m.component_id for m in rows) == expected
-    assert frames_local == 0
-    assert serves >= 1
+    assert invalidated == [(querier_a, fn)]
 
 
 # ----------------------------------------------------------------------

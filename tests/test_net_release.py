@@ -27,7 +27,7 @@ import dataclasses
 import pytest
 
 from repro.core.bcp import BCPConfig, NextHopWeights
-from repro.net import ClusterConfig, DirectoryTierConfig, LiveCluster, MeasurementConfig, codec, vtime
+from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec, vtime
 from repro.net.peer import _Collection
 from repro.net.rpc import RetryPolicy
 
@@ -256,12 +256,13 @@ def test_failed_setup_ack_costs_exactly_one_more_wave():
 # hygiene across the configuration matrix
 # ----------------------------------------------------------------------
 # (the ids date from a matrix that also had shared-state and directory-tier
-# axes; they are kept so test histories stay comparable)
-@pytest.mark.parametrize("tier", [DirectoryTierConfig()], ids=["tier-on-distributed"])
+# axes; they are kept so test histories stay comparable, and the tier
+# parameter no longer reaches the cluster)
+@pytest.mark.parametrize("tier", [None], ids=["tier-on-distributed"])
 @pytest.mark.parametrize("confirm", [False, True], ids=["measure-only", "confirm"])
 def test_no_soft_token_survives_a_compose(confirm, tier):
     async def scenario():
-        cluster = _cluster(directory_tier=tier)
+        cluster = _cluster()
         wire = _Wire(cluster)
         firm, seen = set(), []
         async with cluster:
@@ -285,11 +286,11 @@ def test_no_soft_token_survives_a_compose(confirm, tier):
 # ----------------------------------------------------------------------
 # what the window knows when it closes
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("tier", [DirectoryTierConfig()], ids=["tier-on-distributed"])
+@pytest.mark.parametrize("tier", [None], ids=["tier-on-distributed"])
 @pytest.mark.parametrize("confirm", [False, True], ids=["measure-only", "confirm"])
 def test_window_closes_knowing_every_holder_and_the_whole_wave_load(confirm, tier):
     async def scenario():
-        cluster = _cluster(directory_tier=tier)
+        cluster = _cluster()
         closed = _snapshot_windows(cluster)
         async with cluster:
             for request in cluster.scenario.requests.batch(2):

@@ -204,21 +204,22 @@ class TestTcpReceive:
     @pytest.mark.parametrize(
         "header",
         [
-            b"XX\x06\x00\x00\x00\x01",
-            b"SN\x06" + (MAX_FRAME + 1).to_bytes(4, "big"),
+            b"XX\x07\x00\x00\x00\x01",
+            b"SN\x07" + (MAX_FRAME + 1).to_bytes(4, "big"),
             b"SN\x01\x00\x00\x00\x07" + b'{"n":5}',  # the retired JSON version
             b"SN\x02" + encode_frame({"n": 5})[3:],  # the retired all-terms version
             # a valid header over a typed layout that meets a value of the
             # wrong shape (QualitySpec's formats are the integer 5)
-            b"SN\x06\x00\x00\x00\x04"
+            b"SN\x07\x00\x00\x00\x04"
             + bytes([codec._T_OBJ, codec._BIN_IDS[QualitySpec], codec._T_INT8, 5]),
             b"SN\x03" + encode_frame({"n": 5})[3:],  # the retired count-less bundles
             b"SN\x04" + encode_frame({"n": 5})[3:],  # the retired type-id numbering
             b"SN\x05" + encode_frame({"n": 5})[3:],  # the retired Fraction credit
+            b"SN\x06" + encode_frame({"n": 5})[3:],  # the retired replica push ids
         ],
         ids=[
             "bad-magic", "oversize", "version-1", "version-2", "bad-typed-payload", "version-3",
-            "version-4", "version-5",
+            "version-4", "version-5", "version-6",
         ],
     )
     def test_bad_header_closes_the_connection_quietly(self, header):
