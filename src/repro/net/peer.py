@@ -61,7 +61,12 @@ for another it does not depend on.
 **Teardown.**  When the window closes the destination releases the
 request's losing reservations in *one* wave, to exactly the holders its
 bundles name — the message cost of a composition stays bounded by the
-probing budget, not by the size of the overlay.  A credit-carrying frame
+probing budget, not by the size of the overlay.  Nothing waits for the
+wave's replies: a release only ever removes, so the destination hands it
+to the transport (beside the setup ack, which it does wait for) and the
+``ComposeResult`` leaves right behind it.  ``compose`` returning means
+the releases are sent, not applied; a lost one leaves its tokens to
+their expiry timers.  A credit-carrying frame
 that reaches a closed window (a straggler after the wall-clock fallback)
 is answered ``late`` and the holders named in it are sent one soft-only
 release.  A peer that dies holding a probe takes the probe's bundles
@@ -1094,8 +1099,9 @@ class PeerDaemon:
         success = result.best is not None
         if not col.confirm:
             keep = set()  # measurement-only run: the winner's tokens go too
-        # one wave: every reservation of this request but the ones kept
-        await self._release(col, keep)
+        # one wave: every reservation of this request but the ones kept,
+        # handed to the transport and not waited for
+        handed = self._release(col, keep)
         if success and col.confirm:
             if cfg.soft_allocation:
                 # same-peer hops never reserved a link token, so only the
@@ -1109,7 +1115,8 @@ class PeerDaemon:
                     result.failure_reason = "setup ack found expired reservation or dead peer"
                     if self.tap is not None:
                         self.tap.failure()
-                    await self._release(col, set())
+                    # per-link FIFO keeps this wave behind the first one
+                    handed += self._release(col, set())
                     success = False
                 else:
                     result.session_tokens = sorted(confirmed)
@@ -1146,6 +1153,13 @@ class PeerDaemon:
             phases=dict(result.phases),
             session_tokens=tuple(result.session_tokens),
         )
+        # the result leaves behind every release frame: one turn hands them
+        # to the transport, and a release still dialling its holder holds
+        # the result until it is through.  When compose returns, the
+        # releases are on the wire
+        await asyncio.sleep(0)
+        if not all(sent.done() for sent in handed):
+            await asyncio.wait(handed)
         try:
             await self.endpoint.call(request.source_peer, out)
         except RpcError:
@@ -1190,26 +1204,35 @@ class PeerDaemon:
             self._tokens.pop(rid, None)
         return out
 
-    async def _release(self, col: _Collection, keep: Set[Tuple]) -> None:
+    def _release(self, col: _Collection, keep: Set[Tuple]) -> List[asyncio.Future]:
         """Drop the request's reservations (minus ``keep``) wherever any
-        are: here, plus the holders this window's report bundles named."""
+        are: here at once, and at the holders this window's report bundles
+        named by one release each.  Nothing waits for those replies — a
+        release only ever removes, and a lost one leaves soft tokens to
+        their expiry timers; what is returned resolves as each release's
+        frame reaches the transport."""
         rid = col.request.request_id
         self._apply_release(rid, keep)
         col.keep = tuple(sorted(keep))
         msg = codec.SessionRelease(rid, col.keep)
-        calls = [
-            self._control(peer, msg) for peer in sorted(col.holders) if peer != self.peer_id
-        ]
-        if calls:
-            await asyncio.gather(*calls)
+        loop = asyncio.get_running_loop()
+        handed = []
+        for peer in sorted(col.holders):
+            if peer != self.peer_id:
+                sent = loop.create_future()
+                self._spawn(self._control(peer, msg, sent))
+                handed.append(sent)
+        return handed
 
-    async def _control(self, peer: int, msg) -> Optional[dict]:
+    async def _control(
+        self, peer: int, msg, sent: Optional[asyncio.Future] = None
+    ) -> Optional[dict]:
         """A control call whose failure is an answer (``None``), not an
         error: a dead peer's soft state expires on its own timers, its
         caches on their TTL, and a setup ack or a maintenance ping it
         misses fails the setup or the session."""
         try:
-            return await self.endpoint.call(peer, msg)
+            return await self.endpoint.call(peer, msg, sent=sent)
         except RpcError:
             return None
 

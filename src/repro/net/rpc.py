@@ -117,6 +117,12 @@ def _expire(future: asyncio.Future) -> None:
         future.set_exception(asyncio.TimeoutError())
 
 
+def _resolve(sent: Optional[asyncio.Future]) -> None:
+    """Tell a ``call``'s caller its frame has left (or never will)."""
+    if sent is not None and not sent.done():
+        sent.set_result(None)
+
+
 class RpcEndpoint:
     """One peer's message port: typed handlers + outbound calls.
 
@@ -202,17 +208,24 @@ class RpcEndpoint:
         message: Any,
         retry: Optional[RetryPolicy] = None,
         ignore_down: bool = False,
+        sent: Optional[asyncio.Future] = None,
     ) -> dict:
         """Send ``message`` to ``dst`` and await its reply payload.
 
         ``ignore_down=True`` bypasses the :attr:`peer_down` fail-fast
         check — for callers whose whole job is to discover that a
         marked-down peer came back (the measurement plane's recovery
-        probes)."""
-        if self._gate is None:
-            return await self._call(dst, message, retry, ignore_down)
-        async with self._gate:
-            return await self._call(dst, message, retry, ignore_down)
+        probes).  ``sent``, if given, resolves once the first attempt's
+        frame is with the transport (a dial included), or once that
+        attempt or the call fails: a caller can queue a later frame behind
+        this one without waiting for the reply."""
+        try:
+            if self._gate is None:
+                return await self._call(dst, message, retry, ignore_down, sent)
+            async with self._gate:
+                return await self._call(dst, message, retry, ignore_down, sent)
+        finally:
+            _resolve(sent)
 
     async def _call(
         self,
@@ -220,6 +233,7 @@ class RpcEndpoint:
         message: Any,
         retry: Optional[RetryPolicy],
         ignore_down: bool,
+        sent: Optional[asyncio.Future],
     ) -> dict:
         policy = retry or self.retry
         msg_id = next(self._ids)
@@ -259,7 +273,10 @@ class RpcEndpoint:
             sent_at = loop.time()
             deadline: Optional[asyncio.TimerHandle] = None
             try:
-                waited = await self.transport.send(self.peer_id, dst, envelope)
+                try:
+                    waited = await self.transport.send(self.peer_id, dst, envelope)
+                finally:
+                    _resolve(sent)
                 deadline = loop.call_later(policy.timeout, _expire, future)
                 reply = await future
             except TransportError as exc:

@@ -57,10 +57,10 @@ class TestBasicOperation:
         assert result.success
         assert result.setup_time > 0 and result.phases["setup_ack"] > 0
         # processing takes no virtual time: the compose lasts a whole number
-        # of one-way delays, at least the warm-cache (n + 6) of a confirm
+        # of one-way delays, at least the warm-cache (n + 4) of a confirm
         hops = elapsed / ONE_WAY
         assert hops == pytest.approx(round(hops), abs=1e-9)
-        assert round(hops) >= 1 + 6
+        assert round(hops) >= 1 + 4
 
     def test_invalid_budget_rejected(self):
         async def scenario():

@@ -37,9 +37,11 @@ COMPOSES = 7
 # what the seven composes send, on any Python
 WIRE = {"calls": 350, "frames": 700, "bytes": 204275, "succeeded": 7}
 
-# what they make the event loop do, per interpreter (major, minor)
+# what they make the event loop do, per interpreter (major, minor).  The
+# result no longer waits for the release wave's replies: the same frames,
+# tasks and timers, only the result leaves earlier; 18 fewer handles
 LOOP = {
-    (3, 11): {"tasks": 830, "handles": 3061, "timers": 585},
+    (3, 11): {"tasks": 830, "handles": 3043, "timers": 585},
 }
 
 

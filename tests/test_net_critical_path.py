@@ -5,16 +5,20 @@ reserved what, the discovery RTT) travels with the probes' termination
 credit, so no admitting peer — and not the source — stops for a round
 trip of its own to the destination; and the source does not wait for the
 reply to its ``ComposeBegin`` either: the wave leaves right behind it.
-With a constant one-way delay L on every frame and warm lookup caches, a
+Nor does the destination wait for its release wave: the releases are
+handed to the transport just ahead of the ``ComposeResult``.  With a
+constant one-way delay L on every frame and warm lookup caches, a
 sequential measurement-only compose of an n-function chain therefore takes
 
-    (n + 1) one-way probe hops + release RTT + result
-    = (n + 4) * L
+    (n + 1) one-way probe hops + result
+    = (n + 2) * L
 
-and a confirmed one one setup-ack round trip more, ``(n + 6) * L``,
+and a confirmed one one setup-ack round trip more, ``(n + 4) * L``,
 however many peers the chosen path has: the acks go out together.  A
-report awaited at every admitting hop would add 2L per hop, a begin or
-discovery round trip 2L more, an ack per path peer 2L each.
+report awaited at every admitting hop would add 2L per hop, a begin,
+discovery or release round trip 2L more, an ack per path peer 2L each.
+When ``compose`` returns the releases are on the wire, and one more L
+applies them.
 
 The same holds for a re-registration: the rows go to every replica
 target at once and the invalidations they name to every stale holder at
@@ -57,16 +61,22 @@ def _cluster():
     )
 
 
+def _chain_request(cluster):
+    """A chain of at least three functions the sync engine composes (run
+    before the cluster seals)."""
+    return next(
+        r
+        for r in cluster.scenario.requests.batch(20)
+        if r.function_graph.is_linear()
+        and len(r.function_graph.functions) >= 3
+        and cluster.scenario.net.bcp.compose(r, confirm=False).success
+    )
+
+
 def test_compose_waits_for_one_way_hops_not_per_hop_round_trips():
     async def scenario():
         cluster = _cluster()
-        request = next(
-            r
-            for r in cluster.scenario.requests.batch(20)
-            if r.function_graph.is_linear()
-            and len(r.function_graph.functions) >= 3
-            and cluster.scenario.net.bcp.compose(r, confirm=False).success
-        )
+        request = _chain_request(cluster)
         sent = sent_requests(cluster)
         loop = asyncio.get_running_loop()
         async with cluster:
@@ -104,14 +114,51 @@ def test_compose_waits_for_one_way_hops_not_per_hop_round_trips():
         assert mine[0] is codec.ComposeBegin and codec.ProbeTransfer in mine
     n = len(request.function_graph.functions)
     for confirm, hops in (
-        (False, n + 4),  # probes n, final 1, release 2, result 1
-        (True, n + 6),  # and one setup-ack round trip, whatever the path's length
+        (False, n + 2),  # probes n, final 1, result 1
+        (True, n + 4),  # and one setup-ack round trip, whatever the path's length
     ):
         for elapsed in times[confirm]:
             assert elapsed / ONE_WAY == pytest.approx(hops, rel=1e-9), (
                 f"{n}-function chain, confirm={confirm}: {elapsed / ONE_WAY:.3f} "
                 f"one-way hops, not {hops}"
             )
+
+
+def test_compose_returns_with_its_releases_on_the_wire():
+    """The destination does not wait for the release wave, but it hands
+    every ``SessionRelease`` to the transport before the ``ComposeResult``,
+    so one more one-way delay after ``compose`` returns no soft token is
+    left anywhere."""
+
+    async def scenario():
+        cluster = _cluster()
+        request = _chain_request(cluster)
+        sent = sent_requests(cluster)
+        rids, settled = [], []
+        async with cluster:
+            for confirm in (False, False, True):
+                rid = request.request_id + 10_000_000 * (len(rids) + 1)
+                again = dataclasses.replace(request, request_id=rid)
+                result = await cluster.compose(again, confirm=confirm, timeout=60)
+                assert result.success
+                rids.append(rid)
+                await asyncio.sleep(ONE_WAY)
+                settled.append(cluster.soft_tokens())
+            errors = cluster.errors()
+        return rids, settled, sent, errors
+
+    rids, settled, sent, errors = vtime.run(scenario())
+    assert errors == []
+    assert settled == [{}] * len(rids)
+    for rid in rids:
+        mine = [
+            type(body)
+            for body in sent
+            if isinstance(body, (codec.SessionRelease, codec.ComposeResult))
+            and body.request_id == rid
+        ]
+        assert codec.SessionRelease in mine, "fixture: no remote holder to release"
+        assert mine[-1] is codec.ComposeResult and mine.count(codec.ComposeResult) == 1
 
 
 def test_reregistration_waits_for_two_round_trips_not_one_per_peer():

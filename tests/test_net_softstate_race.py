@@ -23,7 +23,10 @@ from repro.core.resources import ResourceVector
 from repro.net import ClusterConfig, LiveCluster, vtime
 
 DELAY = 0.6  # one-way latency injected toward the target peer
-SOFT = 1.5 * DELAY  # expires between the release gather and the confirm
+# the release wave and the SessionConfirms leave together, and the wave
+# before them takes no virtual time: the target's reservation expires
+# while its SessionConfirm is in flight
+SOFT = 0.5 * DELAY
 
 
 def _find_race_fixture(cluster):

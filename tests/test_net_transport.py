@@ -651,6 +651,42 @@ class TestRpc:
         assert pooled == after_pause == [(1, "MaintenancePing")]
         assert a.samples_discarded == 2
 
+    def test_sent_resolves_when_the_frame_leaves_not_when_the_reply_comes(self):
+        """A caller can queue a later frame behind a call without waiting
+        for its reply: ``sent`` resolves once the frame is with the
+        transport — after the dial a fresh TCP pair needs — and, for a
+        call whose frame cannot leave, at its first failed attempt rather
+        than after its retries."""
+
+        async def scenario():
+            policy = RetryPolicy(timeout=1.0, retries=1, backoff=0.05)
+            t, a, b = self.make_pair(TcpTransport(), retry=policy)
+            loop = asyncio.get_running_loop()
+            release = asyncio.Event()
+
+            async def held(src, body):
+                await release.wait()
+
+            b.on(dict, held)
+            await t.start()
+            sent = loop.create_future()
+            call = asyncio.ensure_future(a.call(1, {"x": 1}, sent=sent))
+            await asyncio.wait_for(sent, 1)
+            left = (0, 1) in t._pool and t.frames_sent == 1 and not call.done()
+            release.set()
+            await asyncio.wait_for(call, 1)
+            t.kill(1)
+            refused = loop.create_future()
+            call = asyncio.ensure_future(a.call(1, {"x": 2}, sent=refused))
+            await asyncio.wait_for(refused, 1)
+            retrying = not call.done()
+            with pytest.raises(RpcTimeout, match="2 attempts"):
+                await call
+            await t.close()
+            return left, retrying
+
+        assert run(scenario()) == (True, True)
+
     def test_no_reply_times_out_after_exactly_retries_plus_one_attempts(self):
         async def scenario():
             policy = RetryPolicy(timeout=0.03, retries=2, backoff=0.005)
