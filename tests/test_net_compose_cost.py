@@ -8,6 +8,13 @@ loopback cluster, after one warm-up compose has filled the directory
 caches.  A change that adds a task, a timer or a frame per compose (or
 saves one) has to change the pins here, in its own diff.
 
+The same cluster is counted twice: once with the measurement plane off
+(no wire delay: only the protocol's own frames), and once with the plane
+on over a constant wire delay, so its probe cycles run between and
+during the composes.  The second case also pins the plane's own
+counters, cumulative from boot: how many probes it sent and suppressed,
+how many samples it took, how often it re-priced a link.
+
 The counts are taken from outside ``src/``: a :class:`VirtualTimeLoop`
 subclass counts ``call_soon`` handles and ``call_at`` timers
 (``call_later`` is a ``call_at``), its task factory counts tasks, and
@@ -44,6 +51,22 @@ LOOP = {
     (3, 11): {"tasks": 830, "handles": 3043, "timers": 585},
 }
 
+# the plane-on case: one-way wire delay, and what it sends and does
+PLANE_LATENCY = 0.02
+PLANE_WIRE = {"calls": 401, "frames": 802, "bytes": 210548, "succeeded": 7}
+PLANE_LOOP = {
+    (3, 11): {"tasks": 922, "handles": 4035, "timers": 1290},
+}
+# a constant delay moves no estimate: nothing is re-priced
+PLANE_STATS = {
+    "probes_sent": 51,
+    "probes_suppressed": 45,
+    "samples_active": 51,
+    "samples_passive": 509,
+    "reprices": 0,
+    "router_rebuilds": 0,
+}
+
 
 class _CountingLoop(vtime.VirtualTimeLoop):
     def __init__(self) -> None:
@@ -69,12 +92,8 @@ class _CountingLoop(vtime.VirtualTimeLoop):
         return {"tasks": self.tasks, "handles": self.handles, "timers": self.timers}
 
 
-async def _composes(loop: _CountingLoop) -> dict:
-    cluster = LiveCluster(
-        ClusterConfig(
-            n_peers=16, n_functions=6, seed=5, measurement=MeasurementConfig(enabled=False)
-        )
-    )
+async def _composes(loop: _CountingLoop, config: ClusterConfig) -> dict:
+    cluster = LiveCluster(config)
     async with cluster:
         requests = cluster.scenario.requests.batch(COMPOSES + 1)
         await cluster.compose(requests[0], confirm=False, timeout=60)  # warms the caches
@@ -83,19 +102,23 @@ async def _composes(loop: _CountingLoop) -> dict:
             await cluster.compose(r, confirm=False, timeout=60) for r in requests[1:]
         ]
         loop_after, wire_after = loop.counts(), cluster.rpc_stats()
+        # the last releases are on the wire, not yet applied: one more
+        # round trip of wire delay and every holder has dropped its tokens
+        await asyncio.sleep(2 * config.latency)
         assert cluster.errors() == []
         assert cluster.soft_tokens() == {}
         assert cluster.shared_guard.violations == []
+        stats = cluster.measurement_stats()
     out = {k: loop_after[k] - loop_before[k] for k in loop_after}
     out["calls"] = wire_after["calls_sent"] - wire_before["calls_sent"]
     out["frames"] = wire_after["frames_sent"] - wire_before["frames_sent"]
     out["bytes"] = wire_after["bytes_sent"] - wire_before["bytes_sent"]
     out["succeeded"] = sum(r.success for r in results)
+    out.update((k, stats[k]) for k in PLANE_STATS)
     return out
 
 
-@pytest.fixture(scope="module")
-def counts():
+def _count(config: ClusterConfig) -> dict:
     # the ids restart, so their encoded widths are this test's alone
     saved = request._request_ids, probe._probe_ids, component._component_ids
     request._request_ids = itertools.count(1)
@@ -104,11 +127,35 @@ def counts():
     loop = _CountingLoop()
     try:
         asyncio.set_event_loop(loop)
-        return loop.run_until_complete(_composes(loop))
+        return loop.run_until_complete(_composes(loop, config))
     finally:
         request._request_ids, probe._probe_ids, component._component_ids = saved
         asyncio.set_event_loop(None)
         loop.close()
+
+
+@pytest.fixture(scope="module")
+def counts():
+    return _count(
+        ClusterConfig(
+            n_peers=16, n_functions=6, seed=5, measurement=MeasurementConfig(enabled=False)
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def plane_counts():
+    return _count(ClusterConfig(n_peers=16, n_functions=6, seed=5, latency=PLANE_LATENCY))
+
+
+def _loop_pins(table: dict, counts: dict) -> dict:
+    pinned = table.get(sys.version_info[:2])
+    if pinned is None:
+        pytest.skip(
+            f"no loop counts pinned for Python {sys.version_info.major}."
+            f"{sys.version_info.minor}: {counts}"
+        )
+    return pinned
 
 
 def test_seven_composes_send_exactly_the_pinned_frames(counts):
@@ -116,10 +163,20 @@ def test_seven_composes_send_exactly_the_pinned_frames(counts):
 
 
 def test_seven_composes_make_exactly_the_pinned_tasks_handles_and_timers(counts):
-    pinned = LOOP.get(sys.version_info[:2])
-    if pinned is None:
-        pytest.skip(
-            f"no loop counts pinned for Python {sys.version_info.major}."
-            f"{sys.version_info.minor}: {counts}"
-        )
+    pinned = _loop_pins(LOOP, counts)
     assert {k: counts[k] for k in pinned} == pinned
+
+
+def test_plane_on_composes_send_exactly_the_pinned_frames(plane_counts):
+    assert {k: plane_counts[k] for k in PLANE_WIRE} == PLANE_WIRE
+
+
+def test_plane_on_composes_make_exactly_the_pinned_tasks_handles_and_timers(
+    plane_counts,
+):
+    pinned = _loop_pins(PLANE_LOOP, plane_counts)
+    assert {k: plane_counts[k] for k in pinned} == pinned
+
+
+def test_plane_on_counters_are_the_pinned_ones(plane_counts):
+    assert {k: plane_counts[k] for k in PLANE_STATS} == PLANE_STATS
