@@ -296,7 +296,8 @@ async def run_degradation(params: BenchParams, quick: bool) -> Dict:
             r = await cluster.compose(fresh_request(), confirm=False, timeout=120)
             failures += 0 if r.success else 1
         await asyncio.sleep(DEGRADE_PROBE_INTERVAL * 8)
-        before = plane.stats()["links"].get(neighbour, {})
+        est = plane.estimator(neighbour)
+        baseline = est.baseline if est is not None and est.baseline else 0.0
 
         t0 = time.perf_counter()
         for _ in range(n):
@@ -322,15 +323,16 @@ async def run_degradation(params: BenchParams, quick: bool) -> Dict:
             failures += 0 if r.success else 1
         degraded_wall = time.perf_counter() - t1
 
-        stats = plane.stats()
-        after = stats["links"].get(neighbour, {})
+        est = plane.estimator(neighbour)
+        srtt = est.srtt if est is not None and est.srtt else 0.0
+        ratio = est.ratio(asyncio.get_running_loop().time()) if est is not None else 0.0
         errors = cluster.errors()
 
     result.update(
         {
-            "baseline_rtt_ms": round(before.get("baseline", 0.0) * 1e3, 3),
-            "converged_rtt_ms": round(after.get("srtt", 0.0) * 1e3, 3),
-            "converged_ratio": after.get("ratio", 0.0),
+            "baseline_rtt_ms": round(baseline * 1e3, 3),
+            "converged_rtt_ms": round(srtt * 1e3, 3),
+            "converged_ratio": round(ratio, 3),
             "rerouted": reroute_s is not None,
             "reroute_s": round(reroute_s, 3) if reroute_s is not None else None,
             "healthy_compose_per_sec": (
@@ -339,9 +341,9 @@ async def run_degradation(params: BenchParams, quick: bool) -> Dict:
             "degraded_compose_per_sec": (
                 round(n / degraded_wall, 2) if degraded_wall > 0 else 0.0
             ),
-            "probes_sent": stats["probes_sent"],
-            "reprices": stats["reprices"],
-            "router_rebuilds": stats["router_rebuilds"],
+            "probes_sent": plane.probes_sent,
+            "reprices": plane.reprices,
+            "router_rebuilds": view.rebuilds,
             "compose_failures": failures,
             "converge_failures": converge_failures,
             "daemon_errors": errors,

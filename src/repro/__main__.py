@@ -163,14 +163,6 @@ def _add_cluster_options(sub: argparse.ArgumentParser) -> None:
         "--no-measure freezes routing on the static topology",
     )
     sub.add_argument(
-        "--probe-interval", type=float, default=None, metavar="SECONDS",
-        help="seconds between active probe cycles (0 = passive only)",
-    )
-    sub.add_argument(
-        "--probe-budget", type=int, default=None, metavar="N",
-        help="max active probes per cycle per peer",
-    )
-    sub.add_argument(
         "--profile",
         action="store_true",
         help="time the boot/run/shutdown phases and print a breakdown",
@@ -275,11 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --admission: probe tasks before probes are shed",
     )
     scale.add_argument(
-        "--rpc-max-inflight", type=int, default=0, metavar="N",
-        help="with --admission: outbound RPC concurrency per peer "
-        "(0 = unlimited)",
-    )
-    scale.add_argument(
         "--kill", type=int, default=None, metavar="PEER",
         help="kill this peer mid-load (scripted churn)",
     )
@@ -341,24 +328,15 @@ def _run_one(
 
 
 def _build_cluster(args, trace: Optional[EventTrace]):
-    from .net import (
-        ClusterConfig,
-        LiveCluster,
-        MeasurementConfig,
-    )
+    from .net import ClusterConfig, LiveCluster, MeasurementConfig
 
-    measure_kwargs = {"enabled": args.measure}
-    if args.probe_interval is not None:
-        measure_kwargs["probe_interval"] = args.probe_interval
-    if args.probe_budget is not None:
-        measure_kwargs["probe_budget"] = args.probe_budget
     cfg = ClusterConfig(
         n_peers=args.peers,
         n_functions=args.functions,
         transport=args.transport,
         port_base=args.port_base,
         seed=args.seed,
-        measurement=MeasurementConfig(**measure_kwargs),
+        measurement=MeasurementConfig(enabled=args.measure),
     )
     return LiveCluster(cfg, trace=trace)
 
@@ -526,7 +504,6 @@ def _scaleout_config(args):
             max_sessions=args.max_sessions,
             probe_soft_limit=args.probe_soft_limit,
             max_probe_tasks=args.max_probe_tasks,
-            rpc_max_inflight=args.rpc_max_inflight,
         )
     return ScaleoutConfig(
         n_peers=args.peers,

@@ -4,8 +4,7 @@ One request, many ways to compose it.  Every algorithm implements
 :class:`~repro.core.strategies.base.CompositionStrategy` over a shared
 :class:`~repro.core.strategies.base.StrategyContext` and registers under
 a short name, selectable from the sim harness
-(``SpiderNet.use_composer``), the live cluster
-(``ClusterConfig.composer``) and the CLI (``--composer``):
+(``SpiderNet.use_composer``).  The live cluster always runs ``bcp``:
 
 ======================  ================================================
 ``bcp``                 the paper's bounded composition probing (§4);

@@ -33,8 +33,7 @@ Modules
                simulation's overhead-accounting categories
 ``cluster``    boots N peers on localhost and composes end-to-end
 ``admission``  per-peer overload survival: session admission with fast
-               ``Busy`` rejection, probe shedding/degradation, RPC
-               throttling
+               ``Busy`` rejection, probe shedding/degradation
 ``scaleout``   multi-process launcher + open-loop load driver
                (``python -m repro cluster``)
 ``vtime``      ``VirtualTimeLoop``: an event loop whose clock jumps to the

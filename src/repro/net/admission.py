@@ -11,7 +11,7 @@ rises.
 
 :class:`LoadGuard` is the peer-local answer (the load-guard idiom from
 the infomesh exemplars named in ROADMAP.md): every daemon carries its
-own guard, fed only by that daemon's local state, and applies three
+own guard, fed only by that daemon's local state, and applies two
 independently tunable mechanisms:
 
 * **Session admission** — a destination accepts at most
@@ -30,9 +30,6 @@ independently tunable mechanisms:
   so overloaded peers drop work in a way the destination's credit
   accounting still sees — windows close promptly instead of waiting for
   the wall-clock fallback.
-* **RPC throttling** — ``rpc_max_inflight`` bounds a daemon's
-  concurrent outbound calls, keeping one peer's fan-out from flooding
-  the transport during overload (0 = unlimited, the default).
 
 A guard exists only where one is configured (``ClusterConfig.admission``
 is an :class:`AdmissionConfig`); without one there is nothing to refuse
@@ -59,8 +56,6 @@ class AdmissionConfig:
     probe_soft_limit: int = 48
     # …and before further probes are shed outright (credit returned)
     max_probe_tasks: int = 96
-    # outbound RPC concurrency per daemon (0 = unlimited)
-    rpc_max_inflight: int = 0
 
     def __post_init__(self) -> None:
         if self.max_sessions < 1:
@@ -69,8 +64,6 @@ class AdmissionConfig:
             raise ValueError("probe limits must be >= 1")
         if self.probe_soft_limit > self.max_probe_tasks:
             raise ValueError("probe_soft_limit must be <= max_probe_tasks")
-        if self.rpc_max_inflight < 0:
-            raise ValueError("rpc_max_inflight must be >= 0")
 
 
 class LoadGuard:

@@ -60,14 +60,11 @@ class ClusterConfig:
 
     n_peers: int = 5
     n_functions: int = 6
-    n_ip: int = 0  # 0 -> derived from n_peers
     transport: str = "loopback"  # "loopback" | "tcp"
     latency: Union[float, Callable[[int, int], float]] = 0.0  # emulated one-way delay
     loss: float = 0.0  # loopback frame-loss probability
     port_base: Optional[int] = None  # tcp: fixed ports; None -> OS-assigned
     seed: int = 0
-    overlay_kind: str = "mesh"
-    overlay_degree: int = 4
     components_per_peer: Tuple[int, int] = (1, 3)
     bcp_config: Optional[BCPConfig] = None
     request_config: Optional[RequestConfig] = None
@@ -82,7 +79,7 @@ class ClusterConfig:
     # routing); MeasurementConfig(enabled=False) reproduces the
     # pre-measurement behaviour exactly
     measurement: Optional[MeasurementConfig] = None
-    # per-peer overload survival (admission + shedding + RPC throttle):
+    # per-peer overload survival (session admission + probe shedding):
     # None -> no guard at all.  A guard whose limits are never exceeded
     # makes the same selections as none.
     admission: Optional[AdmissionConfig] = None
@@ -106,11 +103,9 @@ class LiveCluster:
         cfg = self.config
         if scenario is None:
             scenario = simulation_testbed(
-                n_ip=cfg.n_ip or max(4 * cfg.n_peers, 64),
+                n_ip=max(4 * cfg.n_peers, 64),
                 n_peers=cfg.n_peers,
                 n_functions=cfg.n_functions,
-                overlay_kind=cfg.overlay_kind,
-                overlay_degree=cfg.overlay_degree,
                 components_per_peer=cfg.components_per_peer,
                 request_config=cfg.request_config,
                 bcp_config=cfg.bcp_config,
@@ -185,10 +180,9 @@ class LiveCluster:
         # the plane installs a material delta the view delegates verbatim
         # to the shared static overlay, so selections are unchanged by
         # default.
-        view: Optional[MeasuredOverlayView] = None
         overlay = shared.overlay
-        if measuring and self.measure_cfg.adapt_routing:
-            overlay = view = MeasuredOverlayView(shared.overlay)
+        if measuring:
+            overlay = MeasuredOverlayView(shared.overlay)
         bcp = BCP(
             overlay,
             shared.pool.clone_empty(overlay=overlay),
@@ -203,13 +197,7 @@ class LiveCluster:
         plane: Optional[MeasurementPlane] = None
         if measuring:
             plane = MeasurementPlane(
-                peer,
-                shared.overlay,
-                endpoint,
-                self.measure_cfg,
-                view=view,
-                tap=self.tap,
-                trace=self.trace,
+                peer, endpoint, self.measure_cfg, view=overlay, trace=self.trace
             )
             # candidates on downed paths are filtered at Step 2.3a
             base_alive = bcp.alive
@@ -226,14 +214,12 @@ class LiveCluster:
         nonce from it too, so a seeded cluster sends the same bytes."""
         cfg = self.config
         life = self._lives[peer] = self._lives.get(peer, 0) + 1
-        adm = cfg.admission
         return RpcEndpoint(
             self.transport,
             peer,
             retry=cfg.retry,
             seed=cfg.seed + peer,
             incarnation=np.random.default_rng([cfg.seed, peer, life]).bytes(8).hex(),
-            inflight_limit=adm.rpc_max_inflight if adm is not None else 0,
         )
 
     def _daemon(
@@ -547,7 +533,6 @@ class LiveCluster:
         planes = [
             d.measurement for d in self.daemons.values() if d.measurement is not None
         ]
-        views = [p.view for p in planes if p.view is not None]
         ledger = self.tap.ledger
         out: Dict[str, object] = {
             "enabled": self.measure_cfg.enabled,
@@ -562,9 +547,9 @@ class LiveCluster:
             "down_events": sum(p.down_events for p in planes),
             "up_events": sum(p.up_events for p in planes),
             "reprices": sum(p.reprices for p in planes),
-            "router_rebuilds": sum(v.rebuilds for v in views),
+            "router_rebuilds": sum(p.view.rebuilds for p in planes),
             # views routing on a router of their own right now
-            "private_routers": sum(v.private for v in views),
+            "private_routers": sum(p.view.private for p in planes),
             # the plane's own traffic, apart from compose traffic: the
             # PathProbe frames (their acks ride the shared net_ack book)
             "measure_frames": ledger.count.get("net_measure", 0),

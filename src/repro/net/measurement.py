@@ -24,9 +24,9 @@ without touching the simulator substrates:
 * **Estimation** — per-destination :class:`LinkEstimator` maintains a
   TCP-style smoothed RTT (``srtt``/``rttvar`` EWMA).  After a warm-up
   it locks a *baseline*; estimates that stop receiving samples decay
-  back toward that baseline with a configurable half-life, so stale
-  measurements cannot steer routing forever.
-* **Dead-path detection** — ``down_after`` consecutive RPC/probe
+  back toward that baseline with a fixed half-life (``DECAY_HALFLIFE``),
+  so stale measurements cannot steer routing forever.
+* **Dead-path detection** — ``DOWN_AFTER`` consecutive RPC/probe
   failures to a peer trigger :meth:`MeasurementPlane.mark_path_down`;
   any later successful exchange (typically a recovery probe) triggers
   :meth:`~MeasurementPlane.mark_path_up`.
@@ -45,8 +45,8 @@ without touching the simulator substrates:
 **Parity by construction, under load too.**  Wall-clock RTTs and modeled
 delays live in different unit systems, so measurements are applied as
 *ratios*: a link's modeled delay is scaled by ``srtt / baseline``, and
-only when the inflation is material (``material_ratio``) *and* stands
-clear of the estimator's own noise (``max(min_delta, 4 x rttvar)`` above
+only when the inflation is material (``MATERIAL_RATIO``) *and* stands
+clear of the estimator's own noise (``max(MIN_DELTA, 4 x rttvar)`` above
 baseline).  Scheduler jitter under load inflates ``rttvar`` along with
 ``srtt``, so it cannot pass the second test however often it passes the
 first; an installed scale is held through a band below the gate, so a
@@ -80,79 +80,67 @@ def _canon(a: int, b: int) -> Link:
     return (a, b) if a < b else (b, a)
 
 
+# static overlay neighbours probed per cycle (nearest by declared delay)
+PROBE_FANOUT = 3
+# hard cap on probes sent per cycle, recovery probes included
+PROBE_BUDGET = 8
+# a probe's one attempt (probes never retry: a retried RTT is ambiguous,
+# and the failure itself is the dead-path signal)
+PROBE_RETRY = RetryPolicy(timeout=0.25, retries=0, backoff=0.01)
+# EWMA gains (TCP RFC 6298 defaults: srtt 1/8, rttvar 1/4)
+ALPHA = 0.125
+BETA = 0.25
+# samples before the baseline RTT locks (and deltas become meaningful)
+WARMUP = 3
+# seconds without a sample before the estimate starts decaying back
+# toward baseline, and the half-life of that decay
+STALE_AFTER = 5.0
+DECAY_HALFLIFE = 5.0
+# consecutive exhausted exchanges before mark_path_down fires
+DOWN_AFTER = 3
+# a link is re-priced only when srtt/baseline reaches this ratio AND
+# the estimate is above baseline by max(MIN_DELTA, 4 x rttvar) — keeps
+# scheduler jitter from ever perturbing routing (the parity guarantee).
+# Half the ratio's excess over 1 is the band an installed scale is held
+# through (MeasurementPlane._reprice)
+MATERIAL_RATIO = 1.5
+MIN_DELTA = 0.002
+
+
 @dataclass(frozen=True)
 class MeasurementConfig:
-    """Knobs for the peer-local measurement plane.
+    """Settings of the peer-local measurement plane.
 
     ``enabled=False`` reproduces the pre-measurement behaviour exactly:
-    no probe traffic, no passive sampling, no routing adaptation.
-    ``probe_interval=0`` keeps the plane passive-only (RPC piggyback and
-    dead-path detection still run, but no active probes are sent).
+    no plane is built, so no probe traffic, no passive sampling, no
+    routing adaptation.
     """
 
     enabled: bool = True
-    # seconds between active probe cycles; 0 disables active probing
+    # seconds between probe cycles; each cycle ends in the interval's
+    # one routing decision
     probe_interval: float = 0.5
-    # static overlay neighbours probed per cycle (nearest by declared delay)
-    probe_fanout: int = 3
-    # hard cap on probes sent per cycle, recovery probes included
-    probe_budget: int = 8
-    # single-attempt probe timeout (probes never retry: a retried RTT is
-    # ambiguous, and the failure itself is the dead-path signal)
-    probe_timeout: float = 0.25
-    # EWMA gains (TCP RFC 6298 defaults: srtt 1/8, rttvar 1/4)
-    alpha: float = 0.125
-    beta: float = 0.25
-    # samples before the baseline RTT locks (and deltas become meaningful)
-    warmup: int = 3
-    # seconds without a sample before the estimate starts decaying back
-    # toward baseline, and the half-life of that decay
-    stale_after: float = 5.0
-    decay_halflife: float = 5.0
-    # consecutive exhausted exchanges before mark_path_down fires
-    down_after: int = 3
-    # a link is re-priced only when srtt/baseline reaches this ratio AND
-    # the estimate is above baseline by max(min_delta, 4 x rttvar) —
-    # keeps scheduler jitter from ever perturbing routing (the parity
-    # guarantee).  Half the ratio's excess over 1 is the band an installed
-    # scale is held through (MeasurementPlane._reprice)
-    material_ratio: float = 1.5
-    min_delta: float = 0.002
-    # feed deltas into the MeasuredOverlayView (False collects
-    # statistics without touching routing)
-    adapt_routing: bool = True
 
     def __post_init__(self) -> None:
-        if self.probe_interval < 0:
-            raise ValueError("probe_interval must be >= 0")
-        if self.probe_fanout < 0 or self.probe_budget < 0:
-            raise ValueError("probe fanout/budget must be >= 0")
-        if not 0 < self.alpha <= 1 or not 0 < self.beta <= 1:
-            raise ValueError("EWMA gains must be in (0, 1]")
-        if self.warmup < 1:
-            raise ValueError("warmup must be >= 1")
-        if self.down_after < 1:
-            raise ValueError("down_after must be >= 1")
-        if self.material_ratio <= 1.0:
-            raise ValueError("material_ratio must be > 1")
+        if self.probe_interval <= 0:
+            raise ValueError("probe_interval must be > 0")
 
 
 class LinkEstimator:
     """Smoothed RTT for one measured path (TCP-style srtt/rttvar EWMA).
 
-    The first sample seeds ``srtt``; after ``warmup`` samples the
+    The first sample seeds ``srtt``; after ``WARMUP`` samples the
     then-current ``srtt`` locks in as the *baseline* — the path's normal
     RTT, against which later inflation is judged.  :meth:`estimate`
     applies staleness decay: once no sample has arrived for
-    ``stale_after`` seconds, the deviation from baseline halves every
-    ``decay_halflife`` seconds, so an estimator that stops being fed
+    ``STALE_AFTER`` seconds, the deviation from baseline halves every
+    ``DECAY_HALFLIFE`` seconds, so an estimator that stops being fed
     gracefully forgets a transient spike instead of pinning it forever.
     """
 
-    __slots__ = ("_cfg", "srtt", "rttvar", "baseline", "samples", "last_at")
+    __slots__ = ("srtt", "rttvar", "baseline", "samples", "last_at")
 
-    def __init__(self, config: MeasurementConfig) -> None:
-        self._cfg = config
+    def __init__(self) -> None:
         self.srtt: Optional[float] = None
         self.rttvar: float = 0.0
         self.baseline: Optional[float] = None
@@ -169,9 +157,9 @@ class LinkEstimator:
             self.rttvar = rtt / 2.0
         else:
             err = rtt - self.srtt
-            self.rttvar += self._cfg.beta * (abs(err) - self.rttvar)
-            self.srtt += self._cfg.alpha * err
-        if self.baseline is None and self.samples >= self._cfg.warmup:
+            self.rttvar += BETA * (abs(err) - self.rttvar)
+            self.srtt += ALPHA * err
+        if self.baseline is None and self.samples >= WARMUP:
             self.baseline = self.srtt
 
     def estimate(self, now: float) -> Optional[float]:
@@ -181,9 +169,9 @@ class LinkEstimator:
         if self.baseline is None:
             return self.srtt
         age = now - self.last_at
-        if age <= self._cfg.stale_after:
+        if age <= STALE_AFTER:
             return self.srtt
-        halves = (age - self._cfg.stale_after) / self._cfg.decay_halflife
+        halves = (age - STALE_AFTER) / DECAY_HALFLIFE
         return self.baseline + (self.srtt - self.baseline) * (0.5 ** halves)
 
     def ratio(self, now: float) -> float:
@@ -192,15 +180,6 @@ class LinkEstimator:
             return 1.0
         est = self.estimate(now)
         return est / self.baseline if est is not None else 1.0
-
-    def snapshot(self, now: float) -> Dict[str, float]:
-        return {
-            "srtt": self.srtt if self.srtt is not None else -1.0,
-            "rttvar": self.rttvar,
-            "baseline": self.baseline if self.baseline is not None else -1.0,
-            "samples": self.samples,
-            "ratio": round(self.ratio(now), 3),
-        }
 
 
 class MeasuredOverlayView:
@@ -326,9 +305,6 @@ class MeasuredOverlayView:
             self._reroute()
         return dirty
 
-    def set_link_scale(self, link: Link, scale: Optional[float]) -> bool:
-        return self.set_link_scales({link: scale})
-
     def set_peer_down(self, peer: int) -> bool:
         if peer in self._down:
             return False
@@ -389,60 +365,45 @@ class MeasurementPlane:
 
     A sample only feeds its estimator and marks the path dirty.  Routing
     is decided once per probe interval, by :meth:`_reprice` at the end of
-    each probe cycle (a passive-only plane has no cycle: there the first
-    sample ``PASSIVE_TICK`` after the last decision decides).  Path
-    up/down transitions are the exception — rare, and urgent — and reach
-    the view at once.
-
-    When constructed with a :class:`MeasuredOverlayView` (the cluster
-    hands every daemon its own under ``adapt_routing``) those decisions
-    are pushed into the view; otherwise the plane is a pure observer.
+    each probe cycle, and pushed into the daemon's own
+    :class:`MeasuredOverlayView`.  Path up/down transitions are the
+    exception — rare, and urgent — and reach the view at once.
     """
-
-    # seconds between routing decisions of a plane that sends no probes
-    # (``probe_interval=0``): the default probe interval
-    PASSIVE_TICK = MeasurementConfig.probe_interval
 
     def __init__(
         self,
         peer_id: int,
-        base_overlay,
         endpoint,
         config: MeasurementConfig,
-        view: Optional[MeasuredOverlayView] = None,
-        tap=None,
+        view: MeasuredOverlayView,
         trace=None,
         clock: Callable[[], float] = loop_time,
     ) -> None:
         self.peer_id = peer_id
         self.config = config
         self.endpoint = endpoint
-        self.view = view if config.adapt_routing else None
-        self._tap = tap
+        self.view = view
         self._trace = trace
         self._clock = clock
         # bounded probe set: this peer's direct overlay neighbours,
         # nearest (by declared delay) first
+        graph = view.base.graph
         neighbours = sorted(
-            base_overlay.graph.neighbors(peer_id),
-            key=lambda q: float(base_overlay.graph.edges[peer_id, q]["delay"]),
+            graph.neighbors(peer_id),
+            key=lambda q: float(graph.edges[peer_id, q]["delay"]),
         )
-        self.neighbours: List[int] = neighbours[: config.probe_fanout]
+        self.neighbours: List[int] = neighbours[:PROBE_FANOUT]
         # only direct links re-price (a sample to any other peer measured
-        # a multi-hop path), and only when there is a view to re-price
-        self._adjacent = frozenset(neighbours if self.view is not None else ())
-        self._probe_retry = RetryPolicy(
-            timeout=config.probe_timeout, retries=0, backoff=0.01
-        )
+        # a multi-hop path)
+        self._adjacent = frozenset(neighbours)
         self._estimators: Dict[int, LinkEstimator] = {}
         self._failures: Dict[int, int] = {}
         self._down: Dict[int, float] = {}  # peer -> clock() at transition
         self._dirty: Set[int] = set()  # peers sampled since the last _reprice
-        self._decide_at = 0.0  # passive-only: clock() of the next decision
         self._task: Optional[asyncio.Task] = None
         self._seq = 0
         self._rotate = 0
-        # counters (surfaced via stats() / the CLI --profile block)
+        # counters (summed by LiveCluster.measurement_stats)
         self.probes_sent = 0
         self.probes_suppressed = 0
         self.probe_failures = 0
@@ -455,11 +416,7 @@ class MeasurementPlane:
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
         """Begin the active probe loop (needs a running event loop)."""
-        if (
-            not self.config.enabled
-            or self.config.probe_interval <= 0
-            or self._task is not None
-        ):
+        if self._task is not None:
             return
         self._task = asyncio.get_running_loop().create_task(
             self._probe_loop(), name=f"measure-{self.peer_id}"
@@ -482,8 +439,7 @@ class MeasurementPlane:
         self._down.clear()
         self._dirty.clear()
         self._seq = 0
-        if self.view is not None:
-            self.view.reset()
+        self.view.reset()
 
     # -- active probing ------------------------------------------------
     async def _probe_loop(self) -> None:
@@ -526,7 +482,7 @@ class MeasurementPlane:
                     self.probes_suppressed += 1
                 else:
                     targets.append(q)
-        return targets[: self.config.probe_budget]
+        return targets[:PROBE_BUDGET]
 
     async def _probe_cycle(self) -> None:
         loop = asyncio.get_running_loop()
@@ -543,7 +499,7 @@ class MeasurementPlane:
                 await self.endpoint.call(
                     target,
                     codec.PathProbe(origin=self.peer_id, seq=self._seq, sent_at=t0),
-                    retry=self._probe_retry,
+                    retry=PROBE_RETRY,
                     ignore_down=True,
                 )
             except RpcError:
@@ -554,8 +510,6 @@ class MeasurementPlane:
     # -- sample intake -------------------------------------------------
     def record_rtt(self, peer: int, rtt: float, method: str = "") -> None:
         """One measured round-trip to ``peer`` (active or passive)."""
-        if not self.config.enabled:
-            return
         if method == "PathProbe":
             self.samples_active += 1
         else:
@@ -563,25 +517,20 @@ class MeasurementPlane:
         now = self._clock()
         est = self._estimators.get(peer)
         if est is None:
-            est = self._estimators[peer] = LinkEstimator(self.config)
+            est = self._estimators[peer] = LinkEstimator()
         est.add_sample(rtt, now)
         self._failures[peer] = 0
         if peer in self._down:
             self.mark_path_up(peer)
         self._dirty.add(peer)
-        if self._task is None and now >= self._decide_at:
-            self._decide_at = now + self.PASSIVE_TICK
-            self._reprice(now)
 
     def record_failure(self, peer: int, method: str = "") -> None:
         """One exhausted exchange toward ``peer`` (probe or RPC)."""
-        if not self.config.enabled:
-            return
         if method == "PathProbe":
             self.probe_failures += 1
         count = self._failures.get(peer, 0) + 1
         self._failures[peer] = count
-        if peer not in self._down and count >= self.config.down_after:
+        if peer not in self._down and count >= DOWN_AFTER:
             self.mark_path_down(peer)
 
     # -- path health ---------------------------------------------------
@@ -595,8 +544,7 @@ class MeasurementPlane:
                 "path_down", peer=self.peer_id, target=peer,
                 failures=self._failures.get(peer, 0),
             )
-        if self.view is not None:
-            self.view.set_peer_down(peer)
+        self.view.set_peer_down(peer)
 
     def mark_path_up(self, peer: int) -> None:
         if peer not in self._down:
@@ -606,8 +554,7 @@ class MeasurementPlane:
         self.up_events += 1
         if self._trace is not None:
             self._trace.record("path_up", peer=self.peer_id, target=peer)
-        if self.view is not None:
-            self.view.clear_peer_down(peer)
+        self.view.clear_peer_down(peer)
 
     def is_down(self, peer: int) -> bool:
         return peer in self._down
@@ -628,8 +575,8 @@ class MeasurementPlane:
         peer's own event loop inflates every path alike and is no
         property of a link; a degraded link stands out from its siblings.
 
-        *Install* when that inflation is material (``material_ratio``)
-        and stands clear of the estimator's own noise, ``max(min_delta,
+        *Install* when that inflation is material (``MATERIAL_RATIO``)
+        and stands clear of the estimator's own noise, ``max(MIN_DELTA,
         4 x rttvar)`` — the RFC 6298 deviation that also sizes TCP's
         retransmit timer.  An installed scale is *held* through a band
         half as wide as the gate's excess over 1 (0.25 at the default
@@ -639,10 +586,8 @@ class MeasurementPlane:
         once instead of flapping.  Ratio-scaled; see the module docstring
         for the unit argument."""
         fresh, self._dirty = self._dirty, set()
-        if self.view is None:
-            return
-        cfg, me = self.config, self.peer_id
-        gate = cfg.material_ratio
+        me = self.peer_id
+        gate = MATERIAL_RATIO
         band = (gate - 1.0) / 2.0
         applied = {b if a == me else a: k for (a, b), k in self.view.link_scales.items()}
         excess: Optional[Dict[int, float]] = None  # of the fresh paths, on demand
@@ -666,7 +611,7 @@ class MeasurementPlane:
             if others:
                 own -= max(0.0, others[(len(others) - 1) // 2])
             ratio = 1.0 + own / baseline
-            noise = max(cfg.min_delta, 4.0 * est.rttvar) / baseline
+            noise = max(MIN_DELTA, 4.0 * est.rttvar) / baseline
             if scale is None:
                 if ratio >= gate and ratio - 1.0 >= noise:
                     verdicts[peer] = ratio
@@ -688,30 +633,3 @@ class MeasurementPlane:
     # -- introspection -------------------------------------------------
     def estimator(self, peer: int) -> Optional[LinkEstimator]:
         return self._estimators.get(peer)
-
-    def stats(self) -> Dict[str, object]:
-        now = self._clock()
-        view = self.view
-        ledger = self._tap.ledger if self._tap is not None else None
-        return {
-            "probes_sent": self.probes_sent,
-            "probes_suppressed": self.probes_suppressed,
-            "probe_failures": self.probe_failures,
-            "samples_active": self.samples_active,
-            "samples_passive": self.samples_passive,
-            "samples_discarded": self.endpoint.samples_discarded,
-            "down_events": self.down_events,
-            "up_events": self.up_events,
-            "reprices": self.reprices,
-            "paths_down": self.down_paths,
-            "router_rebuilds": view.rebuilds if view is not None else 0,
-            "private_routers": int(view is not None and view.private),
-            # the tap's net_measure book: every PathProbe frame booked
-            # there, by this plane and by any other sharing the tap
-            "measure_frames": ledger.count.get("net_measure", 0) if ledger else 0,
-            "measure_bytes": ledger.bytes.get("net_measure", 0) if ledger else 0,
-            "links": {
-                peer: est.snapshot(now)
-                for peer, est in sorted(self._estimators.items())
-            },
-        }

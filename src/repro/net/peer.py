@@ -398,7 +398,7 @@ class PeerDaemon:
 
         Combines the transport's kill switch (authoritative within a
         process: a killed peer *cannot* answer) with the measurement
-        plane's dead-path verdict (``down_after`` consecutive exhausted
+        plane's dead-path verdict (``DOWN_AFTER`` consecutive exhausted
         exchanges).  Both only ever short-circuit calls that were going
         to exhaust their retries anyway — outcomes are unchanged, the
         per-hop timeout burn is not.  Measurement recovery probes bypass
@@ -466,8 +466,6 @@ class PeerDaemon:
     # soft-state timers
     # ------------------------------------------------------------------
     def _arm_expiry(self, rid: int, token: Tuple) -> None:
-        if not self.soft_timeout or self.soft_timeout <= 0:
-            return
         loop = asyncio.get_running_loop()
         self._timers[(rid, token)] = loop.call_later(
             self.soft_timeout, self._expire_token, rid, token

@@ -141,7 +141,6 @@ class RpcEndpoint:
         reply_ttl: float = 120.0,
         clock: Optional[Callable[[], float]] = None,
         incarnation: Optional[str] = None,
-        inflight_limit: int = 0,
     ) -> None:
         self.transport = transport
         self.peer_id = peer_id
@@ -186,14 +185,6 @@ class RpcEndpoint:
         # ignore_down=True (recovery probes must reach a marked-down
         # peer, or the path could never be marked back up).
         self.peer_down: Optional[Callable[[int], bool]] = None
-        # outbound throttle: with inflight_limit > 0 at most that many
-        # calls from this endpoint are in flight at once (admission
-        # control's RPC-level pressure-relief; 0 = unlimited)
-        if inflight_limit < 0:
-            raise ValueError("inflight_limit must be >= 0")
-        self._gate: Optional[asyncio.Semaphore] = (
-            asyncio.Semaphore(inflight_limit) if inflight_limit else None
-        )
         transport.register(peer_id, self._on_envelope)
 
     def on(self, msg_type: Type, handler: Callable[[int, Any], Awaitable[Optional[dict]]]) -> None:
@@ -220,10 +211,7 @@ class RpcEndpoint:
         attempt or the call fails: a caller can queue a later frame behind
         this one without waiting for the reply."""
         try:
-            if self._gate is None:
-                return await self._call(dst, message, retry, ignore_down, sent)
-            async with self._gate:
-                return await self._call(dst, message, retry, ignore_down, sent)
+            return await self._call(dst, message, retry, ignore_down, sent)
         finally:
             _resolve(sent)
 

@@ -95,7 +95,6 @@ class ScaleoutConfig:
     # destination fallback window; short, so an overloaded run's lost
     # credit resolves in bounded time instead of the tier-1 default 10 s
     collect_wall_timeout: float = 3.0
-    soft_timeout: float = 30.0
     measure: bool = True
     admission: Optional[AdmissionConfig] = None
     # scripted churn, offsets in seconds from the start of the load
@@ -131,7 +130,6 @@ class ScaleoutConfig:
             port_base=self.port_base if multi else None,
             seed=self.seed,
             capacity_scale=self.capacity_scale,
-            soft_timeout=self.soft_timeout,
             collect_wall_timeout=self.collect_wall_timeout,
             measurement=MeasurementConfig(enabled=self.measure),
             admission=self.admission,

@@ -14,7 +14,13 @@ import shlex
 import pytest
 
 import repro.__main__ as cli
-from repro.net import ClusterConfig, MeasurementConfig
+from repro.net import (
+    AdmissionConfig,
+    ClusterConfig,
+    MeasurementConfig,
+    RetryPolicy,
+    ScaleoutConfig,
+)
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 DOCS = [README, *sorted((README.parent / "docs").glob("*.md"))]
@@ -105,7 +111,10 @@ class TestDriftGate:
             except SystemExit:
                 pytest.fail(f"{doc.name} shows `python -m repro {' '.join(argv)}`, which the parser refuses")
 
-    @pytest.mark.parametrize("config", [ClusterConfig, MeasurementConfig])
+    @pytest.mark.parametrize(
+        "config",
+        [ClusterConfig, MeasurementConfig, AdmissionConfig, ScaleoutConfig, RetryPolicy],
+    )
     def test_shown_config_keywords_are_fields(self, config):
         fields = {f.name for f in dataclasses.fields(config)}
         for doc in DOCS:

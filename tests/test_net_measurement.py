@@ -5,8 +5,7 @@ Unit layers first (:class:`LinkEstimator` EWMA/baseline/decay math, the
 :class:`MeasuredOverlayView` delegate-until-material contract), then the
 integrated behaviours the plane exists for:
 
-* passive-only operation (``probe_interval=0``) still measures every
-  RPC round-trip for free;
+* every RPC round-trip is measured for free, with no probe sent;
 * active probes are real frames charged to the ``net_measure`` ledger
   category;
 * settled estimates over an *unchanged* topology never perturb
@@ -27,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.bcp import BCP, BCPConfig, NextHopWeights
-from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, vtime
+from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, measurement, vtime
 from repro.net.measurement import LinkEstimator, MeasuredOverlayView, MeasurementPlane
 from repro.net.rpc import RetryPolicy
 from repro.topology.routing import OverlayRouter
@@ -38,12 +37,8 @@ from repro.topology.routing import OverlayRouter
 # ----------------------------------------------------------------------
 
 
-def _cfg(**overrides) -> MeasurementConfig:
-    return MeasurementConfig(**overrides)
-
-
 def test_estimator_seeds_and_locks_baseline():
-    est = LinkEstimator(_cfg(warmup=3))
+    est = LinkEstimator()
     est.add_sample(0.010, now=0.0)
     assert est.srtt == pytest.approx(0.010)
     assert est.rttvar == pytest.approx(0.005)
@@ -58,13 +53,12 @@ def test_estimator_seeds_and_locks_baseline():
 
 
 def test_estimator_ewma_tracks_inflation():
-    cfg = _cfg(alpha=0.125, beta=0.25, warmup=3)
-    est = LinkEstimator(cfg)
+    est = LinkEstimator()
     for i in range(3):
         est.add_sample(0.010, now=i * 0.1)
     srtt = est.srtt
     est.add_sample(0.060, now=0.4)
-    # one RFC 6298 step: srtt += alpha * (rtt - srtt)
+    # one RFC 6298 step: srtt += alpha * (rtt - srtt), alpha = 1/8
     assert est.srtt == pytest.approx(srtt + 0.125 * (0.060 - srtt))
     for i in range(60):
         est.add_sample(0.060, now=0.5 + i * 0.1)
@@ -74,8 +68,8 @@ def test_estimator_ewma_tracks_inflation():
 
 
 def test_estimator_staleness_decays_toward_baseline():
-    cfg = _cfg(warmup=3, stale_after=5.0, decay_halflife=5.0)
-    est = LinkEstimator(cfg)
+    stale, half = measurement.STALE_AFTER, measurement.DECAY_HALFLIFE
+    est = LinkEstimator()
     for i in range(3):
         est.add_sample(0.010, now=float(i))
     for i in range(40):
@@ -83,20 +77,18 @@ def test_estimator_staleness_decays_toward_baseline():
     last = est.last_at
     srtt = est.srtt
     # fresh: no decay
-    assert est.estimate(last + cfg.stale_after) == pytest.approx(srtt)
+    assert est.estimate(last + stale) == pytest.approx(srtt)
     # one half-life past staleness: deviation from baseline halves
-    mid = est.estimate(last + cfg.stale_after + cfg.decay_halflife)
+    mid = est.estimate(last + stale + half)
     assert mid == pytest.approx(0.010 + (srtt - 0.010) * 0.5)
     # far future: estimate is back at baseline, ratio back at ~1
-    far = est.estimate(last + cfg.stale_after + 20 * cfg.decay_halflife)
+    far = est.estimate(last + stale + 20 * half)
     assert far == pytest.approx(0.010, rel=0.01)
-    assert est.ratio(last + cfg.stale_after + 20 * cfg.decay_halflife) == (
-        pytest.approx(1.0, rel=0.01)
-    )
+    assert est.ratio(last + stale + 20 * half) == pytest.approx(1.0, rel=0.01)
 
 
 def test_estimator_ignores_negative_samples():
-    est = LinkEstimator(_cfg())
+    est = LinkEstimator()
     est.add_sample(-1.0, now=0.0)
     assert est.srtt is None
     assert est.samples == 0
@@ -106,13 +98,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MeasurementConfig(probe_interval=-1)
     with pytest.raises(ValueError):
-        MeasurementConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        MeasurementConfig(warmup=0)
-    with pytest.raises(ValueError):
-        MeasurementConfig(down_after=0)
-    with pytest.raises(ValueError):
-        MeasurementConfig(material_ratio=1.0)
+        MeasurementConfig(probe_interval=0.0)  # every interval ends in a decision
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +129,7 @@ def test_view_scales_link_and_preserves_link_order():
     view = MeasuredOverlayView(base)
     link = base.router.link_order[0]
     declared = base.router.link_delay(*link)
-    assert view.set_link_scale(link, 4.0)
+    assert view.set_link_scales({link: 4.0})
     assert view.router is not base.router
     assert view.rebuilds == 1
     assert view.router.link_delay(*link) == pytest.approx(declared * 4.0)
@@ -152,10 +138,10 @@ def test_view_scales_link_and_preserves_link_order():
     assert view.router.graph is base.router.graph
     assert view.router.link_order == base.router.link_order
     # idempotent installs don't thrash
-    assert not view.set_link_scale(link, 4.0)
+    assert not view.set_link_scales({link: 4.0})
     assert view.rebuilds == 1
     # clearing the only delta returns to verbatim delegation
-    assert view.set_link_scale(link, None)
+    assert view.set_link_scales({link: None})
     assert view.router is base.router
 
 
@@ -181,7 +167,7 @@ def test_view_mutations_fire_cache_listeners():
     fired = []
     view.add_cache_listener(lambda: fired.append(1))
     link = base.router.link_order[0]
-    view.set_link_scale(link, 3.0)
+    view.set_link_scales({link: 3.0})
     assert len(fired) == 1
     view.set_peer_down(4)
     assert len(fired) == 2
@@ -212,6 +198,11 @@ def _live_config(**overrides):
     return ClusterConfig(**base)
 
 
+# a probe that gives up sooner than the plane's 250 ms, for the
+# dead-path cases
+FAST_PROBE = RetryPolicy(timeout=0.1, retries=0, backoff=0.01)
+
+
 async def _poll(predicate, timeout=15.0, tick=0.02):
     loop = asyncio.get_running_loop()
     deadline = loop.time() + timeout
@@ -224,8 +215,10 @@ async def _poll(predicate, timeout=15.0, tick=0.02):
 
 def test_passive_only_mode_measures_rpc_roundtrips():
     async def scenario():
+        # no probe cycle comes due while the test runs: every sample is
+        # a compose's own RPC round trip
         cluster = LiveCluster(
-            _live_config(measurement=MeasurementConfig(probe_interval=0.0))
+            _live_config(measurement=MeasurementConfig(probe_interval=60.0))
         )
         async with cluster:
             for r in cluster.scenario.requests.batch(2):
@@ -242,12 +235,12 @@ def test_passive_only_mode_measures_rpc_roundtrips():
     assert stats["samples_passive"] > 0
 
 
-def test_active_probes_are_charged_to_net_measure():
+def test_active_probes_are_charged_to_net_measure(monkeypatch):
+    monkeypatch.setattr(measurement, "PROBE_BUDGET", 4)
+
     async def scenario():
         cluster = LiveCluster(
-            _live_config(
-                measurement=MeasurementConfig(probe_interval=0.02, probe_budget=4)
-            )
+            _live_config(measurement=MeasurementConfig(probe_interval=0.02))
         )
         async with cluster:
             snap = cluster.ledger.snapshot()
@@ -267,22 +260,20 @@ def test_active_probes_are_charged_to_net_measure():
     assert delta.get("bcp_probe", (0, 0))[0] == 0
 
 
-def test_settled_estimates_keep_selection_parity():
+def test_settled_estimates_keep_selection_parity(monkeypatch):
     """The acceptance gate: measurement on, estimates settled, topology
     unchanged -> selections bit-identical to the synchronous engine."""
+    # MIN_DELTA is raised from its 2 ms default: on a loaded test runner,
+    # event-loop scheduling alone can spike a loopback RTT by
+    # milliseconds — a *material* change by real-deployment standards,
+    # but noise here.  The parity claim under test is "no material delta
+    # -> bit-identical", so the test pins the materiality floor above
+    # runner noise to keep the unchanged-topology precondition true.
+    monkeypatch.setattr(measurement, "MIN_DELTA", 0.05)
 
     async def scenario():
-        # min_delta is raised from its 2 ms default: on a loaded test
-        # runner, event-loop scheduling alone can spike a loopback RTT
-        # by milliseconds — a *material* change by real-deployment
-        # standards, but noise here.  The parity claim under test is
-        # "no material delta -> bit-identical", so the test pins the
-        # materiality floor above runner noise to keep the
-        # unchanged-topology precondition true.
         cluster = LiveCluster(
-            _live_config(
-                measurement=MeasurementConfig(probe_interval=0.02, min_delta=0.05)
-            )
+            _live_config(measurement=MeasurementConfig(probe_interval=0.02))
         )
         requests = cluster.scenario.requests.batch(3)
         expected = [
@@ -301,7 +292,7 @@ def test_settled_estimates_keep_selection_parity():
     expected, live, stats, errors = asyncio.run(scenario())
     assert errors == []
     assert stats["samples_active"] > 0, "estimates must actually have settled"
-    # sub-min_delta jitter: no link ever repriced, no private router
+    # sub-MIN_DELTA jitter: no link ever repriced, no private router
     # ever built — the precondition for the bit-identical claim below
     assert stats["reprices"] == 0
     assert stats["router_rebuilds"] == 0
@@ -313,7 +304,7 @@ def test_settled_estimates_keep_selection_parity():
         assert live_r.probes_sent == sync_r.probes_sent
 
 
-def test_degraded_link_converges_and_reroutes():
+def test_degraded_link_converges_and_reroutes(monkeypatch):
     """Inflate one link's emulated wire latency mid-run: the source's
     estimator must converge on the inflation and its measured view must
     route subsequent traffic around the link.  On virtual time a sample is
@@ -321,7 +312,7 @@ def test_degraded_link_converges_and_reroutes():
     boot-burst scheduling noise."""
 
     scale = 0.1  # modeled delay -> wall seconds (2x bench's emulation,
-    # so the absolute RTT delta comfortably clears min_delta)
+    # so the absolute RTT delta comfortably clears MIN_DELTA)
     factor = 6.0
     degraded = {}
     holder = {}
@@ -334,15 +325,15 @@ def test_degraded_link_converges_and_reroutes():
         link = (src, dst) if src < dst else (dst, src)
         return base * degraded.get(link, 1.0)
 
+    # full fanout: the first hop toward dest must be in the source's
+    # probe set whatever the declared-delay order is
+    monkeypatch.setattr(measurement, "PROBE_FANOUT", 8)
+
     async def scenario():
         cluster = LiveCluster(
             _live_config(
                 latency=wire_delay,
-                # full fanout: the first hop toward dest must be in the
-                # source's probe set whatever the declared-delay order is
-                measurement=MeasurementConfig(
-                    probe_interval=0.05, probe_fanout=8, probe_budget=8
-                ),
+                measurement=MeasurementConfig(probe_interval=0.05),
             )
         )
         overlay = holder["overlay"] = cluster.scenario.overlay
@@ -355,10 +346,10 @@ def test_degraded_link_converges_and_reroutes():
         async with cluster:
             plane = cluster.daemons[source].measurement
             view = plane.view
+            loop = asyncio.get_running_loop()
             # settle the baseline on healthy wires
             assert await _poll(
-                lambda: (plane.estimator(neighbour) or LinkEstimator(plane.config))
-                .baseline
+                lambda: (plane.estimator(neighbour) or LinkEstimator()).baseline
                 is not None
             ), "baseline must lock on healthy wires"
             r = await cluster.compose(gen.next_request(source=source, dest=dest), timeout=60)
@@ -374,51 +365,47 @@ def test_degraded_link_converges_and_reroutes():
             assert await _poll(rerouted), "measured view must route around the link"
             # rerouting fires the moment the materiality gate (1.5x) is
             # crossed; the EWMA keeps converging toward the true 6x as
-            # probes continue on the degraded link.  The snapshot
-            # evaluates with the plane's own clock (the cluster clock),
-            # so staleness decay reads the true sample age.
+            # probes continue on the degraded link.  The ratio is read
+            # on the plane's own clock (the loop's), so staleness decay
+            # reads the true sample age.
             assert await _poll(
-                lambda: plane.stats()["links"][neighbour]["ratio"] > 3.0
+                lambda: plane.estimator(neighbour).ratio(loop.time()) > 3.0
             ), "estimate must keep converging toward the real inflation"
-            ratio = plane.stats()["links"][neighbour]["ratio"]
+            ratio = plane.estimator(neighbour).ratio(loop.time())
             # two attempts: a compose overlapping one more reprice can
             # legitimately miss its QoS bound mid-repricing
             after = [
                 await cluster.compose(gen.next_request(source=source, dest=dest), timeout=60)
                 for _ in range(2)
             ]
-            stats = plane.stats()
+            reprices, rebuilds = plane.reprices, view.rebuilds
             errors = cluster.errors()
-        return ratio, after, stats, errors
+        return ratio, after, reprices, rebuilds, errors
 
-    ratio, after, stats, errors = vtime.run(scenario())
+    ratio, after, reprices, rebuilds, errors = vtime.run(scenario())
     assert errors == []
     # converged well past the materiality gate, toward the real 6x
     assert ratio > 3.0
-    assert stats["reprices"] >= 1
-    assert stats["router_rebuilds"] >= 1
+    assert reprices >= 1
+    assert rebuilds >= 1
     assert any(r.success for r in after), "composes must keep succeeding on the detour"
 
 
-def test_dead_path_lifecycle_kill_then_revive():
+def test_dead_path_lifecycle_kill_then_revive(monkeypatch):
     """Satellite: kill a peer mid-run -> neighbours mark the path down
     and routing avoids it; revive the peer -> a recovery probe marks the
     path back up and routes return."""
+    monkeypatch.setattr(measurement, "PROBE_RETRY", FAST_PROBE)
+    monkeypatch.setattr(measurement, "DOWN_AFTER", 2)
+    # full fanout so every daemon adjacent to the victim actively
+    # probes it (3-nearest might exclude it)
+    monkeypatch.setattr(measurement, "PROBE_FANOUT", 8)
 
     async def scenario():
         fast = RetryPolicy(timeout=0.15, retries=1, backoff=0.02)
         cluster = LiveCluster(
             _live_config(
-                retry=fast,
-                # full fanout so every daemon adjacent to the victim
-                # actively probes it (3-nearest might exclude it)
-                measurement=MeasurementConfig(
-                    probe_interval=0.05,
-                    probe_timeout=0.1,
-                    down_after=2,
-                    probe_fanout=8,
-                    probe_budget=8,
-                ),
+                retry=fast, measurement=MeasurementConfig(probe_interval=0.05)
             )
         )
         victim = 0
@@ -479,23 +466,19 @@ def test_dead_path_lifecycle_kill_then_revive():
     assert stats["up_events"] >= 1
 
 
-def test_rpc_exhaustion_leaves_structured_records():
+def test_rpc_exhaustion_leaves_structured_records(monkeypatch):
     """Satellite: retry exhaustion against a dead peer is recorded with
     peer id, method and attempt count — inspectable via
     ``rpc_failures()`` / ``errors(include_rpc=True)`` while the plain
     ``errors()`` crash-bug channel stays clean."""
+    monkeypatch.setattr(measurement, "PROBE_RETRY", FAST_PROBE)
+    monkeypatch.setattr(measurement, "PROBE_FANOUT", 8)
 
     async def scenario():
         fast = RetryPolicy(timeout=0.15, retries=1, backoff=0.02)
         cluster = LiveCluster(
             _live_config(
-                retry=fast,
-                measurement=MeasurementConfig(
-                    probe_interval=0.05,
-                    probe_timeout=0.1,
-                    probe_fanout=8,
-                    probe_budget=8,
-                ),
+                retry=fast, measurement=MeasurementConfig(probe_interval=0.05)
             )
         )
         async with cluster:
@@ -552,10 +535,10 @@ def test_measurement_disabled_reproduces_pre_plane_behaviour():
 # the decision rule on seeded sample schedules: no cluster, fake clock
 # ----------------------------------------------------------------------
 #
-# A passive-only plane (``probe_interval=0``) decides at the first sample
-# ``PASSIVE_TICK`` after its last decision, so feeding ``record_rtt``
-# against a fake clock drives the whole rule through the public intake;
-# one "interval" below is one such tick.
+# The plane decides once per probe interval, at the end of its probe
+# cycle.  Feeding ``record_rtt`` against a fake clock and calling
+# ``_reprice`` at the end of each interval, as ``_probe_loop`` does,
+# drives the whole rule through the plane's own intake without a probe.
 
 
 class _Clock:
@@ -569,13 +552,11 @@ class _Clock:
 class _NoCalls:
     """Endpoint stand-in: the schedule tests never send a frame."""
 
-    samples_discarded = 0
+
+INTERVAL = MeasurementConfig.probe_interval
 
 
-INTERVAL = MeasurementPlane.PASSIVE_TICK
-
-
-def _passive_plane(peer=None, n_peers=6, **config):
+def _fed_plane(peer=None, n_peers=6):
     """A plane over its own view, fed by hand.  ``peer`` defaults to the
     best-connected one."""
     base = _overlay(n_peers=n_peers)
@@ -584,8 +565,7 @@ def _passive_plane(peer=None, n_peers=6, **config):
     view = MeasuredOverlayView(base)
     clock = _Clock()
     plane = MeasurementPlane(
-        peer, base, _NoCalls(), MeasurementConfig(probe_interval=0.0, **config),
-        view=view, clock=clock,
+        peer, _NoCalls(), MeasurementConfig(), view=view, clock=clock
     )
     return plane, view, base, clock
 
@@ -619,8 +599,9 @@ class _Jitter:
 
 def _run_schedule(plane, clock, rtt_of, intervals, per_interval=4, watch=None):
     """Feed every adjacent link ``per_interval`` samples per interval for
-    ``intervals`` intervals; ``rtt_of(peer, t)`` is the schedule.  Returns
-    the watched link's raw ratio at the end of each interval."""
+    ``intervals`` intervals, each ending in the plane's decision;
+    ``rtt_of(peer, t)`` is the schedule.  Returns the watched link's raw
+    ratio at the end of each interval."""
     peers = sorted(plane._adjacent)
     step = INTERVAL / per_interval
     ratios = []
@@ -629,6 +610,7 @@ def _run_schedule(plane, clock, rtt_of, intervals, per_interval=4, watch=None):
             clock.now += step
             for q in peers:
                 plane.record_rtt(q, rtt_of(q, clock.now), "ProbeTransfer")
+        plane._reprice(clock.now)
         if watch is not None:
             ratios.append(plane.estimator(watch).ratio(clock.now))
     return ratios
@@ -639,7 +621,7 @@ def test_schedule_jitter_on_every_neighbour_never_reprices(seed):
     """(a) The estimates cross the materiality ratio again and again —
     the ungated rule re-priced at each crossing — but never clear of
     their own noise: no scale, no private router, parity kept."""
-    plane, view, base, clock = _passive_plane()
+    plane, view, base, clock = _fed_plane()
     me = plane.peer_id
     jitter = {q: _Jitter(100 * seed + q) for q in plane._adjacent}
     crossings = 0
@@ -647,7 +629,7 @@ def test_schedule_jitter_on_every_neighbour_never_reprices(seed):
     def rtt_of(q, t):
         nonlocal crossings
         est = plane.estimator(q)
-        if est is not None and est.ratio(t) >= plane.config.material_ratio:
+        if est is not None and est.ratio(t) >= measurement.MATERIAL_RATIO:
             crossings += 1
         return _declared_rtt(base, me, q) * jitter[q]()
 
@@ -680,7 +662,7 @@ def test_schedule_step_amid_jitter_installs_within_bound(per_interval, within):
     whatever the size of the step) — and the route leaves the link."""
     base = _overlay()
     me, hot = _reroutable_link(base)
-    plane, view, base, clock = _passive_plane(peer=me)
+    plane, view, base, clock = _fed_plane(peer=me)
     jitter = {q: _Jitter(7 + q) for q in plane._adjacent}
     step_at = [float("inf")]
 
@@ -699,7 +681,7 @@ def test_schedule_step_amid_jitter_installs_within_bound(per_interval, within):
     link = tuple(sorted((me, hot)))
     assert took <= within, f"installed after {took} intervals"
     assert set(view.link_scales) == {link}
-    assert view.link_scales[link] >= plane.config.material_ratio
+    assert view.link_scales[link] >= measurement.MATERIAL_RATIO
     assert view.router.path(me, hot) != [me, hot]
 
 
@@ -707,7 +689,7 @@ def test_schedule_ratio_hovering_at_the_gate_installs_once():
     """(c) A ratio swinging 1.35-1.75 around the 1.5 gate: one install,
     then held — the parent cleared at every downward crossing and
     re-installed at every upward one."""
-    plane, view, base, clock = _passive_plane()
+    plane, view, base, clock = _fed_plane()
     me = plane.peer_id
     hot = min(plane._adjacent)
     period = 40 * INTERVAL
@@ -718,7 +700,7 @@ def test_schedule_ratio_hovering_at_the_gate_installs_once():
 
     _run_schedule(plane, clock, lambda q, t: _declared_rtt(base, me, q), intervals=4)
     ratios = _run_schedule(plane, clock, rtt_of, intervals=200, watch=hot)
-    gate = plane.config.material_ratio
+    gate = measurement.MATERIAL_RATIO
     crossings = sum((a < gate) != (b < gate) for a, b in zip(ratios, ratios[1:]))
     assert crossings >= 8, "the schedule must cross the gate both ways"
     assert plane.reprices == 1
@@ -729,7 +711,7 @@ def test_schedule_ratio_hovering_at_the_gate_installs_once():
 def test_schedule_five_links_in_one_interval_are_one_rebuild():
     """(d) Coalescing: five links inflate inside one interval; the plane
     decides once, the view mutates once, one router is built."""
-    plane, view, base, clock = _passive_plane(n_peers=10)
+    plane, view, base, clock = _fed_plane(n_peers=10)
     me = plane.peer_id
     adjacent = sorted(plane._adjacent)
     assert len(adjacent) >= 7
@@ -856,7 +838,7 @@ def test_link_reprice_drops_exactly_the_moved_pair_qos():
     heard = []
     view.add_route_listener(heard.append)
     link = base.router.link_order[0]
-    assert view.set_link_scale(link, 6.0)
+    assert view.set_link_scales({link: 6.0})
     moved = set(heard[-1])
     assert moved and moved == _moved(base.router, view.router)
     assert bcp._comp_qos is comp_qos and bcp._comp_qos == comp_entries
@@ -871,18 +853,20 @@ def test_link_reprice_drops_exactly_the_moved_pair_qos():
     assert not bcp._pair_qos and not bcp._comp_qos
 
 
-def test_probes_go_only_where_traffic_has_not_measured():
+def test_probes_go_only_where_traffic_has_not_measured(monkeypatch):
     """(f) Per cycle: a neighbour with passive traffic inside the last
     interval is skipped, an idle one is probed every interval (its own
     acks never suppress it), a failing or down one always; probing of the
     busy neighbour resumes one interval after its traffic stops."""
+    monkeypatch.setattr(measurement, "PROBE_FANOUT", 4)
+    monkeypatch.setattr(measurement, "DOWN_AFTER", 2)
     base = _overlay(n_peers=10)
     me = max(base.peers(), key=base.graph.degree)
     clock = _Clock()
     interval = 0.5
     plane = MeasurementPlane(
-        me, base, _NoCalls(),
-        MeasurementConfig(probe_interval=interval, probe_fanout=4, down_after=2),
+        me, _NoCalls(),
+        MeasurementConfig(probe_interval=interval),
         view=MeasuredOverlayView(base), clock=clock,
     )
     busy, idle, dead, flaky = plane.neighbours
@@ -912,4 +896,3 @@ def test_probes_go_only_where_traffic_has_not_measured():
     # from the cycle a whole interval after the last sample (cycle 8.5)
     assert [busy in targets for targets in probed] == [True] + [False] * 8 + [True] * 3
     assert plane.probes_suppressed == 8
-    assert plane.stats()["probes_suppressed"] == 8
