@@ -23,6 +23,7 @@ from repro.experiments import (
     run_overhead,
 )
 from repro.core.resources import ResourcePool, ResourceVector
+from repro.core.session import SessionManagerStats
 
 
 class TestHarness:
@@ -125,6 +126,36 @@ class TestFig9:
         )
         result = run_fig9(cfg)
         assert result.mean_backups >= 0.0
+
+    def test_golden_run_is_pinned(self):
+        # Sessions, churn, maintenance and arrivals fall due at the same
+        # virtual instants here, so these numbers also pin the order in
+        # which simultaneous events run: first scheduled, first run.
+        result = run_fig9(Fig9Config(
+            n_ip=300, n_peers=80, n_functions=12, duration_minutes=30, target_sessions=20,
+        ))
+        assert result.stats_with == SessionManagerStats(
+            sessions_established=27, sessions_rejected=0, failures=6,
+            proactive_recoveries=5, reactive_recoveries=1, unrecovered_failures=0,
+            recovery_times=[
+                1.0664701906340426, 0.5928928708964186, 0.6194646752706633,
+                0.5981829094727243, 0.5830192380759066, 0.6570352789795445,
+            ],
+            backup_counts=[
+                2, 2, 3, 3, 2, 3, 2, 3, 3, 3, 2, 2, 3, 3, 2, 2, 3, 2, 2, 3, 2, 2, 2, 2, 2, 3, 3,
+            ],
+        )
+        assert result.stats_without == SessionManagerStats(
+            sessions_established=31, sessions_rejected=0, failures=5,
+            proactive_recoveries=0, reactive_recoveries=0, unrecovered_failures=5,
+            recovery_times=[], backup_counts=[0] * 31,
+        )
+        without, with_rec = result.series
+        assert without.x == with_rec.x == [float(t) for t in range(30)]
+        visible = [0.0] * 30
+        visible[4], visible[16], visible[24] = 1.0, 1.0, 3.0
+        assert without.y == visible
+        assert with_rec.y == [0.0] * 30
 
 
 class TestFig10:
