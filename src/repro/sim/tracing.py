@@ -17,7 +17,6 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
-from .engine import Simulator
 
 __all__ = ["TraceEvent", "EventTrace", "trace_churn", "trace_sessions"]
 
@@ -42,19 +41,16 @@ class EventTrace:
     :attr:`dropped` counts the loss so analyses know the log is partial.
     """
 
-    def __init__(self, sim: Optional[Simulator] = None, capacity: int = 100_000) -> None:
+    def __init__(self, capacity: int = 100_000) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.sim = sim
         self.capacity = capacity
         self.events: List[TraceEvent] = []
         self.dropped = 0
 
     # ------------------------------------------------------------------
-    def record(self, category: str, time: Optional[float] = None, **fields: Any) -> TraceEvent:
-        """Append an event; time defaults to the simulator clock."""
-        if time is None:
-            time = self.sim.now if self.sim is not None else 0.0
+    def record(self, category: str, time: float, **fields: Any) -> TraceEvent:
+        """Append an event that happened at ``time`` on its recorder's clock."""
         event = TraceEvent(time=float(time), category=category, fields=fields)
         self.events.append(event)
         if len(self.events) > self.capacity:
