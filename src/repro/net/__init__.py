@@ -6,9 +6,9 @@ logic (see ``docs/ARCHITECTURE.md``):
 * the synchronous wave execution in :mod:`repro.core.bcp`,
 * this package — a **live runtime** where probes, session acks and
   maintenance pings are length-prefixed frames on asyncio transports,
-  run on a real event loop or on the virtual-time loop of :mod:`.vtime`
-  (the paper's event-driven simulator, with the production daemon as
-  the node model).
+  run on a real event loop or on the virtual-time loop of
+  :mod:`repro.sim.vtime` (the paper's event-driven simulator, with the
+  production daemon as the node model).
 
 Both call the same wrapped :class:`~repro.core.bcp.BCP` per-hop
 methods, so Steps 2.1–2.4 of the paper's protocol exist exactly once.
@@ -36,8 +36,6 @@ Modules
                ``Busy`` rejection, probe shedding/degradation
 ``scaleout``   multi-process launcher + open-loop load driver
                (``python -m repro cluster``)
-``vtime``      ``VirtualTimeLoop``: an event loop whose clock jumps to the
-               next timer when nothing is runnable (loopback only)
 """
 
 from .accounting import LedgerTap

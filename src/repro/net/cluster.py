@@ -49,7 +49,7 @@ from .measurement import MeasuredOverlayView, MeasurementConfig, MeasurementPlan
 from .peer import PeerDaemon
 from .rpc import RetryPolicy, RpcEndpoint, RpcFailure
 from .transport import LoopbackTransport, TcpTransport
-from .vtime import loop_time
+from ..sim.vtime import loop_time
 
 __all__ = ["ClusterConfig", "LiveCluster"]
 

@@ -123,7 +123,7 @@ from .accounting import LedgerTap
 from .admission import LoadGuard
 from .directory import DirectorySlice
 from .rpc import DedupCache, RpcEndpoint, RpcError
-from .vtime import loop_time
+from ..sim.vtime import loop_time
 
 __all__ = ["PeerDaemon", "LiveSession"]
 

@@ -2,7 +2,7 @@
 
 The paper's protocol is asynchronous: probes travel for real time, the
 destination selects when its window closes, the setup ack runs after.
-The live daemons on the virtual-time loop (``repro.net.vtime``) are that
+The live daemons on the virtual-time loop (``repro.sim.vtime``) are that
 protocol's discrete-event simulator, so these cases run a ``LiveCluster``
 there.  ``test_net_lifecycle`` covers churn, expiry and contention.
 """
@@ -11,7 +11,7 @@ import asyncio
 
 import pytest
 
-from repro.net import vtime
+from repro.sim import vtime
 from repro.workload.generator import function_names
 from test_net_lifecycle import ONE_WAY, _hosts, _one_function_request, _settled, _sparse
 from test_net_release import _held

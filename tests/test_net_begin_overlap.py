@@ -27,10 +27,10 @@ from repro.net import (
     LiveCluster,
     MeasurementConfig,
     codec,
-    vtime,
 )
 from repro.net.peer import CREDIT
 from repro.net.rpc import RetryPolicy, RpcTimeout
+from repro.sim import vtime
 
 WALL = 0.6  # collect_wall_timeout: how long a parked frame waits for its begin
 

@@ -18,7 +18,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.bcp import BCPConfig, NextHopWeights
-from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec, vtime
+from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec
+from repro.sim import vtime
 from repro.net.peer import CREDIT, _split_credit
 from repro.workload.generator import RequestConfig
 

@@ -37,7 +37,8 @@ import pytest
 from repro.core.bcp import BCPConfig, NextHopWeights
 from repro.core.qos import QoSVector
 from repro.dht.id_space import key_for
-from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec, vtime
+from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec
+from repro.sim import vtime
 from test_net_begin_overlap import sent_requests
 
 ONE_WAY = 0.04

@@ -20,7 +20,8 @@ from repro.core.bcp import BCPConfig
 from repro.core.qos import QoSVector
 from repro.dht.id_space import key_for
 from repro.discovery.metadata import ServiceMetadata
-from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec, vtime
+from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec
+from repro.sim import vtime
 from repro.net.directory import DirectorySlice
 from repro.net.rpc import RetryPolicy, RpcError
 

@@ -1,6 +1,6 @@
 """The paper's event-driven dynamics, on the production daemon itself.
 
-Every cluster here runs on the virtual-time loop (``repro.net.vtime``):
+Every cluster here runs on the virtual-time loop (``repro.sim.vtime``):
 probes are in flight for real (virtual) time, so a peer can die under
 one; soft reservations evaporate on their own timers; the destination's
 window is a real window; sessions contend for capacity through their soft
@@ -20,7 +20,8 @@ from repro.core.function_graph import FunctionGraph
 from repro.core.qos import QoSRequirement, loss_to_additive
 from repro.core.request import CompositeRequest
 from repro.core.resources import ResourceVector
-from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec, vtime
+from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec
+from repro.sim import vtime
 from repro.net.rpc import RetryPolicy
 from repro.workload.generator import function_names
 from test_net_release import SETUP_ACK_FAILED, _held

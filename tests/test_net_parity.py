@@ -13,7 +13,7 @@ exactly what re-routing a static ring would produce.  The sync engine is
 therefore the per-lookup reference: what *does* differ is the
 ``dht_route`` charge per compose, which a dedicated test pins down
 (fewer routes live, the same bcp_* books).  The matrix also spans the
-event loop: the same cluster on the virtual-time loop (``repro.net.vtime``)
+event loop: the same cluster on the virtual-time loop (``repro.sim.vtime``)
 makes the same choices, and so do diamond and commutation requests, which
 the seeded request pools draw neither of.
 
@@ -27,7 +27,8 @@ import asyncio
 import pytest
 
 from repro.core.bcp import BCPConfig, NextHopWeights
-from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, vtime
+from repro.net import ClusterConfig, LiveCluster, MeasurementConfig
+from repro.sim import vtime
 from repro.net.rpc import RetryPolicy
 from repro.workload.generator import RequestConfig
 

@@ -27,7 +27,8 @@ import dataclasses
 import pytest
 
 from repro.core.bcp import BCPConfig, NextHopWeights
-from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec, vtime
+from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec
+from repro.sim import vtime
 from repro.net.peer import _Collection
 from repro.net.rpc import RetryPolicy
 

@@ -20,7 +20,8 @@ import asyncio
 
 from repro.core.bcp import BCPConfig, NextHopWeights
 from repro.core.resources import ResourceVector
-from repro.net import ClusterConfig, LiveCluster, vtime
+from repro.net import ClusterConfig, LiveCluster
+from repro.sim import vtime
 
 DELAY = 0.6  # one-way latency injected toward the target peer
 # the release wave and the SessionConfirms leave together, and the wave

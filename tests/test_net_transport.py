@@ -4,7 +4,8 @@ import asyncio
 
 import pytest
 
-from repro.net import codec, vtime
+from repro.net import codec
+from repro.sim import vtime
 from repro.net import rpc as net_rpc
 from repro.net.cluster import ClusterConfig, LiveCluster
 from repro.net.codec import MAX_FRAME, MaintenancePing, encode_frame

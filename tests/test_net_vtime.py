@@ -1,6 +1,6 @@
 """The virtual-time loop: a seeded cluster sends the same bytes every run.
 
-On :class:`~repro.net.vtime.VirtualTimeLoop` the clock moves only when
+On :class:`~repro.sim.vtime.VirtualTimeLoop` the clock moves only when
 nothing is runnable, so the order of events is a function of the code and
 the seed alone.  With the loopback transport's loss and delay drawn from
 the seed, and every peer life's RPC incarnation and bundle nonce drawn
@@ -26,7 +26,8 @@ import sys
 
 import pytest
 
-from repro.net import ClusterConfig, LiveCluster, codec, vtime
+from repro.net import ClusterConfig, LiveCluster, codec
+from repro.sim import vtime
 
 
 async def _digest(seed: int) -> str:
