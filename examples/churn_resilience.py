@@ -15,6 +15,7 @@ Run:  python examples/churn_resilience.py
 
 from repro.core.bcp import BCPConfig
 from repro.core.session import RecoveryConfig
+from repro.sim.vtime import every
 from repro.workload.generator import RequestConfig
 from repro.workload.scenarios import simulation_testbed
 
@@ -49,7 +50,7 @@ def run(proactive: bool) -> None:
 
     replenish()
     net.start_churn()
-    net.sim.every(1.0, replenish, start_after=0.5)
+    every(net.loop, 1.0, replenish, start_after=0.5)
     net.run(until=MINUTES)
 
     stats = net.sessions.stats

@@ -11,7 +11,7 @@
 * **centralized** — the global-view scheme SpiderNet is compared against
   for overhead: every peer pushes periodic state updates to a central
   composer, which then runs the same exhaustive selection on its (maybe
-  stale) cached view.  Message cost = N peers × update rate, accounted
+  stale) cached view.  Its message cost = N peers × update rate, accounted
   in the shared ledger under ``"state_update"``.
 """
 

@@ -10,7 +10,7 @@ individually accessible for tests and ablations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -18,10 +18,10 @@ from ..dht.pastry import PastryNetwork
 from ..discovery.registry import ServiceRegistry
 from ..services.component import ComponentSpec
 from ..sim.churn import ChurnProcess
-from ..sim.engine import Simulator
 from ..sim.metrics import MessageLedger
 from ..sim.network import MessageNetwork
 from ..sim.rng import as_generator
+from ..sim.vtime import VirtualTimeLoop, advance
 from ..topology.overlay import Overlay
 from .bcp import BCP, BCPConfig, CompositionResult
 from .request import CompositeRequest
@@ -55,7 +55,7 @@ class SpiderNet:
     """A fully wired SpiderNet node-set over one overlay."""
 
     overlay: Overlay
-    sim: Simulator
+    loop: VirtualTimeLoop
     network: MessageNetwork
     pool: ResourcePool
     dht: PastryNetwork
@@ -95,11 +95,11 @@ class SpiderNet:
         per-session failure probability, or 1 % without churn).
         """
         rng = as_generator(rng)
-        sim = Simulator()
+        loop = VirtualTimeLoop()
         ledger = MessageLedger()
-        network = MessageNetwork(sim, overlay.latency, ledger=ledger)
+        network = MessageNetwork()
         for peer in overlay.peers():
-            network.register(_PeerStub(peer))
+            network.register(peer)
         if peer_capacity is None:
             peer_capacity = default_peer_capacity(overlay.n_peers, rng)
         pool = ResourcePool(overlay, peer_capacity)
@@ -119,11 +119,11 @@ class SpiderNet:
             alive=network.is_alive,
             rng=rng,
         )
-        sessions = SessionManager(sim, bcp, config=recovery_config, alive=network.is_alive)
+        sessions = SessionManager(loop, bcp, config=recovery_config, alive=network.is_alive)
         churn = None
         if churn_rate is not None:
             churn = ChurnProcess(
-                sim,
+                loop,
                 network,
                 fail_fraction=churn_rate,
                 downtime=churn_downtime,
@@ -136,7 +136,7 @@ class SpiderNet:
             churn.on_departure(sessions.peer_departed)
         return cls(
             overlay=overlay,
-            sim=sim,
+            loop=loop,
             network=network,
             pool=pool,
             dht=dht,
@@ -153,7 +153,7 @@ class SpiderNet:
     def deploy(self, specs: Sequence[ComponentSpec]) -> None:
         """Register a batch of service components with discovery."""
         for spec in specs:
-            self.registry.register(spec, now=self.sim.now)
+            self.registry.register(spec, now=self.loop.time())
 
     # ------------------------------------------------------------------
     # the headline operations
@@ -171,11 +171,11 @@ class SpiderNet:
             budget = self.budget_policy.budget_for(request)
         if self.composer is not None:
             result = self.composer.compose(
-                request, budget=budget, confirm=confirm, now=self.sim.now
+                request, budget=budget, confirm=confirm, now=self.loop.time()
             )
         else:
             result = self.bcp.compose(
-                request, budget=budget, confirm=confirm, now=self.sim.now
+                request, budget=budget, confirm=confirm, now=self.loop.time()
             )
         if self.budget_policy is not None:
             self.budget_policy.record_outcome(result)
@@ -216,18 +216,4 @@ class SpiderNet:
 
     def run(self, until: float) -> None:
         """Advance the virtual clock (sessions, churn, maintenance run)."""
-        self.sim.run(until=until)
-
-
-class _PeerStub:
-    """Minimal network endpoint for peers (protocols here are modelled at
-    the ledger/latency level; no per-message handlers are needed)."""
-
-    __slots__ = ("node_id", "inbox")
-
-    def __init__(self, node_id: int) -> None:
-        self.node_id = node_id
-        self.inbox: List[object] = []
-
-    def on_message(self, msg) -> None:
-        self.inbox.append(msg.payload)
+        advance(self.loop, until)

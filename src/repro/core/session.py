@@ -21,13 +21,14 @@ sessions between failures — admission is re-checked at switch time.
 
 from __future__ import annotations
 
+import asyncio
 import enum
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..sim.engine import PeriodicTask, Simulator
 from ..sim.metrics import MessageLedger
+from ..sim.vtime import every
 
 from .bcp import BCP, CompositionResult
 from .recovery import backup_count, revalidate_backup, select_backups
@@ -85,8 +86,8 @@ class ServiceSession:
     established_at: float = 0.0
     target_backups: int = 0
     recoveries: int = 0
-    maintenance_task: Optional[PeriodicTask] = None
-    heartbeat_task: Optional[PeriodicTask] = None
+    maintenance_task: Optional[object] = None  # repro.sim.vtime.every handles
+    heartbeat_task: Optional[object] = None
 
     @property
     def active(self) -> bool:
@@ -117,7 +118,7 @@ class SessionManager:
 
     def __init__(
         self,
-        sim: Simulator,
+        loop: asyncio.AbstractEventLoop,
         bcp: BCP,
         config: Optional[RecoveryConfig] = None,
         alive: Optional[Callable[[int], bool]] = None,
@@ -126,7 +127,7 @@ class SessionManager:
     ) -> None:
         from ..sim.rng import as_generator
 
-        self.sim = sim
+        self.loop = loop
         self.bcp = bcp
         self.pool = bcp.pool
         self.overlay = bcp.overlay
@@ -168,20 +169,20 @@ class SessionManager:
             request=request,
             current=result.best,
             tokens=list(result.session_tokens),
-            established_at=self.sim.now,
+            established_at=self.loop.time(),
         )
         self._install_backups(session, result)
         self.sessions[session.session_id] = session
         self.stats.sessions_established += 1
         self.stats.backup_counts.append(len(session.backups))
-        self.sim.schedule(request.duration, self._expire, session.session_id)
+        self.loop.call_later(request.duration, self._expire, session.session_id)
         if self.config.proactive and self.config.maintenance_interval > 0:
-            session.maintenance_task = self.sim.every(
-                self.config.maintenance_interval, self._maintain, session.session_id
+            session.maintenance_task = every(
+                self.loop, self.config.maintenance_interval, self._maintain, session.session_id
             )
         if self.config.heartbeat_interval is not None:
-            session.heartbeat_task = self.sim.every(
-                self.config.heartbeat_interval, self._heartbeat, session.session_id
+            session.heartbeat_task = every(
+                self.loop, self.config.heartbeat_interval, self._heartbeat, session.session_id
             )
         return session
 
@@ -232,10 +233,10 @@ class SessionManager:
             self.pool.release(token)
         session.tokens = []
         if session.maintenance_task is not None:
-            session.maintenance_task.stop()
+            session.maintenance_task.cancel()
             session.maintenance_task = None
         if session.heartbeat_task is not None:
-            session.heartbeat_task.stop()
+            session.heartbeat_task.cancel()
             session.heartbeat_task = None
 
     # ------------------------------------------------------------------
@@ -256,7 +257,7 @@ class SessionManager:
                 continue
             delay = self._detection_delay()
             self._pending_detection[session.session_id] = delay
-            self.sim.schedule(delay, self._recover, session.session_id)
+            self.loop.call_later(delay, self._recover, session.session_id)
 
     def _fail(self, session: ServiceSession) -> None:
         self.stats.failures += 1
@@ -266,7 +267,7 @@ class SessionManager:
         session.state = SessionState.FAILED
 
     def _emit_failure(self, recovered: bool) -> None:
-        now = self.sim.now
+        now = self.loop.time()
         for fn in self._failure_listeners:
             fn(now, recovered)
 

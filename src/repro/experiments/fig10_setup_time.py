@@ -78,7 +78,7 @@ def run_fig10(
             n += 1
             if trace is not None:
                 trace.record(
-                    "composition", time=net.sim.now, request=request.request_id,
+                    "composition", time=net.loop.time(), request=request.request_id,
                     functions=k, success=result.success,
                     probes=result.probes_sent, setup_time=result.setup_time,
                 )

@@ -21,6 +21,7 @@ from typing import List, Optional, Tuple
 from ..core.bcp import BCPConfig
 from ..core.session import RecoveryConfig
 from ..sim.metrics import RateOverTime
+from ..sim.vtime import every
 from ..workload.generator import RequestConfig
 from ..workload.scenarios import simulation_testbed
 from .harness import Series, format_table
@@ -101,7 +102,7 @@ def _run_mode(cfg: Fig9Config, proactive: bool, trace=None) -> Tuple[Series, obj
     # establish the initial population, then run with churn + arrivals
     replenish_sessions()
     net.start_churn()
-    net.sim.every(1.0, replenish_sessions, start_after=0.5)
+    every(net.loop, 1.0, replenish_sessions, start_after=0.5)
     net.run(until=cfg.duration_minutes)
 
     label = "with proactive recovery" if proactive else "without recovery"

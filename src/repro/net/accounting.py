@@ -1,4 +1,4 @@
-"""Message-overhead accounting for the live transport.
+"""Overhead accounting of the live transport's messages.
 
 The §6.1 overhead figures (``repro.experiments.overhead_comparison``)
 read a :class:`~repro.sim.metrics.MessageLedger` under the simulation's

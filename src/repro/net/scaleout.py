@@ -16,9 +16,9 @@ N worker *processes*:
   :meth:`LiveCluster.activate`): all shards come up listening before any
   shard starts its DHT-routed boot registration, which may land on any
   process.
-* Load is **open-loop**: :class:`LoadDriver` fires Poisson arrivals off
-  the wall clock (:class:`~repro.workload.arrivals.AsyncioScheduler`)
-  and never awaits a composition before launching the next — offered
+* Load is **open-loop**: :class:`LoadDriver` fires Poisson arrivals
+  (:class:`~repro.workload.arrivals.PoissonArrivals`) on its running
+  loop and never awaits a composition before launching the next — offered
   load is what the experiment says it is, regardless of how slowly the
   cluster answers.  That is the load shape that makes congestion
   collapse observable, and the one the admission guard
@@ -50,7 +50,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..workload.arrivals import AsyncioScheduler, PoissonArrivals
+from ..workload.arrivals import PoissonArrivals
 from ..workload.generator import RequestGenerator
 from .admission import AdmissionConfig
 from .cluster import ClusterConfig, LiveCluster
@@ -215,9 +215,8 @@ class LoadDriver:
         loop = asyncio.get_running_loop()
         import numpy as np
 
-        sched = AsyncioScheduler(loop)
         arrivals = PoissonArrivals(
-            sched, self.rate, self._launch, rng=np.random.default_rng(self.seed)
+            loop, self.rate, self._launch, rng=np.random.default_rng(self.seed)
         )
         self._src_rng = np.random.default_rng(self.seed ^ 0x5CA1E)
         self._t0 = loop.time()

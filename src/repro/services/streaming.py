@@ -3,7 +3,7 @@
 The control plane (composition, recovery) is what the paper evaluates,
 but its subject is a *streaming application*: "the application sender
 starts to stream application data units along the selected service
-graph".  This module runs that stream on the simulator:
+graph".  This module runs that stream on the virtual-time loop:
 
 * the sender emits one ADU per frame interval;
 * each service link delays the ADU by the overlay path latency and
@@ -25,6 +25,7 @@ examples use); DAG data planes are exercised at component level in
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -32,8 +33,8 @@ import numpy as np
 
 from ..core.qos import additive_to_loss
 from ..core.service_graph import ServiceGraph
-from ..sim.engine import PeriodicTask, Simulator
 from ..sim.rng import as_generator
+from ..sim.vtime import every
 from ..topology.overlay import Overlay
 from .adu import VideoFrame
 from .component import ComponentSpec, ServiceComponent, TransformFn
@@ -73,7 +74,7 @@ class StreamingSession:
 
     def __init__(
         self,
-        sim: Simulator,
+        loop: asyncio.AbstractEventLoop,
         overlay: Overlay,
         graph_provider: Callable[[], Optional[ServiceGraph]],
         spec_of: Optional[Callable[[int], ComponentSpec]] = None,
@@ -91,7 +92,7 @@ class StreamingSession:
         else is the identity."""
         if fps <= 0:
             raise ValueError("fps must be positive")
-        self.sim = sim
+        self.loop = loop
         self.overlay = overlay
         self.graph_provider = graph_provider
         self.spec_of = spec_of
@@ -104,7 +105,7 @@ class StreamingSession:
         self.stats = StreamStats()
         self.stream_id = int(self.rng.integers(1, 2**31))
         self._runtime: Dict[int, ServiceComponent] = {}  # component_id -> runtime
-        self._emitter: Optional[PeriodicTask] = None
+        self._emitter = None
 
     # ------------------------------------------------------------------
     def start(self, duration: Optional[float] = None) -> None:
@@ -112,13 +113,13 @@ class StreamingSession:
         if graph is None:
             raise RuntimeError("no service graph to stream over")
         self._check_linear(graph)
-        self._emitter = self.sim.every(self.frame_interval, self._emit)
+        self._emitter = every(self.loop, self.frame_interval, self._emit)
         if duration is not None:
-            self.sim.schedule(duration, self.stop)
+            self.loop.call_later(duration, self.stop)
 
     def stop(self) -> None:
         if self._emitter is not None:
-            self._emitter.stop()
+            self._emitter.cancel()
             self._emitter = None
 
     @staticmethod
@@ -138,11 +139,11 @@ class StreamingSession:
             self.stop()
             return
         frame = VideoFrame.source(
-            self.stream_id, timestamp=self.sim.now,
+            self.stream_id, timestamp=self.loop.time(),
             width=self.frame_width, height=self.frame_height,
         )
         self.stats.frames_sent += 1
-        self._send_link(frame, graph.source_peer, stage=0, sent_at=self.sim.now)
+        self._send_link(frame, graph.source_peer, stage=0, sent_at=self.loop.time())
 
     def _chain(self, graph: ServiceGraph) -> List[str]:
         return graph.pattern.topological_order()
@@ -164,7 +165,7 @@ class StreamingSession:
             if self.rng.random() < loss_rate:
                 self.stats.frames_lost_link += 1
                 return
-        self.sim.schedule(latency, self._arrive, frame, stage, sent_at)
+        self.loop.call_later(latency, self._arrive, frame, stage, sent_at)
 
     def _arrive(self, frame, stage: int, sent_at: float) -> None:
         graph = self.graph_provider()
@@ -178,8 +179,9 @@ class StreamingSession:
                 self.stats.frames_lost_peer += 1
                 return
             self.stats.frames_delivered += 1
-            self.stats.latencies.append(self.sim.now - sent_at)
-            self.stats.arrival_times.append(self.sim.now)
+            now = self.loop.time()
+            self.stats.latencies.append(now - sent_at)
+            self.stats.arrival_times.append(now)
             return
         meta = graph.component(chain[stage])
         if not self.alive(meta.peer):
@@ -191,7 +193,7 @@ class StreamingSession:
         if not runtime.enqueue(frame):
             self.stats.frames_lost_peer += 1  # queue overflow
             return
-        self.sim.schedule(
+        self.loop.call_later(
             meta.qp.values.get("delay", 0.0), self._process, meta.component_id,
             stage, meta.peer, sent_at,
         )

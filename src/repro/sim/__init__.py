@@ -1,7 +1,6 @@
-"""Discrete-event simulation substrate (engine, network, churn, metrics)."""
+"""Discrete-event simulation substrate (virtual-time loop, liveness, churn, metrics)."""
 
-from .churn import ChurnProcess, ExponentialChurn
-from .engine import EventHandle, PeriodicTask, SimulationError, Simulator
+from .churn import ChurnProcess
 from .metrics import (
     Counter,
     LatencyStats,
@@ -11,25 +10,19 @@ from .metrics import (
     TimeSeries,
     summary_stats,
 )
-from .network import Message, MessageNetwork, UnknownNodeError
+from .network import MessageNetwork, UnknownNodeError
 from .rng import as_generator, spawn, stable_hash64, weighted_choice_without_replacement
 from .tracing import EventTrace, TraceEvent, trace_churn, trace_sessions
 
 __all__ = [
     "ChurnProcess",
     "Counter",
-    "EventHandle",
     "EventTrace",
-    "ExponentialChurn",
     "LatencyStats",
-    "Message",
     "MessageLedger",
     "MessageNetwork",
-    "PeriodicTask",
     "RateOverTime",
     "RatioMeter",
-    "SimulationError",
-    "Simulator",
     "TimeSeries",
     "TraceEvent",
     "UnknownNodeError",

@@ -3,8 +3,7 @@
 Figure 9's dynamic P2P network is driven by a simple churn model: during
 each time unit, a fixed fraction (1 % in the paper) of peers fail at
 random.  We implement that model plus a session-time arrival process so
-the overlay population can be held roughly stationary, and an optional
-exponential-lifetime model for finer-grained churn studies.
+the overlay population can be held roughly stationary.
 
 Listeners (DHT, discovery registry, session manager) subscribe to
 departure/arrival callbacks; the churn process is the only component
@@ -13,15 +12,14 @@ allowed to flip liveness in the :class:`~repro.sim.network.MessageNetwork`.
 
 from __future__ import annotations
 
+import asyncio
 from typing import Callable, List, Optional
 
-import numpy as np
-
-from .engine import PeriodicTask, Simulator
 from .network import MessageNetwork
 from .rng import as_generator
+from .vtime import every
 
-__all__ = ["ChurnProcess", "ExponentialChurn"]
+__all__ = ["ChurnProcess"]
 
 DepartureListener = Callable[[int, float], None]
 ArrivalListener = Callable[[int, float], None]
@@ -39,7 +37,7 @@ class ChurnProcess:
 
     def __init__(
         self,
-        sim: Simulator,
+        loop: asyncio.AbstractEventLoop,
         network: MessageNetwork,
         fail_fraction: float = 0.01,
         time_unit: float = 1.0,
@@ -50,7 +48,7 @@ class ChurnProcess:
     ) -> None:
         if not 0.0 <= fail_fraction <= 1.0:
             raise ValueError(f"fail_fraction out of range: {fail_fraction}")
-        self.sim = sim
+        self.loop = loop
         self.network = network
         self.fail_fraction = fail_fraction
         self.time_unit = time_unit
@@ -62,7 +60,7 @@ class ChurnProcess:
         self.protected = set(protected or ())
         self._departure_listeners: List[DepartureListener] = []
         self._arrival_listeners: List[ArrivalListener] = []
-        self._task: Optional[PeriodicTask] = None
+        self._task = None
         self.failures = 0
         self.revivals = 0
 
@@ -77,11 +75,11 @@ class ChurnProcess:
     def start(self) -> None:
         if self._task is not None:
             raise RuntimeError("churn already started")
-        self._task = self.sim.every(self.time_unit, self._tick)
+        self._task = every(self.loop, self.time_unit, self._tick)
 
     def stop(self) -> None:
         if self._task is not None:
-            self._task.stop()
+            self._task.cancel()
             self._task = None
 
     # ------------------------------------------------------------------
@@ -102,11 +100,11 @@ class ChurnProcess:
             return
         self.network.set_alive(node_id, False)
         self.failures += 1
-        now = self.sim.now
+        now = self.loop.time()
         for fn in self._departure_listeners:
             fn(node_id, now)
         if self.revive:
-            self.sim.schedule(self.downtime, self._revive, node_id)
+            self.loop.call_later(self.downtime, self._revive, node_id)
 
     def _revive(self, node_id: int) -> None:
         if node_id not in self.network.nodes():
@@ -115,69 +113,6 @@ class ChurnProcess:
             return
         self.network.set_alive(node_id, True)
         self.revivals += 1
-        now = self.sim.now
+        now = self.loop.time()
         for fn in self._arrival_listeners:
             fn(node_id, now)
-
-
-class ExponentialChurn:
-    """Exponential-lifetime churn: each peer stays up Exp(mean_lifetime).
-
-    A finer-grained alternative to the per-tick model, used by ablation
-    benchmarks to check recovery behaviour is not an artefact of the
-    synchronous failure ticks.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        network: MessageNetwork,
-        mean_lifetime: float,
-        mean_downtime: float = 10.0,
-        rng=None,
-        protected: Optional[set] = None,
-    ) -> None:
-        if mean_lifetime <= 0:
-            raise ValueError("mean_lifetime must be positive")
-        self.sim = sim
-        self.network = network
-        self.mean_lifetime = mean_lifetime
-        self.mean_downtime = mean_downtime
-        self.rng = as_generator(rng)
-        self.protected = set(protected or ())
-        self._departure_listeners: List[DepartureListener] = []
-        self._arrival_listeners: List[ArrivalListener] = []
-        self.failures = 0
-
-    def on_departure(self, fn: DepartureListener) -> None:
-        self._departure_listeners.append(fn)
-
-    def on_arrival(self, fn: ArrivalListener) -> None:
-        self._arrival_listeners.append(fn)
-
-    def start(self) -> None:
-        for node_id in self.network.alive_nodes():
-            if node_id not in self.protected:
-                self._arm_failure(node_id)
-
-    def _arm_failure(self, node_id: int) -> None:
-        delay = float(self.rng.exponential(self.mean_lifetime))
-        self.sim.schedule(delay, self._fail, node_id)
-
-    def _fail(self, node_id: int) -> None:
-        if not self.network.is_alive(node_id):
-            return
-        self.network.set_alive(node_id, False)
-        self.failures += 1
-        for fn in self._departure_listeners:
-            fn(node_id, self.sim.now)
-        delay = float(self.rng.exponential(self.mean_downtime))
-        self.sim.schedule(delay, self._revive, node_id)
-
-    def _revive(self, node_id: int) -> None:
-        if node_id not in self.network.nodes() or self.network.is_alive(node_id):
-            return
-        self.network.set_alive(node_id, True)
-        for fn in self._arrival_listeners:
-            fn(node_id, self.sim.now)
-        self._arm_failure(node_id)

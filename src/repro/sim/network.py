@@ -1,174 +1,44 @@
-"""Simulated message-passing network between peers.
+"""Peer liveness: which peers of the overlay are up.
 
-Peers communicate exclusively by messages with per-pair latencies taken
-from the underlying (routed) topology, mirroring the paper's overlay in
-which every protocol step — DHT routing, composition probes, session
-acks, maintenance probes — is an application-level message.
-
-The network is transport only: it knows how to deliver, drop (when the
-destination is down), count, and time messages.  Protocol behaviour
-lives in the node objects' ``on_message``.
+One table is the single source of truth for liveness shared by the churn
+process, the DHT and the composition layer.  The churn process is the
+only component that flips it; everything else reads it (BCP's candidate
+filter and the session manager through ``is_alive``).
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Protocol
+from typing import Dict
 
-from .engine import Simulator
-from .metrics import MessageLedger
-
-__all__ = ["Message", "NetworkNode", "MessageNetwork", "UnknownNodeError"]
+__all__ = ["MessageNetwork", "UnknownNodeError"]
 
 
 class UnknownNodeError(KeyError):
-    """Raised when sending to/from a node that was never registered."""
-
-
-@dataclass
-class Message:
-    """An application-level message in flight.
-
-    ``category`` feeds the overhead ledger (e.g. ``"bcp_probe"``,
-    ``"dht_route"``, ``"state_update"``); ``size`` is an abstract byte
-    count used only for overhead accounting, not for bandwidth modelling
-    (probe messages are tiny compared to media streams).
-    """
-
-    src: int
-    dst: int
-    payload: Any
-    category: str = "generic"
-    size: int = 64
-    sent_at: float = 0.0
-    msg_id: int = field(default=0)
-
-
-class NetworkNode(Protocol):
-    """What :class:`MessageNetwork` needs from a peer object."""
-
-    node_id: int
-
-    def on_message(self, msg: Message) -> None:  # pragma: no cover - protocol
-        ...
-
-
-LatencyFn = Callable[[int, int], float]
+    """Raised when flipping the liveness of a peer that was never registered."""
 
 
 class MessageNetwork:
-    """Delivers messages between registered nodes with pairwise latency.
+    """The overlay's peers and whether each is up."""
 
-    Node liveness is tracked here (a single source of truth shared by the
-    churn process, the DHT and the composition layer): messages to a dead
-    node are silently dropped — exactly the failure mode a P2P overlay
-    observes when a peer departs without notice.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        latency_fn: LatencyFn,
-        ledger: Optional[MessageLedger] = None,
-        default_latency: float = 0.050,
-    ) -> None:
-        self.sim = sim
-        self.latency_fn = latency_fn
-        self.ledger = ledger if ledger is not None else MessageLedger()
-        self.default_latency = default_latency
-        self._nodes: Dict[int, NetworkNode] = {}
+    def __init__(self) -> None:
         self._alive: Dict[int, bool] = {}
-        self._msg_ids = itertools.count(1)
-        self.dropped = 0
 
-    # ------------------------------------------------------------------
-    # membership
-    # ------------------------------------------------------------------
-    def register(self, node: NetworkNode) -> None:
-        self._nodes[node.node_id] = node
-        self._alive[node.node_id] = True
+    def register(self, node_id: int) -> None:
+        self._alive[node_id] = True
 
     def unregister(self, node_id: int) -> None:
-        self._nodes.pop(node_id, None)
         self._alive.pop(node_id, None)
 
-    def node(self, node_id: int) -> NetworkNode:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise UnknownNodeError(node_id) from None
-
     def nodes(self) -> list[int]:
-        return list(self._nodes)
+        return list(self._alive)
 
     def is_alive(self, node_id: int) -> bool:
         return self._alive.get(node_id, False)
 
     def set_alive(self, node_id: int, alive: bool) -> None:
-        if node_id not in self._nodes:
+        if node_id not in self._alive:
             raise UnknownNodeError(node_id)
         self._alive[node_id] = alive
 
     def alive_nodes(self) -> list[int]:
         return [n for n, a in self._alive.items() if a]
-
-    # ------------------------------------------------------------------
-    # transport
-    # ------------------------------------------------------------------
-    def latency(self, src: int, dst: int) -> float:
-        if src == dst:
-            return 0.0
-        d = self.latency_fn(src, dst)
-        if d is None or d < 0:
-            return self.default_latency
-        return d
-
-    def send(
-        self,
-        src: int,
-        dst: int,
-        payload: Any,
-        category: str = "generic",
-        size: int = 64,
-    ) -> Message:
-        """Send asynchronously; delivery is scheduled after the pair latency.
-
-        A message is charged to the ledger when *sent* (the sender pays the
-        overhead whether or not the destination is still alive — matching
-        how overhead is measured in the paper).
-        """
-        if src not in self._nodes:
-            raise UnknownNodeError(src)
-        if dst not in self._nodes:
-            # Destination left the overlay entirely: charge and drop.
-            self.ledger.record(category, size)
-            self.dropped += 1
-            return Message(src, dst, payload, category, size, self.sim.now, next(self._msg_ids))
-        msg = Message(
-            src=src,
-            dst=dst,
-            payload=payload,
-            category=category,
-            size=size,
-            sent_at=self.sim.now,
-            msg_id=next(self._msg_ids),
-        )
-        self.ledger.record(category, size)
-        self.sim.schedule(self.latency(src, dst), self._deliver, msg)
-        return msg
-
-    def _deliver(self, msg: Message) -> None:
-        node = self._nodes.get(msg.dst)
-        if node is None or not self._alive.get(msg.dst, False):
-            self.dropped += 1
-            return
-        node.on_message(msg)
-
-    # ------------------------------------------------------------------
-    # synchronous helpers (for algorithmic-mode code that still wants
-    # overhead accounting without event-driven delivery)
-    # ------------------------------------------------------------------
-    def charge(self, category: str, count: int = 1, size: int = 64) -> None:
-        """Account for ``count`` messages without simulating delivery."""
-        self.ledger.record(category, size, count)

@@ -1,7 +1,6 @@
 """Workload generation: populations, request streams, experiment scenarios."""
 
 from .arrivals import (
-    AsyncioScheduler,
     PoissonArrivals,
     ZipfFunctionSampler,
     zipf_weights,
@@ -24,7 +23,6 @@ from .largegraph import (
 )
 
 __all__ = [
-    "AsyncioScheduler",
     "LargeGraphConfig",
     "LargeGraphWorld",
     "PoissonArrivals",

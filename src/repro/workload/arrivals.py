@@ -18,96 +18,70 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
-from ..sim.engine import Simulator
 from ..sim.rng import as_generator
 
 __all__ = [
-    "AsyncioScheduler",
     "PoissonArrivals",
     "zipf_weights",
     "ZipfFunctionSampler",
 ]
 
 
-class AsyncioScheduler:
-    """Duck-types the :class:`~repro.sim.engine.Simulator` scheduling
-    surface over a running asyncio event loop, so the same arrival
-    processes drive either the simulator's virtual clock or the wall
-    clock of a live cluster.  ``schedule`` never blocks: the callback
-    fires via ``loop.call_later``, which is what makes the live load
-    driver *open-loop* — arrivals keep coming at the configured rate no
-    matter how long earlier requests take to complete.
-    """
-
-    def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
-        self._loop = loop or asyncio.get_event_loop()
-
-    @property
-    def now(self) -> float:
-        return self._loop.time()
-
-    def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        self._loop.call_later(max(0.0, delay), fn)
-
-
 class PoissonArrivals:
-    """Schedules ``callback()`` with Exp(1/rate) inter-arrival gaps.
+    """Schedules ``callback()`` on ``loop`` with Exp(1/rate) inter-arrival gaps.
 
-    ``rate`` is arrivals per time unit (the paper's workload axis).
-    The process runs until :meth:`stop` or the simulator's horizon.
-    ``stop()`` is idempotent, and takes effect even with an arrival
-    already scheduled: the in-flight timer fires but is discarded.  A
-    stopped process may be :meth:`start`-ed again — each start opens a
-    new *generation*, so timers armed by a previous life can never
-    resurrect a stopped stream.
+    ``rate`` is arrivals per time unit (the paper's workload axis).  On a
+    :class:`~repro.sim.vtime.VirtualTimeLoop` the gaps are virtual time;
+    on a running asyncio loop they are wall time, and the stream is
+    *open-loop*: arrivals keep coming at the configured rate no matter
+    how long earlier requests take.  The process runs until :meth:`stop`,
+    which cancels the armed arrival; a stopped process may be
+    :meth:`start`-ed again.
     """
 
     def __init__(
         self,
-        sim: Simulator,
+        loop: asyncio.AbstractEventLoop,
         rate: float,
         callback: Callable[[], None],
         rng=None,
     ) -> None:
         if rate <= 0:
             raise ValueError(f"arrival rate must be positive, got {rate}")
-        self.sim = sim
+        self.loop = loop
         self.rate = rate
         self.callback = callback
         self.rng = as_generator(rng)
         self.arrivals = 0
-        self._stopped = True  # not running until start()
-        self._gen = 0  # bumped per start(); stale timers carry the old value
+        self._timer = None  # the armed arrival while running
 
     @property
     def running(self) -> bool:
-        return not self._stopped
+        return self._timer is not None
 
     def start(self) -> None:
-        if not self._stopped:
+        if self.running:
             raise RuntimeError("arrival process already running")
-        self._stopped = False
-        self._gen += 1
         self._arm()
 
     def stop(self) -> None:
-        self._stopped = True
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     def _arm(self) -> None:
         gap = float(self.rng.exponential(1.0 / self.rate))
-        self.sim.schedule(gap, partial(self._fire, self._gen))
+        self._timer = self.loop.call_later(gap, self._fire)
 
-    def _fire(self, gen: int) -> None:
-        if self._stopped or gen != self._gen:
-            return  # stopped after this timer was armed, or a stale life
+    def _fire(self) -> None:
         self.arrivals += 1
         self.callback()
-        self._arm()
+        if self._timer is not None:  # not stopped by the callback
+            self._arm()
 
 
 def zipf_weights(n: int, skew: float) -> np.ndarray:

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.vtime import VirtualTimeLoop, advance
 from repro.workload import (
-    AsyncioScheduler,
     PoissonArrivals,
     RequestConfig,
     RequestGenerator,
@@ -16,58 +15,58 @@ from repro.workload import (
 
 class TestPoissonArrivals:
     def test_mean_rate_matches(self):
-        sim = Simulator()
+        loop = VirtualTimeLoop()
         count = []
-        proc = PoissonArrivals(sim, rate=5.0, callback=lambda: count.append(sim.now),
+        proc = PoissonArrivals(loop, rate=5.0, callback=lambda: count.append(loop.time()),
                                rng=np.random.default_rng(0))
         proc.start()
-        sim.run(until=200.0)
+        advance(loop, until=200.0)
         # E = 1000 arrivals; Poisson sd ~ 32
         assert 880 <= len(count) <= 1120
         assert proc.arrivals == len(count)
 
     def test_interarrivals_exponential_shape(self):
-        sim = Simulator()
+        loop = VirtualTimeLoop()
         times = []
-        proc = PoissonArrivals(sim, rate=2.0, callback=lambda: times.append(sim.now),
+        proc = PoissonArrivals(loop, rate=2.0, callback=lambda: times.append(loop.time()),
                                rng=np.random.default_rng(1))
         proc.start()
-        sim.run(until=500.0)
+        advance(loop, until=500.0)
         gaps = np.diff(times)
         # exponential: mean ≈ sd
         assert abs(gaps.mean() - gaps.std()) < 0.15 * gaps.mean()
 
     def test_stop_halts(self):
-        sim = Simulator()
+        loop = VirtualTimeLoop()
         count = []
-        proc = PoissonArrivals(sim, rate=10.0, callback=lambda: count.append(1),
+        proc = PoissonArrivals(loop, rate=10.0, callback=lambda: count.append(1),
                                rng=np.random.default_rng(2))
         proc.start()
-        sim.run(until=5.0)
+        advance(loop, until=5.0)
         proc.stop()
         n = len(count)
-        sim.run(until=50.0)
+        advance(loop, until=50.0)
         assert len(count) == n
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
-            PoissonArrivals(Simulator(), rate=0.0, callback=lambda: None)
+            PoissonArrivals(VirtualTimeLoop(), rate=0.0, callback=lambda: None)
 
     def test_stop_discards_inflight_arrival(self):
-        # stop() between arming and firing: the scheduled timer still
-        # runs, but the callback must not — the stream is truly closed
-        sim = Simulator()
+        # stop() between arming and firing cancels the armed arrival:
+        # the stream is truly closed
+        loop = VirtualTimeLoop()
         count = []
-        proc = PoissonArrivals(sim, rate=1.0, callback=lambda: count.append(1),
+        proc = PoissonArrivals(loop, rate=1.0, callback=lambda: count.append(1),
                                rng=np.random.default_rng(3))
         proc.start()  # one arrival armed, none fired yet
         proc.stop()
-        sim.run(until=100.0)
+        advance(loop, until=100.0)
         assert count == []
         assert proc.arrivals == 0
 
     def test_stop_idempotent(self):
-        proc = PoissonArrivals(Simulator(), rate=1.0, callback=lambda: None,
+        proc = PoissonArrivals(VirtualTimeLoop(), rate=1.0, callback=lambda: None,
                                rng=np.random.default_rng(4))
         proc.start()
         proc.stop()
@@ -75,33 +74,33 @@ class TestPoissonArrivals:
         assert not proc.running
 
     def test_restart_opens_new_generation(self):
-        sim = Simulator()
+        loop = VirtualTimeLoop()
         count = []
-        proc = PoissonArrivals(sim, rate=10.0, callback=lambda: count.append(1),
+        proc = PoissonArrivals(loop, rate=10.0, callback=lambda: count.append(1),
                                rng=np.random.default_rng(5))
         proc.start()
-        sim.run(until=5.0)
+        advance(loop, until=5.0)
         proc.stop()
         first = len(count)
         assert first > 0
-        sim.run(until=10.0)
+        advance(loop, until=10.0)
         assert len(count) == first  # stopped stream stays silent
-        proc.start()  # restart: a new generation of timers
-        sim.run(until=20.0)
+        proc.start()  # restart: a new chain of arrivals
+        advance(loop, until=20.0)
         assert len(count) > first
         with pytest.raises(RuntimeError):
             proc.start()  # but double-start while running is still a bug
 
     def test_stale_generation_timer_ignored(self):
-        # a timer armed by life N must not fire arrivals in life N+1
-        sim = Simulator()
+        # a timer armed before a stop must not fire arrivals after a restart
+        loop = VirtualTimeLoop()
         count = []
-        proc = PoissonArrivals(sim, rate=1.0, callback=lambda: count.append(1),
+        proc = PoissonArrivals(loop, rate=1.0, callback=lambda: count.append(1),
                                rng=np.random.default_rng(6))
         proc.start()  # life 1 arms its first timer
         proc.stop()
         proc.start()  # life 2 arms its own; life 1's is now stale
-        sim.run(until=2000.0)
+        advance(loop, until=2000.0)
         # every arrival was produced by exactly one live chain: had the
         # stale timer survived, two chains would double the rate
         assert proc.arrivals == len(count)
@@ -110,39 +109,32 @@ class TestPoissonArrivals:
 
 
 class TestAsyncioScheduler:
+    """The same arrival process on a running asyncio loop: wall time, open loop."""
+
     def test_schedules_on_wall_clock(self):
         import asyncio
 
         async def scenario():
-            sched = AsyncioScheduler()
+            loop = asyncio.get_running_loop()
             fired = asyncio.Event()
-            sched.schedule(0.01, fired.set)
-            t0 = sched.now
+            proc = PoissonArrivals(loop, rate=100.0, callback=fired.set,
+                                   rng=np.random.default_rng(8))
+            t0 = loop.time()
+            proc.start()
             await asyncio.wait_for(fired.wait(), timeout=2.0)
-            return sched.now - t0
+            proc.stop()
+            return loop.time() - t0
 
         elapsed = asyncio.run(scenario())
-        assert elapsed >= 0.009
-
-    def test_negative_delay_clamped(self):
-        import asyncio
-
-        async def scenario():
-            sched = AsyncioScheduler()
-            fired = asyncio.Event()
-            sched.schedule(-5.0, fired.set)
-            await asyncio.wait_for(fired.wait(), timeout=2.0)
-            return True
-
-        assert asyncio.run(scenario())
+        first_gap = float(np.random.default_rng(8).exponential(1.0 / 100.0))
+        assert elapsed >= 0.9 * first_gap > 0.0
 
     def test_drives_poisson_arrivals_open_loop(self):
         import asyncio
 
         async def scenario():
-            sched = AsyncioScheduler()
             count = []
-            proc = PoissonArrivals(sched, rate=200.0,
+            proc = PoissonArrivals(asyncio.get_running_loop(), rate=200.0,
                                    callback=lambda: count.append(1),
                                    rng=np.random.default_rng(7))
             proc.start()

@@ -49,7 +49,7 @@ class TestBuild:
 
     def test_shared_ledger(self, net):
         assert net.bcp.ledger is net.ledger
-        assert net.network.ledger is net.ledger
+        assert net.dht.ledger is net.ledger
 
 
 class TestDeployAndCompose:

@@ -12,7 +12,7 @@ from repro.core.bcp import BCPConfig
 from repro.core.function_graph import FunctionGraph
 from repro.core.session import RecoveryConfig, SessionManager
 from repro.dht.id_space import key_for
-from repro.sim.engine import Simulator
+from repro.sim.vtime import VirtualTimeLoop, advance
 
 from worlds import MicroWorld
 
@@ -57,8 +57,8 @@ class TestChurnStorm:
 
     def test_sessions_under_storm_release_everything(self):
         world = big_world()
-        sim = Simulator()
-        mgr = SessionManager(sim, world.bcp, config=RecoveryConfig(upper_bound=2.0))
+        loop = VirtualTimeLoop()
+        mgr = SessionManager(loop, world.bcp, config=RecoveryConfig(upper_bound=2.0))
         sessions = []
         for _ in range(4):
             s = mgr.establish(
@@ -74,7 +74,7 @@ class TestChurnStorm:
         for p in range(2, 10):
             world.kill(p)
             mgr.peer_departed(p)
-        sim.run(until=30.0)
+        advance(loop, until=30.0)
         for s in sessions:
             assert not s.active
         assert world.pool.active_tokens() == []
@@ -113,9 +113,9 @@ class TestPartialFailureDuringRecovery:
     def test_backup_dies_during_detection_window(self):
         """The primary AND the best backup die before the switch lands."""
         world = big_world(replicas=5)
-        sim = Simulator()
+        loop = VirtualTimeLoop()
         mgr = SessionManager(
-            sim, world.bcp,
+            loop, world.bcp,
             config=RecoveryConfig(upper_bound=3.0, detection_delay=1.0),
         )
         session = mgr.establish(
@@ -133,7 +133,7 @@ class TestPartialFailureDuringRecovery:
         for p in first_backup_peers:
             if p != primary:
                 world.kill(p)
-        sim.run(until=30.0)
+        advance(loop, until=30.0)
         # the manager must have skipped the dead backup (next backup or
         # reactive re-probing) without leaking anything
         if session.active:
@@ -144,8 +144,8 @@ class TestPartialFailureDuringRecovery:
 
     def test_reactive_recomposition_avoids_all_dead_peers(self):
         world = big_world(replicas=5)
-        sim = Simulator()
-        mgr = SessionManager(sim, world.bcp, config=RecoveryConfig(upper_bound=0.0))
+        loop = VirtualTimeLoop()
+        mgr = SessionManager(loop, world.bcp, config=RecoveryConfig(upper_bound=0.0))
         session = mgr.establish(
             world.request(
                 FunctionGraph.linear(["fa", "fb"]), source=0, dest=15,
@@ -156,7 +156,7 @@ class TestPartialFailureDuringRecovery:
         for p in dead:
             world.kill(p)
             mgr.peer_departed(p)
-        sim.run(until=30.0)
+        advance(loop, until=30.0)
         if session.active:
             assert not (set(session.current.peers()) & dead)
 
@@ -164,8 +164,8 @@ class TestPartialFailureDuringRecovery:
 class TestResourceExhaustionStorm:
     def test_requests_beyond_capacity_fail_without_leaks(self):
         world = big_world(cpu=30.0)  # each peer fits ~1 component
-        sim = Simulator()
-        mgr = SessionManager(sim, world.bcp)
+        loop = VirtualTimeLoop()
+        mgr = SessionManager(loop, world.bcp)
         established = 0
         for i in range(20):
             s = mgr.establish(

@@ -17,7 +17,7 @@ import pytest
 from repro.core.function_graph import FunctionGraph
 from repro.core.recovery import revalidate_backup
 from repro.core.session import RecoveryConfig, SessionManager
-from repro.sim.engine import Simulator
+from repro.sim.vtime import VirtualTimeLoop, advance
 
 from worlds import MicroWorld
 
@@ -41,8 +41,8 @@ def contended_world():
 class TestSwitchUnderContention:
     def setup_sessions(self):
         world = contended_world()
-        sim = Simulator()
-        mgr = SessionManager(sim, world.bcp, config=RecoveryConfig(upper_bound=3.0))
+        loop = VirtualTimeLoop()
+        mgr = SessionManager(loop, world.bcp, config=RecoveryConfig(upper_bound=3.0))
         req = world.request(
             FunctionGraph.linear(["fa", "fb"]), source=0, dest=4,
             delay_bound=0.5, failure_req=0.02, duration=1000.0,
@@ -59,13 +59,13 @@ class TestSwitchUnderContention:
         )
         assert other is not None and other.active
         assert world.pool.available(3).get("cpu") == pytest.approx(17.0)
-        return world, sim, mgr, session, other
+        return world, loop, mgr, session, other
 
     def test_backup_switch_not_blocked_by_own_firm_claims(self):
-        world, sim, mgr, session, other = self.setup_sessions()
+        world, loop, mgr, session, other = self.setup_sessions()
         world.kill(1)
         mgr.peer_departed(1)
-        sim.run(until=5.0)
+        advance(loop, until=5.0)
         assert session.active
         assert not session.current.uses_peer(1)
         # pre-fix this was a reactive (full re-probe) recovery: the
@@ -76,10 +76,10 @@ class TestSwitchUnderContention:
         assert other.active
 
     def test_peer3_accounting_after_switch(self):
-        world, sim, mgr, session, other = self.setup_sessions()
+        world, loop, mgr, session, other = self.setup_sessions()
         world.kill(1)
         mgr.peer_departed(1)
-        sim.run(until=5.0)
+        advance(loop, until=5.0)
         # exactly the recovered session's fb (33) + the other's fc (50)
         assert world.pool.available(3).get("cpu") == pytest.approx(17.0)
         mgr.teardown(session.session_id)

@@ -5,14 +5,14 @@ import pytest
 from repro.core.bcp import BCPConfig
 from repro.core.function_graph import FunctionGraph
 from repro.core.session import RecoveryConfig, SessionManager, SessionState
-from repro.sim.engine import Simulator
+from repro.sim.vtime import VirtualTimeLoop, advance
 
 from worlds import MicroWorld
 
 
 def make_manager(world, config=None):
-    sim = Simulator()
-    return sim, SessionManager(sim, world.bcp, config=config)
+    loop = VirtualTimeLoop()
+    return loop, SessionManager(loop, world.bcp, config=config)
 
 
 def replicated_world(replicas=3, **kwargs):
@@ -27,7 +27,7 @@ def replicated_world(replicas=3, **kwargs):
 class TestEstablish:
     def test_establish_creates_active_session(self):
         world = replicated_world()
-        sim, mgr = make_manager(world)
+        loop, mgr = make_manager(world)
         req = world.request(FunctionGraph.linear(["fa", "fb"]), source=0, dest=9)
         session = mgr.establish(req)
         assert session is not None and session.active
@@ -36,14 +36,14 @@ class TestEstablish:
 
     def test_establish_failure_counted(self):
         world = MicroWorld()
-        sim, mgr = make_manager(world)
+        loop, mgr = make_manager(world)
         req = world.request(FunctionGraph.linear(["missing"]))
         assert mgr.establish(req) is None
         assert mgr.stats.sessions_rejected == 1
 
     def test_backups_selected(self):
         world = replicated_world(replicas=4)
-        sim, mgr = make_manager(world, RecoveryConfig(upper_bound=3.0))
+        loop, mgr = make_manager(world, RecoveryConfig(upper_bound=3.0))
         req = world.request(
             FunctionGraph.linear(["fa", "fb"]), source=0, dest=9,
             delay_bound=0.5, failure_req=0.02,
@@ -57,7 +57,7 @@ class TestEstablish:
 
     def test_proactive_disabled_no_backups(self):
         world = replicated_world()
-        sim, mgr = make_manager(world, RecoveryConfig(proactive=False))
+        loop, mgr = make_manager(world, RecoveryConfig(proactive=False))
         req = world.request(FunctionGraph.linear(["fa", "fb"]), source=0, dest=9)
         session = mgr.establish(req)
         assert session.backups == [] and session.target_backups == 0
@@ -66,7 +66,7 @@ class TestEstablish:
 class TestTeardown:
     def test_teardown_releases_resources(self):
         world = replicated_world()
-        sim, mgr = make_manager(world)
+        loop, mgr = make_manager(world)
         req = world.request(FunctionGraph.linear(["fa", "fb"]), source=0, dest=9)
         session = mgr.establish(req)
         assert world.pool.active_tokens()
@@ -76,19 +76,19 @@ class TestTeardown:
 
     def test_session_expires_after_duration(self):
         world = replicated_world()
-        sim, mgr = make_manager(world)
+        loop, mgr = make_manager(world)
         req = world.request(
             FunctionGraph.linear(["fa", "fb"]), source=0, dest=9, duration=30.0
         )
         session = mgr.establish(req)
-        sim.run(until=29.0)
+        advance(loop, until=29.0)
         assert session.active
-        sim.run(until=31.0)
+        advance(loop, until=31.0)
         assert session.state is SessionState.CLOSED
 
     def test_teardown_idempotent(self):
         world = replicated_world()
-        sim, mgr = make_manager(world)
+        loop, mgr = make_manager(world)
         req = world.request(FunctionGraph.linear(["fa", "fb"]), source=0, dest=9)
         session = mgr.establish(req)
         mgr.teardown(session.session_id)
@@ -99,14 +99,14 @@ class TestTeardown:
 class TestRecovery:
     def failing_setup(self, config=None, replicas=4):
         world = replicated_world(replicas=replicas)
-        sim, mgr = make_manager(world, config or RecoveryConfig(upper_bound=3.0))
+        loop, mgr = make_manager(world, config or RecoveryConfig(upper_bound=3.0))
         req = world.request(
             FunctionGraph.linear(["fa", "fb"]), source=0, dest=9,
             delay_bound=0.5, failure_req=0.02, duration=1000.0,
         )
         session = mgr.establish(req)
         assert session is not None
-        return world, sim, mgr, session
+        return world, loop, mgr, session
 
     def kill_current_peer(self, world, mgr, session):
         peer = session.current.component("fa").peer
@@ -115,11 +115,11 @@ class TestRecovery:
         return peer
 
     def test_proactive_switch_on_failure(self):
-        world, sim, mgr, session = self.failing_setup()
+        world, loop, mgr, session = self.failing_setup()
         assert session.backups, "setup must produce backups"
         old_sig = session.current.signature()
         dead = self.kill_current_peer(world, mgr, session)
-        sim.run(until=5.0)
+        advance(loop, until=5.0)
         assert session.active
         assert session.current.signature() != old_sig
         assert not session.current.uses_peer(dead)
@@ -127,63 +127,63 @@ class TestRecovery:
         assert mgr.stats.failures == 1
 
     def test_failed_graph_resources_released_after_switch(self):
-        world, sim, mgr, session = self.failing_setup()
+        world, loop, mgr, session = self.failing_setup()
         old_peers = set(session.current.peers())
         self.kill_current_peer(world, mgr, session)
-        sim.run(until=5.0)
+        advance(loop, until=5.0)
         new_peers = set(session.current.peers())
         for p in old_peers - new_peers:
             assert world.pool.available(p).get("cpu") == pytest.approx(100.0)
 
     def test_reactive_recovery_when_no_backups(self):
-        world, sim, mgr, session = self.failing_setup(
+        world, loop, mgr, session = self.failing_setup(
             config=RecoveryConfig(upper_bound=0.0)  # gamma = 0: no backups
         )
         assert session.backups == []
         self.kill_current_peer(world, mgr, session)
-        sim.run(until=5.0)
+        advance(loop, until=5.0)
         assert session.active
         assert mgr.stats.reactive_recoveries == 1
 
     def test_no_recovery_mode_session_fails(self):
-        world, sim, mgr, session = self.failing_setup(
+        world, loop, mgr, session = self.failing_setup(
             config=RecoveryConfig(proactive=False, reactive=False)
         )
         self.kill_current_peer(world, mgr, session)
-        sim.run(until=5.0)
+        advance(loop, until=5.0)
         assert session.state is SessionState.FAILED
         assert mgr.stats.unrecovered_failures == 1
         assert world.pool.active_tokens() == []
 
     def test_endpoint_death_fails_session(self):
-        world, sim, mgr, session = self.failing_setup()
+        world, loop, mgr, session = self.failing_setup()
         world.kill(0)  # the source peer
         mgr.peer_departed(0)
-        sim.run(until=5.0)
+        advance(loop, until=5.0)
         assert session.state is SessionState.FAILED
 
     def test_unrelated_peer_departure_ignored(self):
-        world, sim, mgr, session = self.failing_setup()
+        world, loop, mgr, session = self.failing_setup()
         used = set(session.current.peers(include_endpoints=True))
         unused = next(p for p in world.overlay.peers() if p not in used)
         world.kill(unused)
         mgr.peer_departed(unused)
-        sim.run(until=5.0)
+        advance(loop, until=5.0)
         assert session.active
         assert mgr.stats.failures == 0
 
     def test_failure_listener_notified(self):
-        world, sim, mgr, session = self.failing_setup()
+        world, loop, mgr, session = self.failing_setup()
         events = []
         mgr.on_failure(lambda t, recovered: events.append(recovered))
         self.kill_current_peer(world, mgr, session)
-        sim.run(until=5.0)
+        advance(loop, until=5.0)
         assert events == [True]
 
     def test_recovery_time_recorded(self):
-        world, sim, mgr, session = self.failing_setup()
+        world, loop, mgr, session = self.failing_setup()
         self.kill_current_peer(world, mgr, session)
-        sim.run(until=5.0)
+        advance(loop, until=5.0)
         assert len(mgr.stats.recovery_times) == 1
         assert mgr.stats.recovery_times[0] >= mgr.config.detection_delay
 
@@ -191,7 +191,7 @@ class TestRecovery:
 class TestMaintenance:
     def test_dead_backup_pruned(self):
         world = replicated_world(replicas=4)
-        sim, mgr = make_manager(
+        loop, mgr = make_manager(
             world, RecoveryConfig(upper_bound=3.0, maintenance_interval=1.0)
         )
         req = world.request(
@@ -202,12 +202,12 @@ class TestMaintenance:
         assert session.backups
         victim = session.backups[0].graph.peers()[0]
         world.kill(victim)
-        sim.run(until=2.5)
+        advance(loop, until=2.5)
         assert all(not b.graph.uses_peer(victim) for b in session.backups)
 
     def test_replenish_restores_target(self):
         world = replicated_world(replicas=5)
-        sim, mgr = make_manager(
+        loop, mgr = make_manager(
             world, RecoveryConfig(upper_bound=3.0, maintenance_interval=1.0)
         )
         req = world.request(
@@ -219,13 +219,13 @@ class TestMaintenance:
         assert target >= 1 and session.spare_qualified
         victim = session.backups[0].graph.peers()[0]
         world.kill(victim)
-        sim.run(until=2.5)
+        advance(loop, until=2.5)
         # pruned backups are replaced from the spare qualified pool
         assert len(session.backups) >= min(target, 1)
 
     def test_maintenance_charges_ledger(self):
         world = replicated_world(replicas=4)
-        sim, mgr = make_manager(
+        loop, mgr = make_manager(
             world, RecoveryConfig(upper_bound=3.0, maintenance_interval=1.0)
         )
         req = world.request(
@@ -235,12 +235,12 @@ class TestMaintenance:
         session = mgr.establish(req)
         assert session.backups
         before = mgr.ledger.count.get("maintenance_probe", 0)
-        sim.run(until=5.5)
+        advance(loop, until=5.5)
         assert mgr.ledger.count.get("maintenance_probe", 0) > before
 
     def test_maintenance_stops_with_session(self):
         world = replicated_world(replicas=4)
-        sim, mgr = make_manager(
+        loop, mgr = make_manager(
             world, RecoveryConfig(upper_bound=3.0, maintenance_interval=1.0)
         )
         req = world.request(
@@ -248,9 +248,9 @@ class TestMaintenance:
             delay_bound=0.5, failure_req=0.02, duration=3.0,
         )
         session = mgr.establish(req)
-        sim.run(until=4.0)
+        advance(loop, until=4.0)
         count_at_close = mgr.ledger.count.get("maintenance_probe", 0)
-        sim.run(until=20.0)
+        advance(loop, until=20.0)
         assert mgr.ledger.count.get("maintenance_probe", 0) == count_at_close
 
 
@@ -261,7 +261,7 @@ class TestHeartbeatDetection:
 
     def test_heartbeat_traffic_charged(self):
         world = replicated_world(replicas=3)
-        sim, mgr = make_manager(
+        loop, mgr = make_manager(
             world, RecoveryConfig(upper_bound=2.0, heartbeat_interval=1.0)
         )
         req = world.request(
@@ -269,26 +269,26 @@ class TestHeartbeatDetection:
         )
         session = mgr.establish(req)
         assert session is not None
-        sim.run(until=5.5)
+        advance(loop, until=5.5)
         assert mgr.ledger.count.get("heartbeat", 0) >= 5 * len(session.current.peers())
 
     def test_heartbeat_stops_with_session(self):
         world = replicated_world(replicas=3)
-        sim, mgr = make_manager(
+        loop, mgr = make_manager(
             world, RecoveryConfig(upper_bound=2.0, heartbeat_interval=1.0)
         )
         req = world.request(
             FunctionGraph.linear(["fa", "fb"]), source=0, dest=9, duration=3.0
         )
         mgr.establish(req)
-        sim.run(until=4.0)
+        advance(loop, until=4.0)
         at_close = mgr.ledger.count.get("heartbeat", 0)
-        sim.run(until=20.0)
+        advance(loop, until=20.0)
         assert mgr.ledger.count.get("heartbeat", 0) == at_close
 
     def test_detection_delay_includes_heartbeat_residual(self):
         world = replicated_world(replicas=4)
-        sim, mgr = make_manager(
+        loop, mgr = make_manager(
             world,
             RecoveryConfig(
                 upper_bound=3.0, heartbeat_interval=4.0, detection_delay=0.5
@@ -303,7 +303,7 @@ class TestHeartbeatDetection:
         peer = session.current.component("fa").peer
         world.kill(peer)
         mgr.peer_departed(peer)
-        sim.run(until=20.0)
+        advance(loop, until=20.0)
         assert session.active
         assert len(mgr.stats.recovery_times) == 1
         rt = mgr.stats.recovery_times[0]
@@ -312,7 +312,7 @@ class TestHeartbeatDetection:
 
     def test_oracle_mode_fixed_delay(self):
         world = replicated_world(replicas=4)
-        sim, mgr = make_manager(
+        loop, mgr = make_manager(
             world, RecoveryConfig(upper_bound=3.0, detection_delay=0.25)
         )
         req = world.request(
@@ -323,6 +323,6 @@ class TestHeartbeatDetection:
         peer = session.current.component("fa").peer
         world.kill(peer)
         mgr.peer_departed(peer)
-        sim.run(until=20.0)
+        advance(loop, until=20.0)
         assert mgr.stats.recovery_times
         assert mgr.stats.recovery_times[0] >= 0.25

@@ -1,87 +1,19 @@
-"""Unit tests for the simulated message network."""
+"""Unit tests for the peer liveness table."""
 
 import pytest
 
-from repro.sim.engine import Simulator
-from repro.sim.network import Message, MessageNetwork, UnknownNodeError
-
-
-class Recorder:
-    def __init__(self, node_id):
-        self.node_id = node_id
-        self.received = []
-
-    def on_message(self, msg):
-        self.received.append(msg)
+from repro.sim.network import MessageNetwork, UnknownNodeError
 
 
 @pytest.fixture
-def sim():
-    return Simulator()
-
-
-@pytest.fixture
-def network(sim):
-    net = MessageNetwork(sim, latency_fn=lambda a, b: 0.010 * abs(a - b))
+def network():
+    net = MessageNetwork()
     for i in range(4):
-        net.register(Recorder(i))
+        net.register(i)
     return net
 
 
-class TestDelivery:
-    def test_message_delivered_after_latency(self, sim, network):
-        network.send(0, 2, "hello", category="test")
-        sim.run()
-        node = network.node(2)
-        assert len(node.received) == 1
-        assert node.received[0].payload == "hello"
-        assert sim.now == pytest.approx(0.020)
-
-    def test_latency_zero_for_self(self, network):
-        assert network.latency(1, 1) == 0.0
-
-    def test_latency_uses_fn(self, network):
-        assert network.latency(0, 3) == pytest.approx(0.030)
-
-    def test_negative_latency_falls_back_to_default(self, sim):
-        net = MessageNetwork(sim, latency_fn=lambda a, b: -1.0, default_latency=0.5)
-        assert net.latency(0, 1) == 0.5
-
-    def test_messages_ordered_by_distance(self, sim, network):
-        network.send(0, 3, "far")
-        network.send(0, 1, "near")
-        order = []
-        network.node(1).on_message = lambda m: order.append("near")
-        network.node(3).on_message = lambda m: order.append("far")
-        sim.run()
-        assert order == ["near", "far"]
-
-    def test_message_ids_unique(self, network):
-        m1 = network.send(0, 1, "a")
-        m2 = network.send(0, 1, "b")
-        assert m1.msg_id != m2.msg_id
-
-
 class TestLiveness:
-    def test_send_to_dead_node_dropped(self, sim, network):
-        network.set_alive(2, False)
-        network.send(0, 2, "x")
-        sim.run()
-        assert network.node(2).received == []
-        assert network.dropped == 1
-
-    def test_dead_sender_still_charged(self, sim, network):
-        before = network.ledger.total_count()
-        network.set_alive(2, False)
-        network.send(0, 2, "x", category="probe")
-        assert network.ledger.total_count() == before + 1
-
-    def test_node_dying_in_flight_drops_message(self, sim, network):
-        network.send(0, 3, "x")
-        sim.schedule(0.001, network.set_alive, 3, False)
-        sim.run()
-        assert network.node(3).received == []
-
     def test_alive_nodes(self, network):
         network.set_alive(1, False)
         assert sorted(network.alive_nodes()) == [0, 2, 3]
@@ -92,33 +24,8 @@ class TestLiveness:
         assert 3 not in network.nodes()
         assert not network.is_alive(3)
 
-    def test_send_to_unregistered_destination_charged_and_dropped(self, network):
-        network.unregister(3)
-        before_drop = network.dropped
-        network.send(0, 3, "x", category="probe")
-        assert network.dropped == before_drop + 1
-
 
 class TestErrors:
-    def test_unknown_sender_raises(self, network):
-        with pytest.raises(UnknownNodeError):
-            network.send(99, 0, "x")
-
-    def test_unknown_node_lookup_raises(self, network):
-        with pytest.raises(UnknownNodeError):
-            network.node(99)
-
     def test_set_alive_unknown_raises(self, network):
         with pytest.raises(UnknownNodeError):
             network.set_alive(99, True)
-
-
-class TestLedger:
-    def test_send_charges_ledger(self, network):
-        network.send(0, 1, "x", category="probe", size=100)
-        assert network.ledger.count["probe"] == 1
-        assert network.ledger.bytes["probe"] == 100
-
-    def test_charge_without_delivery(self, network):
-        network.charge("state_update", count=50, size=8)
-        assert network.ledger.count["state_update"] == 50

@@ -7,7 +7,7 @@ from repro.core.bcp import BCPConfig
 from repro.core.function_graph import FunctionGraph
 from repro.core.session import RecoveryConfig, SessionManager
 from repro.services.streaming import StreamingSession
-from repro.sim.engine import Simulator
+from repro.sim.vtime import VirtualTimeLoop, advance
 
 from worlds import MicroWorld
 
@@ -31,13 +31,13 @@ class TestBasicStreaming:
     def test_all_frames_delivered_without_loss(self):
         world = composed_world()
         graph = compose_graph(world)
-        sim = Simulator()
+        loop = VirtualTimeLoop()
         stream = StreamingSession(
-            sim, world.overlay, lambda: graph, fps=10.0,
+            loop, world.overlay, lambda: graph, fps=10.0,
             rng=np.random.default_rng(0), model_loss=False,
         )
         stream.start(duration=2.0)
-        sim.run(until=5.0)
+        advance(loop, until=5.0)
         assert stream.stats.frames_sent == 19  # emissions at 0.1..1.9
         assert stream.stats.frames_delivered == stream.stats.frames_sent
         assert stream.stats.delivery_ratio == 1.0
@@ -45,13 +45,13 @@ class TestBasicStreaming:
     def test_latency_matches_graph_delay(self):
         world = composed_world()
         graph = compose_graph(world)
-        sim = Simulator()
+        loop = VirtualTimeLoop()
         stream = StreamingSession(
-            sim, world.overlay, lambda: graph, fps=5.0,
+            loop, world.overlay, lambda: graph, fps=5.0,
             rng=np.random.default_rng(0), model_loss=False,
         )
         stream.start(duration=1.0)
-        sim.run(until=5.0)
+        advance(loop, until=5.0)
         expected = graph.end_to_end_qos(world.overlay).get("delay")
         assert stream.stats.mean_latency == pytest.approx(expected, rel=0.05)
 
@@ -59,13 +59,13 @@ class TestBasicStreaming:
         world = composed_world()
         # stretch the path: loss grows with delay in the micro world
         graph = compose_graph(world)
-        sim = Simulator()
+        loop = VirtualTimeLoop()
         stream = StreamingSession(
-            sim, world.overlay, lambda: graph, fps=100.0,
+            loop, world.overlay, lambda: graph, fps=100.0,
             rng=np.random.default_rng(0), model_loss=True,
         )
         stream.start(duration=10.0)
-        sim.run(until=20.0)
+        advance(loop, until=20.0)
         assert 995 <= stream.stats.frames_sent <= 1000  # float drift at 100 fps
         assert stream.stats.frames_delivered < stream.stats.frames_sent
         assert stream.stats.frames_lost_link > 0
@@ -75,10 +75,10 @@ class TestBasicStreaming:
         world.place("downscale", peer=2)
         world.place("requantify", peer=5)
         graph = compose_graph(world, fns=("downscale", "requantify"))
-        sim = Simulator()
+        loop = VirtualTimeLoop()
         received = []
         stream = StreamingSession(
-            sim, world.overlay, lambda: graph, fps=5.0,
+            loop, world.overlay, lambda: graph, fps=5.0,
             rng=np.random.default_rng(0), model_loss=False,
         )
         # capture delivered frames by wrapping the stats recording
@@ -94,7 +94,7 @@ class TestBasicStreaming:
 
         stream._arrive = capture
         stream.start(duration=1.0)
-        sim.run(until=5.0)
+        advance(loop, until=5.0)
         assert received
         out = received[0]
         assert out.width == 320  # downscaled from 640
@@ -111,19 +111,19 @@ class TestBasicStreaming:
         req = world.request(fg, source=0, dest=9)
         result = world.bcp.compose(req, confirm=False)
         assert result.success
-        sim = Simulator()
-        stream = StreamingSession(sim, world.overlay, lambda: result.best)
+        loop = VirtualTimeLoop()
+        stream = StreamingSession(loop, world.overlay, lambda: result.best)
         with pytest.raises(NotImplementedError):
             stream.start()
 
     def test_bad_fps_rejected(self):
         world = composed_world()
         with pytest.raises(ValueError):
-            StreamingSession(Simulator(), world.overlay, lambda: None, fps=0.0)
+            StreamingSession(VirtualTimeLoop(), world.overlay, lambda: None, fps=0.0)
 
     def test_no_graph_rejected(self):
         world = composed_world()
-        stream = StreamingSession(Simulator(), world.overlay, lambda: None)
+        stream = StreamingSession(VirtualTimeLoop(), world.overlay, lambda: None)
         with pytest.raises(RuntimeError):
             stream.start()
 
@@ -131,20 +131,20 @@ class TestBasicStreaming:
 class TestFailoverGlitch:
     def failover_setup(self):
         world = composed_world(replicas=4)
-        sim = Simulator()
-        mgr = SessionManager(sim, world.bcp, config=RecoveryConfig(upper_bound=3.0))
+        loop = VirtualTimeLoop()
+        mgr = SessionManager(loop, world.bcp, config=RecoveryConfig(upper_bound=3.0))
         req = world.request(
             FunctionGraph.linear(["fa", "fb"]), source=0, dest=9,
             delay_bound=0.5, failure_req=0.02, duration=1000.0,
         )
         session = mgr.establish(req)
         assert session is not None and session.backups
-        return world, sim, mgr, session
+        return world, loop, mgr, session
 
     def test_stream_survives_proactive_failover(self):
-        world, sim, mgr, session = self.failover_setup()
+        world, loop, mgr, session = self.failover_setup()
         stream = StreamingSession(
-            sim, world.overlay,
+            loop, world.overlay,
             lambda: session.current if session.active else None,
             fps=20.0,
             alive=lambda p: p not in world.dead,
@@ -158,8 +158,8 @@ class TestFailoverGlitch:
             world.kill(victim)
             mgr.peer_departed(victim)
 
-        sim.schedule(5.0, kill)
-        sim.run(until=15.0)
+        loop.call_later(5.0, kill)
+        advance(loop, until=15.0)
         stats = stream.stats
         assert session.active  # failover succeeded
         assert stats.frames_lost_peer > 0  # frames died with the peer
@@ -169,16 +169,16 @@ class TestFailoverGlitch:
 
     def test_glitch_without_recovery_is_stream_death(self):
         world = composed_world(replicas=4)
-        sim = Simulator()
+        loop = VirtualTimeLoop()
         mgr = SessionManager(
-            sim, world.bcp, config=RecoveryConfig(proactive=False, reactive=False)
+            loop, world.bcp, config=RecoveryConfig(proactive=False, reactive=False)
         )
         req = world.request(
             FunctionGraph.linear(["fa", "fb"]), source=0, dest=9, duration=1000.0
         )
         session = mgr.establish(req)
         stream = StreamingSession(
-            sim, world.overlay,
+            loop, world.overlay,
             lambda: session.current if session.active else None,
             fps=20.0,
             alive=lambda p: p not in world.dead,
@@ -192,8 +192,8 @@ class TestFailoverGlitch:
             world.kill(victim)
             mgr.peer_departed(victim)
 
-        sim.schedule(5.0, kill)
-        sim.run(until=15.0)
+        loop.call_later(5.0, kill)
+        advance(loop, until=15.0)
         # without recovery the session fails: emission stops with it and
         # every frame after t=5 is lost, so barely half the 10 s x 20 fps
         # stream ever reaches the receiver
