@@ -459,13 +459,15 @@ class LiveCluster:
     async def revive_peer(self, peer_id: int) -> None:
         """Restart a killed peer: fresh endpoint incarnation, same engine.
 
-        The replacement daemon keeps the old one's engine state (pool,
-        directory slice, sessions are gone but capacity and stored rows
-        survive the crash-restart, like a process coming back on the same
-        host) while its RPC incarnation changes, so stale cached replies
-        from its previous life cannot be replayed at it.  The measurement
-        plane is rebound and wiped — a restarted process has no memory —
-        and neighbours' recovery probes mark the path back up."""
+        The replacement daemon keeps the old one's engine (capacity and
+        the directory slice's stored rows survive the crash-restart, like
+        a process coming back on the same host) while its RPC incarnation
+        changes, so stale cached replies from its previous life cannot be
+        replayed at it.  Sessions are gone, and so is every claim the old
+        life held in the pool, soft or firm: the expiry timers and release
+        bookkeeping that could have freed them died with it.  The
+        measurement plane is rebound and wiped — a restarted process has
+        no memory — and neighbours' recovery probes mark the path back up."""
         old = self.daemons.get(peer_id)
         if old is None:
             raise ValueError(f"no such peer {peer_id}")
@@ -474,6 +476,9 @@ class LiveCluster:
         self.transport.unregister(peer_id)
         endpoint = self._endpoint(peer_id)
         await self.transport.revive(peer_id)
+        pool = old.bcp.pool
+        for token in pool.active_tokens():
+            pool.release(token)
         plane = old.measurement
         if plane is not None:
             plane.rebind(endpoint)

@@ -17,8 +17,9 @@ matrix cannot see:
   sync engine's, also when a bundle was delivered twice;
 * stragglers — a frame that meets a closed window leaves nothing behind,
   not on its sender and not on the upstream holders it names;
-* dead holders — a crashed holder neither fails nor stalls teardown, and
-  bundles lost with a crashed probe-holder fall to the expiry timers.
+* dead holders — a crashed holder neither fails nor stalls teardown,
+  bundles lost with a crashed probe-holder fall to the expiry timers,
+  and a revived holder keeps no claim from its previous life.
 """
 
 import asyncio
@@ -616,3 +617,55 @@ def test_bundles_lost_with_a_killed_probe_holder_expire(confirm):
     # and nothing but the session's own firm tokens is held anywhere live
     assert soft == {}
     assert held == set(result.session_tokens)
+
+
+@pytest.mark.parametrize("confirm", [False, True], ids=["measure-only", "confirm"])
+def test_a_revived_holder_keeps_no_claim_from_its_previous_life(confirm):
+    """Every release is lost, so the holders' expiry timers are all that
+    frees a soft claim, and nothing frees a firm one but a release.  A
+    holder killed and revived has neither: its old daemon's timers died
+    with it and the new one starts with no record of its tokens.  So the
+    revive itself must drop every claim of the previous life."""
+    soft_timeout = 5.0
+
+    async def scenario():
+        cluster = _cluster(soft_timeout=soft_timeout)
+        for daemon in cluster.daemons.values():
+
+            async def lost(src, msg):
+                return {"ok": True}
+
+            daemon.endpoint.on(codec.SessionRelease, lost)
+        request = next(
+            r
+            for r in cluster.scenario.requests.batch(10)
+            if cluster.scenario.net.bcp.compose(r, confirm=False).success
+        )
+        rid = request.request_id
+        async with cluster:
+            result = await cluster.compose(request, confirm=confirm, timeout=60)
+            ends = {request.source_peer, request.dest_peer}
+            holders = {
+                peer for peer, tokens in cluster.pool_tokens().items()
+                if peer not in ends and any(t[0] == rid for t in tokens)
+            }
+            if confirm:
+                holders &= set(result.best.peers())  # a holder of firm claims
+            holder = min(holders)
+            before = set(cluster.pool_tokens()[holder])
+            cluster.kill_peer(holder)
+            await cluster.revive_peer(holder)
+            await asyncio.sleep(12 * soft_timeout)
+            held = cluster.pool_tokens()
+            errors = cluster.errors()
+        return result, holder, before, held, errors
+
+    result, holder, before, held, errors = vtime.run(scenario())
+    assert errors == [] and result.success
+    assert before
+    # fails without the revive dropping the old life's claims
+    assert held[holder] == []
+    # every other holder expired its soft claims; only the session's own
+    # firm tokens outlive the lost releases
+    others = {token for peer, tokens in held.items() if peer != holder for token in tokens}
+    assert others == set(result.session_tokens) - before
