@@ -17,11 +17,14 @@ The four steps of the protocol:
 4. **Setup** — an ack travels the reversed service graph confirming the
    soft resource allocations and initialising components.
 
-Two execution styles share this module's per-hop logic: the synchronous
-wave execution below (probes processed in elapsed-time order, so the
-collection timeout behaves like the event-driven original), and the
-session layer which replays the same steps against the live simulator
-clock for recovery experiments.
+Two execution styles share this module's steps: the synchronous wave
+execution below (probes processed in elapsed-time order, so the
+collection timeout behaves like the event-driven original), and the live
+peer daemon (:mod:`repro.net.peer`), which runs each step where the
+paper does — admission at the receiving peer, :meth:`BCP.plan_children`
+at the expanding one, :meth:`BCP.take_arrival`, :meth:`BCP.select_graph`
+and :meth:`BCP.time_setup` at the destination — and charges the same
+``bcp_*`` books through the engine's ledger.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -50,9 +53,6 @@ from .resources import ResourcePool
 from .selection import CandidateGraph, admit_graph, merge_probes, select_composition
 from .service_graph import ServiceGraph
 
-
-class _AdmissionFailed(Exception):
-    """Internal: setup-time admission failed (no-soft-allocation mode)."""
 
 __all__ = [
     "NextHopWeights",
@@ -243,13 +243,12 @@ class BCP:
         held (as soft claims re-keyed under the returned session tokens);
         ``confirm=False`` releases everything (measurement-only runs).
         """
-        cfg = self.config
-        beta = cfg.budget if budget is None else budget
+        beta = self.config.budget if budget is None else budget
         if beta < 1:
             raise ValueError(f"probing budget must be >= 1, got {beta}")
         result = CompositionResult(request=request, success=False)
         tokens: Set[Tuple] = set()
-        wave = self.registry.wave_cache() if cfg.wave_memoization else None
+        wave = self.registry.wave_cache() if self.config.wave_memoization else None
         timer = PhaseTimer()
         try:
             with timer.phase("probe"):
@@ -257,22 +256,11 @@ class BCP:
                     request, beta, result, tokens, now, wave
                 )
             result.phases["discovery"] = discovery_time
-            if not arrivals:
-                result.failure_reason = "no probe reached the destination"
-                self.ledger.record("bcp_failure", 64)
-                return result
             with timer.phase("selection"):
-                self._selection_phase(request, arrivals, result, tokens)
-            if result.best is None:
-                self.ledger.record("bcp_failure", 64)
-                return result
-            try:
-                with timer.phase("setup"):
-                    self._setup_phase(request, result, tokens, confirm)
-            except _AdmissionFailed:
-                self.ledger.record("bcp_failure", 64)
-                return result
-            result.success = True
+                if not self.select_graph(request, arrivals, result, self.pool):
+                    return result
+            with timer.phase("setup"):
+                result.success = self._setup_phase(request, result, tokens, confirm)
             return result
         finally:
             if not result.success or not confirm:
@@ -282,6 +270,11 @@ class BCP:
             # wall-clock breakdown (CPU spent in this process, distinct
             # from the simulated-seconds keys above) — see repro.perf
             result.phases.update(timer.as_dict(prefix="wall_"))
+
+    def fail(self, result: CompositionResult, reason: str) -> None:
+        """A composition ends without a graph: say why, charge the failure."""
+        result.failure_reason = reason
+        self.ledger.record("bcp_failure", 64)
 
     # ------------------------------------------------------------------
     # step 1 + 2: probing
@@ -310,12 +303,7 @@ class BCP:
             if elapsed > deadline:
                 continue  # late probe: destination already stopped collecting
             if probe.at_sink:
-                arrival = self._final_hop(probe, tokens, result)
-                if arrival is not None and arrival.elapsed <= deadline:
-                    key = arrival.dedup_key()
-                    prev = arrivals.get(key)
-                    if prev is None or arrival.elapsed < prev.elapsed:
-                        arrivals[key] = arrival
+                self.take_arrival(probe, tokens, result, arrivals)
                 continue
             children, lookup_rtt = self._expand(
                 probe, tokens, result, seen_children, now, wave
@@ -324,7 +312,6 @@ class BCP:
                 discovery_time = lookup_rtt
             for child in children:
                 heapq.heappush(queue, (child.elapsed, next(counter), child))
-        result.candidates_examined = len(arrivals)
         return list(arrivals.values()), discovery_time
 
     def _expand(
@@ -354,35 +341,55 @@ class BCP:
             res = lookup(fn, probe.current_peer, now=now)
             lookups.append(res.components)
             max_rtt = max(max_rtt, res.rtt)
+        children: List[Probe] = []
+        plan = self.plan_children(probe, candidates, lookups, probe.budget)
+        for fn, graph, applied, comp, child_budget in plan:
+            result.probes_sent += 1
+            child = self._admit(probe, fn, comp, graph, applied, child_budget, max_rtt, tokens)
+            if child is None:
+                continue
+            key = child.dedup_key()
+            if key in seen_children:
+                continue
+            seen_children.add(key)
+            children.append(child)
+        return children, max_rtt
+
+    def plan_children(
+        self,
+        probe: Probe,
+        candidates: Sequence[Tuple[str, FunctionGraph, FrozenSet[CommutationPair], bool]],
+        lookups: Sequence[List[ServiceMetadata]],
+        budget: int,
+    ) -> Iterator[Tuple[str, FunctionGraph, FrozenSet[CommutationPair], ServiceMetadata, int]]:
+        """Steps 2.3b–2.4 at the expanding peer: the child probes to send.
+
+        ``candidates`` are :func:`derive_next_functions`' next hops and
+        ``lookups`` their discovered duplicates.  ``budget`` is split
+        over the functions by their quotas; each function's viable
+        duplicates are ranked and the most promising sent a share.  Yields
+        ``(function, graph, applied, component, child budget)`` per child
+        and charges one ``bcp_probe`` for each.  Lazy: the synchronous
+        engine admits every child before the next function's duplicates
+        are scored, so scoring sees those admissions' reservations."""
         entries = [
             (fn, self.config.quota_policy(fn, len(comps)), is_dep)
             for (fn, _, _, is_dep), comps in zip(candidates, lookups)
         ]
-        shares = split_budget(probe.budget, entries)
-        children: List[Probe] = []
+        shares = split_budget(budget, entries)
         for idx, ((fn, graph, applied, _), comps) in enumerate(zip(candidates, lookups)):
             beta_k = shares.get(idx, 0)
             if beta_k < 1 or not comps:
                 continue
-            alpha_k = entries[idx][1]
             viable = self._filter_components(probe, comps)
             if not viable:
                 continue
-            i_k = min(beta_k, alpha_k, len(viable))
+            i_k = min(beta_k, entries[idx][1], len(viable))
             chosen = self._select_components(probe, viable, i_k)
             child_budget = max(1, beta_k // max(len(chosen), 1))
             for comp in chosen:
-                result.probes_sent += 1
                 self.ledger.record("bcp_probe", 256)
-                child = self._admit(probe, fn, comp, graph, applied, child_budget, max_rtt, tokens)
-                if child is None:
-                    continue
-                key = child.dedup_key()
-                if key in seen_children:
-                    continue
-                seen_children.add(key)
-                children.append(child)
-        return children, max_rtt
+                yield fn, graph, applied, comp, child_budget
 
     def _filter_components(
         self, probe: Probe, comps: Sequence[ServiceMetadata]
@@ -535,17 +542,46 @@ class BCP:
         )
         return probe.arrived(qos, elapsed)
 
+    def take_arrival(
+        self,
+        probe: Probe,
+        tokens: Set[Tuple],
+        result: CompositionResult,
+        arrivals: Dict[Tuple, Probe],
+    ) -> Optional[Probe]:
+        """The destination's intake of a probe at the sink: the final hop,
+        then the collection deadline; ``arrivals`` keeps the earliest
+        arrival per branch set.  Returns the arrival unless the final hop
+        pruned it or it came too late."""
+        arrival = self._final_hop(probe, tokens, result)
+        if arrival is None or arrival.elapsed > self.config.collect_timeout:
+            return None
+        key = arrival.dedup_key()
+        prev = arrivals.get(key)
+        if prev is None or arrival.elapsed < prev.elapsed:
+            arrivals[key] = arrival
+        return arrival
+
     # ------------------------------------------------------------------
     # step 3: selection
     # ------------------------------------------------------------------
-    def _selection_phase(
+    def select_graph(
         self,
         request: CompositeRequest,
-        arrivals: List[Probe],
+        arrivals: Sequence[Probe],
         result: CompositionResult,
-        tokens: Set[Tuple],
-    ) -> None:
+        pool,
+    ) -> bool:
+        """Step 3 at the destination: merge the collected branches into
+        candidate graphs and pick the qualified one with minimum ψλ,
+        ranked against ``pool``'s availability (the engine's own pool, or
+        a live destination's view of its whole wave's load).  A failure
+        is charged; returns whether a graph was selected."""
         cfg = self.config
+        result.candidates_examined = len(arrivals)
+        if not arrivals:
+            self.fail(result, "no probe reached the destination")
+            return False
         candidates = merge_probes(
             request,
             arrivals,
@@ -554,35 +590,28 @@ class BCP:
             max_candidates=cfg.max_candidates,
         )
         selection = select_composition(
-            candidates, request.qos, self.pool, cfg.cost_weights, objective=cfg.objective
+            candidates, request.qos, pool, cfg.cost_weights, objective=cfg.objective
         )
         result.qualified = selection.qualified
         if selection.best is None:
-            result.failure_reason = (
-                f"no qualified service graph among {len(candidates)} candidates"
-            )
-            return
+            self.fail(result, f"no qualified service graph among {len(candidates)} candidates")
+            return False
         result.best = selection.best.graph
         result.best_qos = selection.best.qos
         result.best_cost = selection.best.cost
+        return True
 
     # ------------------------------------------------------------------
     # step 4: setup (ack pass)
     # ------------------------------------------------------------------
-    def _setup_phase(
-        self,
-        request: CompositeRequest,
-        result: CompositionResult,
-        tokens: Set[Tuple],
-        confirm: bool,
-    ) -> None:
+    def time_setup(self, result: CompositionResult) -> None:
+        """Step 4's timing: the ack travels the reversed winning graph,
+        initialising each component on its way, branches in parallel.
+        Charges the ack hops and fills ``setup_time`` and the
+        ``composition`` / ``setup_ack`` phases (``discovery`` is set)."""
         cfg = self.config
-        best = result.best
-        assert best is not None
-        # ack travels the reversed service graph, confirming allocations
-        # and initialising each component
         ack_time = 0.0
-        for peers in best.branch_paths():
+        for peers in result.best.branch_paths():
             t = sum(
                 self.overlay.latency(u, v) for u, v in zip(peers, peers[1:]) if u != v
             )
@@ -594,28 +623,41 @@ class BCP:
         result.phases["composition"] = max(probing_time - result.phases.get("discovery", 0.0), 0.0)
         result.phases["setup_ack"] = ack_time
         result.setup_time = probing_time + ack_time
+
+    def _setup_phase(
+        self,
+        request: CompositeRequest,
+        result: CompositionResult,
+        tokens: Set[Tuple],
+        confirm: bool,
+    ) -> bool:
+        best = result.best
+        assert best is not None
+        self.time_setup(result)
         # keep the winning graph's reservations; drop the rest
         keep = self._tokens_of(best, request.request_id)
         for token in list(tokens):
             if token not in keep:
                 self.pool.cancel(token)
                 tokens.discard(token)
-        if confirm:
-            if cfg.soft_allocation:
-                for token in keep:
-                    if self.pool.has_token(token):
-                        self.pool.confirm(token)
-                result.session_tokens = sorted(tokens)
-            else:
-                # without probe-time reservations admission happens only
-                # now, against whatever state concurrent requests left —
-                # the conflicted-admission risk soft allocation removes
-                token = (request.request_id, "session")
-                if not admit_graph(best, self.pool, token):
-                    result.best = None
-                    result.failure_reason = "admission failed at setup (no soft allocation)"
-                    raise _AdmissionFailed()
-                result.session_tokens = [token]
+        if not confirm:
+            return True
+        if self.config.soft_allocation:
+            for token in keep:
+                if self.pool.has_token(token):
+                    self.pool.confirm(token)
+            result.session_tokens = sorted(tokens)
+            return True
+        # without probe-time reservations admission happens only now,
+        # against whatever state concurrent requests left — the
+        # conflicted-admission risk soft allocation removes
+        token = (request.request_id, "session")
+        if not admit_graph(best, self.pool, token):
+            result.best = None
+            self.fail(result, "admission failed at setup (no soft allocation)")
+            return False
+        result.session_tokens = [token]
+        return True
 
     def _tokens_of(self, graph: ServiceGraph, rid: int) -> Set[Tuple]:
         keep: Set[Tuple] = set()

@@ -114,9 +114,14 @@ class LiveCluster:
             )
         self.scenario = scenario
         self.net = scenario.net
+        if not self.net.bcp.config.soft_allocation:
+            raise ValueError(
+                "the live cluster always soft-allocates at probe time; the "
+                "soft_allocation=False ablation runs on the synchronous engine"
+            )
         self.trace = trace
-        # one tap over the SpiderNet ledger: BCP._final_hop / registry
-        # charges and the live wire books share a single MessageLedger
+        # the daemons' engines charge the SpiderNet ledger (bcp_*, and
+        # dht_route through the DHT); the tap adds the wire books to it
         self.tap = LedgerTap(self.net.ledger)
         # peer -> lives begun (boot is the first, each revive one more)
         self._lives: Dict[int, int] = {}
@@ -240,7 +245,6 @@ class LiveCluster:
             directory=directory,
             ring=self._ring,
             dht=self.net.dht,
-            tap=self.tap,
             trace=self.trace,
             soft_timeout=cfg.soft_timeout,
             collect_wall_timeout=cfg.collect_wall_timeout,

@@ -1,17 +1,25 @@
 """The live peer daemon: SpiderNet's per-hop protocol over a transport.
 
 Each daemon owns one overlay peer id and processes protocol messages as
-asyncio tasks, *reusing the wrapped* :class:`~repro.core.bcp.BCP`
-*per-hop methods the synchronous engine runs* — Steps 2.1–2.4 of the
-paper exist once, in ``bcp.py``:
+asyncio tasks, *calling the wrapped* :class:`~repro.core.bcp.BCP`
+*methods the synchronous engine runs* — every step of the paper's §4
+is decided once, in ``bcp.py``, and charged to the engine's ledger:
 
-* ``BCP._admit``          — Step 2.1 admission (QoS check + soft alloc)
-  at the probe's *receiving* peer,
-* ``derive_next_functions`` + ``BCP._filter_components`` +
-  ``BCP._select_components`` — Steps 2.2/2.3 at the expanding peer,
-* ``BCP._final_hop`` / ``merge_probes`` / ``select_composition`` — the
-  destination's Step 3,
-* ``BCP._tokens_of`` + pool confirm — the Step 4 ack pass.
+* ``BCP._admit`` — Step 2.1 admission (QoS check + soft alloc) at the
+  probe's *receiving* peer,
+* ``derive_next_functions`` + ``BCP.plan_children`` — Steps 2.2–2.4 at
+  the expanding peer: quotas, the budget split, filtering, next-hop
+  selection and the child budgets, one ``bcp_probe`` per child,
+* ``BCP.take_arrival`` — the destination's intake: final hop, collection
+  deadline, earliest arrival per branch set,
+* ``BCP.select_graph`` — Step 3, ranked over a :class:`_WaveLoadView`
+  of the whole wave's load,
+* ``BCP.time_setup`` + ``BCP._tokens_of`` / ``BCP._required_tokens`` —
+  the Step 4 ack pass: its timing and ``bcp_ack`` charges, and the tokens
+  it confirms.
+
+What is the daemon's own is what a network adds: discovery over the
+wire, termination credit, the report bundles and the release wave.
 
 **Termination detection.**  The synchronous engine knows the wave is
 over when its heap drains; a live destination cannot see remote
@@ -90,10 +98,10 @@ other.  A cache hit returns the exact (components, rtt) pair the routed
 lookup produced the first time — the DHT route is deterministic over a
 static ring, so selections and probe timing are bit-identical with the
 sync engine, which routes every lookup; only the ``dht_route`` /
-``net_directory`` charges shrink, which the ledger's ``dir_*`` counters
-audit.  A hit is answered on the spot: an expansion builds tasks only
-for the lookups that miss.  The key's replicas remember who queried
-it, and a content-changing re-registration awaits a
+``net_directory`` charges shrink (``cache_hits`` / ``cache_misses``
+count the hits and misses).  A hit is answered on the spot: an
+expansion builds tasks only for the lookups that miss.  The key's
+replicas remember who queried it, and a content-changing re-registration awaits a
 ``ReplicaInvalidate`` to each of those peers, so it returns only once
 every warm cache has forgotten the old rows; the TTL bounds the
 staleness of a querier the fan-out could not reach (see
@@ -109,17 +117,17 @@ from typing import Awaitable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.bcp import BCP, CompositionResult, derive_next_functions
 from ..core.probe import Probe
-from ..core.quota import split_budget
 from ..core.request import CompositeRequest
 from ..core.resources import InsufficientResources
-from ..core.selection import admit_graph, merge_probes, select_composition
+# Step 3 runs in BCP.select_graph; the names stay importable here for
+# bench/trace.py, which patches them at this module
+from ..core.selection import merge_probes, select_composition  # noqa: F401
 from ..core.service_graph import ServiceGraph
 from ..dht.id_space import key_for
 from ..dht.ring import RingSnapshot
 from ..discovery.metadata import ServiceMetadata
 from ..services.component import ComponentSpec
 from . import codec
-from .accounting import LedgerTap
 from .admission import LoadGuard
 from .directory import DirectorySlice
 from .rpc import DedupCache, RpcEndpoint, RpcError
@@ -267,7 +275,6 @@ class PeerDaemon:
         directory: DirectorySlice,
         ring: RingSnapshot,
         dht,
-        tap: Optional[LedgerTap] = None,
         trace=None,
         soft_timeout: float = 30.0,
         collect_wall_timeout: float = 10.0,
@@ -284,7 +291,6 @@ class PeerDaemon:
         self.directory = directory
         self.ring = ring
         self.dht = dht
-        self.tap = tap
         self.trace = trace
         self.soft_timeout = soft_timeout
         self.collect_wall_timeout = collect_wall_timeout
@@ -613,31 +619,13 @@ class PeerDaemon:
         if probe.branch == ():
             # the root expansion's slowest lookup is the discovery phase
             cargo = (cargo[0], max_rtt)
-        entries = [
-            (fn, cfg.quota_policy(fn, len(comps)), is_dep)
-            for (fn, _, _, is_dep), comps in zip(candidates, lookups)
-        ]
         budget = probe.budget
         if self.guard is not None and self.guard.degraded():
             # soft overload: expand this wave with half its budget —
             # the paper's quality/latency knob, turned by load
             budget = max(1, budget // 2)
             self.guard.budget_degrades += 1
-        shares = split_budget(budget, entries)
-        sends = []
-        for idx, ((fn, graph, applied, _), comps) in enumerate(zip(candidates, lookups)):
-            beta_k = shares.get(idx, 0)
-            if beta_k < 1 or not comps:
-                continue
-            alpha_k = entries[idx][1]
-            viable = self.bcp._filter_components(probe, comps)
-            if not viable:
-                continue
-            i_k = min(beta_k, alpha_k, len(viable))
-            chosen = self.bcp._select_components(probe, viable, i_k)
-            child_budget = max(1, beta_k // max(len(chosen), 1))
-            for comp in chosen:
-                sends.append((fn, graph, applied, comp, child_budget))
+        sends = list(self.bcp.plan_children(probe, candidates, lookups, budget))
         if not sends:
             await self._return_credit(rid, request.dest_peer, credit, "exhausted", cargo)
             return
@@ -665,8 +653,6 @@ class PeerDaemon:
         if entry is None or loop_time() >= entry[2]:
             return None
         self.cache_hits += 1
-        if self.tap is not None:
-            self.tap.dir_cache_hit()
         return list(entry[0]), entry[1]
 
     async def _lookup(
@@ -703,8 +689,6 @@ class PeerDaemon:
             # the leader's miss covers the whole flight; followers are
             # hits against its (imminent) cache entry
             self.cache_hits += 1
-            if self.tap is not None:
-                self.tap.dir_cache_hit()
             return list(comps), rtt
         fut = asyncio.get_running_loop().create_future()
         self._miss_flight[function] = fut
@@ -728,8 +712,6 @@ class PeerDaemon:
     ) -> Tuple[List[ServiceMetadata], float]:
         """Resolve one positive-cache miss: route (once), fetch."""
         self.cache_misses += 1
-        if self.tap is not None:
-            self.tap.dir_cache_miss()
         key = key_for(function)
         rtt = self._rtt_cache.get(function)
         if rtt is None:
@@ -784,8 +766,6 @@ class PeerDaemon:
         credit: int,
         cargo=_NO_CARGO,
     ) -> None:
-        if self.tap is not None:
-            self.tap.probe_sent()
         msg = codec.ProbeTransfer(
             request_id=rid,
             parent=parent,
@@ -981,14 +961,10 @@ class PeerDaemon:
         if isinstance(msg, codec.FinalProbe):
             toks = self._tokens.setdefault(rid, set())
             before = set(toks)
-            arrival = self.bcp._final_hop(msg.probe, toks, col.result)
+            arrival = self.bcp.take_arrival(msg.probe, toks, col.result, col.arrivals)
             for token in toks - before:
                 self._arm_expiry(rid, token)
-            if arrival is not None and arrival.elapsed <= self.bcp.config.collect_timeout:
-                key = arrival.dedup_key()
-                prev = col.arrivals.get(key)
-                if prev is None or arrival.elapsed < prev.elapsed:
-                    col.arrivals[key] = arrival
+            if arrival is not None:
                 self._trace("arrival", request=rid, branch=list(arrival.branch))
         col.credit += msg.credit
         if col.credit >= CREDIT and not col.done:
@@ -1042,101 +1018,43 @@ class PeerDaemon:
             col.deadline_handle.cancel()
         if self.guard is not None:
             self.guard.close_session(rid)
-        cfg = self.bcp.config
         request = col.request
         result = col.result
         result.probes_sent += col.probes_sent
-        result.candidates_examined = len(col.arrivals)
         result.phases["discovery"] = col.discovery
-        arrivals = list(col.arrivals.values())
-        keep: Set[Tuple] = set()
-        if not arrivals:
-            result.failure_reason = "no probe reached the destination"
-            if self.tap is not None:
-                self.tap.failure()
-        else:
-            candidates = merge_probes(
-                request, arrivals, self.bcp.overlay,
-                max_patterns=cfg.max_patterns, max_candidates=cfg.max_candidates,
-            )
-            # rank against the whole wave's load, not just the claims
-            # this destination admitted itself
-            wave_pool = _WaveLoadView(self.bcp.pool, col.wave_peer_used, col.wave_link_used)
-            selection = select_composition(
-                candidates, request.qos, wave_pool, cfg.cost_weights,
-                objective=cfg.objective,
-            )
-            result.qualified = selection.qualified
-            if selection.best is None:
-                result.failure_reason = (
-                    f"no qualified service graph among {len(candidates)} candidates"
-                )
-                if self.tap is not None:
-                    self.tap.failure()
-            else:
-                result.best = selection.best.graph
-                result.best_qos = selection.best.qos
-                result.best_cost = selection.best.cost
-        if result.best is not None:
-            # phase accounting + per-branch ack charges, as BCP._setup_phase
-            ack_time = 0.0
-            for peers in result.best.branch_paths():
-                t = sum(
-                    self.bcp.overlay.latency(u, v) for u, v in zip(peers, peers[1:]) if u != v
-                )
-                t += cfg.component_init_delay * (len(peers) - 2)
-                ack_time = max(ack_time, t)
-                if self.tap is not None:
-                    self.tap.ack_hops(len(peers) - 1)
-            arrivals_done = max((c.arrival_elapsed for c in result.qualified), default=0.0)
-            probing_time = min(arrivals_done, cfg.collect_timeout)
-            result.phases["composition"] = max(probing_time - col.discovery, 0.0)
-            result.phases["setup_ack"] = ack_time
-            result.setup_time = probing_time + ack_time
-            keep = self.bcp._tokens_of(result.best, rid)
-        success = result.best is not None
-        if not col.confirm:
-            keep = set()  # measurement-only run: the winner's tokens go too
+        # rank against the whole wave's load, not just the claims this
+        # destination admitted itself
+        wave_pool = _WaveLoadView(self.bcp.pool, col.wave_peer_used, col.wave_link_used)
+        success = self.bcp.select_graph(request, list(col.arrivals.values()), result, wave_pool)
+        keep: Set[Tuple] = set()  # measurement-only: the winner's tokens go too
+        if success:
+            self.bcp.time_setup(result)
+            if col.confirm:
+                keep = self.bcp._tokens_of(result.best, rid)
         # one wave: every reservation of this request but the ones kept,
         # handed to the transport and not waited for
         handed = self._release(col, keep)
         if success and col.confirm:
-            if cfg.soft_allocation:
-                # same-peer hops never reserved a link token, so only the
-                # tokens that must exist can fail the setup ack
-                required = self.bcp._required_tokens(result.best, rid)
-                confirmed = await self._confirm_session(rid, keep, result.best)
-                if confirmed != required:
-                    result.best = None
-                    result.best_qos = None
-                    result.best_cost = math.inf
-                    result.failure_reason = "setup ack found expired reservation or dead peer"
-                    if self.tap is not None:
-                        self.tap.failure()
-                    # per-link FIFO keeps this wave behind the first one
-                    handed += self._release(col, set())
-                    success = False
-                else:
-                    result.session_tokens = sorted(confirmed)
+            # same-peer hops never reserved a link token, so only the
+            # tokens that must exist can fail the setup ack
+            required = self.bcp._required_tokens(result.best, rid)
+            confirmed = await self._confirm_session(rid, keep, result.best)
+            if confirmed != required:
+                result.best = None
+                result.best_qos = None
+                result.best_cost = math.inf
+                self.bcp.fail(result, "setup ack found expired reservation or dead peer")
+                # per-link FIFO keeps this wave behind the first one
+                handed += self._release(col, set())
+                success = False
             else:
-                # no-soft-allocation ablation: firm admission happens only now
-                token = (rid, "session")
-                if admit_graph(result.best, self.bcp.pool, token):
-                    result.session_tokens = [token]
-                else:
-                    result.best = None
-                    result.best_qos = None
-                    result.best_cost = math.inf
-                    result.failure_reason = "admission failed at setup (no soft allocation)"
-                    if self.tap is not None:
-                        self.tap.failure()
-                    success = False
+                result.session_tokens = sorted(confirmed)
         result.success = success
         self._collections.pop(rid, None)
         self._closed.seen(rid)
         self._trace(
             "compose_finished", request=rid, success=success, why=why,
-            arrivals=len(arrivals), probes=result.probes_sent,
+            arrivals=len(col.arrivals), probes=result.probes_sent,
         )
         out = codec.ComposeResult(
             request_id=rid,

@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.core.bcp import BCPConfig
 from repro.net import ClusterConfig, LiveCluster
 from repro.sim.tracing import EventTrace
 
@@ -132,3 +133,10 @@ def test_compose_requires_started_cluster():
     request = cluster.scenario.requests.next_request()
     with pytest.raises(RuntimeError, match="not started"):
         asyncio.run(cluster.compose(request))
+
+
+def test_the_no_soft_allocation_ablation_is_refused():
+    # a live destination confirms the reservations its probes made; the
+    # ablation without them runs on the synchronous engine
+    with pytest.raises(ValueError, match="soft_allocation=False"):
+        LiveCluster(_small_config(bcp_config=BCPConfig(soft_allocation=False)))

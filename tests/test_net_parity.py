@@ -51,32 +51,42 @@ def _parity_config(transport="loopback", **overrides):
     return ClusterConfig(**base)
 
 
+BCP_BOOKS = ("bcp_probe", "bcp_ack", "bcp_failure")
+VIRTUAL_PHASES = ("discovery", "composition", "setup_ack")
+
+
 def _matches_synchronous_bcp(run, **overrides):
-    """The live cluster must reproduce the sync engine's exact choices —
-    with *zero* reads of the scenario's registry / pool / DHT storage:
-    the cluster's SharedStateGuard seals them for its whole lifetime and
-    records (then raises on) any access.
+    """The live cluster must reproduce the sync engine's exact choices,
+    timings and ``bcp_*`` books — with *zero* reads of the scenario's
+    registry / pool / DHT storage: the cluster's SharedStateGuard seals
+    them for its whole lifetime and records (then raises on) any access.
     """
 
     async def scenario():
         cluster = LiveCluster(_parity_config(**overrides))
         requests = cluster.scenario.requests.batch(5)
         sync_bcp = cluster.scenario.net.bcp
+        ledger = cluster.ledger
 
         # synchronous pass first: confirm=False releases every reservation,
         # so the live pass starts from identical pool state.  (Runs before
         # the cluster starts — the guard is sealed only while it runs.)
+        snap = ledger.snapshot()
         expected = [sync_bcp.compose(r, confirm=False) for r in requests]
+        sync_books = ledger.delta_since(snap)
 
         live = []
         async with cluster:
+            snap = ledger.snapshot()
             for r in requests:
                 live.append(await cluster.compose(r, confirm=False, timeout=60))
+            live_books = ledger.delta_since(snap)
         leaked = cluster.soft_tokens()
         errors = cluster.errors()
-        return expected, live, leaked, errors, cluster.shared_guard.violations
+        books = [(sync_books.get(c), live_books.get(c)) for c in BCP_BOOKS]
+        return expected, live, books, leaked, errors, cluster.shared_guard.violations
 
-    expected, live, leaked, errors, violations = run(scenario())
+    expected, live, books, leaked, errors, violations = run(scenario())
     assert errors == []
     assert leaked == {}
     assert violations == []
@@ -86,8 +96,15 @@ def _matches_synchronous_bcp(run, **overrides):
         assert live_r.success == sync_r.success, rid
         if sync_r.success:
             assert live_r.best.signature() == sync_r.best.signature(), rid
+        assert live_r.failure_reason == sync_r.failure_reason, rid
+        assert live_r.best_qos == sync_r.best_qos, rid
+        assert live_r.setup_time == sync_r.setup_time, rid
+        for phase in VIRTUAL_PHASES:
+            assert live_r.phases.get(phase) == sync_r.phases.get(phase), (rid, phase)
         assert live_r.probes_sent == sync_r.probes_sent, rid
         assert live_r.candidates_examined == sync_r.candidates_examined, rid
+    for category, (sync_book, live_book) in zip(BCP_BOOKS, books):
+        assert live_book == sync_book, category
     return expected
 
 
@@ -126,7 +143,7 @@ def test_directory_cache_changes_routing_charges_not_selections():
     plane: against the sync engine, which routes every lookup, the live
     cluster makes identical selections with identical bcp_* books,
     strictly fewer ``dht_route`` charges, and the saved work visible as
-    ``dir_cache_hit`` entries."""
+    the daemons' cache hits."""
 
     async def scenario():
         cluster = LiveCluster(
@@ -153,9 +170,9 @@ def test_directory_cache_changes_routing_charges_not_selections():
         assert cluster.errors() == []
         assert cluster.soft_tokens() == {}
         assert cluster.shared_guard.violations == []
-        return expected, live, sync_delta, live_delta
+        return expected, live, sync_delta, live_delta, cluster.directory_stats()
 
-    expected, live, sync_delta, live_delta = vtime.run(scenario())
+    expected, live, sync_delta, live_delta, directory = vtime.run(scenario())
 
     def signatures(results):
         return [r.best.signature() if r.success else None for r in results]
@@ -166,12 +183,11 @@ def test_directory_cache_changes_routing_charges_not_selections():
     sync_counts, live_counts = counts(sync_delta), counts(live_delta)
     assert any(s is not None for s in signatures(expected)), "fixture must compose something"
     assert signatures(live) == signatures(expected)
-    for cat in ("bcp_probe", "bcp_ack", "bcp_failure"):
+    for cat in BCP_BOOKS:
         assert live_counts.get(cat, 0) == sync_counts.get(cat, 0), cat
     # the headline: cached lookups really skip the DHT routing work
     assert live_counts.get("dht_route", 0) < sync_counts.get("dht_route", 0)
-    assert live_counts.get("dir_cache_hit", 0) > 0
-    assert "dir_cache_hit" not in sync_counts
+    assert directory["cache_hits"] > 0
 
 
 def test_tcp_cluster_survives_peer_kill():
