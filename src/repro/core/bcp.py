@@ -104,11 +104,6 @@ class BCPConfig:
     qos_pruning: bool = True  # ablation: per-hop violation drops on/off
     metric_selection: bool = True  # ablation: composite metric vs random pruning
     objective: str = "cost"  # destination ranking: "cost" (ψλ) or "delay"
-    # fast-path switches: both are behaviour-preserving (the seeded A/B
-    # test in tests/test_perf_fastpath.py proves identical compositions);
-    # they exist so the equivalence stays checkable
-    wave_memoization: bool = True  # memoize discovery lookups per wave
-    vectorized_scoring: bool = True  # NumPy candidate scoring in Step 2.3b
 
 
 @dataclass
@@ -248,7 +243,7 @@ class BCP:
             raise ValueError(f"probing budget must be >= 1, got {beta}")
         result = CompositionResult(request=request, success=False)
         tokens: Set[Tuple] = set()
-        wave = self.registry.wave_cache() if self.config.wave_memoization else None
+        wave = self.registry.wave_cache()
         timer = PhaseTimer()
         try:
             with timer.phase("probe"):
@@ -418,7 +413,7 @@ class BCP:
         # scalar loop's IEEE-754 op order), so the dispatch is purely a
         # speed choice: ufunc dispatch overhead beats the scalar loop
         # only once the candidate list is reasonably wide
-        if self.config.vectorized_scoring and len(comps) >= self.VECTORIZE_MIN_CANDIDATES:
+        if len(comps) >= self.VECTORIZE_MIN_CANDIDATES:
             scores = self._score_components_vec(probe, comps)
         else:
             scores = self._score_components_scalar(probe, comps)

@@ -14,6 +14,7 @@ import shlex
 import pytest
 
 import repro.__main__ as cli
+from repro.core.bcp import BCPConfig
 from repro.net import (
     AdmissionConfig,
     ClusterConfig,
@@ -113,7 +114,10 @@ class TestDriftGate:
 
     @pytest.mark.parametrize(
         "config",
-        [ClusterConfig, MeasurementConfig, AdmissionConfig, ScaleoutConfig, RetryPolicy],
+        [
+            ClusterConfig, MeasurementConfig, AdmissionConfig, ScaleoutConfig, RetryPolicy,
+            BCPConfig,
+        ],
     )
     def test_shown_config_keywords_are_fields(self, config):
         fields = {f.name for f in dataclasses.fields(config)}

@@ -12,13 +12,27 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.bcp import BCPConfig
+from repro.core.bcp import BCP, BCPConfig
 from repro.core.function_graph import FunctionGraph
+from repro.discovery.registry import ServiceRegistry
 from repro.perf import PhaseTimer
 from repro.workload.generator import RequestConfig
 from repro.workload.scenarios import simulation_testbed
 
 from worlds import MicroWorld, micro_overlay
+
+
+def unmemoized(monkeypatch):
+    """From here on every discovery lookup of a compose routes the DHT:
+    the reference for the wave-scoped memo."""
+    monkeypatch.setattr(ServiceRegistry, "wave_cache", lambda self: None)
+
+
+def scoring(monkeypatch, vectorized: bool):
+    """From here on Step 2.3b scores every candidate list with the NumPy
+    pass, or with the scalar loop that is its reference, whatever its
+    length."""
+    monkeypatch.setattr(BCP, "VECTORIZE_MIN_CANDIDATES", 0 if vectorized else math.inf)
 
 
 def structural_signature(graph):
@@ -183,19 +197,20 @@ class TestWaveLookupCache:
         assert one  # a DHT lookup charges something
         assert three == {k: (3 * c, 3 * b) for k, (c, b) in one.items()}
 
-    def test_memoized_compose_keeps_message_accounting(self):
+    def test_memoized_compose_keeps_message_accounting(self, monkeypatch):
         """Wave memoization must not change probe/ledger accounting."""
 
-        def run(memoize: bool):
-            w = MicroWorld(n_peers=8, config=BCPConfig(budget=8, wave_memoization=memoize))
+        def run():
+            w = MicroWorld(n_peers=8, config=BCPConfig(budget=8))
             for p in (2, 3, 5):
                 w.place("fa", p)
                 w.place("fb", p)
             result = w.bcp.compose(w.request(FunctionGraph.linear(["fa", "fb"])))
             return result, w.dht.ledger
 
-        on, ledger_on = run(True)
-        off, ledger_off = run(False)
+        on, ledger_on = run()
+        unmemoized(monkeypatch)
+        off, ledger_off = run()
         assert on.success and off.success
         assert structural_signature(on.best) == structural_signature(off.best)
         assert on.best_cost == off.best_cost
@@ -319,18 +334,18 @@ class TestFastPathEquivalence:
         monkeypatch.setattr(request_mod, "_request_ids", itertools.count(1))
         monkeypatch.setattr(probe_mod, "_probe_ids", itertools.count(1))
 
-    def run_batch(self, fast: bool):
-        bcp_config = BCPConfig(
-            budget=32,
-            wave_memoization=fast,
-            vectorized_scoring=fast,
-        )
+    def run_batch(self, fast: bool, monkeypatch):
+        # this world's candidate lists are all shorter than the dispatch
+        # threshold: the fast run scores them with NumPy regardless
+        scoring(monkeypatch, vectorized=fast)
+        if not fast:
+            unmemoized(monkeypatch)
         scenario = simulation_testbed(
             n_ip=300,
             n_peers=60,
             n_functions=15,
             request_config=RequestConfig(function_count=(3, 3)),
-            bcp_config=bcp_config,
+            bcp_config=BCPConfig(budget=32),
             seed=0,
         )
         if not fast:
@@ -355,9 +370,9 @@ class TestFastPathEquivalence:
 
     def test_seeded_batch_is_bit_identical(self, monkeypatch):
         self.reset_global_ids(monkeypatch)
-        fast_out, fast_count, fast_bytes = self.run_batch(True)
+        fast_out, fast_count, fast_bytes = self.run_batch(True, monkeypatch)
         self.reset_global_ids(monkeypatch)
-        slow_out, slow_count, slow_bytes = self.run_batch(False)
+        slow_out, slow_count, slow_bytes = self.run_batch(False, monkeypatch)
         assert sum(1 for o in fast_out if o[0]) > self.N_REQUESTS // 2
         for i, (f, s) in enumerate(zip(fast_out, slow_out)):
             assert f == s, f"request {i} diverged"
