@@ -39,6 +39,7 @@ from .selection import (
     select_composition,
 )
 from .service_graph import ServiceGraph
+from .strategies.base import duplicates_by_function, finalize_selection
 
 __all__ = [
     "admit_graph",
@@ -137,37 +138,6 @@ class _ComposerBase:
     max_patterns: int = 8
     objective: str = "cost"  # destination ranking: "cost" (ψλ) or "delay"
 
-    def _duplicates(self, request: CompositeRequest) -> Dict[str, List[ServiceMetadata]]:
-        return {
-            fn: self.registry.duplicates(fn)
-            for fn in request.function_graph.functions
-        }
-
-    def _result(
-        self,
-        request: CompositeRequest,
-        selection: SelectionOutcome,
-        probes: int,
-        confirm: bool,
-    ) -> CompositionResult:
-        result = CompositionResult(request=request, success=False, probes_sent=probes)
-        result.qualified = selection.qualified
-        result.candidates_examined = selection.n_candidates
-        if selection.best is None:
-            result.failure_reason = "no qualified service graph"
-            return result
-        token = (request.request_id, "session")
-        if confirm:
-            if not admit_graph(selection.best.graph, self.pool, token):
-                result.failure_reason = "admission failed at setup"
-                return result
-            result.session_tokens = [token]
-        result.best = selection.best.graph
-        result.best_qos = selection.best.qos
-        result.best_cost = selection.best.cost
-        result.success = True
-        return result
-
 
 class OptimalComposer(_ComposerBase):
     """Unbounded flooding ground truth: provably best qualified graph.
@@ -200,7 +170,7 @@ class OptimalComposer(_ComposerBase):
         from ..perf.counters import OpCounters
         from .strategies.search import search_compositions
 
-        duplicates = self._duplicates(request)
+        duplicates = duplicates_by_function(self.registry, request)
         probes = optimal_probe_count(request, duplicates, self.max_patterns)
         if probes > self.max_search_space:
             raise SearchSpaceExceeded(
@@ -224,7 +194,7 @@ class OptimalComposer(_ComposerBase):
             counters=counters,
         )
         self.last_counters = counters
-        result = self._result(request, outcome.selection(), probes, confirm)
+        result = finalize_selection(request, outcome.selection(), self.pool, probes, confirm)
         result.phases.update(counters.as_phases())
         return result
 
@@ -237,7 +207,7 @@ class RandomComposer(_ComposerBase):
         self.rng = as_generator(rng)
 
     def compose(self, request: CompositeRequest, confirm: bool = True) -> CompositionResult:
-        duplicates = self._duplicates(request)
+        duplicates = duplicates_by_function(self.registry, request)
         fg = request.function_graph
         assignment: Dict[str, ServiceMetadata] = {}
         for fn in fg.functions:
@@ -286,7 +256,6 @@ class StaticComposer(RandomComposer):
     """Pre-defined component per function: the lowest component id."""
 
     def compose(self, request: CompositeRequest, confirm: bool = True) -> CompositionResult:
-        duplicates = self._duplicates(request)
         assignment: Dict[str, ServiceMetadata] = {}
         for fn in request.function_graph.functions:
             comps = self.registry.duplicates(fn, include_down=True)
@@ -362,7 +331,7 @@ class CentralizedComposer(_ComposerBase):
     def compose(self, request: CompositeRequest, confirm: bool = True) -> CompositionResult:
         if not self._cached_available:
             self.refresh()
-        duplicates = self._duplicates(request)
+        duplicates = duplicates_by_function(self.registry, request)
         combos = optimal_probe_count(request, duplicates, self.max_patterns)
         if combos > self.max_search_space:
             raise SearchSpaceExceeded(
@@ -389,7 +358,7 @@ class CentralizedComposer(_ComposerBase):
             n_candidates=len(candidates),
         )
         self.ledger.record("centralized_setup", 128, len(request.function_graph))
-        return self._result(request, selection, probes=0, confirm=confirm)
+        return finalize_selection(request, selection, self.pool, probes=0, confirm=confirm)
 
     def _cached_cost(self, graph: ServiceGraph) -> float:
         weights = self.cost_weights or CostWeights.uniform(self.pool.resource_types)

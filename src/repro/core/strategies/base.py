@@ -39,6 +39,7 @@ __all__ = [
     "create_strategy",
     "get_strategy",
     "strategy_names",
+    "duplicates_by_function",
     "finalize_selection",
     "BCPStrategy",
     "OptimalStrategy",
@@ -132,10 +133,15 @@ class StrategyContext:
         return self.bcp
 
     def duplicates(self, request: CompositeRequest) -> Dict[str, List[ServiceMetadata]]:
-        return {
-            fn: self.registry.duplicates(fn)
-            for fn in request.function_graph.functions
-        }
+        return duplicates_by_function(self.registry, request)
+
+
+def duplicates_by_function(
+    registry: ServiceRegistry, request: CompositeRequest
+) -> Dict[str, List[ServiceMetadata]]:
+    """Each of the request's functions -> its duplicates, read from the
+    registry's global view (what every global-view composer starts from)."""
+    return {fn: registry.duplicates(fn) for fn in request.function_graph.functions}
 
 
 class CompositionStrategy(ABC):
@@ -208,7 +214,8 @@ def finalize_selection(
 ) -> CompositionResult:
     """Selection outcome → CompositionResult, with §4.3 admission.
 
-    Same semantics as BCP's destination step and the baselines: the
+    Every global-view composer ends here (the search strategies and the
+    §6.1 baselines), with BCP's destination semantics: the
     winning graph's resources are firmly admitted (all-or-nothing) under
     a session token when ``confirm``; a shortfall turns success into an
     admission failure.
