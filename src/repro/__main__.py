@@ -578,7 +578,11 @@ async def _cluster_worker(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.experiment == "compose-live" and args.kill is not None:
+        if not 0 <= args.kill < args.peers:
+            parser.error(f"--kill {args.kill} is not a peer in [0, {args.peers})")
     trace = EventTrace() if getattr(args, "trace", None) else None
     try:
         if args.experiment == "serve":

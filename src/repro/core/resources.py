@@ -166,10 +166,6 @@ class ResourcePool:
             vectorized=self._vectorized,
         )
 
-    def set_vectorized(self, enabled: bool) -> None:
-        """Toggle the NumPy bandwidth fast path (A/B comparison runs)."""
-        self._vectorized = enabled and hasattr(self.overlay.router, "link_indices")
-
     # ------------------------------------------------------------------
     # read side
     # ------------------------------------------------------------------
@@ -188,9 +184,6 @@ class ResourcePool:
         return max(
             self._capacity[peer].get(rtype) - self._used[peer].get(rtype), 0.0
         )
-
-    def link_capacity(self, link: Link) -> float:
-        return float(self._link_cap[self._link_index[tuple(sorted(link))]])
 
     def link_available(self, link: Link) -> float:
         i = self._link_index[tuple(sorted(link))]

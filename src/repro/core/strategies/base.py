@@ -4,7 +4,7 @@ Composition used to be hard-wired to BCP; the baselines of §6.1 lived in
 ``core/baselines.py`` behind ad-hoc constructors.  This module puts one
 abstract interface in front of all of them — ``compose(request)`` on a
 shared :class:`StrategyContext` — plus a name registry so the sim
-harness and the benchmarks can select an algorithm by string
+harness and ``bench/run.py`` can select an algorithm by string
 (``SpiderNet.use_composer(name)``).
 
 Strategies declare ``requires_global_view``: BCP composes from purely

@@ -10,7 +10,6 @@ the whole duplicate list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
 
 from ..core.qos import QoSVector
 from ..core.resources import ResourceVector
@@ -51,14 +50,3 @@ class ServiceMetadata:
             bandwidth_factor=spec.bandwidth_factor,
             registered_at=registered_at,
         )
-
-    def describe(self) -> Dict[str, object]:
-        """A plain-dict view (used by examples and logs)."""
-        return {
-            "component_id": self.component_id,
-            "function": self.function,
-            "peer": self.peer,
-            "qp": self.qp.as_dict(),
-            "resources": self.resources.as_dict(),
-            "bandwidth_factor": self.bandwidth_factor,
-        }

@@ -22,9 +22,6 @@ class Series:
         self.x.append(float(x))
         self.y.append(float(y))
 
-    def as_rows(self) -> List[Tuple[float, float]]:
-        return list(zip(self.x, self.y))
-
 
 def format_table(
     x_label: str,

@@ -77,12 +77,3 @@ class LedgerTap:
             return
         category = WIRE_CATEGORY.get(type(envelope.get("body")), "net_other")
         self.ledger.record(category, n_bytes)
-
-    # ------------------------------------------------------------------
-    def wire_summary(self) -> dict:
-        """The live-only wire books: {category: (frames, bytes)}."""
-        return {
-            cat: (self.ledger.count[cat], self.ledger.bytes[cat])
-            for cat in sorted(self.ledger.count)
-            if cat.startswith("net_")
-        }

@@ -201,9 +201,7 @@ class LiveCluster:
         )
         plane: Optional[MeasurementPlane] = None
         if measuring:
-            plane = MeasurementPlane(
-                peer, endpoint, self.measure_cfg, view=overlay, trace=self.trace
-            )
+            plane = MeasurementPlane(peer, endpoint, view=overlay, trace=self.trace)
             # candidates on downed paths are filtered at Step 2.3a
             base_alive = bcp.alive
             bcp.alive = (
@@ -392,19 +390,6 @@ class LiveCluster:
                 return result
             task.cancel()  # the *caller* was cancelled: propagate inward
             raise
-
-    async def compose_many(
-        self,
-        requests,
-        budget: Optional[int] = None,
-        confirm: bool = True,
-        timeout: Optional[float] = None,
-    ) -> List[CompositionResult]:
-        """Compose a batch sequentially (each sees the previous sessions' load)."""
-        return [
-            await self.compose(r, budget=budget, confirm=confirm, timeout=timeout)
-            for r in requests
-        ]
 
     async def compose_concurrent(
         self,

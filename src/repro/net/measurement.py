@@ -80,6 +80,9 @@ def _canon(a: int, b: int) -> Link:
     return (a, b) if a < b else (b, a)
 
 
+# seconds between probe cycles; each cycle ends in the interval's one
+# routing decision
+PROBE_INTERVAL = 0.5
 # static overlay neighbours probed per cycle (nearest by declared delay)
 PROBE_FANOUT = 3
 # hard cap on probes sent per cycle, recovery probes included
@@ -117,13 +120,6 @@ class MeasurementConfig:
     """
 
     enabled: bool = True
-    # seconds between probe cycles; each cycle ends in the interval's
-    # one routing decision
-    probe_interval: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.probe_interval <= 0:
-            raise ValueError("probe_interval must be > 0")
 
 
 class LinkEstimator:
@@ -374,13 +370,11 @@ class MeasurementPlane:
         self,
         peer_id: int,
         endpoint,
-        config: MeasurementConfig,
         view: MeasuredOverlayView,
         trace=None,
         clock: Callable[[], float] = loop_time,
     ) -> None:
         self.peer_id = peer_id
-        self.config = config
         self.endpoint = endpoint
         self.view = view
         self._trace = trace
@@ -445,7 +439,7 @@ class MeasurementPlane:
     async def _probe_loop(self) -> None:
         try:
             while True:
-                await asyncio.sleep(self.config.probe_interval)
+                await asyncio.sleep(PROBE_INTERVAL)
                 await self._probe_cycle()
                 self._reprice(self._clock())
         except asyncio.CancelledError:
@@ -468,7 +462,7 @@ class MeasurementPlane:
             n = len(self.neighbours)
             start = self._rotate % n
             self._rotate += 1
-            now, interval = self._clock(), self.config.probe_interval
+            now, interval = self._clock(), PROBE_INTERVAL
             for q in self.neighbours[start:] + self.neighbours[:start]:
                 if q in self._down:
                     continue

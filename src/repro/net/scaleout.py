@@ -113,6 +113,10 @@ class ScaleoutConfig:
             )
         if self.rate <= 0 or self.duration <= 0:
             raise ValueError("rate and duration must be positive")
+        if self.kill_peer is not None and not 0 <= self.kill_peer < self.n_peers:
+            raise ValueError(
+                f"kill_peer {self.kill_peer} is not a peer in [0, {self.n_peers})"
+            )
 
     def hosted_by(self, shard: int) -> Tuple[int, ...]:
         """The peers worker ``shard`` hosts (round-robin assignment)."""

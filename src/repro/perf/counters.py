@@ -42,10 +42,6 @@ class OpCounters:
     def __iter__(self) -> Iterator[Tuple[str, int]]:
         return iter(sorted(self.totals.items()))
 
-    def merge(self, other: "OpCounters") -> None:
-        for key, n in other.totals.items():
-            self.incr(key, n)
-
     def as_phases(self, prefix: str = "ops_") -> Dict[str, float]:
         """The totals as ``CompositionResult.phases`` entries (floats, to
         match the timer values sharing the dict)."""

@@ -14,11 +14,6 @@ from .media import (
     make_transform,
 )
 
-# NOTE: the streaming data plane lives in repro.services.streaming and is
-# imported explicitly (``from repro.services.streaming import
-# StreamingSession``) — it builds on repro.core, so re-exporting it here
-# would create an import cycle during package initialisation.
-
 __all__ = [
     "ADU",
     "ComponentSpec",

@@ -227,10 +227,5 @@ class MessageLedger:
             return sum(self.count.values())
         return sum(self.count.get(c, 0) for c in categories)
 
-    def total_bytes(self, categories: Optional[Iterable[str]] = None) -> int:
-        if categories is None:
-            return sum(self.bytes.values())
-        return sum(self.bytes.get(c, 0) for c in categories)
-
     def as_dict(self) -> dict:
         return {"count": dict(self.count), "bytes": dict(self.bytes)}

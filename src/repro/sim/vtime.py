@@ -8,8 +8,8 @@ self-pipe, no file descriptor.
 
 Two kinds of program run on it:
 
-* the simulator — sessions, churn, arrivals and streaming schedule
-  plain callbacks with ``loop.call_later`` (and :func:`every`), and
+* the simulator — sessions, churn and arrivals schedule plain
+  callbacks with ``loop.call_later`` (and :func:`every`), and
   :func:`advance` runs them up to a horizon;
 * the live daemon — a :class:`~repro.net.cluster.LiveCluster` over
   :class:`~repro.net.transport.LoopbackTransport` runs unchanged under

@@ -59,23 +59,11 @@ class LiveOverlayView:
         self._dirty = True
         self._dist: Optional[np.ndarray] = None
         self._index: Dict[int, int] = {}
-        self._invalidate_listeners: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
-    def on_invalidate(self, callback: Callable[[], None]) -> None:
-        """Register a hook fired on every invalidation (liveness flip or
-        repair link) so caches layered on this view — memoized paths,
-        availability arrays — can flush in step with the rebuilt view.
-
-        The *static* :class:`~repro.topology.routing.OverlayRouter` cache
-        never needs this: its overlay does not change.  Live views do."""
-        self._invalidate_listeners.append(callback)
-
     def invalidate(self) -> None:
         """Call when liveness changed (wired to churn callbacks)."""
         self._dirty = True
-        for callback in self._invalidate_listeners:
-            callback()
 
     def add_link(self, a: int, b: int, delay: float, bandwidth: float = 10.0) -> None:
         """Install a repair link (kept even if the view is recomputed)."""

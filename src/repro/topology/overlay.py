@@ -155,14 +155,6 @@ def _annotate_and_wrap(
     return Overlay(graph=g, router=OverlayRouter(g), ip_of=ip_of, ip_graph=ip_graph, kind=kind)
 
 
-def _edge_attrs_from_ip(
-    ip_router: IPRouter, ra: int, rb: int, access_bw: float
-) -> Tuple[float, float]:
-    delay = ip_router.delay(ra, rb)
-    bw = min(ip_router.path_bandwidth(ra, rb), access_bw)
-    return delay, bw
-
-
 def mesh_overlay(
     ip_graph: nx.Graph,
     n_peers: int,

@@ -131,7 +131,6 @@ class OverlayRouter:
     def __init__(
         self,
         overlay_graph: nx.Graph,
-        cache_paths: bool = True,
         delay_overrides: Optional[Dict[Tuple[int, int], float]] = None,
     ) -> None:
         self.graph = overlay_graph
@@ -157,7 +156,7 @@ class OverlayRouter:
         self._edge_delays = np.array(
             [float(d) for _, _, d in overlay_graph.edges(data="delay")], dtype=float
         )
-        self._cache_enabled = cache_paths
+        self._cache_enabled = True
         self.clear_cache()
 
     @property
@@ -168,15 +167,6 @@ class OverlayRouter:
     def link_order(self) -> List[Tuple[int, int]]:
         """Canonically ordered overlay links, defining array indices."""
         return list(self._link_order)
-
-    @property
-    def link_index(self) -> Dict[Tuple[int, int], int]:
-        """Mapping of canonical link -> index into :attr:`link_order`."""
-        return self._link_index
-
-    def index_of(self, peer: int) -> int:
-        """Matrix row/column of a peer (for delay-matrix lookups)."""
-        return self._index[peer]
 
     def link_delay(self, u: int, v: int) -> float:
         """Effective one-hop weight of an overlay edge (override-aware)."""

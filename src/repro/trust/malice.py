@@ -47,9 +47,6 @@ class MaliciousPopulation:
         ) if k else set()
         return cls(chosen, sabotage_probability)
 
-    def is_malicious(self, peer: int) -> bool:
-        return peer in self.malicious
-
     def session_outcome(self, service_peers: Iterable[int], rng) -> bool:
         """True = the session ran cleanly; False = sabotaged.
 

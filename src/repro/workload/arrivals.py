@@ -121,6 +121,3 @@ class ZipfFunctionSampler:
             len(self.functions), size=k, replace=False, p=self._weights
         )
         return [self.functions[int(i)] for i in idx]
-
-    def popularity(self, function: str) -> float:
-        return float(self._weights[self.functions.index(function)])

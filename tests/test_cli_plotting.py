@@ -79,6 +79,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
 
+    def test_compose_live_rejects_an_unknown_kill_peer_before_boot(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compose-live", "--peers", "5", "--kill", "9"])
+        assert exc.value.code == 2
+        assert "--kill 9" in capsys.readouterr().err
+
     def test_quick_fig10_runs(self, capsys):
         rc = main(["fig10", "--quick", "--seed", "3"])
         assert rc == 0

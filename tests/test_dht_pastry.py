@@ -7,6 +7,18 @@ import pytest
 
 from repro.dht.id_space import circular_distance, key_for
 from repro.dht.pastry import PastryNetwork, RoutingFailure
+from repro.topology.overlay import wan_overlay
+
+
+def _mean_hops(n_peers, lookups=150):
+    """Mean hop count of random-origin lookups on a fresh WAN ring."""
+    dht = PastryNetwork(wan_overlay(n_peers, rng=np.random.default_rng(0)),
+                        rng=np.random.default_rng(1))
+    dht.build()
+    rng = np.random.default_rng(2)
+    hops = [dht.route(key_for(f"service-{i}"), origin_peer=int(rng.integers(0, n_peers))).hop_count
+            for i in range(lookups)]
+    return float(np.mean(hops))
 
 
 @pytest.fixture
@@ -47,6 +59,10 @@ class TestRouting:
         # 40 nodes, b=4: expect ~log16(40) ≈ 1.3 average, always small
         assert max(hops) <= 8
         assert float(np.mean(hops)) <= 4.0
+        # the ring grows 8x, the mean hop count far less: log, not linear
+        small, large = _mean_hops(25), _mean_hops(200)
+        assert 1.0 <= large <= 3.0 * small
+        assert large <= math.log(200, 16) + 2.5
 
     def test_latency_accumulates_positive(self, dht):
         key = key_for("svc")

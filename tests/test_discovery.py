@@ -54,7 +54,7 @@ class TestRegistration:
         assert meta.qp == spec.qp
         assert meta.resources == spec.resources
         assert meta.registered_at == 5.0
-        assert meta.describe()["function"] == "scale"
+        assert meta.function == "scale"
 
     def test_deregister_peer_removes_from_dht(self, registry):
         s1, s2 = make_spec("mix", peer=1), make_spec("mix", peer=2)

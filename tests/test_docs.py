@@ -124,3 +124,10 @@ class TestDriftGate:
         for doc in DOCS:
             shown = set(self.keywords(doc.read_text(), config.__name__))
             assert shown <= fields, f"{doc.name}: {config.__name__} has no {sorted(shown - fields)}"
+
+    def test_no_doc_cites_the_deleted_benchmarks_tree(self):
+        # bench/ is the one benchmark harness; the shape checks are tier-1
+        root = README.parent
+        for rel in ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/ARCHITECTURE.md",
+                    ".claude/skills/verify/SKILL.md"):
+            assert "benchmarks/" not in (root / rel).read_text(), f"{rel} cites benchmarks/"

@@ -1,9 +1,16 @@
-"""Smoke + shape tests for the experiment drivers (tiny configs)."""
+"""Smoke + shape tests for the experiment drivers (tiny configs).
 
+The shape assertions are the paper's qualitative claims (who wins, by
+what factor, which way a curve bends), each at the smallest config where
+it holds on seeds 0-2."""
+
+import dataclasses
 import math
 
 import pytest
 
+from repro.core.baselines import CentralizedComposer
+from repro.core.bcp import BCPConfig
 from repro.experiments import (
     AblationConfig,
     Fig8Config,
@@ -13,7 +20,9 @@ from repro.experiments import (
     HeldSessions,
     OverheadConfig,
     Series,
+    ablate_backup_policy,
     ablate_commutations,
+    ablate_metric_selection,
     ablate_soft_allocation,
     format_table,
     run_fig8,
@@ -24,13 +33,15 @@ from repro.experiments import (
 )
 from repro.core.resources import ResourcePool, ResourceVector
 from repro.core.session import SessionManagerStats
+from repro.workload.generator import RequestConfig
+from repro.workload.scenarios import simulation_testbed
 
 
 class TestHarness:
     def test_series_add(self):
         s = Series("x")
         s.add(1, 2.0)
-        assert s.as_rows() == [(1.0, 2.0)]
+        assert (s.x, s.y) == ([1.0], [2.0])
 
     def test_format_table_alignment(self):
         a, b = Series("alpha"), Series("b")
@@ -93,12 +104,20 @@ class TestFig8:
                 assert 0.0 <= y <= 1.0
 
     def test_informed_beats_oblivious(self):
-        result = run_fig8(TINY_FIG8)
+        result = run_fig8(dataclasses.replace(TINY_FIG8, probing_fractions=(0.2, 0.1)))
         by_label = {s.label: s for s in result.series}
         # averaged over workloads, QoS-aware schemes beat the static one
         mean = lambda s: sum(s.y) / len(s.y)
         assert mean(by_label["probing-0.2"]) >= mean(by_label["static"])
         assert mean(by_label["optimal"]) >= mean(by_label["static"])
+        # the paper's ranking: probing-0.2 ≈ optimal, ≥ probing-0.1, ≥ random ≥ static
+        assert mean(by_label["probing-0.2"]) >= mean(by_label["probing-0.1"]) - 0.05
+        assert mean(by_label["probing-0.2"]) >= mean(by_label["random"])
+        assert mean(by_label["random"]) >= mean(by_label["static"])
+        assert mean(by_label["optimal"]) - mean(by_label["probing-0.2"]) <= 0.15
+        # success never grows much with the workload
+        spider = by_label["probing-0.2"].y
+        assert spider[-1] <= spider[0] + 0.05
 
     def test_messages_tracked(self):
         result = run_fig8(TINY_FIG8)
@@ -109,7 +128,7 @@ class TestFig8:
 class TestFig9:
     def test_recovery_reduces_visible_failures(self):
         cfg = Fig9Config(
-            n_ip=120, n_peers=30, n_functions=8, duration_minutes=12,
+            n_ip=120, n_peers=30, n_functions=8, duration_minutes=30,
             target_sessions=8, budget=32, seed=0,
         )
         result = run_fig9(cfg)
@@ -118,6 +137,11 @@ class TestFig9:
         assert sum(with_rec.y) <= sum(without.y)
         assert result.stats_with.failures >= 0
         assert result.table()
+        # without recovery failures reach the user; proactive recovery
+        # removes (nearly) all of them
+        assert sum(without.y) > 0
+        assert sum(with_rec.y) <= 0.25 * sum(without.y)
+        assert result.recovered_fraction >= 0.75
 
     def test_backups_maintained(self):
         cfg = Fig9Config(
@@ -125,7 +149,7 @@ class TestFig9:
             target_sessions=6, budget=32, seed=0,
         )
         result = run_fig9(cfg)
-        assert result.mean_backups >= 0.0
+        assert result.mean_backups > 0.5  # paper: 2.74
 
     def test_golden_run_is_pinned(self):
         # Sessions, churn, maintenance and arrivals fall due at the same
@@ -162,9 +186,13 @@ class TestFig10:
     def test_setup_time_grows_with_functions(self):
         cfg = Fig10Config(n_peers=24, function_numbers=(2, 4), requests_per_point=6, seed=0)
         result = run_fig10(cfg)
-        total = next(s for s in result.series if s.label.startswith("total"))
+        disc, comp, total = result.series
+        assert total.label.startswith("total")
         assert total.y[0] < total.y[-1]
         assert all(y > 0 for y in total.y)
+        # a few seconds at most, and composition outweighs discovery
+        assert max(total.y) < 10_000  # ms
+        assert comp.y[-1] > disc.y[-1]
 
     def test_phases_sum_to_total(self):
         cfg = Fig10Config(n_peers=24, function_numbers=(3,), requests_per_point=6, seed=0)
@@ -175,25 +203,32 @@ class TestFig10:
 
 class TestFig11:
     def test_budget_sweep_shape(self):
-        cfg = Fig11Config(n_peers=24, budgets=(4, 64), requests_per_point=6, seed=0)
+        # the paper's 102-peer testbed: ~17 duplicates per function, so
+        # flooding a 3-function request costs thousands of probes
+        cfg = Fig11Config(n_peers=102, budgets=(10, 200), requests_per_point=3, seed=0)
         result = run_fig11(cfg)
         random_s, spider_s, optimal_s = result.series
         # more budget never hurts (same fixed request sample)
         assert spider_s.y[-1] <= spider_s.y[0] + 1e-9
-        # optimal lower-bounds SpiderNet; random upper-bounds it (on average)
+        # optimal lower-bounds SpiderNet; random upper-bounds it
         assert optimal_s.y[-1] <= spider_s.y[-1] + 1e-6
-        assert result.optimal_probes_mean > 0
+        assert spider_s.y[-1] <= random_s.y[-1]
+        # within 15 % of optimal at budget 200, a few % of the flood
+        assert spider_s.y[-1] <= optimal_s.y[-1] * 1.15
+        assert 2000 <= result.optimal_probes_mean <= 12_000  # paper: 4913
 
 
 class TestOverhead:
     def test_centralized_order_of_magnitude_worse(self):
         cfg = OverheadConfig(
-            n_ip=120, n_peers=40, n_functions=10, duration=6, workload=2, seed=0
+            n_ip=120, n_peers=50, n_functions=10, duration=6, workload=2, seed=0
         )
         result = run_overhead(cfg)
-        assert result.overhead_ratio > 5.0
+        assert result.overhead_ratio > 10.0
         assert result.requests == 12
         assert result.table()
+        # "similar performance": success ratios within 10 points
+        assert abs(result.bcp_success - result.centralized_success) <= 0.10
 
     def test_breakdowns_populated(self):
         cfg = OverheadConfig(
@@ -210,6 +245,22 @@ class TestAblations:
             AblationConfig(n_ip=120, n_peers=24, n_functions=8, requests=8, budget=16)
         )
         assert "with_commutations" in out and "without_commutations" in out
+        assert math.isfinite(out["with_commutations"])
+        # exploring exchangeable orders never hurts the selected delay (much)
+        assert out["with_commutations"] <= out["without_commutations"] * 1.05
+
+    def test_metric_selection_ablation_direction(self):
+        out = ablate_metric_selection(
+            AblationConfig(n_ip=120, n_peers=24, n_functions=8, requests=8, budget=16)
+        )
+        # the composite next-hop metric beats random pruning at equal budget
+        assert out["metric_selection"] <= out["random_pruning"] * 1.05
+
+    def test_backup_policy_ablation_runs(self):
+        out = ablate_backup_policy(
+            AblationConfig(n_ip=120, n_peers=24, n_functions=8, requests=8, budget=16)
+        )
+        assert 0.0 <= out["paper_selection_recovered_fraction"] <= 1.0
 
     def test_soft_allocation_ablation_direction(self):
         out = ablate_soft_allocation(
@@ -227,3 +278,51 @@ class TestAblations:
         assert 0.0 <= out["adaptive_success"] <= 1.0
         assert out["adaptive_mean_budget"] > 0
         assert out["fixed_budget"] >= 1
+
+
+SCALE_PEERS = (40, 80, 160)
+SCALE_REQUESTS = 15
+SCALE_BUDGET = 24
+
+
+def _scale_point(n_peers):
+    """BCP messages per request and global-view messages per update round
+    on one overlay, plus BCP's success ratio (3-function requests)."""
+    scenario = simulation_testbed(
+        n_ip=max(n_peers * 4, 120),
+        n_peers=n_peers,
+        n_functions=max(n_peers // 4, 8),
+        request_config=RequestConfig(function_count=(3, 3)),
+        bcp_config=BCPConfig(budget=SCALE_BUDGET),
+        seed=0,
+    )
+    net = scenario.net
+    kinds = ["bcp_probe", "bcp_ack", "dht_route"]
+    before = net.ledger.total_count(kinds)
+    ok = sum(
+        net.compose(scenario.requests.next_request(), budget=SCALE_BUDGET).success
+        for _ in range(SCALE_REQUESTS)
+    )
+    per_request = (net.ledger.total_count(kinds) - before) / SCALE_REQUESTS
+    central = CentralizedComposer(net.overlay, net.pool, net.registry)
+    central.refresh()
+    per_round = central.ledger.total_count(["state_update"])
+    return per_request, per_round, ok / SCALE_REQUESTS
+
+
+class TestScalability:
+    def test_bcp_stays_budget_bound_while_global_view_grows_quadratically(self):
+        """§1/§4: BCP's per-request cost is bounded by the probing budget,
+        whatever the overlay size; global-view maintenance grows ~N²."""
+        rows = [_scale_point(n) for n in SCALE_PEERS]
+        per_request = [r[0] for r in rows]
+        per_round = [r[1] for r in rows]
+        # EXPERIMENTS.md's Scalability table
+        assert [round(m, 1) for m in per_request] == [103.7, 97.1, 113.9]
+        assert per_round == [1560, 6320, 25440]
+        # growing the overlay 4x grows per-request messages by < 2x (DHT
+        # hops grow logarithmically; probes are budget-capped) ...
+        assert per_request[-1] <= 2.0 * per_request[0]
+        # ... and the global-view round by > 10x
+        assert per_round[-1] >= 10 * per_round[0]
+        assert all(r[2] > 0.5 for r in rows)

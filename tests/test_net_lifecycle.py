@@ -375,9 +375,10 @@ def test_a_killed_path_peer_fails_its_session_and_no_other():
         cluster, _ = _maintained()
         loop = asyncio.get_running_loop()
         async with cluster:
-            results = await cluster.compose_many(
-                cluster.scenario.requests.batch(8), confirm=True, timeout=60
-            )
+            results = [
+                await cluster.compose(r, confirm=True, timeout=60)
+                for r in cluster.scenario.requests.batch(8)
+            ]
             sessions = {
                 r.request.request_id: cluster.daemons[r.request.source_peer].sessions[
                     r.request.request_id

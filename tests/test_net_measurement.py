@@ -96,13 +96,6 @@ def test_estimator_ignores_negative_samples():
     assert est.samples == 0
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        MeasurementConfig(probe_interval=-1)
-    with pytest.raises(ValueError):
-        MeasurementConfig(probe_interval=0.0)  # every interval ends in a decision
-
-
 # ----------------------------------------------------------------------
 # MeasuredOverlayView
 # ----------------------------------------------------------------------
@@ -215,13 +208,13 @@ async def _poll(predicate, timeout=15.0, tick=0.02):
     return predicate()
 
 
-def test_passive_only_mode_measures_rpc_roundtrips():
+def test_passive_only_mode_measures_rpc_roundtrips(monkeypatch):
+    # no probe cycle comes due while the test runs: every sample is a
+    # compose's own RPC round trip
+    monkeypatch.setattr(measurement, "PROBE_INTERVAL", 60.0)
+
     async def scenario():
-        # no probe cycle comes due while the test runs: every sample is
-        # a compose's own RPC round trip
-        cluster = LiveCluster(
-            _live_config(measurement=MeasurementConfig(probe_interval=60.0))
-        )
+        cluster = LiveCluster(_live_config())
         async with cluster:
             for r in cluster.scenario.requests.batch(2):
                 await cluster.compose(r, confirm=False, timeout=60)
@@ -239,11 +232,10 @@ def test_passive_only_mode_measures_rpc_roundtrips():
 
 def test_active_probes_are_charged_to_net_measure(monkeypatch):
     monkeypatch.setattr(measurement, "PROBE_BUDGET", 4)
+    monkeypatch.setattr(measurement, "PROBE_INTERVAL", 0.02)
 
     async def scenario():
-        cluster = LiveCluster(
-            _live_config(measurement=MeasurementConfig(probe_interval=0.02))
-        )
+        cluster = LiveCluster(_live_config())
         async with cluster:
             snap = cluster.ledger.snapshot()
             await asyncio.sleep(0.3)
@@ -272,11 +264,10 @@ def test_settled_estimates_keep_selection_parity(monkeypatch):
     # -> bit-identical", so the test pins the materiality floor above
     # runner noise to keep the unchanged-topology precondition true.
     monkeypatch.setattr(measurement, "MIN_DELTA", 0.05)
+    monkeypatch.setattr(measurement, "PROBE_INTERVAL", 0.02)
 
     async def scenario():
-        cluster = LiveCluster(
-            _live_config(measurement=MeasurementConfig(probe_interval=0.02))
-        )
+        cluster = LiveCluster(_live_config())
         requests = cluster.scenario.requests.batch(3)
         expected = [
             cluster.scenario.net.bcp.compose(r, confirm=False) for r in requests
@@ -330,14 +321,10 @@ def test_degraded_link_converges_and_reroutes(monkeypatch):
     # full fanout: the first hop toward dest must be in the source's
     # probe set whatever the declared-delay order is
     monkeypatch.setattr(measurement, "PROBE_FANOUT", 8)
+    monkeypatch.setattr(measurement, "PROBE_INTERVAL", 0.05)
 
     async def scenario():
-        cluster = LiveCluster(
-            _live_config(
-                latency=wire_delay,
-                measurement=MeasurementConfig(probe_interval=0.05),
-            )
-        )
+        cluster = LiveCluster(_live_config(latency=wire_delay))
         overlay = holder["overlay"] = cluster.scenario.overlay
         gen = cluster.scenario.requests
         source, dest = 2, 4
@@ -402,14 +389,11 @@ def test_dead_path_lifecycle_kill_then_revive(monkeypatch):
     # full fanout so every daemon adjacent to the victim actively
     # probes it (3-nearest might exclude it)
     monkeypatch.setattr(measurement, "PROBE_FANOUT", 8)
+    monkeypatch.setattr(measurement, "PROBE_INTERVAL", 0.05)
 
     async def scenario():
         fast = RetryPolicy(timeout=0.15, retries=1, backoff=0.02)
-        cluster = LiveCluster(
-            _live_config(
-                retry=fast, measurement=MeasurementConfig(probe_interval=0.05)
-            )
-        )
+        cluster = LiveCluster(_live_config(retry=fast))
         victim = 0
         async with cluster:
             gen = cluster.scenario.requests
@@ -472,12 +456,11 @@ def test_a_traced_path_down_carries_the_virtual_time_of_its_decision(monkeypatch
     monkeypatch.setattr(measurement, "PROBE_RETRY", FAST_PROBE)
     monkeypatch.setattr(measurement, "DOWN_AFTER", 2)
     monkeypatch.setattr(measurement, "PROBE_FANOUT", 8)
+    monkeypatch.setattr(measurement, "PROBE_INTERVAL", 0.05)
 
     async def scenario():
         trace = EventTrace()
-        cluster = LiveCluster(
-            _live_config(measurement=MeasurementConfig(probe_interval=0.05)), trace=trace
-        )
+        cluster = LiveCluster(_live_config(), trace=trace)
         async with cluster:
             await asyncio.sleep(0.1)
             killed_at = asyncio.get_running_loop().time()
@@ -499,14 +482,11 @@ def test_rpc_exhaustion_leaves_structured_records(monkeypatch):
     ``errors()`` crash-bug channel stays clean."""
     monkeypatch.setattr(measurement, "PROBE_RETRY", FAST_PROBE)
     monkeypatch.setattr(measurement, "PROBE_FANOUT", 8)
+    monkeypatch.setattr(measurement, "PROBE_INTERVAL", 0.05)
 
     async def scenario():
         fast = RetryPolicy(timeout=0.15, retries=1, backoff=0.02)
-        cluster = LiveCluster(
-            _live_config(
-                retry=fast, measurement=MeasurementConfig(probe_interval=0.05)
-            )
-        )
+        cluster = LiveCluster(_live_config(retry=fast))
         async with cluster:
             gen = cluster.scenario.requests
             cluster.kill_peer(0)
@@ -579,7 +559,7 @@ class _NoCalls:
     """Endpoint stand-in: the schedule tests never send a frame."""
 
 
-INTERVAL = MeasurementConfig.probe_interval
+INTERVAL = measurement.PROBE_INTERVAL
 
 
 def _fed_plane(peer=None, n_peers=6):
@@ -590,9 +570,7 @@ def _fed_plane(peer=None, n_peers=6):
         peer = max(base.peers(), key=base.graph.degree)
     view = MeasuredOverlayView(base)
     clock = _Clock()
-    plane = MeasurementPlane(
-        peer, _NoCalls(), MeasurementConfig(), view=view, clock=clock
-    )
+    plane = MeasurementPlane(peer, _NoCalls(), view=view, clock=clock)
     return plane, view, base, clock
 
 
@@ -889,11 +867,9 @@ def test_probes_go_only_where_traffic_has_not_measured(monkeypatch):
     base = _overlay(n_peers=10)
     me = max(base.peers(), key=base.graph.degree)
     clock = _Clock()
-    interval = 0.5
+    interval = measurement.PROBE_INTERVAL
     plane = MeasurementPlane(
-        me, _NoCalls(),
-        MeasurementConfig(probe_interval=interval),
-        view=MeasuredOverlayView(base), clock=clock,
+        me, _NoCalls(), view=MeasuredOverlayView(base), clock=clock
     )
     busy, idle, dead, flaky = plane.neighbours
     rtt = 0.01

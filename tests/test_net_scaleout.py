@@ -115,6 +115,8 @@ def test_scaleout_config_round_trip_and_sharding():
     assert ccfg.transport == "tcp" and ccfg.port_base == cfg.port_base
     with pytest.raises(ValueError):
         ScaleoutConfig(n_peers=3, procs=2)  # a shard without two endpoints
+    with pytest.raises(ValueError):
+        ScaleoutConfig(n_peers=12, procs=3, kill_peer=12)  # no such peer
 
 
 def test_hosted_shard_requires_tcp_and_port_base():
@@ -257,9 +259,10 @@ def test_admission_unhit_limits_preserve_parity():
                 shared["scenario"] = cluster.scenario
                 shared["requests"] = cluster.scenario.requests.batch(4)
             async with cluster:
-                results = await cluster.compose_many(
-                    shared["requests"], confirm=False, timeout=60
-                )
+                results = [
+                    await cluster.compose(r, confirm=False, timeout=60)
+                    for r in shared["requests"]
+                ]
             assert cluster.errors() == []
             return [r.best.signature() if r.success else None for r in results]
 
@@ -402,7 +405,10 @@ def test_kill_mid_soak_bounded_tail():
 # ----------------------------------------------------------------------
 def test_two_process_scaleout_smoke():
     """The full harness: 2 worker processes, TCP sharding, open-loop
-    load with admission on — converges, composes, sheds, shuts down."""
+    load with admission on — converges, composes, sheds, shuts down.
+    The burst is above what one collection window per destination
+    admits, so the guard must engage, and a shed must cost one control
+    round trip, not a timed-out session."""
 
     async def scenario():
         cfg = ScaleoutConfig(
@@ -412,12 +418,12 @@ def test_two_process_scaleout_smoke():
             port_base=_port_base(),
             seed=2,
             capacity_scale=4.0,
-            rate=16.0,
+            rate=64.0,
             duration=2.0,
             confirm=False,
             request_timeout=8.0,
             collect_wall_timeout=2.0,
-            admission=AdmissionConfig(max_sessions=2),
+            admission=AdmissionConfig(max_sessions=1),
         )
         return await ScaleoutController(cfg).run()
 
@@ -426,6 +432,8 @@ def test_two_process_scaleout_smoke():
     s = report["summary"]
     assert s["offered"] > 5
     assert s["ok"] > 0, f"no composition succeeded: {s}"
+    assert s["busy"] > 0, f"a burst above the admission limit shed nothing: {s}"
+    assert s["latency_busy"]["p99"] <= 1.0, f"shedding is not fast rejection: {s}"
     # cross-shard request ids never collide: sources live in both shards
     sources = {r["source"] for r in report["records"]}
     assert any(p % 2 == 0 for p in sources) and any(p % 2 == 1 for p in sources)

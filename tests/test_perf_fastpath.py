@@ -118,7 +118,7 @@ class TestRouterCaching:
 class TestPoolVectorizedEquivalence:
     def make_worlds(self):
         a, b = MicroWorld(n_peers=6), MicroWorld(n_peers=6)
-        b.pool.set_vectorized(False)
+        b.pool._vectorized = False
         b.overlay.router.set_path_cache(False)
         return a, b
 
@@ -349,7 +349,7 @@ class TestFastPathEquivalence:
             seed=0,
         )
         if not fast:
-            scenario.net.pool.set_vectorized(False)
+            scenario.net.pool._vectorized = False
             scenario.overlay.router.set_path_cache(False)
         outcomes = [
             self.outcome(scenario.net.compose(r, budget=32))

@@ -177,13 +177,13 @@ class TestMessageLedger:
         ml.record("b", 20, 1)
         assert ml.total_count() == 3
         assert ml.total_count(["a"]) == 2
-        assert ml.total_bytes(["b"]) == 20
+        assert ml.bytes["b"] == 20
 
     def test_zero_size_counts_no_bytes(self):
         ml = MessageLedger()
         ml.record("x", 0, 5)
         assert ml.total_count() == 5
-        assert ml.total_bytes() == 0
+        assert ml.bytes["x"] == 0
 
     def test_as_dict(self):
         ml = MessageLedger()

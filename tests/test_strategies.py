@@ -338,4 +338,4 @@ class TestExperimentIntegration:
         labels = {s.label for s in result.series}
         assert {"probing-0.2", "optimal", "random", "static"} <= labels
         for s in result.series:
-            assert len(s.as_rows()) == 1
+            assert len(s.x) == len(s.y) == 1

@@ -161,7 +161,6 @@ class TestReweighted:
             np.testing.assert_array_equal(fast._dist, slow._dist)
             np.testing.assert_array_equal(fast._pred, slow._pred)
             assert fast.link_order == slow.link_order == base.link_order
-            assert fast.link_index == slow.link_index
             assert fast.peers == slow.peers
             for link, delay in overrides.items():
                 assert fast.link_delay(*link) == slow.link_delay(*link) == delay

@@ -196,5 +196,9 @@ class TestTrustExperiment:
         baseline, aware = result.series
         # by the last batch the trust-aware scheme should be no worse
         assert aware.y[-1] >= baseline.y[-1] - 0.05
+        # over the second half, once evidence has accumulated, it is
+        # cleaner than the plain metric
+        half = len(aware.y) // 2
+        assert sum(aware.y[half:]) >= sum(baseline.y[half:])
         # and should have improved over its own first batch
         assert aware.y[-1] >= aware.y[0] - 0.05
