@@ -21,7 +21,6 @@ from .budget import AdaptiveBudgetPolicy, BudgetPolicyConfig
 from .composition import SpiderNet, default_peer_capacity
 from .conditional import (
     ConditionalAnnotation,
-    ConditionalRouter,
     branch_probabilities,
     conditional_link_bandwidths,
     expected_qos,
@@ -76,7 +75,6 @@ __all__ = [
     "BCPConfig",
     "CandidateGraph",
     "ConditionalAnnotation",
-    "ConditionalRouter",
     "CentralizedComposer",
     "CompositeRequest",
     "CompositionResult",

@@ -35,8 +35,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from ..discovery.metadata import ServiceMetadata
 from ..discovery.registry import ServiceRegistry, WaveLookupCache
 from ..perf.timers import PhaseTimer
@@ -166,11 +164,6 @@ def derive_next_functions(
 
 class BCP:
     """The probing engine bound to one overlay/pool/registry triple."""
-
-    # below this many candidates the scalar scoring loop wins on NumPy
-    # dispatch overhead; both paths produce bit-identical scores so the
-    # threshold never changes composition results
-    VECTORIZE_MIN_CANDIDATES = 24
 
     def __init__(
         self,
@@ -409,21 +402,16 @@ class BCP:
         if not self.config.metric_selection:
             idx = self.rng.choice(len(comps), size=k, replace=False)
             return [comps[i] for i in idx]
-        # the two scorers are bit-identical (the NumPy pass mirrors the
-        # scalar loop's IEEE-754 op order), so the dispatch is purely a
-        # speed choice: ufunc dispatch overhead beats the scalar loop
-        # only once the candidate list is reasonably wide
-        if len(comps) >= self.VECTORIZE_MIN_CANDIDATES:
-            scores = self._score_components_vec(probe, comps)
-        else:
-            scores = self._score_components_scalar(probe, comps)
+        scores = self._score_components(probe, comps)
         order = sorted(range(len(comps)), key=lambda i: (scores[i], comps[i].component_id))
         return [comps[i] for i in order[:k]]
 
-    def _score_components_scalar(
+    def _score_components(
         self, probe: Probe, comps: List[ServiceMetadata]
     ) -> List[float]:
-        """Reference scoring loop (the A/B baseline for the NumPy path)."""
+        """The composite next-hop metric of each duplicate (lower is better):
+        normalised delay, bandwidth-headroom penalty, normalised failure
+        probability and, with a trust model, distrust."""
         w = self.config.nexthop_weights
         delays = [self.overlay.latency(probe.current_peer, c.peer) for c in comps]
         max_delay = max(max(delays), 1e-9)
@@ -442,43 +430,6 @@ class BCP:
                 score += w.trust * distrust
             scores.append(score)
         return scores
-
-    def _score_components_vec(
-        self, probe: Probe, comps: List[ServiceMetadata]
-    ) -> List[float]:
-        """One-pass NumPy scoring over the precomputed delay matrix and a
-        batched bandwidth-headroom query.  Every arithmetic step mirrors
-        the scalar loop in IEEE-754 order, so scores — and therefore the
-        ``(score, component_id)`` tie-break — are bit-identical."""
-        w = self.config.nexthop_weights
-        n = len(comps)
-        peers = [c.peer for c in comps]
-        delays = self.overlay.router.delays(probe.current_peer, peers)
-        max_delay = max(float(delays.max()), 1e-9)
-        fails = np.fromiter((self.peer_failure(p) for p in peers), dtype=float, count=n)
-        max_fail = max(float(fails.max()), 1e-9)
-        if w.bandwidth > 0:
-            ba = self.pool.path_available_bandwidth_batch(probe.current_peer, peers)
-            valid = np.isfinite(ba) & (ba > 0)
-            if valid.all():
-                bw_pen = np.minimum(probe.out_bandwidth / ba, 2.0)
-            else:
-                # zero/unreachable paths take the scalar loop's flat 2.0
-                # penalty; divide only where defined (no FP warnings)
-                bw_pen = np.full(n, 2.0)
-                quot = np.divide(
-                    probe.out_bandwidth, ba, out=np.zeros_like(ba), where=valid
-                )
-                np.minimum(quot, 2.0, out=bw_pen, where=valid)
-        else:
-            bw_pen = 0.0
-        scores = w.delay * delays / max_delay + w.bandwidth * bw_pen + w.failure * fails / max_fail
-        if self.trust is not None and w.trust > 0:
-            distrust = np.array(
-                [1.0 - self.trust.trust(probe.request.source_peer, p) for p in peers]
-            )
-            scores = scores + w.trust * distrust
-        return scores.tolist()
 
     def _admit(
         self,

@@ -18,8 +18,7 @@ changes two things relative to the paper's parallel-branch DAGs:
   rate, trading efficiency for burst tolerance).
 
 The extension layers on top of composed :class:`ServiceGraph`s without
-changing the core model: annotate, evaluate, re-rank, and (for the data
-plane) route.
+changing the core model: annotate, evaluate and re-rank.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..sim.rng import as_generator
 from ..topology.overlay import Overlay
 from .function_graph import FunctionGraph
 from .qos import QoSVector
@@ -40,7 +38,6 @@ __all__ = [
     "expected_qos",
     "conditional_link_bandwidths",
     "select_by_expected_qos",
-    "ConditionalRouter",
 ]
 
 
@@ -188,31 +185,3 @@ def select_by_expected_qos(
             best, best_value = cand, value
     return best
 
-
-class ConditionalRouter:
-    """Data-plane branch chooser: route each ADU down one fork successor."""
-
-    def __init__(self, annotation: ConditionalAnnotation, rng=None) -> None:
-        self.annotation = annotation
-        self.rng = as_generator(rng)
-        self.counts: Dict[Tuple[str, str], int] = {}
-
-    def choose(self, fork: str, successors: Sequence[str]) -> str:
-        """Pick the successor for one ADU at ``fork``."""
-        if not successors:
-            raise ValueError(f"fork {fork!r} has no successors")
-        probs = self.annotation.forks.get(fork)
-        if probs is None:
-            raise KeyError(f"function {fork!r} is not a conditional fork")
-        names = list(successors)
-        weights = [probs[s] for s in names]
-        u = self.rng.random()
-        cum = 0.0
-        chosen = names[-1]
-        for name, w in zip(names, weights):
-            cum += w
-            if u < cum:
-                chosen = name
-                break
-        self.counts[(fork, chosen)] = self.counts.get((fork, chosen), 0) + 1
-        return chosen

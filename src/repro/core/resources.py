@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from ..topology.overlay import Overlay
 
@@ -113,7 +111,6 @@ class ResourcePool:
         overlay: Overlay,
         peer_capacity: Mapping[int, ResourceVector],
         resource_types: Tuple[str, ...] = DEFAULT_RESOURCE_TYPES,
-        vectorized: bool = True,
     ) -> None:
         self.overlay = overlay
         self.resource_types = resource_types
@@ -125,28 +122,15 @@ class ResourcePool:
         self._used: Dict[int, ResourceVector] = {
             p: ResourceVector.zero(resource_types) for p in peers
         }
-        # link bandwidth lives in flat arrays indexed by the router's
-        # canonical link order, so path bottleneck queries are one NumPy
-        # gather + min instead of a per-link dict-lookup loop
-        router = overlay.router
-        if hasattr(router, "link_order"):
-            link_order = list(router.link_order)
-        else:  # duck-typed router without an index (tests)
-            link_order = [tuple(sorted((u, v))) for u, v in overlay.graph.edges]
-        self._link_order: List[Link] = link_order
+        # link bandwidth lives in two float lists indexed by the router's
+        # canonical link order: a path's bottleneck is a loop over its
+        # cached index list (2-5 links), with no per-link dict lookup
+        link_order = overlay.router.link_order
         self._link_index: Dict[Link, int] = {l: i for i, l in enumerate(link_order)}
-        self._link_cap = np.array(
-            [float(overlay.graph.edges[l]["bandwidth"]) for l in link_order],
-            dtype=float,
-        )
-        self._link_used_arr = np.zeros(len(link_order), dtype=float)
-        # plain-float mirrors of the arrays: single-path bottleneck
-        # queries loop over 2-5 links, where Python floats beat NumPy
-        # scalar boxing.  Kept in sync at the two write sites
-        # (soft_allocate_path / _free); batch queries use the arrays.
-        self._link_cap_list: List[float] = self._link_cap.tolist()
-        self._link_used_list: List[float] = [0.0] * len(link_order)
-        self._vectorized = vectorized and hasattr(router, "link_indices")
+        self._link_cap: List[float] = [
+            float(overlay.graph.edges[l]["bandwidth"]) for l in link_order
+        ]
+        self._link_used: List[float] = [0.0] * len(link_order)
         self._claims: Dict[Hashable, _Claim] = {}
 
     def clone_empty(self, overlay: Optional[Overlay] = None) -> "ResourcePool":
@@ -158,12 +142,11 @@ class ResourcePool:
         different *view* of the same topology (a peer's
         :class:`~repro.net.measurement.MeasuredOverlayView`); it must
         expose the same peers and canonical link order so the capacity
-        arrays stay aligned."""
+        lists stay aligned."""
         return ResourcePool(
             overlay if overlay is not None else self.overlay,
             dict(self._capacity),
             resource_types=self.resource_types,
-            vectorized=self._vectorized,
         )
 
     # ------------------------------------------------------------------
@@ -187,51 +170,19 @@ class ResourcePool:
 
     def link_available(self, link: Link) -> float:
         i = self._link_index[tuple(sorted(link))]
-        return max(float(self._link_cap[i] - self._link_used_arr[i]), 0.0)
+        return max(self._link_cap[i] - self._link_used[i], 0.0)
 
     def path_available_bandwidth(self, src: int, dst: int) -> float:
         """Bottleneck available bandwidth on the routed overlay path ``℘``."""
         if src == dst:
             return math.inf
-        if self._vectorized:
-            # paths are short (2-5 links): a scalar loop over the cached
-            # index list beats a NumPy gather + reduction here
-            idx = self.overlay.router.link_index_list(src, dst)
-            if not idx:
-                return math.inf
-            cap, used = self._link_cap_list, self._link_used_list
-            low = math.inf
-            for i in idx:
-                v = cap[i] - used[i]
-                if v < low:
-                    low = v
-            return low if low > 0.0 else 0.0
-        links = self.overlay.router.links(src, dst)
-        if not links:
-            return math.inf
-        return min(self.link_available(l) for l in links)
-
-    def path_available_bandwidth_batch(self, src: int, dsts: Sequence[int]) -> np.ndarray:
-        """Bottleneck available bandwidth from ``src`` to each of ``dsts``.
-
-        The batched form of :meth:`path_available_bandwidth` BCP's
-        candidate scoring uses: availability is materialised once and
-        each path reduces over its cached link-index array."""
-        if self._vectorized:
-            cat, offsets, positions = self.overlay.router.batch_link_indices(
-                src, tuple(dsts)
-            )
-            out = np.full(len(dsts), math.inf)
-            if cat.size:
-                avail = self._link_cap[cat] - self._link_used_arr[cat]
-                out[positions] = np.maximum(
-                    np.minimum.reduceat(avail, offsets), 0.0
-                )
-            return out
-        out = np.empty(len(dsts), dtype=float)
-        for k, dst in enumerate(dsts):
-            out[k] = self.path_available_bandwidth(src, dst)
-        return out
+        cap, used = self._link_cap, self._link_used
+        low = math.inf
+        for i in self.overlay.router.link_index_list(src, dst):
+            v = cap[i] - used[i]
+            if v < low:
+                low = v
+        return low if low > 0.0 else 0.0
 
     def can_host(self, peer: int, req: ResourceVector) -> bool:
         cap, used = self._capacity[peer], self._used[peer]
@@ -260,19 +211,14 @@ class ResourcePool:
         """Tentatively reserve bandwidth on every link of the overlay path."""
         if src == dst or bandwidth <= 0:
             return True
-        links = self.overlay.router.links(src, dst)
-        if self._vectorized:
-            idx = self.overlay.router.link_index_list(src, dst)
-            cap, used = self._link_cap_list, self._link_used_list
-            if any(max(cap[i] - used[i], 0.0) + 1e-12 < bandwidth for i in idx):
-                return False
-            for i in idx:
-                self._bump_link_used(i, bandwidth)
-        else:
-            if any(self.link_available(l) + 1e-12 < bandwidth for l in links):
-                return False
-            for l in links:
-                self._bump_link_used(self._link_index[l], bandwidth)
+        router = self.overlay.router
+        idx = router.link_index_list(src, dst)
+        cap, used = self._link_cap, self._link_used
+        if any(max(cap[i] - used[i], 0.0) + 1e-12 < bandwidth for i in idx):
+            return False
+        for i in idx:
+            used[i] += bandwidth
+        links = router.links(src, dst)
         claim = self._claims.setdefault(token, _Claim())
         claim.links.extend((l, bandwidth) for l in links)
         return True
@@ -310,20 +256,13 @@ class ResourcePool:
             raise KeyError(f"token {new_token!r} already exists")
         self._claims[new_token] = self._claims.pop(old_token)
 
-    def _bump_link_used(self, i: int, delta: float) -> None:
-        """Adjust one link's reserved bandwidth in array + float mirror."""
-        v = self._link_used_list[i] + delta
-        self._link_used_list[i] = v
-        self._link_used_arr[i] = v
-
     def _free(self, claim: _Claim) -> None:
         for peer, req in claim.peers:
             self._used[peer] = self._used[peer] - req
+        used = self._link_used
         for link, bw in claim.links:
             i = self._link_index[link]
-            v = max(self._link_used_list[i] - bw, 0.0)
-            self._link_used_list[i] = v
-            self._link_used_arr[i] = v
+            used[i] = max(used[i] - bw, 0.0)
 
     # ------------------------------------------------------------------
     # introspection / invariants
@@ -366,6 +305,6 @@ class ResourcePool:
                         f"peer {p} over-allocated {t}: {used.get(t)} > {cap.get(t)}"
                     )
         for l, i in self._link_index.items():
-            used, cap = self._link_used_arr[i], self._link_cap[i]
+            used, cap = self._link_used[i], self._link_cap[i]
             if used > cap + 1e-6:
                 raise AssertionError(f"link {l} over-allocated: {used} > {cap}")

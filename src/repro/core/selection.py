@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..discovery.metadata import ServiceMetadata
-from ..sim.metrics import summary_stats
 from ..topology.overlay import Overlay
 from .cost import CostWeights, psi_cost
 from .probe import Probe

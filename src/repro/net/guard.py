@@ -29,7 +29,6 @@ POOL_METHODS = (
     "available",
     "available_amount",
     "path_available_bandwidth",
-    "path_available_bandwidth_batch",
     "link_available",
     "can_host",
     "can_carry",

@@ -36,7 +36,7 @@ without touching the simulator substrates:
   layered over the static overlay as *one* mutation: at most one router
   is built per daemon and interval.  The view keeps the base topology's
   edge set and canonical link order (so
-  :class:`~repro.core.resources.ResourcePool` arrays stay aligned) but
+  :class:`~repro.core.resources.ResourcePool` lists stay aligned) but
   re-prices individual links and prices down-peer links at ``inf``;
   paths the mutation did not move keep their memoised lists, and the
   view's listeners — BCP's per-pair QoS cache — are told exactly which
@@ -189,7 +189,7 @@ class MeasuredOverlayView:
     the *same* graph object in its place: scaled links carry
     ``declared_delay x scale``, links incident to a down peer carry
     ``inf``.  The edge set and canonical link order are unchanged, so
-    pool capacity/usage arrays indexed by ``router.link_order`` remain
+    pool capacity/usage lists indexed by ``router.link_order`` remain
     valid.
 
     **Invalidation contract.**  Every mutation builds its router at once

@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
-    "Counter",
     "RatioMeter",
-    "TimeSeries",
     "RateOverTime",
     "LatencyStats",
     "MessageLedger",
@@ -53,27 +50,6 @@ def summary_stats(values: Iterable[float]) -> dict:
     }
 
 
-class Counter:
-    """Named monotone counters (events, drops, retries...)."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = defaultdict(int)
-
-    def incr(self, name: str, by: int = 1) -> None:
-        if by < 0:
-            raise ValueError("counters are monotone; use a gauge for decrements")
-        self._counts[name] += by
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Counter({dict(self._counts)!r})"
-
-
 class RatioMeter:
     """Success/total ratio — the paper's "QoS success rate" metric."""
 
@@ -95,30 +71,6 @@ class RatioMeter:
         out.successes = self.successes + other.successes
         out.total = self.total + other.total
         return out
-
-
-@dataclass
-class TimeSeries:
-    """(time, value) samples with interpolation-free aggregation."""
-
-    times: List[float] = field(default_factory=list)
-    values: List[float] = field(default_factory=list)
-
-    def record(self, t: float, v: float) -> None:
-        if self.times and t < self.times[-1]:
-            raise ValueError("time series must be recorded in time order")
-        self.times.append(t)
-        self.values.append(v)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def window_mean(self, t0: float, t1: float) -> float:
-        vals = [v for t, v in zip(self.times, self.values) if t0 <= t < t1]
-        return float(np.mean(vals)) if vals else math.nan
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.times), np.asarray(self.values)
 
 
 class RateOverTime:

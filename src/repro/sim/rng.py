@@ -9,11 +9,11 @@ from independent streams.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
-__all__ = ["as_generator", "spawn", "stable_hash64", "weighted_choice_without_replacement"]
+__all__ = ["as_generator", "spawn"]
 
 SeedLike = Union[int, np.random.Generator, np.random.SeedSequence, None]
 
@@ -37,42 +37,3 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
         np.random.default_rng(rng.integers(0, 2**63 - 1)) for _ in range(n)
     ]
 
-
-def stable_hash64(text: str) -> int:
-    """A stable (process-independent) 64-bit hash of a string.
-
-    ``hash()`` is salted per process, which would make DHT key placement
-    non-reproducible across runs; FNV-1a is tiny and stable.
-    """
-    h = 0xCBF29CE484222325
-    for byte in text.encode("utf-8"):
-        h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
-def weighted_choice_without_replacement(
-    rng: np.random.Generator,
-    items: Sequence,
-    weights: Iterable[float],
-    k: int,
-) -> list:
-    """Pick ``k`` distinct items with probability proportional to weight.
-
-    Used for degree-preferential attachment and probe target selection.
-    Falls back to uniform if all weights are zero.
-    """
-    items = list(items)
-    w = np.asarray(list(weights), dtype=float)
-    if len(items) != len(w):
-        raise ValueError("items and weights length mismatch")
-    k = min(k, len(items))
-    if k <= 0:
-        return []
-    total = w.sum()
-    if total <= 0 or not np.isfinite(total):
-        idx = rng.choice(len(items), size=k, replace=False)
-        return [items[i] for i in idx]
-    p = w / total
-    idx = rng.choice(len(items), size=k, replace=False, p=p)
-    return [items[i] for i in idx]

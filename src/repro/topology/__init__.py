@@ -1,7 +1,6 @@
 """IP-layer and overlay topology generation + shortest-path routing."""
 
 from .inet import TopologyError, generate_ip_network, power_law_degree_sequence
-from .maintenance import LiveOverlayView, OverlayMaintainer, PartitionError
 from .overlay import (
     Overlay,
     mesh_overlay,
@@ -15,9 +14,6 @@ from .routing import IPRouter, OverlayRouter, graph_to_sparse
 
 __all__ = [
     "IPRouter",
-    "LiveOverlayView",
-    "OverlayMaintainer",
-    "PartitionError",
     "Overlay",
     "OverlayRouter",
     "TopologyError",

@@ -117,7 +117,7 @@ class OverlayRouter:
     sequence) used by bandwidth admission along service links.
 
     The overlay is static for a run, so reconstructed paths are memoized:
-    ``path``/``links``/``link_indices`` pay the predecessor-matrix walk
+    ``path``/``links``/``link_index_list`` pay the predecessor-matrix walk
     once per (src, dst) pair and serve dict hits afterwards — these are
     the hottest calls of BCP probing (bandwidth admission and ψλ evaluate
     them per candidate per hop).  Cached lists are shared: treat them as
@@ -140,8 +140,8 @@ class OverlayRouter:
         )
         self._index = {v: i for i, v in enumerate(self._nodelist)}
         self._dist, self._pred = dijkstra(matrix, directed=False, return_predecessors=True)
-        # canonical link ordering shared with vectorized bandwidth queries
-        # (ResourcePool keeps its capacity/usage arrays in this order)
+        # canonical link ordering shared with bandwidth queries
+        # (ResourcePool keeps its capacity/usage lists in this order)
         self._link_order: List[Tuple[int, int]] = [
             tuple(sorted((u, v))) for u, v in overlay_graph.edges
         ]
@@ -165,7 +165,7 @@ class OverlayRouter:
 
     @property
     def link_order(self) -> List[Tuple[int, int]]:
-        """Canonically ordered overlay links, defining array indices."""
+        """Canonically ordered overlay links, defining list indices."""
         return list(self._link_order)
 
     def link_delay(self, u: int, v: int) -> float:
@@ -186,7 +186,7 @@ class OverlayRouter:
         order and the edge arrays are this router's own, shared — walking
         the networkx graph again cost more than the ``dijkstra`` it fed.
         The shared :attr:`link_order` is also what keeps capacity/usage
-        arrays indexed by it (:class:`~repro.core.resources.ResourcePool`)
+        lists indexed by it (:class:`~repro.core.resources.ResourcePool`)
         valid.  The new router starts with empty path caches; a caller
         replacing one router by another fills them with
         :meth:`adopt_cache`."""
@@ -242,16 +242,11 @@ class OverlayRouter:
         routes exactly as before, so its cached lists are carried over —
         the same objects — and only the changed pairs are walked again,
         on demand."""
-        for name in ("_path_cache", "_links_cache", "_link_idx_cache", "_link_idx_list_cache"):
+        for name in ("_path_cache", "_links_cache", "_link_idx_list_cache"):
             kept = dict(getattr(old, name))
             for pair in changed:
                 kept.pop(pair, None)
             setattr(self, name, kept)
-        # a batch entry concatenates one source's paths to many peers
-        sources = {src for src, _ in changed}
-        self._batch_idx_cache = {
-            key: hit for key, hit in old._batch_idx_cache.items() if key[0] not in sources
-        }
 
     def set_path_cache(self, enabled: bool) -> None:
         """Toggle path memoization (A/B tests); always clears the cache."""
@@ -262,11 +257,7 @@ class OverlayRouter:
         """Invalidation hook: drop all memoized paths/links/indices."""
         self._path_cache: Dict[Tuple[int, int], List[int]] = {}
         self._links_cache: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        self._link_idx_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self._link_idx_list_cache: Dict[Tuple[int, int], List[int]] = {}
-        self._batch_idx_cache: Dict[
-            Tuple[int, Tuple[int, ...]], Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
 
     def delay(self, src: int, dst: int) -> float:
         try:
@@ -320,27 +311,10 @@ class OverlayRouter:
             self._links_cache[key] = out
         return out
 
-    def link_indices(self, src: int, dst: int) -> np.ndarray:
-        """Indices (into :attr:`link_order`) of the path's links — the
-        vectorized form of :meth:`links` for NumPy availability arrays."""
-        key = (src, dst)
-        hit = self._link_idx_cache.get(key)
-        if hit is not None:
-            return hit
-        ls = self.links(src, dst)
-        out = np.fromiter(
-            (self._link_index[l] for l in ls), dtype=np.intp, count=len(ls)
-        )
-        if self._cache_enabled:
-            self._link_idx_cache[key] = out
-        return out
-
     def link_index_list(self, src: int, dst: int) -> List[int]:
-        """:meth:`link_indices` as a plain Python list.
-
-        Typical overlay paths are 2–5 links, where a Python loop over int
-        indices beats a NumPy gather+reduce — single-path bottleneck
-        queries use this, batched ones use :meth:`batch_link_indices`."""
+        """Indices (into :attr:`link_order`) of the path's links: what
+        :class:`~repro.core.resources.ResourcePool` reads its per-link
+        capacity/usage lists by.  Read-only: shared with the cache."""
         key = (src, dst)
         hit = self._link_idx_list_cache.get(key)
         if hit is not None:
@@ -348,47 +322,6 @@ class OverlayRouter:
         out = [self._link_index[l] for l in self.links(src, dst)]
         if self._cache_enabled:
             self._link_idx_list_cache[key] = out
-        return out
-
-    def batch_link_indices(
-        self, src: int, dsts: Tuple[int, ...]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated link indices for many destinations at once.
-
-        Returns ``(cat, offsets, positions)``: ``cat`` is every non-empty
-        path's link indices back-to-back, ``offsets`` the start of each
-        segment (ready for ``np.minimum.reduceat``), and ``positions``
-        the index into ``dsts`` each segment belongs to (``src`` itself
-        and zero-link paths are skipped — their bottleneck is +inf)."""
-        key = (src, dsts)
-        hit = self._batch_idx_cache.get(key)
-        if hit is not None:
-            return hit
-        arrays: List[np.ndarray] = []
-        offsets: List[int] = []
-        positions: List[int] = []
-        total = 0
-        for k, dst in enumerate(dsts):
-            if dst == src:
-                continue
-            ia = self.link_indices(src, dst)
-            if ia.size == 0:
-                continue
-            arrays.append(ia)
-            offsets.append(total)
-            positions.append(k)
-            total += ia.size
-        if arrays:
-            out = (
-                np.concatenate(arrays),
-                np.array(offsets, dtype=np.intp),
-                np.array(positions, dtype=np.intp),
-            )
-        else:
-            empty = np.empty(0, dtype=np.intp)
-            out = (empty, empty, empty)
-        if self._cache_enabled:
-            self._batch_idx_cache[key] = out
         return out
 
     def delay_matrix(self) -> np.ndarray:

@@ -1,11 +1,9 @@
 """Tests for conditional branch semantics (§8 future-work extension)."""
 
-import numpy as np
 import pytest
 
 from repro.core.conditional import (
     ConditionalAnnotation,
-    ConditionalRouter,
     branch_probabilities,
     conditional_link_bandwidths,
     expected_qos,
@@ -161,23 +159,3 @@ class TestSelectByExpectedQoS:
     def test_empty_qualified_none(self):
         mov = micro_overlay(8)
         assert select_by_expected_qos([], mov, DIAMOND_FORK) is None
-
-
-class TestConditionalRouter:
-    def test_choice_frequencies_follow_probabilities(self):
-        router = ConditionalRouter(DIAMOND_FORK, rng=np.random.default_rng(0))
-        n = 2000
-        for _ in range(n):
-            router.choose("fa", ["fb", "fc"])
-        share_fb = router.counts[("fa", "fb")] / n
-        assert 0.65 < share_fb < 0.75
-
-    def test_non_fork_rejected(self):
-        router = ConditionalRouter(DIAMOND_FORK, rng=np.random.default_rng(0))
-        with pytest.raises(KeyError):
-            router.choose("fd", ["x"])
-
-    def test_empty_successors_rejected(self):
-        router = ConditionalRouter(DIAMOND_FORK, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            router.choose("fa", [])

@@ -378,7 +378,7 @@ def test_bundles_delivered_twice_are_booked_once():
             soft, errors = cluster.soft_tokens(), cluster.errors()
         return result, expected, seen, doomed, parked, closed, soft, errors
 
-    result, expected, seen, doomed, parked, closed, soft, errors = asyncio.run(scenario())
+    result, expected, seen, doomed, parked, closed, soft, errors = vtime.run(scenario())
     assert errors == []
     assert len(doomed) == 1 and parked and seen["twice_in_window"]
     assert result.success

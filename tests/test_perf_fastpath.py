@@ -1,18 +1,16 @@
 """Equivalence and cache-semantics tests for the composition fast path.
 
-The fast path (route/link caching, wave-scoped discovery memoization,
-vectorized scoring, float-mirror link accounting) is only admissible if
-it is *behaviour-preserving*: every test here pins an optimized code
-path against its reference implementation, culminating in a seeded
-200-request A/B run with every cache disabled.
+The fast path (route/link caching, wave-scoped discovery memoization)
+is only admissible if it is *behaviour-preserving*: every test here pins
+an optimized code path against its reference implementation, culminating
+in a seeded 200-request A/B run with every cache disabled.
 """
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.core.bcp import BCP, BCPConfig
+from repro.core.bcp import BCPConfig
 from repro.core.function_graph import FunctionGraph
 from repro.discovery.registry import ServiceRegistry
 from repro.perf import PhaseTimer
@@ -26,13 +24,6 @@ def unmemoized(monkeypatch):
     """From here on every discovery lookup of a compose routes the DHT:
     the reference for the wave-scoped memo."""
     monkeypatch.setattr(ServiceRegistry, "wave_cache", lambda self: None)
-
-
-def scoring(monkeypatch, vectorized: bool):
-    """From here on Step 2.3b scores every candidate list with the NumPy
-    pass, or with the scalar loop that is its reference, whatever its
-    length."""
-    monkeypatch.setattr(BCP, "VECTORIZE_MIN_CANDIDATES", 0 if vectorized else math.inf)
 
 
 def structural_signature(graph):
@@ -61,9 +52,6 @@ class TestRouterCaching:
         for a, b in self.all_pairs(cached):
             assert cached.path(a, b) == fresh.path(a, b)
             assert cached.links(a, b) == fresh.links(a, b)
-            np.testing.assert_array_equal(
-                cached.link_indices(a, b), fresh.link_indices(a, b)
-            )
             assert cached.link_index_list(a, b) == fresh.link_index_list(a, b)
 
     def test_repeat_lookup_returns_same_answer(self):
@@ -80,84 +68,65 @@ class TestRouterCaching:
             want = [tuple(sorted(l)) for l in router.links(a, b)]
             assert [tuple(sorted(l)) for l in named] == want
 
-    def test_batch_link_indices_reconstructs_singles(self):
-        router = micro_overlay(n_peers=7).router
-        src = 0
-        dsts = (3, 0, 5, 1, 0, 6)  # includes src==dst entries (skipped)
-        cat, offsets, positions = router.batch_link_indices(src, dsts)
-        # split the concatenation back into per-destination segments
-        segments = np.split(cat, offsets[1:]) if len(offsets) else []
-        for pos, seg in zip(positions, segments):
-            assert list(seg) == router.link_index_list(src, dsts[pos])
-        # every non-degenerate destination is represented exactly once
-        expect = [i for i, d in enumerate(dsts) if d != src]
-        assert sorted(positions.tolist()) == expect
-
-    def test_batch_all_degenerate_is_empty(self):
-        router = micro_overlay(n_peers=4).router
-        cat, offsets, positions = router.batch_link_indices(2, (2, 2))
-        assert len(cat) == 0 and len(offsets) == 0 and len(positions) == 0
-
     def test_clear_cache_empties_all_route_caches(self):
         router = micro_overlay(n_peers=5).router
         router.path(0, 4)
-        router.link_indices(0, 4)
         router.link_index_list(0, 4)
-        router.batch_link_indices(0, (1, 2))
         router.clear_cache()
         assert not router._path_cache
+        assert not router._links_cache
         assert not router._link_idx_list_cache
-        assert not router._batch_idx_cache
         # still answers correctly after invalidation
         assert router.path(0, 4)[0] == 0 and router.path(0, 4)[-1] == 4
 
 
 # ----------------------------------------------------------------------
-# vectorized resource pool vs scalar reference
+# link bandwidth store vs a test-side bottleneck
 # ----------------------------------------------------------------------
+def bottleneck(world, claims, a, b):
+    """The oracle: the least of each path link's bandwidth minus the
+    claims ``[(src, dst, bandwidth), ...]`` routed over it."""
+    if a == b:
+        return math.inf
+    router, graph = world.overlay.router, world.overlay.graph
+    left = {l: graph.edges[l]["bandwidth"] for l in router.links(a, b)}
+    for src, dst, bw in claims:
+        for l in router.links(src, dst):
+            if l in left:
+                left[l] -= bw
+    return max(min(left.values()), 0.0)
+
+
 class TestPoolVectorizedEquivalence:
-    def make_worlds(self):
-        a, b = MicroWorld(n_peers=6), MicroWorld(n_peers=6)
-        b.pool._vectorized = False
-        b.overlay.router.set_path_cache(False)
-        return a, b
+    def all_paths_match(self, world, claims):
+        for a in range(6):
+            for b in range(6):
+                assert world.pool.path_available_bandwidth(a, b) == bottleneck(
+                    world, claims, a, b
+                )
 
     def test_single_path_bandwidth_matches(self):
-        vec, ref = self.make_worlds()
-        for pool in (vec.pool, ref.pool):
-            assert pool.soft_allocate_path("t1", 0, 5, 3.0)
-            assert pool.soft_allocate_path("t2", 2, 4, 1.5)
-        for a in range(6):
-            for b in range(6):
-                assert vec.pool.path_available_bandwidth(a, b) == (
-                    ref.pool.path_available_bandwidth(a, b)
-                )
-
-    def test_batch_bandwidth_matches_singles(self):
-        vec, _ = self.make_worlds()
-        pool = vec.pool
-        assert pool.soft_allocate_path("t", 1, 4, 2.5)
-        dsts = [0, 2, 3, 3, 5]
-        batch = pool.path_available_bandwidth_batch(3, dsts)
-        singles = [pool.path_available_bandwidth(3, d) for d in dsts]
-        assert batch.tolist() == singles
+        world = MicroWorld(n_peers=6)
+        claims = [(0, 5, 3.0), (2, 4, 1.5), (0, 5, 2.5)]
+        for n, (src, dst, bw) in enumerate(claims):
+            assert world.pool.soft_allocate_path(f"t{n}", src, dst, bw)
+        self.all_paths_match(world, claims)
 
     def test_allocation_and_free_keep_mirrors_in_sync(self):
-        vec, ref = self.make_worlds()
-        for pool in (vec.pool, ref.pool):
-            assert pool.soft_allocate_path("a", 0, 3, 4.0)
-            assert pool.soft_allocate_path("b", 0, 3, 4.0)
-            # third claim exceeds the 10.0 link capacity
-            assert not pool.soft_allocate_path("c", 0, 3, 4.0)
-            pool.cancel("a")
-            assert pool.soft_allocate_path("c", 0, 3, 4.0)
-        for a in range(6):
-            for b in range(6):
-                assert vec.pool.path_available_bandwidth(a, b) == (
-                    ref.pool.path_available_bandwidth(a, b)
-                )
-        # internal float-list mirror must equal the ndarray exactly
-        assert vec.pool._link_used_list == vec.pool._link_used_arr.tolist()
+        world = MicroWorld(n_peers=6)
+        pool = world.pool
+        assert pool.soft_allocate_path("a", 0, 3, 4.0)
+        assert pool.soft_allocate_path("b", 0, 3, 4.0)
+        # third claim exceeds the 10.0 link capacity
+        assert not pool.soft_allocate_path("c", 0, 3, 4.0)
+        self.all_paths_match(world, [(0, 3, 4.0), (0, 3, 4.0)])
+        pool.cancel("a")
+        assert pool.soft_allocate_path("c", 0, 3, 4.0)
+        self.all_paths_match(world, [(0, 3, 4.0), (0, 3, 4.0)])
+        pool.confirm("b")
+        pool.release("b")
+        pool.cancel("c")
+        self.all_paths_match(world, [])
 
 
 # ----------------------------------------------------------------------
@@ -335,9 +304,6 @@ class TestFastPathEquivalence:
         monkeypatch.setattr(probe_mod, "_probe_ids", itertools.count(1))
 
     def run_batch(self, fast: bool, monkeypatch):
-        # this world's candidate lists are all shorter than the dispatch
-        # threshold: the fast run scores them with NumPy regardless
-        scoring(monkeypatch, vectorized=fast)
         if not fast:
             unmemoized(monkeypatch)
         scenario = simulation_testbed(
@@ -349,7 +315,6 @@ class TestFastPathEquivalence:
             seed=0,
         )
         if not fast:
-            scenario.net.pool._vectorized = False
             scenario.overlay.router.set_path_cache(False)
         outcomes = [
             self.outcome(scenario.net.compose(r, budget=32))

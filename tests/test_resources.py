@@ -175,18 +175,36 @@ class TestInvariants:
 
     def test_random_workload_never_overcommits(self, pool, overlay):
         rng = np.random.default_rng(0)
+        router = overlay.router
+        capacity = {l: overlay.graph.edges[l]["bandwidth"] for l in router.link_order}
+        pairs = [(a, b) for a in overlay.peers()[::4] for b in overlay.peers() if a != b]
+        link_claims = {}  # token -> [(link, bandwidth), ...], kept test-side
+        left = dict(capacity)
         live_tokens = []
         for i in range(300):
             action = rng.random()
             if action < 0.5 or not live_tokens:
                 token = f"t{i}"
-                peer = int(rng.integers(0, overlay.n_peers))
-                req = ResourceVector({"cpu": float(rng.uniform(1, 40))})
-                if pool.soft_allocate_peer(token, peer, req):
+                if rng.random() < 0.5:
+                    peer = int(rng.integers(0, overlay.n_peers))
+                    req = ResourceVector({"cpu": float(rng.uniform(1, 40))})
+                    ok = pool.soft_allocate_peer(token, peer, req)
+                else:
+                    a, b = (int(p) for p in rng.choice(overlay.n_peers, 2, replace=False))
+                    # sized to the path's headroom: links fill up, some
+                    # claims are refused, and drained links have carried
+                    # enough for float residue to show
+                    headroom = max(min(left[l] for l in router.links(a, b)), 0.0)
+                    bw = float(rng.uniform(0.2, 1.2)) * headroom
+                    ok = pool.soft_allocate_path(token, a, b, bw)
+                    if ok:
+                        link_claims[token] = [(l, bw) for l in router.links(a, b)]
+                if ok:
                     live_tokens.append((token, False))
             elif action < 0.75:
                 idx = int(rng.integers(0, len(live_tokens)))
                 token, firm = live_tokens.pop(idx)
+                link_claims.pop(token, None)
                 if firm:
                     pool.release(token)
                 else:
@@ -198,7 +216,20 @@ class TestInvariants:
                     pool.confirm(token)
                     live_tokens[idx] = (token, True)
             pool.check_invariants()
+            # oracle: each link's capacity minus the live claims on it
+            left = dict(capacity)
+            for claims in link_claims.values():
+                for link, bw in claims:
+                    left[link] -= bw
+            for a, b in pairs:
+                want = max(min(left[l] for l in router.links(a, b)), 0.0)
+                assert pool.path_available_bandwidth(a, b) == pytest.approx(want, abs=1e-9)
+            # a freed claim never hands back more than the link carries
+            for link, cap in capacity.items():
+                assert pool.link_available(link) <= cap
         for token, firm in live_tokens:
             pool.release(token) if firm else pool.cancel(token)
         for p in overlay.peers():
             assert pool.available(p).get("cpu") == pytest.approx(100.0)
+        for link, cap in capacity.items():
+            assert cap - 1e-9 <= pool.link_available(link) <= cap

@@ -2,16 +2,13 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.sim.metrics import (
-    Counter,
     LatencyStats,
     MessageLedger,
     RateOverTime,
     RatioMeter,
-    TimeSeries,
     summary_stats,
 )
 
@@ -35,26 +32,6 @@ class TestSummaryStats:
         assert s["std"] == 0.0
 
 
-class TestCounter:
-    def test_increments(self):
-        c = Counter()
-        c.incr("a")
-        c.incr("a", 4)
-        assert c.get("a") == 5
-
-    def test_unknown_is_zero(self):
-        assert Counter().get("missing") == 0
-
-    def test_negative_increment_rejected(self):
-        with pytest.raises(ValueError):
-            Counter().incr("a", -1)
-
-    def test_as_dict(self):
-        c = Counter()
-        c.incr("x", 2)
-        assert c.as_dict() == {"x": 2}
-
-
 class TestRatioMeter:
     def test_ratio(self):
         m = RatioMeter()
@@ -72,31 +49,6 @@ class TestRatioMeter:
         b.record(True)
         merged = a.merge(b)
         assert merged.total == 3 and merged.successes == 2
-
-
-class TestTimeSeries:
-    def test_record_and_window_mean(self):
-        ts = TimeSeries()
-        for t, v in [(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)]:
-            ts.record(t, v)
-        assert ts.window_mean(0.0, 2.0) == 2.0
-        assert len(ts) == 3
-
-    def test_out_of_order_rejected(self):
-        ts = TimeSeries()
-        ts.record(2.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.record(1.0, 1.0)
-
-    def test_empty_window_nan(self):
-        ts = TimeSeries()
-        assert math.isnan(ts.window_mean(0, 1))
-
-    def test_as_arrays(self):
-        ts = TimeSeries()
-        ts.record(1.0, 2.0)
-        t, v = ts.as_arrays()
-        assert t.tolist() == [1.0] and v.tolist() == [2.0]
 
 
 class TestRateOverTime:

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.rng import (
-    as_generator,
-    spawn,
-    stable_hash64,
-    weighted_choice_without_replacement,
-)
+from repro.sim.rng import as_generator, spawn
 
 
 class TestAsGenerator:
@@ -43,49 +38,3 @@ class TestSpawn:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             spawn(as_generator(0), -1)
-
-
-class TestStableHash:
-    def test_stable_known_value(self):
-        # FNV-1a must not vary across runs/processes
-        assert stable_hash64("abc") == stable_hash64("abc")
-        assert stable_hash64("") == 0xCBF29CE484222325
-
-    def test_different_inputs_differ(self):
-        assert stable_hash64("transcode") != stable_hash64("transcodf")
-
-    def test_64_bit_range(self):
-        h = stable_hash64("some service function")
-        assert 0 <= h < 2**64
-
-
-class TestWeightedChoice:
-    def test_k_distinct_items(self):
-        rng = as_generator(3)
-        out = weighted_choice_without_replacement(rng, list("abcdef"), [1] * 6, 4)
-        assert len(out) == len(set(out)) == 4
-
-    def test_k_larger_than_population_clamped(self):
-        rng = as_generator(3)
-        out = weighted_choice_without_replacement(rng, [1, 2], [1.0, 1.0], 10)
-        assert sorted(out) == [1, 2]
-
-    def test_zero_weights_fall_back_to_uniform(self):
-        rng = as_generator(3)
-        out = weighted_choice_without_replacement(rng, [1, 2, 3], [0, 0, 0], 2)
-        assert len(out) == 2
-
-    def test_heavy_weight_dominates(self):
-        rng = as_generator(3)
-        hits = sum(
-            weighted_choice_without_replacement(rng, ["a", "b"], [1000.0, 1.0], 1)[0] == "a"
-            for _ in range(50)
-        )
-        assert hits >= 45
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_choice_without_replacement(as_generator(0), [1, 2], [1.0], 1)
-
-    def test_k_zero_empty(self):
-        assert weighted_choice_without_replacement(as_generator(0), [1], [1.0], 0) == []

@@ -226,7 +226,7 @@ class TestChangedPairs:
         for step in range(4):
             for a, b in self.pairs(old):
                 if old.reachable(a, b):
-                    old.link_indices(a, b), old.link_index_list(a, b)
+                    old.link_index_list(a, b)
             picked = rng.choice(len(links), size=6, replace=False)
             overrides = {links[i]: float(rng.choice([0.5, 2.0, 3.0, np.inf])) for i in picked}
             new = old.reweighted(overrides)
@@ -245,27 +245,12 @@ class TestChangedPairs:
                     if both:
                         assert new.path(a, b) is old.path(a, b)
                         assert new.links(a, b) is old.links(a, b)
-                        assert new.link_indices(a, b) is old.link_indices(a, b)
+                        assert new.link_index_list(a, b) is old.link_index_list(a, b)
                 else:
                     assert (a, b) not in new._path_cache
                     assert not (same_delay and same_path)
                 if cold.reachable(a, b):
                     assert new.path(a, b) == cold.path(a, b)
                     assert new.links(a, b) == cold.links(a, b)
-                    np.testing.assert_array_equal(new.link_indices(a, b), cold.link_indices(a, b))
                     assert new.link_index_list(a, b) == cold.link_index_list(a, b)
             old = new
-
-    def test_batch_entries_of_a_moved_source_are_dropped(self):
-        g = small_weighted_graph()
-        g.add_edge(4, 5, delay=1.0, bandwidth=1.0)  # an island no override reaches
-        old = OverlayRouter(g)
-        kept, dropped = old.batch_link_indices(4, (5,)), old.batch_link_indices(0, (2, 3))
-        new = old.reweighted({(0, 1): 10.0})  # 0 -> 2 now takes the shortcut
-        changed = old.changed_pairs(new)
-        assert (0, 2) in changed and (0, 3) in changed
-        assert not {4, 5} & {peer for pair in changed for peer in pair}
-        new.adopt_cache(old, changed)
-        assert new.batch_link_indices(4, (5,)) is kept
-        assert new.batch_link_indices(0, (2, 3)) is not dropped
-        assert new.links(0, 3) == [(0, 2), (2, 3)]
