@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..discovery.metadata import ServiceMetadata
 from ..discovery.registry import ServiceRegistry
@@ -29,15 +29,9 @@ from ..sim.rng import as_generator
 from ..topology.overlay import Overlay
 from .bcp import CompositionResult
 from .cost import CostWeights, psi_cost
-from .qos import QoSVector
 from .request import CompositeRequest
 from .resources import ResourcePool, ResourceVector
-from .selection import (
-    CandidateGraph,
-    SelectionOutcome,
-    admit_graph,
-    select_composition,
-)
+from .selection import CandidateGraph, SelectionOutcome, admit_graph
 from .service_graph import ServiceGraph
 from .strategies.base import duplicates_by_function, finalize_selection
 

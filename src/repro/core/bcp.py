@@ -41,7 +41,7 @@ from ..perf.timers import PhaseTimer
 from ..sim.metrics import MessageLedger
 from ..sim.rng import as_generator
 from ..topology.overlay import Overlay
-from .cost import CostWeights, psi_cost
+from .cost import CostWeights
 from .function_graph import CommutationPair, FunctionGraph
 from .probe import Probe
 from .qos import QoSVector

@@ -9,10 +9,9 @@ individually accessible for tests and ablations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
-import numpy as np
 
 from ..dht.pastry import PastryNetwork
 from ..discovery.registry import ServiceRegistry
@@ -25,7 +24,7 @@ from ..sim.vtime import VirtualTimeLoop, advance
 from ..topology.overlay import Overlay
 from .bcp import BCP, BCPConfig, CompositionResult
 from .request import CompositeRequest
-from .resources import DEFAULT_RESOURCE_TYPES, ResourcePool, ResourceVector
+from .resources import ResourcePool, ResourceVector
 from .session import RecoveryConfig, ServiceSession, SessionManager
 
 __all__ = ["SpiderNet", "default_peer_capacity"]

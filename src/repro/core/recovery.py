@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .qos import QoSRequirement, QoSVector
 from .resources import ResourcePool

@@ -11,7 +11,7 @@ experiment logs can show *what* was composed, not just scores:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from ..topology.overlay import Overlay
 from .function_graph import FunctionGraph

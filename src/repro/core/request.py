@@ -10,7 +10,7 @@ formula, Eq. 2) and a session duration for workload bookkeeping.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .function_graph import FunctionGraph

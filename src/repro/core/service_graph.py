@@ -12,8 +12,7 @@ its slowest/lossiest branch).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Type
+from typing import Callable, ClassVar, Dict, List, Optional, Type
 
 from ...discovery.metadata import ServiceMetadata
 from ...discovery.registry import ServiceRegistry

@@ -31,7 +31,6 @@ front-runners finds nothing qualified.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 

@@ -9,7 +9,7 @@ the whole duplicate list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.qos import QoSVector
 from ..core.resources import ResourceVector

@@ -17,13 +17,12 @@ to move:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..core.bcp import BCPConfig
-from ..core.recovery import select_backups
 from ..core.session import RecoveryConfig
 from ..sim.metrics import RatioMeter
 from ..sim.rng import as_generator

@@ -10,8 +10,8 @@ degenerates to random; delay falls as budget grows; by budget ≈ 200
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 

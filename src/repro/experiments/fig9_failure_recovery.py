@@ -14,7 +14,7 @@ no backup nor reactive re-composition could absorb.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 

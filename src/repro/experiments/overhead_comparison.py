@@ -16,14 +16,14 @@ BCP a probed one).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.baselines import CentralizedComposer
 from ..core.bcp import BCPConfig
 from ..sim.metrics import RatioMeter
 from ..workload.generator import RequestConfig
 from ..workload.scenarios import simulation_testbed
-from .harness import HeldSessions, Series, format_table
+from .harness import HeldSessions
 
 __all__ = ["OverheadConfig", "OverheadResult", "run_overhead"]
 

@@ -13,10 +13,9 @@ curve climbs as evidence accumulates, the baseline stays flat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
-import numpy as np
 
 from ..core.bcp import BCPConfig, NextHopWeights
 from ..sim.rng import as_generator

@@ -1,9 +1,11 @@
 """The live peer daemon: SpiderNet's per-hop protocol over a transport.
 
 Each daemon owns one overlay peer id and processes protocol messages as
-asyncio tasks, *calling the wrapped* :class:`~repro.core.bcp.BCP`
-*methods the synchronous engine runs* — every step of the paper's §4
-is decided once, in ``bcp.py``, and charged to the engine's ledger:
+they are delivered — a step becomes an asyncio task only where it has to
+wait (a directory miss, a reply it needs) — *calling the wrapped*
+:class:`~repro.core.bcp.BCP` *methods the synchronous engine runs* —
+every step of the paper's §4 is decided once, in ``bcp.py``, and
+charged to the engine's ledger:
 
 * ``BCP._admit`` — Step 2.1 admission (QoS check + soft alloc) at the
   probe's *receiving* peer,
@@ -113,7 +115,7 @@ from __future__ import annotations
 import asyncio
 import math
 from dataclasses import dataclass, field
-from typing import Awaitable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Coroutine, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.bcp import BCP, CompositionResult, derive_next_functions
 from ..core.probe import Probe
@@ -130,7 +132,7 @@ from ..services.component import ComponentSpec
 from . import codec
 from .admission import LoadGuard
 from .directory import DirectorySlice
-from .rpc import DedupCache, RpcEndpoint, RpcError
+from .rpc import Deadlines, DedupCache, RpcEndpoint, RpcError, eager
 from ..sim.vtime import loop_time
 
 __all__ = ["PeerDaemon", "LiveSession"]
@@ -146,6 +148,12 @@ CACHE_TTL = 30.0
 # what rides a share of the termination credit besides the probe: the
 # report bundles gathered so far and the discovery RTT (see ProbeTransfer)
 _NO_CARGO: Tuple[Tuple, Optional[float]] = ((), None)
+
+
+def _time_out(outcome: asyncio.Future) -> None:
+    """A compose's wall timeout: end the wait unless the result won."""
+    if not outcome.done():
+        outcome.set_exception(asyncio.TimeoutError())
 
 
 def _split_credit(credit: int, budget: int, child_budgets: Sequence[int]) -> List[int]:
@@ -189,7 +197,7 @@ class _Collection:
     arrivals: Dict[Tuple, Probe] = field(default_factory=dict)
     credit: int = 0
     discovery: float = 0.0
-    deadline_handle: Optional[asyncio.TimerHandle] = None
+    deadline: Optional[list] = None  # the wall-clock fallback's Deadlines entry
     done: bool = False
     # what the wave's peers reported, accumulated from the bundles of
     # credit-carrying frames: their reservations ((peer, rtype) -> amount,
@@ -308,7 +316,11 @@ class PeerDaemon:
         self.rpc_failures: List = []
         self._tokens: Dict[int, Set[Tuple]] = {}  # rid -> soft tokens owned here
         self._confirmed: Dict[int, Set[Tuple]] = {}  # rid -> firm tokens owned here
-        self._timers: Dict[Tuple[int, Tuple], asyncio.TimerHandle] = {}
+        # every timeout this daemon keeps — soft-token expiries, collection
+        # windows' and parked frames' wall-clock fallbacks, compose
+        # timeouts — on one loop timer; (rid, token) -> its expiry entry
+        self._deadlines = Deadlines()
+        self._timers: Dict[Tuple[int, Tuple], list] = {}
         self._seen = DedupCache()  # (rid, Probe.dedup_key()) application dedup
         # the n of this peer's latest report bundle: a counter under a boot
         # nonce (the high half), so the daemon a revive builds for this peer
@@ -328,14 +340,15 @@ class PeerDaemon:
         self.cache_misses = 0
         self._collections: Dict[int, _Collection] = {}
         # credit-carrying frames that beat their ComposeBegin here:
-        # rid -> (expiry timer, frames in arrival order); and the rids
+        # rid -> (expiry entry, frames in arrival order); and the rids
         # whose window will not open (again), which is what makes a frame
         # without a window late instead of early
-        self._parked: Dict[int, Tuple[asyncio.TimerHandle, List]] = {}
+        self._parked: Dict[int, Tuple[list, List]] = {}
         self._closed = DedupCache()
         self._pending_results: Dict[int, asyncio.Future] = {}
         self.sessions: Dict[int, LiveSession] = {}
         self._tasks: Set[asyncio.Task] = set()
+        self._unstarted: Dict[Coroutine, asyncio.Handle] = {}  # spawned, first step pending
         endpoint.on(codec.ComposeBegin, self._on_begin)
         endpoint.on(codec.ProbeTransfer, self._on_probe)
         endpoint.on(codec.FinalProbe, self._on_final)
@@ -364,20 +377,34 @@ class PeerDaemon:
         if self.trace is not None:
             self.trace.record(category, time=loop_time(), peer=self.peer_id, **fields)
 
-    def _spawn(self, coro: Awaitable) -> asyncio.Task:
-        task = asyncio.get_running_loop().create_task(coro)
+    def _spawn(self, coro: Coroutine) -> None:
+        """Run ``coro`` from the next loop turn — as ``create_task`` would,
+        so a probe is processed after its ack is with the transport — but
+        eagerly: only if it suspends does the rest become a task."""
+        self._unstarted[coro] = asyncio.get_running_loop().call_soon(self._start, coro)
+
+    def _start(self, coro: Coroutine) -> None:
+        del self._unstarted[coro]
+        try:
+            task, _ = eager(coro)
+        except Exception as exc:
+            self._error(exc)
+        else:
+            if task is not None:
+                self._track(task)
+
+    def _track(self, task: asyncio.Task) -> None:
         self._tasks.add(task)
         task.add_done_callback(self._task_done)
-        return task
 
     def _task_done(self, task: asyncio.Task) -> None:
         self._tasks.discard(task)
-        if task.cancelled():
-            return
-        exc = task.exception()
-        if exc is not None:
-            self.errors.append(f"{type(exc).__name__}: {exc}")
-            self._trace("daemon_error", error=f"{type(exc).__name__}: {exc}")
+        if not task.cancelled() and task.exception() is not None:
+            self._error(task.exception())
+
+    def _error(self, exc: BaseException) -> None:
+        self.errors.append(f"{type(exc).__name__}: {exc}")
+        self._trace("daemon_error", error=f"{type(exc).__name__}: {exc}")
 
     def _on_rpc_rtt(self, dst: int, rtt: float, method: str) -> None:
         if self.measurement is not None:
@@ -425,25 +452,25 @@ class PeerDaemon:
         self.stopped = True
         if self.measurement is not None:
             self.measurement.stop()
-        for handle in self._timers.values():
-            handle.cancel()
+        self._deadlines.close()
         self._timers.clear()
-        for col in self._collections.values():
-            if col.deadline_handle is not None:
-                col.deadline_handle.cancel()
-        for expiry, _ in self._parked.values():
-            expiry.cancel()
         self._parked.clear()
         self._closed = DedupCache()
         self._miss_flight.clear()
+        for coro, handle in self._unstarted.items():
+            handle.cancel()
+            coro.close()
+        self._unstarted.clear()
         for task in list(self._tasks):
             task.cancel()
+        self.endpoint.stop()
 
     async def drain(self) -> None:
         """Await all in-flight tasks (clean teardown path)."""
         tasks = [t for t in self._tasks if not t.done()]
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
+        await self.endpoint.drain()
 
     def abort_pending(self, reason: str = "aborted") -> None:
         """Resolve every in-flight ``start_compose`` with a failed result.
@@ -472,9 +499,8 @@ class PeerDaemon:
     # soft-state timers
     # ------------------------------------------------------------------
     def _arm_expiry(self, rid: int, token: Tuple) -> None:
-        loop = asyncio.get_running_loop()
-        self._timers[(rid, token)] = loop.call_later(
-            self.soft_timeout, self._expire_token, rid, token
+        self._timers[(rid, token)] = self._deadlines.add(
+            loop_time() + self.soft_timeout, self._expire_token, rid, token
         )
 
     def _expire_token(self, rid: int, token: Tuple) -> None:
@@ -490,9 +516,9 @@ class PeerDaemon:
         self._trace("reservation_expired", request=rid, token=list(token))
 
     def _cancel_timer(self, rid: int, token: Tuple) -> None:
-        handle = self._timers.pop((rid, token), None)
-        if handle is not None:
-            handle.cancel()
+        entry = self._timers.pop((rid, token), None)
+        if entry is not None:
+            self._deadlines.cancel(entry)
 
     # ------------------------------------------------------------------
     # source side: start a composition
@@ -523,6 +549,7 @@ class PeerDaemon:
         self._trace("compose_started", request=rid, dest=dest, budget=beta)
         begin = codec.ComposeBegin(rid, request, beta, confirm)
         overlapped: Optional[asyncio.Task] = None
+        deadline: Optional[list] = None
         try:
             if self.guard is not None or self._peer_down(dest):
                 # the reply can refuse (admission is configured) or cannot
@@ -531,17 +558,22 @@ class PeerDaemon:
                 await self._begin(dest, begin, outcome)
             else:
                 # nothing in the reply is needed to probe: the wave leaves
-                # behind the begin, not behind its round trip.  One turn
-                # hands the begin to the transport first, so on the
-                # source -> destination link it precedes the wave's frames
-                overlapped = self._spawn(self._begin(dest, begin, outcome))
-                await asyncio.sleep(0)
+                # behind the begin, not behind its round trip.  Started
+                # eagerly, the begin is with the transport before the wave
+                # is, so on the source -> destination link it precedes the
+                # wave's frames; only the wait for its reply is a task
+                overlapped, _ = eager(self._begin(dest, begin, outcome))
+                if overlapped is not None:
+                    self._track(overlapped)
             if not outcome.done():
                 await self._expand(Probe.initial(request, beta), CREDIT, rid)
             wall = timeout if timeout is not None else self.collect_wall_timeout + 30.0
-            msg = await asyncio.wait_for(outcome, wall)
+            deadline = self._deadlines.add(loop_time() + wall, _time_out, outcome)
+            msg = await outcome
         finally:
             self._pending_results.pop(rid, None)
+            if deadline is not None:
+                self._deadlines.cancel(deadline)
             if overlapped is not None:
                 overlapped.cancel()
         if isinstance(msg, RpcError):
@@ -599,7 +631,7 @@ class PeerDaemon:
             probe.graph, probe.current_function, probe.applied_swaps, cfg.explore_commutations
         )
         if not candidates:
-            await self._return_credit(rid, request.dest_peer, credit, "no-next-hop", cargo)
+            self._return_credit(rid, request.dest_peer, credit, "no-next-hop", cargo)
             return
         # all candidate lookups run concurrently: a real implementation
         # would have all queries in flight at once, and the discovery
@@ -627,7 +659,7 @@ class PeerDaemon:
             self.guard.budget_degrades += 1
         sends = list(self.bcp.plan_children(probe, candidates, lookups, budget))
         if not sends:
-            await self._return_credit(rid, request.dest_peer, credit, "exhausted", cargo)
+            self._return_credit(rid, request.dest_peer, credit, "exhausted", cargo)
             return
         shares = _split_credit(credit, budget, [send[-1] for send in sends])
         # what the destination must learn — with it, how many probes this
@@ -636,12 +668,8 @@ class PeerDaemon:
         self._bundles_made += 1
         count = (self.peer_id, self._bundles_made, (), (), len(sends))
         cargoes = [(cargo[0] + (count,), cargo[1])] + [_NO_CARGO] * (len(sends) - 1)
-        await asyncio.gather(
-            *(
-                self._send_probe(rid, probe, *send, max_rtt, share, carried)
-                for send, share, carried in zip(sends, shares, cargoes)
-            )
-        )
+        for send, share, carried in zip(sends, shares, cargoes):
+            self._send_probe(rid, probe, *send, max_rtt, share, carried)
 
     # ------------------------------------------------------------------
     # directory lookups: the positive cache, then the wire
@@ -753,7 +781,7 @@ class PeerDaemon:
         self._dir_cache.pop(function, None)
         self._miss_flight.pop(function, None)
 
-    async def _send_probe(
+    def _send_probe(
         self,
         rid: int,
         parent: Probe,
@@ -779,25 +807,23 @@ class PeerDaemon:
             reports=cargo[0],
             discovery=cargo[1],
         )
-        try:
-            await self.endpoint.call(comp.peer, msg)
-        except RpcError:
-            # the retry/backoff path ran dry: report the credit as lost so
-            # the destination's window can still close without the fallback
-            self._trace("probe_lost", request=rid, to_peer=comp.peer, function=fn)
-            await self._return_credit(rid, parent.request.dest_peer, credit, "lost", cargo)
+        self.endpoint.post(comp.peer, msg, self._probe_lost)
 
-    async def _return_credit(
+    def _probe_lost(self, msg: codec.ProbeTransfer) -> None:
+        """The retry/backoff path ran dry: report the credit as lost so the
+        destination's window can still close without the fallback."""
+        rid = msg.request_id
+        self._trace("probe_lost", request=rid, to_peer=msg.component.peer, function=msg.function)
+        self._return_credit(
+            rid, msg.parent.request.dest_peer, msg.credit, "lost", (msg.reports, msg.discovery)
+        )
+
+    def _return_credit(
         self, rid: int, dest_peer: int, credit: int, reason: str, cargo=_NO_CARGO
     ) -> None:
-        await self._credit_home(dest_peer, codec.CreditReturn(rid, credit, reason, *cargo))
-
-    async def _credit_home(self, dest_peer: int, msg) -> None:
-        """Deliver a ``FinalProbe`` / ``CreditReturn`` to the destination."""
-        try:
-            await self.endpoint.call(dest_peer, msg)
-        except RpcError:
-            pass  # destination unreachable: its wall-clock fallback closes the window
+        # a destination that cannot be reached closes the window by its
+        # wall-clock fallback
+        self.endpoint.post(dest_peer, codec.CreditReturn(rid, credit, reason, *cargo))
 
     # ------------------------------------------------------------------
     # step 2.1: admission at the receiving peer
@@ -812,15 +838,13 @@ class PeerDaemon:
             # No admission ran, so there is no token to leak.
             self.guard.probes_shed += 1
             self._trace("probe_shed", request=msg.request_id, from_peer=src)
-            self._spawn(
-                self._return_credit(
-                    msg.request_id, msg.parent.request.dest_peer, msg.credit, "shed",
-                    (msg.reports, msg.discovery),
-                )
+            self._return_credit(
+                msg.request_id, msg.parent.request.dest_peer, msg.credit, "shed",
+                (msg.reports, msg.discovery),
             )
             return {"ok": True, "shed": True}
-        # ack immediately; admission + further expansion run as a task so
-        # deep probe chains never stack RPC timeouts
+        # ack first; admission and further expansion run from the next turn,
+        # so deep probe chains never stack RPC timeouts
         if self.guard is not None:
             self.guard.begin_probe()
         self._spawn(self._process_probe(msg))
@@ -860,9 +884,9 @@ class PeerDaemon:
                 dropped = None
             cargo = (reports, msg.discovery)
             if dropped is not None:
-                await self._return_credit(rid, request.dest_peer, msg.credit, dropped, cargo)
+                self._return_credit(rid, request.dest_peer, msg.credit, dropped, cargo)
             elif child.at_sink:
-                await self._credit_home(
+                self.endpoint.post(
                     request.dest_peer, codec.FinalProbe(rid, child, msg.credit, *cargo)
                 )
             else:
@@ -901,14 +925,16 @@ class PeerDaemon:
             result=CompositionResult(request=msg.request, success=False),
             started=loop_time(),
         )
-        col.deadline_handle = asyncio.get_running_loop().call_later(
-            self.collect_wall_timeout,
-            lambda: self._spawn(self._finalize(rid, "wall-timeout")),
+        col.deadline = self._deadlines.add(
+            loop_time() + self.collect_wall_timeout, self._wall_timeout, rid
         )
         self._collections[rid] = col
         for early in self._unpark(rid):
             self._count(col, early)
         return {"ok": True}
+
+    def _wall_timeout(self, rid: int) -> None:
+        self._spawn(self._finalize(rid, "wall-timeout"))
 
     def _arrive(self, msg) -> dict:
         """A credit-carrying frame finds its window in one of three states.
@@ -931,8 +957,8 @@ class PeerDaemon:
             if held is None:
                 # a begin that never comes must not strand the holders:
                 # after the wall timeout the parked frames are late
-                expiry = asyncio.get_running_loop().call_later(
-                    self.collect_wall_timeout, self._expire_parked, rid
+                expiry = self._deadlines.add(
+                    loop_time() + self.collect_wall_timeout, self._expire_parked, rid
                 )
                 held = self._parked[rid] = (expiry, [])
             held[1].append(msg)
@@ -974,7 +1000,7 @@ class PeerDaemon:
         """The frames parked for ``rid`` in arrival order, their expiry disarmed."""
         expiry, frames = self._parked.pop(rid, (None, []))
         if expiry is not None:
-            expiry.cancel()
+            self._deadlines.cancel(expiry)
         return frames
 
     def _expire_parked(self, rid: int) -> None:
@@ -990,7 +1016,7 @@ class PeerDaemon:
             h for msg in frames for h, _, peers, links, _ in msg.reports if peers or links
         }
         for holder in sorted(holders):
-            self._spawn(self._control(holder, release))
+            self.endpoint.post(holder, release)
 
     def _reserved_usage(self, tokens: Set[Tuple]) -> Tuple[Tuple, Tuple]:
         """Just-admitted reservations' demands, as report rows."""
@@ -1014,8 +1040,8 @@ class PeerDaemon:
         if col is None or col.done:
             return
         col.done = True
-        if col.deadline_handle is not None:
-            col.deadline_handle.cancel()
+        if col.deadline is not None:
+            self._deadlines.cancel(col.deadline)
         if self.guard is not None:
             self.guard.close_session(rid)
         request = col.request
@@ -1069,11 +1095,9 @@ class PeerDaemon:
             phases=dict(result.phases),
             session_tokens=tuple(result.session_tokens),
         )
-        # the result leaves behind every release frame: one turn hands them
-        # to the transport, and a release still dialling its holder holds
-        # the result until it is through.  When compose returns, the
-        # releases are on the wire
-        await asyncio.sleep(0)
+        # the result leaves behind every release frame: a release still
+        # dialling its holder holds the result until it is through.  When
+        # compose returns, the releases are on the wire
         if not all(sent.done() for sent in handed):
             await asyncio.wait(handed)
         try:
@@ -1136,19 +1160,16 @@ class PeerDaemon:
         for peer in sorted(col.holders):
             if peer != self.peer_id:
                 sent = loop.create_future()
-                self._spawn(self._control(peer, msg, sent))
+                self.endpoint.post(peer, msg, sent=sent)
                 handed.append(sent)
         return handed
 
-    async def _control(
-        self, peer: int, msg, sent: Optional[asyncio.Future] = None
-    ) -> Optional[dict]:
+    async def _control(self, peer: int, msg) -> Optional[dict]:
         """A control call whose failure is an answer (``None``), not an
-        error: a dead peer's soft state expires on its own timers, its
-        caches on their TTL, and a setup ack or a maintenance ping it
-        misses fails the setup or the session."""
+        error: a dead peer's caches expire on their TTL, and a setup ack
+        or a maintenance ping it misses fails the setup or the session."""
         try:
-            return await self.endpoint.call(peer, msg, sent=sent)
+            return await self.endpoint.call(peer, msg)
         except RpcError:
             return None
 

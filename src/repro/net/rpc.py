@@ -21,11 +21,17 @@ cannot serve arbitrarily old state even within one incarnation.
 from __future__ import annotations
 
 import asyncio
+import collections.abc
+import heapq
 import itertools
+import math
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, Hashable, Optional, Set, Tuple, Type
+from functools import partial
+from typing import (
+    Any, Awaitable, Callable, Coroutine, Dict, Hashable, List, Optional, Set, Tuple, Type,
+)
 
 from ..sim.rng import as_generator
 from .transport import TransportError
@@ -38,6 +44,8 @@ __all__ = [
     "RetryPolicy",
     "RpcEndpoint",
     "DedupCache",
+    "Deadlines",
+    "eager",
 ]
 
 
@@ -111,16 +119,173 @@ class DedupCache:
 _INFLIGHT = object()  # reply-cache sentinel: handler still running
 
 
-def _expire(future: asyncio.Future) -> None:
-    """A call attempt's deadline: fail the wait unless the reply won."""
-    if not future.done():
-        future.set_exception(asyncio.TimeoutError())
+def eager(coro: Coroutine) -> Tuple[Optional[asyncio.Task], Any]:
+    """Run ``coro`` now, up to its first suspension.
+
+    ``(None, value)`` when it finished without suspending (an exception it
+    raised propagates here); ``(task, None)`` when it suspended, the task
+    driving the rest.  A step that cannot suspend — a loopback send, a
+    handler with nothing to wait for — so costs no task and no loop turn.
+    Python 3.12's ``eager_task_factory`` does this loop-wide; this does it
+    for one coroutine, on any Python and under any task factory."""
+    try:
+        yielded = coro.send(None)
+    except StopIteration as done:
+        return None, done.value
+    return asyncio.get_running_loop().create_task(_Rest(coro, yielded)), None
+
+
+_RESUMED = object()
+
+
+class _Rest(collections.abc.Coroutine):
+    """The rest of an eagerly started coroutine, as the coroutine its task
+    drives.  The task's first step gets what the coroutine yielded when it
+    suspended; each later step goes into the coroutine.  A task cancelled
+    before its first step cancels that yielded future, as it would have
+    had it been awaiting it all along, so what the coroutine waits on
+    (a ``gather``'s children) is cancelled with it."""
+
+    __slots__ = ("_coro", "_yielded")
+
+    def __init__(self, coro: Coroutine, yielded: Any) -> None:
+        self._coro = coro
+        self._yielded = yielded
+
+    def send(self, value):
+        yielded = self._yielded
+        if yielded is _RESUMED:
+            return self._coro.send(value)
+        self._yielded = _RESUMED
+        return yielded
+
+    def throw(self, *exc):
+        yielded, self._yielded = self._yielded, _RESUMED
+        if asyncio.isfuture(yielded):
+            yielded.cancel()
+        return self._coro.throw(*exc)
+
+    def close(self) -> None:
+        self._coro.close()
+
+    def __await__(self):
+        return self
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return self.send(None)
+
+
+class Deadlines:
+    """Many deadlines on one loop timer.
+
+    A heap of ``[due, seq, fn, args]`` entries with the loop's timer armed
+    at the earliest; when it fires, every entry due by then runs in
+    ``(due, seq)`` order — ties in the order they were added — and the
+    timer is re-armed at the next.  Cancelling only marks an entry: it
+    leaves the heap when it reaches the head, or when dead entries
+    outnumber live ones.  A deadline that is usually cancelled (an RPC
+    attempt's, a soft token's) thus costs a heap push, not a timer."""
+
+    __slots__ = ("_heap", "_seq", "_timer", "_armed", "_dead")
+
+    def __init__(self) -> None:
+        self._heap: List[list] = []
+        self._seq = itertools.count()
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._armed = math.inf  # when the timer fires; -inf while it runs
+        self._dead = 0
+
+    def add(self, due: float, fn: Callable, *args) -> list:
+        entry = [due, next(self._seq), fn, args]
+        heapq.heappush(self._heap, entry)
+        if due < self._armed:
+            self._arm(due)
+        return entry
+
+    def cancel(self, entry: list) -> None:
+        if entry[2] is None:
+            return  # already run or cancelled
+        entry[2] = None
+        self._dead += 1
+        heap = self._heap
+        if self._dead > 64 and self._dead * 2 > len(heap):
+            heap[:] = [e for e in heap if e[2] is not None]
+            heapq.heapify(heap)
+            self._dead = 0
+
+    def close(self) -> None:
+        """Drop every deadline, run none."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._heap.clear()
+        self._armed = math.inf
+        self._dead = 0
+
+    def _arm(self, due: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._armed = due
+        self._timer = asyncio.get_running_loop().call_at(due, self._fire)
+
+    def _fire(self) -> None:
+        # whatever was due when the loop ran the timer is due now, even if
+        # the loop ran it a clock tick early
+        now = max(self._armed, asyncio.get_running_loop().time())
+        self._timer = None
+        self._armed = -math.inf  # an add() from a callback arms nothing: below does
+        heap = self._heap
+        try:
+            while heap and (heap[0][2] is None or heap[0][0] <= now):
+                entry = heapq.heappop(heap)
+                fn = entry[2]
+                if fn is None:
+                    self._dead -= 1
+                else:
+                    entry[2] = None
+                    fn(*entry[3])
+        finally:
+            self._armed = math.inf
+            if heap:
+                self._arm(heap[0][0])
 
 
 def _resolve(sent: Optional[asyncio.Future]) -> None:
-    """Tell a ``call``'s caller its frame has left (or never will)."""
+    """Tell a sender its frame has left (or never will)."""
     if sent is not None and not sent.done():
         sent.set_result(None)
+
+
+class _Exchange:
+    """One request in flight, from its first attempt to its reply or its
+    last failure: what was sent, and how far it got."""
+
+    __slots__ = (
+        "dst", "msg_id", "message", "envelope", "policy", "ignore_down",
+        "future", "on_failure", "sent", "attempts", "sent_at", "waited",
+        "deadline", "error",
+    )
+
+    def __init__(
+        self, dst, msg_id, message, envelope, policy, ignore_down, future, on_failure, sent
+    ) -> None:
+        self.dst = dst
+        self.msg_id = msg_id
+        self.message = message
+        self.envelope = envelope
+        self.policy = policy
+        self.ignore_down = ignore_down
+        self.future = future  # a call's caller waits on it; a post has none
+        self.on_failure = on_failure
+        self.sent = sent
+        self.attempts = 0
+        self.sent_at = 0.0
+        self.waited = False
+        self.deadline: Optional[list] = None  # the reply's, or the backoff's
+        self.error = "timeout"
 
 
 class RpcEndpoint:
@@ -128,7 +293,16 @@ class RpcEndpoint:
 
     Handlers are registered per message *class* (``endpoint.on(ProbeTransfer,
     fn)``) and return the reply payload (a JSON-able dict, possibly with
-    typed values) or ``None`` for a bare ack.
+    typed values) or ``None`` for a bare ack.  A handler runs as soon as
+    its frame is delivered, and one that does not suspend is answered in
+    the same turn: only a handler (or a reply send) that waits becomes a
+    task.
+
+    Outbound, every exchange runs on one retry engine driven by
+    callbacks — the transport's send, the reply, and the endpoint's one
+    :class:`Deadlines` timer for every reply deadline and backoff.
+    :meth:`call` awaits the reply; :meth:`post` sends and returns, for a
+    frame whose reply says nothing the sender needs.
     """
 
     def __init__(
@@ -155,12 +329,18 @@ class RpcEndpoint:
         self._clock = clock if clock is not None else loop_time
         self._rng = as_generator(seed)
         self._ids = itertools.count(1)
-        self._pending: Dict[int, asyncio.Future] = {}
+        # msg_id -> the exchange whose attempt awaits that reply
+        self._pending: Dict[int, _Exchange] = {}
+        self._live: Set[_Exchange] = set()  # every exchange not yet over
+        self._posts = 0  # how many of them are posts
+        self._idle: Optional[asyncio.Future] = None  # drain()'s wait for _posts == 0
+        self._deadlines = Deadlines()
         self._handlers: Dict[Type, Callable[[int, Any], Awaitable[Optional[dict]]]] = {}
         # (src, incarnation, msg_id) -> (expires_at | None, reply)
         self._replies: "OrderedDict[tuple, Tuple[Optional[float], Any]]" = OrderedDict()
         self._reply_cache = reply_cache
-        self._tasks: Set[asyncio.Task] = set()  # one per request being served
+        # requests being served and sends that suspended (a dial, backpressure)
+        self._tasks: Set[asyncio.Task] = set()
         self.calls_sent = 0
         self.retries_performed = 0
         self.envelopes_rejected = 0  # inbound envelopes that were not a req/res
@@ -190,6 +370,27 @@ class RpcEndpoint:
     def on(self, msg_type: Type, handler: Callable[[int, Any], Awaitable[Optional[dict]]]) -> None:
         self._handlers[msg_type] = handler
 
+    def stop(self) -> None:
+        """End everything in flight: a post is dropped, a call fails with
+        :class:`RpcError`, and a request still being served is cancelled."""
+        for x in list(self._live):
+            self._abandon(x)
+            if x.future is not None and not x.future.done():
+                x.future.set_exception(RpcError(f"endpoint {self.peer_id} stopped"))
+        self._deadlines.close()
+        for task in list(self._tasks):
+            task.cancel()
+
+    async def drain(self) -> None:
+        """Await every request still being served and every post still in
+        flight (until its reply, its last failure or :meth:`stop`)."""
+        while self._tasks or self._posts:
+            if self._tasks:
+                await asyncio.gather(*self._tasks, return_exceptions=True)
+            elif self._posts:
+                self._idle = asyncio.get_running_loop().create_future()
+                await self._idle
+
     # ------------------------------------------------------------------
     # outbound
     # ------------------------------------------------------------------
@@ -210,20 +411,28 @@ class RpcEndpoint:
         frame is with the transport (a dial included), or once that
         attempt or the call fails: a caller can queue a later frame behind
         this one without waiting for the reply."""
+        future = asyncio.get_running_loop().create_future()
+        x = self._start(dst, message, retry or self.retry, ignore_down, future, None, sent)
         try:
-            return await self._call(dst, message, retry, ignore_down, sent)
+            return await future
         finally:
-            _resolve(sent)
+            self._abandon(x)  # cancelled: no retry, no deadline, no entry left
 
-    async def _call(
+    def post(
         self,
         dst: int,
         message: Any,
-        retry: Optional[RetryPolicy],
-        ignore_down: bool,
-        sent: Optional[asyncio.Future],
-    ) -> dict:
-        policy = retry or self.retry
+        on_failure: Optional[Callable[[Any], None]] = None,
+        sent: Optional[asyncio.Future] = None,
+    ) -> None:
+        """Send ``message`` to ``dst`` with :meth:`call`'s retries and RTT
+        sampling, and return without waiting for anything: the reply is
+        dropped, and ``on_failure(message)`` runs once if the retries run
+        out (after :attr:`on_failure` has the :class:`RpcFailure`).
+        ``sent`` is :meth:`call`'s."""
+        self._start(dst, message, self.retry, False, None, on_failure, sent)
+
+    def _start(self, dst, message, policy, ignore_down, future, on_failure, sent) -> _Exchange:
         msg_id = next(self._ids)
         # note there is no "dst" field: the transport connection already
         # identifies the receiver, so carrying it would be dead bytes on
@@ -236,80 +445,161 @@ class RpcEndpoint:
             "body": message,
         }
         self.calls_sent += 1
-        loop = asyncio.get_running_loop()
-        last_error = "timeout"
-        attempts = 0
-        for attempt in range(policy.retries + 1):
-            if (
-                not ignore_down
-                and self.peer_down is not None
-                and self.peer_down(dst)
-            ):
-                # the peer is already known dead: abort the remaining
-                # attempts instead of waiting out their timeouts — the
-                # caller gets the same structured failure, minus the burn
-                last_error = f"peer {dst} marked down"
-                break
-            if attempt:
-                self.retries_performed += 1
-                delay = policy.backoff * policy.factor ** (attempt - 1)
-                delay *= 1.0 + policy.jitter * float(self._rng.random())
-                await asyncio.sleep(delay)
-            attempts += 1
-            future: asyncio.Future = loop.create_future()
-            self._pending[msg_id] = future
-            sent_at = loop.time()
-            deadline: Optional[asyncio.TimerHandle] = None
-            try:
-                try:
-                    waited = await self.transport.send(self.peer_id, dst, envelope)
-                finally:
-                    _resolve(sent)
-                deadline = loop.call_later(policy.timeout, _expire, future)
-                reply = await future
-            except TransportError as exc:
-                last_error = str(exc)
-            except asyncio.TimeoutError:
-                last_error = f"no reply within {policy.timeout}s"
+        x = _Exchange(dst, msg_id, message, envelope, policy, ignore_down, future, on_failure, sent)
+        self._live.add(x)
+        if future is None:
+            self._posts += 1
+        if self._down(x):
+            self._fail(x)
+        else:
+            self._attempt(x)
+        return x
+
+    def _down(self, x: _Exchange) -> bool:
+        if x.ignore_down or self.peer_down is None or not self.peer_down(x.dst):
+            return False
+        # the peer is already known dead: abort the remaining attempts
+        # instead of waiting out their timeouts — the caller gets the same
+        # structured failure, minus the burn
+        x.error = f"peer {x.dst} marked down"
+        return True
+
+    def _attempt(self, x: _Exchange) -> None:
+        x.deadline = None
+        x.attempts += 1
+        self._pending[x.msg_id] = x
+        # the sample window opens before send(): queueing and coalescing
+        # delays are genuine sojourn time the next caller will also pay
+        x.sent_at = asyncio.get_running_loop().time()
+        try:
+            task, waited = eager(self.transport.send(self.peer_id, x.dst, x.envelope))
+        except TransportError as exc:
+            self._sent(x, False, str(exc))
+            return
+        except BaseException:
+            self._abandon(x)
+            raise
+        if task is None:
+            self._sent(x, waited)
+        else:
+            if x.attempts == 1:
+                # a send that suspends waits for the network (a dial,
+                # backpressure) — known now, before any reply can land
+                x.waited = True
+            self._track(task)
+            task.add_done_callback(partial(self._send_done, x))
+
+    def _send_done(self, x: _Exchange, task: asyncio.Task) -> None:
+        if task.cancelled():
+            self._sent(x, True, "send cancelled")
+        elif task.exception() is not None:
+            self._sent(x, True, str(task.exception()))
+        else:
+            self._sent(x, task.result())
+
+    def _sent(self, x: _Exchange, waited: bool, error: Optional[str] = None) -> None:
+        """The attempt's frame is with the transport, or (``error``) never
+        will be."""
+        _resolve(x.sent)
+        if x not in self._live:
+            return  # answered or abandoned while the send waited
+        if x.attempts == 1:
+            # a dial or a paused connection is not the link's wait: the
+            # next caller finds the connection open
+            x.waited = waited
+        if error is None:
+            x.deadline = self._deadlines.add(
+                asyncio.get_running_loop().time() + x.policy.timeout, self._timed_out, x
+            )
+        else:
+            del self._pending[x.msg_id]
+            self._retry(x, error)
+
+    def _timed_out(self, x: _Exchange) -> None:
+        del self._pending[x.msg_id]
+        self._retry(x, f"no reply within {x.policy.timeout}s")
+
+    def _retry(self, x: _Exchange, error: str) -> None:
+        x.error = error
+        policy = x.policy
+        if x.attempts > policy.retries or self._down(x):
+            self._fail(x)
+            return
+        self.retries_performed += 1
+        delay = policy.backoff * policy.factor ** (x.attempts - 1)
+        delay *= 1.0 + policy.jitter * float(self._rng.random())
+        x.deadline = self._deadlines.add(
+            asyncio.get_running_loop().time() + delay, self._attempt, x
+        )
+
+    def _replied(self, x: _Exchange, body: Any) -> None:
+        del self._pending[x.msg_id]
+        self._end(x)
+        if x.deadline is not None:
+            self._deadlines.cancel(x.deadline)
+        if x.attempts == 1 and self.on_rtt is not None:
+            if x.waited:
+                self.samples_discarded += 1
             else:
-                if attempt == 0 and self.on_rtt is not None:
-                    # the sample window opens before send(): queueing and
-                    # coalescing delays are genuine sojourn time the next
-                    # caller will also pay.  A dial or a paused connection
-                    # is not — the next caller finds the connection open
-                    if waited:
-                        self.samples_discarded += 1
-                    else:
-                        self.on_rtt(
-                            dst, loop.time() - sent_at, type(message).__name__
-                        )
-                return reply
-            finally:
-                if deadline is not None:
-                    deadline.cancel()
-                del self._pending[msg_id]
+                self.on_rtt(
+                    x.dst,
+                    asyncio.get_running_loop().time() - x.sent_at,
+                    type(x.message).__name__,
+                )
+        if x.future is not None and not x.future.done():
+            x.future.set_result(body)
+
+    def _fail(self, x: _Exchange) -> None:
+        self._end(x)
+        _resolve(x.sent)
+        method = type(x.message).__name__
         if self.on_failure is not None:
             self.on_failure(
-                RpcFailure(
-                    peer=dst,
-                    method=type(message).__name__,
-                    attempts=attempts,
-                    error=last_error,
-                )
+                RpcFailure(peer=x.dst, method=method, attempts=x.attempts, error=x.error)
             )
-        raise RpcTimeout(
-            f"{type(message).__name__} {self.peer_id}->{dst} failed after "
-            f"{attempts} attempts: {last_error}"
-        )
+        if x.future is not None:
+            if not x.future.done():
+                x.future.set_exception(
+                    RpcTimeout(
+                        f"{method} {self.peer_id}->{x.dst} failed after "
+                        f"{x.attempts} attempts: {x.error}"
+                    )
+                )
+        elif x.on_failure is not None:
+            x.on_failure(x.message)
+
+    def _abandon(self, x: _Exchange) -> None:
+        """End ``x`` with no outcome: nothing more is sent or reported."""
+        if x not in self._live:
+            return
+        self._end(x)
+        _resolve(x.sent)
+        if self._pending.get(x.msg_id) is x:
+            del self._pending[x.msg_id]
+        if x.deadline is not None:
+            self._deadlines.cancel(x.deadline)
+
+    def _end(self, x: _Exchange) -> None:
+        self._live.discard(x)
+        if x.future is None:
+            self._posts -= 1
+            if not self._posts and self._idle is not None:
+                if not self._idle.done():
+                    self._idle.set_result(None)
+                self._idle = None
+
+    def _track(self, task: asyncio.Task) -> None:
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     # ------------------------------------------------------------------
     # inbound
     # ------------------------------------------------------------------
     def _on_envelope(self, envelope: dict) -> None:
         """The transport's handler, called synchronously once per frame: a
-        reply resolves its caller's future on the spot, a request gets one
-        task (handler + reply) — so two requests from one sender *start*
-        in order, but the second may start before the first finishes."""
+        reply resolves its exchange on the spot, a request's handler runs
+        on the spot — so two requests from one sender *start* in order,
+        but the second may start before the first finishes."""
         get = envelope.get if isinstance(envelope, dict) else {}.get
         kind, msg_id, inc, src = get("kind"), get("id"), get("inc"), get("src")
         if (
@@ -323,26 +613,26 @@ class RpcEndpoint:
         if kind == "res":
             if inc is not None and inc != self.incarnation:
                 return  # a reply addressed to a previous life of this peer
-            future = self._pending.get(msg_id)
-            if future is not None and not future.done():
-                future.set_result(get("body"))
+            x = self._pending.get(msg_id)
+            if x is not None:
+                self._replied(x, get("body"))
             return
         key = (src, inc, msg_id)
         cached = self._cached_reply(key)
         if cached is _INFLIGHT:
             return  # duplicate while the first delivery is still processing
         if cached is not None:
-            self._spawn(self._respond(key, cached))
+            self._serve(self._respond(key, cached))
         else:
             # in-flight markers never expire on their own: the handler's
             # completion always overwrites them with the real (TTL'd) reply
             self._replies[key] = (None, _INFLIGHT)
-            self._spawn(self._handle(key, get("body")))
+            self._serve(self._handle(key, get("body")))
 
-    def _spawn(self, coro: Awaitable) -> None:
-        task = asyncio.get_running_loop().create_task(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+    def _serve(self, coro: Coroutine) -> None:
+        task, _ = eager(coro)
+        if task is not None:
+            self._track(task)
 
     async def _handle(self, key: tuple, body: Any) -> None:
         handler = self._handlers.get(type(body))

@@ -47,7 +47,7 @@ import asyncio
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..workload.arrivals import PoissonArrivals

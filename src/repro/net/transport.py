@@ -36,8 +36,9 @@ path and, ultimately, credit-loss reporting to the destination.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from functools import partial
-from typing import Awaitable, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Awaitable, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from ..sim.rng import as_generator
 from .codec import CodecError, FrameReader, decode_frame, encode_frame
@@ -64,44 +65,64 @@ class _DelayPump:
 
     Items are enqueued with a due time (``now + one-way delay``) and
     handed to ``deliver`` in FIFO order once due: a burst entering the
-    link back-to-back shares one delay instead of serializing N sleeps,
-    and per-link ordering is preserved because due times on one pump are
-    monotone.  ``stop()`` drains what is already in flight and then ends
-    the task; cancelling the task abandons it immediately.
+    link back-to-back shares one delay instead of serializing N timers,
+    and per-link ordering is preserved because an item never overtakes
+    the one ahead of it.  One loop timer, armed for the head item, is
+    the pump's whole cost.  ``stop()`` takes no more items but delivers
+    what is already in flight; ``cancel()`` abandons it.
     """
 
-    __slots__ = ("_deliver", "_queue")
+    __slots__ = ("_deliver", "_items", "_timer", "_due", "_stopped")
 
     def __init__(self, deliver: Callable[[object], None]) -> None:
         self._deliver = deliver
-        self._queue: asyncio.Queue = asyncio.Queue()
+        self._items: Deque[Tuple[float, object]] = deque()
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._due = 0.0  # what the timer is armed for
+        self._stopped = False
 
     def put(self, delay: float, item) -> None:
-        due = asyncio.get_running_loop().time() + max(0.0, delay)
-        self._queue.put_nowait((due, item))
+        if self._stopped:
+            return
+        loop = asyncio.get_running_loop()
+        due = loop.time() + max(0.0, delay)
+        self._items.append((due, item))
+        if self._timer is None:
+            self._arm(loop, due)
 
     def stop(self) -> None:
-        self._queue.put_nowait(None)
+        self._stopped = True
 
-    async def run(self) -> None:
+    def cancel(self) -> None:
+        self._stopped = True
+        self._items.clear()
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _arm(self, loop, due: float) -> None:
+        self._due = due
+        self._timer = loop.call_at(due, self._run)
+
+    def _run(self) -> None:
         loop = asyncio.get_running_loop()
-        while True:
-            item = await self._queue.get()
-            if item is None:
-                break
-            due, payload = item
-            now = loop.time()
-            if due > now:
-                await asyncio.sleep(due - now)
-            self._deliver(payload)
+        # the loop may run a timer a clock tick early: what it was armed
+        # for is due
+        now = max(self._due, loop.time())
+        self._timer = None
+        items = self._items
+        while items and items[0][0] <= now:
+            self._deliver(items.popleft()[1])
+        if items and self._timer is None:
+            self._arm(loop, items[0][0])
 
 
 class _BaseTransport:
     def __init__(self, tap: Optional[Tap] = None) -> None:
         self._handlers: Dict[int, Handler] = {}
         self._killed: Set[int] = set()
-        # every task the transport owns: listeners, dispatchers, pumps,
-        # the flusher, and coroutine handler results still running
+        # every task the transport owns: listeners, dispatchers, the
+        # flusher, and coroutine handler results still running
         self._tasks: Set[asyncio.Task] = set()
         self.tap = tap
         self.frames_sent = 0
@@ -228,6 +249,8 @@ class LoopbackTransport(_BaseTransport):
 
     async def close(self) -> None:
         await self._cancel_tasks()
+        for pump in self._pumps.values():
+            pump.cancel()
         self._pumps.clear()
         self._pending.clear()
         self._started = False
@@ -267,7 +290,6 @@ class LoopbackTransport(_BaseTransport):
         if pump is None:
             # kill is re-checked at dispatch
             pump = self._pumps[key] = _DelayPump(self._queues[dst].put_nowait)
-            self._spawn(pump.run(), f"loopback-delay-{src}-{dst}")
         return pump
 
     async def _dispatch(self, peer_id: int) -> None:
@@ -298,7 +320,6 @@ class _Accepted(asyncio.Protocol):
         owner._accepted.add(self)
         if owner._delay_inbound:
             self.pump = _DelayPump(partial(owner._deliver, self.peer_id))
-            owner._spawn(self.pump.run(), f"tcp-delay-{self.peer_id}")
 
     def data_received(self, data: bytes) -> None:
         owner, peer_id, pump = self.owner, self.peer_id, self.pump
@@ -321,7 +342,10 @@ class _Accepted(asyncio.Protocol):
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.owner._accepted.discard(self)
         if self.pump is not None:
-            self.pump.stop()  # drain what's in flight, then stop
+            if self.owner._started:
+                self.pump.stop()  # deliver what's in flight, take no more
+            else:
+                self.pump.cancel()  # the transport is closing
 
 
 class _Conn(asyncio.Protocol):

@@ -11,8 +11,8 @@ can assert real behaviour instead of counting opaque tokens.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 __all__ = ["ADU", "VideoFrame"]
 

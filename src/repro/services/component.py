@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.qos import QoSVector
 from ..core.resources import ResourceVector

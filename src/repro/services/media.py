@@ -13,7 +13,7 @@ observable change on the frames that flow through it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..core.qos import QoSVector
 from ..core.resources import ResourceVector

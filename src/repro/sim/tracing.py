@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 
 __all__ = ["TraceEvent", "EventTrace", "trace_churn", "trace_sessions"]

@@ -5,7 +5,6 @@ from .overlay import (
     Overlay,
     mesh_overlay,
     peer_delay_matrix,
-    power_law_overlay,
     random_overlay,
     select_peers,
     wan_overlay,
@@ -22,7 +21,6 @@ __all__ = [
     "mesh_overlay",
     "peer_delay_matrix",
     "power_law_degree_sequence",
-    "power_law_overlay",
     "random_overlay",
     "select_peers",
     "wan_overlay",

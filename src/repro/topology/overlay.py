@@ -3,12 +3,12 @@
 The paper runs SpiderNet on 1000 peers selected from a 10 000-node IP
 network, "connected into different overlay topologies (e.g., mesh,
 power-law graph)", and notes the composition system is orthogonal to the
-overlay topology.  This module builds those overlays:
+overlay topology.  This module builds the mesh every experiment here runs
+on, and two more:
 
 * :func:`mesh_overlay` — topologically-aware mesh: each peer links to its
   ``k`` nearest peers by IP-layer delay (the Ratnasamy et al. style the
   paper cites);
-* :func:`power_law_overlay` — preferential-attachment overlay among peers;
 * :func:`random_overlay` — uniform random ``k``-neighbour overlay (control);
 * :func:`wan_overlay` — the PlanetLab substitute: a smaller full-mesh
   overlay whose pairwise latencies are drawn from a two-region (US/EU)
@@ -31,13 +31,12 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from ..sim.rng import as_generator
-from .inet import TopologyError, generate_ip_network
+from .inet import TopologyError
 from .routing import IPRouter, OverlayRouter, graph_to_sparse
 
 __all__ = [
     "Overlay",
     "mesh_overlay",
-    "power_law_overlay",
     "random_overlay",
     "wan_overlay",
     "select_peers",
@@ -185,51 +184,6 @@ def mesh_overlay(
             g.add_edge(p, q, delay=delay, bandwidth=float(bw))
     ip_of = {p: routers[p] for p in range(n_peers)}
     return _annotate_and_wrap(g, ip_of, ip_graph, "mesh")
-
-
-def power_law_overlay(
-    ip_graph: nx.Graph,
-    n_peers: int,
-    m: int = 2,
-    access_bandwidth: tuple[float, float] = (5.0, 100.0),
-    rng=None,
-) -> Overlay:
-    """Preferential-attachment (Barabási–Albert style) overlay among peers."""
-    if m < 1:
-        raise TopologyError(f"attachment degree must be >= 1, got {m}")
-    rng = as_generator(rng)
-    routers = select_peers(ip_graph, n_peers, rng)
-    dist = peer_delay_matrix(ip_graph, routers)
-    ip_router = IPRouter(ip_graph)
-    access = rng.uniform(*access_bandwidth, size=n_peers)
-    g = nx.Graph()
-    g.add_nodes_from(range(n_peers))
-    # seed clique of m+1 peers, then preferential attachment
-    seed = list(range(min(m + 1, n_peers)))
-    for i in seed:
-        for j in seed:
-            if i < j:
-                g.add_edge(i, j)
-    degrees = np.zeros(n_peers)
-    for u, v in g.edges:
-        degrees[u] += 1
-        degrees[v] += 1
-    for p in range(len(seed), n_peers):
-        existing = np.arange(p)
-        w = degrees[existing] + 1e-9
-        targets = rng.choice(existing, size=min(m, p), replace=False, p=w / w.sum())
-        for q in targets:
-            g.add_edge(p, int(q))
-            degrees[p] += 1
-            degrees[int(q)] += 1
-    for u, v in g.edges:
-        bw = min(
-            ip_router.path_bandwidth(routers[u], routers[v]), access[u], access[v]
-        )
-        g.edges[u, v]["delay"] = float(dist[u, v])
-        g.edges[u, v]["bandwidth"] = float(bw)
-    ip_of = {p: routers[p] for p in range(n_peers)}
-    return _annotate_and_wrap(g, ip_of, ip_graph, "power-law")
 
 
 def random_overlay(

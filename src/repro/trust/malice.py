@@ -10,9 +10,8 @@ from observed outcomes alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set
+from typing import Iterable, Optional, Set
 
-import numpy as np
 
 from ..sim.rng import as_generator
 

@@ -18,8 +18,8 @@ information any peer can obtain with a handful of messages.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional
 
 from ..sim.metrics import MessageLedger
 

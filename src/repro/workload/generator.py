@@ -15,16 +15,15 @@ plots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
 
 from ..core.function_graph import FunctionGraph
 from ..core.qos import QoSRequirement, QoSVector, loss_to_additive
 from ..core.request import CompositeRequest
 from ..core.resources import ResourceVector
-from ..services.component import ComponentSpec, QualitySpec
+from ..services.component import ComponentSpec
 from ..services.media import MEDIA_FUNCTIONS, make_media_component
 from ..sim.rng import as_generator
 from ..topology.overlay import Overlay

@@ -28,7 +28,7 @@ can coexist with the paper's ``F`` catalogue in one registry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.composition import SpiderNet, default_peer_capacity
 from ..core.function_graph import FunctionGraph

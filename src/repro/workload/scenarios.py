@@ -15,10 +15,9 @@ the deployed population and a request generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
 
 from ..core.bcp import BCPConfig
 from ..core.composition import SpiderNet
@@ -26,7 +25,7 @@ from ..core.session import RecoveryConfig
 from ..services.component import ComponentSpec
 from ..sim.rng import as_generator, spawn
 from ..topology.inet import generate_ip_network
-from ..topology.overlay import Overlay, mesh_overlay, power_law_overlay, wan_overlay
+from ..topology.overlay import Overlay, mesh_overlay, wan_overlay
 from .generator import (
     PopulationConfig,
     RequestConfig,
@@ -61,7 +60,6 @@ def simulation_testbed(
     n_ip: int = 2000,
     n_peers: int = 200,
     n_functions: int = 50,
-    overlay_kind: str = "mesh",
     overlay_degree: int = 4,
     components_per_peer: Tuple[int, int] = (1, 3),
     request_config: Optional[RequestConfig] = None,
@@ -82,12 +80,7 @@ def simulation_testbed(
     rng = as_generator(seed)
     rng_topo, rng_overlay, rng_net, rng_pop, rng_req = spawn(rng, 5)
     ip = generate_ip_network(n_ip, rng=rng_topo)
-    if overlay_kind == "mesh":
-        overlay = mesh_overlay(ip, n_peers, k=overlay_degree, rng=rng_overlay)
-    elif overlay_kind == "power-law":
-        overlay = power_law_overlay(ip, n_peers, m=max(overlay_degree // 2, 1), rng=rng_overlay)
-    else:
-        raise ValueError(f"unknown overlay kind {overlay_kind!r}")
+    overlay = mesh_overlay(ip, n_peers, k=overlay_degree, rng=rng_overlay)
     peer_capacity = None
     if capacity_scale != 1.0:
         if capacity_scale <= 0:

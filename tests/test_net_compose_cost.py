@@ -45,20 +45,24 @@ COMPOSES = 7
 # what the seven composes send, on any Python
 WIRE = {"calls": 350, "frames": 700, "bytes": 204275, "succeeded": 7}
 
-# what they make the event loop do, per interpreter (major, minor).  The
-# result no longer waits for the release wave's replies: the same frames,
-# tasks and timers, only the result leaves earlier; 18 fewer handles
+# what they make the event loop do, per interpreter (major, minor).  A
+# served request, a probe hop and a post that do not wait are no task,
+# and every reply deadline, backoff and daemon timeout sits on its
+# endpoint's or daemon's one timer: the tasks left are each compose's
+# own, its begin's and its finalize's, and the directory lookups that
+# miss with the probe hops that wait for them
 LOOP = {
-    (3, 11): {"tasks": 830, "handles": 3043, "timers": 585},
+    (3, 11): {"tasks": 150, "handles": 1394, "timers": 11},
 }
 
 # the plane-on case: one-way wire delay, and what it sends and does
 PLANE_LATENCY = 0.02
 PLANE_WIRE = {"calls": 401, "frames": 802, "bytes": 210548, "succeeded": 7}
 # timers due at the same instant run in the order they were scheduled:
-# one fewer handle than under asyncio's own tie order
+# one fewer handle than under asyncio's own tie order.  Most timers are
+# the delay pumps', one per frame that finds its link idle
 PLANE_LOOP = {
-    (3, 11): {"tasks": 922, "handles": 4034, "timers": 1290},
+    (3, 11): {"tasks": 148, "handles": 1086, "timers": 700},
 }
 # a constant delay moves no estimate: nothing is re-priced
 PLANE_STATS = {

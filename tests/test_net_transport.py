@@ -6,7 +6,6 @@ import pytest
 
 from repro.net import codec
 from repro.sim import vtime
-from repro.net import rpc as net_rpc
 from repro.net.cluster import ClusterConfig, LiveCluster
 from repro.net.codec import MAX_FRAME, MaintenancePing, encode_frame
 from repro.net.rpc import DedupCache, RetryPolicy, RpcEndpoint, RpcFailure, RpcTimeout
@@ -576,16 +575,15 @@ class TestRpc:
 
             b.on(dict, handler)
             await t.start()
+            replies = []  # what b answers, as it hands each reply to the wire
+            t.tap = lambda way, env, n: env["kind"] == "res" and replies.append(env["body"])
             envelope = {"kind": "req", "id": 777, "src": 0, "dst": 1, "body": {"x": 1}}
-            fut = asyncio.get_running_loop().create_future()
-            a._pending[777] = fut
             await t.send(0, 1, envelope)
-            first = await asyncio.wait_for(fut, 1)
-            fut2 = asyncio.get_running_loop().create_future()
-            a._pending[777] = fut2
+            await asyncio.sleep(0.01)
             await t.send(0, 1, envelope)  # identical retry
-            second = await asyncio.wait_for(fut2, 1)
+            await asyncio.sleep(0.01)
             await t.close()
+            first, second = replies
             return invocations, first, second
 
         invocations, first, second = run(scenario())
@@ -716,19 +714,11 @@ class TestRpc:
         ]
 
     def test_cancelled_call_leaves_no_pending_entry_or_live_deadline(self):
+        def live_deadlines(endpoint):
+            return [entry for entry in endpoint._deadlines._heap if entry[2] is not None]
+
         async def scenario():
             t, a, b = self.make_pair(retry=RetryPolicy(timeout=0.05, retries=0))
-            loop = asyncio.get_running_loop()
-            deadlines = []
-            real_call_later = loop.call_later
-
-            def call_later(delay, callback, *args):
-                handle = real_call_later(delay, callback, *args)
-                if callback is net_rpc._expire:
-                    deadlines.append((handle, args[0]))
-                return handle
-
-            loop.call_later = call_later
             release = asyncio.Event()
 
             async def slow(src, body):
@@ -738,19 +728,19 @@ class TestRpc:
             await t.start()
             call = asyncio.ensure_future(a.call(1, {"x": 1}))
             await asyncio.sleep(0.01)
-            in_flight = len(a._pending)
+            in_flight, armed = len(a._pending), live_deadlines(a)
             call.cancel()
             await asyncio.gather(call, return_exceptions=True)
+            left = live_deadlines(a)
             await asyncio.sleep(0.08)  # past the deadline: it must not fire
             release.set()
             await asyncio.sleep(0.01)
             await t.close()
-            return in_flight, dict(a._pending), deadlines
+            return in_flight, dict(a._pending), armed, left, call
 
-        in_flight, pending, deadlines = run(scenario())
+        in_flight, pending, armed, left, call = run(scenario())
         assert in_flight == 1 and pending == {}
-        [(handle, future)] = deadlines
-        assert handle.cancelled() and future.cancelled()
+        assert len(armed) == 1 and left == [] and call.cancelled()
 
     def test_requests_are_delivered_in_order_not_run_serially(self):
         async def scenario():

@@ -50,6 +50,10 @@ async def _digest(seed: int) -> str:
             await cluster.compose(r, confirm=True, timeout=60)
             for r in cluster.scenario.requests.batch(8)
         ]
+        # a returned compose has its releases sent, not applied: one the
+        # lossy wire dropped is still retrying here, so drain them first
+        for daemon in cluster.daemons.values():
+            await daemon.drain()
         assert cluster.errors() == [] and cluster.soft_tokens() == {}
     assert any(r.success for r in results)
     return digest.hexdigest()

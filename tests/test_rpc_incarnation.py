@@ -86,20 +86,28 @@ def test_responses_from_a_previous_incarnation_are_dropped():
     async def scenario():
         t = LoopbackTransport()
         a = RpcEndpoint(t, 0)
+        b = RpcEndpoint(t, 1)
+
+        async def never(src, body):
+            await asyncio.Event().wait()
+
+        b.on(dict, never)
         await t.start()
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        a._pending[1] = future
+        call = asyncio.ensure_future(a.call(1, {"x": 1}))  # msg id 1, unanswered
+        await asyncio.sleep(0.01)
 
         stale = {"kind": "res", "id": 1, "src": 1, "dst": 0,
                  "inc": "someone-elses-life", "body": {"seq": 99}}
         a._on_envelope(stale)
-        dropped = not future.done()
+        await asyncio.sleep(0)
+        dropped = not call.done()
 
         fresh = {"kind": "res", "id": 1, "src": 1, "dst": 0,
                  "inc": a.incarnation, "body": {"seq": 1}}
         a._on_envelope(fresh)
-        resolved = future.done() and future.result() == {"seq": 1}
+        resolved = await asyncio.wait_for(call, 1) == {"seq": 1}
+        b.stop()
+        await b.drain()
         await t.close()
         return dropped, resolved
 

@@ -1,4 +1,4 @@
-"""Unit tests for overlay construction (mesh / power-law / random / WAN)."""
+"""Unit tests for overlay construction (mesh / random / WAN)."""
 
 import math
 
@@ -10,7 +10,6 @@ from repro.topology.inet import TopologyError, generate_ip_network
 from repro.topology.overlay import (
     mesh_overlay,
     peer_delay_matrix,
-    power_law_overlay,
     random_overlay,
     select_peers,
     wan_overlay,
@@ -76,22 +75,6 @@ class TestMeshOverlay:
         ov = mesh_overlay(ip, 10, k=2, rng=np.random.default_rng(3))
         assert set(ov.ip_of) == set(range(10))
         assert all(r in ip.nodes for r in ov.ip_of.values())
-
-
-class TestPowerLawOverlay:
-    def test_structure(self, ip):
-        ov = power_law_overlay(ip, 30, m=2, rng=np.random.default_rng(4))
-        _common_overlay_checks(ov, 30)
-        assert ov.kind == "power-law"
-
-    def test_hub_formation(self, ip):
-        ov = power_law_overlay(ip, 60, m=2, rng=np.random.default_rng(4))
-        degrees = np.array([d for _, d in ov.graph.degree()])
-        assert degrees.max() >= 2 * np.median(degrees)
-
-    def test_bad_m_rejected(self, ip):
-        with pytest.raises(TopologyError):
-            power_law_overlay(ip, 10, m=0, rng=np.random.default_rng(0))
 
 
 class TestRandomOverlay:

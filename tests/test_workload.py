@@ -183,16 +183,6 @@ class TestScenarios:
         result = sc.net.compose(sc.requests.next_request(), budget=16)
         assert result is not None
 
-    def test_power_law_overlay_kind(self):
-        sc = simulation_testbed(
-            n_ip=150, n_peers=20, n_functions=8, overlay_kind="power-law", seed=1
-        )
-        assert sc.overlay.kind == "power-law"
-
-    def test_unknown_overlay_kind_rejected(self):
-        with pytest.raises(ValueError):
-            simulation_testbed(n_ip=100, n_peers=10, overlay_kind="torus")
-
     def test_planetlab_testbed_replication(self):
         sc = planetlab_testbed(n_peers=30, seed=1)
         assert sc.overlay.kind == "wan"
