@@ -746,7 +746,10 @@ def _layout(cls: Type, **kinds: Any) -> _Kind:
         raise TypeError(f"the layout of {cls.__name__} must name its fields in order")
     fixed = [n for n, kind in kinds.items() if type(kind) is str]
     head = struct.Struct(">" + "".join(kinds[n] for n in fixed))
-    scope: Dict[str, Any] = {"cls": cls, "head": head, "new": object.__new__, "oset": _OSET}
+    # generated code belongs to this module (profilers and tracebacks say so)
+    scope: Dict[str, Any] = {
+        "__name__": __name__, "cls": cls, "head": head, "new": object.__new__, "oset": _OSET,
+    }
     pack = ["def pack(p, x):"]
     unpack = ["def unpack(u):"]
     if fixed:

@@ -27,9 +27,22 @@ Frames, bytes and calls are the protocol's and hold on every Python.
 Handles, timers and tasks also count what asyncio does inside a
 ``gather`` or a ``wait_for``, which differs between Python versions, so
 they are pinned per interpreter version.
+
+Two more pins read the same runs.  A SHA-256 over ``(src, dst, frame
+bytes)`` of every send, from boot to the last release, says the wire did
+not change by one byte (the frame and byte counts could hold while the
+bytes move).  And the Python-level calls each layer makes during the
+seven composes, counted from ``sys.setprofile`` ``call`` events (a
+generator or coroutine resuming is one too; C builtins are not counted)
+by the module the called code belongs to: one row per ``repro``
+package, ``repro.net.codec`` on its own, and one for asyncio.  They are
+the same under every ``PYTHONHASHSEED``; like the loop counts they are
+pinned per interpreter version.
 """
 
 import asyncio
+import gc
+import hashlib
 import itertools
 import sys
 
@@ -37,6 +50,8 @@ import pytest
 
 from repro.core import probe, request
 from repro.net import ClusterConfig, LiveCluster, MeasurementConfig
+from repro.net import codec
+from repro.net import transport as net_transport
 from repro.sim import vtime
 from repro.services import component
 
@@ -64,6 +79,27 @@ PLANE_WIRE = {"calls": 401, "frames": 802, "bytes": 210548, "succeeded": 7}
 PLANE_LOOP = {
     (3, 11): {"tasks": 148, "handles": 1086, "timers": 700},
 }
+# SHA-256 over (src, dst, frame bytes) of every send of each cluster
+DIGEST = "66d3731926909a37065a5cf7826c779b015169867bb8d5045c9d36e3b5511e94"
+PLANE_DIGEST = "925090a4153edb9d5d750114d7ff4da1dc520ab21d33fe5027752deefbc68b37"
+
+# Python-level calls during the seven composes, by the package of the
+# called code (repro.net.codec apart from the rest of repro.net)
+CALLS = {
+    (3, 11): {
+        "repro.net.codec": 35100, "repro.net": 19615, "asyncio": 16135,
+        "repro.core": 20711, "repro.sim": 4733, "repro.topology": 4755,
+        "repro.dht": 3607, "repro.services": 562,
+    },
+}
+PLANE_CALLS = {
+    (3, 11): {
+        "repro.net.codec": 37185, "repro.net": 28027, "asyncio": 23016,
+        "repro.core": 20711, "repro.sim": 15445, "repro.topology": 3768,
+        "repro.dht": 3607, "repro.services": 562,
+    },
+}
+
 # a constant delay moves no estimate: nothing is re-priced
 PLANE_STATS = {
     "probes_sent": 51,
@@ -99,15 +135,79 @@ class _CountingLoop(vtime.VirtualTimeLoop):
         return {"tasks": self.tasks, "handles": self.handles, "timers": self.timers}
 
 
+def _row(module: str) -> str:
+    """The call-count row of code defined in ``module``."""
+    if module == "repro.net.codec":
+        return module
+    if module.startswith("repro."):
+        return ".".join(module.split(".")[:2])
+    if module == "asyncio" or module.startswith("asyncio."):
+        return "asyncio"
+    return ""
+
+
+class _CallCounter:
+    """Python-level ``call`` events by :func:`_row`, while switched on."""
+
+    def __init__(self) -> None:
+        self.calls: dict = {}
+        self._rows: dict = {}  # module name -> row, memoized
+
+    def _event(self, frame, event, arg) -> None:
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+            row = self._rows.get(module)
+            if row is None:
+                row = self._rows[module] = _row(module)
+            if row:
+                self.calls[row] = self.calls.get(row, 0) + 1
+
+    def __enter__(self) -> "_CallCounter":
+        # no collector pass inside the window: when one runs depends on
+        # what earlier tests left on the heap, and a finalizer it runs
+        # would be counted
+        gc.collect()
+        gc.disable()
+        sys.setprofile(self._event)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        sys.setprofile(None)
+        gc.enable()
+
+
+def _hash_sends(cluster: LiveCluster, digest) -> None:
+    """Feed ``digest`` ``(src, dst, frame bytes)`` of every send: the frame
+    the transport encodes, so the codec runs once per send as it would."""
+    send, link = cluster.transport.send, []
+    encode = net_transport.encode_frame
+
+    async def hashed_send(src, dst, envelope):
+        link[:] = [src, dst]
+        return await send(src, dst, envelope)
+
+    def hashed_encode(envelope, *args):
+        frame = encode(envelope, *args)
+        src, dst = link
+        digest.update(f"{src}>{dst}:".encode() + frame)
+        return frame
+
+    cluster.transport.send = hashed_send
+    net_transport.encode_frame = hashed_encode
+
+
 async def _composes(loop: _CountingLoop, config: ClusterConfig) -> dict:
     cluster = LiveCluster(config)
+    digest = hashlib.sha256()
+    _hash_sends(cluster, digest)
     async with cluster:
         requests = cluster.scenario.requests.batch(COMPOSES + 1)
         await cluster.compose(requests[0], confirm=False, timeout=60)  # warms the caches
         loop_before, wire_before = loop.counts(), cluster.rpc_stats()
-        results = [
-            await cluster.compose(r, confirm=False, timeout=60) for r in requests[1:]
-        ]
+        with _CallCounter() as counter:
+            results = [
+                await cluster.compose(r, confirm=False, timeout=60) for r in requests[1:]
+            ]
         loop_after, wire_after = loop.counts(), cluster.rpc_stats()
         # the last releases are on the wire, not yet applied: one more
         # round trip of wire delay and every holder has dropped its tokens
@@ -122,6 +222,8 @@ async def _composes(loop: _CountingLoop, config: ClusterConfig) -> dict:
     out["bytes"] = wire_after["bytes_sent"] - wire_before["bytes_sent"]
     out["succeeded"] = sum(r.success for r in results)
     out.update((k, stats[k]) for k in PLANE_STATS)
+    out["digest"] = digest.hexdigest()
+    out["calls_by_row"] = counter.calls
     return out
 
 
@@ -131,11 +233,17 @@ def _count(config: ClusterConfig) -> dict:
     request._request_ids = itertools.count(1)
     probe._probe_ids = itertools.count(1)
     component._component_ids = itertools.count(1)
+    # and the codec's blob memos start empty: a blob an earlier test left
+    # there would be a hit here, and decoding it would cost no calls
+    codec._ENC_BLOBS.clear()
+    codec._DEC_BLOBS.clear()
     loop = _CountingLoop()
+    encode = net_transport.encode_frame
     try:
         asyncio.set_event_loop(loop)
         return loop.run_until_complete(_composes(loop, config))
     finally:
+        net_transport.encode_frame = encode
         request._request_ids, probe._probe_ids, component._component_ids = saved
         asyncio.set_event_loop(None)
         loop.close()
@@ -187,3 +295,21 @@ def test_plane_on_composes_make_exactly_the_pinned_tasks_handles_and_timers(
 
 def test_plane_on_counters_are_the_pinned_ones(plane_counts):
     assert {k: plane_counts[k] for k in PLANE_STATS} == PLANE_STATS
+
+
+def test_seven_composes_send_exactly_the_pinned_bytes(counts):
+    assert counts["digest"] == DIGEST
+
+
+def test_plane_on_composes_send_exactly_the_pinned_bytes(plane_counts):
+    assert plane_counts["digest"] == PLANE_DIGEST
+
+
+def test_seven_composes_make_exactly_the_pinned_python_calls_per_layer(counts):
+    pinned = _loop_pins(CALLS, counts["calls_by_row"])
+    assert counts["calls_by_row"] == pinned
+
+
+def test_plane_on_composes_make_exactly_the_pinned_python_calls_per_layer(plane_counts):
+    pinned = _loop_pins(PLANE_CALLS, plane_counts["calls_by_row"])
+    assert plane_counts["calls_by_row"] == pinned
