@@ -90,6 +90,11 @@ class _DelayPump:
         if self._timer is None:
             self._arm(loop, due)
 
+    @property
+    def holding(self) -> bool:
+        """Whether frames are still in flight on this link."""
+        return bool(self._items)
+
     def stop(self) -> None:
         self._stopped = True
 
@@ -269,7 +274,9 @@ class LoopbackTransport(_BaseTransport):
             self.frames_dropped += 1
             return False  # the void acknowledges nothing
         delay = self._latency(src, dst)
-        if delay > 0:
+        pump = self._pumps.get((src, dst))
+        if delay > 0 or (pump is not None and pump.holding):
+            # a zero-delay frame behind delayed ones waits its turn: FIFO per link
             self._link_pump(src, dst).put(delay, frame)
         else:
             batch = self._pending.get(dst)

@@ -63,6 +63,31 @@ class TestLoopback:
         early, late = run(scenario())
         assert early == 0 and late == 1
 
+    def test_a_link_delivers_in_send_order_whatever_each_frame_s_delay(self):
+        # a zero-delay frame must not overtake delayed frames ahead of it
+        delays = iter([0.05, 0.01, 0.03, 0.0, 0.02])
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            t = LoopbackTransport(latency=lambda src, dst: next(delays))
+            received = []
+
+            async def handler(envelope):
+                received.append((envelope["n"], loop.time()))
+
+            t.register(0, collector([]))
+            t.register(1, handler)
+            await t.start()
+            start = loop.time()
+            for n in range(5):
+                await t.send(0, 1, {"n": n})
+            await asyncio.sleep(0.1)
+            await t.close()
+            return [(n, round(at - start, 9)) for n, at in received]
+
+        # each frame leaves when it is due and no earlier than the one ahead
+        assert vtime.run(scenario()) == [(0, 0.05), (1, 0.05), (2, 0.05), (3, 0.05), (4, 0.05)]
+
     def test_loss_drops_frames(self):
         async def scenario():
             t = LoopbackTransport(loss=0.5, seed=3)
