@@ -16,13 +16,25 @@ are ``tag | id i64 | src i32 | inc | body``, and a reply whose body is
 exactly ``{"ok": True}`` — nearly half of all frames — has a tag of its
 own and no body.  ``docs/PROTOCOL.md`` §8 has the tables.
 
+Each layout compiles whole, per class: one generated encoder and one
+generated decoder, straight-line Python with the layouts it holds
+inline (a ``ProbeTransfer``'s probe, that probe's QoS vector, the
+assignment and the report rows) and with the common cases written out —
+a static or back-referenced string, a blob its memo holds, an object
+back-reference — so a probe frame is one call each way after its
+envelope, which :func:`encode_frame` and :func:`_decode_payload` read
+directly.  The generated code writes the same bytes the layout tables
+say; the term codec is called only for a field whose type the value
+alone knows.
+
 *Tagged terms.*  What is genuinely dynamic (reply dicts, ``phases``,
 reservation tokens, lookup replies) stays a tag-prefixed term: one tag
 byte per value, integers up to ``i64``, length-prefixed strings and
 containers, per-frame
-*back-reference tables* for strings and typed objects.  Session
-constants (the request, its function graph, directory rows) travel as
-content-addressed blobs that both ends memoize across frames.
+*back-reference tables* for strings and typed objects, made the first
+time a frame needs one.  Session constants (the request, its function
+graph, directory rows) travel as content-addressed blobs that both ends
+memoize across frames.
 
 There is one wire format.  The header's version byte is a refusal
 check: a frame that does not say :data:`WIRE_VERSION` is a
@@ -34,7 +46,8 @@ operates on — ``decode(encode(x)) == x`` for every registered type —
 without running their constructors: a typed field has its type by
 construction, and what the bytes could still get wrong is checked where
 it is read (run counts and lengths against the end of the payload, the
-class of an object field, a presence byte).
+class of an object field, a presence byte, a back-reference against its
+table).
 Anything else that is structurally wrong — unknown version, tag or type
 id, truncated or oversized frame — raises :class:`CodecError` and
 nothing else: a peer never processes a frame it cannot fully and
@@ -49,7 +62,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from ..core.function_graph import FunctionGraph
 from ..core.probe import Probe
@@ -98,24 +111,19 @@ class CodecError(ValueError):
 # ----------------------------------------------------------------------
 # typed-object registry
 # ----------------------------------------------------------------------
-class _Kind(NamedTuple):
-    """How one kind of value crosses the wire where its type is known."""
-
-    pack: Callable  # (packer, value) -> None
-    unpack: Callable  # (unpacker) -> value
-
-
 # numeric type id <-> the class's layout; ids are assigned in registration
 # order, which is therefore wire format
 _BIN_IDS: Dict[Type, int] = {}
-_BIN_PACKERS: List[Callable] = []
-_BIN_UNPACKERS: List[Callable] = []
+_BIN_PACKERS: List[Callable] = []  # (packer, value) -> None
+_BIN_UNPACKERS: List[Callable] = []  # (unpacker) -> value
 _BIN_BLOB: List[bool] = []  # per type id: encode as content-addressed blob?
+# a class written with a tag and inline: its tag and type id, and its packer
+_TAGGED: Dict[Type, Tuple[bytes, Callable]] = {}
 
 
-def _register(cls: Type, pack: Callable, unpack: Callable) -> _Kind:
-    """Give ``cls`` a type id; the returned kind is its layout *inline*:
-    no tag, no type id, no entry in the object back-reference table."""
+def _register(cls: Type, pack: Callable, unpack: Callable, blob: bool = False) -> int:
+    """Give ``cls`` the next type id; ``blob`` encodes it as a
+    content-addressed blob wherever it is written with a tag."""
     if cls in _BIN_IDS:
         raise ValueError(f"duplicate codec type {cls.__name__}")
     if len(_BIN_PACKERS) > 0xFF:
@@ -123,8 +131,12 @@ def _register(cls: Type, pack: Callable, unpack: Callable) -> _Kind:
     _BIN_IDS[cls] = len(_BIN_PACKERS)
     _BIN_PACKERS.append(pack)
     _BIN_UNPACKERS.append(unpack)
-    _BIN_BLOB.append(False)
-    return _Kind(pack, unpack)
+    _BIN_BLOB.append(blob)
+    _ENC_BLOBS.append({})
+    _DEC_BLOBS.append({})
+    if not blob:
+        _TAGGED[cls] = (bytes((_T_OBJ, _BIN_IDS[cls])), pack)
+    return _BIN_IDS[cls]
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +168,7 @@ _T_RES_ENV = 0x12  # {"kind":"res","id","src","body"} (+ "inc" when a string)
 # content-addressed sub-message: tag | type_id(1B) | length(>I) | payload,
 # where the payload is the object encoded against *fresh* (static-only)
 # back-reference tables.  Making the bytes context-free lets both ends
-# memoize across frames — see the cache note above ``pack_object``.
+# memoize across frames — see the cache note above ``_blob``.
 _T_BLOB = 0x13
 _T_ACK_ENV = 0x14  # a _T_RES_ENV whose body is exactly {"ok": True}: no body
 
@@ -188,6 +200,76 @@ _STATIC_STRINGS = (
     "cpu", "memory", "discovery", "composition", "setup_ack",
 )
 _STATIC_MAP = {s: i for i, s in enumerate(_STATIC_STRINGS)}
+_N_STATIC = len(_STATIC_STRINGS)
+# a static string's whole encoding, ready to append
+_STATIC_REFS = {s: _S_REF.pack(_T_STRREF, i) for s, i in _STATIC_MAP.items()}
+# the back-references a frame's first strings get, ready to append
+_STR_REFS = [_S_REF.pack(_T_STRREF, i) for i in range(256)]
+_FIRST_REF = _STR_REFS[_N_STATIC]  # the first string a frame adds
+
+# A frame's own tables are made the first time its encoder or decoder
+# needs one (``None`` until then): an ack has none.  Both string tables
+# start as the static one — the encoder's maps a string to its
+# back-reference, the decoder's lists the strings by index; the object
+# tables map ``id()`` to an index, and list objects in decode order.
+# Every object the encoder indexes is reachable from the value being
+# encoded, so no ``id()`` is reused while its frame is written.
+
+
+def _literal(out: bytearray, strs: Dict[str, bytes], s: str) -> None:
+    """Write ``s`` as a literal and give it the frame's next string index."""
+    raw = _LITERALS.get(s)
+    out += _new_literal(s) if raw is None else raw
+    idx = len(strs)
+    if idx < len(_STR_REFS):
+        strs[s] = _STR_REFS[idx]
+    elif idx < _TABLE_LIMIT:
+        strs[s] = _S_REF.pack(_T_STRREF, idx)
+
+
+# a string's literal bytes depend on nothing else, so they are memoized
+# across frames like blobs (below): the same incarnations, function names
+# and resource types recur in every frame of a session
+_MEMO_LIMIT = 4096  # entries per cross-frame memo
+_LITERALS: Dict[str, bytes] = {}
+
+
+def _memoize(memo: Dict, key: Any, value: Any) -> None:
+    if len(memo) >= _MEMO_LIMIT:
+        memo.pop(next(iter(memo)))
+    memo[key] = value
+
+
+def _new_literal(s: str) -> bytes:
+    raw = s.encode("utf-8")
+    n = len(raw)
+    raw = (_S_LEN8.pack(_T_STR8, n) if n < 256 else _S_LEN32.pack(_T_STR32, n)) + raw
+    _memoize(_LITERALS, s, raw)
+    return raw
+
+
+def _str_at(buf: bytes, pos: int, strs: List[str]) -> Tuple[str, int]:
+    """The string at ``pos``, literal or back-reference, and the position
+    after it."""
+    tag = buf[pos]
+    if tag == _T_STRREF:
+        idx = (buf[pos + 1] << 8) | buf[pos + 2]
+        if idx >= len(strs):
+            raise CodecError(f"dangling string back-reference {idx}")
+        return strs[idx], pos + 3
+    if tag == _T_STR8:
+        start = pos + 2
+        end = start + buf[pos + 1]
+    elif tag == _T_STR32:
+        start = pos + 5
+        end = start + _S_I.unpack_from(buf, pos + 1)[0]
+    else:
+        raise CodecError(f"tag 0x{tag:02x} where the layout reads a string")
+    if end > len(buf):
+        raise CodecError("truncated binary payload: string runs past the end")
+    s = buf[start:end].decode("utf-8")
+    strs.append(s)
+    return s, end
 
 
 # cross-frame memo for content-addressed blobs.  A compose session ships
@@ -195,41 +277,74 @@ _STATIC_MAP = {s: i for i, s in enumerate(_STATIC_STRINGS)}
 # directory's ServiceMetadata entries — inside every probe and report
 # frame.  Blob-typed objects are encoded against fresh tables, so their
 # bytes depend on nothing outside the object: the sender caches the
-# encoding per live object (the strong reference keeps ``id()`` unique),
-# and the receiver caches the decode per unique byte string, returning
-# one shared immutable instance thereafter.  Blobs carry no cross-frame
-# protocol state, so frame loss or reordering cannot desynchronize them.
-_BLOB_CACHE_LIMIT = 4096
-_ENC_BLOBS: Dict[int, Tuple[Any, bytes]] = {}  # id(obj) -> (obj, blob)
-_DEC_BLOBS: Dict[Tuple[int, bytes], Any] = {}  # (type_id, blob) -> obj
+# encoding (tag and length included) per live object (the strong
+# reference keeps ``id()`` unique), and the receiver caches the decode per
+# unique byte string, returning one shared immutable instance thereafter.
+# Blobs carry no cross-frame protocol state, so frame loss or reordering
+# cannot desynchronize them.  There is one memo per class (per type id),
+# so what a layout finds in its class's memo needs no class check.
+_ENC_BLOBS: List[Dict[int, Tuple[Any, bytes]]] = []  # id(obj) -> (obj, tagged blob)
+_DEC_BLOBS: List[Dict[bytes, Any]] = []  # type id, length and payload -> obj
+
+
+def _blob(v: Any, tid: int) -> bytes:
+    """``v``'s tagged blob, encoded now and memoized: the miss path."""
+    sub = _Packer()
+    _BIN_PACKERS[tid](sub, v)
+    blob = _S_BLOB.pack(_T_BLOB, tid, len(sub.out)) + sub.out
+    _memoize(_ENC_BLOBS[tid], id(v), (v, blob))
+    return blob
+
+
+def _unblob(key: bytes) -> Any:
+    """The object of blob ``key`` (the blob past its tag), from its memo or
+    decoded now and memoized."""
+    tid = key[0]
+    if tid >= len(_BIN_UNPACKERS):
+        raise CodecError(f"unknown binary type id {tid}")
+    obj = _DEC_BLOBS[tid].get(key)
+    if obj is None:
+        blob = key[5:]
+        if len(blob) != _S_I.unpack_from(key, 1)[0]:
+            raise CodecError("truncated binary payload: blob runs past the end")
+        sub = _Unpacker(blob)
+        obj = _BIN_UNPACKERS[tid](sub)
+        if sub.pos != len(blob):
+            raise CodecError("trailing bytes inside binary payload")
+        _memoize(_DEC_BLOBS[tid], key, obj)
+    return obj
+
+
+def _unblob_as(key: bytes, cls: Type) -> Any:
+    """The object of blob ``key``, which must be a ``cls``: the miss path
+    of a layout's memo lookup."""
+    obj = _unblob(key)
+    if type(obj) is not cls:
+        raise CodecError(f"{type(obj).__name__} where the layout reads a {cls.__name__}")
+    return obj
 
 
 class _Packer:
-    """Single-pass binary encoder with per-frame back-reference tables."""
+    """Binary encoder state: the output and the per-frame tables.  The
+    generated layouts write into it directly; these methods write the
+    terms whose type only the value knows."""
 
-    __slots__ = ("out", "_strs", "_objs", "_keep")
+    __slots__ = ("out", "strs", "objs")
 
-    def __init__(self) -> None:
-        self.out = bytearray()
-        self._strs: Dict[str, int] = dict(_STATIC_MAP)
-        self._objs: Dict[int, int] = {}  # id(obj) -> table index
-        self._keep: List[Any] = []  # keeps ids valid for the pass
+    def __init__(self, out: Optional[bytearray] = None) -> None:
+        self.out = bytearray() if out is None else out
+        self.strs: Optional[Dict[str, bytes]] = None  # string -> back-reference
+        self.objs: Optional[Dict[int, int]] = None  # id(obj) -> table index
 
     def pack_str(self, s: str) -> None:
-        out = self.out
-        idx = self._strs.get(s)
-        if idx is not None:
-            out += _S_REF.pack(_T_STRREF, idx)
-            return
-        raw = s.encode("utf-8")
-        n = len(raw)
-        if n < 256:
-            out += _S_LEN8.pack(_T_STR8, n)
+        strs = self.strs
+        ref = _STATIC_REFS.get(s) if strs is None else strs.get(s)
+        if ref is None:
+            if strs is None:
+                strs = self.strs = dict(_STATIC_REFS)
+            _literal(self.out, strs, s)
         else:
-            out += _S_LEN32.pack(_T_STR32, n)
-        out += raw
-        if len(self._strs) < _TABLE_LIMIT:
-            self._strs[s] = len(self._strs)
+            self.out += ref
 
     def pack_int(self, v: int) -> None:
         if -128 <= v <= 127:
@@ -240,9 +355,6 @@ class _Packer:
             self.out += _S_INT64.pack(_T_INT64, v)
         else:
             raise CodecError(f"integer {v} does not fit i64")
-
-    def pack_float(self, v: float) -> None:
-        self.out += _S_FLOAT.pack(_T_FLOAT, v)
 
     def pack_count(self, tag8: int, tag32: int, n: int) -> None:
         if n < 256:
@@ -257,7 +369,7 @@ class _Packer:
         elif t is int:
             self.pack_int(v)
         elif t is float:
-            self.pack_float(v)
+            self.out += _S_FLOAT.pack(_T_FLOAT, v)
         elif t is bool:
             self.out.append(_T_TRUE if v else _T_FALSE)
         elif v is None:
@@ -267,7 +379,7 @@ class _Packer:
             for item in v:
                 self.pack_value(item)
         elif t is dict:
-            if not self._pack_envelope(v):
+            if not _pack_envelope(self, v):
                 self.pack_count(_T_DICT8, _T_DICT32, len(v))
                 for k, item in v.items():
                     if type(k) is not str:
@@ -277,33 +389,11 @@ class _Packer:
         else:
             self.pack_object(v)
 
-    def _pack_envelope(self, v: dict) -> bool:
-        """Emit an RPC envelope dict in its typed layout, if it is one."""
-        try:
-            kind, msg_id, src, body = v["kind"], v["id"], v["src"], v["body"]
-        except KeyError:
-            return False
-        inc = v.get("inc")
-        if type(msg_id) is not int or type(src) is not int:
-            return False
-        if kind == "req" and len(v) == 5 and "inc" in v and (inc is None or type(inc) is str):
-            tag = _T_REQ_ENV
-        elif kind == "res" and len(v) == 4 + (type(inc) is str):
-            bare = type(body) is dict and len(body) == 1 and body.get("ok") is True
-            tag = _T_ACK_ENV if bare else _T_RES_ENV
-        else:
-            return False
-        self.out += _S_ENV.pack(tag, msg_id, src)
-        if inc is None:
-            self.out.append(_T_NONE)
-        else:
-            self.pack_str(inc)
-        if tag != _T_ACK_ENV:
-            self.pack_value(body)
-        return True
-
     def pack_object(self, v: Any) -> None:
-        idx = self._objs.get(id(v))
+        objs = self.objs
+        if objs is None:
+            objs = self.objs = {}
+        idx = objs.get(id(v))
         if idx is not None:
             self.out += _S_REF.pack(_T_OBJREF, idx)
             return
@@ -311,27 +401,56 @@ class _Packer:
         if tid is None:
             raise CodecError(f"type {type(v).__name__} is not wire-encodable")
         if _BIN_BLOB[tid]:
-            entry = _ENC_BLOBS.get(id(v))
-            if entry is None:
-                sub = _Packer()
-                _BIN_PACKERS[tid](sub, v)
-                blob = bytes(sub.out)
-                if len(_ENC_BLOBS) >= _BLOB_CACHE_LIMIT:
-                    _ENC_BLOBS.pop(next(iter(_ENC_BLOBS)))
-                _ENC_BLOBS[id(v)] = (v, blob)
-            else:
-                blob = entry[1]
-            self.out += _S_BLOB.pack(_T_BLOB, tid, len(blob))
-            self.out += blob
+            entry = _ENC_BLOBS[tid].get(id(v))
+            self.out += _blob(v, tid) if entry is None else entry[1]
         else:
             self.out += _S_OBJ.pack(_T_OBJ, tid)
             _BIN_PACKERS[tid](self, v)
         # post-order registration: children are in the table before their
         # parents, matching the decoder's construction order exactly (a
         # blob registers only itself — its children live in its own tables)
-        if len(self._objs) < _TABLE_LIMIT:
-            self._objs[id(v)] = len(self._objs)
-            self._keep.append(v)
+        if len(objs) < _TABLE_LIMIT:
+            objs[id(v)] = len(objs)
+
+
+def _pack_envelope(p: _Packer, v: dict, top: bool = False) -> bool:
+    """Emit an RPC envelope dict in its typed layout, if it is one.  At
+    the ``top`` of a frame, its body is the frame's last value, so no
+    back-reference can point at it and it takes no table entry."""
+    try:
+        kind, msg_id, src, body = v["kind"], v["id"], v["src"], v["body"]
+    except KeyError:
+        return False
+    inc = v.get("inc")
+    if type(msg_id) is not int or type(src) is not int:
+        return False
+    if kind == "req" and len(v) == 5 and "inc" in v and (inc is None or type(inc) is str):
+        tag = _T_REQ_ENV
+    elif kind == "res" and len(v) == 4 + (type(inc) is str):
+        bare = type(body) is dict and len(body) == 1 and body.get("ok") is True
+        tag = _T_ACK_ENV if bare else _T_RES_ENV
+    else:
+        return False
+    out = p.out
+    out += _S_ENV.pack(tag, msg_id, src)
+    if inc is None:
+        out.append(_T_NONE)
+    elif top and inc not in _STATIC_REFS:
+        # the frame's first string: a literal, which only a body refers back to
+        out += _LITERALS.get(inc) or _new_literal(inc)
+        if tag != _T_ACK_ENV:
+            p.strs = strs = dict(_STATIC_REFS)
+            strs[inc] = _FIRST_REF
+    else:
+        p.pack_str(inc)
+    if tag != _T_ACK_ENV:
+        tagged = _TAGGED.get(type(body)) if top else None
+        if tagged is None:
+            p.pack_value(body)
+        else:
+            out += tagged[0]
+            tagged[1](p, body)
+    return True
 
 
 class _Unpacker:
@@ -342,40 +461,30 @@ class _Unpacker:
     value of every frame a peer receives.
     """
 
-    __slots__ = ("buf", "pos", "_strs", "_objs")
+    __slots__ = ("buf", "pos", "strs", "objs")
 
     def __init__(self, buf: bytes) -> None:
         self.buf = buf
         self.pos = 0
-        self._strs: List[str] = list(_STATIC_STRINGS)
-        self._objs: List[Any] = []
+        self.strs: Optional[List[str]] = None  # the static strings, then the frame's
+        self.objs: Optional[List[Any]] = None
 
     def read_str(self) -> str:
         """A string where the layout says one is: literal or back-reference."""
-        buf = self.buf
-        pos = self.pos
-        tag = buf[pos]
-        if tag == _T_STRREF:
-            idx = (buf[pos + 1] << 8) | buf[pos + 2]
-            self.pos = pos + 3
-            strs = self._strs
-            if idx >= len(strs):
-                raise CodecError(f"dangling string back-reference {idx}")
-            return strs[idx]
-        if tag == _T_STR8:
-            start = pos + 2
-            end = start + buf[pos + 1]
-        elif tag == _T_STR32:
-            start = pos + 5
-            end = start + _S_I.unpack_from(buf, pos + 1)[0]
-        else:
-            raise CodecError(f"tag 0x{tag:02x} where the layout reads a string")
-        if end > len(buf):
-            raise CodecError("truncated binary payload: string runs past the end")
-        self.pos = end
-        s = buf[start:end].decode("utf-8")
-        self._strs.append(s)
+        strs = self.strs
+        if strs is None:
+            strs = self.strs = list(_STATIC_STRINGS)
+        s, self.pos = _str_at(self.buf, self.pos, strs)
         return s
+
+    def keep(self, obj: Any) -> Any:
+        """Register ``obj`` in the frame's object table; returns it."""
+        objs = self.objs
+        if objs is None:
+            self.objs = [obj]
+        else:
+            objs.append(obj)
+        return obj
 
     def read_value(self) -> Any:
         buf = self.buf
@@ -385,32 +494,16 @@ class _Unpacker:
             pos += 1
             # ordered roughly by observed frequency on the live path
             if tag == _T_BLOB:
-                tid = buf[pos]
-                n = _S_I.unpack_from(buf, pos + 1)[0]
-                start = pos + 5
-                end = start + n
+                end = pos + 5 + _S_I.unpack_from(buf, pos + 1)[0]
                 if end > len(buf):
                     raise CodecError("truncated binary payload: blob runs past the end")
-                if tid >= len(_BIN_UNPACKERS):
-                    raise CodecError(f"unknown binary type id {tid}")
                 self.pos = end
-                key = (tid, bytes(buf[start:end]))
-                obj = _DEC_BLOBS.get(key)
-                if obj is None:
-                    sub = _Unpacker(key[1])
-                    obj = _BIN_UNPACKERS[tid](sub)
-                    if sub.pos != n:
-                        raise CodecError("trailing bytes inside binary payload")
-                    if len(_DEC_BLOBS) >= _BLOB_CACHE_LIMIT:
-                        _DEC_BLOBS.pop(next(iter(_DEC_BLOBS)))
-                    _DEC_BLOBS[key] = obj
-                self._objs.append(obj)
-                return obj
+                return self.keep(_unblob(buf[pos:end]))
             if tag == _T_OBJREF:
                 idx = (buf[pos] << 8) | buf[pos + 1]
                 self.pos = pos + 2
-                objs = self._objs
-                if idx >= len(objs):
+                objs = self.objs
+                if objs is None or idx >= len(objs):
                     raise CodecError(f"dangling object back-reference {idx}")
                 return objs[idx]
             if tag == _T_OBJ:
@@ -418,25 +511,10 @@ class _Unpacker:
                 self.pos = pos + 1
                 if tid >= len(_BIN_UNPACKERS):
                     raise CodecError(f"unknown binary type id {tid}")
-                obj = _BIN_UNPACKERS[tid](self)
-                self._objs.append(obj)
-                return obj
+                return self.keep(_BIN_UNPACKERS[tid](self))
             if tag == _T_ACK_ENV or tag == _T_REQ_ENV or tag == _T_RES_ENV:
-                _, msg_id, src = _S_ENV.unpack_from(buf, pos - 1)
-                self.pos = pos = pos - 1 + _S_ENV.size
-                if buf[pos] == _T_NONE:
-                    inc = None
-                    self.pos = pos + 1
-                else:
-                    inc = self.read_str()
-                body = {"ok": True} if tag == _T_ACK_ENV else self.read_value()
-                if tag == _T_REQ_ENV:
-                    return {"kind": "req", "id": msg_id, "src": src,
-                            "inc": inc, "body": body}
-                env = {"kind": "res", "id": msg_id, "src": src, "body": body}
-                if inc is not None:
-                    env["inc"] = inc
-                return env
+                self.pos = pos - 1
+                return _read_envelope(self, tag)
             if tag == _T_STRREF or tag == _T_STR8 or tag == _T_STR32:
                 return self.read_str()
             if tag == _T_INT8:
@@ -487,10 +565,34 @@ class _Unpacker:
         except CodecError:
             raise
         except (IndexError, struct.error) as exc:
-            raise CodecError(f"truncated binary payload: {exc}") from exc
+            # a read past the payload's end, or (in a generated layout) a
+            # back-reference past the end of its table
+            raise CodecError(f"truncated binary payload or dangling reference: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise CodecError(f"undecodable binary payload: {exc}") from exc
         raise CodecError(f"unknown binary value tag 0x{tag:02x}")
+
+
+def _read_envelope(u: _Unpacker, tag: int) -> dict:
+    """An RPC envelope inside a term, its tag at ``u.pos`` (the one a
+    frame is read directly by :func:`_decode_payload`)."""
+    _, msg_id, src = _S_ENV.unpack_from(u.buf, u.pos)
+    u.pos += _S_ENV.size
+    if u.buf[u.pos] == _T_NONE:
+        inc = None
+        u.pos += 1
+    else:
+        inc = u.read_str()
+    body = {"ok": True} if tag == _T_ACK_ENV else u.read_value()
+    return _envelope(tag, msg_id, src, inc, body)
+
+
+def _envelope(tag: int, msg_id: int, src: int, inc: Optional[str], body: Any) -> dict:
+    if tag == _T_REQ_ENV:
+        return {"kind": "req", "id": msg_id, "src": src, "inc": inc, "body": body}
+    if inc is None:
+        return {"kind": "res", "id": msg_id, "src": src, "body": body}
+    return {"kind": "res", "id": msg_id, "src": src, "body": body, "inc": inc}
 
 
 # ----------------------------------------------------------------------
@@ -500,29 +602,74 @@ def encode_frame(obj: Any, version: int = WIRE_VERSION) -> bytes:
     """Serialize one message (envelope dict or typed object) to a frame."""
     if version != WIRE_VERSION:
         raise CodecError(f"cannot encode wire version {version}")
-    packer = _Packer()
+    packer = _Packer(bytearray(_HEADER_SIZE))  # the header is filled in last
     try:
-        packer.pack_value(obj)
+        if type(obj) is not dict or not _pack_envelope(packer, obj, top=True):
+            packer.pack_value(obj)
     except CodecError:
         raise
     except Exception as exc:
         # a typed layout handed a value of another type, range or shape
         raise CodecError(f"value does not fit its wire layout: {exc!r}") from exc
-    payload = bytes(packer.out)
-    if len(payload) > MAX_FRAME:
-        raise CodecError(f"frame payload of {len(payload)} bytes exceeds {MAX_FRAME}")
-    return _HEADER.pack(MAGIC, version, len(payload)) + payload
+    out = packer.out
+    length = len(out) - _HEADER_SIZE
+    if length > MAX_FRAME:
+        raise CodecError(f"frame payload of {length} bytes exceeds {MAX_FRAME}")
+    _HEADER.pack_into(out, 0, MAGIC, version, length)
+    return bytes(out)
 
 
 def _decode_payload(payload: bytes) -> Any:
+    if type(payload) is not bytes:
+        payload = bytes(payload)  # blob keys are slices of it
     unpacker = _Unpacker(payload)
     try:
-        value = unpacker.read_value()
+        tag = payload[0]
+        if tag != _T_REQ_ENV and tag != _T_ACK_ENV and tag != _T_RES_ENV:
+            value = unpacker.read_value()
+        else:
+            # the frame's envelope, read directly: its incarnation is the
+            # frame's first string and its body the frame's last value,
+            # which nothing refers back to (see _pack_envelope)
+            _, msg_id, src = _S_ENV.unpack_from(payload)
+            pos = 13  # past the tag, id and src
+            if payload[pos] == _T_STR8:
+                stop = pos + 2 + payload[pos + 1]
+                if stop > len(payload):
+                    raise CodecError("truncated binary payload: string runs past the end")
+                inc = payload[pos + 2 : stop].decode("utf-8")
+                pos = stop
+                if tag != _T_ACK_ENV:
+                    unpacker.strs = [*_STATIC_STRINGS, inc]
+            elif payload[pos] == _T_NONE:
+                inc = None
+                pos += 1
+            else:
+                unpacker.pos = pos
+                inc = unpacker.read_str()
+                pos = unpacker.pos
+            if tag == _T_ACK_ENV:
+                unpacker.pos = pos
+                body = {"ok": True}
+            elif payload[pos] == _T_OBJ and payload[pos + 1] < len(_BIN_UNPACKERS):
+                unpacker.pos = pos + 2
+                body = _BIN_UNPACKERS[payload[pos + 1]](unpacker)
+            else:
+                unpacker.pos = pos
+                body = unpacker.read_value()
+            if tag == _T_REQ_ENV:
+                value = {"kind": "req", "id": msg_id, "src": src, "inc": inc, "body": body}
+            else:
+                value = _envelope(tag, msg_id, src, inc, body)
     except CodecError:
         raise
+    except (IndexError, struct.error) as exc:
+        raise CodecError(f"truncated binary payload or dangling reference: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"undecodable binary payload: {exc}") from exc
     except Exception as exc:
-        # the term decoder reports damage itself; this is a typed layout
-        # or a message constructor meeting a value of the wrong shape
+        # a typed layout or a message constructor meeting a value of the
+        # wrong shape
         raise CodecError(f"malformed frame payload: {exc!r}") from exc
     if unpacker.pos != len(payload):
         raise CodecError(
@@ -545,7 +692,8 @@ def decode_frame(data: bytes) -> Any:
     if len(data) < _HEADER_SIZE:
         raise CodecError(f"truncated frame header: {len(data)} bytes")
     magic, version, length = _HEADER.unpack_from(data)
-    _check_header(magic, version, length)
+    if magic != MAGIC or version != WIRE_VERSION or length > MAX_FRAME:
+        _check_header(magic, version, length)
     end = _HEADER_SIZE + length
     if len(data) < end:
         raise CodecError(
@@ -604,174 +752,460 @@ class FrameReader:
 
 
 # ----------------------------------------------------------------------
-# trusted construction helpers
-# ----------------------------------------------------------------------
-# Reconstruction skips defensive copies and __post_init__ re-validation:
-# a typed field has its type by construction, and a layout checks what
-# the bytes could still get wrong where it reads it.  Anything else a
-# layout or a constructor raises on damaged bytes, ``_decode_payload``
-# reports as a CodecError.
-_OSET = object.__setattr__
-
-
-# ----------------------------------------------------------------------
 # typed layouts: field kinds and the layout compiler
 # ----------------------------------------------------------------------
-# A fixed-width scalar kind is its ``struct`` format character; every other
-# kind is a :class:`_Kind`.  Runs carry a count byte, so they hold at most
-# 255 entries; the encoder refuses a longer one.
-_I32, _I64, _F64, _BOOL = "i", "q", "d", "?"
-_STR = _Kind(_Packer.pack_str, _Unpacker.read_str)
-_TERM = _Kind(_Packer.pack_value, _Unpacker.read_value)  # a tagged term
+# Each registered layout compiles to one encoder and one decoder, written
+# as straight-line Python and ``exec``-ed once at import.  A kind is the
+# code generator of one field: it writes the lines that encode a value
+# (``enc``) and the lines that decode one into a local (``dec``).  An
+# inline layout writes its fields' lines in place, so a message's encoder
+# holds its probe's, and that probe's QoS vector's, with no call between
+# them.  The generated code's fixed names are ``p`` / ``out`` (the packer
+# and its output) or ``u`` / ``buf`` / ``pos`` / ``end`` (the unpacker,
+# its payload, the offset, the payload's length), and ``strs`` / ``objs``
+# (the frame's tables, made by the first function that needs them and
+# shared in place with the term codec); every other name is a fresh
+# local or a constant.
 
 
-def _term(load: Callable) -> _Kind:
-    """A tagged term that ``load`` normalizes (lists to tuples) on decode."""
-    return _Kind(_Packer.pack_value, lambda u: load(u.read_value()))
+class _Gen:
+    """The body of one generated function being written.
+
+    Fixed-width values written (or read) back to back are collected and
+    flushed as one ``struct`` call when any other line comes next, so the
+    scalars of a message and of the layout inlined after them cost one
+    call."""
+
+    def __init__(self, scope: Dict[str, Any], encode: bool) -> None:
+        self.scope = scope
+        self.encode = encode
+        self.lines: List[str] = []
+        self.uses: set = set()  # of "strs", "objs", "end": the state it touches
+        self._n = 0
+        self._fmt = ""  # the pending fixed-width run: struct characters,
+        self._vals: List[str] = []  # and the expressions (or locals) they pack
+        self._at = 0  # and their indentation
+
+    def tmp(self, hint: str = "v") -> str:
+        self._n += 1
+        return f"{hint}{self._n}"
+
+    def const(self, value: Any) -> str:
+        name = f"C{len(self.scope)}"
+        self.scope[name] = value
+        return name
+
+    def bind(self, at: int, expr: str) -> str:
+        """``expr`` as a local, to be read more than once.  The binding
+        writes nothing, so a pending fixed-width run goes on past it."""
+        if expr.isidentifier():
+            return expr
+        name = self.tmp()
+        if at != self._at:
+            self.flush()
+        self.lines.append(" " * at + f"{name} = {expr}")
+        return name
+
+    def fixed(self, at: int, fmt: str, *vals: str) -> None:
+        if self._fmt and at != self._at:
+            self.flush()
+        self._fmt += fmt
+        self._vals += vals
+        self._at = at
+
+    def flush(self) -> None:
+        fmt, vals, pad = self._fmt, self._vals, " " * self._at
+        if not fmt:
+            return
+        self._fmt, self._vals = "", []
+        if not self.encode and fmt == "B":  # a lone count byte
+            self.lines += [f"{pad}{vals[0]} = buf[pos]", f"{pad}pos += 1"]
+            return
+        s = self.const(struct.Struct(">" + fmt))
+        if self.encode:
+            self.lines.append(f"{pad}out += {s}.pack({', '.join(vals)})")
+        else:
+            self.lines.append(f"{pad}{', '.join(vals)}, = {s}.unpack_from(buf, pos)")
+            self.lines.append(f"{pad}pos += {struct.calcsize('>' + fmt)}")
+
+    def line(self, at: int, text: str) -> None:
+        self.flush()
+        self.lines.append(" " * at + text)
+
+    def read_term(self, at: int, t: str) -> None:
+        """Decode a tagged term into ``t``: the term codec reads on from ``pos``."""
+        self.line(at, f"u.pos = pos; {t} = u.read_value(); pos = u.pos")
 
 
-def _obj(cls: Type) -> _Kind:
+class _Kind:
+    """The code of one kind of value where its type is known."""
+
+    def enc(self, g: _Gen, at: int, x: str) -> None:  # pragma: no cover
+        raise NotImplementedError
+
+    def dec(self, g: _Gen, at: int, t: str) -> None:  # pragma: no cover
+        raise NotImplementedError
+
+
+class _Fixed(_Kind):
+    """A fixed-width scalar: its ``struct`` format character."""
+
+    def __init__(self, fmt: str) -> None:
+        self.fmt = fmt
+
+    def enc(self, g, at, x):
+        g.fixed(at, self.fmt, x)
+
+    def dec(self, g, at, t):
+        g.fixed(at, self.fmt, t)
+
+
+class _Str(_Kind):
+    """A string: a static or frame back-reference when it has one,
+    else a literal that the frame's table then holds."""
+
+    def enc(self, g, at, x):
+        g.uses.add("strs")
+        s, ref = g.bind(at, x), g.tmp("r")
+        g.line(at, f"{ref} = strs.get({s})")
+        g.line(at, f"if {ref} is None:")
+        g.line(at + 1, f"out += literals.get({s}) or new_literal({s})")
+        g.line(at + 1, f"{ref} = len(strs)")
+        g.line(at + 1, f"if {ref} < {len(_STR_REFS)}:")
+        g.line(at + 2, f"strs[{s}] = str_refs[{ref}]")
+        g.line(at + 1, f"elif {ref} < {_TABLE_LIMIT}:")
+        g.line(at + 2, f"strs[{s}] = ref({_T_STRREF}, {ref})")
+        g.line(at, "else:")
+        g.line(at + 1, f"out += {ref}")
+
+    def dec(self, g, at, t):
+        g.uses.update(("strs", "end"))
+        tag, stop = g.tmp("c"), g.tmp("e")
+        g.line(at, f"{tag} = buf[pos]")
+        g.line(at, f"if {tag} == {_T_STRREF}:")
+        g.line(at + 1, f"{t} = strs[(buf[pos + 1] << 8) | buf[pos + 2]]")
+        g.line(at + 1, "pos += 3")
+        g.line(at, f"elif {tag} == {_T_STR8}:")
+        g.line(at + 1, f"{stop} = pos + 2 + buf[pos + 1]")
+        g.line(at + 1, f"if {stop} > end:")
+        g.line(at + 2, "raise CodecError('truncated binary payload: string runs past the end')")
+        g.line(at + 1, f"{t} = buf[pos + 2:{stop}].decode()")
+        g.line(at + 1, f"pos = {stop}")
+        g.line(at + 1, f"strs.append({t})")
+        g.line(at, "else:")
+        g.line(at + 1, f"{t}, pos = str_at(buf, pos, strs)")
+
+
+class _Obj(_Kind):
     """A registered object — blob, tagged layout or back-reference — that
-    must turn out to be a ``cls``."""
+    must turn out to be a ``cls``.  A back-reference, and a blob the
+    memo already holds, are inline; anything else is a tagged term."""
 
-    def unpack(u: _Unpacker) -> Any:
-        obj = u.read_value()
-        if type(obj) is not cls:
-            raise CodecError(f"{type(obj).__name__} where the layout reads a {cls.__name__}")
-        return obj
+    def __init__(self, cls: Type) -> None:
+        self.cls = cls
 
-    return _Kind(_Packer.pack_object, unpack)
+    def enc(self, g, at, x):
+        g.uses.add("objs")
+        v, key, idx = g.bind(at, x), g.tmp("k"), g.tmp("i")
+        g.line(at, f"{key} = id({v})")
+        g.line(at, f"{idx} = objs.get({key})")
+        g.line(at, f"if {idx} is not None:")
+        g.line(at + 1, f"out += ref({_T_OBJREF}, {idx})")
+        tid = _BIN_IDS.get(self.cls)
+        if tid is not None and _BIN_BLOB[tid]:
+            # memoized, so a ``cls``: its blob is ready
+            hit = g.tmp("b")
+            g.line(at, f"elif ({hit} := {g.const(_ENC_BLOBS[tid])}.get({key})) is not None:")
+            g.line(at + 1, f"out += {hit}[1]")
+            g.line(at + 1, f"if len(objs) < {_TABLE_LIMIT}:")
+            g.line(at + 2, f"objs[{key}] = len(objs)")
+        g.line(at, "else:")
+        g.line(at + 1, f"p.pack_object({v})")
 
-
-def _write_count(p: _Packer, items: Any) -> None:
-    n = len(items)
-    if n > 0xFF:
-        raise CodecError(f"run of {n} entries exceeds the layout's 255")
-    p.out.append(n)
-
-
-def _read_count(u: _Unpacker) -> int:
-    pos = u.pos
-    u.pos = pos + 1
-    return u.buf[pos]
-
-
-def _pack_strs(p: _Packer, items: Tuple[str, ...]) -> None:
-    _write_count(p, items)
-    for s in items:
-        p.pack_str(s)
-
-
-def _unpack_strs(u: _Unpacker) -> Tuple[str, ...]:
-    read = u.read_str
-    return tuple([read() for _ in range(_read_count(u))])
-
-
-def _pack_pairs(p: _Packer, pairs) -> None:
-    _write_count(p, pairs)
-    for a, b in pairs:
-        p.pack_str(a)
-        p.pack_str(b)
-
-
-def _unpack_pairs(u: _Unpacker) -> Tuple[Tuple[str, str], ...]:
-    read = u.read_str
-    return tuple([(read(), read()) for _ in range(_read_count(u))])
-
-
-_STRS = _Kind(_pack_strs, _unpack_strs)
-_PAIRS = _Kind(_pack_pairs, _unpack_pairs)
-# commutation pairs applied so far: unordered on both levels, sorted on the wire
-_SWAPS = _Kind(
-    lambda p, swaps: _pack_pairs(p, sorted(sorted(pair) for pair in swaps)),
-    lambda u: frozenset(map(frozenset, _unpack_pairs(u))),
-)
+    def dec(self, g, at, t):
+        g.uses.update(("objs", "end"))
+        tag, stop, key = (g.tmp(h) for h in "cek")
+        g.line(at, f"{tag} = buf[pos]")
+        g.line(at, f"if {tag} == {_T_BLOB}:")
+        # a cut-off blob is shorter than its length says, which no memo
+        # key is: it misses, and the miss path refuses it
+        g.line(at + 1, f"{stop} = pos + 6 + length(buf, pos + 2)[0]")
+        g.line(at + 1, f"{key} = buf[pos + 1:{stop}]")
+        cls = g.const(self.cls)
+        # found in the class's memo, so a ``cls``; the miss path checks
+        g.line(at + 1, f"{t} = {g.const(_DEC_BLOBS[_BIN_IDS[self.cls]])}.get({key})")
+        g.line(at + 1, f"if {t} is None:")
+        g.line(at + 2, f"{t} = unblob_as({key}, {cls})")
+        g.line(at + 1, f"pos = {stop}")
+        g.line(at + 1, f"objs.append({t})")
+        g.line(at, "else:")
+        g.line(at + 1, f"if {tag} == {_T_OBJREF}:")
+        g.line(at + 2, f"{t} = objs[(buf[pos + 1] << 8) | buf[pos + 2]]")
+        g.line(at + 2, "pos += 3")
+        g.line(at + 1, "else:")
+        g.read_term(at + 2, t)
+        g.line(at + 1, f"if type({t}) is not {cls}:")
+        g.line(at + 2, f"raise CodecError(f'{{type({t}).__name__}} where the layout reads a {self.cls.__name__}')")
 
 
-def _pack_metrics(p: _Packer, values: Dict[str, float]) -> None:
-    _write_count(p, values)
-    for k, v in values.items():
-        p.pack_str(k)
-        p.out += _S_d.pack(v)
+class _Term(_Kind):
+    """A tagged term, which ``load`` (if any) normalizes on decode."""
+
+    def __init__(self, load: Optional[Callable] = None) -> None:
+        self.load = load
+
+    def enc(self, g, at, x):
+        g.line(at, f"p.pack_value({x})")
+
+    def dec(self, g, at, t):
+        g.read_term(at, t)
+        if self.load is not None:
+            g.line(at, f"{t} = {g.const(self.load)}({t})")
 
 
-def _unpack_metrics(u: _Unpacker) -> Dict[str, float]:
-    out = {}
-    for _ in range(_read_count(u)):
-        k = u.read_str()
-        pos = u.pos
-        out[k] = _S_d.unpack_from(u.buf, pos)[0]
-        u.pos = pos + 8
-    return out
+# A run is a count byte and that many entries, so it holds at most 255:
+# ``bytearray.append`` refuses a longer one's count, and the encoder
+# reports that as a value that does not fit its layout.
 
 
-_METRICS = _Kind(_pack_metrics, _unpack_metrics)
+class _Run(_Kind):
+    """A run whose entries are each the ``kinds`` of their parts in order
+    (one kind: the entry itself).  ``sort`` orders the entries (and each
+    entry's parts) on the wire; ``load`` builds the field from the list
+    of decoded entries."""
+
+    def __init__(self, *kinds: _Kind, load: Callable = tuple, sort: bool = False) -> None:
+        self.kinds = kinds
+        self.load = load
+        self.sort = sort
+
+    def enc(self, g, at, x):
+        run = g.tmp("run")
+        g.line(at, f"{run} = {x}")
+        if self.sort:
+            g.line(at, f"if {run}:")
+            g.line(at + 1, f"{run} = sorted(sorted(entry) for entry in {run})")
+        g.line(at, f"out.append(len({run}))")
+        parts = [g.tmp("a") for _ in self.kinds]
+        g.line(at, f"for {', '.join(parts)} in {run}:")
+        for kind, part in zip(self.kinds, parts):
+            kind.enc(g, at + 1, part)
+
+    def dec(self, g, at, t):
+        n, items = g.tmp("n"), g.tmp("run")
+        parts = [g.tmp("a") for _ in self.kinds]
+        g.fixed(at, "B", n)
+        g.line(at, f"if {n}:")
+        g.line(at + 1, f"{items} = []")
+        g.line(at + 1, f"for _ in range({n}):")
+        for kind, part in zip(self.kinds, parts):
+            kind.dec(g, at + 2, part)
+        entry = parts[0] if len(parts) == 1 else f"({', '.join(parts)})"
+        g.line(at + 2, f"{items}.append({entry})")
+        g.line(at + 1, f"{t} = {g.const(self.load)}({items})")
+        g.line(at, "else:")
+        g.line(at + 1, f"{t} = {g.const(self.load([]))}")
+
+
+class _Mapping(_Kind):
+    """A run of ``(string key, value)`` entries."""
+
+    def __init__(self, value: _Kind) -> None:
+        self.value = value
+
+    def enc(self, g, at, x):
+        run, key, val = g.tmp("run"), g.tmp("a"), g.tmp("a")
+        g.line(at, f"{run} = {x}")
+        g.line(at, f"out.append(len({run}))")
+        g.line(at, f"for {key}, {val} in {run}.items():")
+        _STR.enc(g, at + 1, key)
+        self.value.enc(g, at + 1, val)
+
+    def dec(self, g, at, t):
+        n, key, val = g.tmp("n"), g.tmp("a"), g.tmp("a")
+        g.fixed(at, "B", n)
+        g.line(at, f"{t} = {{}}")
+        g.line(at, f"for _ in range({n}):")
+        _STR.dec(g, at + 1, key)
+        self.value.dec(g, at + 1, val)
+        g.line(at + 1, f"{t}[{key}] = {val}")
+
+
+class _OptF64(_Kind):
+    """An optional ``f64``: a presence byte, then the value if present."""
+
+    def enc(self, g, at, x):
+        v = g.bind(at, x)
+        g.line(at, f"if {v} is None:")
+        g.line(at + 1, "out.append(0)")
+        g.line(at, "else:")
+        g.line(at + 1, f"out += present(1, {v})")
+
+    def dec(self, g, at, t):
+        flag = g.tmp("c")
+        g.line(at, f"{flag} = buf[pos]")
+        g.line(at, f"if {flag} == 0:")
+        g.line(at + 1, f"{t} = None")
+        g.line(at + 1, "pos += 1")
+        g.line(at, f"elif {flag} == 1:")
+        g.line(at + 1, f"{t}, = f64(buf, pos + 1)")
+        g.line(at + 1, "pos += 9")
+        g.line(at, "else:")
+        g.line(at + 1, f"raise CodecError(f'presence byte {{{flag}}} is neither 0 nor 1')")
+
+
 _S_PRESENT = struct.Struct(">Bd")
+_S_BUNDLE = struct.Struct(">iqBBI")  # holder, n, peer rows, link rows, probes sent
+_S_PEER_ROW = struct.Struct(">id")  # peer, amount; the resource type follows
+_S_LINK_ROW = struct.Struct(">iid")  # u, v, bandwidth
 
 
-def _pack_opt_f64(p: _Packer, v: Optional[float]) -> None:
-    if v is None:
-        p.out.append(0)
-    else:
-        p.out += _S_PRESENT.pack(1, v)
+class _Reports(_Kind):
+    """Report bundles (see :func:`_normalize_credit`): a run of bundles,
+    each its ``struct`` head, its peer rows (each a ``struct`` and the
+    resource type string) and its link rows (a ``struct`` each)."""
+
+    def enc(self, g, at, x):
+        run = g.tmp("run")
+        holder, n, peers, links, sent = (g.tmp("a") for _ in range(5))
+        peer, rtype, amount, u, v, bw = (g.tmp("a") for _ in range(6))
+        g.line(at, f"{run} = {x}")
+        g.line(at, f"out.append(len({run}))")
+        g.line(at, f"for {holder}, {n}, {peers}, {links}, {sent} in {run}:")
+        g.line(at + 1, f"out += bundle({holder}, {n}, len({peers}), len({links}), {sent})")
+        g.line(at + 1, f"for {peer}, {rtype}, {amount} in {peers}:")
+        g.line(at + 2, f"out += peer_row({peer}, {amount})")
+        _STR.enc(g, at + 2, rtype)
+        g.line(at + 1, f"for {u}, {v}, {bw} in {links}:")
+        g.line(at + 2, f"out += link_row({u}, {v}, {bw})")
+
+    def dec(self, g, at, t):
+        g.uses.add("end")
+        count, bundles, peers, stop = g.tmp("n"), g.tmp("run"), g.tmp("run"), g.tmp("e")
+        holder, n, n_peers, n_links, sent = (g.tmp("a") for _ in range(5))
+        peer, rtype, amount = (g.tmp("a") for _ in range(3))
+        g.fixed(at, "B", count)
+        g.line(at, f"{bundles} = []")
+        g.line(at, f"for _ in range({count}):")
+        g.fixed(at + 1, _S_BUNDLE.format[1:], holder, n, n_peers, n_links, sent)
+        g.line(at + 1, f"{peers} = []")
+        g.line(at + 1, f"for _ in range({n_peers}):")
+        g.fixed(at + 2, _S_PEER_ROW.format[1:], peer, amount)
+        _STR.dec(g, at + 2, rtype)
+        g.line(at + 2, f"{peers}.append(({peer}, {rtype}, {amount}))")
+        g.line(at + 1, f"{stop} = pos + {n_links} * {_S_LINK_ROW.size}")
+        g.line(at + 1, f"if {stop} > end:")
+        g.line(at + 2, "raise CodecError('truncated binary payload: link rows run past the end')")
+        links = f"tuple(link_rows(buf[pos:{stop}])) if {n_links} else ()"
+        g.line(at + 1, f"{bundles}.append(({holder}, {n}, tuple({peers}), {links}, {sent}))")
+        g.line(at + 1, f"pos = {stop}")
+        g.line(at, f"{t} = tuple({bundles})")
 
 
-def _unpack_opt_f64(u: _Unpacker) -> Optional[float]:
-    pos = u.pos
-    present = u.buf[pos]
-    if present == 0:
-        u.pos = pos + 1
-        return None
-    if present != 1:
-        raise CodecError(f"presence byte {present} is neither 0 nor 1")
-    u.pos = pos + 9
-    return _S_d.unpack_from(u.buf, pos + 1)[0]
+# the names every generated function may use
+_GEN_SCOPE: Dict[str, Any] = {
+    "__name__": __name__,  # generated code belongs to this module
+    "CodecError": CodecError,
+    "new": object.__new__,
+    "static_refs": _STATIC_REFS,
+    "str_refs": _STR_REFS,
+    "literals": _LITERALS,
+    "new_literal": _new_literal,
+    "str_at": _str_at,
+    "ref": _S_REF.pack,
+    "length": _S_I.unpack_from,
+    "f64": _S_d.unpack_from,
+    "present": _S_PRESENT.pack,
+    "unblob_as": _unblob_as,
+    "bundle": _S_BUNDLE.pack,
+    "peer_row": _S_PEER_ROW.pack,
+    "link_row": _S_LINK_ROW.pack,
+    "link_rows": _S_LINK_ROW.iter_unpack,
+}
 
 
-_OPT_F64 = _Kind(_pack_opt_f64, _unpack_opt_f64)
+class _Layout(_Kind):
+    """The wire layout of dataclass ``cls``, written inline: the
+    fixed-width scalars first, then the other fields in declared order.
+    Decode builds the object without running ``__init__`` /
+    ``__post_init__``: each kind yields its field already in normal form."""
+
+    def __init__(self, cls: Type, kinds: Dict[str, _Kind]) -> None:
+        fields = dataclasses.fields(cls)
+        if [f.name for f in fields if f.init] != list(kinds):
+            raise TypeError(f"the layout of {cls.__name__} must name its fields in order")
+        self.cls = cls
+        self.fixed = [(n, k) for n, k in kinds.items() if isinstance(k, _Fixed)]
+        self.rest = [(n, k) for n, k in kinds.items() if not isinstance(k, _Fixed)]
+        # a field the constructor does not take (a lazy cache) starts at its default
+        self.defaults = {f.name: repr(f.default) for f in fields if not f.init}
+        self.names = [f.name for f in fields]
+
+    def enc(self, g, at, x):
+        v = g.bind(at, x)
+        for name, kind in self.fixed + self.rest:
+            kind.enc(g, at, f"{v}.{name}")
+
+    def dec(self, g, at, t):
+        values = dict(self.defaults)
+        for name, kind in self.fixed + self.rest:
+            values[name] = g.tmp(name[:1])
+            kind.dec(g, at, values[name])
+        g.line(at, f"{t} = new({g.const(self.cls)})")
+        if hasattr(self.cls, "__slots__"):
+            # a frozen class's slots, each set through its own descriptor
+            for name in self.names:
+                setter = g.const(self.cls.__dict__[name].__set__)
+                g.line(at, f"{setter}({t}, {values[name]})")
+        elif len(self.names) == 1:
+            g.line(at, f"{t}.__dict__[{self.names[0]!r}] = {values[self.names[0]]}")
+        else:
+            items = ", ".join(f"{name!r}: {values[name]}" for name in self.names)
+            g.line(at, f"{t}.__dict__.update({{{items}}})")
+
+    def compile(self) -> Tuple[Callable, Callable]:
+        """The class's encoder ``(packer, obj)`` and decoder ``(unpacker)``."""
+        scope = dict(_GEN_SCOPE)
+        enc, dec = _Gen(scope, encode=True), _Gen(scope, encode=False)
+        self.enc(enc, 1, "x")
+        enc.flush()
+        self.dec(dec, 1, "obj")
+        dec.flush()
+        tables = {"strs": ("dict(static_refs)", "list(static_strings)"), "objs": ("{}", "[]")}
+        source = ["def enc(p, x):", " out = p.out"]
+        for name in (n for n in tables if n in enc.uses):
+            source += [f" {name} = p.{name}", f" if {name} is None:"]
+            source.append(f"  {name} = p.{name} = {tables[name][0]}")
+        source += enc.lines
+        source += ["def dec(u):", " buf = u.buf", " pos = u.pos"]
+        source += [" end = len(buf)"] * ("end" in dec.uses)
+        for name in (n for n in tables if n in dec.uses):
+            source += [f" {name} = u.{name}", f" if {name} is None:"]
+            source.append(f"  {name} = u.{name} = {tables[name][1]}")
+        source += dec.lines + [" u.pos = pos", " return obj"]
+        scope["static_strings"] = _STATIC_STRINGS
+        exec("\n".join(source), scope)
+        return scope["enc"], scope["dec"]
 
 
-def _layout(cls: Type, **kinds: Any) -> _Kind:
-    """Compile and register the wire layout of dataclass ``cls``.
+def _layout(cls: Type, blob: bool = False, **kinds: _Kind) -> _Layout:
+    """Compile and register the wire layout of dataclass ``cls``; the
+    result is the kind that writes it inline."""
+    layout = _Layout(cls, kinds)
+    _register(cls, *layout.compile(), blob=blob)
+    return layout
 
-    ``kinds`` names the kind of every constructor field, in order.  On
-    the wire the fixed-width scalars come first, as one ``struct``, then
-    the other fields in declared order; the pack and unpack functions are
-    generated as straight-line code, one statement per field.  Decode
-    builds the object without running ``__init__`` / ``__post_init__``:
-    each kind yields its field already in normal form.
-    """
-    fields = dataclasses.fields(cls)
-    if [f.name for f in fields if f.init] != list(kinds):
-        raise TypeError(f"the layout of {cls.__name__} must name its fields in order")
-    fixed = [n for n, kind in kinds.items() if type(kind) is str]
-    head = struct.Struct(">" + "".join(kinds[n] for n in fixed))
-    # generated code belongs to this module (profilers and tracebacks say so)
-    scope: Dict[str, Any] = {
-        "__name__": __name__, "cls": cls, "head": head, "new": object.__new__, "oset": _OSET,
-    }
-    pack = ["def pack(p, x):"]
-    unpack = ["def unpack(u):"]
-    if fixed:
-        pack.append(f" p.out += head.pack({', '.join('x.' + n for n in fixed)})")
-        unpack.append(f" {', '.join(fixed)}, = head.unpack_from(u.buf, u.pos)")
-        unpack.append(f" u.pos += {head.size}")
-    for n, kind in kinds.items():
-        if n not in fixed:
-            scope["pack_" + n], scope["unpack_" + n] = kind
-            pack.append(f" pack_{n}(p, x.{n})")
-            unpack.append(f" {n} = unpack_{n}(u)")
-    # a field the constructor does not take (a lazy cache) starts at its default
-    values = {f.name: f.name if f.init else repr(f.default) for f in fields}
-    unpack.append(" obj = new(cls)")
-    if hasattr(cls, "__slots__"):
-        unpack += [f" oset(obj, {n!r}, {v})" for n, v in values.items()]
-    else:
-        items = ", ".join(f"{n!r}: {v}" for n, v in values.items())
-        unpack.append(f" obj.__dict__.update({{{items}}})")
-    unpack.append(" return obj")
-    exec("\n".join(pack + unpack), scope)
-    return _register(cls, scope["pack"], scope["unpack"])
+
+_I32, _I64, _F64, _BOOL = _Fixed("i"), _Fixed("q"), _Fixed("d"), _Fixed("?")
+_STR = _Str()
+_TERM = _Term()
+_STRS = _Run(_STR)
+_PAIRS = _Run(_STR, _STR)
+# commutation pairs applied so far: unordered on both levels, sorted on the wire
+_SWAPS = _Run(_STR, _STR, load=lambda pairs: frozenset(map(frozenset, pairs)), sort=True)
+_METRICS = _Mapping(_Fixed("d"))
+_OPT_F64 = _OptF64()
+_REPORTS = _Reports()
 
 
 # ----------------------------------------------------------------------
@@ -786,16 +1220,16 @@ _register(
     lambda u: QualitySpec(frozenset(u.read_value())),
 )
 _layout(
-    ServiceMetadata,
-    component_id=_I64, function=_STR, peer=_I32, qp=_obj(QoSVector),
-    resources=_obj(ResourceVector), input_quality=_obj(QualitySpec),
-    output_quality=_obj(QualitySpec), bandwidth_factor=_F64, registered_at=_F64,
+    ServiceMetadata, blob=True,
+    component_id=_I64, function=_STR, peer=_I32, qp=_Obj(QoSVector),
+    resources=_Obj(ResourceVector), input_quality=_Obj(QualitySpec),
+    output_quality=_Obj(QualitySpec), bandwidth_factor=_F64, registered_at=_F64,
 )
 _layout(
     ComponentSpec,
-    component_id=_I64, function=_STR, peer=_I32, qp=_obj(QoSVector),
-    resources=_obj(ResourceVector), input_quality=_obj(QualitySpec),
-    output_quality=_obj(QualitySpec), n_inputs=_I32, bandwidth_factor=_F64,
+    component_id=_I64, function=_STR, peer=_I32, qp=_Obj(QoSVector),
+    resources=_Obj(ResourceVector), input_quality=_Obj(QualitySpec),
+    output_quality=_Obj(QualitySpec), n_inputs=_I32, bandwidth_factor=_F64,
 )
 
 
@@ -814,44 +1248,23 @@ def _unpack_fgraph(u: _Unpacker) -> FunctionGraph:
     return FunctionGraph(functions=functions, edges=edges, commutations=commutations)
 
 
-_register(FunctionGraph, _pack_fgraph, _unpack_fgraph)
+_register(FunctionGraph, _pack_fgraph, _unpack_fgraph, blob=True)
 _layout(
-    CompositeRequest,
-    request_id=_I64, function_graph=_obj(FunctionGraph), qos=_obj(QoSRequirement),
+    CompositeRequest, blob=True,
+    request_id=_I64, function_graph=_Obj(FunctionGraph), qos=_Obj(QoSRequirement),
     source_peer=_I32, dest_peer=_I32, bandwidth=_F64, failure_req=_F64,
     duration=_F64, priority=_F64,
 )
 # a service graph covers its whole pattern, which no run length bounds
 _layout(
     ServiceGraph,
-    pattern=_obj(FunctionGraph), assignment=_TERM, source_peer=_I32, dest_peer=_I32,
+    pattern=_Obj(FunctionGraph), assignment=_TERM, source_peer=_I32, dest_peer=_I32,
     base_bandwidth=_F64,
 )
-
-
-_COMPONENT = _obj(ServiceMetadata)
-
-
-def _pack_assignment(p: _Packer, assignment: Dict[str, ServiceMetadata]) -> None:
-    _write_count(p, assignment)
-    for fn, meta in assignment.items():
-        p.pack_str(fn)
-        p.pack_object(meta)
-
-
-def _unpack_assignment(u: _Unpacker) -> Dict[str, ServiceMetadata]:
-    read_meta = _COMPONENT.unpack
-    out = {}
-    for _ in range(_read_count(u)):
-        fn = u.read_str()
-        out[fn] = read_meta(u)
-    return out
-
-
 _PROBE = _layout(
     Probe,
-    probe_id=_I64, request=_obj(CompositeRequest), graph=_obj(FunctionGraph),
-    applied_swaps=_SWAPS, assignment=_Kind(_pack_assignment, _unpack_assignment),
+    probe_id=_I64, request=_Obj(CompositeRequest), graph=_Obj(FunctionGraph),
+    applied_swaps=_SWAPS, assignment=_Mapping(_Obj(ServiceMetadata)),
     branch=_STRS, current_peer=_I32, qos=_QOS_VECTOR, budget=_I32, out_bandwidth=_F64,
     elapsed=_F64, hops=_I32,
 )
@@ -861,14 +1274,14 @@ _PROBE = _layout(
 # wire messages (session setup / ack / maintenance)
 # ----------------------------------------------------------------------
 def _tokens_tuple(tokens) -> Tuple[Tuple, ...]:
-    return tuple(tuple(t) for t in tokens)
+    return tuple(map(tuple, tokens))
 
 
-_TOKENS = _term(_tokens_tuple)
-_TUPLE = _term(tuple)
+_TOKENS = _Term(_tokens_tuple)
+_TUPLE = _Term(tuple)
 
 
-def _message(**kinds: Any) -> Callable[[Type], Type]:
+def _message(**kinds: _Kind) -> Callable[[Type], Type]:
     """Class decorator: register a message dataclass under :func:`_layout`."""
 
     def register(cls: Type) -> Type:
@@ -878,7 +1291,7 @@ def _message(**kinds: Any) -> Callable[[Type], Type]:
     return register
 
 
-@_message(request_id=_I64, request=_obj(CompositeRequest), budget=_I32, confirm=_BOOL)
+@_message(request_id=_I64, request=_Obj(CompositeRequest), budget=_I32, confirm=_BOOL)
 @dataclass(frozen=True)
 class ComposeBegin:
     """Source → destination: open a probe collection window for a request."""
@@ -891,7 +1304,7 @@ class ComposeBegin:
 
 def _usage_rows(rows, *kinds) -> Tuple[Tuple, ...]:
     try:
-        out = tuple(tuple(row) for row in rows)
+        out = tuple(map(tuple, rows))
     except TypeError as exc:
         raise CodecError(f"malformed reservation report rows: {rows!r}") from exc
     for row in out:
@@ -909,67 +1322,27 @@ def _normalize_credit(msg) -> None:
     ``links`` as ``(u, v, bandwidth)`` rows, or a fan-out's ``sent``
     probes.  Anything else is refused here, where a message is made; the
     wire layout (:data:`_REPORTS`) cannot represent a malformed row."""
-    bundles = tuple(
-        (
-            holder,
-            n,
-            _usage_rows(peers, int, str, (int, float)),
-            _usage_rows(links, int, int, (int, float)),
-            sent,
-        )
-        for holder, n, peers, links, sent in _usage_rows(
-            msg.reports, int, int, object, object, int
-        )
-    )
-    object.__setattr__(msg, "reports", bundles)
+    if msg.reports != ():  # the default: nothing to check
+        bundles = tuple([
+            (
+                holder,
+                n,
+                _usage_rows(peers, int, str, (int, float)),
+                _usage_rows(links, int, int, (int, float)),
+                sent,
+            )
+            for holder, n, peers, links, sent in _usage_rows(
+                msg.reports, int, int, object, object, int
+            )
+        ])
+        object.__setattr__(msg, "reports", bundles)
     if not isinstance(msg.discovery, (int, float, type(None))):
         raise CodecError(f"malformed reservation report discovery rtt: {msg.discovery!r}")
 
 
-_S_BUNDLE = struct.Struct(">iqBBI")  # holder, n, peer rows, link rows, probes sent
-_S_PEER_ROW = struct.Struct(">id")  # peer, amount; the resource type follows
-_S_LINK_ROW = struct.Struct(">iid")  # u, v, bandwidth
-
-
-def _pack_reports(p: _Packer, reports) -> None:
-    _write_count(p, reports)
-    out = p.out
-    for holder, n, peers, links, sent in reports:
-        out += _S_BUNDLE.pack(holder, n, len(peers), len(links), sent)
-        for peer, rtype, amount in peers:
-            out += _S_PEER_ROW.pack(peer, amount)
-            p.pack_str(rtype)
-        for u, v, bandwidth in links:
-            out += _S_LINK_ROW.pack(u, v, bandwidth)
-
-
-def _unpack_reports(u: _Unpacker) -> Tuple[Tuple, ...]:
-    buf = u.buf
-    bundles = []
-    for _ in range(_read_count(u)):
-        pos = u.pos
-        holder, n, n_peers, n_links, sent = _S_BUNDLE.unpack_from(buf, pos)
-        pos += _S_BUNDLE.size
-        peers = []
-        for _ in range(n_peers):
-            peer, amount = _S_PEER_ROW.unpack_from(buf, pos)
-            u.pos = pos + _S_PEER_ROW.size
-            peers.append((peer, u.read_str(), amount))
-            pos = u.pos
-        u.pos = end = pos + n_links * _S_LINK_ROW.size
-        if end > len(buf):
-            raise CodecError("truncated binary payload: link rows run past the end")
-        links = tuple(_S_LINK_ROW.iter_unpack(buf[pos:end]))
-        bundles.append((holder, n, tuple(peers), links, sent))
-    return tuple(bundles)
-
-
-_REPORTS = _Kind(_pack_reports, _unpack_reports)
-
-
 @_message(
-    request_id=_I64, parent=_PROBE, function=_STR, component=_obj(ServiceMetadata),
-    graph=_obj(FunctionGraph), applied=_PAIRS, budget=_I32, lookup_rtt=_F64, credit=_I64,
+    request_id=_I64, parent=_PROBE, function=_STR, component=_Obj(ServiceMetadata),
+    graph=_Obj(FunctionGraph), applied=_PAIRS, budget=_I32, lookup_rtt=_F64, credit=_I64,
     reports=_REPORTS, discovery=_OPT_F64,
 )
 @dataclass(frozen=True)
@@ -1006,7 +1379,7 @@ class ProbeTransfer:
     discovery: Optional[float] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "applied", tuple(tuple(p) for p in self.applied))
+        object.__setattr__(self, "applied", tuple(map(tuple, self.applied)))
         _normalize_credit(self)
 
 
@@ -1203,16 +1576,3 @@ class ProbeAck:
 
     seq: int
     echo: float
-
-
-def _blob_cached(cls: Type) -> None:
-    """Encode ``cls`` as a content-addressed blob (see ``pack_object``)."""
-    _BIN_BLOB[_BIN_IDS[cls]] = True
-
-
-# session-constant immutable objects that recur in every probe and
-# discovery frame: worth the 6-byte blob header to encode and decode
-# each of them once per process instead of once per frame
-_blob_cached(CompositeRequest)
-_blob_cached(FunctionGraph)
-_blob_cached(ServiceMetadata)

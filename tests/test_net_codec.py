@@ -140,16 +140,53 @@ def messages(scenario, request_obj, service_graph):
 
 
 @pytest.fixture(scope="module")
-def frames(messages):
-    """Each message as the frame an RPC request carries it in, and the two
-    shapes of reply: the bare ack and one with a body of its own."""
-    return [
+def busy_probe(request_obj, service_graph):
+    """A probe whose frame uses every table: metadata blobs that recur
+    (back-references), function names, and a branch that refers back to
+    them."""
+    metas = list(service_graph.assignment.values())
+    functions = request_obj.function_graph.functions
+    return Probe(
+        7, request_obj, request_obj.function_graph, frozenset(),
+        {fn: metas[i % len(metas)] for i, fn in enumerate(functions)}, tuple(functions),
+        3, QoSVector({"delay": 0.25, "loss": 0.01}), 8, 1.5, 0.125, len(functions),
+    )
+
+
+# bundles whose resource types are not in the static string table: the
+# first row carries the name, the later ones refer back to it
+_CUSTOM_BUNDLES = (
+    (3, 1, ((3, "gpu", 0.5), (4, "gpu", 2)), ((2, 3, 1.25), (3, 4, 0.5)), 0),
+    (4, 2, ((4, "disk", 8.0), (4, "gpu", 1.0)), (), 3),
+) + tuple((i, i, (), (), i) for i in range(40))
+
+
+@pytest.fixture(scope="module")
+def frames(messages, busy_probe, service_graph):
+    """Each message as the frame an RPC request carries it in, the credit
+    frames once more with every table in use, and the two shapes of reply:
+    the bare ack and one with a body of its own.  Between them they take
+    every registered message through its generated decoder."""
+    meta = next(iter(busy_probe.assignment.values()))
+    busy = [
+        codec.ProbeTransfer(
+            1, busy_probe, busy_probe.branch[0], meta, busy_probe.graph, (), 4, 0.05, 1 << 60,
+            _CUSTOM_BUNDLES, 0.125,
+        ),
+        codec.FinalProbe(1, busy_probe, 1 << 61, _CUSTOM_BUNDLES, 0.125),
+        codec.CreditReturn(1, 3, "gpu", _CUSTOM_BUNDLES),
+    ]
+    out = [
         encode_frame({"kind": "req", "id": 9, "src": 0, "inc": "5f0c2a9e", "body": msg})
-        for msg in messages
+        for msg in messages + busy
     ] + [
         encode_frame({"kind": "res", "id": 9, "src": 1, "inc": "5f0c2a9e", "body": {"ok": True}}),
         encode_frame({"kind": "res", "id": 9, "src": 1, "body": {"confirmed": [[1, "comp", 7]]}}),
     ]
+    registered = {cls for cls in codec._BIN_IDS if cls.__module__ == codec.__name__}
+    decoded = {type(decode_frame(f)["body"]) for f in out}
+    assert registered <= decoded
+    return out
 
 
 def _unchecked(cls, **values):
@@ -348,6 +385,76 @@ class TestRoundTrips:
             else:
                 with pytest.raises(CodecError):
                     encode_frame(msg)
+
+
+class TestCompiledRoundTrips:
+    """The credit frames — the wave's bulk — through their generated
+    encoders and decoders, in the envelope they travel in: what is written
+    decodes to an equal envelope, and that re-encodes to the same bytes."""
+
+    @staticmethod
+    def _same_bytes(msg, inc="5f0c2a9e") -> None:
+        env = {"kind": "req", "id": 11, "src": 2, "inc": inc, "body": msg}
+        frame = encode_frame(env)
+        out = decode_frame(frame)
+        assert out == env, type(msg).__name__
+        assert encode_frame(out) == frame, type(msg).__name__
+
+    def test_round_trip_of_credit_frames_that_use_every_table(self, frames):
+        for frame in frames:
+            env = decode_frame(frame)
+            assert encode_frame(env) == frame
+
+    @fuzz_settings(100)
+    @given(data=st.data())
+    def test_round_trip_of_credit_frames_with_references_inside_one_frame(
+        self, data, request_obj, service_graph
+    ):
+        """Assignments up to the whole function graph, with metadata that
+        recurs (blob back-references); 0-255 report bundles whose resource
+        types are outside the static table (a literal, then references to
+        it); and the incarnation itself used again as a string."""
+        draw = data.draw
+        metas = list(service_graph.assignment.values())
+        graph = request_obj.function_graph
+        functions = list(graph.functions)
+        assigned = functions[: draw(st.integers(0, len(functions)), label="assigned")]
+        pick = st.sampled_from(metas)
+        assignment = {fn: draw(pick, label="meta") for fn in assigned}
+        custom = draw(
+            st.text(min_size=1, max_size=8).filter(lambda s: s not in codec._STATIC_MAP),
+            label="custom",
+        )
+        inc = draw(st.sampled_from(["5f0c2a9e", custom]), label="inc")
+        rtypes = st.sampled_from([custom, "cpu", "memory", custom + "'"])
+        ints = st.integers(-(2**31), 2**31 - 1)
+        amounts = st.floats(min_value=0, allow_nan=False) | st.integers(0, 2**53)
+        row = st.tuples(ints, rtypes, amounts)
+        link = st.tuples(ints, ints, amounts)
+        bundle = st.tuples(
+            ints, st.integers(-(2**63), 2**63 - 1), st.lists(row, max_size=3).map(tuple),
+            st.lists(link, max_size=3).map(tuple), st.integers(0, 2**32 - 1),
+        )
+        n_bundles = draw(st.sampled_from([0, 1, 2, 255]) | st.integers(0, 255), label="bundles")
+        # most bundles are the one drawn, repeated: 255 fresh ones would be slow
+        head = draw(st.lists(bundle, min_size=min(n_bundles, 1), max_size=min(n_bundles, 4)), label="head")
+        reports = tuple(head + [head[-1]] * (n_bundles - len(head))) if n_bundles else ()
+        discovery = draw(st.none() | amounts, label="discovery")
+        probe = Probe(
+            draw(st.integers(0, 2**63 - 1), label="probe_id"), request_obj, graph,
+            frozenset(), assignment, tuple(assigned), draw(ints, label="peer"),
+            QoSVector({"delay": 0.5, custom: 1.0}), 8, 2.0, 0.5, len(assigned),
+        )
+        component = draw(pick, label="component")
+        self._same_bytes(
+            codec.ProbeTransfer(
+                5, probe, custom, component, graph, ((custom, custom),), 4, 0.25, 1 << 60,
+                reports, discovery,
+            ),
+            inc,
+        )
+        self._same_bytes(codec.FinalProbe(5, probe, 1 << 61, reports, discovery), inc)
+        self._same_bytes(codec.CreditReturn(5, 1 << 40, custom, reports, discovery), inc)
 
 
 class TestBinaryFormat:

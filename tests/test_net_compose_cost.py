@@ -84,17 +84,21 @@ DIGEST = "66d3731926909a37065a5cf7826c779b015169867bb8d5045c9d36e3b5511e94"
 PLANE_DIGEST = "925090a4153edb9d5d750114d7ff4da1dc520ab21d33fe5027752deefbc68b37"
 
 # Python-level calls during the seven composes, by the package of the
-# called code (repro.net.codec apart from the rest of repro.net)
+# called code (repro.net.codec apart from the rest of repro.net).  The
+# codec compiles each message's layout whole — one generated encoder and
+# decoder per class, the envelope read and written directly — and checks
+# a message's report rows without generators: 35 100 and 37 185 codec
+# calls before, every other row unchanged
 CALLS = {
     (3, 11): {
-        "repro.net.codec": 35100, "repro.net": 19615, "asyncio": 16135,
+        "repro.net.codec": 11850, "repro.net": 19615, "asyncio": 16135,
         "repro.core": 20711, "repro.sim": 4733, "repro.topology": 4755,
         "repro.dht": 3607, "repro.services": 562,
     },
 }
 PLANE_CALLS = {
     (3, 11): {
-        "repro.net.codec": 37185, "repro.net": 28027, "asyncio": 23016,
+        "repro.net.codec": 13480, "repro.net": 28027, "asyncio": 23016,
         "repro.core": 20711, "repro.sim": 15445, "repro.topology": 3768,
         "repro.dht": 3607, "repro.services": 562,
     },
@@ -233,10 +237,10 @@ def _count(config: ClusterConfig) -> dict:
     request._request_ids = itertools.count(1)
     probe._probe_ids = itertools.count(1)
     component._component_ids = itertools.count(1)
-    # and the codec's blob memos start empty: a blob an earlier test left
-    # there would be a hit here, and decoding it would cost no calls
-    codec._ENC_BLOBS.clear()
-    codec._DEC_BLOBS.clear()
+    # and the codec's cross-frame memos start empty: a blob or a string an
+    # earlier test left there would be a hit here, and cost no calls
+    for memo in codec._ENC_BLOBS + codec._DEC_BLOBS + [codec._LITERALS]:
+        memo.clear()
     loop = _CountingLoop()
     encode = net_transport.encode_frame
     try:
