@@ -584,15 +584,12 @@ def _read_envelope(u: _Unpacker, tag: int) -> dict:
     else:
         inc = u.read_str()
     body = {"ok": True} if tag == _T_ACK_ENV else u.read_value()
-    return _envelope(tag, msg_id, src, inc, body)
-
-
-def _envelope(tag: int, msg_id: int, src: int, inc: Optional[str], body: Any) -> dict:
     if tag == _T_REQ_ENV:
         return {"kind": "req", "id": msg_id, "src": src, "inc": inc, "body": body}
-    if inc is None:
-        return {"kind": "res", "id": msg_id, "src": src, "body": body}
-    return {"kind": "res", "id": msg_id, "src": src, "body": body, "inc": inc}
+    env = {"kind": "res", "id": msg_id, "src": src, "body": body}
+    if inc is not None:
+        env["inc"] = inc
+    return env
 
 
 # ----------------------------------------------------------------------
@@ -659,8 +656,10 @@ def _decode_payload(payload: bytes) -> Any:
                 body = unpacker.read_value()
             if tag == _T_REQ_ENV:
                 value = {"kind": "req", "id": msg_id, "src": src, "inc": inc, "body": body}
+            elif inc is None:
+                value = {"kind": "res", "id": msg_id, "src": src, "body": body}
             else:
-                value = _envelope(tag, msg_id, src, inc, body)
+                value = {"kind": "res", "id": msg_id, "src": src, "body": body, "inc": inc}
     except CodecError:
         raise
     except (IndexError, struct.error) as exc:
@@ -1327,8 +1326,8 @@ def _normalize_credit(msg) -> None:
             (
                 holder,
                 n,
-                _usage_rows(peers, int, str, (int, float)),
-                _usage_rows(links, int, int, (int, float)),
+                () if peers == () else _usage_rows(peers, int, str, (int, float)),
+                () if links == () else _usage_rows(links, int, int, (int, float)),
                 sent,
             )
             for holder, n, peers, links, sent in _usage_rows(
