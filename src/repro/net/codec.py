@@ -132,8 +132,6 @@ def _register(cls: Type, pack: Callable, unpack: Callable, blob: bool = False) -
     _BIN_PACKERS.append(pack)
     _BIN_UNPACKERS.append(unpack)
     _BIN_BLOB.append(blob)
-    _ENC_BLOBS.append({})
-    _DEC_BLOBS.append({})
     if not blob:
         _TAGGED[cls] = (bytes((_T_OBJ, _BIN_IDS[cls])), pack)
     return _BIN_IDS[cls]
@@ -281,10 +279,9 @@ def _str_at(buf: bytes, pos: int, strs: List[str]) -> Tuple[str, int]:
 # reference keeps ``id()`` unique), and the receiver caches the decode per
 # unique byte string, returning one shared immutable instance thereafter.
 # Blobs carry no cross-frame protocol state, so frame loss or reordering
-# cannot desynchronize them.  There is one memo per class (per type id),
-# so what a layout finds in its class's memo needs no class check.
-_ENC_BLOBS: List[Dict[int, Tuple[Any, bytes]]] = []  # id(obj) -> (obj, tagged blob)
-_DEC_BLOBS: List[Dict[bytes, Any]] = []  # type id, length and payload -> obj
+# cannot desynchronize them.
+_ENC_BLOBS: Dict[int, Tuple[Any, bytes]] = {}  # id(obj) -> (obj, tagged blob)
+_DEC_BLOBS: Dict[bytes, Any] = {}  # type id, length and payload -> obj
 
 
 def _blob(v: Any, tid: int) -> bytes:
@@ -292,7 +289,7 @@ def _blob(v: Any, tid: int) -> bytes:
     sub = _Packer()
     _BIN_PACKERS[tid](sub, v)
     blob = _S_BLOB.pack(_T_BLOB, tid, len(sub.out)) + sub.out
-    _memoize(_ENC_BLOBS[tid], id(v), (v, blob))
+    _memoize(_ENC_BLOBS, id(v), (v, blob))
     return blob
 
 
@@ -302,7 +299,7 @@ def _unblob(key: bytes) -> Any:
     tid = key[0]
     if tid >= len(_BIN_UNPACKERS):
         raise CodecError(f"unknown binary type id {tid}")
-    obj = _DEC_BLOBS[tid].get(key)
+    obj = _DEC_BLOBS.get(key)
     if obj is None:
         blob = key[5:]
         if len(blob) != _S_I.unpack_from(key, 1)[0]:
@@ -311,16 +308,7 @@ def _unblob(key: bytes) -> Any:
         obj = _BIN_UNPACKERS[tid](sub)
         if sub.pos != len(blob):
             raise CodecError("trailing bytes inside binary payload")
-        _memoize(_DEC_BLOBS[tid], key, obj)
-    return obj
-
-
-def _unblob_as(key: bytes, cls: Type) -> Any:
-    """The object of blob ``key``, which must be a ``cls``: the miss path
-    of a layout's memo lookup."""
-    obj = _unblob(key)
-    if type(obj) is not cls:
-        raise CodecError(f"{type(obj).__name__} where the layout reads a {cls.__name__}")
+        _memoize(_DEC_BLOBS, key, obj)
     return obj
 
 
@@ -401,7 +389,7 @@ class _Packer:
         if tid is None:
             raise CodecError(f"type {type(v).__name__} is not wire-encodable")
         if _BIN_BLOB[tid]:
-            entry = _ENC_BLOBS[tid].get(id(v))
+            entry = _ENC_BLOBS.get(id(v))
             self.out += _blob(v, tid) if entry is None else entry[1]
         else:
             self.out += _S_OBJ.pack(_T_OBJ, tid)
@@ -421,16 +409,20 @@ def _pack_envelope(p: _Packer, v: dict, top: bool = False) -> bool:
         kind, msg_id, src, body = v["kind"], v["id"], v["src"], v["body"]
     except KeyError:
         return False
-    inc = v.get("inc")
     if type(msg_id) is not int or type(src) is not int:
         return False
-    if kind == "req" and len(v) == 5 and "inc" in v and (inc is None or type(inc) is str):
+    inc = v.get("inc", v)  # ``v`` when there is none
+    if kind == "req":
+        if len(v) != 5 or not (inc is None or type(inc) is str):
+            return False
         tag = _T_REQ_ENV
-    elif kind == "res" and len(v) == 4 + (type(inc) is str):
+    elif kind == "res" and (len(v) == 5 if type(inc) is str else inc is v and len(v) == 4):
         bare = type(body) is dict and len(body) == 1 and body.get("ok") is True
         tag = _T_ACK_ENV if bare else _T_RES_ENV
     else:
         return False
+    if inc is v:
+        inc = None
     out = p.out
     out += _S_ENV.pack(tag, msg_id, src)
     if inc is None:
@@ -595,11 +587,17 @@ def _read_envelope(u: _Unpacker, tag: int) -> dict:
 # ----------------------------------------------------------------------
 # frame layer
 # ----------------------------------------------------------------------
+_new = object.__new__  # an instance, with no __init__ run
+
+
 def encode_frame(obj: Any, version: int = WIRE_VERSION) -> bytes:
     """Serialize one message (envelope dict or typed object) to a frame."""
     if version != WIRE_VERSION:
         raise CodecError(f"cannot encode wire version {version}")
-    packer = _Packer(bytearray(_HEADER_SIZE))  # the header is filled in last
+    # a packer made without a call to __init__: this runs once per frame
+    packer = _new(_Packer)
+    packer.out = bytearray(_HEADER_SIZE)  # the header is filled in last
+    packer.strs = packer.objs = None
     try:
         if type(obj) is not dict or not _pack_envelope(packer, obj, top=True):
             packer.pack_value(obj)
@@ -619,7 +617,10 @@ def encode_frame(obj: Any, version: int = WIRE_VERSION) -> bytes:
 def _decode_payload(payload: bytes) -> Any:
     if type(payload) is not bytes:
         payload = bytes(payload)  # blob keys are slices of it
-    unpacker = _Unpacker(payload)
+    unpacker = _new(_Unpacker)  # as in encode_frame
+    unpacker.buf = payload
+    unpacker.pos = 0
+    unpacker.strs = unpacker.objs = None
     try:
         tag = payload[0]
         if tag != _T_REQ_ENV and tag != _T_ACK_ENV and tag != _T_RES_ENV:
@@ -910,14 +911,13 @@ class _Obj(_Kind):
         g.line(at, f"{idx} = objs.get({key})")
         g.line(at, f"if {idx} is not None:")
         g.line(at + 1, f"out += ref({_T_OBJREF}, {idx})")
-        tid = _BIN_IDS.get(self.cls)
-        if tid is not None and _BIN_BLOB[tid]:
-            # memoized, so a ``cls``: its blob is ready
-            hit = g.tmp("b")
-            g.line(at, f"elif ({hit} := {g.const(_ENC_BLOBS[tid])}.get({key})) is not None:")
-            g.line(at + 1, f"out += {hit}[1]")
-            g.line(at + 1, f"if len(objs) < {_TABLE_LIMIT}:")
-            g.line(at + 2, f"objs[{key}] = len(objs)")
+        # a memoized object's blob is ready (whatever its class: the
+        # decoder is the one that checks)
+        hit = g.tmp("b")
+        g.line(at, f"elif ({hit} := enc_blobs.get({key})) is not None:")
+        g.line(at + 1, f"out += {hit}[1]")
+        g.line(at + 1, f"if len(objs) < {_TABLE_LIMIT}:")
+        g.line(at + 2, f"objs[{key}] = len(objs)")
         g.line(at, "else:")
         g.line(at + 1, f"p.pack_object({v})")
 
@@ -925,16 +925,15 @@ class _Obj(_Kind):
         g.uses.update(("objs", "end"))
         tag, stop, key = (g.tmp(h) for h in "cek")
         g.line(at, f"{tag} = buf[pos]")
-        g.line(at, f"if {tag} == {_T_BLOB}:")
+        # a blob whose type id is the class's decodes to a ``cls``
+        g.line(at, f"if {tag} == {_T_BLOB} and buf[pos + 1] == {_BIN_IDS[self.cls]}:")
         # a cut-off blob is shorter than its length says, which no memo
         # key is: it misses, and the miss path refuses it
         g.line(at + 1, f"{stop} = pos + 6 + length(buf, pos + 2)[0]")
         g.line(at + 1, f"{key} = buf[pos + 1:{stop}]")
-        cls = g.const(self.cls)
-        # found in the class's memo, so a ``cls``; the miss path checks
-        g.line(at + 1, f"{t} = {g.const(_DEC_BLOBS[_BIN_IDS[self.cls]])}.get({key})")
+        g.line(at + 1, f"{t} = dec_blobs.get({key})")
         g.line(at + 1, f"if {t} is None:")
-        g.line(at + 2, f"{t} = unblob_as({key}, {cls})")
+        g.line(at + 2, f"{t} = unblob({key})")
         g.line(at + 1, f"pos = {stop}")
         g.line(at + 1, f"objs.append({t})")
         g.line(at, "else:")
@@ -943,7 +942,7 @@ class _Obj(_Kind):
         g.line(at + 2, "pos += 3")
         g.line(at + 1, "else:")
         g.read_term(at + 2, t)
-        g.line(at + 1, f"if type({t}) is not {cls}:")
+        g.line(at + 1, f"if type({t}) is not {g.const(self.cls)}:")
         g.line(at + 2, f"raise CodecError(f'{{type({t}).__name__}} where the layout reads a {self.cls.__name__}')")
 
 
@@ -1105,7 +1104,7 @@ class _Reports(_Kind):
 _GEN_SCOPE: Dict[str, Any] = {
     "__name__": __name__,  # generated code belongs to this module
     "CodecError": CodecError,
-    "new": object.__new__,
+    "new": _new,
     "static_refs": _STATIC_REFS,
     "str_refs": _STR_REFS,
     "literals": _LITERALS,
@@ -1115,12 +1114,22 @@ _GEN_SCOPE: Dict[str, Any] = {
     "length": _S_I.unpack_from,
     "f64": _S_d.unpack_from,
     "present": _S_PRESENT.pack,
-    "unblob_as": _unblob_as,
+    "enc_blobs": _ENC_BLOBS,
+    "dec_blobs": _DEC_BLOBS,
+    "unblob": _unblob,
     "bundle": _S_BUNDLE.pack,
     "peer_row": _S_PEER_ROW.pack,
     "link_row": _S_LINK_ROW.pack,
     "link_rows": _S_LINK_ROW.iter_unpack,
 }
+
+
+def _slots_twin(cls: Type) -> Type:
+    """A plain class whose instances have ``cls``'s memory layout, so one
+    of them can be given ``cls`` as its class once its slots are set."""
+    twin = type(f"_{cls.__name__}Slots", cls.__bases__, {"__slots__": cls.__slots__})
+    _new(twin).__class__ = cls  # refused here, at import, if the layouts differ
+    return twin
 
 
 class _Layout(_Kind):
@@ -1150,13 +1159,17 @@ class _Layout(_Kind):
         for name, kind in self.fixed + self.rest:
             values[name] = g.tmp(name[:1])
             kind.dec(g, at, values[name])
-        g.line(at, f"{t} = new({g.const(self.cls)})")
         if hasattr(self.cls, "__slots__"):
-            # a frozen class's slots, each set through its own descriptor
+            # a frozen class's slots are written on an instance of a twin
+            # class with the same slots, which then takes its real class:
+            # a store per field instead of a call per field
+            g.line(at, f"{t} = new({g.const(_slots_twin(self.cls))})")
             for name in self.names:
-                setter = g.const(self.cls.__dict__[name].__set__)
-                g.line(at, f"{setter}({t}, {values[name]})")
-        elif len(self.names) == 1:
+                g.line(at, f"{t}.{name} = {values[name]}")
+            g.line(at, f"{t}.__class__ = {g.const(self.cls)}")
+            return
+        g.line(at, f"{t} = new({g.const(self.cls)})")
+        if len(self.names) == 1:
             g.line(at, f"{t}.__dict__[{self.names[0]!r}] = {values[self.names[0]]}")
         else:
             items = ", ".join(f"{name!r}: {values[name]}" for name in self.names)
