@@ -177,7 +177,6 @@ _S_FLOAT = struct.Struct(">Bd")
 _S_REF = struct.Struct(">BH")
 _S_LEN8 = struct.Struct(">BB")
 _S_LEN32 = struct.Struct(">BI")
-_S_OBJ = struct.Struct(">BB")
 _S_BLOB = struct.Struct(">BBI")
 _S_b = struct.Struct(">b")
 _S_i = struct.Struct(">i")
@@ -392,8 +391,9 @@ class _Packer:
             entry = _ENC_BLOBS.get(id(v))
             self.out += _blob(v, tid) if entry is None else entry[1]
         else:
-            self.out += _S_OBJ.pack(_T_OBJ, tid)
-            _BIN_PACKERS[tid](self, v)
+            head, pack = _TAGGED[type(v)]
+            self.out += head
+            pack(self, v)
         # post-order registration: children are in the table before their
         # parents, matching the decoder's construction order exactly (a
         # blob registers only itself — its children live in its own tables)
@@ -868,7 +868,7 @@ class _Str(_Kind):
         g.uses.add("strs")
         s, ref = g.bind(at, x), g.tmp("r")
         g.line(at, f"{ref} = strs.get({s})")
-        g.line(at, f"if {ref} is None:")
+        g.line(at, f"if {ref} is None:")  # what _literal does, inline
         g.line(at + 1, f"out += literals.get({s}) or new_literal({s})")
         g.line(at + 1, f"{ref} = len(strs)")
         g.line(at + 1, f"if {ref} < {len(_STR_REFS)}:")
@@ -899,7 +899,8 @@ class _Str(_Kind):
 class _Obj(_Kind):
     """A registered object — blob, tagged layout or back-reference — that
     must turn out to be a ``cls``.  A back-reference, and a blob the
-    memo already holds, are inline; anything else is a tagged term."""
+    memo already holds (a ``cls``'s, on decode), are inline; anything else
+    is a tagged term."""
 
     def __init__(self, cls: Type) -> None:
         self.cls = cls

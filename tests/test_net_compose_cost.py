@@ -37,7 +37,8 @@ generator or coroutine resuming is one too; C builtins are not counted)
 by the module the called code belongs to: one row per ``repro``
 package, ``repro.net.codec`` on its own, and one for asyncio.  They are
 the same under every ``PYTHONHASHSEED``; like the loop counts they are
-pinned per interpreter version.
+pinned per interpreter version, and they are read without ``-X dev``,
+whose asyncio debug mode makes calls of its own.
 """
 
 import asyncio
@@ -309,11 +310,18 @@ def test_plane_on_composes_send_exactly_the_pinned_bytes(plane_counts):
     assert plane_counts["digest"] == PLANE_DIGEST
 
 
+def _call_pins(table: dict, counts: dict) -> dict:
+    if sys.flags.dev_mode:
+        # asyncio's debug mode (python -X dev) instruments the loop with calls of its own
+        pytest.skip(f"call counts are pinned without -X dev: {counts}")
+    return _loop_pins(table, counts)
+
+
 def test_seven_composes_make_exactly_the_pinned_python_calls_per_layer(counts):
-    pinned = _loop_pins(CALLS, counts["calls_by_row"])
+    pinned = _call_pins(CALLS, counts["calls_by_row"])
     assert counts["calls_by_row"] == pinned
 
 
 def test_plane_on_composes_make_exactly_the_pinned_python_calls_per_layer(plane_counts):
-    pinned = _loop_pins(PLANE_CALLS, plane_counts["calls_by_row"])
+    pinned = _call_pins(PLANE_CALLS, plane_counts["calls_by_row"])
     assert plane_counts["calls_by_row"] == pinned
