@@ -22,8 +22,8 @@ inline (a ``ProbeTransfer``'s probe, that probe's QoS vector, the
 assignment and the report rows) and with the common cases written out —
 a static or back-referenced string, a blob its memo holds, an object
 back-reference — so a probe frame is one call each way after its
-envelope, which :func:`encode_frame` and :func:`_decode_payload` read
-directly.  The generated code writes the same bytes the layout tables
+envelope, which is read and written directly (:func:`_pack_envelope`,
+:func:`_read_envelope`).  The generated code writes the same bytes the layout tables
 say; the term codec is called only for a field whose type the value
 alone knows.
 
@@ -565,17 +565,36 @@ class _Unpacker:
         raise CodecError(f"unknown binary value tag 0x{tag:02x}")
 
 
-def _read_envelope(u: _Unpacker, tag: int) -> dict:
-    """An RPC envelope inside a term, its tag at ``u.pos`` (the one a
-    frame is read directly by :func:`_decode_payload`)."""
-    _, msg_id, src = _S_ENV.unpack_from(u.buf, u.pos)
-    u.pos += _S_ENV.size
-    if u.buf[u.pos] == _T_NONE:
+def _read_envelope(u: _Unpacker, tag: int, top: bool = False) -> dict:
+    """An RPC envelope, its tag at ``u.pos``.  At the ``top`` of a frame
+    its incarnation is the frame's first string and its body the frame's
+    last value, which nothing refers back to (see :func:`_pack_envelope`):
+    the incarnation takes a table only when a body follows it, and a
+    typed body goes straight to its class's decoder."""
+    buf = u.buf
+    _, msg_id, src = _S_ENV.unpack_from(buf, u.pos)
+    pos = u.pos + _S_ENV.size
+    if buf[pos] == _T_NONE:
         inc = None
-        u.pos += 1
+        u.pos = pos + 1
+    elif top and buf[pos] == _T_STR8:
+        stop = pos + 2 + buf[pos + 1]
+        if stop > len(buf):
+            raise CodecError("truncated binary payload: string runs past the end")
+        inc = buf[pos + 2 : stop].decode("utf-8")
+        u.pos = stop
+        if tag != _T_ACK_ENV:
+            u.strs = [*_STATIC_STRINGS, inc]
     else:
+        u.pos = pos
         inc = u.read_str()
-    body = {"ok": True} if tag == _T_ACK_ENV else u.read_value()
+    if tag == _T_ACK_ENV:
+        body = {"ok": True}
+    elif top and buf[u.pos] == _T_OBJ and buf[u.pos + 1] < len(_BIN_UNPACKERS):
+        u.pos += 2
+        body = _BIN_UNPACKERS[buf[u.pos - 1]](u)
+    else:
+        body = u.read_value()
     if tag == _T_REQ_ENV:
         return {"kind": "req", "id": msg_id, "src": src, "inc": inc, "body": body}
     env = {"kind": "res", "id": msg_id, "src": src, "body": body}
@@ -623,44 +642,10 @@ def _decode_payload(payload: bytes) -> Any:
     unpacker.strs = unpacker.objs = None
     try:
         tag = payload[0]
-        if tag != _T_REQ_ENV and tag != _T_ACK_ENV and tag != _T_RES_ENV:
-            value = unpacker.read_value()
+        if tag == _T_REQ_ENV or tag == _T_ACK_ENV or tag == _T_RES_ENV:
+            value = _read_envelope(unpacker, tag, top=True)
         else:
-            # the frame's envelope, read directly: its incarnation is the
-            # frame's first string and its body the frame's last value,
-            # which nothing refers back to (see _pack_envelope)
-            _, msg_id, src = _S_ENV.unpack_from(payload)
-            pos = 13  # past the tag, id and src
-            if payload[pos] == _T_STR8:
-                stop = pos + 2 + payload[pos + 1]
-                if stop > len(payload):
-                    raise CodecError("truncated binary payload: string runs past the end")
-                inc = payload[pos + 2 : stop].decode("utf-8")
-                pos = stop
-                if tag != _T_ACK_ENV:
-                    unpacker.strs = [*_STATIC_STRINGS, inc]
-            elif payload[pos] == _T_NONE:
-                inc = None
-                pos += 1
-            else:
-                unpacker.pos = pos
-                inc = unpacker.read_str()
-                pos = unpacker.pos
-            if tag == _T_ACK_ENV:
-                unpacker.pos = pos
-                body = {"ok": True}
-            elif payload[pos] == _T_OBJ and payload[pos + 1] < len(_BIN_UNPACKERS):
-                unpacker.pos = pos + 2
-                body = _BIN_UNPACKERS[payload[pos + 1]](unpacker)
-            else:
-                unpacker.pos = pos
-                body = unpacker.read_value()
-            if tag == _T_REQ_ENV:
-                value = {"kind": "req", "id": msg_id, "src": src, "inc": inc, "body": body}
-            elif inc is None:
-                value = {"kind": "res", "id": msg_id, "src": src, "body": body}
-            else:
-                value = {"kind": "res", "id": msg_id, "src": src, "body": body, "inc": inc}
+            value = unpacker.read_value()
     except CodecError:
         raise
     except (IndexError, struct.error) as exc:

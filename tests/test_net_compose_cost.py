@@ -92,14 +92,14 @@ PLANE_DIGEST = "925090a4153edb9d5d750114d7ff4da1dc520ab21d33fe5027752deefbc68b37
 # calls before, every other row unchanged
 CALLS = {
     (3, 11): {
-        "repro.net.codec": 9517, "repro.net": 19615, "asyncio": 16135,
+        "repro.net.codec": 10217, "repro.net": 19615, "asyncio": 16135,
         "repro.core": 20711, "repro.sim": 4733, "repro.topology": 4755,
         "repro.dht": 3607, "repro.services": 562,
     },
 }
 PLANE_CALLS = {
     (3, 11): {
-        "repro.net.codec": 10894, "repro.net": 28027, "asyncio": 23016,
+        "repro.net.codec": 11695, "repro.net": 28027, "asyncio": 23016,
         "repro.core": 20711, "repro.sim": 15445, "repro.topology": 3768,
         "repro.dht": 3607, "repro.services": 562,
     },
