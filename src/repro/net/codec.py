@@ -23,9 +23,9 @@ assignment and the report rows) and with the common cases written out —
 a static or back-referenced string, a blob its memo holds, an object
 back-reference — so a probe frame is one call each way after its
 envelope, which is read and written directly (:func:`_pack_envelope`,
-:func:`_read_envelope`).  The generated code writes the same bytes the layout tables
-say; the term codec is called only for a field whose type the value
-alone knows.
+:func:`_read_envelope`).  The generated code writes the same bytes the
+layout tables say; the term codec is called only for a field whose type
+the value alone knows.
 
 *Tagged terms.*  What is genuinely dynamic (reply dicts, ``phases``,
 reservation tokens, lookup replies) stays a tag-prefixed term: one tag
@@ -318,8 +318,8 @@ class _Packer:
 
     __slots__ = ("out", "strs", "objs")
 
-    def __init__(self, out: Optional[bytearray] = None) -> None:
-        self.out = bytearray() if out is None else out
+    def __init__(self) -> None:
+        self.out = bytearray()
         self.strs: Optional[Dict[str, bytes]] = None  # string -> back-reference
         self.objs: Optional[Dict[int, int]] = None  # id(obj) -> table index
 

@@ -85,11 +85,7 @@ DIGEST = "66d3731926909a37065a5cf7826c779b015169867bb8d5045c9d36e3b5511e94"
 PLANE_DIGEST = "925090a4153edb9d5d750114d7ff4da1dc520ab21d33fe5027752deefbc68b37"
 
 # Python-level calls during the seven composes, by the package of the
-# called code (repro.net.codec apart from the rest of repro.net).  The
-# codec compiles each message's layout whole — one generated encoder and
-# decoder per class, the envelope read and written directly — and checks
-# a message's report rows without generators: 35 100 and 37 185 codec
-# calls before, every other row unchanged
+# called code (repro.net.codec apart from the rest of repro.net)
 CALLS = {
     (3, 11): {
         "repro.net.codec": 10217, "repro.net": 19615, "asyncio": 16135,
