@@ -1,4 +1,4 @@
-"""Wire codec for the live runtime (wire version 7).
+"""Wire codec for the live runtime (wire version 8).
 
 Frames are ``MAGIC (2) | version (1) | payload length (4, big-endian) |
 payload``.  A payload is written in one pass in two kinds of encoding:
@@ -12,7 +12,9 @@ at the head of its layout; the remaining fields follow in declared
 order: strings through the per-frame string table, typed runs as a count
 byte and a typed loop (at most 255 entries), reservation reports as
 ``struct`` rows.  The RPC envelopes
-are ``tag | id i64 | src i32 | inc | body``, and a reply whose body is
+are ``tag | id i64 | src i32 | inc | body``, a request's with the
+sender's low-water mark (``lw``) after ``src`` as a saturating ``u16``
+gap below ``id``, and a reply whose body is
 exactly ``{"ok": True}`` — nearly half of all frames — has a tag of its
 own and no body.  ``docs/PROTOCOL.md`` §8 has the tables.
 
@@ -98,7 +100,7 @@ __all__ = [
 ]
 
 MAGIC = b"SN"
-WIRE_VERSION = 7  # the header's version byte; any other value is refused
+WIRE_VERSION = 8  # the header's version byte; any other value is refused
 MAX_FRAME = 4 * 1024 * 1024  # one protocol message, not a data plane
 _HEADER = struct.Struct(">2sBI")
 _HEADER_SIZE = _HEADER.size
@@ -160,8 +162,9 @@ _T_DICT32 = 0x0E
 _T_OBJ = 0x0F
 _T_OBJREF = 0x10
 # typed layouts of the RPC envelope dicts, which every frame is one of:
-# tag | id i64 | src i32 | inc (string or _T_NONE) | body (a term)
-_T_REQ_ENV = 0x11  # {"kind":"req","id","src","inc","body"}
+# tag | id i64 | src i32 | inc (string or _T_NONE) | body (a term), and a
+# request's low-water mark after src: id - lw as a u16, saturating
+_T_REQ_ENV = 0x11  # {"kind":"req","id","src","inc","lw","body"}
 _T_RES_ENV = 0x12  # {"kind":"res","id","src","body"} (+ "inc" when a string)
 # content-addressed sub-message: tag | type_id(1B) | length(>I) | payload,
 # where the payload is the object encoded against *fresh* (static-only)
@@ -184,6 +187,8 @@ _S_q = struct.Struct(">q")
 _S_d = struct.Struct(">d")
 _S_I = struct.Struct(">I")
 _S_ENV = struct.Struct(">Bqi")  # envelope tag, id, src
+_S_REQ = struct.Struct(">BqiH")  # ... and a request's low-water gap
+_LW_GAP_MAX = 0xFFFF  # a wider gap is sent as this: a lower mark is always safe
 
 _TABLE_LIMIT = 0xFFFF  # >H back-reference index space per frame
 
@@ -413,7 +418,8 @@ def _pack_envelope(p: _Packer, v: dict, top: bool = False) -> bool:
         return False
     inc = v.get("inc", v)  # ``v`` when there is none
     if kind == "req":
-        if len(v) != 5 or not (inc is None or type(inc) is str):
+        lw = v.get("lw")
+        if len(v) != 6 or type(lw) is not int or not (inc is None or type(inc) is str):
             return False
         tag = _T_REQ_ENV
     elif kind == "res" and (len(v) == 5 if type(inc) is str else inc is v and len(v) == 4):
@@ -424,7 +430,11 @@ def _pack_envelope(p: _Packer, v: dict, top: bool = False) -> bool:
     if inc is v:
         inc = None
     out = p.out
-    out += _S_ENV.pack(tag, msg_id, src)
+    if tag == _T_REQ_ENV:
+        gap = msg_id - lw  # a mark above the id does not fit: refused
+        out += _S_REQ.pack(tag, msg_id, src, gap if gap < _LW_GAP_MAX else _LW_GAP_MAX)
+    else:
+        out += _S_ENV.pack(tag, msg_id, src)
     if inc is None:
         out.append(_T_NONE)
     elif top and inc not in _STATIC_REFS:
@@ -572,8 +582,12 @@ def _read_envelope(u: _Unpacker, tag: int, top: bool = False) -> dict:
     the incarnation takes a table only when a body follows it, and a
     typed body goes straight to its class's decoder."""
     buf = u.buf
-    _, msg_id, src = _S_ENV.unpack_from(buf, u.pos)
-    pos = u.pos + _S_ENV.size
+    if tag == _T_REQ_ENV:
+        _, msg_id, src, gap = _S_REQ.unpack_from(buf, u.pos)
+        pos = u.pos + _S_REQ.size
+    else:
+        _, msg_id, src = _S_ENV.unpack_from(buf, u.pos)
+        pos = u.pos + _S_ENV.size
     if buf[pos] == _T_NONE:
         inc = None
         u.pos = pos + 1
@@ -596,7 +610,9 @@ def _read_envelope(u: _Unpacker, tag: int, top: bool = False) -> dict:
     else:
         body = u.read_value()
     if tag == _T_REQ_ENV:
-        return {"kind": "req", "id": msg_id, "src": src, "inc": inc, "body": body}
+        return {
+            "kind": "req", "id": msg_id, "src": src, "inc": inc, "lw": msg_id - gap, "body": body
+        }
     env = {"kind": "res", "id": msg_id, "src": src, "body": body}
     if inc is not None:
         env["inc"] = inc

@@ -321,7 +321,9 @@ class PeerDaemon:
         # timeouts — on one loop timer; (rid, token) -> its expiry entry
         self._deadlines = Deadlines()
         self._timers: Dict[Tuple[int, Tuple], list] = {}
-        self._seen = DedupCache()  # (rid, Probe.dedup_key()) application dedup
+        # rid -> the Probe.dedup_key()s of the children admitted here: probe
+        # dedup, which ends with the rid's soft tokens here (_drop_request)
+        self._seen: Dict[int, Set[Tuple]] = {}
         # the n of this peer's latest report bundle: a counter under a boot
         # nonce (the high half), so the daemon a revive builds for this peer
         # id never repeats a (holder, n) a still-open window has booked.  The
@@ -506,14 +508,25 @@ class PeerDaemon:
     def _expire_token(self, rid: int, token: Tuple) -> None:
         self._timers.pop((rid, token), None)
         mine = self._tokens.get(rid)
-        if not mine or token not in mine:
+        if mine is None or token not in mine:
             return
         mine.discard(token)
+        if not mine:
+            self._drop_request(rid)
         try:
             self.bcp.pool.cancel(token)
         except InsufficientResources:
             pass  # became firm concurrently; release() owns it now
         self._trace("reservation_expired", request=rid, token=list(token))
+
+    def _drop_request(self, rid: int) -> None:
+        """``rid`` holds no soft token here (released, confirmed, expired,
+        or none ever admitted): its per-request state goes, probe dedup
+        with it.  Every admitted child leaves a token (live refuses
+        ``soft_allocation=False``), and ``soft_timeout`` outlasts the
+        collection window, so no wave of ``rid`` is running here then."""
+        self._tokens.pop(rid, None)
+        self._seen.pop(rid, None)
 
     def _cancel_timer(self, rid: int, token: Tuple) -> None:
         entry = self._timers.pop((rid, token), None)
@@ -866,6 +879,8 @@ class PeerDaemon:
             fresh = toks - before
             for token in fresh:
                 self._arm_expiry(rid, token)
+            if not toks:
+                self._drop_request(rid)  # no token here: no release will come
             reports = msg.reports
             if fresh and self.peer_id != request.dest_peer:
                 # this admission's load deltas — and this peer as a holder
@@ -876,12 +891,14 @@ class PeerDaemon:
                 reports += ((self.peer_id, self._bundles_made, *self._reserved_usage(fresh), 0),)
             if child is None:
                 dropped = "pruned"
-            elif self._seen.seen((rid, child.dedup_key())):
-                dropped = "duplicate"
-            elif child.elapsed > cfg.collect_timeout:
-                dropped = "late"
             else:
-                dropped = None
+                seen = self._seen.setdefault(rid, set())
+                key = child.dedup_key()
+                if key in seen:
+                    dropped = "duplicate"
+                else:
+                    seen.add(key)
+                    dropped = "late" if child.elapsed > cfg.collect_timeout else None
             cargo = (reports, msg.discovery)
             if dropped is not None:
                 self._return_credit(rid, request.dest_peer, msg.credit, dropped, cargo)
@@ -1141,7 +1158,7 @@ class PeerDaemon:
             # firm claims, so the soft path alone would leak them
             self._confirmed.setdefault(rid, set()).update(out)
         if not mine:
-            self._tokens.pop(rid, None)
+            self._drop_request(rid)
         return out
 
     def _release(self, col: _Collection, keep: Set[Tuple]) -> List[asyncio.Future]:
@@ -1186,13 +1203,13 @@ class PeerDaemon:
             if not firm:
                 self._confirmed.pop(rid, None)
         mine = self._tokens.get(rid)
-        if mine:
+        if mine is not None:
             self._drop_soft(rid, mine - keep)
 
     def _drop_soft(self, rid: int, tokens: Set[Tuple]) -> None:
         """Cancel those of ``tokens`` this daemon still holds soft for ``rid``."""
         mine = self._tokens.get(rid)
-        if not mine:
+        if mine is None:
             return
         for token in sorted(mine & tokens):
             self._cancel_timer(rid, token)
@@ -1202,7 +1219,7 @@ class PeerDaemon:
                 pass
             mine.discard(token)
         if not mine:
-            self._tokens.pop(rid, None)
+            self._drop_request(rid)
 
     async def _on_release(self, src: int, msg: codec.SessionRelease) -> dict:
         self._apply_release(msg.request_id, {tuple(t) for t in msg.keep}, msg.soft_only)

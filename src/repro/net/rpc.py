@@ -6,16 +6,29 @@ receiver deduplicates by ``(src, incarnation, msg_id)`` — a retried
 request re-sends the cached reply instead of re-invoking the handler, so
 handlers observe each logical message exactly once.  (Application-level
 dedup — probes keyed on :meth:`Probe.dedup_key` — sits one layer up in
-:class:`~repro.net.peer.PeerDaemon`, backed by :class:`DedupCache`.)
+:class:`~repro.net.peer.PeerDaemon`, kept per request while the request
+holds tokens there.)
 
 The *incarnation* is a per-process nonce carried in every request
 envelope (``"inc"``) and echoed in its response.  The ``msg_id`` counter
 restarts from 1 when an endpoint restarts, so without the nonce a reborn peer
 reusing ``msg_id`` values would be served stale cached replies recorded
 for its previous life; responses bearing a foreign incarnation are
-likewise dropped instead of resolving the wrong in-flight call.  Cached
-replies additionally age out after ``reply_ttl`` seconds, so the cache
-cannot serve arbitrarily old state even within one incarnation.
+likewise dropped instead of resolving the wrong in-flight call.
+
+A cached reply lives about as long as its exchange.  Every request also
+carries the sender's *low-water mark* (``"lw"``): the oldest ``msg_id``
+it still has live to that receiver, so every exchange below it has ended
+(replied, failed or abandoned) and will never be sent again.  A lower
+mark is always safe, which is why the wire may round it down.  The
+receiver keeps one book per ``(src, incarnation)``: the highest mark
+seen, and the replies at or above it.  A reply is dropped as soon as a
+later request from its sender carries a mark past its id; a request
+below the mark is dropped with no reply and no handler run, and a
+handler that finishes after the mark passed its id caches nothing.  For
+a sender that goes quiet, whose mark no longer moves, ``reply_ttl``
+(seconds) and ``reply_cache`` (entries, across books) remain the
+backstop; a book whose last entry goes is deleted.
 """
 
 from __future__ import annotations
@@ -117,6 +130,18 @@ class DedupCache:
 
 
 _INFLIGHT = object()  # reply-cache sentinel: handler still running
+
+
+class _Book:
+    """What one sender life ``(src, incarnation)`` may still ask again: the
+    highest low-water mark it has sent, and its replies at or above it,
+    ``msg_id -> (expires_at | None, reply)`` in arrival order."""
+
+    __slots__ = ("lw", "replies")
+
+    def __init__(self) -> None:
+        self.lw = 0
+        self.replies: Dict[int, Tuple[Optional[float], Any]] = {}
 
 
 def eager(coro: Coroutine) -> Tuple[Optional[asyncio.Task], Any]:
@@ -331,13 +356,17 @@ class RpcEndpoint:
         self._ids = itertools.count(1)
         # msg_id -> the exchange whose attempt awaits that reply
         self._pending: Dict[int, _Exchange] = {}
-        self._live: Set[_Exchange] = set()  # every exchange not yet over
+        # every exchange not yet over, by destination: dst -> msg_id ->
+        # exchange, oldest first, so the first msg_id is the low-water mark
+        # each request to dst carries
+        self._live: Dict[int, Dict[int, _Exchange]] = {}
         self._posts = 0  # how many of them are posts
         self._idle: Optional[asyncio.Future] = None  # drain()'s wait for _posts == 0
         self._deadlines = Deadlines()
         self._handlers: Dict[Type, Callable[[int, Any], Awaitable[Optional[dict]]]] = {}
-        # (src, incarnation, msg_id) -> (expires_at | None, reply)
-        self._replies: "OrderedDict[tuple, Tuple[Optional[float], Any]]" = OrderedDict()
+        # (src, incarnation) -> its _Book, the least recently written first
+        self._books: "OrderedDict[tuple, _Book]" = OrderedDict()
+        self._cached = 0  # entries in all books
         self._reply_cache = reply_cache
         # requests being served and sends that suspended (a dial, backpressure)
         self._tasks: Set[asyncio.Task] = set()
@@ -373,7 +402,7 @@ class RpcEndpoint:
     def stop(self) -> None:
         """End everything in flight: a post is dropped, a call fails with
         :class:`RpcError`, and a request still being served is cancelled."""
-        for x in list(self._live):
+        for x in [x for live in self._live.values() for x in live.values()]:
             self._abandon(x)
             if x.future is not None and not x.future.done():
                 x.future.set_exception(RpcError(f"endpoint {self.peer_id} stopped"))
@@ -436,7 +465,7 @@ class RpcEndpoint:
         msg_id = next(self._ids)
         # note there is no "dst" field: the transport connection already
         # identifies the receiver, so carrying it would be dead bytes on
-        # every frame (receivers never read it)
+        # every frame (receivers never read it); "lw" is set per attempt
         envelope = {
             "kind": "req",
             "id": msg_id,
@@ -446,7 +475,10 @@ class RpcEndpoint:
         }
         self.calls_sent += 1
         x = _Exchange(dst, msg_id, message, envelope, policy, ignore_down, future, on_failure, sent)
-        self._live.add(x)
+        live = self._live.get(dst)
+        if live is None:
+            live = self._live[dst] = {}
+        live[msg_id] = x
         if future is None:
             self._posts += 1
         if self._down(x):
@@ -468,6 +500,8 @@ class RpcEndpoint:
         x.deadline = None
         x.attempts += 1
         self._pending[x.msg_id] = x
+        # a retransmission tells of every exchange that ended meanwhile
+        x.envelope["lw"] = next(iter(self._live[x.dst]))
         # the sample window opens before send(): queueing and coalescing
         # delays are genuine sojourn time the next caller will also pay
         x.sent_at = asyncio.get_running_loop().time()
@@ -501,7 +535,7 @@ class RpcEndpoint:
         """The attempt's frame is with the transport, or (``error``) never
         will be."""
         _resolve(x.sent)
-        if x not in self._live:
+        if x.msg_id not in self._live.get(x.dst, ()):
             return  # answered or abandoned while the send waited
         if x.attempts == 1:
             # a dial or a paused connection is not the link's wait: the
@@ -570,7 +604,7 @@ class RpcEndpoint:
 
     def _abandon(self, x: _Exchange) -> None:
         """End ``x`` with no outcome: nothing more is sent or reported."""
-        if x not in self._live:
+        if x.msg_id not in self._live.get(x.dst, ()):
             return
         self._end(x)
         _resolve(x.sent)
@@ -580,7 +614,10 @@ class RpcEndpoint:
             self._deadlines.cancel(x.deadline)
 
     def _end(self, x: _Exchange) -> None:
-        self._live.discard(x)
+        live = self._live[x.dst]
+        del live[x.msg_id]
+        if not live:
+            del self._live[x.dst]
         if x.future is None:
             self._posts -= 1
             if not self._posts and self._idle is not None:
@@ -602,11 +639,13 @@ class RpcEndpoint:
         but the second may start before the first finishes."""
         get = envelope.get if isinstance(envelope, dict) else {}.get
         kind, msg_id, inc, src = get("kind"), get("id"), get("inc"), get("src")
+        lw = get("lw")
         if (
             (kind != "req" and kind != "res")
             or not isinstance(msg_id, int)
             or not (inc is None or isinstance(inc, str))
             or (kind == "req" and not isinstance(src, int))
+            or not (lw is None or isinstance(lw, int))
         ):
             self.envelopes_rejected += 1  # malformed or unknown: dropped, not fatal
             return
@@ -617,17 +656,45 @@ class RpcEndpoint:
             if x is not None:
                 self._replied(x, get("body"))
             return
+        life = (src, inc)
+        book = self._books.get(life)
+        if book is None:
+            book = self._books[life] = _Book()
+        if lw is not None and lw > book.lw:
+            self._trim(book, lw)
+        if msg_id < book.lw:
+            # the sender has ended this exchange: nobody waits for a reply
+            if not book.replies:
+                del self._books[life]
+            return
+        replies = book.replies
         key = (src, inc, msg_id)
-        cached = self._cached_reply(key)
-        if cached is _INFLIGHT:
-            return  # duplicate while the first delivery is still processing
+        cached = replies.get(msg_id)
         if cached is not None:
-            self._serve(self._respond(key, cached))
-        else:
-            # in-flight markers never expire on their own: the handler's
-            # completion always overwrites them with the real (TTL'd) reply
-            self._replies[key] = (None, _INFLIGHT)
-            self._serve(self._handle(key, get("body")))
+            expires, value = cached
+            if value is _INFLIGHT:
+                return  # duplicate while the first delivery is still processing
+            if expires > self._clock():
+                self._serve(self._respond(key, value))
+                return
+            del replies[msg_id]  # aged out: served as new
+            self._cached -= 1
+        # in-flight markers never expire on their own: the handler's
+        # completion always overwrites them with the real (TTL'd) reply
+        replies[msg_id] = (None, _INFLIGHT)
+        self._cached += 1
+        self._serve(self._handle(key, get("body")))
+
+    def _trim(self, book: _Book, lw: int) -> None:
+        """Raise ``book``'s mark to ``lw`` and drop the replies below it."""
+        book.lw = lw
+        replies = book.replies
+        while replies:
+            msg_id = next(iter(replies))
+            if msg_id >= lw:
+                break
+            del replies[msg_id]
+            self._cached -= 1
 
     def _serve(self, coro: Coroutine) -> None:
         task, _ = eager(coro)
@@ -646,28 +713,34 @@ class RpcEndpoint:
         self._cache_reply(key, reply)
         await self._respond(key, reply)
 
-    def _cached_reply(self, key: tuple) -> Any:
-        entry = self._replies.get(key)
-        if entry is None:
-            return None
-        expires, value = entry
-        if expires is not None and expires <= self._clock():
-            del self._replies[key]
-            return None
-        return value
-
     def _cache_reply(self, key: tuple, value: Any) -> None:
+        src, inc, msg_id = key
+        life = (src, inc)
+        book = self._books.get(life)
+        if book is None or msg_id < book.lw or msg_id not in book.replies:
+            return  # the sender ended the exchange (or the backstop took its marker)
         now = self._clock()
-        replies = self._replies
-        replies[key] = (now + self.reply_ttl, value)
-        replies.move_to_end(key)
-        while replies:  # TTL eviction from the stale end
-            head_exp = next(iter(replies.values()))[0]
-            if head_exp is None or head_exp > now:
-                break
-            replies.popitem(last=False)
-        while len(replies) > self._reply_cache:
-            replies.popitem(last=False)
+        book.replies[msg_id] = (now + self.reply_ttl, value)
+        self._books.move_to_end(life)
+        self._sweep(now)
+
+    def _sweep(self, now: float) -> None:
+        """The backstop for a sender gone quiet, whose mark no longer moves:
+        from the least recently written book on, drop the replies past
+        ``reply_ttl`` and the oldest past ``reply_cache``; a book goes with
+        its last entry."""
+        books = self._books
+        while books:
+            life = next(iter(books))
+            replies = books[life].replies
+            while replies:
+                msg_id = next(iter(replies))
+                expires = replies[msg_id][0]
+                if self._cached <= self._reply_cache and (expires is None or expires > now):
+                    return
+                del replies[msg_id]
+                self._cached -= 1
+            del books[life]
 
     async def _respond(self, key: tuple, body: Any) -> None:
         dst, req_inc, msg_id = key

@@ -1,5 +1,6 @@
 """Round-trip and rejection tests for the live-runtime wire codec."""
 
+import itertools
 import struct
 
 import pytest
@@ -166,7 +167,8 @@ def frames(messages, busy_probe, service_graph):
     """Each message as the frame an RPC request carries it in, the credit
     frames once more with every table in use, and the two shapes of reply:
     the bare ack and one with a body of its own.  Between them they take
-    every registered message through its generated decoder."""
+    every registered message through its generated decoder.  The requests'
+    low-water marks take turns at gaps 0, 1 and one the wire saturates."""
     meta = next(iter(busy_probe.assignment.values()))
     busy = [
         codec.ProbeTransfer(
@@ -176,8 +178,11 @@ def frames(messages, busy_probe, service_graph):
         codec.FinalProbe(1, busy_probe, 1 << 61, _CUSTOM_BUNDLES, 0.125),
         codec.CreditReturn(1, 3, "gpu", _CUSTOM_BUNDLES),
     ]
+    gaps = itertools.cycle([0, 1, codec._LW_GAP_MAX + 7])
     out = [
-        encode_frame({"kind": "req", "id": 9, "src": 0, "inc": "5f0c2a9e", "body": msg})
+        encode_frame(
+            {"kind": "req", "id": 9, "src": 0, "inc": "5f0c2a9e", "lw": 9 - next(gaps), "body": msg}
+        )
         for msg in messages + busy
     ] + [
         encode_frame({"kind": "res", "id": 9, "src": 1, "inc": "5f0c2a9e", "body": {"ok": True}}),
@@ -393,11 +398,12 @@ class TestCompiledRoundTrips:
     decodes to an equal envelope, and that re-encodes to the same bytes."""
 
     @staticmethod
-    def _same_bytes(msg, inc="5f0c2a9e") -> None:
-        env = {"kind": "req", "id": 11, "src": 2, "inc": inc, "body": msg}
+    def _same_bytes(msg, inc="5f0c2a9e", gap=0) -> None:
+        env = {"kind": "req", "id": 11, "src": 2, "inc": inc, "lw": 11 - gap, "body": msg}
         frame = encode_frame(env)
         out = decode_frame(frame)
-        assert out == env, type(msg).__name__
+        # a gap past the u16 arrives as the widest one: a lower mark
+        assert out == {**env, "lw": 11 - min(gap, codec._LW_GAP_MAX)}, type(msg).__name__
         assert encode_frame(out) == frame, type(msg).__name__
 
     def test_round_trip_of_credit_frames_that_use_every_table(self, frames):
@@ -413,7 +419,8 @@ class TestCompiledRoundTrips:
         """Assignments up to the whole function graph, with metadata that
         recurs (blob back-references); 0-255 report bundles whose resource
         types are outside the static table (a literal, then references to
-        it); and the incarnation itself used again as a string."""
+        it); the incarnation itself used again as a string; and low-water
+        gaps of 0, 1, the widest u16 and past it."""
         draw = data.draw
         metas = list(service_graph.assignment.values())
         graph = request_obj.function_graph
@@ -426,6 +433,8 @@ class TestCompiledRoundTrips:
             label="custom",
         )
         inc = draw(st.sampled_from(["5f0c2a9e", custom]), label="inc")
+        widest = codec._LW_GAP_MAX
+        gap = draw(st.sampled_from([0, 1, widest, widest + 1]) | st.integers(0, 2**20), label="gap")
         rtypes = st.sampled_from([custom, "cpu", "memory", custom + "'"])
         ints = st.integers(-(2**31), 2**31 - 1)
         amounts = st.floats(min_value=0, allow_nan=False) | st.integers(0, 2**53)
@@ -452,9 +461,25 @@ class TestCompiledRoundTrips:
                 reports, discovery,
             ),
             inc,
+            gap,
         )
-        self._same_bytes(codec.FinalProbe(5, probe, 1 << 61, reports, discovery), inc)
-        self._same_bytes(codec.CreditReturn(5, 1 << 40, custom, reports, discovery), inc)
+        self._same_bytes(codec.FinalProbe(5, probe, 1 << 61, reports, discovery), inc, gap)
+        self._same_bytes(codec.CreditReturn(5, 1 << 40, custom, reports, discovery), inc, gap)
+
+    def test_request_envelope_carries_its_low_water_mark_in_two_bytes(self):
+        """A request is two bytes longer than a reply of the same body; a
+        mark above the id does not fit the gap and is refused, and a
+        request dict without a mark is no envelope but a plain dict."""
+        body = codec.MaintenancePing(7, 1)
+        req = {"kind": "req", "id": 9, "src": 0, "inc": "5f0c2a9e", "lw": 3, "body": body}
+        res = {"kind": "res", "id": 9, "src": 0, "inc": "5f0c2a9e", "body": body}
+        assert len(encode_frame(req)) == len(encode_frame(res)) + 2
+        assert decode_frame(encode_frame(req))["lw"] == 3
+        with pytest.raises(CodecError):
+            encode_frame({**req, "lw": 10})
+        bare = {k: v for k, v in req.items() if k != "lw"}
+        assert encode_frame(bare)[7] == codec._T_DICT8
+        assert decode_frame(encode_frame(bare)) == bare
 
 
 class TestBinaryFormat:
@@ -532,11 +557,13 @@ class TestRejection:
         # the retired encodings (1: JSON, 2: tagged terms throughout, 3:
         # report bundles without the probe count, 4: type ids counting a
         # per-spec registration frame, 5: Fraction credit, 6: type ids
-        # counting the replica push frame): a stale peer is turned away at
-        # the header, and nothing here will write such a frame either
+        # counting the replica push frame, 7: requests without the
+        # low-water mark): a stale peer is turned away at the header, and
+        # nothing here will write such a frame either
         terms = encode_frame({"x": 1})[7:]
         for retired, payload in [
             (1, b'{"x":1}'), (2, terms), (3, terms), (4, terms), (5, terms), (6, terms),
+            (7, terms),
         ]:
             with pytest.raises(CodecError, match=f"unsupported wire version {retired}"):
                 decode_frame(_frame(payload, version=retired))
@@ -686,7 +713,7 @@ class TestFrameReader:
     def test_mixed_versions_on_one_stream(self):
         # there is one version: a frame that claims another poisons the
         # stream where it starts, and the reader stays poisoned
-        for retired in (1, 2, 3, 4, 5, 6):
+        for retired in (1, 2, 3, 4, 5, 6, 7):
             reader = FrameReader()
             assert reader.feed(encode_frame({"n": 0})) == [{"n": 0}]
             stale = _frame(encode_frame({"n": 1})[7:], version=retired)

@@ -59,7 +59,7 @@ from repro.services import component
 COMPOSES = 7
 
 # what the seven composes send, on any Python
-WIRE = {"calls": 350, "frames": 700, "bytes": 204275, "succeeded": 7}
+WIRE = {"calls": 350, "frames": 700, "bytes": 204975, "succeeded": 7}
 
 # what they make the event loop do, per interpreter (major, minor).  A
 # served request, a probe hop and a post that do not wait are no task,
@@ -73,7 +73,7 @@ LOOP = {
 
 # the plane-on case: one-way wire delay, and what it sends and does
 PLANE_LATENCY = 0.02
-PLANE_WIRE = {"calls": 401, "frames": 802, "bytes": 210548, "succeeded": 7}
+PLANE_WIRE = {"calls": 401, "frames": 802, "bytes": 211350, "succeeded": 7}
 # timers due at the same instant run in the order they were scheduled:
 # one fewer handle than under asyncio's own tie order.  Most timers are
 # the delay pumps', one per frame that finds its link idle
@@ -81,21 +81,21 @@ PLANE_LOOP = {
     (3, 11): {"tasks": 148, "handles": 1086, "timers": 700},
 }
 # SHA-256 over (src, dst, frame bytes) of every send of each cluster
-DIGEST = "66d3731926909a37065a5cf7826c779b015169867bb8d5045c9d36e3b5511e94"
-PLANE_DIGEST = "925090a4153edb9d5d750114d7ff4da1dc520ab21d33fe5027752deefbc68b37"
+DIGEST = "3b48124d1f1f99c7886c81f9826bb09fa739d410b7f43f77c5ae9905dabfb3ab"
+PLANE_DIGEST = "ecbbf2d5eaa6a27da0c4ee851f8f0dba74711c7dc35445fc42f46e9b407ba0d2"
 
 # Python-level calls during the seven composes, by the package of the
 # called code (repro.net.codec apart from the rest of repro.net)
 CALLS = {
     (3, 11): {
-        "repro.net.codec": 10217, "repro.net": 19615, "asyncio": 16135,
+        "repro.net.codec": 10217, "repro.net": 19852, "asyncio": 16135,
         "repro.core": 20711, "repro.sim": 4733, "repro.topology": 4755,
         "repro.dht": 3607, "repro.services": 562,
     },
 }
 PLANE_CALLS = {
     (3, 11): {
-        "repro.net.codec": 11695, "repro.net": 28027, "asyncio": 23016,
+        "repro.net.codec": 11695, "repro.net": 28304, "asyncio": 23016,
         "repro.core": 20711, "repro.sim": 15445, "repro.topology": 3768,
         "repro.dht": 3607, "repro.services": 562,
     },

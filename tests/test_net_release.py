@@ -619,6 +619,50 @@ def test_bundles_lost_with_a_killed_probe_holder_expire(confirm):
     assert held == set(result.session_tokens)
 
 
+def test_a_request_whose_releases_are_lost_leaves_no_state_once_its_tokens_expire():
+    """Every release frame is lost, so each holder's expiry timers end its
+    soft tokens.  When the last one goes, the request's per-request state
+    goes with it: its token set, its timers and its probe-dedup entry."""
+    soft_timeout = 5.0
+
+    async def scenario():
+        cluster = _cluster(soft_timeout=soft_timeout)
+        for daemon in cluster.daemons.values():
+
+            async def lost(src, msg):
+                return {"ok": True}
+
+            daemon.endpoint.on(codec.SessionRelease, lost)
+        request = next(
+            r
+            for r in cluster.scenario.requests.batch(10)
+            if cluster.scenario.net.bcp.compose(r, confirm=False).success
+        )
+        rid = request.request_id
+
+        def state():
+            return {
+                peer: (rid in d._tokens, any(k[0] == rid for k in d._timers), rid in d._seen)
+                for peer, d in cluster.daemons.items()
+            }
+
+        async with cluster:
+            result = await cluster.compose(request, confirm=False, timeout=60)
+            for daemon in cluster.daemons.values():
+                await daemon.drain()
+            before = state()
+            await asyncio.sleep(soft_timeout + 1.0)
+            after, soft, errors = state(), cluster.soft_tokens(), cluster.errors()
+        return result, before, after, soft, errors
+
+    result, before, after, soft, errors = vtime.run(scenario())
+    assert errors == [] and result.success
+    assert soft == {}
+    assert after == {peer: (False, False, False) for peer in after}
+    # what expired: the lost releases had left holders with all three
+    assert any(all(held) for held in before.values())
+
+
 @pytest.mark.parametrize("confirm", [False, True], ids=["measure-only", "confirm"])
 def test_a_revived_holder_keeps_no_claim_from_its_previous_life(confirm):
     """Every release is lost, so the holders' expiry timers are all that

@@ -190,7 +190,7 @@ def test_a_post_makes_retries_plus_one_attempts_then_reports_once():
         frames = t.frames_sent
         b.stop()
         await t.close()
-        return frames, failures, lost, msg, dict(a._pending), _live_deadlines(a), a._live
+        return frames, failures, lost, msg, dict(a._pending), _live_deadlines(a), dict(a._live)
 
     frames, failures, lost, msg, pending, deadlines, live = vtime.run(main())
     assert frames == 3
@@ -198,7 +198,7 @@ def test_a_post_makes_retries_plus_one_attempts_then_reports_once():
         RpcFailure(peer=1, method="MaintenancePing", attempts=3, error="no reply within 0.5s")
     ]
     assert lost == [msg]
-    assert pending == {} and deadlines == [] and live == set()
+    assert pending == {} and deadlines == [] and live == {}
 
 
 def test_a_post_to_a_peer_known_down_fails_fast_without_a_frame():
@@ -393,8 +393,8 @@ def test_stop_drops_posts_and_fails_calls_in_flight():
         frames = t.frames_sent
         b.stop()
         await t.close()
-        return lost, outcome, frames, dict(a._pending), a._live, a._posts
+        return lost, outcome, frames, dict(a._pending), dict(a._live), a._posts
 
     lost, (outcome,), frames, pending, live, posts = vtime.run(main())
     assert lost == [] and "stopped" in str(outcome)
-    assert frames == 2 and pending == {} and live == set() and posts == 0
+    assert frames == 2 and pending == {} and live == {} and posts == 0
