@@ -39,9 +39,18 @@ package, ``repro.net.codec`` on its own, and one for asyncio.  They are
 the same under every ``PYTHONHASHSEED``; like the loop counts they are
 pinned per interpreter version, and they are read without ``-X dev``,
 whose asyncio debug mode makes calls of its own.
+
+The same call table is read off the synchronous engine twice: composing
+the gate's seven requests of the same scenario (the per-hop work both
+substrates share, with no wire), and composing twenty requests on a
+200-peer overlay after one warm-up (the paper's scale, where ranking
+duplicates is most of a compose).  Both also pin a SHA-256 over what
+each compose returned, so a change that moves the calls shows whether
+it moved a selection too.
 """
 
 import asyncio
+import contextlib
 import gc
 import hashlib
 import itertools
@@ -55,6 +64,7 @@ from repro.net import codec
 from repro.net import transport as net_transport
 from repro.sim import vtime
 from repro.services import component
+from repro.workload.scenarios import simulation_testbed
 
 COMPOSES = 7
 
@@ -100,6 +110,31 @@ PLANE_CALLS = {
         "repro.dht": 3607, "repro.services": 562,
     },
 }
+
+# the synchronous engine composing the same seven requests of the same
+# scenario after the same warm-up: BCP's steps, discovery, routing and
+# resources with no wire.  Calls per layer as above; the digest is over
+# what each compose returned
+SYNC_CALLS = {
+    (3, 11): {
+        "repro.core": 19914, "repro.topology": 4777, "repro.dht": 4214, "repro.sim": 1037,
+        "repro.discovery": 589, "repro.services": 526, "repro.perf": 63,
+    },
+}
+SYNC_DIGEST = "740607d151624f04b20f942f2ff33f6bd35bbb67cc8907ac82e01cefeabb3081"
+
+# the paper-scale row: twenty sync composes on a 200-peer overlay, after
+# one warm-up (the route caches are still cold for most pairs)
+PAPER_COMPOSES = 20
+PAPER_TESTBED = dict(n_peers=200, n_functions=6, seed=5)
+PAPER_CALLS = {
+    (3, 11): {
+        "repro.core": 216257, "repro.topology": 209997, "repro.sim": 44701,
+        "repro.dht": 42223, "repro.services": 40157, "repro.discovery": 3995,
+        "repro.perf": 180,
+    },
+}
+PAPER_DIGEST = "8ac45db204807b77eec4d8a62fcfbe46f36fb2e26865cd97db5ada04f5f59359"
 
 # a constant delay moves no estimate: nothing is re-priced
 PLANE_STATS = {
@@ -228,13 +263,22 @@ async def _composes(loop: _CountingLoop, config: ClusterConfig) -> dict:
     return out
 
 
-def _count(config: ClusterConfig) -> dict:
-    # the ids restart, so their encoded widths are this test's alone
+@contextlib.contextmanager
+def _fresh_ids():
+    """Restart the process-global request, probe and component ids, so
+    their encoded widths (and every id-ordered tie) are this test's alone."""
     saved = request._request_ids, probe._probe_ids, component._component_ids
     request._request_ids = itertools.count(1)
     probe._probe_ids = itertools.count(1)
     component._component_ids = itertools.count(1)
-    # and the codec's cross-frame memos start empty: a blob or a string an
+    try:
+        yield
+    finally:
+        request._request_ids, probe._probe_ids, component._component_ids = saved
+
+
+def _count(config: ClusterConfig) -> dict:
+    # the codec's cross-frame memos start empty: a blob or a string an
     # earlier test left there would be a hit here, and cost no calls
     for memo in (codec._ENC_BLOBS, codec._DEC_BLOBS, codec._LITERALS):
         memo.clear()
@@ -242,12 +286,52 @@ def _count(config: ClusterConfig) -> dict:
     encode = net_transport.encode_frame
     try:
         asyncio.set_event_loop(loop)
-        return loop.run_until_complete(_composes(loop, config))
+        with _fresh_ids():
+            return loop.run_until_complete(_composes(loop, config))
     finally:
         net_transport.encode_frame = encode
-        request._request_ids, probe._probe_ids, component._component_ids = saved
         asyncio.set_event_loop(None)
         loop.close()
+
+
+def _testbed(config: ClusterConfig) -> dict:
+    """The arguments :class:`LiveCluster` builds its scenario with."""
+    return dict(
+        n_ip=max(4 * config.n_peers, 64),
+        n_peers=config.n_peers,
+        n_functions=config.n_functions,
+        components_per_peer=config.components_per_peer,
+        request_config=config.request_config,
+        bcp_config=config.bcp_config,
+        capacity_scale=config.capacity_scale,
+        seed=config.seed,
+    )
+
+
+def _sync_count(composes: int, **testbed) -> dict:
+    """The synchronous engine's ``composes`` measurement-only composes
+    after one warm-up, on a fresh ``simulation_testbed(**testbed)``:
+    Python calls per layer, and a SHA-256 over what each compose
+    returned (success, selection, ψλ, probes, setup time, failure)."""
+    with _fresh_ids():
+        scenario = simulation_testbed(**testbed)
+        requests = scenario.requests.batch(composes + 1)
+        scenario.net.compose(requests[0], confirm=False)  # warms the caches
+        with _CallCounter() as counter:
+            results = [scenario.net.compose(r, confirm=False) for r in requests[1:]]
+    digest = hashlib.sha256()
+    for r in results:
+        selected = None if r.best is None else sorted(r.best.signature()[1])
+        digest.update(
+            repr(
+                (r.success, selected, r.best_cost, r.probes_sent, r.setup_time, r.failure_reason)
+            ).encode()
+        )
+    return {
+        "succeeded": sum(r.success for r in results),
+        "calls_by_row": counter.calls,
+        "digest": digest.hexdigest(),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +341,17 @@ def counts():
             n_peers=16, n_functions=6, seed=5, measurement=MeasurementConfig(enabled=False)
         )
     )
+
+
+@pytest.fixture(scope="module")
+def sync_counts():
+    config = ClusterConfig(n_peers=16, n_functions=6, seed=5)
+    return _sync_count(COMPOSES, **_testbed(config))
+
+
+@pytest.fixture(scope="module")
+def paper_counts():
+    return _sync_count(PAPER_COMPOSES, **PAPER_TESTBED)
 
 
 @pytest.fixture(scope="module")
@@ -321,3 +416,19 @@ def test_seven_composes_make_exactly_the_pinned_python_calls_per_layer(counts):
 def test_plane_on_composes_make_exactly_the_pinned_python_calls_per_layer(plane_counts):
     pinned = _call_pins(PLANE_CALLS, plane_counts["calls_by_row"])
     assert plane_counts["calls_by_row"] == pinned
+
+
+def test_seven_sync_composes_make_exactly_the_pinned_python_calls_per_layer(sync_counts):
+    assert sync_counts["succeeded"] == COMPOSES
+    assert sync_counts["digest"] == SYNC_DIGEST
+    pinned = _call_pins(SYNC_CALLS, sync_counts["calls_by_row"])
+    assert sync_counts["calls_by_row"] == pinned
+
+
+def test_paper_scale_sync_composes_make_exactly_the_pinned_python_calls_per_layer(
+    paper_counts,
+):
+    assert paper_counts["succeeded"] == PAPER_COMPOSES
+    assert paper_counts["digest"] == PAPER_DIGEST
+    pinned = _call_pins(PAPER_CALLS, paper_counts["calls_by_row"])
+    assert paper_counts["calls_by_row"] == pinned
