@@ -403,32 +403,47 @@ class BCP:
             idx = self.rng.choice(len(comps), size=k, replace=False)
             return [comps[i] for i in idx]
         scores = self._score_components(probe, comps)
-        order = sorted(range(len(comps)), key=lambda i: (scores[i], comps[i].component_id))
-        return [comps[i] for i in order[:k]]
+        ranked = sorted(
+            [(score, c.component_id, i) for i, (score, c) in enumerate(zip(scores, comps))]
+        )
+        return [comps[i] for _, _, i in ranked[:k]]
 
     def _score_components(
         self, probe: Probe, comps: List[ServiceMetadata]
     ) -> List[float]:
         """The composite next-hop metric of each duplicate (lower is better):
         normalised delay, bandwidth-headroom penalty, normalised failure
-        probability and, with a trust model, distrust."""
+        probability and, with a trust model, distrust.
+
+        Row reads: the delays to every duplicate are one read of the
+        router's row for ``current_peer``, and the paths' headroom one
+        pool call."""
         w = self.config.nexthop_weights
-        delays = [self.overlay.latency(probe.current_peer, c.peer) for c in comps]
+        here = probe.current_peer
+        peers = [c.peer for c in comps]
+        delays = self.overlay.router.delays_to(here, peers)
         max_delay = max(max(delays), 1e-9)
-        fails = [self.peer_failure(c.peer) for c in comps]
+        peer_failure = self.peer_failure
+        fails = [peer_failure(p) for p in peers]
         max_fail = max(max(fails), 1e-9)
-        scores = []
-        for c, d, f in zip(comps, delays, fails):
-            if w.bandwidth > 0:
-                ba = self.pool.path_available_bandwidth(probe.current_peer, c.peer)
-                bw_pen = min(probe.out_bandwidth / ba, 2.0) if math.isfinite(ba) and ba > 0 else 2.0
-            else:
-                bw_pen = 0.0
-            score = w.delay * d / max_delay + w.bandwidth * bw_pen + w.failure * f / max_fail
-            if self.trust is not None and w.trust > 0:
-                distrust = 1.0 - self.trust.trust(probe.request.source_peer, c.peer)
-                score += w.trust * distrust
-            scores.append(score)
+        if w.bandwidth > 0:
+            out = probe.out_bandwidth
+            penalties = [
+                min(out / ba, 2.0) if 0.0 < ba < math.inf else 2.0
+                for ba in self.pool.paths_available_bandwidth(here, peers)
+            ]
+        else:
+            penalties = [0.0] * len(peers)
+        w_delay, w_bandwidth, w_failure = w.delay, w.bandwidth, w.failure
+        scores = [
+            w_delay * d / max_delay + w_bandwidth * pen + w_failure * f / max_fail
+            for d, pen, f in zip(delays, penalties, fails)
+        ]
+        if self.trust is not None and w.trust > 0:
+            source, trust = probe.request.source_peer, self.trust.trust
+            scores = [
+                score + w.trust * (1.0 - trust(source, p)) for score, p in zip(scores, peers)
+            ]
         return scores
 
     def _admit(
@@ -447,11 +462,12 @@ class BCP:
         request = probe.request
         rid = request.request_id
         link_qos = self._link_qos(probe.current_peer, comp.peer)
-        qos = probe.qos + link_qos + self._qp_as_qos(comp)
+        qos = probe.qos.plus(link_qos, self._qp_as_qos(comp))
         if cfg.qos_pruning and request.qos.violation(qos) > 0:
             return None
         # bandwidth admission on the overlay path carrying this service link
-        from_id = probe.last_component().component_id if probe.last_component() else SOURCE_ID
+        last = probe.last_component()
+        from_id = SOURCE_ID if last is None else last.component_id
         link_token = (rid, "link", from_id, comp.component_id)
         if not self._reserve_path(link_token, probe.current_peer, comp.peer, probe.out_bandwidth, tokens):
             return None

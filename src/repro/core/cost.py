@@ -62,25 +62,28 @@ def psi_cost(
         weights = CostWeights.uniform(pool.resource_types)
     total = 0.0
     res_weights = list(weights.resource_weights.items())
+    available = pool.available_amount
     for meta in graph.components():
-        resources = meta.resources
+        demands = meta.resources.values
         peer = meta.peer
         for rtype, w in res_weights:
-            demand = resources.get(rtype)
+            demand = demands.get(rtype, 0.0)
             if w == 0.0 or demand == 0.0:
                 continue
-            a = pool.available_amount(peer, rtype)
+            a = available(peer, rtype)
             if a <= epsilon:
                 return math.inf
             total += w * demand / a
-    if weights.bandwidth_weight > 0.0:
-        for link in graph.service_links():
-            if link.src_peer == link.dst_peer or link.bandwidth <= 0:
+    bandwidth_weight = weights.bandwidth_weight
+    if bandwidth_weight > 0.0:
+        path_available = pool.path_available_bandwidth
+        for src, dst, bandwidth in graph.link_rows():
+            if src == dst or bandwidth <= 0:
                 continue
-            ba = pool.path_available_bandwidth(link.src_peer, link.dst_peer)
+            ba = path_available(src, dst)
             if ba <= epsilon:
                 return math.inf
             if math.isinf(ba):
                 continue
-            total += weights.bandwidth_weight * link.bandwidth / ba
+            total += bandwidth_weight * bandwidth / ba
     return total

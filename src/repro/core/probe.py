@@ -83,14 +83,12 @@ class Probe:
         Inherits the parent's QoS/resource states (Step 2.4) with the new
         hop's link QoS and the component's Qp already folded into ``qos``.
         """
-        assignment = dict(self.assignment)
-        assignment[function] = component
-        return Probe(
+        child = Probe(
             probe_id=next(_probe_ids),
             request=self.request,
             graph=graph,
             applied_swaps=applied_swaps,
-            assignment=assignment,
+            assignment=self.assignment,
             branch=self.branch + (function,),
             current_peer=component.peer,
             qos=qos,
@@ -99,6 +97,9 @@ class Probe:
             elapsed=elapsed,
             hops=self.hops + 1,
         )
+        # the copy __post_init__ made is the child's own: the one copy
+        child.assignment[function] = component
+        return child
 
     def arrived(self, qos: QoSVector, elapsed: float) -> "Probe":
         """The probe after its final hop to the destination peer."""

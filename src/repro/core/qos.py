@@ -94,6 +94,17 @@ class QoSVector:
             {m: self.values[m] + other.values[m] for m in self.values}
         )
 
+    def plus(self, link: "QoSVector", qp: "QoSVector") -> "QoSVector":
+        """``self + link + qp`` in one dict build: each metric is summed as
+        ``(self + link) + qp``, the order of the two additions, so the
+        result is the same to the bit (BCP's admission adds a hop's link
+        QoS and the component's Qp to the probe's)."""
+        p, l, q = self.values, link.values, qp.values
+        for other in (l, q):
+            if p.keys() != other.keys():
+                raise ValueError(f"metric mismatch: {sorted(p)} vs {sorted(other)}")
+        return QoSVector._from_trusted({m: (p[m] + l[m]) + q[m] for m in p})
+
     def elementwise_max(self, other: "QoSVector") -> "QoSVector":
         """Metric-wise maximum — aggregates parallel DAG branches, where the
         end-to-end value is dominated by the worst branch."""

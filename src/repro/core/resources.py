@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..topology.overlay import Overlay
 
@@ -165,11 +165,15 @@ class ResourcePool:
         """One resource type's availability, without building a vector —
         the ψλ evaluation loop calls this per (component, type)."""
         return max(
-            self._capacity[peer].get(rtype) - self._used[peer].get(rtype), 0.0
+            self._capacity[peer].values.get(rtype, 0.0)
+            - self._used[peer].values.get(rtype, 0.0),
+            0.0,
         )
 
     def link_available(self, link: Link) -> float:
-        i = self._link_index[tuple(sorted(link))]
+        i = self._link_index.get(link)
+        if i is None:  # not canonically ordered
+            i = self._link_index[tuple(sorted(link))]
         return max(self._link_cap[i] - self._link_used[i], 0.0)
 
     def path_available_bandwidth(self, src: int, dst: int) -> float:
@@ -183,6 +187,21 @@ class ResourcePool:
             if v < low:
                 low = v
         return low if low > 0.0 else 0.0
+
+    def paths_available_bandwidth(self, src: int, dsts: Sequence[int]) -> List[float]:
+        """``[path_available_bandwidth(src, d) for d in dsts]`` in one call,
+        with the same arithmetic: BCP's next-hop metric reads the headroom
+        of the path to every duplicate it ranks."""
+        cap, used = self._link_cap, self._link_used
+        out = []
+        for idx in self.overlay.router.link_index_lists(src, dsts):
+            low = math.inf
+            for i in idx:
+                v = cap[i] - used[i]
+                if v < low:
+                    low = v
+            out.append(low if low > 0.0 else 0.0)
+        return out
 
     def can_host(self, peer: int, req: ResourceVector) -> bool:
         cap, used = self._capacity[peer], self._used[peer]

@@ -178,6 +178,8 @@ def select_composition(
     """
     if objective not in ("cost", "delay"):
         raise ValueError(f"unknown selection objective {objective!r}")
+    if weights is None:
+        weights = CostWeights.uniform(pool.resource_types)
     qualified: List[CandidateGraph] = []
     for cand in candidates:
         if not qos_req.satisfied_by(cand.qos):

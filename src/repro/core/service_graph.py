@@ -138,6 +138,16 @@ class ServiceGraph:
             )
         return links
 
+    def link_rows(self) -> List[Tuple[int, int, float]]:
+        """``(src_peer, dst_peer, bandwidth)`` of every service link, in
+        :meth:`service_links` order, with no :class:`ServiceLink` built
+        (what ψλ reads)."""
+        a, rates = self.assignment, self._flow_bandwidth
+        rows = [(self.source_peer, a[fn].peer, rates[fn][0]) for fn in self.pattern.sources()]
+        rows += [(a[x].peer, a[y].peer, rates[x][1]) for x, y in sorted(self.pattern.edges)]
+        rows += [(a[fn].peer, self.dest_peer, rates[fn][1]) for fn in self.pattern.sinks()]
+        return rows
+
     # ------------------------------------------------------------------
     # branch paths & QoS
     # ------------------------------------------------------------------

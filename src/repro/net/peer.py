@@ -262,13 +262,12 @@ class _WaveLoadView:
     def path_available_bandwidth(self, src: int, dst: int) -> float:
         if src == dst:
             return math.inf
+        # the router's links and the wave's reports are canonically ordered
         links = self._pool.overlay.router.links(src, dst)
         if not links:
             return math.inf
-        low = min(
-            self._pool.link_available(l) - self._link_used.get(tuple(sorted(l)), 0.0)
-            for l in links
-        )
+        available, wave = self._pool.link_available, self._link_used
+        low = min(available(l) - wave.get(l, 0.0) for l in links)
         return low if low > 0.0 else 0.0
 
 

@@ -254,16 +254,31 @@ class OverlayRouter:
         self.clear_cache()
 
     def clear_cache(self) -> None:
-        """Invalidation hook: drop all memoized paths/links/indices."""
+        """Invalidation hook: drop all memoized paths/links/indices and
+        delay rows."""
         self._path_cache: Dict[Tuple[int, int], List[int]] = {}
         self._links_cache: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         self._link_idx_list_cache: Dict[Tuple[int, int], List[int]] = {}
+        self._delay_rows: Dict[int, List[float]] = {}
 
     def delay(self, src: int, dst: int) -> float:
         try:
             return float(self._dist[self._index[src], self._index[dst]])
         except KeyError as exc:
             raise KeyError(f"unknown peer {exc.args[0]}") from None
+
+    def delays_to(self, src: int, dsts: Sequence[int]) -> List[float]:
+        """``[delay(src, d) for d in dsts]`` as one read of ``src``'s row.
+
+        The row is the delay matrix's, as a Python list (its floats equal
+        ``delay``'s to the bit), kept per source until :meth:`clear_cache`:
+        BCP's next-hop metric reads the delays to every duplicate it
+        ranks from the peer it ranks them at."""
+        row = self._delay_rows.get(src)
+        if row is None:
+            row = self._delay_rows[src] = self._dist[self._index[src]].tolist()
+        index = self._index
+        return [row[index[d]] for d in dsts]
 
     def delays(self, src: int, dsts: Sequence[int]) -> np.ndarray:
         """Vector of delays from ``src`` to each of ``dsts`` (one slice)."""
@@ -322,6 +337,16 @@ class OverlayRouter:
         out = [self._link_index[l] for l in self.links(src, dst)]
         if self._cache_enabled:
             self._link_idx_list_cache[key] = out
+        return out
+
+    def link_index_lists(self, src: int, dsts: Sequence[int]) -> List[List[int]]:
+        """``[link_index_list(src, d) for d in dsts]`` in one call: a
+        cached list is read inline, and only a miss walks the path."""
+        cache = self._link_idx_list_cache
+        out = []
+        for dst in dsts:
+            hit = cache.get((src, dst))
+            out.append(hit if hit is not None else self.link_index_list(src, dst))
         return out
 
     def delay_matrix(self) -> np.ndarray:

@@ -98,15 +98,15 @@ PLANE_DIGEST = "ecbbf2d5eaa6a27da0c4ee851f8f0dba74711c7dc35445fc42f46e9b407ba0d2
 # called code (repro.net.codec apart from the rest of repro.net)
 CALLS = {
     (3, 11): {
-        "repro.net.codec": 10217, "repro.net": 19852, "asyncio": 16135,
-        "repro.core": 20711, "repro.sim": 4733, "repro.topology": 4755,
+        "repro.net.codec": 10217, "repro.net": 19780, "asyncio": 16135,
+        "repro.core": 17184, "repro.sim": 4733, "repro.topology": 3516,
         "repro.dht": 3607, "repro.services": 562,
     },
 }
 PLANE_CALLS = {
     (3, 11): {
-        "repro.net.codec": 11695, "repro.net": 28304, "asyncio": 23016,
-        "repro.core": 20711, "repro.sim": 15445, "repro.topology": 3768,
+        "repro.net.codec": 11695, "repro.net": 27662, "asyncio": 23016,
+        "repro.core": 17184, "repro.sim": 15445, "repro.topology": 3099,
         "repro.dht": 3607, "repro.services": 562,
     },
 }
@@ -117,7 +117,7 @@ PLANE_CALLS = {
 # what each compose returned
 SYNC_CALLS = {
     (3, 11): {
-        "repro.core": 19914, "repro.topology": 4777, "repro.dht": 4214, "repro.sim": 1037,
+        "repro.core": 16387, "repro.topology": 3538, "repro.dht": 4214, "repro.sim": 1037,
         "repro.discovery": 589, "repro.services": 526, "repro.perf": 63,
     },
 }
@@ -129,7 +129,7 @@ PAPER_COMPOSES = 20
 PAPER_TESTBED = dict(n_peers=200, n_functions=6, seed=5)
 PAPER_CALLS = {
     (3, 11): {
-        "repro.core": 216257, "repro.topology": 209997, "repro.sim": 44701,
+        "repro.core": 123576, "repro.topology": 102156, "repro.sim": 44701,
         "repro.dht": 42223, "repro.services": 40157, "repro.discovery": 3995,
         "repro.perf": 180,
     },

@@ -26,6 +26,8 @@ import numpy as np
 import pytest
 
 from repro.core.bcp import BCP, BCPConfig, NextHopWeights
+from repro.core.probe import Probe
+from repro.discovery.metadata import ServiceMetadata
 from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, measurement
 from repro.sim import vtime
 from repro.net.measurement import LinkEstimator, MeasuredOverlayView, MeasurementPlane
@@ -854,6 +856,37 @@ def test_link_reprice_drops_exactly_the_moved_pair_qos():
     # an argument-less clear (registry change) still flushes both
     bcp.clear_caches()
     assert not bcp._pair_qos and not bcp._comp_qos
+
+
+def test_scores_read_the_delays_of_the_router_a_reprice_installs():
+    """BCP ranks duplicates on one delay row per ranking peer, which the
+    router keeps: after a delta swaps the view's router the ranking reads
+    the new router's delays, and after a reset the shared router's again
+    (a row kept across the swap would rank on delays the view no longer
+    has)."""
+    cluster = LiveCluster(ClusterConfig(n_peers=8, seed=7))
+    shared = cluster.scenario.net.bcp
+    base = cluster.scenario.overlay
+    view = MeasuredOverlayView(base)
+    delay_only = NextHopWeights(delay=1.0, bandwidth=0.0, failure=0.0)
+    config = dataclasses.replace(shared.config, nexthop_weights=delay_only)
+    bcp = BCP(view, shared.pool.clone_empty(overlay=view), shared.registry, config=config)
+    probe = Probe.initial(cluster.scenario.requests.next_request(), 8)
+    here = probe.current_peer
+    comps = [ServiceMetadata.from_spec(spec) for spec in cluster.scenario.population]
+
+    def scores_from_latency():
+        delays = [view.latency(here, c.peer) for c in comps]
+        top = max(max(delays), 1e-9)
+        return [1.0 * d / top for d in delays]
+
+    before = bcp._score_components(probe, comps)
+    assert before == scores_from_latency()
+    assert view.set_link_scales({tuple(sorted((here, n))): 5.0 for n in base.graph[here]})
+    after = bcp._score_components(probe, comps)
+    assert after == scores_from_latency() != before
+    view.reset()
+    assert bcp._score_components(probe, comps) == scores_from_latency() == before
 
 
 def test_probes_go_only_where_traffic_has_not_measured(monkeypatch):
