@@ -66,7 +66,6 @@ from .scaleout import (
     summarize_records,
 )
 from .rpc import (
-    DedupCache,
     RetryPolicy,
     RpcEndpoint,
     RpcError,
@@ -89,7 +88,6 @@ __all__ = [
     "RpcError",
     "RpcFailure",
     "RpcTimeout",
-    "DedupCache",
     "LedgerTap",
     "LinkEstimator",
     "MeasuredOverlayView",

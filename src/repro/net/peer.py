@@ -132,7 +132,7 @@ from ..services.component import ComponentSpec
 from . import codec
 from .admission import LoadGuard
 from .directory import DirectorySlice
-from .rpc import Deadlines, DedupCache, RpcEndpoint, RpcError, eager
+from .rpc import Deadlines, RpcEndpoint, RpcError, eager
 from ..sim.vtime import loop_time
 
 __all__ = ["PeerDaemon", "LiveSession"]
@@ -343,9 +343,10 @@ class PeerDaemon:
         # credit-carrying frames that beat their ComposeBegin here:
         # rid -> (expiry entry, frames in arrival order); and the rids
         # whose window will not open (again), which is what makes a frame
-        # without a window late instead of early
+        # without a window late instead of early: rid -> when it is
+        # forgotten, oldest first (see _close)
         self._parked: Dict[int, Tuple[list, List]] = {}
-        self._closed = DedupCache()
+        self._closed: Dict[int, float] = {}
         self._pending_results: Dict[int, asyncio.Future] = {}
         self.sessions: Dict[int, LiveSession] = {}
         self._tasks: Set[asyncio.Task] = set()
@@ -456,7 +457,7 @@ class PeerDaemon:
         self._deadlines.close()
         self._timers.clear()
         self._parked.clear()
-        self._closed = DedupCache()
+        self._closed.clear()
         self._miss_flight.clear()
         for coro, handle in self._unstarted.items():
             handle.cancel()
@@ -1022,8 +1023,33 @@ class PeerDaemon:
     def _expire_parked(self, rid: int) -> None:
         """No window will open for ``rid`` (its begin was lost or refused):
         from here its frames are late, the parked ones included."""
-        self._closed.seen(rid)
+        self._close(rid)
         self._release_named(rid, self._unpark(rid), ())
+
+    def _close(self, rid: int) -> None:
+        """``rid``'s window will not open (again): remember it for
+        ``soft_timeout``.  By then every soft token of its wave has
+        expired, so a frame still naming it would find nothing to free
+        that has not freed itself; a straggler after that is parked and
+        released as late by :meth:`_expire_parked`, like one whose begin
+        was lost.  The table is insertion-ordered with one expiry per
+        rid, so it is swept from the front, on one deadline at a time."""
+        closed, forget_at = self._closed, loop_time() + self.soft_timeout
+        if not closed:
+            self._deadlines.add(forget_at, self._sweep_closed, forget_at)
+        closed.pop(rid, None)  # re-closed: to the back, in expiry order
+        closed[rid] = forget_at
+
+    def _sweep_closed(self, due: float) -> None:
+        # a timer may run a clock tick early: what it was armed for is due
+        closed, now, expired = self._closed, max(due, loop_time()), []
+        for rid, forget_at in closed.items():
+            if forget_at > now:
+                self._deadlines.add(forget_at, self._sweep_closed, forget_at)
+                break
+            expired.append(rid)
+        for rid in expired:
+            del closed[rid]
 
     def _release_named(self, rid: int, frames, keep: Tuple[Tuple, ...]) -> None:
         """One soft-only release to every holder ``frames`` name."""
@@ -1093,7 +1119,7 @@ class PeerDaemon:
                 result.session_tokens = sorted(confirmed)
         result.success = success
         self._collections.pop(rid, None)
-        self._closed.seen(rid)
+        self._close(rid)
         self._trace(
             "compose_finished", request=rid, success=success, why=why,
             arrivals=len(col.arrivals), probes=result.probes_sent,

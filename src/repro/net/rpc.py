@@ -43,7 +43,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
 from typing import (
-    Any, Awaitable, Callable, Coroutine, Dict, Hashable, List, Optional, Set, Tuple, Type,
+    Any, Awaitable, Callable, Coroutine, Dict, List, Optional, Set, Tuple, Type,
 )
 
 from ..sim.rng import as_generator
@@ -56,7 +56,6 @@ __all__ = [
     "RpcFailure",
     "RetryPolicy",
     "RpcEndpoint",
-    "DedupCache",
     "Deadlines",
     "eager",
 ]
@@ -102,31 +101,6 @@ class RetryPolicy:
             raise ValueError("timeout must be > 0 and retries >= 0")
         if self.backoff < 0 or self.factor < 1.0 or self.jitter < 0:
             raise ValueError("need backoff >= 0, factor >= 1, jitter >= 0")
-
-
-class DedupCache:
-    """A bounded seen-set with FIFO eviction (insertion order)."""
-
-    def __init__(self, capacity: int = 65536) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._seen: "OrderedDict[Hashable, None]" = OrderedDict()
-
-    def seen(self, key: Hashable) -> bool:
-        """Record ``key``; True iff it was already present."""
-        if key in self._seen:
-            return True
-        self._seen[key] = None
-        if len(self._seen) > self.capacity:
-            self._seen.popitem(last=False)
-        return False
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._seen
-
-    def __len__(self) -> int:
-        return len(self._seen)
 
 
 _INFLIGHT = object()  # reply-cache sentinel: handler still running

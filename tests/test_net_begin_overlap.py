@@ -200,6 +200,51 @@ def test_a_frame_for_a_closed_window_is_late_not_parked():
     assert released == [(result.request.request_id, True)]
 
 
+def test_a_straggler_after_its_window_is_forgotten_is_parked_then_released():
+    """A destination forgets a closed window ``soft_timeout`` after it
+    closed (every soft token of its wave has expired by then).  A frame
+    naming it after that looks early: it is parked, and released as late
+    when no begin comes within ``collect_wall_timeout``."""
+    async def scenario():
+        cluster = _cluster(soft_timeout=2.0)
+        request, _ = _a_request(cluster)
+        rid = request.request_id
+        dest = cluster.daemons[request.dest_peer]
+        holder = next(p for p in sorted(cluster.daemons) if p != dest.peer_id)
+        released = []
+
+        async def on_release(src, msg, _inner=cluster.daemons[holder]._on_release):
+            released.append((msg.request_id, msg.soft_only))
+            return await _inner(src, msg)
+
+        cluster.daemons[holder].endpoint.on(codec.SessionRelease, on_release)
+        async with cluster:
+            result = await cluster.compose(request, confirm=False, timeout=30)
+            await asyncio.sleep(2.0 + 0.1)
+            forgotten = rid not in dest._closed
+            del released[:]
+            straggler = codec.CreditReturn(
+                rid, CREDIT // 8, "lost",
+                reports=((holder, 1, ((holder, "cpu", 1.0),), (), 0),),
+            )
+            reply = await dest._on_credit(holder, straggler)
+            parked = len(dest._parked.get(rid, (None, ()))[1])
+            await asyncio.sleep(WALL + 0.3)
+            await dest.drain()
+            left, closed_again = dict(dest._parked), rid in dest._closed
+            soft, errors = _consistent(cluster)
+        return result, forgotten, reply, parked, left, closed_again, released, soft, errors
+
+    result, forgotten, reply, parked, left, closed_again, released, soft, errors = vtime.run(
+        scenario()
+    )
+    assert errors == [] and soft == {}
+    assert result.success and forgotten
+    assert reply == {"ok": True} and parked == 1
+    assert left == {} and closed_again
+    assert released == [(result.request.request_id, True)]
+
+
 def test_a_refused_compose_costs_one_round_trip_and_no_probe():
     async def scenario():
         cluster = _cluster(admission=AdmissionConfig(max_sessions=1))

@@ -11,15 +11,21 @@ still in flight need:
 * the probe-dedup table names no request that holds no soft token at the
   daemon (checked after every batch as well), and with every release
   applied it, ``_tokens`` and ``_timers`` are empty;
-* no collection window and no parked frame is left.
+* no collection window and no parked frame is left;
+* and once ``soft_timeout`` has passed, no closed window either: a
+  destination remembers a closed request id (what tells a late credit
+  frame from an early one) only while a soft token of its wave may live.
 
 A reply cache bounded only by its capacity and a TTL keeps every
 exchange of the run (8 192 entries, 120 s), and a FIFO probe-dedup set
-every probe child (65 536).
+every probe child, and one of closed windows every request id
+(65 536 each).
 """
 
 import asyncio
 from collections import defaultdict
+
+import pytest
 
 from repro.net import ClusterConfig, LiveCluster, MeasurementConfig
 from repro.sim import vtime
@@ -42,7 +48,8 @@ def _record_requests(cluster):
     return sent
 
 
-def test_per_daemon_state_holds_only_what_live_exchanges_need():
+@pytest.fixture(scope="module")
+def drained():
     async def scenario():
         cluster = LiveCluster(
             ClusterConfig(
@@ -83,9 +90,18 @@ def test_per_daemon_state_holds_only_what_live_exchanges_need():
             }
             lives = {d.endpoint.incarnation: peer for peer, d in cluster.daemons.items()}
             errors = cluster.errors()
-        return results, sent, books, tables, lives, stray_dedup, errors
+            # every window closed at its destination; soft_timeout later
+            # no frame of its wave can still hold a token anywhere
+            closed = {"drained": sum(len(d._closed) for d in cluster.daemons.values())}
+            await asyncio.sleep(cluster.config.soft_timeout + 1.0)
+            closed["expired"] = {peer: len(d._closed) for peer, d in cluster.daemons.items()}
+        return results, sent, books, tables, lives, stray_dedup, errors, closed
 
-    results, sent, books, tables, lives, stray_dedup, errors = vtime.run(scenario())
+    return vtime.run(scenario())
+
+
+def test_per_daemon_state_holds_only_what_live_exchanges_need(drained):
+    results, sent, books, tables, lives, stray_dedup, errors, _ = drained
     assert errors == []
     assert sum(r.success for r in results) > COMPOSES // 2
     assert stray_dedup == []
@@ -107,3 +123,10 @@ def test_per_daemon_state_holds_only_what_live_exchanges_need():
     # thousands of exchanges
     assert exchanges > 50 * len(sent)
     assert cached <= 3 * len(sent)
+
+
+def test_a_closed_window_is_forgotten_once_its_soft_tokens_have_expired(drained):
+    results, *_, closed = drained
+    # one closed window per compose, each at its destination
+    assert closed["drained"] == len(results) == COMPOSES
+    assert closed["expired"] == {peer: 0 for peer in closed["expired"]}

@@ -98,15 +98,15 @@ PLANE_DIGEST = "ecbbf2d5eaa6a27da0c4ee851f8f0dba74711c7dc35445fc42f46e9b407ba0d2
 # called code (repro.net.codec apart from the rest of repro.net)
 CALLS = {
     (3, 11): {
-        "repro.net.codec": 10217, "repro.net": 19780, "asyncio": 16135,
-        "repro.core": 17184, "repro.sim": 4733, "repro.topology": 3516,
+        "repro.net.codec": 10217, "repro.net": 19786, "asyncio": 16135,
+        "repro.core": 17184, "repro.sim": 4747, "repro.topology": 3516,
         "repro.dht": 3607, "repro.services": 562,
     },
 }
 PLANE_CALLS = {
     (3, 11): {
-        "repro.net.codec": 11695, "repro.net": 27662, "asyncio": 23016,
-        "repro.core": 17184, "repro.sim": 15445, "repro.topology": 3099,
+        "repro.net.codec": 11695, "repro.net": 27668, "asyncio": 23016,
+        "repro.core": 17184, "repro.sim": 15459, "repro.topology": 3099,
         "repro.dht": 3607, "repro.services": 562,
     },
 }

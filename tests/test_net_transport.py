@@ -8,7 +8,7 @@ from repro.net import codec
 from repro.sim import vtime
 from repro.net.cluster import ClusterConfig, LiveCluster
 from repro.net.codec import MAX_FRAME, MaintenancePing, encode_frame
-from repro.net.rpc import DedupCache, RetryPolicy, RpcEndpoint, RpcFailure, RpcTimeout
+from repro.net.rpc import RetryPolicy, RpcEndpoint, RpcFailure, RpcTimeout
 from repro.net.transport import (
     LoopbackTransport,
     TcpTransport,
@@ -803,18 +803,3 @@ class TestPolicyAndDedup:
             RetryPolicy(retries=-1)
         with pytest.raises(ValueError):
             RetryPolicy(factor=0.5)
-
-    def test_dedup_cache_fifo_eviction(self):
-        cache = DedupCache(capacity=3)
-        assert not cache.seen("a")
-        assert not cache.seen("b")
-        assert not cache.seen("c")
-        assert cache.seen("a")
-        assert not cache.seen("d")  # evicts "a" (oldest)
-        assert "a" not in cache
-        assert not cache.seen("a")
-        assert len(cache) == 3
-
-    def test_dedup_cache_capacity_validation(self):
-        with pytest.raises(ValueError):
-            DedupCache(capacity=0)
