@@ -100,10 +100,10 @@ class QoSVector:
         result is the same to the bit (BCP's admission adds a hop's link
         QoS and the component's Qp to the probe's)."""
         p, l, q = self.values, link.values, qp.values
-        for other in (l, q):
-            if p.keys() != other.keys():
-                raise ValueError(f"metric mismatch: {sorted(p)} vs {sorted(other)}")
-        return QoSVector._from_trusted({m: (p[m] + l[m]) + q[m] for m in p})
+        if p.keys() == l.keys() == q.keys():
+            return QoSVector._from_trusted({m: (p[m] + l[m]) + q[m] for m in p})
+        other = l if p.keys() != l.keys() else q
+        raise ValueError(f"metric mismatch: {sorted(p)} vs {sorted(other)}")
 
     def elementwise_max(self, other: "QoSVector") -> "QoSVector":
         """Metric-wise maximum — aggregates parallel DAG branches, where the

@@ -120,33 +120,28 @@ class ServiceGraph:
             rates[fn] = (in_rate, out_rate)
         return rates
 
+    def _link_table(self) -> List[Tuple[Optional[str], Optional[str], int, int, float]]:
+        """``(from_fn, to_fn, src_peer, dst_peer, bandwidth)`` of every
+        service link, head (sender→sources) to tail (sinks→receiver)."""
+        a, rates, pattern = self.assignment, self._flow_bandwidth, self.pattern
+        rows = []
+        for f in pattern.sources():
+            rows.append((None, f, self.source_peer, a[f].peer, rates[f][0]))
+        for x, y in sorted(pattern.edges):
+            rows.append((x, y, a[x].peer, a[y].peer, rates[x][1]))
+        for f in pattern.sinks():
+            rows.append((f, None, a[f].peer, self.dest_peer, rates[f][1]))
+        return rows
+
     def service_links(self) -> List[ServiceLink]:
         """All service links, head (sender→sources) to tail (sinks→receiver)."""
-        links: List[ServiceLink] = []
-        rates = self._flow_bandwidth
-        for fn in self.pattern.sources():
-            links.append(
-                ServiceLink(None, fn, self.source_peer, self.assignment[fn].peer, rates[fn][0])
-            )
-        for a, b in sorted(self.pattern.edges):
-            links.append(
-                ServiceLink(a, b, self.assignment[a].peer, self.assignment[b].peer, rates[a][1])
-            )
-        for fn in self.pattern.sinks():
-            links.append(
-                ServiceLink(fn, None, self.assignment[fn].peer, self.dest_peer, rates[fn][1])
-            )
-        return links
+        return [ServiceLink(*row) for row in self._link_table()]
 
     def link_rows(self) -> List[Tuple[int, int, float]]:
         """``(src_peer, dst_peer, bandwidth)`` of every service link, in
         :meth:`service_links` order, with no :class:`ServiceLink` built
         (what ψλ reads)."""
-        a, rates = self.assignment, self._flow_bandwidth
-        rows = [(self.source_peer, a[fn].peer, rates[fn][0]) for fn in self.pattern.sources()]
-        rows += [(a[x].peer, a[y].peer, rates[x][1]) for x, y in sorted(self.pattern.edges)]
-        rows += [(a[fn].peer, self.dest_peer, rates[fn][1]) for fn in self.pattern.sinks()]
-        return rows
+        return [row[2:] for row in self._link_table()]
 
     # ------------------------------------------------------------------
     # branch paths & QoS

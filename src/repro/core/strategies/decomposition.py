@@ -240,8 +240,8 @@ class DecompositionComposer(CompositionStrategy):
     # ------------------------------------------------------------------
     def _delays(self, src: int, peers: Sequence[int]) -> np.ndarray:
         router = getattr(self.ctx.overlay, "router", None)
-        if router is not None and hasattr(router, "delays"):
-            return np.asarray(router.delays(src, list(peers)), dtype=float)
+        if router is not None and hasattr(router, "delays_to"):
+            return np.asarray(router.delays_to(src, peers), dtype=float)
         return np.array([self.ctx.overlay.latency(src, p) for p in peers], dtype=float)
 
     def _segment_options(

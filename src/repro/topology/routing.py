@@ -280,14 +280,6 @@ class OverlayRouter:
         index = self._index
         return [row[index[d]] for d in dsts]
 
-    def delays(self, src: int, dsts: Sequence[int]) -> np.ndarray:
-        """Vector of delays from ``src`` to each of ``dsts`` (one slice)."""
-        i = self._index[src]
-        cols = np.fromiter(
-            (self._index[d] for d in dsts), dtype=np.intp, count=len(dsts)
-        )
-        return self._dist[i, cols]
-
     def reachable(self, src: int, dst: int) -> bool:
         return np.isfinite(self._dist[self._index[src], self._index[dst]])
 

@@ -96,6 +96,22 @@ class TestQoSVector:
         b = QoSVector({"delay": d2, "loss": l2})
         assert (a + b).as_dict() == pytest.approx((b + a).as_dict())
 
+    @given(*[small_floats] * 6)
+    @settings(max_examples=50, deadline=None)
+    def test_plus_is_two_additions_to_the_bit(self, d1, l1, d2, l2, d3, l3):
+        p = QoSVector({"delay": d1, "loss": l1})
+        link = QoSVector({"delay": d2, "loss": l2})
+        qp = QoSVector({"delay": d3, "loss": l3})
+        fused = p.plus(link, qp)
+        assert fused.as_dict() == (p + link + qp).as_dict()
+        assert list(fused.values) == list(p.values)
+
+    def test_plus_metric_mismatch_rejected(self):
+        both = QoSVector({"delay": 1.0, "loss": 0.1})
+        for link, qp in ((QoSVector({"delay": 1.0}), both), (both, QoSVector({"loss": 1.0}))):
+            with pytest.raises(ValueError, match="metric mismatch"):
+                both.plus(link, qp)
+
 
 class TestQoSRequirement:
     def test_satisfied_by(self):

@@ -157,6 +157,13 @@ class TestBandwidth:
             min(pool.link_available(l) for l in links)
         )
 
+    def test_headroom_of_many_paths_equals_one_path_at_a_time(self, pool):
+        assert pool.soft_allocate_path("t", 0, 5, 0.5)
+        dsts = [5, 0, 7, 5, 12]
+        assert pool.paths_available_bandwidth(0, dsts) == [
+            pool.path_available_bandwidth(0, d) for d in dsts
+        ]
+
     def test_self_path_infinite(self, pool):
         assert math.isinf(pool.path_available_bandwidth(3, 3))
         assert pool.soft_allocate_path("t", 3, 3, 1e9)

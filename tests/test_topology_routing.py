@@ -130,6 +130,15 @@ class TestOverlayRouter:
         router = OverlayRouter(small_weighted_graph())
         assert sorted(router.peers) == [0, 1, 2, 3]
 
+    def test_row_reads_equal_the_per_pair_reads(self):
+        router = OverlayRouter(small_weighted_graph())
+        dsts = [3, 0, 2, 2, 1]
+        for src in router.peers:
+            assert router.delays_to(src, dsts) == [router.delay(src, d) for d in dsts]
+            assert router.link_index_lists(src, dsts) == [
+                router.link_index_list(src, d) for d in dsts
+            ]
+
 
 class TestReweighted:
     """``reweighted`` re-runs only the shortest paths; everything else of
