@@ -144,14 +144,18 @@ def test_shards_report_the_probe_count_of_one_cluster():
         return LiveCluster(config, scenario=scenario)
 
     def keyed_by_request(cluster, rids):
-        """Every dict on the cluster or a daemon still keyed by a request."""
+        """Every dict on the cluster or a daemon still keyed by a request,
+        but a destination's closed windows (checked on their own below)."""
         owners = {"cluster": cluster, **cluster.daemons}
         return {
             (owner, name)
             for owner, obj in owners.items()
             for name, value in vars(obj).items()
-            if isinstance(value, dict) and rids & set(value)
+            if name != "_closed" and isinstance(value, dict) and rids & set(value)
         }
+
+    def closed_windows(cluster, rids):
+        return {peer: rids & set(d._closed) for peer, d in cluster.daemons.items()}
 
     async def compose_all(requests, *shards):
         by_source = {peer: s for s in shards for peer in s.daemons}
@@ -180,15 +184,22 @@ def test_shards_report_the_probe_count_of_one_cluster():
         try:
             two = await compose_all(requests, even, odd)
             left_behind = keyed_by_request(even, rids) | keyed_by_request(odd, rids)
+            closed = {**closed_windows(even, rids), **closed_windows(odd, rids)}
         finally:
             await odd.stop()  # the guards seal one scenario: last sealed, first unsealed
             await even.stop()
-        return one, two, left_behind, whole.errors() + even.errors() + odd.errors()
+        errors = whole.errors() + even.errors() + odd.errors()
+        return requests, one, two, left_behind, closed, errors
 
-    one, two, left_behind, errors = asyncio.run(scenario())
+    requests, one, two, left_behind, closed, errors = asyncio.run(scenario())
     assert errors == []
     assert sum(one) > 0 and two == one
     assert left_behind == set()
+    # a destination remembers the windows it closed (for soft_timeout,
+    # test_net_bounded_state.py), and nothing else of a request
+    assert closed == {
+        peer: {r.request_id for r in requests if r.dest_peer == peer} for peer in closed
+    }
 
 
 # ----------------------------------------------------------------------
