@@ -144,7 +144,7 @@ class Probe:
         if key is None:
             key = (
                 self.graph.edges,
-                tuple(sorted((f, m.component_id) for f, m in self.assignment.items())),
+                tuple(sorted([(f, m.component_id) for f, m in self.assignment.items()])),
                 self.branch,
             )
             object.__setattr__(self, "_dedup", key)

@@ -147,7 +147,11 @@ class QoSRequirement:
 
     def satisfied_by(self, qos: QoSVector) -> bool:
         """All constrained metrics within bounds (extra metrics ignored)."""
-        return all(qos.values.get(m, math.inf) <= b for m, b in self.bounds.items())
+        values = qos.values
+        for m, b in self.bounds.items():
+            if not values.get(m, math.inf) <= b:
+                return False
+        return True
 
     def violation(self, qos: QoSVector) -> float:
         """Worst relative overshoot; <= 0 means satisfied."""

@@ -73,7 +73,7 @@ class ResourceVector:
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
         keys = set(self.values) | set(other.values)
         out = {k: self.values.get(k, 0.0) - other.values.get(k, 0.0) for k in keys}
-        if any(v < -1e-9 for v in out.values()):
+        if min(out.values(), default=0.0) < -1e-9:
             raise ValueError(f"subtraction would go negative: {out}")
         return ResourceVector._from_trusted({k: max(v, 0.0) for k, v in out.items()})
 
@@ -204,11 +204,11 @@ class ResourcePool:
         return out
 
     def can_host(self, peer: int, req: ResourceVector) -> bool:
-        cap, used = self._capacity[peer], self._used[peer]
-        return all(
-            max(cap.get(k) - used.get(k), 0.0) + 1e-12 >= v
-            for k, v in req.values.items()
-        )
+        cap, used = self._capacity[peer].values, self._used[peer].values
+        for k, v in req.values.items():
+            if max(cap.get(k, 0.0) - used.get(k, 0.0), 0.0) + 1e-12 < v:
+                return False
+        return True
 
     def can_carry(self, src: int, dst: int, bandwidth: float) -> bool:
         return self.path_available_bandwidth(src, dst) + 1e-12 >= bandwidth
@@ -233,13 +233,14 @@ class ResourcePool:
         router = self.overlay.router
         idx = router.link_index_list(src, dst)
         cap, used = self._link_cap, self._link_used
-        if any(max(cap[i] - used[i], 0.0) + 1e-12 < bandwidth for i in idx):
-            return False
+        for i in idx:
+            if max(cap[i] - used[i], 0.0) + 1e-12 < bandwidth:
+                return False
         for i in idx:
             used[i] += bandwidth
         links = router.links(src, dst)
         claim = self._claims.setdefault(token, _Claim())
-        claim.links.extend((l, bandwidth) for l in links)
+        claim.links.extend([(l, bandwidth) for l in links])
         return True
 
     def confirm(self, token: Hashable) -> None:
