@@ -96,6 +96,7 @@ def merge_probes(
     patterns = fg.composition_patterns(max_patterns)
     candidates: List[CandidateGraph] = []
     seen: Set[Tuple] = set()
+    hops: Dict[Tuple[int, int], Tuple[float, float]] = {}  # (latency, loss) per peer pair
     for _, pattern in patterns:
         branches = pattern.branches()
         per_branch: Dict[Tuple[str, ...], List[Probe]] = {b: [] for b in branches}
@@ -140,7 +141,7 @@ def merge_probes(
             candidates.append(
                 CandidateGraph(
                     graph=graph,
-                    qos=graph.end_to_end_qos(overlay),
+                    qos=graph.end_to_end_qos(overlay, hops),
                     arrival_elapsed=partial.elapsed,
                 )
             )

@@ -184,10 +184,17 @@ class ServiceGraph:
             loss += qp.get("loss", 0.0)
         return QoSVector({"delay": delay, "loss": loss})
 
-    def end_to_end_qos(self, overlay: Overlay) -> QoSVector:
+    def end_to_end_qos(
+        self,
+        overlay: Overlay,
+        hops: Optional[Dict[Tuple[int, int], Tuple[float, float]]] = None,
+    ) -> QoSVector:
         """Metric-wise maximum over branch paths (the worst branch rules);
-        each distinct peer pair is read from the overlay once."""
-        hops: Dict[Tuple[int, int], Tuple[float, float]] = {}
+        each distinct peer pair is read from the overlay once — once per
+        ``hops``, when a caller ranking many graphs over one overlay state
+        passes them all the same dict."""
+        if hops is None:
+            hops = {}
         result: Optional[QoSVector] = None
         for branch in self.pattern.branches():
             q = self._branch_qos(overlay, branch, hops)

@@ -99,14 +99,14 @@ PLANE_DIGEST = "ecbbf2d5eaa6a27da0c4ee851f8f0dba74711c7dc35445fc42f46e9b407ba0d2
 CALLS = {
     (3, 11): {
         "repro.net.codec": 10217, "repro.net": 19786, "asyncio": 16135,
-        "repro.core": 14986, "repro.sim": 4747, "repro.topology": 3516,
+        "repro.core": 14986, "repro.sim": 4747, "repro.topology": 3054,
         "repro.dht": 3607, "repro.services": 562,
     },
 }
 PLANE_CALLS = {
     (3, 11): {
-        "repro.net.codec": 11695, "repro.net": 27668, "asyncio": 23016,
-        "repro.core": 14986, "repro.sim": 15459, "repro.topology": 3099,
+        "repro.net.codec": 11695, "repro.net": 27360, "asyncio": 23016,
+        "repro.core": 14986, "repro.sim": 15459, "repro.topology": 2791,
         "repro.dht": 3607, "repro.services": 562,
     },
 }
@@ -117,7 +117,7 @@ PLANE_CALLS = {
 # what each compose returned
 SYNC_CALLS = {
     (3, 11): {
-        "repro.core": 14203, "repro.topology": 3538, "repro.dht": 4214, "repro.sim": 1037,
+        "repro.core": 14203, "repro.topology": 3076, "repro.dht": 4214, "repro.sim": 1037,
         "repro.discovery": 589, "repro.services": 526, "repro.perf": 63,
     },
 }
@@ -129,7 +129,7 @@ PAPER_COMPOSES = 20
 PAPER_TESTBED = dict(n_peers=200, n_functions=6, seed=5)
 PAPER_CALLS = {
     (3, 11): {
-        "repro.core": 111635, "repro.topology": 102156, "repro.sim": 44701,
+        "repro.core": 111635, "repro.topology": 100785, "repro.sim": 44701,
         "repro.dht": 42223, "repro.services": 40157, "repro.discovery": 3995,
         "repro.perf": 180,
     },
