@@ -1,7 +1,8 @@
 """The figures' numbers, pinned at full precision.
 
-Each figure driver runs at its ``python -m repro <fig> --quick`` scale,
-and every number in its result object (success ratios, ψλ-ranked
+Each figure driver runs at its ``python -m repro <fig> --quick`` scale
+(``trust`` and the five ablations at configs smaller still), and every
+number in its result object (success ratios, ψλ-ranked
 delays, setup times, message counts, and the config that produced them)
 is written out as ``path=repr(value)``, one line each, in a canonical
 order, and hashed.  The printed tables round (whole milliseconds, three
@@ -26,12 +27,24 @@ import sys
 
 import pytest
 
+from repro.experiments.ablations import (
+    AblationConfig,
+    ablate_adaptive_budget,
+    ablate_backup_policy,
+    ablate_commutations,
+    ablate_metric_selection,
+    ablate_soft_allocation,
+)
 from repro.experiments.fig8_success_ratio import Fig8Config, run_fig8
 from repro.experiments.fig10_setup_time import Fig10Config, run_fig10
 from repro.experiments.fig11_budget_sweep import Fig11Config, run_fig11
 from repro.experiments.overhead_comparison import OverheadConfig, run_overhead
+from repro.experiments.trust_extension import TrustConfig, run_trust_extension
 
-# the --quick configs of python -m repro
+# the ablations share one config, smaller than the tests of their direction
+ABLATION = AblationConfig(n_ip=100, n_peers=20, n_functions=6, requests=8, budget=12)
+
+# the --quick configs of python -m repro, then trust and the ablations
 FIGURES = {
     "fig8": (
         run_fig8,
@@ -46,6 +59,18 @@ FIGURES = {
         run_overhead,
         OverheadConfig(n_ip=200, n_peers=40, n_functions=12, duration=8, workload=2),
     ),
+    "trust": (
+        run_trust_extension,
+        TrustConfig(
+            n_ip=100, n_peers=24, n_functions=6, sessions=40, batch=20, budget=12,
+            n_sources=4,
+        ),
+    ),
+    "ablate_commutations": (ablate_commutations, ABLATION),
+    "ablate_metric_selection": (ablate_metric_selection, ABLATION),
+    "ablate_soft_allocation": (ablate_soft_allocation, ABLATION),
+    "ablate_backup_policy": (ablate_backup_policy, ABLATION),
+    "ablate_adaptive_budget": (ablate_adaptive_budget, ABLATION),
 }
 
 # SHA-256 over the lines of each figure's result, per interpreter (major, minor)
@@ -55,6 +80,12 @@ PINS = {
         "fig10": "4d5a3038a2f2a3930dcae54cff265dd1b94d33e8e78b8a851e8a4177055445bc",
         "fig11": "8f52d68b05f3b5a9eb73ece86a0a79d86c5e21c44e725be3a48dadaf853c147e",
         "overhead": "43ff1b2d30b85d43b38782b44e198a5ac9775670810138a3211a1dc8f81e0a40",
+        "trust": "88c783cf6bc5eafd080d1e5963dfbd20fe4b9fe24c2a68716cb5a212c6a59e95",
+        "ablate_commutations": "c27f4a589af7c28643df974a4f828b903fd53662542bb611035c1c6c55abb6c4",
+        "ablate_metric_selection": "923625e8aef3d1e545895d7f82801eaf10797d35863ce5ce843230f7f71acf2d",
+        "ablate_soft_allocation": "563affd136d6435adef17e6daedb312005fd89b1c5c220d4ddfe399c7595fe1d",
+        "ablate_backup_policy": "b9559f9e9ed4d71ed4ddc0461bc7be3643c0394e89f351215284fbbc6af5b9fc",
+        "ablate_adaptive_budget": "5bb9dcbd0d2b1454230c1ac01b3269599b690a6b3ea4cd02f20bb376a4875f47",
     },
 }
 
