@@ -9,31 +9,40 @@
 * **static** — picks a fixed, pre-defined component per function (the
   lowest component id — "first deployed"); also requirement-oblivious.
 * **centralized** — the global-view scheme SpiderNet is compared against
-  for overhead: every peer pushes periodic state updates to a central
-  composer, which then runs the same exhaustive selection on its (maybe
-  stale) cached view.  Its message cost = N peers × update rate, accounted
-  in the shared ledger under ``"state_update"``.
+  for overhead: every peer pushes periodic state updates to every other
+  peer, and the composer runs the same exhaustive selection on its
+  (maybe stale) cached view.  Its message cost = N·(N−1) per update
+  round, accounted in the shared ledger under ``"state_update"``.
+
+Each is a :class:`~repro.core.strategies.base.CompositionStrategy`
+registered under its name, built by
+``create_strategy(name, ctx, **options)`` over a
+:class:`~repro.core.strategies.base.StrategyContext`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..discovery.metadata import ServiceMetadata
-from ..discovery.registry import ServiceRegistry
-from ..sim.metrics import MessageLedger
+from ..perf.counters import OpCounters
 from ..sim.rng import as_generator
 from ..topology.overlay import Overlay
 from .bcp import CompositionResult
-from .cost import CostWeights, psi_cost
+from .cost import psi_cost
 from .request import CompositeRequest
 from .resources import ResourcePool, ResourceVector
 from .selection import CandidateGraph, SelectionOutcome, admit_graph
 from .service_graph import ServiceGraph
-from .strategies.base import duplicates_by_function, finalize_selection
+from .strategies.base import (
+    CompositionStrategy,
+    StrategyContext,
+    finalize_selection,
+    register_strategy,
+)
+from .strategies.search import search_compositions
 
 __all__ = [
     "admit_graph",
@@ -117,23 +126,8 @@ def optimal_probe_count(
     return total
 
 
-
-
-@dataclass
-class _ComposerBase:
-    """Shared plumbing for the global-knowledge composers."""
-
-    overlay: Overlay
-    pool: ResourcePool
-    registry: ServiceRegistry
-    ledger: MessageLedger = field(default_factory=MessageLedger)
-    alive: Callable[[int], bool] = lambda p: True
-    cost_weights: Optional[CostWeights] = None
-    max_patterns: int = 8
-    objective: str = "cost"  # destination ranking: "cost" (ψλ) or "delay"
-
-
-class OptimalComposer(_ComposerBase):
+@register_strategy
+class OptimalComposer(CompositionStrategy):
     """Unbounded flooding ground truth: provably best qualified graph.
 
     The *message accounting* is still exhaustive — the ledger is charged
@@ -151,72 +145,77 @@ class OptimalComposer(_ComposerBase):
     class must prove optimality).
     """
 
+    name = "optimal"
     DEFAULT_MAX_SEARCH_SPACE = 10_000_000
 
-    def __init__(self, *args, max_search_space: Optional[int] = None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, ctx: StrategyContext, max_search_space: Optional[int] = None) -> None:
+        super().__init__(ctx)
         self.max_search_space = (
             self.DEFAULT_MAX_SEARCH_SPACE if max_search_space is None else max_search_space
         )
-        self.last_counters = None  # OpCounters of the most recent compose
 
-    def compose(self, request: CompositeRequest, confirm: bool = True) -> CompositionResult:
-        from ..perf.counters import OpCounters
-        from .strategies.search import search_compositions
-
-        duplicates = duplicates_by_function(self.registry, request)
-        probes = optimal_probe_count(request, duplicates, self.max_patterns)
+    def compose(self, request, budget=None, confirm=True, now=None) -> CompositionResult:
+        ctx = self.ctx
+        duplicates = ctx.duplicates(request)
+        probes = optimal_probe_count(request, duplicates, ctx.max_patterns)
         if probes > self.max_search_space:
             raise SearchSpaceExceeded(
                 f"optimal composition over {probes} candidate graphs exceeds the "
                 f"size guard ({self.max_search_space}); raise max_search_space or "
                 f"use an anytime strategy ('backtrack' or 'decompose') instead"
             )
-        self.ledger.record("flood_probe", 256, probes)
+        ctx.ensure_ledger().record("flood_probe", 256, probes)
         counters = OpCounters()
         outcome = search_compositions(
             request,
             duplicates,
-            self.overlay,
-            self.pool,
-            alive=self.alive,
-            cost_weights=self.cost_weights,
-            objective=self.objective,
-            max_patterns=self.max_patterns,
+            ctx.overlay,
+            ctx.pool,
+            alive=ctx.alive_fn,
+            cost_weights=ctx.cost_weights,
+            objective=ctx.objective,
+            max_patterns=ctx.max_patterns,
             node_limit=None,  # exhaustive-equivalent: run to proven optimality
             top_k=64,
             counters=counters,
         )
-        self.last_counters = counters
-        result = finalize_selection(request, outcome.selection(), self.pool, probes, confirm)
+        result = finalize_selection(request, outcome.selection(), ctx.pool, probes, confirm)
         result.phases.update(counters.as_phases())
         return result
 
 
-class RandomComposer(_ComposerBase):
-    """Random functionally-qualified choice; requirement-oblivious."""
+@register_strategy
+class RandomComposer(CompositionStrategy):
+    """Random functionally-qualified choice; requirement-oblivious.
 
-    def __init__(self, *args, rng=None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.rng = as_generator(rng)
+    ``rng`` defaults to the context's generator."""
 
-    def compose(self, request: CompositeRequest, confirm: bool = True) -> CompositionResult:
-        duplicates = duplicates_by_function(self.registry, request)
+    name = "random"
+
+    def __init__(self, ctx: StrategyContext, rng=None) -> None:
+        super().__init__(ctx)
+        self.rng = as_generator(ctx.rng if rng is None else rng)
+
+    def compose(self, request, budget=None, confirm=True, now=None) -> CompositionResult:
+        ctx = self.ctx
+        duplicates = ctx.duplicates(request)
+        alive = ctx.alive_fn
         fg = request.function_graph
         assignment: Dict[str, ServiceMetadata] = {}
         for fn in fg.functions:
-            comps = [c for c in duplicates.get(fn, []) if self.alive(c.peer)]
+            comps = [c for c in duplicates.get(fn, []) if alive(c.peer)]
             if not comps:
                 return CompositionResult(
                     request=request, success=False, failure_reason=f"no component for {fn}"
                 )
             assignment[fn] = comps[int(self.rng.integers(0, len(comps)))]
-        self.ledger.record("random_setup", 128, len(fg))
+        ctx.ensure_ledger().record("random_setup", 128, len(fg))
         return self._finish(request, assignment, confirm)
 
     def _finish(
         self, request: CompositeRequest, assignment: Dict[str, ServiceMetadata], confirm: bool
     ) -> CompositionResult:
+        pool = self.ctx.pool
         graph = ServiceGraph(
             pattern=request.function_graph,
             assignment=assignment,
@@ -224,7 +223,7 @@ class RandomComposer(_ComposerBase):
             dest_peer=request.dest_peer,
             base_bandwidth=request.bandwidth,
         )
-        qos = graph.end_to_end_qos(self.overlay)
+        qos = graph.end_to_end_qos(self.ctx.overlay)
         result = CompositionResult(request=request, success=False, probes_sent=len(assignment))
         result.best = graph
         result.best_qos = qos
@@ -234,31 +233,35 @@ class RandomComposer(_ComposerBase):
             result.failure_reason = "QoS requirement violated"
             return result
         token = (request.request_id, "session")
-        if not admit_graph(graph, self.pool, token):
+        if not admit_graph(graph, pool, token):
             result.failure_reason = "insufficient resources"
             return result
         if confirm:
             result.session_tokens = [token]
         else:
-            self.pool.release(token)
-        result.best_cost = psi_cost(graph, self.pool, self.cost_weights)
+            pool.release(token)
+        result.best_cost = psi_cost(graph, pool, self.ctx.cost_weights)
         result.success = True
         return result
 
 
+@register_strategy
 class StaticComposer(RandomComposer):
     """Pre-defined component per function: the lowest component id."""
 
-    def compose(self, request: CompositeRequest, confirm: bool = True) -> CompositionResult:
+    name = "static"
+
+    def compose(self, request, budget=None, confirm=True, now=None) -> CompositionResult:
+        ctx = self.ctx
         assignment: Dict[str, ServiceMetadata] = {}
         for fn in request.function_graph.functions:
-            comps = self.registry.duplicates(fn, include_down=True)
+            comps = ctx.registry.duplicates(fn, include_down=True)
             if not comps:
                 return CompositionResult(
                     request=request, success=False, failure_reason=f"no component for {fn}"
                 )
             static_choice = min(comps, key=lambda c: c.component_id)
-            if not self.alive(static_choice.peer):
+            if not ctx.alive_fn(static_choice.peer):
                 # the pre-defined component's host is down: the static
                 # scheme has no fallback, the request simply fails
                 return CompositionResult(
@@ -267,25 +270,35 @@ class StaticComposer(RandomComposer):
                     failure_reason=f"static component for {fn} is down",
                 )
             assignment[fn] = static_choice
-        self.ledger.record("static_setup", 128, len(assignment))
+        ctx.ensure_ledger().record("static_setup", 128, len(assignment))
         return self._finish(request, assignment, confirm)
 
 
-class CentralizedComposer(_ComposerBase):
+class _CachedView:
+    """The pool as the centralized composer sees it: peer resources from
+    the last refresh, path bandwidth live (edge routers report
+    utilisation), so :func:`psi_cost` ranks against the cached view."""
+
+    def __init__(self, cached: Dict[int, ResourceVector], pool: ResourcePool) -> None:
+        self._cached = cached
+        self.resource_types = pool.resource_types
+        self.path_available_bandwidth = pool.path_available_bandwidth
+
+    def available_amount(self, peer: int, rtype: str) -> float:
+        return self._cached[peer].get(rtype)
+
+
+@register_strategy
+class CentralizedComposer(CompositionStrategy):
     """Global-view composition over periodically refreshed cached state.
 
-    ``refresh()`` models one update round.  Two dissemination models:
-
-    * ``"global-view"`` (default, the scheme §6.1 compares against):
-      every peer maintains the global view, because any peer may act as
-      a composition source — so each peer's state update must reach all
-      N−1 other peers, costing N·(N−1) message deliveries per round
-      (application-level multicast lower bound).  This is what makes
-      periodic maintenance "more than one order of magnitude" costlier
-      than on-demand probing.
-    * ``"server"`` — a single directory server: N messages per round
-      (every peer uploads once).  Cheaper, but reintroduces the central
-      infrastructure P2P systems exclude; provided for comparison.
+    ``refresh()`` models one update round of the scheme §6.1 compares
+    against: every peer maintains the global view, because any peer may
+    act as a composition source — so each peer's state update must reach
+    all N−1 other peers, costing N·(N−1) message deliveries per round
+    (application-level multicast lower bound).  This is what makes
+    periodic maintenance "more than one order of magnitude" costlier
+    than on-demand probing.
 
     ``compose`` selects on the *cached* snapshot — between refreshes the
     view is stale, which is precisely the imprecision the paper argues
@@ -293,40 +306,34 @@ class CentralizedComposer(_ComposerBase):
     then performed against live state (a session either fits or fails).
     """
 
-    def __init__(
-        self,
-        *args,
-        dissemination: str = "global-view",
-        max_search_space: Optional[int] = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        if dissemination not in ("global-view", "server"):
-            raise ValueError(f"unknown dissemination model {dissemination!r}")
-        self.dissemination = dissemination
+    name = "centralized"
+
+    def __init__(self, ctx: StrategyContext, max_search_space: Optional[int] = None) -> None:
+        super().__init__(ctx)
         self.max_search_space = (
             OptimalComposer.DEFAULT_MAX_SEARCH_SPACE
             if max_search_space is None
             else max_search_space
         )
         self._cached_available: Dict[int, ResourceVector] = {}
+        self._view = _CachedView(self._cached_available, ctx.pool)
         self.refreshes = 0
 
     def refresh(self) -> None:
         """One global state-update round (messages into the ledger)."""
-        peers = self.overlay.peers()
+        peers = self.ctx.overlay.peers()
         for p in peers:
-            self._cached_available[p] = self.pool.available(p)
+            self._cached_available[p] = self.ctx.pool.available(p)
         n = len(peers)
-        msgs = n * (n - 1) if self.dissemination == "global-view" else n
-        self.ledger.record("state_update", 512, msgs)
+        self.ctx.ensure_ledger().record("state_update", 512, n * (n - 1))
         self.refreshes += 1
 
-    def compose(self, request: CompositeRequest, confirm: bool = True) -> CompositionResult:
+    def compose(self, request, budget=None, confirm=True, now=None) -> CompositionResult:
+        ctx = self.ctx
         if not self._cached_available:
             self.refresh()
-        duplicates = duplicates_by_function(self.registry, request)
-        combos = optimal_probe_count(request, duplicates, self.max_patterns)
+        duplicates = ctx.duplicates(request)
+        combos = optimal_probe_count(request, duplicates, ctx.max_patterns)
         if combos > self.max_search_space:
             raise SearchSpaceExceeded(
                 f"centralized composition over {combos} candidate graphs exceeds "
@@ -334,15 +341,14 @@ class CentralizedComposer(_ComposerBase):
                 f"or use an anytime strategy ('backtrack' or 'decompose') instead"
             )
         candidates = enumerate_candidates(
-            request, duplicates, self.overlay, self.alive, self.max_patterns
+            request, duplicates, ctx.overlay, ctx.alive_fn, ctx.max_patterns
         )
-        # rank on the cached view: filter by Qreq, order by a ψ-like cost
-        # computed against cached availability
+        # rank on the cached view: filter by Qreq, order by ψλ
         qualified: List[CandidateGraph] = []
         for cand in candidates:
             if not request.qos.satisfied_by(cand.qos):
                 continue
-            cand.cost = self._cached_cost(cand.graph)
+            cand.cost = psi_cost(cand.graph, self._view, ctx.cost_weights)
             if math.isfinite(cand.cost):
                 qualified.append(cand)
         qualified.sort(key=lambda c: (c.cost, c.qos.values.get("delay", 0.0)))
@@ -351,32 +357,5 @@ class CentralizedComposer(_ComposerBase):
             qualified=qualified,
             n_candidates=len(candidates),
         )
-        self.ledger.record("centralized_setup", 128, len(request.function_graph))
-        return finalize_selection(request, selection, self.pool, probes=0, confirm=confirm)
-
-    def _cached_cost(self, graph: ServiceGraph) -> float:
-        weights = self.cost_weights or CostWeights.uniform(self.pool.resource_types)
-        total = 0.0
-        for meta in graph.components():
-            avail = self._cached_available.get(meta.peer)
-            if avail is None:
-                return math.inf
-            for rtype, w in weights.resource_weights.items():
-                demand = meta.resources.get(rtype)
-                if w == 0.0 or demand == 0.0:
-                    continue
-                a = avail.get(rtype)
-                if a <= 1e-9:
-                    return math.inf
-                total += w * demand / a
-        # link bandwidth is read live even in centralized schemes (edge
-        # routers report utilisation); keep the same term as psi_cost
-        for link in graph.service_links():
-            if link.src_peer == link.dst_peer or link.bandwidth <= 0:
-                continue
-            ba = self.pool.path_available_bandwidth(link.src_peer, link.dst_peer)
-            if ba <= 1e-9:
-                return math.inf
-            if not math.isinf(ba):
-                total += weights.bandwidth_weight * link.bandwidth / ba
-        return total
+        ctx.ensure_ledger().record("centralized_setup", 128, len(request.function_graph))
+        return finalize_selection(request, selection, ctx.pool, probes=0, confirm=confirm)

@@ -1,35 +1,41 @@
 """Pluggable composition strategies.
 
-One request, many ways to compose it.  Every algorithm implements
-:class:`~repro.core.strategies.base.CompositionStrategy` over a shared
-:class:`~repro.core.strategies.base.StrategyContext` and registers under
-a short name, selectable from the sim harness
-(``SpiderNet.use_composer``).  The live cluster always runs ``bcp``:
+One request, many ways to compose it.  Every algorithm is a
+:class:`~repro.core.strategies.base.CompositionStrategy` subclass, built
+as ``cls(ctx, **options)`` over a shared
+:class:`~repro.core.strategies.base.StrategyContext` and registered
+under a short name: ``create_strategy(name, ctx, **options)`` builds
+one, and the sim harness selects one with ``SpiderNet.use_composer``.
+The live cluster always runs ``bcp``:
 
-======================  ================================================
-``bcp``                 the paper's bounded composition probing (§4);
-                        the only strategy that runs distributed
-``optimal``             unbounded flooding ground truth, now with
-                        branch-and-bound pruning + a search-space guard
-``random``              random functionally-qualified choice (§6.1)
-``static``              fixed pre-defined component per function (§6.1)
-``centralized``         global-view selection over periodically pushed
-                        state (§6.1)
-``backtrack``           pruned backtracking search: anytime
-                        branch-and-bound with admissible QoS/ψλ bounds
-``decompose``           topological-layer decomposition + per-segment
-                        beams + exact boundary stitching
-======================  ================================================
+======================  ==========================================  ==================================
+name                    algorithm                                   class
+======================  ==========================================  ==================================
+``bcp``                 the paper's bounded composition probing     ``BCPStrategy`` (``base``)
+                        (§4); the only strategy that runs
+                        distributed
+``optimal``             unbounded flooding ground truth, with       ``OptimalComposer`` (``baselines``)
+                        branch-and-bound pruning + a search-space
+                        guard (§6.1)
+``random``              random functionally-qualified choice        ``RandomComposer`` (``baselines``)
+                        (§6.1)
+``static``              fixed pre-defined component per function    ``StaticComposer`` (``baselines``)
+                        (§6.1)
+``centralized``         global-view selection over periodically     ``CentralizedComposer``
+                        pushed state (§6.1)                         (``baselines``)
+``backtrack``           pruned backtracking search: anytime         ``PrunedBacktrackingComposer``
+                        branch-and-bound with admissible QoS/ψλ
+                        bounds
+``decompose``           topological-layer decomposition +           ``DecompositionComposer``
+                        per-segment beams + exact boundary
+                        stitching
+======================  ==========================================  ==================================
 """
 
 from .backtracking import PrunedBacktrackingComposer
 from .base import (
     BCPStrategy,
-    CentralizedStrategy,
     CompositionStrategy,
-    OptimalStrategy,
-    RandomStrategy,
-    StaticStrategy,
     StrategyContext,
     UnknownStrategyError,
     create_strategy,
@@ -47,6 +53,11 @@ from .search import (
     search_compositions,
 )
 
+# the §6.1 baselines register themselves on import.  ``baselines`` imports
+# ``.base`` back, so only the module is bound here: whichever of the two
+# is imported first, the other then finds the names it needs defined.
+from .. import baselines  # noqa: F401
+
 __all__ = [
     "CompositionStrategy",
     "StrategyContext",
@@ -57,10 +68,6 @@ __all__ = [
     "strategy_names",
     "finalize_selection",
     "BCPStrategy",
-    "OptimalStrategy",
-    "RandomStrategy",
-    "StaticStrategy",
-    "CentralizedStrategy",
     "PrunedBacktrackingComposer",
     "DecompositionComposer",
     "Candidate",

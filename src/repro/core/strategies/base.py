@@ -1,11 +1,11 @@
 """The composition-strategy interface and its name registry.
 
-Composition used to be hard-wired to BCP; the baselines of §6.1 lived in
-``core/baselines.py`` behind ad-hoc constructors.  This module puts one
-abstract interface in front of all of them — ``compose(request)`` on a
-shared :class:`StrategyContext` — plus a name registry so the sim
-harness and ``bench/run.py`` can select an algorithm by string
-(``SpiderNet.use_composer(name)``).
+Every composer — BCP, the §6.1 baselines of ``core/baselines.py`` and
+the search strategies — is one :class:`CompositionStrategy` subclass:
+built as ``cls(ctx, **options)`` over a shared :class:`StrategyContext`,
+composing with ``compose(request)``, and registered under a short name
+so the sim harness and ``bench/run.py`` can select an algorithm by
+string (``create_strategy(name, ctx)``, ``SpiderNet.use_composer(name)``).
 
 Strategies declare ``requires_global_view``: BCP composes from purely
 local state plus probing, so it runs in every substrate including the
@@ -39,13 +39,8 @@ __all__ = [
     "create_strategy",
     "get_strategy",
     "strategy_names",
-    "duplicates_by_function",
     "finalize_selection",
     "BCPStrategy",
-    "OptimalStrategy",
-    "RandomStrategy",
-    "StaticStrategy",
-    "CentralizedStrategy",
 ]
 
 
@@ -133,15 +128,9 @@ class StrategyContext:
         return self.bcp
 
     def duplicates(self, request: CompositeRequest) -> Dict[str, List[ServiceMetadata]]:
-        return duplicates_by_function(self.registry, request)
-
-
-def duplicates_by_function(
-    registry: ServiceRegistry, request: CompositeRequest
-) -> Dict[str, List[ServiceMetadata]]:
-    """Each of the request's functions -> its duplicates, read from the
-    registry's global view (what every global-view composer starts from)."""
-    return {fn: registry.duplicates(fn) for fn in request.function_graph.functions}
+        """Each of the request's functions -> its duplicates, read from the
+        registry's global view (what every global-view composer starts from)."""
+        return {fn: self.registry.duplicates(fn) for fn in request.function_graph.functions}
 
 
 class CompositionStrategy(ABC):
@@ -152,10 +141,6 @@ class CompositionStrategy(ABC):
 
     def __init__(self, ctx: StrategyContext) -> None:
         self.ctx = ctx
-
-    @classmethod
-    def from_context(cls, ctx: StrategyContext, **options) -> "CompositionStrategy":
-        return cls(ctx, **options)
 
     @abstractmethod
     def compose(
@@ -202,7 +187,7 @@ def get_strategy(name: str) -> Type[CompositionStrategy]:
 
 
 def create_strategy(name: str, ctx: StrategyContext, **options) -> CompositionStrategy:
-    return get_strategy(name).from_context(ctx, **options)
+    return get_strategy(name)(ctx, **options)
 
 
 def finalize_selection(
@@ -240,7 +225,7 @@ def finalize_selection(
 
 
 # ----------------------------------------------------------------------
-# adapters: BCP and the §6.1 baselines behind the common interface
+# BCP behind the common interface (the baselines are in core/baselines.py)
 # ----------------------------------------------------------------------
 
 
@@ -265,90 +250,3 @@ class BCPStrategy(CompositionStrategy):
         result.phases.update(counters.as_phases())
         return result
 
-
-class _BaselineStrategy(CompositionStrategy):
-    """Shared adapter plumbing for the §6.1 baseline composers."""
-
-    composer_kwargs: ClassVar[Dict[str, object]] = {}
-
-    def __init__(self, ctx: StrategyContext, **options) -> None:
-        super().__init__(ctx)
-        self._composer = self._build_composer(ctx, **options)
-
-    def _build_composer(self, ctx: StrategyContext, **options):
-        raise NotImplementedError
-
-    @staticmethod
-    def _base_kwargs(ctx: StrategyContext) -> Dict[str, object]:
-        return dict(
-            ledger=ctx.ensure_ledger(),
-            alive=ctx.alive_fn,
-            cost_weights=ctx.cost_weights,
-            max_patterns=ctx.max_patterns,
-            objective=ctx.objective,
-        )
-
-    def compose(self, request, budget=None, confirm=True, now=None) -> CompositionResult:
-        return self._composer.compose(request, confirm=confirm)
-
-
-@register_strategy
-class OptimalStrategy(_BaselineStrategy):
-    """Unbounded flooding with lower-bound pruning (ground truth)."""
-
-    name = "optimal"
-
-    def _build_composer(self, ctx, **options):
-        from ..baselines import OptimalComposer
-
-        return OptimalComposer(
-            ctx.overlay, ctx.pool, ctx.registry, **self._base_kwargs(ctx), **options
-        )
-
-
-@register_strategy
-class RandomStrategy(_BaselineStrategy):
-    """Uniformly random functionally-qualified choice."""
-
-    name = "random"
-
-    def _build_composer(self, ctx, **options):
-        from ..baselines import RandomComposer
-
-        options.setdefault("rng", ctx.rng)
-        return RandomComposer(
-            ctx.overlay, ctx.pool, ctx.registry, **self._base_kwargs(ctx), **options
-        )
-
-
-@register_strategy
-class StaticStrategy(_BaselineStrategy):
-    """Fixed pre-defined component per function (first deployed)."""
-
-    name = "static"
-
-    def _build_composer(self, ctx, **options):
-        from ..baselines import StaticComposer
-
-        options.setdefault("rng", ctx.rng)
-        return StaticComposer(
-            ctx.overlay, ctx.pool, ctx.registry, **self._base_kwargs(ctx), **options
-        )
-
-
-@register_strategy
-class CentralizedStrategy(_BaselineStrategy):
-    """Global-view selection over periodically refreshed cached state."""
-
-    name = "centralized"
-
-    def _build_composer(self, ctx, **options):
-        from ..baselines import CentralizedComposer
-
-        return CentralizedComposer(
-            ctx.overlay, ctx.pool, ctx.registry, **self._base_kwargs(ctx), **options
-        )
-
-    def refresh(self) -> None:
-        """Trigger one state-update round on the wrapped composer."""
-        self._composer.refresh()

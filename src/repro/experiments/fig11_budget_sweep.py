@@ -15,9 +15,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.baselines import OptimalComposer, RandomComposer, optimal_probe_count
+from ..core.baselines import optimal_probe_count
 from ..core.bcp import BCPConfig
 from ..core.quota import ReplicationProportionalQuota
+from ..core.strategies import create_strategy
 from ..workload.generator import RequestConfig
 from ..workload.scenarios import planetlab_testbed
 from .harness import Series, format_table
@@ -70,10 +71,8 @@ def run_fig11(
     # one fixed request sample reused across all budgets so curves differ
     # only by algorithm/budget, not workload noise
     sample = [scenario.requests.next_request() for _ in range(cfg.requests_per_point)]
-    opt = OptimalComposer(
-        net.overlay, net.pool, net.registry, ledger=net.ledger, objective="delay"
-    )
-    rnd = RandomComposer(net.overlay, net.pool, net.registry, ledger=net.ledger, rng=cfg.seed)
+    opt = create_strategy("optimal", net.strategy_context())
+    rnd = create_strategy("random", net.strategy_context(), rng=cfg.seed)
 
     def mean_delay(results: List[Optional[float]]) -> float:
         vals = [v for v in results if v is not None]

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from ..core.baselines import CentralizedComposer
 from ..core.bcp import BCPConfig
+from ..core.strategies import create_strategy
 from ..sim.metrics import RatioMeter
 from ..workload.generator import RequestConfig
 from ..workload.scenarios import simulation_testbed
@@ -121,9 +121,7 @@ def run_overhead(
     # --- centralized side (fresh, identical environment) ---------------
     scenario2 = _build(cfg)
     net2 = scenario2.net
-    composer = CentralizedComposer(
-        net2.overlay, net2.pool, net2.registry, ledger=net2.ledger
-    )
+    composer = create_strategy("centralized", net2.strategy_context())
     held2 = HeldSessions(net2.pool)
     meter2 = RatioMeter()
     next_refresh = 0.0

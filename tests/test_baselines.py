@@ -14,8 +14,16 @@ from repro.core.baselines import (
 from repro.core.bcp import BCPConfig
 from repro.core.function_graph import FunctionGraph
 from repro.core.resources import ResourceVector
+from repro.core.strategies import StrategyContext
 
 from worlds import MicroWorld
+
+
+def context(world, **kwargs):
+    """The world's overlay, pool and registry, with a fresh ledger."""
+    return StrategyContext(
+        overlay=world.overlay, pool=world.pool, registry=world.registry, **kwargs
+    )
 
 
 def populated_world(**kwargs):
@@ -81,9 +89,7 @@ class TestEnumeration:
 class TestOptimalComposer:
     def test_finds_global_best_delay(self):
         world = populated_world()
-        composer = OptimalComposer(
-            world.overlay, world.pool, world.registry, objective="delay"
-        )
+        composer = OptimalComposer(context(world, config=BCPConfig(objective="delay")))
         req = world.request(FunctionGraph.linear(["fa", "fb"]), source=0, dest=7)
         result = composer.compose(req, confirm=False)
         assert result.success
@@ -94,7 +100,7 @@ class TestOptimalComposer:
 
     def test_confirm_holds_resources(self):
         world = populated_world()
-        composer = OptimalComposer(world.overlay, world.pool, world.registry)
+        composer = OptimalComposer(context(world))
         req = world.request(FunctionGraph.linear(["fa", "fb"]), source=0, dest=7)
         result = composer.compose(req, confirm=True)
         assert result.success and result.session_tokens
@@ -104,18 +110,17 @@ class TestOptimalComposer:
 
     def test_probes_charged_to_ledger(self):
         world = populated_world()
-        composer = OptimalComposer(world.overlay, world.pool, world.registry)
+        ctx = context(world)
+        composer = OptimalComposer(ctx)
         req = world.request(FunctionGraph.linear(["fa", "fb"]), source=0, dest=7)
         composer.compose(req, confirm=False)
-        assert composer.ledger.count["flood_probe"] == 6
+        assert ctx.ledger.count["flood_probe"] == 6
 
 
 class TestRandomComposer:
     def test_ignores_qos_may_fail(self):
         world = populated_world()
-        composer = RandomComposer(
-            world.overlay, world.pool, world.registry, rng=np.random.default_rng(0)
-        )
+        composer = RandomComposer(context(world), rng=np.random.default_rng(0))
         req = world.request(
             FunctionGraph.linear(["fa", "fb"]), source=0, dest=7, delay_bound=1e-6
         )
@@ -126,26 +131,20 @@ class TestRandomComposer:
 
     def test_succeeds_with_loose_bounds(self):
         world = populated_world()
-        composer = RandomComposer(
-            world.overlay, world.pool, world.registry, rng=np.random.default_rng(0)
-        )
+        composer = RandomComposer(context(world), rng=np.random.default_rng(0))
         req = world.request(FunctionGraph.linear(["fa", "fb"]), source=0, dest=7)
         assert composer.compose(req, confirm=False).success
 
     def test_missing_function_fails(self):
         world = populated_world()
-        composer = RandomComposer(
-            world.overlay, world.pool, world.registry, rng=np.random.default_rng(0)
-        )
+        composer = RandomComposer(context(world), rng=np.random.default_rng(0))
         req = world.request(FunctionGraph.linear(["fa", "nope"]), source=0, dest=7)
         result = composer.compose(req)
         assert not result.success
 
     def test_choice_varies_over_draws(self):
         world = populated_world()
-        composer = RandomComposer(
-            world.overlay, world.pool, world.registry, rng=np.random.default_rng(0)
-        )
+        composer = RandomComposer(context(world), rng=np.random.default_rng(0))
         req_fn = lambda: world.request(FunctionGraph.linear(["fb"]), source=0, dest=7)
         picks = {
             composer.compose(req_fn(), confirm=False).best.component("fb").component_id
@@ -157,9 +156,7 @@ class TestRandomComposer:
 class TestStaticComposer:
     def test_always_lowest_component_id(self):
         world = populated_world()
-        composer = StaticComposer(
-            world.overlay, world.pool, world.registry, rng=np.random.default_rng(0)
-        )
+        composer = StaticComposer(context(world), rng=np.random.default_rng(0))
         req = world.request(FunctionGraph.linear(["fa", "fb"]), source=0, dest=7)
         result = composer.compose(req, confirm=False)
         assert result.success
@@ -169,8 +166,7 @@ class TestStaticComposer:
     def test_fails_when_static_choice_down(self):
         world = populated_world()
         composer = StaticComposer(
-            world.overlay, world.pool, world.registry,
-            alive=lambda p: p != 2, rng=np.random.default_rng(0),
+            context(world, alive=lambda p: p != 2), rng=np.random.default_rng(0)
         )
         statics = world.registry.duplicates("fa")
         static_peer = min(statics, key=lambda m: m.component_id).peer
@@ -184,37 +180,23 @@ class TestStaticComposer:
 class TestCentralizedComposer:
     def test_composes_on_cached_view(self):
         world = populated_world()
-        composer = CentralizedComposer(world.overlay, world.pool, world.registry)
+        composer = CentralizedComposer(context(world))
         composer.refresh()
         req = world.request(FunctionGraph.linear(["fa", "fb"]), source=0, dest=7)
         assert composer.compose(req, confirm=False).success
 
     def test_global_view_refresh_cost_quadratic(self):
         world = populated_world()
-        composer = CentralizedComposer(world.overlay, world.pool, world.registry)
+        ctx = context(world)
+        composer = CentralizedComposer(ctx)
         composer.refresh()
         n = world.overlay.n_peers
-        assert composer.ledger.count["state_update"] == n * (n - 1)
-
-    def test_server_refresh_cost_linear(self):
-        world = populated_world()
-        composer = CentralizedComposer(
-            world.overlay, world.pool, world.registry, dissemination="server"
-        )
-        composer.refresh()
-        assert composer.ledger.count["state_update"] == world.overlay.n_peers
-
-    def test_bad_dissemination_rejected(self):
-        world = populated_world()
-        with pytest.raises(ValueError):
-            CentralizedComposer(
-                world.overlay, world.pool, world.registry, dissemination="smoke"
-            )
+        assert ctx.ledger.count["state_update"] == n * (n - 1)
 
     def test_stale_view_misjudges_load(self):
         """Between refreshes the cached cost ignores new allocations."""
         world = populated_world()
-        composer = CentralizedComposer(world.overlay, world.pool, world.registry)
+        composer = CentralizedComposer(context(world))
         composer.refresh()
         req = world.request(FunctionGraph.linear(["fa"]), source=0, dest=7)
         first = composer.compose(req, confirm=False)
@@ -234,7 +216,7 @@ class TestCentralizedComposer:
 
     def test_auto_refresh_on_first_compose(self):
         world = populated_world()
-        composer = CentralizedComposer(world.overlay, world.pool, world.registry)
+        composer = CentralizedComposer(context(world))
         req = world.request(FunctionGraph.linear(["fa"]), source=0, dest=7)
         assert composer.compose(req, confirm=False).success
         assert composer.refreshes == 1

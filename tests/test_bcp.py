@@ -13,7 +13,7 @@ from repro.core.bcp import BCP, BCPConfig, derive_next_functions
 from repro.core.function_graph import FunctionGraph
 from repro.core.quota import ReplicationProportionalQuota, UniformQuota
 
-from worlds import MicroWorld
+from worlds import MicroWorld, micro_context
 
 
 def linear_ab():
@@ -394,9 +394,7 @@ class TestAgainstOptimal:
                 world.place(fn, peer=peer, delay=float(rng.uniform(0.001, 0.2)))
         req = world.request(linear_ab(), source=0, dest=7)
         bcp_result = world.bcp.compose(req, confirm=False)
-        opt = OptimalComposer(
-            world.overlay, world.pool, world.registry, objective="delay"
-        )
+        opt = OptimalComposer(micro_context(world))
         opt_result = opt.compose(req, confirm=False)
         assert bcp_result.success and opt_result.success
         assert bcp_result.best_qos.get("delay") == pytest.approx(

@@ -10,6 +10,7 @@ import math
 import pytest
 
 from repro.core.baselines import CentralizedComposer
+from repro.core.strategies import StrategyContext
 from repro.core.bcp import BCPConfig
 from repro.experiments import (
     AblationConfig,
@@ -304,9 +305,9 @@ def _scale_point(n_peers):
         for _ in range(SCALE_REQUESTS)
     )
     per_request = (net.ledger.total_count(kinds) - before) / SCALE_REQUESTS
-    central = CentralizedComposer(net.overlay, net.pool, net.registry)
-    central.refresh()
-    per_round = central.ledger.total_count(["state_update"])
+    ctx = StrategyContext(overlay=net.overlay, pool=net.pool, registry=net.registry)
+    CentralizedComposer(ctx).refresh()
+    per_round = ctx.ledger.total_count(["state_update"])
     return per_request, per_round, ok / SCALE_REQUESTS
 
 

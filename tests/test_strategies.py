@@ -201,7 +201,7 @@ class TestExactness:
     def test_backtrack_matches_optimal_composer(self):
         world = populated_micro_world()
         request = world.request(FunctionGraph.linear(["fa", "fb", "fc"]), source=0, dest=7)
-        optimal = OptimalComposer(world.overlay, world.pool, world.registry)
+        optimal = OptimalComposer(micro_context(world))
         # confirm=False: admission would allocate the winner's resources
         # and skew the second composer's ψλ evaluation
         opt = optimal.compose(request, confirm=False)
@@ -248,9 +248,7 @@ class TestOptimalComposer:
     def test_search_space_guard_raises_clearly(self):
         world = populated_micro_world()
         request = world.request(FunctionGraph.linear(["fa", "fb", "fc"]), source=0, dest=7)
-        optimal = OptimalComposer(
-            world.overlay, world.pool, world.registry, max_search_space=2
-        )
+        optimal = OptimalComposer(micro_context(world), max_search_space=2)
         with pytest.raises(SearchSpaceExceeded, match="backtrack"):
             optimal.compose(request)
 
@@ -266,7 +264,7 @@ class TestOptimalComposer:
     def test_pruned_search_still_finds_the_optimum(self):
         world = populated_micro_world()
         request = world.request(FunctionGraph.linear(["fa", "fb", "fc"]), source=0, dest=7)
-        optimal = OptimalComposer(world.overlay, world.pool, world.registry)
+        optimal = OptimalComposer(micro_context(world))
         result = optimal.compose(request, confirm=False)
         assert result.success
         expected = TestExactness().brute_force_cost(world, request)
