@@ -19,13 +19,6 @@ from .bcp import (
 )
 from .budget import AdaptiveBudgetPolicy, BudgetPolicyConfig
 from .composition import SpiderNet, default_peer_capacity
-from .conditional import (
-    ConditionalAnnotation,
-    branch_probabilities,
-    conditional_link_bandwidths,
-    expected_qos,
-    select_by_expected_qos,
-)
 from .cost import CostWeights, psi_cost
 from .function_graph import FunctionGraph, FunctionGraphError
 from .probe import Probe
@@ -74,7 +67,6 @@ __all__ = [
     "BCP",
     "BCPConfig",
     "CandidateGraph",
-    "ConditionalAnnotation",
     "CentralizedComposer",
     "CompositeRequest",
     "CompositionResult",
@@ -113,8 +105,6 @@ __all__ = [
     "additive_to_loss",
     "admit_graph",
     "backup_count",
-    "branch_probabilities",
-    "conditional_link_bandwidths",
     "bottleneck_order",
     "budget_for_fraction",
     "create_strategy",
@@ -125,7 +115,6 @@ __all__ = [
     "strategy_names",
     "describe_composition",
     "derive_next_functions",
-    "expected_qos",
     "enumerate_candidates",
     "loss_to_additive",
     "merge_probes",
@@ -134,7 +123,6 @@ __all__ = [
     "render_function_graph",
     "render_service_graph",
     "select_backups",
-    "select_by_expected_qos",
     "select_composition",
     "split_budget",
 ]

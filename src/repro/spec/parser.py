@@ -20,10 +20,11 @@ XML —
       <qos delay-ms="800" loss-rate="0.05"/>
       <stream bandwidth-mbps="1.2" source="0" dest="42"
               duration-s="1800" failure-req="0.05"/>
-      <conditional fork="downscale">
-        <branch to="stock_ticker" probability="0.7"/>
-      </conditional>
     </composite-request>
+
+Any other child element is refused, as an unknown JSON key is.  Number
+attributes pass to :func:`~repro.spec.schema.compile_spec` as written,
+which converts them.
 """
 
 from __future__ import annotations
@@ -37,12 +38,14 @@ from .schema import RequestSpec, SpecError, compile_spec
 
 __all__ = ["parse_json", "parse_xml", "load_spec"]
 
+_XML_ELEMENTS = {"function", "edge", "commutation", "qos", "stream"}
+
 
 def parse_json(text: str) -> RequestSpec:
     """Parse a JSON request specification."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecError(f"invalid JSON: {exc}") from exc
     return compile_spec(data)
 
@@ -55,6 +58,9 @@ def parse_xml(text: str) -> RequestSpec:
         raise SpecError(f"invalid XML: {exc}") from exc
     if root.tag != "composite-request":
         raise SpecError(f"root element must be <composite-request>, got <{root.tag}>")
+    unknown = sorted({el.tag for el in root} - _XML_ELEMENTS)
+    if unknown:
+        raise SpecError(f"unknown spec elements: {unknown}")
     spec: Dict[str, Any] = {"name": root.get("name", "request")}
     functions = [el.get("name") for el in root.findall("function")]
     if any(f is None for f in functions):
@@ -78,11 +84,10 @@ def parse_xml(text: str) -> RequestSpec:
         spec["commutations"] = commutations
     qos_el = root.find("qos")
     if qos_el is not None:
-        qos: Dict[str, float] = {}
-        if qos_el.get("delay-ms") is not None:
-            qos["delay_ms"] = float(qos_el.get("delay-ms"))
-        if qos_el.get("loss-rate") is not None:
-            qos["loss_rate"] = float(qos_el.get("loss-rate"))
+        qos: Dict[str, str] = {}
+        for attr, key in (("delay-ms", "delay_ms"), ("loss-rate", "loss_rate")):
+            if qos_el.get(attr) is not None:
+                qos[key] = qos_el.get(attr)
         spec["qos"] = qos
     stream_el = root.find("stream")
     if stream_el is None:
@@ -99,28 +104,7 @@ def parse_xml(text: str) -> RequestSpec:
         ("priority", "priority"),
     ):
         if stream_el.get(attr) is not None:
-            spec[key] = float(stream_el.get(attr))
-    conditional: Dict[str, Dict[str, float]] = {}
-    for el in root.findall("conditional"):
-        fork = el.get("fork")
-        if fork is None:
-            raise SpecError("<conditional> needs a 'fork' attribute")
-        probs: Dict[str, float] = {}
-        for br in el.findall("branch"):
-            to, p = br.get("to"), br.get("probability")
-            if to is None or p is None:
-                raise SpecError("<branch> needs 'to' and 'probability'")
-            probs[to] = float(p)
-        # allow specifying all-but-one branch: the remainder is implied
-        declared = sum(probs.values())
-        if declared < 1.0 - 1e-9:
-            fg_successors = {b for a, b in (tuple(e) for e in edges) if a == fork}
-            missing = fg_successors - set(probs)
-            if len(missing) == 1:
-                probs[missing.pop()] = 1.0 - declared
-        conditional[fork] = probs
-    if conditional:
-        spec["conditional"] = conditional
+            spec[key] = stream_el.get(attr)
     return compile_spec(spec)
 
 

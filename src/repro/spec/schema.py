@@ -28,9 +28,8 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from ..core.conditional import ConditionalAnnotation
 from ..core.function_graph import FunctionGraph
 from ..core.qos import QoSRequirement, loss_to_additive
 from ..core.request import CompositeRequest
@@ -54,7 +53,6 @@ _KNOWN_KEYS = {
     "duration_s",
     "failure_req",
     "priority",
-    "conditional",
 }
 
 _KNOWN_QOS_KEYS = {"delay_ms", "loss_rate"}
@@ -73,7 +71,6 @@ class RequestSpec:
     duration_s: float
     failure_req: float
     priority: float
-    conditional: Optional[ConditionalAnnotation]
 
     def compile(self) -> CompositeRequest:
         return CompositeRequest.create(
@@ -93,12 +90,34 @@ def _require(cond: bool, message: str) -> None:
         raise SpecError(message)
 
 
+def _number(value: Any, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecError(f"{key} must be a number, got {value!r}") from exc
+
+
+def _pairs(raw: Any, key: str) -> List[Tuple[str, str]]:
+    _require(
+        isinstance(raw, Sequence) and not isinstance(raw, (str, bytes)),
+        f"'{key}' must be a list of pairs",
+    )
+    pairs = []
+    for pair in raw:
+        _require(
+            isinstance(pair, Sequence) and len(pair) == 2,
+            f"{key} entry must be a pair, got {pair!r}",
+        )
+        pairs.append((str(pair[0]), str(pair[1])))
+    return pairs
+
+
 def compile_spec(spec: Mapping[str, Any]) -> RequestSpec:
     """Validate a spec mapping and build the internal representation.
 
     Unknown keys are rejected (a typo'd key silently ignored would make
-    the request laxer than the user wrote), units are converted, and the
-    function graph + conditional annotation are cross-validated.
+    the request laxer than the user wrote), units are converted, and any
+    malformed value raises :class:`SpecError`, never another exception.
     """
     _require(isinstance(spec, Mapping), f"spec must be a mapping, got {type(spec).__name__}")
     unknown = set(spec) - _KNOWN_KEYS
@@ -114,24 +133,10 @@ def compile_spec(spec: Mapping[str, Any]) -> RequestSpec:
 
     raw_edges = spec.get("edges")
     if raw_edges is None:
-        graph_edges: List[Tuple[str, str]] = list(zip(functions, functions[1:]))
+        graph_edges = list(zip(functions, functions[1:]))
     else:
-        _require(isinstance(raw_edges, Sequence), "'edges' must be a list of pairs")
-        graph_edges = []
-        for e in raw_edges:
-            _require(
-                isinstance(e, Sequence) and len(e) == 2,
-                f"edge must be a [from, to] pair, got {e!r}",
-            )
-            graph_edges.append((str(e[0]), str(e[1])))
-
-    commutations = []
-    for pair in spec.get("commutations", []):
-        _require(
-            isinstance(pair, Sequence) and len(pair) == 2,
-            f"commutation must be a pair, got {pair!r}",
-        )
-        commutations.append((str(pair[0]), str(pair[1])))
+        graph_edges = _pairs(raw_edges, "edges")
+    commutations = _pairs(spec.get("commutations", []), "commutations")
 
     try:
         fg = FunctionGraph.from_edges(functions, graph_edges, commutations)
@@ -144,11 +149,11 @@ def compile_spec(spec: Mapping[str, Any]) -> RequestSpec:
     _require(not unknown_qos, f"unknown qos keys: {sorted(unknown_qos)}")
     bounds: Dict[str, float] = {}
     if "delay_ms" in qos_spec:
-        delay_ms = float(qos_spec["delay_ms"])
+        delay_ms = _number(qos_spec["delay_ms"], "delay_ms")
         _require(delay_ms > 0, f"delay_ms must be positive, got {delay_ms}")
         bounds["delay"] = delay_ms / 1000.0
     if "loss_rate" in qos_spec:
-        loss = float(qos_spec["loss_rate"])
+        loss = _number(qos_spec["loss_rate"], "loss_rate")
         _require(0.0 < loss < 1.0, f"loss_rate must be in (0,1), got {loss}")
         bounds["loss"] = loss_to_additive(loss)
     qos = QoSRequirement(bounds)
@@ -159,27 +164,14 @@ def compile_spec(spec: Mapping[str, Any]) -> RequestSpec:
              "'source' and 'dest' peer ids are required integers")
     _require(source != dest, "source and dest must differ")
 
-    bandwidth = float(spec.get("bandwidth_mbps", 0.5))
+    bandwidth = _number(spec.get("bandwidth_mbps", 0.5), "bandwidth_mbps")
     _require(bandwidth > 0, f"bandwidth_mbps must be positive, got {bandwidth}")
-    duration = float(spec.get("duration_s", 600.0))
+    duration = _number(spec.get("duration_s", 600.0), "duration_s")
     _require(duration > 0, f"duration_s must be positive, got {duration}")
-    failure_req = float(spec.get("failure_req", 0.05))
+    failure_req = _number(spec.get("failure_req", 0.05), "failure_req")
     _require(0.0 < failure_req <= 1.0, "failure_req must be in (0,1]")
-    priority = float(spec.get("priority", 1.0))
+    priority = _number(spec.get("priority", 1.0), "priority")
     _require(priority > 0, "priority must be positive")
-
-    conditional: Optional[ConditionalAnnotation] = None
-    raw_cond = spec.get("conditional")
-    if raw_cond is not None:
-        _require(isinstance(raw_cond, Mapping), "'conditional' must map forks to branch probabilities")
-        try:
-            conditional = ConditionalAnnotation(
-                {str(fn): {str(s): float(p) for s, p in probs.items()}
-                 for fn, probs in raw_cond.items()}
-            )
-            conditional.validate_against(fg)
-        except ValueError as exc:
-            raise SpecError(f"invalid conditional annotation: {exc}") from exc
 
     return RequestSpec(
         name=str(spec.get("name", "request")),
@@ -191,7 +183,6 @@ def compile_spec(spec: Mapping[str, Any]) -> RequestSpec:
         duration_s=duration,
         failure_req=failure_req,
         priority=priority,
-        conditional=conditional,
     )
 
 

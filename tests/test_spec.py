@@ -1,8 +1,11 @@
 """Tests for the request specification layer (JSON/XML → CompositeRequest)."""
 
 import json
+from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.qos import additive_to_loss
 from repro.spec import (
@@ -13,6 +16,8 @@ from repro.spec import (
     parse_xml,
     spec_from_request,
 )
+
+from worlds import fuzz_settings
 
 
 def base_spec():
@@ -26,6 +31,17 @@ def base_spec():
         "duration_s": 1800,
         "failure_req": 0.05,
     }
+
+
+# what a JSON document can hold, NaN and the infinities included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+SPEC_KEYS = sorted(base_spec()) + ["edges", "commutations", "priority", "conditional"]
+QOS_KEYS = ["delay_ms", "loss_rate", "jitter_ms"]
 
 
 class TestCompileSpec:
@@ -62,15 +78,6 @@ class TestCompileSpec:
         compiled = compile_spec(spec)
         assert len(compiled.function_graph.commutations) == 1
 
-    def test_conditional_annotation(self):
-        spec = dict(base_spec())
-        spec["functions"] = ["a", "b", "c", "d"]
-        spec["edges"] = [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]
-        spec["conditional"] = {"a": {"b": 0.7, "c": 0.3}}
-        compiled = compile_spec(spec)
-        assert compiled.conditional is not None
-        assert compiled.conditional.probability("a", "b") == pytest.approx(0.7)
-
     def test_defaults_applied(self):
         spec = {"functions": ["f"], "source": 0, "dest": 1}
         compiled = compile_spec(spec)
@@ -89,6 +96,31 @@ class TestCompileSpec:
         with pytest.raises(SpecError, match="unknown qos keys"):
             compile_spec(spec)
 
+    def test_conditional_key_rejected(self):
+        """The conditional-branch model is gone: its key is unknown."""
+        spec = dict(base_spec())
+        spec["conditional"] = {"downscale": {"stock_ticker": 1.0}}
+        with pytest.raises(SpecError, match="unknown spec keys"):
+            compile_spec(spec)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("qos", {"delay_ms": "abc"}),
+            ("qos", {"delay_ms": None}),
+            ("qos", {"loss_rate": 10**400}),
+            ("bandwidth_mbps", [1]),
+            ("priority", {}),
+            ("commutations", 5),
+            ("edges", [["a", "b"], 7]),
+        ],
+    )
+    def test_malformed_values_raise_spec_error(self, key, value):
+        spec = dict(base_spec())
+        spec[key] = value
+        with pytest.raises(SpecError):
+            compile_spec(spec)
+
     def test_same_endpoints_rejected(self):
         spec = dict(base_spec())
         spec["dest"] = spec["source"]
@@ -99,12 +131,6 @@ class TestCompileSpec:
         spec = dict(base_spec())
         spec["edges"] = [["downscale", "ghost"]]
         with pytest.raises(SpecError, match="invalid function graph"):
-            compile_spec(spec)
-
-    def test_bad_conditional_rejected(self):
-        spec = dict(base_spec())
-        spec["conditional"] = {"downscale": {"stock_ticker": 0.5}}
-        with pytest.raises(SpecError, match="conditional"):
             compile_spec(spec)
 
     def test_bad_values_rejected(self):
@@ -136,6 +162,19 @@ class TestJsonParser:
         with pytest.raises(SpecError, match="invalid JSON"):
             parse_json("{not json")
 
+    @fuzz_settings(300)
+    @given(
+        top=st.dictionaries(st.sampled_from(SPEC_KEYS), JSON_VALUES, max_size=4),
+        qos=st.dictionaries(st.sampled_from(QOS_KEYS), JSON_VALUES, max_size=2),
+    )
+    def test_any_mapping_parses_or_raises_spec_error(self, top, qos):
+        spec = dict(base_spec(), qos=qos)
+        spec.update(top)
+        try:
+            parse_json(json.dumps(spec))
+        except SpecError:
+            pass
+
 
 XML_DOC = """
 <composite-request name="mobile-news-stream">
@@ -149,6 +188,18 @@ XML_DOC = """
   <stream bandwidth-mbps="1.2" source="0" dest="42" duration-s="1800"/>
 </composite-request>
 """
+
+
+XML_ATTRS = [
+    ("qos", "delay-ms"),
+    ("qos", "loss-rate"),
+    ("stream", "source"),
+    ("stream", "dest"),
+    ("stream", "bandwidth-mbps"),
+    ("stream", "duration-s"),
+    ("stream", "failure-req"),
+    ("stream", "priority"),
+]
 
 
 class TestXmlParser:
@@ -171,20 +222,37 @@ class TestXmlParser:
         with pytest.raises(SpecError, match="invalid XML"):
             parse_xml("<unclosed")
 
-    def test_conditional_with_implied_remainder(self):
-        doc = """
-        <composite-request>
-          <function name="a"/><function name="b"/>
-          <function name="c"/><function name="d"/>
-          <edge from="a" to="b"/><edge from="a" to="c"/>
-          <edge from="b" to="d"/><edge from="c" to="d"/>
-          <conditional fork="a"><branch to="b" probability="0.7"/></conditional>
-          <stream source="0" dest="9"/>
-        </composite-request>
-        """
-        spec = parse_xml(doc)
-        assert spec.conditional.probability("a", "c") == pytest.approx(0.3)
+    def test_unknown_element_rejected(self):
+        """A child the front-end does not know (the conditional-branch
+        model's ``<conditional>``, for one) is refused, not skipped."""
+        doc = XML_DOC.replace(
+            "</composite-request>",
+            '<conditional fork="downscale"><branch to="stock_ticker" probability="1"/>'
+            "</conditional></composite-request>",
+        )
+        with pytest.raises(SpecError, match="unknown spec elements"):
+            parse_xml(doc)
 
+    @pytest.mark.parametrize(
+        "element, attr, value",
+        [("qos", "delay-ms", "abc"), ("stream", "bandwidth-mbps", "x")],
+    )
+    def test_malformed_attribute_raises_spec_error(self, element, attr, value):
+        root = ElementTree.fromstring(XML_DOC)
+        root.find(element).set(attr, value)
+        with pytest.raises(SpecError, match=attr.replace("-", "_")):
+            parse_xml(ElementTree.tostring(root, encoding="unicode"))
+
+    @fuzz_settings(300)
+    @given(attrs=st.dictionaries(st.sampled_from(XML_ATTRS), st.text(max_size=8), max_size=4))
+    def test_any_attribute_strings_parse_or_raise_spec_error(self, attrs):
+        root = ElementTree.fromstring(XML_DOC)
+        for (element, attr), value in attrs.items():
+            root.find(element).set(attr, value)
+        try:
+            parse_xml(ElementTree.tostring(root, encoding="unicode"))
+        except SpecError:
+            pass
 
 class TestLoadSpec:
     def test_load_json_file(self, tmp_path):
