@@ -38,6 +38,7 @@ import asyncio
 import heapq
 import itertools
 import math
+import weakref
 from asyncio import events
 from typing import Any, Callable, Optional
 
@@ -67,17 +68,22 @@ class _Timer(events.TimerHandle):
 
 
 class _Jump:
-    """Stands in for the selector: a wait for the next timer is a jump of the clock."""
+    """Stands in for the selector: a wait for the next timer is a jump of the clock.
+
+    It holds its loop weakly.  A strong reference would put every loop in
+    a cycle with its stand-in, so a dropped loop would outlive its last
+    user until the garbage collector found it, and run its finalizer in
+    whatever code the collector happened to interrupt."""
 
     __slots__ = ("_loop",)
 
     def __init__(self, loop: "VirtualTimeLoop") -> None:
-        self._loop = loop
+        self._loop = weakref.ref(loop)
 
     def select(self, timeout):
         if timeout == 0:
             return ()
-        loop = self._loop
+        loop = self._loop()
         # the loop has dropped cancelled timers off the head of its heap
         when = loop._scheduled[0]._when if loop._scheduled else None
         until = loop._until

@@ -18,16 +18,19 @@ the digest of one run.
 """
 
 import asyncio
+import gc
 import hashlib
 import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 from repro.net import ClusterConfig, LiveCluster, codec
 from repro.sim import vtime
+from repro.workload.scenarios import simulation_testbed
 
 
 async def _digest(seed: int) -> str:
@@ -99,6 +102,24 @@ def test_an_await_nothing_will_resolve_raises_instead_of_hanging():
 
     with pytest.raises(vtime.Deadlock):
         vtime.run(stuck())
+
+
+def test_a_dropped_simulator_loop_goes_without_the_collector():
+    """A scenario's loop is freed with the scenario, not left for the
+    garbage collector: a loop the collector finds runs its finalizer
+    inside whatever code the collector interrupts, such as the count
+    gate's counted window."""
+    gc.collect()
+    gc.disable()
+    try:
+        scenario = simulation_testbed(n_ip=60, n_peers=10, n_functions=4, seed=0)
+        scenario.net.compose(scenario.requests.next_request(), budget=8)
+        vtime.advance(scenario.net.loop, until=5.0)
+        loop = weakref.ref(scenario.net.loop)
+        del scenario
+        assert loop() is None
+    finally:
+        gc.enable()
 
 
 if __name__ == "__main__":
