@@ -249,4 +249,3 @@ class BCPStrategy(CompositionStrategy):
         counters.incr("arrivals", result.candidates_examined)
         result.phases.update(counters.as_phases())
         return result
-

@@ -71,6 +71,7 @@ def run_fig11(
     # one fixed request sample reused across all budgets so curves differ
     # only by algorithm/budget, not workload noise
     sample = [scenario.requests.next_request() for _ in range(cfg.requests_per_point)]
+    # the context carries the scenario's BCPConfig: optimal minimises delay
     opt = create_strategy("optimal", net.strategy_context())
     rnd = create_strategy("random", net.strategy_context(), rng=cfg.seed)
 
