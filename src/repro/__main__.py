@@ -18,14 +18,9 @@ Live subcommands run the same protocol over real asyncio transports
     python -m repro compose-live --transport tcp --peers 10 --requests 5
     python -m repro compose-live --concurrency 8 --requests 16
     python -m repro serve --peers 5 --duration 30  # keep a cluster up
-    python -m repro cluster --peers 48 --procs 4 --rate 120  # multi-process soak
-    python -m repro cluster --admission --kill 5   # overload + churn survival
 
-``cluster`` shards one logical TCP cluster across worker processes
-(spawned as ``python -m repro cluster-worker``, an internal subcommand)
-and drives it with an open-loop Poisson load; ``--admission`` arms the
-per-peer overload guard so excess sessions are shed with a fast ``Busy``
-reply instead of timing out.
+Every live subcommand runs one whole cluster in one process; open-loop
+load on TCP is ``bench/run.py``'s ``live-open-tcp`` workload.
 
 For the live subcommands ``--profile`` prints a
 :class:`~repro.perf.PhaseTimer` boot/compose/shutdown breakdown instead
@@ -207,88 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--kill", type=int, default=None, metavar="PEER",
         help="kill this peer after the first composition (exercises retry)",
     )
-    scale = subs.add_parser(
-        "cluster",
-        help="scale-out harness: shard one cluster over N worker "
-        "processes and drive it with open-loop load",
-    )
-    scale.add_argument("--peers", type=int, default=16, help="overlay peers")
-    scale.add_argument("--functions", type=int, default=8, help="service functions")
-    scale.add_argument(
-        "--procs", type=int, default=2, help="worker processes to shard over"
-    )
-    scale.add_argument(
-        "--port-base", type=int, default=27000,
-        help="peer p listens on port-base+p (must be free)",
-    )
-    scale.add_argument("--seed", type=int, default=0, help="environment RNG seed")
-    scale.add_argument(
-        "--rate", type=float, default=20.0,
-        help="cluster-wide offered load, requests/second (open loop)",
-    )
-    scale.add_argument(
-        "--duration", type=float, default=5.0, help="load phase length, seconds"
-    )
-    scale.add_argument("--budget", type=int, default=None, help="probing budget override")
-    scale.add_argument(
-        "--request-timeout", type=float, default=10.0,
-        help="per-composition result timeout, seconds",
-    )
-    scale.add_argument(
-        "--confirm",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="confirm winning compositions to firm tokens (default); "
-        "--no-confirm releases every session after selection",
-    )
-    scale.add_argument(
-        "--measure",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="topology measurement plane on each shard (default)",
-    )
-    scale.add_argument(
-        "--admission",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="per-peer overload survival: session admission with fast "
-        "Busy rejection, probe shedding, budget degradation",
-    )
-    scale.add_argument(
-        "--max-sessions", type=int, default=8, metavar="N",
-        help="with --admission: concurrent collection windows per peer",
-    )
-    scale.add_argument(
-        "--probe-soft-limit", type=int, default=48, metavar="N",
-        help="with --admission: probe tasks before budgets halve",
-    )
-    scale.add_argument(
-        "--max-probe-tasks", type=int, default=96, metavar="N",
-        help="with --admission: probe tasks before probes are shed",
-    )
-    scale.add_argument(
-        "--kill", type=int, default=None, metavar="PEER",
-        help="kill this peer mid-load (scripted churn)",
-    )
-    scale.add_argument(
-        "--kill-after", type=float, default=1.0, metavar="SECONDS",
-        help="with --kill: seconds into the load phase to kill at",
-    )
-    scale.add_argument(
-        "--revive-after", type=float, default=None, metavar="SECONDS",
-        help="with --kill: seconds into the load phase to revive at",
-    )
-    scale.add_argument(
-        "--json", action="store_true",
-        help="print the full merged report as JSON instead of a summary",
-    )
-    worker = subs.add_parser(
-        "cluster-worker",
-        help="internal: one shard of a 'cluster' run (spawned by the "
-        "controller, speaks JSON lines on stdin/stdout)",
-    )
-    worker.add_argument("config", help="ScaleoutConfig as a JSON object")
-    worker.add_argument("--shard", type=int, required=True, help="shard index")
     return parser
 
 
@@ -494,89 +407,6 @@ async def _compose_live(args, trace: Optional[EventTrace]) -> int:
     return 1 if failures else 0
 
 
-def _scaleout_config(args):
-    from .net import AdmissionConfig
-    from .net.scaleout import ScaleoutConfig
-
-    admission = None
-    if args.admission:
-        admission = AdmissionConfig(
-            max_sessions=args.max_sessions,
-            probe_soft_limit=args.probe_soft_limit,
-            max_probe_tasks=args.max_probe_tasks,
-        )
-    return ScaleoutConfig(
-        n_peers=args.peers,
-        n_functions=args.functions,
-        procs=args.procs,
-        port_base=args.port_base,
-        seed=args.seed,
-        rate=args.rate,
-        duration=args.duration,
-        budget=args.budget,
-        confirm=args.confirm,
-        request_timeout=args.request_timeout,
-        measure=args.measure,
-        admission=admission,
-        kill_peer=args.kill,
-        kill_after=args.kill_after,
-        revive_after=args.revive_after,
-    )
-
-
-async def _cluster(args) -> int:
-    import json as _json
-
-    from .net.scaleout import run_scaleout
-
-    cfg = _scaleout_config(args)
-    print(
-        f"scale-out: {cfg.n_peers} peers / {cfg.procs} procs, "
-        f"{cfg.rate:g} req/s for {cfg.duration:g}s "
-        f"(admission {'on' if cfg.admission else 'off'})",
-        # with --json stdout is pure JSON (pipeable); banner to stderr
-        file=sys.stderr if args.json else sys.stdout,
-        flush=True,
-    )
-    report = await run_scaleout(cfg)
-    if args.json:
-        report = dict(report)
-        print(_json.dumps(report, indent=2))
-    else:
-        s = report["summary"]
-        print(
-            f"  offered {s['offered']} ({s['offered_rate']:.1f}/s): "
-            f"{s['ok']} ok, {s['busy']} shed, "
-            f"{s['failed']} failed, {s['error']} errors"
-        )
-        print(
-            f"  goodput {s['goodput']:.1f}/s, "
-            f"ok p50 {s['latency_ok']['p50'] * 1000:.0f} ms / "
-            f"p99 {s['latency_ok']['p99'] * 1000:.0f} ms, "
-            f"shed p99 {s['latency_busy']['p99'] * 1000:.0f} ms"
-        )
-        adm = report["admission"]
-        if adm["enabled"]:
-            print(
-                f"  admission: {adm['sessions_admitted']} admitted, "
-                f"{adm['sessions_rejected']} rejected, "
-                f"{adm['probes_shed']} probes shed, "
-                f"{adm['budget_degrades']} budget degrades"
-            )
-        if report["errors"]:
-            print(f"  daemon errors: {report['errors']}")
-    return 1 if report["errors"] else 0
-
-
-async def _cluster_worker(args) -> int:
-    import json as _json
-
-    from .net.scaleout import ScaleoutConfig, run_worker
-
-    cfg = ScaleoutConfig.from_dict(_json.loads(args.config))
-    return await run_worker(cfg, args.shard)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -589,10 +419,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return asyncio.run(_serve(args, trace))
         if args.experiment == "compose-live":
             return asyncio.run(_compose_live(args, trace))
-        if args.experiment == "cluster":
-            return asyncio.run(_cluster(args))
-        if args.experiment == "cluster-worker":
-            return asyncio.run(_cluster_worker(args))
         names = sorted(_RUNNERS) if args.experiment == "all" else [args.experiment]
         for name in names:
             _run_one(

@@ -31,15 +31,10 @@ Modules
                routing feeds on
 ``accounting`` ``MessageLedger`` adapter mapping wire frames onto the
                simulation's overhead-accounting categories
-``cluster``    boots N peers on localhost and composes end-to-end
-``admission``  per-peer overload survival: session admission with fast
-               ``Busy`` rejection, probe shedding/degradation
-``scaleout``   multi-process launcher + open-loop load driver
-               (``python -m repro cluster``)
+``cluster``    boots N peers in one process and composes end-to-end
 """
 
 from .accounting import LedgerTap
-from .admission import AdmissionConfig, LoadGuard
 from .codec import (
     CodecError,
     FrameReader,
@@ -57,14 +52,6 @@ from .measurement import (
     MeasurementPlane,
 )
 from .peer import PeerDaemon
-from .scaleout import (
-    LoadDriver,
-    RequestRecord,
-    ScaleoutConfig,
-    ScaleoutController,
-    run_scaleout,
-    summarize_records,
-)
 from .rpc import (
     RetryPolicy,
     RpcEndpoint,
@@ -99,12 +86,4 @@ __all__ = [
     "SharedStateViolation",
     "ClusterConfig",
     "LiveCluster",
-    "AdmissionConfig",
-    "LoadGuard",
-    "LoadDriver",
-    "RequestRecord",
-    "ScaleoutConfig",
-    "ScaleoutController",
-    "run_scaleout",
-    "summarize_records",
 ]

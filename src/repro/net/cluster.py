@@ -42,7 +42,6 @@ from ..core.request import CompositeRequest
 from ..workload.generator import RequestConfig
 from ..workload.scenarios import Scenario, simulation_testbed
 from .accounting import LedgerTap
-from .admission import AdmissionConfig, LoadGuard
 from .directory import DirectorySlice
 from .guard import SharedStateGuard
 from .measurement import MeasuredOverlayView, MeasurementConfig, MeasurementPlane
@@ -79,15 +78,6 @@ class ClusterConfig:
     # routing); MeasurementConfig(enabled=False) reproduces the
     # pre-measurement behaviour exactly
     measurement: Optional[MeasurementConfig] = None
-    # per-peer overload survival (session admission + probe shedding):
-    # None -> no guard at all.  A guard whose limits are never exceeded
-    # makes the same selections as none.
-    admission: Optional[AdmissionConfig] = None
-    # scale-out sharding: the subset of overlay peers hosted by THIS
-    # process (None = host all of them, the single-process default).
-    # A proper subset requires tcp + port_base, so remote peers sit at
-    # computable (host, port_base + peer) addresses in sibling processes.
-    hosted: Optional[Tuple[int, ...]] = None
 
 
 class LiveCluster:
@@ -141,35 +131,9 @@ class LiveCluster:
         # guard records it (then raises) instead of letting it pass
         self.shared_guard = SharedStateGuard()
         self._ring = self.net.dht.ring_snapshot()
-        all_peers = sorted(scenario.overlay.peers())
-        if cfg.hosted is None:
-            hosted = all_peers
-        else:
-            hosted = sorted({int(p) for p in cfg.hosted})
-            unknown = [p for p in hosted if p not in set(all_peers)]
-            if unknown:
-                raise ValueError(f"hosted peers not in the overlay: {unknown}")
-            if set(hosted) != set(all_peers) and (
-                cfg.transport != "tcp" or cfg.port_base is None
-            ):
-                raise ValueError(
-                    "hosted shards require transport='tcp' with port_base "
-                    "set, so sibling processes' peers have computable "
-                    "addresses"
-                )
-        self.hosted: Tuple[int, ...] = tuple(hosted)
-        self.daemons: Dict[int, PeerDaemon] = {}
-        for peer in hosted:
-            self.daemons[peer] = self._build_daemon(peer)
-        if set(hosted) != set(all_peers):
-            # every non-hosted peer lives in a sibling process at a
-            # deterministic address; dialers read this table directly
-            assert isinstance(self.transport, TcpTransport)
-            for peer in all_peers:
-                if peer not in self.daemons:
-                    self.transport.addresses.setdefault(
-                        peer, (self.transport.host, cfg.port_base + peer)
-                    )
+        self.daemons: Dict[int, PeerDaemon] = {
+            peer: self._build_daemon(peer) for peer in sorted(scenario.overlay.peers())
+        }
         self._compose_tasks: Set[asyncio.Task] = set()
         self._started = False
 
@@ -248,9 +212,6 @@ class LiveCluster:
             collect_wall_timeout=cfg.collect_wall_timeout,
             maint_interval=cfg.maint_interval,
             measurement=plane,
-            # a fresh guard each time: admission state is the process's,
-            # and a restarted process forgets
-            guard=LoadGuard(cfg.admission) if cfg.admission is not None else None,
         )
 
     @property
@@ -261,19 +222,9 @@ class LiveCluster:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "LiveCluster":
-        await self.start_transport()
-        return await self.activate()
-
-    async def start_transport(self) -> "LiveCluster":
-        """Boot phase 1: bind the transport (TCP listeners come up, no
-        frame is sent).  Split out so a multi-process launch can bring
-        every shard's listeners up before any shard starts registering —
-        boot registration is DHT-routed and may land on any process."""
+        """Bind the transport, seal shared state, register components,
+        start the measurement planes."""
         await self.transport.start()
-        return self
-
-    async def activate(self) -> "LiveCluster":
-        """Boot phase 2: seal shared state, register components, probe."""
         # seal *before* populating the directory: registration must
         # itself be wire-only for the no-shared-reads proof to hold
         self.shared_guard.seal(self.net.registry, self.net.pool, self.net.dht)
@@ -298,7 +249,7 @@ class LiveCluster:
         return self
 
     async def _populate_directory(self) -> None:
-        """Boot-time registration pass: every hosting daemon pushes its
+        """Boot-time registration pass: every daemon pushes its
         components to their DHT owners — one RegisterBatch per (registrant,
         replica) pair.  Registrants run concurrently: each row still only
         becomes visible through its owner's RPC reply, and at boot no
@@ -306,8 +257,7 @@ class LiveCluster:
         immaterial."""
         by_peer: Dict[int, list] = {}
         for spec in self.scenario.population:
-            if spec.peer in self.daemons:  # hosted shard registers its own
-                by_peer.setdefault(spec.peer, []).append(spec)
+            by_peer.setdefault(spec.peer, []).append(spec)
         await asyncio.gather(
             *(
                 self.daemons[peer].register_components(by_peer[peer], now=0.0)
@@ -572,20 +522,6 @@ class LiveCluster:
         out["directory_serves"] = sum(s["serves"] for s in slices.values())
         out["directory_rows"] = sum(s["rows"] for s in slices.values())
         return out
-
-    def admission_stats(self) -> Dict[str, object]:
-        """Aggregate load-guard books across this process's daemons."""
-        guards = [d.guard for d in self.daemons.values() if d.guard is not None]
-        return {
-            "enabled": bool(guards),
-            "sessions_admitted": sum(g.sessions_admitted for g in guards),
-            "sessions_rejected": sum(g.sessions_rejected for g in guards),
-            "sessions_inflight": sum(g.sessions_inflight for g in guards),
-            "sessions_peak": max((g.sessions_peak for g in guards), default=0),
-            "probes_shed": sum(g.probes_shed for g in guards),
-            "budget_degrades": sum(g.budget_degrades for g in guards),
-            "probes_peak": max((g.probes_peak for g in guards), default=0),
-        }
 
     def rpc_stats(self) -> Dict[str, int]:
         calls = sum(d.endpoint.calls_sent for d in self.daemons.values())

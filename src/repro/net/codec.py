@@ -1,4 +1,4 @@
-"""Wire codec for the live runtime (wire version 8).
+"""Wire codec for the live runtime (wire version 9).
 
 Frames are ``MAGIC (2) | version (1) | payload length (4, big-endian) |
 payload``.  A payload is written in one pass in two kinds of encoding:
@@ -90,7 +90,6 @@ __all__ = [
     "SessionConfirm",
     "SessionRelease",
     "ComposeResult",
-    "Busy",
     "MaintenancePing",
     "RegisterBatch",
     "LookupRequest",
@@ -100,7 +99,7 @@ __all__ = [
 ]
 
 MAGIC = b"SN"
-WIRE_VERSION = 8  # the header's version byte; any other value is refused
+WIRE_VERSION = 9  # the header's version byte; any other value is refused
 MAX_FRAME = 4 * 1024 * 1024  # one protocol message, not a data plane
 _HEADER = struct.Struct(">2sBI")
 _HEADER_SIZE = _HEADER.size
@@ -1487,23 +1486,6 @@ class ComposeResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "session_tokens", _tokens_tuple(self.session_tokens))
-
-
-@_message(request_id=_I64, reason=_STR, inflight=_I64)
-@dataclass(frozen=True)
-class Busy:
-    """Destination → source, inside the :class:`ComposeBegin` reply:
-    the request was refused by admission control.
-
-    Never a request frame of its own — it rides the begin RPC's response
-    envelope (booked as ``net_ack``), so a shed request learns its fate
-    in exactly one round trip and holds no state anywhere.  ``reason``
-    names the exhausted limit (``"sessions"``), ``inflight`` the
-    refusing peer's concurrent load at rejection time."""
-
-    request_id: int
-    reason: str
-    inflight: int
 
 
 @_message(request_id=_I64, seq=_I64)

@@ -61,12 +61,11 @@ the reply is needed to probe.  A credit-carrying frame that overtakes
 the begin on another connection is *early*: the destination parks it
 and counts it, in arrival order, when the begin lands (or treats it as
 late if none does within the wall-clock timeout).  Only where the reply
-can end the compose — admission is configured, or the destination is
-already known down — does the source wait for it, so a compose that is
-not going to run still costs one round trip and zero probes.  In the
-same spirit the setup ack, a registration's batches and its
-invalidations each go to all their peers at once: no round trip waits
-for another it does not depend on.
+cannot come — the destination is already known down — does the source
+wait for it, so a compose that is not going to run still costs one round
+trip and zero probes.  In the same spirit the setup ack, a
+registration's batches and its invalidations each go to all their peers
+at once: no round trip waits for another it does not depend on.
 
 **Teardown.**  When the window closes the destination releases the
 request's losing reservations in *one* wave, to exactly the holders its
@@ -130,7 +129,6 @@ from ..dht.ring import RingSnapshot
 from ..discovery.metadata import ServiceMetadata
 from ..services.component import ComponentSpec
 from . import codec
-from .admission import LoadGuard
 from .directory import DirectorySlice
 from .rpc import Deadlines, RpcEndpoint, RpcError, eager
 from ..sim.vtime import loop_time
@@ -287,7 +285,6 @@ class PeerDaemon:
         collect_wall_timeout: float = 10.0,
         maint_interval: Optional[float] = None,
         measurement=None,
-        guard: Optional[LoadGuard] = None,
     ) -> None:
         self.peer_id = peer_id
         self.bcp = bcp
@@ -305,8 +302,6 @@ class PeerDaemon:
         # measurement plane (None when measurement is disabled): fed by
         # the endpoint's RTT/failure hooks, owner of the active prober
         self.measurement = measurement
-        # admission control (None = no guard: nothing refused or shed)
-        self.guard = guard
         self.stopped = False
         self.errors: List[str] = []
         # structured retry-exhaustion records (RpcFailure) — expected
@@ -555,8 +550,8 @@ class PeerDaemon:
             raise ValueError(f"probing budget must be >= 1, got {beta}")
         rid = request.request_id
         dest = request.dest_peer
-        # resolves to the ComposeResult — or to what the begin came to, if
-        # that ends the compose first: a Busy refusal or the RpcError
+        # resolves to the ComposeResult — or to the begin's RpcError, if
+        # that ends the compose first
         outcome: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending_results[rid] = outcome
         self._trace("compose_started", request=rid, dest=dest, budget=beta)
@@ -564,10 +559,10 @@ class PeerDaemon:
         overlapped: Optional[asyncio.Task] = None
         deadline: Optional[list] = None
         try:
-            if self.guard is not None or self._peer_down(dest):
-                # the reply can refuse (admission is configured) or cannot
-                # come (the destination is known dead): a compose that is
-                # not going to run costs one round trip and zero probes
+            if self._peer_down(dest):
+                # the reply cannot come (the destination is known dead): a
+                # compose that is not going to run costs one round trip and
+                # zero probes
                 await self._begin(dest, begin, outcome)
             else:
                 # nothing in the reply is needed to probe: the wave leaves
@@ -591,34 +586,16 @@ class PeerDaemon:
                 overlapped.cancel()
         if isinstance(msg, RpcError):
             raise msg
-        if isinstance(msg, codec.Busy):
-            # admission refused the window in the begin reply itself:
-            # there is no result to await (and, where the source waited
-            # for the reply, no probe sent and no reservation anywhere)
-            self._trace(
-                "compose_rejected", request=rid, reason=msg.reason, inflight=msg.inflight
-            )
-            result = CompositionResult(request=request, success=False)
-            result.failure_reason = (
-                f"busy: destination shed the request "
-                f"({msg.reason} limit, {msg.inflight} in flight)"
-            )
-            return result
         return self._result_from_message(request, msg)
 
     async def _begin(self, dest: int, msg: codec.ComposeBegin, outcome: asyncio.Future) -> None:
-        """Open the destination's window; only a refusal or a failure is
-        news to the compose, and ends it through ``outcome``."""
+        """Open the destination's window; only a failure is news to the
+        compose, and ends it through ``outcome``."""
         try:
-            reply = await self.endpoint.call(dest, msg)
+            await self.endpoint.call(dest, msg)
         except RpcError as exc:
-            ended = exc
-        else:
-            ended = reply.get("busy") if isinstance(reply, dict) else None
-            if not isinstance(ended, codec.Busy):
-                return
-        if not outcome.done():
-            outcome.set_result(ended)
+            if not outcome.done():
+                outcome.set_result(exc)
 
     @staticmethod
     def _result_from_message(request: CompositeRequest, msg: codec.ComposeResult) -> CompositionResult:
@@ -665,11 +642,6 @@ class PeerDaemon:
             # the root expansion's slowest lookup is the discovery phase
             cargo = (cargo[0], max_rtt)
         budget = probe.budget
-        if self.guard is not None and self.guard.degraded():
-            # soft overload: expand this wave with half its budget —
-            # the paper's quality/latency knob, turned by load
-            budget = max(1, budget // 2)
-            self.guard.budget_degrades += 1
         sends = list(self.bcp.plan_children(probe, candidates, lookups, budget))
         if not sends:
             self._return_credit(rid, request.dest_peer, credit, "exhausted", cargo)
@@ -844,73 +816,55 @@ class PeerDaemon:
     async def _on_probe(self, src: int, msg: codec.ProbeTransfer) -> dict:
         if self.stopped:
             return {"error": "stopped"}
-        if self.guard is not None and self.guard.probe_overloaded():
-            # hard shed: return the probe's termination credit without
-            # admitting anything, so the destination's window still
-            # closes by credit instead of waiting for the wall fallback.
-            # No admission ran, so there is no token to leak.
-            self.guard.probes_shed += 1
-            self._trace("probe_shed", request=msg.request_id, from_peer=src)
-            self._return_credit(
-                msg.request_id, msg.parent.request.dest_peer, msg.credit, "shed",
-                (msg.reports, msg.discovery),
-            )
-            return {"ok": True, "shed": True}
         # ack first; admission and further expansion run from the next turn,
         # so deep probe chains never stack RPC timeouts
-        if self.guard is not None:
-            self.guard.begin_probe()
         self._spawn(self._process_probe(msg))
         return {"ok": True}
 
     async def _process_probe(self, msg: codec.ProbeTransfer) -> None:
-        try:
-            rid = msg.request_id
-            parent = msg.parent
-            request = parent.request
-            cfg = self.bcp.config
-            applied = frozenset(frozenset(p) for p in msg.applied)
-            toks = self._tokens.setdefault(rid, set())
-            before = set(toks)
-            child = self.bcp._admit(
-                parent, msg.function, msg.component, msg.graph, applied,
-                msg.budget, msg.lookup_rtt, toks,
+        rid = msg.request_id
+        parent = msg.parent
+        request = parent.request
+        cfg = self.bcp.config
+        applied = frozenset(frozenset(p) for p in msg.applied)
+        toks = self._tokens.setdefault(rid, set())
+        before = set(toks)
+        child = self.bcp._admit(
+            parent, msg.function, msg.component, msg.graph, applied,
+            msg.budget, msg.lookup_rtt, toks,
+        )
+        fresh = toks - before
+        for token in fresh:
+            self._arm_expiry(rid, token)
+        if not toks:
+            self._drop_request(rid)  # no token here: no release will come
+        reports = msg.reports
+        if fresh and self.peer_id != request.dest_peer:
+            # this admission's load deltas — and this peer as a holder
+            # to release — join what the probe already carries:
+            # wherever its credit goes from here (even if it dies right
+            # here), they go too, so the window cannot close without them
+            self._bundles_made += 1
+            reports += ((self.peer_id, self._bundles_made, *self._reserved_usage(fresh), 0),)
+        if child is None:
+            dropped = "pruned"
+        else:
+            seen = self._seen.setdefault(rid, set())
+            key = child.dedup_key()
+            if key in seen:
+                dropped = "duplicate"
+            else:
+                seen.add(key)
+                dropped = "late" if child.elapsed > cfg.collect_timeout else None
+        cargo = (reports, msg.discovery)
+        if dropped is not None:
+            self._return_credit(rid, request.dest_peer, msg.credit, dropped, cargo)
+        elif child.at_sink:
+            self.endpoint.post(
+                request.dest_peer, codec.FinalProbe(rid, child, msg.credit, *cargo)
             )
-            fresh = toks - before
-            for token in fresh:
-                self._arm_expiry(rid, token)
-            if not toks:
-                self._drop_request(rid)  # no token here: no release will come
-            reports = msg.reports
-            if fresh and self.peer_id != request.dest_peer:
-                # this admission's load deltas — and this peer as a holder
-                # to release — join what the probe already carries:
-                # wherever its credit goes from here (even if it dies right
-                # here), they go too, so the window cannot close without them
-                self._bundles_made += 1
-                reports += ((self.peer_id, self._bundles_made, *self._reserved_usage(fresh), 0),)
-            if child is None:
-                dropped = "pruned"
-            else:
-                seen = self._seen.setdefault(rid, set())
-                key = child.dedup_key()
-                if key in seen:
-                    dropped = "duplicate"
-                else:
-                    seen.add(key)
-                    dropped = "late" if child.elapsed > cfg.collect_timeout else None
-            cargo = (reports, msg.discovery)
-            if dropped is not None:
-                self._return_credit(rid, request.dest_peer, msg.credit, dropped, cargo)
-            elif child.at_sink:
-                self.endpoint.post(
-                    request.dest_peer, codec.FinalProbe(rid, child, msg.credit, *cargo)
-                )
-            else:
-                await self._expand(child, msg.credit, rid, cargo)
-        finally:
-            if self.guard is not None:
-                self.guard.end_probe()
+        else:
+            await self._expand(child, msg.credit, rid, cargo)
 
     # ------------------------------------------------------------------
     # destination side: collection window
@@ -921,20 +875,6 @@ class PeerDaemon:
         rid = msg.request_id
         if rid in self._collections:
             return {"ok": True}
-        if self.guard is not None and not self.guard.try_open_session(rid):
-            # shed in the begin reply itself: the source learns in one
-            # round trip, and no window / probe / reservation ever exists
-            self._trace(
-                "begin_rejected", request=rid, inflight=self.guard.sessions_inflight
-            )
-            self._expire_parked(rid)  # a source that did not wait has sent its wave
-            return {
-                "busy": codec.Busy(
-                    request_id=rid,
-                    reason="sessions",
-                    inflight=self.guard.sessions_inflight,
-                )
-            }
         col = _Collection(
             request=msg.request,
             confirm=msg.confirm,
@@ -956,8 +896,8 @@ class PeerDaemon:
     def _arrive(self, msg) -> dict:
         """A credit-carrying frame finds its window in one of three states.
 
-        *Open*: counted.  *Late* — closed, by the wall-clock fallback or a
-        refusal: nobody will book the holders the frame names or send them
+        *Open*: counted.  *Late* — closed, by the wall-clock fallback:
+        nobody will book the holders the frame names or send them
         the release wave, so each gets one soft-only release now instead
         of sitting on its tokens until they expire.  *Early* — not yet
         opened: the source does not wait for the begin's reply, so a third
@@ -1021,7 +961,7 @@ class PeerDaemon:
         return frames
 
     def _expire_parked(self, rid: int) -> None:
-        """No window will open for ``rid`` (its begin was lost or refused):
+        """No window will open for ``rid`` (its begin was lost):
         from here its frames are late, the parked ones included."""
         self._close(rid)
         self._release_named(rid, self._unpark(rid), ())
@@ -1084,8 +1024,6 @@ class PeerDaemon:
         col.done = True
         if col.deadline is not None:
             self._deadlines.cancel(col.deadline)
-        if self.guard is not None:
-            self.guard.close_session(rid)
         request = col.request
         result = col.result
         result.probes_sent += col.probes_sent

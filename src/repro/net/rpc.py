@@ -207,7 +207,9 @@ class Deadlines:
     def cancel(self, entry: list) -> None:
         if entry[2] is None:
             return  # already run or cancelled
-        entry[2] = None
+        # the args go with the callback: an entry its owner still holds
+        # (an exchange's own deadline) must not hold the owner back
+        entry[2] = entry[3] = None
         self._dead += 1
         heap = self._heap
         if self._dead > 64 and self._dead * 2 > len(heap):
@@ -240,12 +242,12 @@ class Deadlines:
         try:
             while heap and (heap[0][2] is None or heap[0][0] <= now):
                 entry = heapq.heappop(heap)
-                fn = entry[2]
+                fn, args = entry[2], entry[3]
                 if fn is None:
                     self._dead -= 1
                 else:
-                    entry[2] = None
-                    fn(*entry[3])
+                    entry[2] = entry[3] = None
+                    fn(*args)
         finally:
             self._armed = math.inf
             if heap:

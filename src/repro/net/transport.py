@@ -258,6 +258,8 @@ class LoopbackTransport(_BaseTransport):
             pump.cancel()
         self._pumps.clear()
         self._pending.clear()
+        # the queues belong to the loop they ran on: start() makes new ones
+        self._queues.clear()
         self._started = False
 
     async def send(self, src: int, dst: int, envelope: dict) -> bool:

@@ -1,10 +1,6 @@
 """Workload generation: populations, request streams, experiment scenarios."""
 
-from .arrivals import (
-    PoissonArrivals,
-    ZipfFunctionSampler,
-    zipf_weights,
-)
+from .arrivals import ZipfFunctionSampler, zipf_weights
 from .generator import (
     PopulationConfig,
     RequestConfig,
@@ -25,7 +21,6 @@ from .largegraph import (
 __all__ = [
     "LargeGraphConfig",
     "LargeGraphWorld",
-    "PoissonArrivals",
     "PopulationConfig",
     "RequestConfig",
     "RequestGenerator",

@@ -7,27 +7,20 @@ peer's ``FinalProbe`` / ``CreditReturn`` may overtake it.  The
 destination parks such a frame (acked ``ok``) and counts it, in arrival
 order, when the begin lands; a parked frame whose begin never comes is
 treated as late after ``collect_wall_timeout``.  Where the begin's reply
-can or must end the compose — admission configured, destination known
-down — the source still waits for it, and a compose that does not run
-costs one round trip and zero probes, exactly as before.
+cannot come — the destination is known down — the source still waits
+for it, and a compose that does not run costs one round trip and zero
+probes, exactly as before.
 
 After each scenario: no soft token anywhere, every pool consistent,
 every ``compose`` returned or raised, no daemon error.
 """
 
 import asyncio
-import dataclasses
 
 import pytest
 
 from repro.core.bcp import BCPConfig, NextHopWeights
-from repro.net import (
-    AdmissionConfig,
-    ClusterConfig,
-    LiveCluster,
-    MeasurementConfig,
-    codec,
-)
+from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec
 from repro.net.peer import CREDIT
 from repro.net.rpc import RetryPolicy, RpcTimeout
 from repro.sim import vtime
@@ -243,33 +236,6 @@ def test_a_straggler_after_its_window_is_forgotten_is_parked_then_released():
     assert reply == {"ok": True} and parked == 1
     assert left == {} and closed_again
     assert released == [(result.request.request_id, True)]
-
-
-def test_a_refused_compose_costs_one_round_trip_and_no_probe():
-    async def scenario():
-        cluster = _cluster(admission=AdmissionConfig(max_sessions=1))
-        request, _ = _a_request(cluster)
-        bodies = sent_requests(cluster)
-        dest = cluster.daemons[request.dest_peer]
-        async with cluster:
-            assert dest.guard.try_open_session(-1)  # the one window is taken
-            result = await cluster.compose(request, confirm=True, timeout=30)
-            dest.guard.close_session(-1)
-            admitted = await cluster.compose(
-                dataclasses.replace(request, request_id=request.request_id + 10_000_000),
-                confirm=False, timeout=30,
-            )
-            pools = cluster.pool_tokens()
-            soft, errors = _consistent(cluster)
-        return request, result, admitted, bodies, pools, soft, errors
-
-    request, result, admitted, bodies, pools, soft, errors = asyncio.run(scenario())
-    assert errors == [] and soft == {}
-    assert not result.success and result.failure_reason.startswith("busy")
-    assert result.probes_sent == 0 and result.session_tokens == []
-    assert _probes(bodies, request.request_id) == []
-    assert all(tokens == [] for tokens in pools.values())
-    assert admitted.success  # the guard sheds by load, not by habit
 
 
 def test_a_compose_to_a_dead_destination_sends_no_probe():

@@ -20,14 +20,22 @@ A reply cache bounded only by its capacity and a TTL keeps every
 exchange of the run (8 192 entries, 120 s), and a FIFO probe-dedup set
 every probe child, and one of closed windows every request id
 (65 536 each).
+
+What a finished exchange or a stopped cluster leaves must also go with
+its last reference, not wait for the cycle collector: a finished RPC
+exchange, and the event loop a loopback cluster ran on.
 """
 
 import asyncio
+import dataclasses
+import gc
+import weakref
 from collections import defaultdict
 
 import pytest
 
 from repro.net import ClusterConfig, LiveCluster, MeasurementConfig
+from repro.net.rpc import _Exchange
 from repro.sim import vtime
 
 COMPOSES = 200
@@ -130,3 +138,100 @@ def test_a_closed_window_is_forgotten_once_its_soft_tokens_have_expired(drained)
     # one closed window per compose, each at its destination
     assert closed["drained"] == len(results) == COMPOSES
     assert closed["expired"] == {peer: 0 for peer in closed["expired"]}
+
+
+def test_one_cluster_keeps_no_request_keyed_table_but_its_closed_windows():
+    """After a run of composes, no dict on the cluster or a daemon is
+    still keyed by one of its requests, but a destination's closed
+    windows, which name exactly the requests it was destination of."""
+
+    def keyed_by_request(cluster, rids):
+        owners = {"cluster": cluster, **cluster.daemons}
+        return {
+            (owner, name)
+            for owner, obj in owners.items()
+            for name, value in vars(obj).items()
+            if name != "_closed" and isinstance(value, dict) and rids & set(value)
+        }
+
+    async def scenario():
+        cluster = LiveCluster(
+            ClusterConfig(
+                n_peers=8, n_functions=5, seed=2, capacity_scale=4.0, transport="tcp",
+                measurement=MeasurementConfig(enabled=False),
+            )
+        )
+        # ids no peer id can be mistaken for
+        requests = [
+            dataclasses.replace(r, request_id=r.request_id + 10_000_000)
+            for r in cluster.scenario.requests.batch(6)
+        ]
+        rids = {r.request_id for r in requests}
+        async with cluster:
+            probes = [
+                (await cluster.compose(r, confirm=False, timeout=30)).probes_sent
+                for r in requests
+            ]
+            left_behind = keyed_by_request(cluster, rids)
+            closed = {peer: rids & set(d._closed) for peer, d in cluster.daemons.items()}
+        return requests, probes, left_behind, closed, cluster.errors()
+
+    requests, probes, left_behind, closed, errors = asyncio.run(scenario())
+    assert errors == []
+    assert sum(probes) > 0
+    assert left_behind == set()
+    assert closed == {
+        peer: {r.request_id for r in requests if r.dest_peer == peer} for peer in closed
+    }
+
+
+def _small_cluster():
+    return LiveCluster(
+        ClusterConfig(n_peers=5, seed=3, measurement=MeasurementConfig(enabled=False))
+    )
+
+
+def test_a_finished_exchange_goes_without_the_cycle_collector():
+    """An exchange's deadline entry drops its arguments when it is
+    cancelled or run, so the exchange (its message, envelope and futures)
+    is freed with its last reference instead of sitting in a cycle with
+    its own entry."""
+
+    async def scenario():
+        cluster = _small_cluster()
+        async with cluster:
+            for request in cluster.scenario.requests.batch(30):
+                await cluster.compose(request, confirm=False, timeout=60)
+            for daemon in cluster.daemons.values():
+                await daemon.drain()
+            return sum(isinstance(o, _Exchange) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert vtime.run(scenario()) == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("run", [vtime.run, asyncio.run], ids=["vtime", "asyncio"])
+def test_a_stopped_loopback_cluster_frees_its_loop_without_the_cycle_collector(run):
+    """Nothing a stopped loopback cluster keeps refers to the loop it ran
+    on (the transport's inbox queues go at close), so the loop is freed
+    when the run ends, not when the collector next finds the cluster."""
+    loops = []
+
+    async def scenario():
+        loops.append(weakref.ref(asyncio.get_running_loop()))
+        cluster = _small_cluster()
+        async with cluster:
+            for request in cluster.scenario.requests.batch(3):
+                await cluster.compose(request, confirm=False, timeout=60)
+
+    gc.collect()
+    gc.disable()
+    try:
+        run(scenario())
+        assert loops[0]() is None
+    finally:
+        gc.enable()

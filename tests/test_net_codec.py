@@ -130,7 +130,6 @@ def messages(scenario, request_obj, service_graph):
             1, True, service_graph, QoSVector({"delay": 0.2}), 1.5,
             None, 42, 7, 0.9, {"discovery": 0.1}, ((1, "comp", 7),),
         ),
-        codec.Busy(1, "sessions", 9),
         codec.MaintenancePing(1, 3),
         codec.RegisterBatch(tuple(scenario.population[:3]), 1.5),
         codec.LookupRequest("F001", 4),
@@ -558,12 +557,13 @@ class TestRejection:
         # report bundles without the probe count, 4: type ids counting a
         # per-spec registration frame, 5: Fraction credit, 6: type ids
         # counting the replica push frame, 7: requests without the
-        # low-water mark): a stale peer is turned away at the header, and
-        # nothing here will write such a frame either
+        # low-water mark, 8: type ids counting the admission refusal
+        # frame): a stale peer is turned away at the header, and nothing
+        # here will write such a frame either
         terms = encode_frame({"x": 1})[7:]
         for retired, payload in [
             (1, b'{"x":1}'), (2, terms), (3, terms), (4, terms), (5, terms), (6, terms),
-            (7, terms),
+            (7, terms), (8, terms),
         ]:
             with pytest.raises(CodecError, match=f"unsupported wire version {retired}"):
                 decode_frame(_frame(payload, version=retired))

@@ -91,8 +91,9 @@ PLANE_LOOP = {
     (3, 11): {"tasks": 148, "handles": 1086, "timers": 700},
 }
 # SHA-256 over (src, dst, frame bytes) of every send of each cluster
-DIGEST = "3b48124d1f1f99c7886c81f9826bb09fa739d410b7f43f77c5ae9905dabfb3ab"
-PLANE_DIGEST = "ecbbf2d5eaa6a27da0c4ee851f8f0dba74711c7dc35445fc42f46e9b407ba0d2"
+# (wire version 9)
+DIGEST = "7a6810e89a141730731449d249cb0f71be678d7f172d3e57aaaf89ee8b70dad6"
+PLANE_DIGEST = "ffab1c567083e96c08f972097672ec6c81e8c1119c30e6ca4ce710c2a7e59919"
 
 # Python-level calls during the seven composes, by the package of the
 # called code (repro.net.codec apart from the rest of repro.net)

@@ -1,18 +1,22 @@
 """The paper's event-driven dynamics, on the production daemon itself.
 
-Every cluster here runs on the virtual-time loop (``repro.sim.vtime``):
+Every cluster here but the last two runs on the virtual-time loop
+(``repro.sim.vtime``):
 probes are in flight for real (virtual) time, so a peer can die under
 one; soft reservations evaporate on their own timers; the destination's
 window is a real window; sessions contend for capacity through their soft
 reservations; a held session is watched by maintenance pings.  Waiting
-120 seconds of protocol time costs milliseconds.
+120 seconds of protocol time costs milliseconds.  The last two stop the
+cluster mid-burst and kill a peer under open-loop load on the real loop.
 
 After each scenario: no soft token anywhere, every pool consistent,
 every ``compose`` returned or raised, no daemon error.
 """
 
 import asyncio
+from collections import Counter, namedtuple
 
+import numpy as np
 import pytest
 
 from repro.core.bcp import BCPConfig, NextHopWeights
@@ -22,7 +26,7 @@ from repro.core.request import CompositeRequest
 from repro.core.resources import ResourceVector
 from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec
 from repro.sim import vtime
-from repro.net.rpc import RetryPolicy
+from repro.net.rpc import RetryPolicy, RpcError
 from repro.workload.generator import function_names
 from test_net_release import SETUP_ACK_FAILED, _held
 
@@ -426,3 +430,136 @@ def test_a_killed_path_peer_fails_its_session_and_no_other():
     assert spared_now, "fixture: every session crossed the victim"
     for rid, (failed, pings) in spared_now.items():
         assert not failed and pings > pinged[rid]
+
+
+# ----------------------------------------------------------------------
+# stop and kill under load, on the real loop
+# ----------------------------------------------------------------------
+def _small_config(**overrides):
+    base = dict(n_peers=6, n_functions=5, seed=2, capacity_scale=4.0)
+    base.update(overrides)
+    return ClusterConfig(**base)
+
+
+Record = namedtuple("Record", "outcome reason")
+
+
+async def _soak(cluster, rate, duration, timeout, seed):
+    """Open-loop load: each compose a free-running task, launched after a
+    seeded exponential gap from a seeded source, so a slow compose never
+    holds the next one back.  Returns one record per compose."""
+    loop = asyncio.get_running_loop()
+    rng = np.random.default_rng(seed)
+    sources = sorted(cluster.daemons)
+    records, tasks = [], []
+
+    async def one(request):
+        try:
+            result = await cluster.compose(request, confirm=False, timeout=timeout)
+        except asyncio.TimeoutError:
+            records.append(Record("error", f"no result within {timeout}s"))
+        except RpcError as exc:
+            records.append(Record("error", f"{type(exc).__name__}: {exc}"))
+        else:
+            why = "" if result.success else result.failure_reason or "failed"
+            records.append(Record("ok" if result.success else "failed", why))
+
+    end = loop.time() + duration
+    while True:
+        await asyncio.sleep(float(rng.exponential(1.0 / rate)))
+        if loop.time() >= end:
+            break
+        source = sources[int(rng.integers(len(sources)))]
+        request = cluster.scenario.requests.next_request(source=source)
+        tasks.append(asyncio.ensure_future(one(request)))
+    await asyncio.gather(*tasks)
+    return records
+
+
+def test_stop_mid_burst_is_clean():
+    """Stopping the cluster with compositions in flight resolves every
+    caller with a structured result, leaves no stray tasks, and records
+    no daemon errors."""
+
+    async def scenario():
+        # emulated loopback latency keeps the burst genuinely in flight
+        # at the 50 ms mark (zero-latency queues can finish it first)
+        cluster = LiveCluster(_small_config(seed=5, latency=0.02))
+        await cluster.start()
+        requests = cluster.scenario.requests.batch(8)
+        burst = [
+            asyncio.ensure_future(cluster.compose(r, confirm=True, timeout=30))
+            for r in requests
+        ]
+        await asyncio.sleep(0.05)  # mid-flight: probe waves are live
+        await cluster.stop()
+        results = await asyncio.gather(*burst)
+        await cluster.stop()  # idempotent: second stop is a no-op
+        # no daemon-owned or compose task may survive the teardown
+        stray = [
+            t
+            for t in asyncio.all_tasks()
+            if t is not asyncio.current_task() and not t.done()
+        ]
+        return cluster, results, stray
+
+    cluster, results, stray = asyncio.run(scenario())
+    assert cluster.errors() == []
+    assert stray == []
+    assert len(results) == 8
+    for r in results:
+        # every caller got a real CompositionResult: either the session
+        # finished before the teardown or it was aborted with a reason
+        if not r.success:
+            assert r.failure_reason
+    aborted = [
+        r
+        for r in results
+        if (r.failure_reason or "")
+        in ("cluster stopping", "cluster stopped", "peer killed")
+    ]
+    assert aborted, "a 50 ms-old burst cannot have fully completed"
+
+
+def test_kill_mid_soak_bounded_tail():
+    """Killing a peer under sustained load fails the affected sessions
+    fast — structured RpcFailures with zero burned attempts — instead of
+    stacking retry timeouts on every hop."""
+
+    async def scenario():
+        fast = RetryPolicy(timeout=0.3, retries=2, backoff=0.02)
+        cluster = LiveCluster(
+            _small_config(
+                n_peers=8,
+                seed=7,
+                collect_wall_timeout=2.0,
+                retry=fast,
+            )
+        )
+        async with cluster:
+            soak = asyncio.ensure_future(
+                _soak(cluster, rate=30.0, duration=2.0, timeout=8.0, seed=3)
+            )
+            await asyncio.sleep(0.6)
+            victim = 5
+            cluster.kill_peer(victim)
+            records = await soak
+            failures = cluster.rpc_failures()
+            errors = cluster.errors()
+        return records, failures, errors, victim
+
+    records, failures, errors, victim = asyncio.run(scenario())
+    assert errors == []
+    assert len(records) > 10
+    summary = Counter(r.outcome for r in records)
+    assert summary["ok"] > 0  # the cluster kept composing around the corpse
+    # every record resolved before the request timeout: no unbounded tail
+    # (counted, not timed: on a loaded machine latency can graze the bound)
+    assert [r for r in records if r.reason.startswith("no result within")] == []
+    # and the kill actually bit: calls already in flight may burn the
+    # attempt they had on the wire, but nothing exhausts the full retry
+    # budget, and calls issued after the kill fail fast with 0 attempts
+    at_victim = [f for f in failures if f.peer == victim]
+    assert at_victim
+    assert any(f.attempts == 0 for f in at_victim)
+    assert all(f.attempts < 3 for f in at_victim)  # retries=2 -> 3 = exhausted
