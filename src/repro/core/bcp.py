@@ -33,7 +33,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..discovery.metadata import ServiceMetadata
 from ..discovery.registry import ServiceRegistry, WaveLookupCache
@@ -189,31 +189,13 @@ class BCP:
         # next-hop metric then penalises candidates the request source
         # distrusts (weight = config.nexthop_weights.trust)
         self.trust = trust
-        # per-pair link QoS and per-component Qp vectors are static while
-        # the overlay/registry are.  A static overlay can only flush
-        # everything (overlay.clear_caches()); a measured view names the
-        # pairs a re-price moved
+        # per-pair link QoS, memoized for the router it was read from (a
+        # live daemon's plane swaps its overlay's router on a re-price),
+        # and per-component Qp vectors, each kept with the Qp it came from
+        # (a re-registration brings a new one)
         self._pair_qos: Dict[Tuple[int, int], QoSVector] = {}
-        self._comp_qos: Dict[int, QoSVector] = {}
-        listen = getattr(overlay, "add_route_listener", None) or getattr(
-            overlay, "add_cache_listener", None
-        )
-        if listen is not None:
-            listen(self.clear_caches)
-
-    def clear_caches(self, pairs: Optional[Iterable[Tuple[int, int]]] = None) -> None:
-        """Drop memoized QoS vectors (the overlay's invalidation hook).
-
-        With ``pairs`` — the ``(src, dst)`` whose route an overlay change
-        moved — exactly those link-QoS entries go: nothing an overlay can
-        do changes a component's Qp.  Without, both caches are flushed
-        (registry or wholesale overlay changes)."""
-        if pairs is None:
-            self._pair_qos.clear()
-            self._comp_qos.clear()
-        else:
-            for pair in pairs:
-                self._pair_qos.pop(pair, None)
+        self._pair_qos_router = None
+        self._comp_qos: Dict[int, Tuple[object, QoSVector]] = {}
 
     # ------------------------------------------------------------------
     # public entry point
@@ -654,6 +636,10 @@ class BCP:
     # small helpers
     # ------------------------------------------------------------------
     def _link_qos(self, u: int, v: int) -> QoSVector:
+        router = self.overlay.router
+        if router is not self._pair_qos_router:
+            self._pair_qos = {}
+            self._pair_qos_router = router
         key = (u, v)
         hit = self._pair_qos.get(key)
         if hit is not None:
@@ -661,19 +647,18 @@ class BCP:
         if u == v:
             out = QoSVector({"delay": 0.0, "loss": 0.0})
         else:
-            out = QoSVector(
-                {"delay": self.overlay.latency(u, v), "loss": self.overlay.path_loss_add(u, v)}
-            )
+            out = QoSVector({"delay": router.delay(u, v), "loss": router.path_loss_add(u, v)})
         self._pair_qos[key] = out
         return out
 
     def _qp_as_qos(self, comp: ServiceMetadata) -> QoSVector:
+        qp = comp.qp
         hit = self._comp_qos.get(comp.component_id)
-        if hit is not None:
-            return hit
-        qp = comp.qp.values
-        out = QoSVector({"delay": qp.get("delay", 0.0), "loss": qp.get("loss", 0.0)})
-        self._comp_qos[comp.component_id] = out
+        if hit is not None and hit[0] is qp:
+            return hit[1]
+        values = qp.values
+        out = QoSVector({"delay": values.get("delay", 0.0), "loss": values.get("loss", 0.0)})
+        self._comp_qos[comp.component_id] = (qp, out)
         return out
 
     def _reserve_peer(self, token: Tuple, peer: int, res, tokens: Set[Tuple]) -> bool:

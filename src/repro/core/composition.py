@@ -84,7 +84,6 @@ class SpiderNet:
         peer_failure: Optional[Callable[[int], float]] = None,
         churn_rate: Optional[float] = None,
         churn_downtime: float = 30.0,
-        registry_cache_ttl: Optional[float] = None,
     ) -> "SpiderNet":
         """Assemble the middleware over a prebuilt overlay.
 
@@ -104,7 +103,7 @@ class SpiderNet:
         pool = ResourcePool(overlay, peer_capacity)
         dht = PastryNetwork(overlay, rng=rng, ledger=ledger)
         dht.build()
-        registry = ServiceRegistry(dht, cache_ttl=registry_cache_ttl)
+        registry = ServiceRegistry(dht)
         if peer_failure is None:
             base = churn_rate if churn_rate is not None else 0.01
             peer_failure = lambda peer: base  # noqa: E731 - simple default

@@ -138,10 +138,10 @@ class ResourcePool:
 
         Live distributed peers each own one: identical ground capacity,
         independent allocation state (``ResourceVector`` is frozen, so
-        sharing the capacity values is safe).  ``overlay`` substitutes a
-        different *view* of the same topology (a peer's
-        :class:`~repro.net.measurement.MeasuredOverlayView`); it must
-        expose the same peers and canonical link order so the capacity
+        sharing the capacity values is safe).  ``overlay`` substitutes
+        another overlay of the same topology (a measuring daemon's own
+        copy, whose router its plane swaps); every router over that graph
+        has the same peers and canonical link order, so the capacity
         lists stay aligned."""
         return ResourcePool(
             overlay if overlay is not None else self.overlay,

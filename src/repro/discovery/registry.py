@@ -10,9 +10,9 @@
 The registry also reacts to churn: a departed peer's registrations are
 filtered out of query results while it is down (its components are
 unreachable), matching what liveness-checked discovery would return.
-Lookup results can be cached per peer with a TTL — BCP per-hop
-processing performs a discovery per next-hop function, and the paper's
-prototype amortises these lookups within a session-setup wave.
+BCP per-hop processing performs a discovery per next-hop function, and
+the paper's prototype amortises these lookups within a session-setup
+wave: :class:`WaveLookupCache` is that memo, one per ``BCP.compose()``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class LookupResult:
     function: str
     components: List[ServiceMetadata]
     route: Optional[RouteResult] = None
-    from_cache: bool = False
 
     @property
     def latency(self) -> float:
@@ -50,12 +49,8 @@ class LookupResult:
 class ServiceRegistry:
     """The meta-data layer over :class:`~repro.dht.pastry.PastryNetwork`."""
 
-    def __init__(self, dht: PastryNetwork, cache_ttl: Optional[float] = None) -> None:
+    def __init__(self, dht: PastryNetwork) -> None:
         self.dht = dht
-        self.cache_ttl = cache_ttl
-        # (peer, function) -> (expiry_time, components); only used when a
-        # time source is passed to lookup()
-        self._cache: Dict[Tuple[int, str], Tuple[float, List[ServiceMetadata]]] = {}
         self._down_peers: Set[int] = set()
         self._registered: Dict[int, List[ServiceMetadata]] = {}  # by hosting peer
         self._access_hook: Optional[Callable[[str], None]] = None
@@ -116,16 +111,8 @@ class ServiceRegistry:
     ) -> LookupResult:
         """Return the duplicate list for ``function`` as seen from a peer."""
         self._accessed("lookup")
-        cache_key = (origin_peer, function)
-        if self.cache_ttl is not None and now is not None:
-            hit = self._cache.get(cache_key)
-            if hit is not None and hit[0] > now:
-                comps = [c for c in hit[1] if include_down or c.peer not in self._down_peers]
-                return LookupResult(function, comps, route=None, from_cache=True)
         values, route = self.dht.get(key_for(function), origin_peer)
         components = [v for v in values if isinstance(v, ServiceMetadata)]
-        if self.cache_ttl is not None and now is not None:
-            self._cache[cache_key] = (now + self.cache_ttl, components)
         if not include_down:
             components = [c for c in components if c.peer not in self._down_peers]
         return LookupResult(function, components, route=route)

@@ -27,8 +27,8 @@ Modules
                pool and DHT storage to prove no daemon ever reads them
 ``measurement`` the topology measurement plane: active probing, passive
                RTT sampling, per-link EWMA estimators, dead-path
-               detection, and the ``MeasuredOverlayView`` adaptive
-               routing feeds on
+               detection, and adaptive routing: the plane swaps the
+               router of its daemon's copy of the overlay
 ``accounting`` ``MessageLedger`` adapter mapping wire frames onto the
                simulation's overhead-accounting categories
 ``cluster``    boots N peers in one process and composes end-to-end
@@ -47,7 +47,6 @@ from .directory import DirectorySlice
 from .guard import SharedStateGuard, SharedStateViolation
 from .measurement import (
     LinkEstimator,
-    MeasuredOverlayView,
     MeasurementConfig,
     MeasurementPlane,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "RpcTimeout",
     "LedgerTap",
     "LinkEstimator",
-    "MeasuredOverlayView",
     "MeasurementConfig",
     "MeasurementPlane",
     "PeerDaemon",

@@ -32,6 +32,7 @@ land in one place, and the optional ``EventTrace``.
 from __future__ import annotations
 
 import asyncio
+import copy
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
@@ -44,7 +45,7 @@ from ..workload.scenarios import Scenario, simulation_testbed
 from .accounting import LedgerTap
 from .directory import DirectorySlice
 from .guard import SharedStateGuard
-from .measurement import MeasuredOverlayView, MeasurementConfig, MeasurementPlane
+from .measurement import MeasurementConfig, MeasurementPlane
 from .peer import PeerDaemon
 from .rpc import RetryPolicy, RpcEndpoint, RpcFailure
 from .transport import LoopbackTransport, TcpTransport
@@ -145,13 +146,11 @@ class LiveCluster:
         # each daemon owns its soft state: a private (empty) pool clone
         # plus a private directory slice.  The registry reference stays
         # wired for API symmetry but is sealed.  With measurement on, the
-        # daemon's whole engine sits over its MeasuredOverlayView: until
-        # the plane installs a material delta the view delegates verbatim
-        # to the shared static overlay, so selections are unchanged by
-        # default.
-        overlay = shared.overlay
-        if measuring:
-            overlay = MeasuredOverlayView(shared.overlay)
+        # daemon's whole engine sits over its own copy of the overlay,
+        # whose router the plane swaps: until it installs a material delta
+        # the copy routes on the shared static router, so selections are
+        # unchanged by default.
+        overlay = copy.copy(shared.overlay) if measuring else shared.overlay
         bcp = BCP(
             overlay,
             shared.pool.clone_empty(overlay=overlay),
@@ -165,7 +164,7 @@ class LiveCluster:
         )
         plane: Optional[MeasurementPlane] = None
         if measuring:
-            plane = MeasurementPlane(peer, endpoint, view=overlay, trace=self.trace)
+            plane = MeasurementPlane(peer, endpoint, overlay, trace=self.trace)
             # candidates on downed paths are filtered at Step 2.3a
             base_alive = bcp.alive
             bcp.alive = (
@@ -491,9 +490,9 @@ class LiveCluster:
             "down_events": sum(p.down_events for p in planes),
             "up_events": sum(p.up_events for p in planes),
             "reprices": sum(p.reprices for p in planes),
-            "router_rebuilds": sum(p.view.rebuilds for p in planes),
-            # views routing on a router of their own right now
-            "private_routers": sum(p.view.private for p in planes),
+            "router_rebuilds": sum(p.router_rebuilds for p in planes),
+            # daemons routing on a router of their own right now
+            "private_routers": sum(p.private for p in planes),
             # the plane's own traffic, apart from compose traffic: the
             # PathProbe frames (their acks ride the shared net_ack book)
             "measure_frames": ledger.count.get("net_measure", 0),

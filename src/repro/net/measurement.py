@@ -32,15 +32,17 @@ without touching the simulator substrates:
   :meth:`~MeasurementPlane.mark_path_up`.
 * **Adaptive routing** — a sample feeds its estimator and marks the link
   dirty, nothing more.  Once per probe interval the plane judges every
-  dirty link and pushes the verdicts into a :class:`MeasuredOverlayView`
-  layered over the static overlay as *one* mutation: at most one router
-  is built per daemon and interval.  The view keeps the base topology's
-  edge set and canonical link order (so
-  :class:`~repro.core.resources.ResourcePool` lists stay aligned) but
-  re-prices individual links and prices down-peer links at ``inf``;
-  paths the mutation did not move keep their memoised lists, and the
-  view's listeners — BCP's per-pair QoS cache — are told exactly which
-  ``(src, dst)`` pairs it did move.
+  dirty link and installs the verdicts in the daemon's copy of the
+  overlay as *one* mutation: it assigns the copy's ``router`` a
+  :meth:`~repro.topology.routing.OverlayRouter.reweighted` router over
+  the same graph, so at most one router is built per daemon and
+  interval.  That router keeps the static topology's edge set and
+  canonical link order (so :class:`~repro.core.resources.ResourcePool`
+  lists stay aligned) but re-prices individual links and prices
+  down-peer links at ``inf``.  **A memo lives with its router:** the new
+  router starts with empty path and loss memos, and BCP refills its
+  per-pair link QoS when the router it read them from is no longer the
+  one installed, so nothing has to be told what a re-price moved.
 
 **Parity by construction, under load too.**  Wall-clock RTTs and modeled
 delays live in different unit systems, so measurements are applied as
@@ -51,8 +53,8 @@ baseline).  Scheduler jitter under load inflates ``rttvar`` along with
 ``srtt``, so it cannot pass the second test however often it passes the
 first; an installed scale is held through a band below the gate, so a
 ratio hovering there does not flap.  Over an unchanged topology no
-override is ever installed, and the view delegates every query verbatim
-to the base overlay — selections are bit-identical to the static
+override is ever installed, and the daemon's overlay keeps the shared
+static router — selections are bit-identical to the static
 substrates, which is what the parity suite asserts with measurement on.
 """
 
@@ -69,7 +71,6 @@ from ..sim.vtime import loop_time
 __all__ = [
     "MeasurementConfig",
     "LinkEstimator",
-    "MeasuredOverlayView",
     "MeasurementPlane",
 ]
 
@@ -178,177 +179,6 @@ class LinkEstimator:
         return est / self.baseline if est is not None else 1.0
 
 
-class MeasuredOverlayView:
-    """An overlay facade layering measured deltas onto the static map.
-
-    With no deltas installed every query delegates verbatim to the base
-    overlay (:attr:`router` *is* the base's router, so memoized paths are
-    shared) — selections are bit-identical to the static substrate by
-    construction.  A delta puts a private
-    :meth:`~repro.topology.routing.OverlayRouter.reweighted` router over
-    the *same* graph object in its place: scaled links carry
-    ``declared_delay x scale``, links incident to a down peer carry
-    ``inf``.  The edge set and canonical link order are unchanged, so
-    pool capacity/usage lists indexed by ``router.link_order`` remain
-    valid.
-
-    **Invalidation contract.**  Every mutation builds its router at once
-    and compares it with the one it replaces: pairs that route as before
-    keep their memoised path lists (the same objects), and listeners
-    registered with :meth:`add_route_listener` get exactly the ordered
-    ``(src, dst)`` pairs whose delay or path changed — BCP drops those
-    per-pair QoS entries and nothing else.  When the last delta clears,
-    the view delegates to the shared base router again.
-    """
-
-    def __init__(self, base) -> None:
-        self.base = base
-        self.graph = base.graph
-        self.router = base.router
-        self._scales: Dict[Link, float] = {}
-        self._down: Set[int] = set()
-        self._loss_cache: Dict[Tuple[int, int], float] = {}
-        self._route_listeners: List[Callable[[List[Tuple[int, int]]], None]] = []
-        self.rebuilds = 0  # private routers built (cost telemetry)
-
-    # -- delegation ----------------------------------------------------
-    def __getattr__(self, name):
-        # anything not overridden (ip_of, ip_graph, kind, ...) is the base's
-        return getattr(self.base, name)
-
-    @property
-    def n_peers(self) -> int:
-        return self.base.n_peers
-
-    def peers(self) -> List[int]:
-        return self.base.peers()
-
-    @property
-    def private(self) -> bool:
-        """Whether a delta is installed: the view routes on a router of
-        its own instead of delegating to the shared base router."""
-        return self.router is not self.base.router
-
-    def latency(self, a: int, b: int) -> float:
-        return self.router.delay(a, b)
-
-    def link_bandwidth(self, a: int, b: int) -> float:
-        return self.base.link_bandwidth(a, b)
-
-    def link_loss_add(self, a: int, b: int) -> float:
-        return self.base.link_loss_add(a, b)
-
-    def path_loss_add(self, a: int, b: int) -> float:
-        """Additive loss along the *measured* route a->b.
-
-        Unlike the base overlay this guards unreachability (a down peer
-        prices its links at ``inf``): an unreachable pair reports ``inf``
-        loss rather than raising, mirroring the delay metric.
-        """
-        router = self.router
-        if router is self.base.router:
-            return self.base.path_loss_add(a, b)
-        if a == b:
-            return 0.0
-        key = (a, b)
-        hit = self._loss_cache.get(key)
-        if hit is None:
-            if not router.reachable(a, b):
-                hit = float("inf")
-            else:
-                hit = sum(
-                    self.base.link_loss_add(u, v) for u, v in router.links(a, b)
-                )
-            self._loss_cache[key] = hit
-        return hit
-
-    def add_route_listener(
-        self, callback: Callable[[List[Tuple[int, int]]], None]
-    ) -> None:
-        """``callback(pairs)`` after every mutation, with the ordered
-        ``(src, dst)`` pairs whose delay or path it changed."""
-        self._route_listeners.append(callback)
-
-    def add_cache_listener(self, callback: Callable[[], None]) -> None:
-        """The base overlay's coarser hook: ``callback()`` after every
-        mutation, whatever it changed."""
-        self._route_listeners.append(lambda pairs: callback())
-
-    # -- mutation surface (driven by MeasurementPlane) -----------------
-    @property
-    def down_peers(self) -> Set[int]:
-        return set(self._down)
-
-    @property
-    def link_scales(self) -> Dict[Link, float]:
-        return dict(self._scales)
-
-    def set_link_scales(self, scales: Dict[Link, Optional[float]]) -> bool:
-        """Install (``None``: clear) delay multipliers for any number of
-        overlay links as *one* mutation — one router, one notification.
-        Returns whether anything changed."""
-        dirty = False
-        for link, scale in scales.items():
-            link = _canon(*link)
-            if link not in self.graph.edges:
-                continue
-            if scale is None:
-                dirty |= self._scales.pop(link, None) is not None
-            elif self._scales.get(link) != scale:
-                self._scales[link] = float(scale)
-                dirty = True
-        if dirty:
-            self._reroute()
-        return dirty
-
-    def set_peer_down(self, peer: int) -> bool:
-        if peer in self._down:
-            return False
-        self._down.add(peer)
-        self._reroute()
-        return True
-
-    def clear_peer_down(self, peer: int) -> bool:
-        if peer not in self._down:
-            return False
-        self._down.discard(peer)
-        self._reroute()
-        return True
-
-    def reset(self) -> None:
-        """Drop every measured delta (used on peer restart)."""
-        if self._scales or self._down:
-            self._scales.clear()
-            self._down.clear()
-            self._reroute()
-
-    def _reroute(self) -> None:
-        """Swap in the router of the current deltas and tell listeners
-        which pairs it moved."""
-        old, shared = self.router, self.base.router
-        overrides: Dict[Link, float] = {
-            link: float(self.graph.edges[link]["delay"]) * scale
-            for link, scale in self._scales.items()
-        }
-        if self._down:
-            for u, v in self.graph.edges:
-                if u in self._down or v in self._down:
-                    overrides[_canon(u, v)] = float("inf")
-        if overrides:
-            new = shared.reweighted(overrides)
-            self.rebuilds += 1
-        else:
-            new = shared
-        changed = old.changed_pairs(new)
-        if new is not shared:
-            new.adopt_cache(old, changed)
-        self.router = new
-        for pair in changed:
-            self._loss_cache.pop(pair, None)
-        for callback in self._route_listeners:
-            callback(changed)
-
-
 class MeasurementPlane:
     """One live peer's measurement state: prober, estimators, path health.
 
@@ -361,27 +191,30 @@ class MeasurementPlane:
 
     A sample only feeds its estimator and marks the path dirty.  Routing
     is decided once per probe interval, by :meth:`_reprice` at the end of
-    each probe cycle, and pushed into the daemon's own
-    :class:`MeasuredOverlayView`.  Path up/down transitions are the
-    exception — rare, and urgent — and reach the view at once.
+    each probe cycle, and installed by swapping the ``router`` of the
+    daemon's own copy of the overlay (:meth:`_reroute`).  Path up/down
+    transitions are the exception — rare, and urgent — and re-route at
+    once.  With no scale and no down peer the copy routes on the shared
+    static router it was built with.
     """
 
     def __init__(
         self,
         peer_id: int,
         endpoint,
-        view: MeasuredOverlayView,
+        overlay,
         trace=None,
         clock: Callable[[], float] = loop_time,
     ) -> None:
         self.peer_id = peer_id
         self.endpoint = endpoint
-        self.view = view
+        self.overlay = overlay
+        self._shared = overlay.router  # the static router, until a delta
         self._trace = trace
         self._clock = clock
         # bounded probe set: this peer's direct overlay neighbours,
         # nearest (by declared delay) first
-        graph = view.base.graph
+        graph = overlay.graph
         neighbours = sorted(
             graph.neighbors(peer_id),
             key=lambda q: float(graph.edges[peer_id, q]["delay"]),
@@ -393,6 +226,7 @@ class MeasurementPlane:
         self._estimators: Dict[int, LinkEstimator] = {}
         self._failures: Dict[int, int] = {}
         self._down: Dict[int, float] = {}  # peer -> clock() at transition
+        self._scales: Dict[int, float] = {}  # neighbour -> delay multiplier
         self._dirty: Set[int] = set()  # peers sampled since the last _reprice
         self._task: Optional[asyncio.Task] = None
         self._seq = 0
@@ -406,6 +240,7 @@ class MeasurementPlane:
         self.down_events = 0
         self.up_events = 0
         self.reprices = 0
+        self.router_rebuilds = 0
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -430,10 +265,12 @@ class MeasurementPlane:
         self.endpoint = endpoint
         self._estimators.clear()
         self._failures.clear()
-        self._down.clear()
         self._dirty.clear()
         self._seq = 0
-        self.view.reset()
+        if self._down or self._scales:
+            self._down.clear()
+            self._scales.clear()
+            self._reroute()
 
     # -- active probing ------------------------------------------------
     async def _probe_loop(self) -> None:
@@ -538,7 +375,7 @@ class MeasurementPlane:
                 "path_down", now, peer=self.peer_id, target=peer,
                 failures=self._failures.get(peer, 0),
             )
-        self.view.set_peer_down(peer)
+        self._reroute()
 
     def mark_path_up(self, peer: int) -> None:
         if peer not in self._down:
@@ -548,7 +385,7 @@ class MeasurementPlane:
         self.up_events += 1
         if self._trace is not None:
             self._trace.record("path_up", self._clock(), peer=self.peer_id, target=peer)
-        self.view.clear_peer_down(peer)
+        self._reroute()
 
     def is_down(self, peer: int) -> bool:
         return peer in self._down
@@ -561,7 +398,7 @@ class MeasurementPlane:
     def _reprice(self, now: float) -> None:
         """The interval's one routing decision: judge every adjacent link
         sampled since the last one, and every link still carrying a
-        scale, and push all the verdicts into the view as one mutation.
+        scale, and install all the verdicts as one mutation.
 
         A link is judged on its *own* excess over baseline: what its
         estimate shows beyond the excess common to the other paths
@@ -583,15 +420,14 @@ class MeasurementPlane:
         me = self.peer_id
         gate = MATERIAL_RATIO
         band = (gate - 1.0) / 2.0
-        applied = {b if a == me else a: k for (a, b), k in self.view.link_scales.items()}
         excess: Optional[Dict[int, float]] = None  # of the fresh paths, on demand
         verdicts: Dict[int, Optional[float]] = {}
-        for peer in fresh & self._adjacent | applied.keys():
+        for peer in fresh & self._adjacent | self._scales.keys():
             est = self._estimators.get(peer)
             if est is None or not est.baseline:
                 continue
             baseline = est.baseline
-            scale = applied.get(peer)
+            scale = self._scales.get(peer)
             own = est.estimate(now) - baseline
             if scale is None and own < (gate - 1.0) * baseline:
                 continue  # immaterial whatever the other paths read
@@ -613,9 +449,9 @@ class MeasurementPlane:
                 verdicts[peer] = None
             elif abs(ratio - scale) > max(band * scale, noise):
                 verdicts[peer] = ratio
-        if verdicts and self.view.set_link_scales(
-            {(me, peer): ratio for peer, ratio in verdicts.items()}
-        ):
+        if verdicts:
+            # every verdict differs from the scale it replaces
+            self.set_link_scales(verdicts)
             self.reprices += len(verdicts)
             if self._trace is not None:
                 for peer, ratio in verdicts.items():
@@ -623,6 +459,41 @@ class MeasurementPlane:
                         "link_repriced", now, peer=me, target=peer,
                         ratio=round(ratio or 1.0, 3),
                     )
+
+    def set_link_scales(self, scales: Dict[int, Optional[float]]) -> None:
+        """Install (``None``: clear) the delay multipliers of this peer's
+        links to the given neighbours as *one* mutation: one router."""
+        for peer, scale in scales.items():
+            if scale is None:
+                self._scales.pop(peer, None)
+            else:
+                self._scales[peer] = float(scale)
+        self._reroute()
+
+    def _reroute(self) -> None:
+        """Route the daemon's overlay on the router of the current deltas:
+        scaled links carry ``declared delay x scale``, links incident to a
+        down peer ``inf``; with no delta, the shared static router."""
+        graph, me = self.overlay.graph, self.peer_id
+        overrides: Dict[Link, float] = {}
+        for peer, scale in self._scales.items():
+            link = _canon(me, peer)
+            overrides[link] = float(graph.edges[link]["delay"]) * scale
+        if self._down:
+            for u, v in graph.edges:
+                if u in self._down or v in self._down:
+                    overrides[_canon(u, v)] = float("inf")
+        if overrides:
+            self.overlay.router = self._shared.reweighted(overrides)
+            self.router_rebuilds += 1
+        else:
+            self.overlay.router = self._shared
+
+    @property
+    def private(self) -> bool:
+        """Whether a delta is installed: the daemon routes on a router of
+        its own instead of the shared static one."""
+        return self.overlay.router is not self._shared
 
     # -- introspection -------------------------------------------------
     def estimator(self, peer: int) -> Optional[LinkEstimator]:

@@ -162,7 +162,10 @@ class _Rest(collections.abc.Coroutine):
         yielded, self._yielded = self._yielded, _RESUMED
         if asyncio.isfuture(yielded):
             yielded.cancel()
-        return self._coro.throw(*exc)
+        try:
+            return self._coro.throw(*exc)
+        finally:
+            exc = yielded = None  # the raised error's traceback holds this frame
 
     def close(self) -> None:
         self._coro.close()
@@ -422,6 +425,9 @@ class RpcEndpoint:
             return await future
         finally:
             self._abandon(x)  # cancelled: no retry, no deadline, no entry left
+            # a raised error's traceback holds this frame, and the future
+            # holds the error: drop both ends of that cycle here
+            future = x = None
 
     def post(
         self,

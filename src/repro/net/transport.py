@@ -468,6 +468,10 @@ class TcpTransport(_BaseTransport):
             endpoint.sock.close()  # each leaves its collection when lost
         self._dirty.clear()
         await self._cancel_tasks()
+        # both bind to the running loop on first use: renewed, they keep
+        # no reference to a loop this transport no longer runs on
+        self._wake = asyncio.Event()
+        self._dial_locks.clear()
 
     def kill(self, peer_id: int) -> None:
         super().kill(peer_id)

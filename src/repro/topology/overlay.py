@@ -23,8 +23,8 @@ by a peer access-link capacity — peers are edge hosts, not routers).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import networkx as nx
 import numpy as np
@@ -52,7 +52,10 @@ class Overlay:
     to its router when an IP layer exists (``None`` for :func:`wan_overlay`).
     ``router`` answers overlay shortest-path queries; peers exchange
     messages along overlay paths, so the message latency between two peers
-    is ``router.delay(a, b)``.
+    is ``router.delay(a, b)``.  The overlay keeps no memo of its own:
+    whatever routing derives (paths, losses, delay rows) lives on
+    ``router``, so re-routing is assigning another router — what a live
+    daemon's measurement plane does to the daemon's copy of the overlay.
     """
 
     graph: nx.Graph
@@ -60,14 +63,6 @@ class Overlay:
     ip_of: Optional[Dict[int, int]] = None
     ip_graph: Optional[nx.Graph] = None
     kind: str = "overlay"
-    # memoized per-pair additive loss (the overlay is static for a run;
-    # clear_caches() is the invalidation hook if it is ever rebuilt)
-    _loss_cache: Dict[Tuple[int, int], float] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    # dependants keeping overlay-derived caches (e.g. BCP's per-pair link
-    # QoS) register here so clear_caches() invalidates them too
-    _cache_listeners: List = field(default_factory=list, repr=False, compare=False)
 
     @property
     def n_peers(self) -> int:
@@ -80,35 +75,9 @@ class Overlay:
         """One-way message latency between peers (overlay shortest path)."""
         return self.router.delay(a, b)
 
-    def link_bandwidth(self, a: int, b: int) -> float:
-        return float(self.graph.edges[a, b]["bandwidth"])
-
-    def link_loss_add(self, a: int, b: int) -> float:
-        """Additive (−log survival) loss of one overlay link."""
-        return float(self.graph.edges[a, b]["loss_add"])
-
     def path_loss_add(self, a: int, b: int) -> float:
         """Additive loss accumulated along the routed overlay path a→b."""
-        if a == b:
-            return 0.0
-        key = (a, b)
-        hit = self._loss_cache.get(key)
-        if hit is None:
-            hit = sum(self.link_loss_add(u, v) for u, v in self.router.links(a, b))
-            self._loss_cache[key] = hit
-        return hit
-
-    def add_cache_listener(self, callback) -> None:
-        """Register a callback fired by :meth:`clear_caches`."""
-        self._cache_listeners.append(callback)
-
-    def clear_caches(self) -> None:
-        """Flush memoized routing state (loss sums + router path caches)
-        and notify registered dependants."""
-        self._loss_cache.clear()
-        self.router.clear_cache()
-        for callback in self._cache_listeners:
-            callback()
+        return self.router.path_loss_add(a, b)
 
 
 def select_peers(ip_graph: nx.Graph, n_peers: int, rng=None) -> List[int]:

@@ -16,6 +16,7 @@ using shortest path routing".  We provide both layers:
 from __future__ import annotations
 
 import copy
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -116,16 +117,17 @@ class OverlayRouter:
     ``delay``, ``path`` (peer sequence) and ``links`` (overlay edge
     sequence) used by bandwidth admission along service links.
 
-    The overlay is static for a run, so reconstructed paths are memoized:
-    ``path``/``links``/``link_index_list`` pay the predecessor-matrix walk
-    once per (src, dst) pair and serve dict hits afterwards — these are
-    the hottest calls of BCP probing (bandwidth admission and ψλ evaluate
-    them per candidate per hop).  Cached lists are shared: treat them as
-    read-only.  ``clear_cache`` (or ``set_path_cache``) is the
-    invalidation hook for the rare callers that rebuild routing state; a
-    router that *replaces* another over the same graph (the measurement
-    plane's re-prices) keeps what still holds instead: ``changed_pairs``
-    names the pairs that moved, ``adopt_cache`` carries the rest over.
+    A router's routes never change, so everything derived from them is
+    memoized on the router itself: ``path``/``links``/``link_index_list``
+    pay the predecessor-matrix walk once per (src, dst) pair and serve
+    dict hits afterwards — these are the hottest calls of BCP probing
+    (bandwidth admission and ψλ evaluate them per candidate per hop) —
+    and ``path_loss_add`` keeps each pair's additive loss beside them.
+    Cached lists are shared: treat them as read-only.  Routing that
+    changes is a *new* router (:meth:`reweighted`, what the measurement
+    plane installs), which starts with empty memos; a memo kept outside
+    the router (BCP's per-pair link QoS) remembers which router it was
+    filled from and refills when that is no longer the one installed.
     """
 
     def __init__(
@@ -187,9 +189,7 @@ class OverlayRouter:
         the networkx graph again cost more than the ``dijkstra`` it fed.
         The shared :attr:`link_order` is also what keeps capacity/usage
         lists indexed by it (:class:`~repro.core.resources.ResourcePool`)
-        valid.  The new router starts with empty path caches; a caller
-        replacing one router by another fills them with
-        :meth:`adopt_cache`."""
+        valid.  The new router starts with empty memos."""
         delays = self._edge_delays.copy()
         for link, delay in overrides.items():
             i = self._link_index.get(link)
@@ -212,53 +212,17 @@ class OverlayRouter:
         out.clear_cache()
         return out
 
-    def changed_pairs(self, other: "OverlayRouter") -> List[Tuple[int, int]]:
-        """The ordered ``(src, dst)`` pairs whose delay or path differs
-        between this router and ``other``, a router over the same graph.
-
-        A path is its predecessor chain, so ``src -> dst`` re-routes
-        when its own predecessor entry differs or when ``src ->
-        pred(dst)`` re-routed; the second clause is closed over by walking
-        the mask one tree level per pass (a handful of passes: overlay
-        paths are short)."""
-        pred = other._pred
-        rerouted = self._pred != pred
-        if rerouted.any():
-            # roots and unreachable entries (pred < 0) point at themselves
-            parent = np.where(pred >= 0, pred, np.arange(pred.shape[1]))
-            while True:
-                wider = rerouted | np.take_along_axis(rerouted, parent, axis=1)
-                if np.array_equal(wider, rerouted):
-                    break
-                rerouted = wider
-        changed = rerouted | (self._dist != other._dist)
-        nodes = self._nodelist
-        return [(nodes[i], nodes[j]) for i, j in zip(*np.nonzero(changed))]
-
-    def adopt_cache(self, old: "OverlayRouter", changed: Sequence[Tuple[int, int]]) -> None:
-        """Start from ``old``'s memoised paths instead of from nothing.
-
-        ``changed`` is ``old.changed_pairs(self)``: every other pair
-        routes exactly as before, so its cached lists are carried over —
-        the same objects — and only the changed pairs are walked again,
-        on demand."""
-        for name in ("_path_cache", "_links_cache", "_link_idx_list_cache"):
-            kept = dict(getattr(old, name))
-            for pair in changed:
-                kept.pop(pair, None)
-            setattr(self, name, kept)
-
     def set_path_cache(self, enabled: bool) -> None:
         """Toggle path memoization (A/B tests); always clears the cache."""
         self._cache_enabled = enabled
         self.clear_cache()
 
     def clear_cache(self) -> None:
-        """Invalidation hook: drop all memoized paths/links/indices and
-        delay rows."""
+        """Drop all memoized paths/links/indices, losses and delay rows."""
         self._path_cache: Dict[Tuple[int, int], List[int]] = {}
         self._links_cache: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         self._link_idx_list_cache: Dict[Tuple[int, int], List[int]] = {}
+        self._loss_cache: Dict[Tuple[int, int], float] = {}
         self._delay_rows: Dict[int, List[float]] = {}
 
     def delay(self, src: int, dst: int) -> float:
@@ -282,6 +246,24 @@ class OverlayRouter:
 
     def reachable(self, src: int, dst: int) -> bool:
         return np.isfinite(self._dist[self._index[src], self._index[dst]])
+
+    def path_loss_add(self, src: int, dst: int) -> float:
+        """Additive (−log survival) loss along the routed path src→dst,
+        the sum of its links' ``loss_add`` in path order; ``inf`` when dst
+        is unreachable, like the delay metric."""
+        if src == dst:
+            return 0.0
+        key = (src, dst)
+        hit = self._loss_cache.get(key)
+        if hit is None:
+            edges = self.graph.edges
+            try:
+                hit = sum(float(edges[link]["loss_add"]) for link in self.links(src, dst))
+            except nx.NetworkXNoPath:
+                hit = math.inf
+            if self._cache_enabled:
+                self._loss_cache[key] = hit
+        return hit
 
     def path(self, src: int, dst: int) -> List[int]:
         """Overlay peer path from src to dst (inclusive).  Read-only."""

@@ -94,37 +94,6 @@ class TestLiveness:
         assert {m.peer for m in registry.duplicates("g", include_down=True)} == {1, 2}
 
 
-class TestCache:
-    def test_cache_hit_within_ttl(self, overlay):
-        dht = PastryNetwork(overlay, rng=np.random.default_rng(3))
-        dht.build()
-        registry = ServiceRegistry(dht, cache_ttl=10.0)
-        registry.register(make_spec("f", peer=1))
-        r1 = registry.lookup("f", origin_peer=0, now=0.0)
-        assert not r1.from_cache
-        r2 = registry.lookup("f", origin_peer=0, now=5.0)
-        assert r2.from_cache
-        assert r2.latency == 0.0
-
-    def test_cache_expires(self, overlay):
-        dht = PastryNetwork(overlay, rng=np.random.default_rng(3))
-        dht.build()
-        registry = ServiceRegistry(dht, cache_ttl=1.0)
-        registry.register(make_spec("f", peer=1))
-        registry.lookup("f", origin_peer=0, now=0.0)
-        r = registry.lookup("f", origin_peer=0, now=2.0)
-        assert not r.from_cache
-
-    def test_cache_is_per_origin(self, overlay):
-        dht = PastryNetwork(overlay, rng=np.random.default_rng(3))
-        dht.build()
-        registry = ServiceRegistry(dht, cache_ttl=10.0)
-        registry.register(make_spec("f", peer=1))
-        registry.lookup("f", origin_peer=0, now=0.0)
-        r = registry.lookup("f", origin_peer=5, now=0.0)
-        assert not r.from_cache
-
-
 class TestViews:
     def test_functions_sorted(self, registry):
         for fn in ("zeta", "alpha"):

@@ -70,13 +70,11 @@ class TestDriftGate:
 
     @staticmethod
     def command_lines(text: str):
-        """argv of every ``python -m repro <subcommand> …`` the text shows:
-        up to a closing backtick, a comment or the end of the line."""
-        subcommands = cli.build_parser()._subparsers._group_actions[0].choices
+        """argv of every ``python -m repro …`` command the text shows, up
+        to a closing backtick, a comment or the end of the line — a
+        deleted subcommand included, so the parser can refuse it."""
         for shown in re.findall(r"python -m repro\b([^`#\n]*)", text):
-            argv = shlex.split(shown)
-            if argv and argv[0] in subcommands:
-                yield argv
+            yield shlex.split(shown)
 
     @staticmethod
     def keywords(text: str, name: str):
@@ -94,6 +92,11 @@ class TestDriftGate:
     def test_scanners_see_what_they_should(self):
         text = "run `python -m repro serve --peers 5` or\npython -m repro fig8 --plot  # chart\n"
         assert list(self.command_lines(text)) == [["serve", "--peers", "5"], ["fig8", "--plot"]]
+        # a subcommand that is gone is still a shown command, and refused
+        (argv,) = self.command_lines("`python -m repro cluster --peers 48`")
+        assert argv == ["cluster", "--peers", "48"]
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
         text = "ClusterConfig(n_peers=4, measurement=MeasurementConfig(enabled=False), seed=1)"
         assert list(self.keywords(text, "ClusterConfig")) == ["n_peers", "measurement", "seed"]
         assert list(self.keywords(text, "MeasurementConfig")) == ["enabled"]

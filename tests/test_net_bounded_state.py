@@ -22,8 +22,8 @@ every probe child, and one of closed windows every request id
 (65 536 each).
 
 What a finished exchange or a stopped cluster leaves must also go with
-its last reference, not wait for the cycle collector: a finished RPC
-exchange, and the event loop a loopback cluster ran on.
+its last reference, not wait for the cycle collector: a finished or
+failed RPC exchange, and the event loop a loopback or TCP cluster ran on.
 """
 
 import asyncio
@@ -34,8 +34,8 @@ from collections import defaultdict
 
 import pytest
 
-from repro.net import ClusterConfig, LiveCluster, MeasurementConfig
-from repro.net.rpc import _Exchange
+from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec
+from repro.net.rpc import RetryPolicy, RpcError, _Exchange
 from repro.sim import vtime
 
 COMPOSES = 200
@@ -214,16 +214,42 @@ def test_a_finished_exchange_goes_without_the_cycle_collector():
         gc.enable()
 
 
-@pytest.mark.parametrize("run", [vtime.run, asyncio.run], ids=["vtime", "asyncio"])
-def test_a_stopped_loopback_cluster_frees_its_loop_without_the_cycle_collector(run):
-    """Nothing a stopped loopback cluster keeps refers to the loop it ran
-    on (the transport's inbox queues go at close), so the loop is freed
-    when the run ends, not when the collector next finds the cluster."""
+def test_a_failed_call_leaves_no_exchange_without_the_cycle_collector():
+    """A call that runs out of retries raises the error its future holds;
+    the call's frame drops the future and the exchange as the error
+    leaves, so the error's traceback keeps neither alive."""
+
+    async def scenario():
+        cluster = LiveCluster(
+            ClusterConfig(
+                n_peers=5, seed=3, measurement=MeasurementConfig(enabled=False),
+                retry=RetryPolicy(timeout=0.05, retries=0, backoff=0.01),
+            )
+        )
+        async with cluster:
+            cluster.kill_peer(4)
+            endpoint = cluster.daemons[0].endpoint
+            for seq in range(3):
+                with pytest.raises(RpcError):
+                    await endpoint.call(4, codec.MaintenancePing(0, seq))
+            return sum(isinstance(o, _Exchange) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert vtime.run(scenario()) == 0
+    finally:
+        gc.enable()
+
+
+def _loop_outlives_the_run(run, cluster_factory):
+    """Whether the loop a stopped cluster ran on is still alive, with the
+    collector off, once ``run`` returns."""
     loops = []
 
     async def scenario():
         loops.append(weakref.ref(asyncio.get_running_loop()))
-        cluster = _small_cluster()
+        cluster = cluster_factory()
         async with cluster:
             for request in cluster.scenario.requests.batch(3):
                 await cluster.compose(request, confirm=False, timeout=60)
@@ -232,6 +258,24 @@ def test_a_stopped_loopback_cluster_frees_its_loop_without_the_cycle_collector(r
     gc.disable()
     try:
         run(scenario())
-        assert loops[0]() is None
+        return loops[0]() is not None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("run", [vtime.run, asyncio.run], ids=["vtime", "asyncio"])
+def test_a_stopped_loopback_cluster_frees_its_loop_without_the_cycle_collector(run):
+    """Nothing a stopped loopback cluster keeps refers to the loop it ran
+    on (the transport's inbox queues go at close), so the loop is freed
+    when the run ends, not when the collector next finds the cluster."""
+    assert not _loop_outlives_the_run(run, _small_cluster)
+
+
+def test_a_stopped_tcp_cluster_frees_its_loop_without_the_cycle_collector():
+    """The same on TCP, on the real loop: the transport's flusher event and
+    dial locks, bound to the loop on first use, are renewed at close, and
+    no finished handler's traceback keeps a frame of the run alive."""
+    config = ClusterConfig(
+        n_peers=5, seed=3, transport="tcp", measurement=MeasurementConfig(enabled=False)
+    )
+    assert not _loop_outlives_the_run(asyncio.run, lambda: LiveCluster(config))

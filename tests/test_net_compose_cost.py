@@ -100,14 +100,14 @@ PLANE_DIGEST = "ffab1c567083e96c08f972097672ec6c81e8c1119c30e6ca4ce710c2a7e59919
 CALLS = {
     (3, 11): {
         "repro.net.codec": 10217, "repro.net": 19786, "asyncio": 16135,
-        "repro.core": 14986, "repro.sim": 4747, "repro.topology": 3054,
+        "repro.core": 14986, "repro.sim": 4747, "repro.topology": 2981,
         "repro.dht": 3607, "repro.services": 562,
     },
 }
 PLANE_CALLS = {
     (3, 11): {
-        "repro.net.codec": 11695, "repro.net": 27360, "asyncio": 23016,
-        "repro.core": 14986, "repro.sim": 15459, "repro.topology": 2791,
+        "repro.net.codec": 11695, "repro.net": 26796, "asyncio": 23016,
+        "repro.core": 14986, "repro.sim": 15459, "repro.topology": 2981,
         "repro.dht": 3607, "repro.services": 562,
     },
 }
@@ -119,7 +119,7 @@ PLANE_CALLS = {
 # (Python 3.12's float sum() is compensated)
 SYNC_CALLS = {
     (3, 11): {
-        "repro.core": 14203, "repro.topology": 3076, "repro.dht": 4214, "repro.sim": 1037,
+        "repro.core": 14203, "repro.topology": 3003, "repro.dht": 4214, "repro.sim": 1037,
         "repro.discovery": 589, "repro.services": 526, "repro.perf": 63,
     },
 }
@@ -131,7 +131,7 @@ PAPER_COMPOSES = 20
 PAPER_TESTBED = dict(n_peers=200, n_functions=6, seed=5)
 PAPER_CALLS = {
     (3, 11): {
-        "repro.core": 111635, "repro.topology": 100785, "repro.sim": 44701,
+        "repro.core": 111635, "repro.topology": 99836, "repro.sim": 44701,
         "repro.dht": 42223, "repro.services": 40157, "repro.discovery": 3995,
         "repro.perf": 180,
     },

@@ -8,6 +8,8 @@ These tests pin down the correctness edges the parity matrix cannot see:
   visible to every peer's next lookup, not after a TTL, even when the
   lookup that warmed the cache was still in flight;
 * invalidation targets — exactly the peers that queried the function;
+* re-registered Qp — the host admits a component at the Qp it was
+  re-registered with, not the one it first admitted it at;
 * hygiene — the miss single-flight map drains after every compose.
 """
 
@@ -280,6 +282,49 @@ def test_invalidation_reaches_exactly_the_functions_queriers():
     fn, querier_a, invalidated, errors = vtime.run(scenario())
     assert errors == []
     assert invalidated == [(querier_a, fn)]
+
+
+def test_admission_reads_the_qp_of_a_re_registered_component():
+    """A component booted at 1000x its delay, admitted once, then
+    re-registered at its original Qp: its host admits it at the new Qp,
+    so the next compose selects what a cluster booted with the original
+    Qp selects, at the same end-to-end delay (a Qp memo keyed by
+    component id alone kept admitting it at 10.27 s, and the compose
+    settled for another graph at 0.6608 s instead of 0.6315 s)."""
+    slow_index = 3
+
+    def run(inflate):
+        async def scenario():
+            cluster = _cluster(seed=3, measurement=MeasurementConfig(enabled=False))
+            population = cluster.scenario.population
+            spec = population[slow_index]
+            if inflate:
+                qp = dict(spec.qp.values, delay=1000 * spec.qp.values["delay"])
+                population[slow_index] = dataclasses.replace(spec, qp=QoSVector(qp))
+            async with cluster:
+                request = cluster.scenario.requests.next_request()
+                first = await cluster.compose(request, confirm=False, timeout=60)
+                if inflate:
+                    await cluster.daemons[spec.peer].register_components([spec], now=1.0)
+                    population[slow_index] = spec
+                again = dataclasses.replace(request, request_id=request.request_id + 10**6)
+                result = await cluster.compose(again, confirm=False, timeout=60)
+                index = {s.component_id: i for i, s in enumerate(population)}
+
+                def picked(r):
+                    return sorted(index[m.component_id] for m in r.best.assignment.values())
+
+                return picked(first), picked(result), result.best_qos.get("delay"), cluster.errors()
+
+        return vtime.run(scenario())
+
+    _, ref_picked, ref_delay, ref_errors = run(inflate=False)
+    first, picked, delay, errors = run(inflate=True)
+    assert errors == ref_errors == []
+    assert slow_index in ref_picked
+    assert slow_index not in first  # passed over while slow
+    assert picked == ref_picked
+    assert delay == ref_delay
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""The topology measurement plane: estimators, the measured view, and
-the live loop from degradation to rerouting and from death to recovery.
+"""The topology measurement plane: estimators, the daemon's re-routed
+overlay, and the live loop from degradation to rerouting and from death
+to recovery.
 
 Unit layers first (:class:`LinkEstimator` EWMA/baseline/decay math, the
-:class:`MeasuredOverlayView` delegate-until-material contract), then the
-integrated behaviours the plane exists for:
+plane's shared-router-until-material contract and its memos living with
+the router), then the integrated behaviours the plane exists for:
 
 * every RPC round-trip is measured for free, with no probe sent;
 * active probes are real frames charged to the ``net_measure`` ledger
@@ -20,20 +21,27 @@ integrated behaviours the plane exists for:
 """
 
 import asyncio
+import copy
 import dataclasses
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.bcp import BCP, BCPConfig, NextHopWeights
 from repro.core.probe import Probe
 from repro.discovery.metadata import ServiceMetadata
 from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, measurement
 from repro.sim import vtime
-from repro.net.measurement import LinkEstimator, MeasuredOverlayView, MeasurementPlane
+from repro.net.measurement import LinkEstimator, MeasurementPlane
 from repro.net.rpc import RetryPolicy
 from repro.sim.tracing import EventTrace
+from repro.topology.overlay import Overlay
 from repro.topology.routing import OverlayRouter
+
+from worlds import fuzz_settings
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +107,7 @@ def test_estimator_ignores_negative_samples():
 
 
 # ----------------------------------------------------------------------
-# MeasuredOverlayView
+# the daemon's overlay: the shared router until a delta, then its own
 # ----------------------------------------------------------------------
 
 
@@ -109,69 +117,72 @@ def _overlay(n_peers=6, seed=7):
     ).scenario.overlay
 
 
+class _Clock:
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+class _NoCalls:
+    """Endpoint stand-in: these tests never send a frame."""
+
+
+def _plane(base, peer=0, clock=None):
+    """A plane over its own copy of ``base``, as a measuring daemon has."""
+    view = copy.copy(base)
+    return MeasurementPlane(peer, _NoCalls(), view, clock=clock or _Clock()), view
+
+
 def test_view_delegates_verbatim_when_clean():
     base = _overlay()
-    view = MeasuredOverlayView(base)
+    plane, view = _plane(base)
     # the *same* router object — memoized paths are shared, selections
     # cannot diverge even in principle
     assert view.router is base.router
     assert view.latency(0, 3) == base.latency(0, 3)
     assert view.path_loss_add(0, 3) == base.path_loss_add(0, 3)
     assert view.n_peers == base.n_peers
-    assert view.rebuilds == 0
+    assert plane.router_rebuilds == 0 and not plane.private
 
 
 def test_view_scales_link_and_preserves_link_order():
     base = _overlay()
-    view = MeasuredOverlayView(base)
-    link = base.router.link_order[0]
+    plane, view = _plane(base)
+    q = plane.neighbours[0]
+    link = tuple(sorted((plane.peer_id, q)))
     declared = base.router.link_delay(*link)
-    assert view.set_link_scales({link: 4.0})
-    assert view.router is not base.router
-    assert view.rebuilds == 1
+    plane.set_link_scales({q: 4.0})
+    assert view.router is not base.router and plane.private
+    assert plane.router_rebuilds == 1
     assert view.router.link_delay(*link) == pytest.approx(declared * 4.0)
     # same graph object, same canonical link order: pool capacity/usage
     # arrays indexed by link_order stay valid
     assert view.router.graph is base.router.graph
     assert view.router.link_order == base.router.link_order
-    # idempotent installs don't thrash
-    assert not view.set_link_scales({link: 4.0})
-    assert view.rebuilds == 1
-    # clearing the only delta returns to verbatim delegation
-    assert view.set_link_scales({link: None})
-    assert view.router is base.router
+    # the shared overlay never sees a daemon's delta
+    assert base.router.link_delay(*link) == declared
+    # clearing the only delta returns to the shared router, building none
+    plane.set_link_scales({q: None})
+    assert view.router is base.router and not plane.private
+    assert plane.router_rebuilds == 1
 
 
 def test_view_down_peer_prices_links_unreachable():
     base = _overlay()
-    view = MeasuredOverlayView(base)
+    plane, view = _plane(base)
     victim = 3
-    assert view.set_peer_down(victim)
+    plane.mark_path_down(victim)
     assert not view.router.reachable(0, victim)
     assert view.latency(0, victim) == float("inf")
     assert view.path_loss_add(0, victim) == float("inf")
     # other pairs still route (mesh topologies keep alternatives)
     others = [p for p in base.peers() if p != victim]
     assert view.router.reachable(others[0], others[-1])
-    assert view.clear_peer_down(victim)
+    plane.mark_path_up(victim)
     assert view.router is base.router
     assert view.latency(0, victim) == base.latency(0, victim)
-
-
-def test_view_mutations_fire_cache_listeners():
-    base = _overlay()
-    view = MeasuredOverlayView(base)
-    fired = []
-    view.add_cache_listener(lambda: fired.append(1))
-    link = base.router.link_order[0]
-    view.set_link_scales({link: 3.0})
-    assert len(fired) == 1
-    view.set_peer_down(4)
-    assert len(fired) == 2
-    view.reset()
-    assert len(fired) == 3
-    assert view.link_scales == {}
-    assert view.down_peers == set()
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +347,7 @@ def test_degraded_link_converges_and_reroutes(monkeypatch):
 
         async with cluster:
             plane = cluster.daemons[source].measurement
-            view = plane.view
+            view = plane.overlay
             loop = asyncio.get_running_loop()
             # settle the baseline on healthy wires
             assert await _poll(
@@ -369,7 +380,7 @@ def test_degraded_link_converges_and_reroutes(monkeypatch):
                 await cluster.compose(gen.next_request(source=source, dest=dest), timeout=60)
                 for _ in range(2)
             ]
-            reprices, rebuilds = plane.reprices, view.rebuilds
+            reprices, rebuilds = plane.reprices, plane.router_rebuilds
             errors = cluster.errors()
         return ratio, after, reprices, rebuilds, errors
 
@@ -416,12 +427,10 @@ def test_dead_path_lifecycle_kill_then_revive(monkeypatch):
             ), "consecutive probe failures must mark the path down"
             downed = next(d for d in watchers if d.measurement.is_down(victim))
             # routing avoids the corpse: dropped from candidate liveness
-            # and priced unreachable in the measured view
+            # and priced unreachable on the router the daemon's engine reads
             assert not downed.bcp.alive(victim)
-            assert victim in downed.measurement.view.down_peers
-            assert not downed.measurement.view.router.reachable(
-                downed.peer_id, victim
-            )
+            assert victim in downed.measurement.down_paths
+            assert not downed.bcp.overlay.router.reachable(downed.peer_id, victim)
             during = [
                 await cluster.compose(gen.next_request(source=3, dest=4), timeout=60)
                 for _ in range(2)
@@ -431,11 +440,9 @@ def test_dead_path_lifecycle_kill_then_revive(monkeypatch):
             assert await _poll(
                 lambda: not any(d.measurement.is_down(victim) for d in watchers)
             ), "a recovery probe must mark the path back up"
-            assert victim not in downed.measurement.view.down_peers
+            assert victim not in downed.measurement.down_paths
             assert downed.bcp.alive(victim)
-            assert downed.measurement.view.router.reachable(
-                downed.peer_id, victim
-            )
+            assert downed.bcp.overlay.router.reachable(downed.peer_id, victim)
             after = await cluster.compose(
                 gen.next_request(source=1, dest=2), timeout=60
             )
@@ -549,30 +556,17 @@ def test_measurement_disabled_reproduces_pre_plane_behaviour():
 # drives the whole rule through the plane's own intake without a probe.
 
 
-class _Clock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
-class _NoCalls:
-    """Endpoint stand-in: the schedule tests never send a frame."""
-
-
 INTERVAL = measurement.PROBE_INTERVAL
 
 
 def _fed_plane(peer=None, n_peers=6):
-    """A plane over its own view, fed by hand.  ``peer`` defaults to the
-    best-connected one."""
+    """A plane over its own copy of the overlay, fed by hand.  ``peer``
+    defaults to the best-connected one."""
     base = _overlay(n_peers=n_peers)
     if peer is None:
         peer = max(base.peers(), key=base.graph.degree)
-    view = MeasuredOverlayView(base)
     clock = _Clock()
-    plane = MeasurementPlane(peer, _NoCalls(), view=view, clock=clock)
+    plane, view = _plane(base, peer, clock)
     return plane, view, base, clock
 
 
@@ -642,7 +636,7 @@ def test_schedule_jitter_on_every_neighbour_never_reprices(seed):
     _run_schedule(plane, clock, rtt_of, intervals=240)
     assert crossings > 20, "the schedule must actually cross the ratio gate"
     assert plane.reprices == 0
-    assert view.rebuilds == 0
+    assert plane.router_rebuilds == 0
     assert view.router is base.router
 
 
@@ -681,13 +675,12 @@ def test_schedule_step_amid_jitter_installs_within_bound(per_interval, within):
     assert plane.reprices == 0 and view.router.path(me, hot) == [me, hot]
     step_at[0] = clock.now
     took = 0
-    while not view.link_scales and took < 2 * within:
+    while not plane._scales and took < 2 * within:
         _run_schedule(plane, clock, rtt_of, intervals=1, per_interval=per_interval)
         took += 1
-    link = tuple(sorted((me, hot)))
     assert took <= within, f"installed after {took} intervals"
-    assert set(view.link_scales) == {link}
-    assert view.link_scales[link] >= measurement.MATERIAL_RATIO
+    assert set(plane._scales) == {hot}
+    assert plane._scales[hot] >= measurement.MATERIAL_RATIO
     assert view.router.path(me, hot) != [me, hot]
 
 
@@ -710,20 +703,18 @@ def test_schedule_ratio_hovering_at_the_gate_installs_once():
     crossings = sum((a < gate) != (b < gate) for a, b in zip(ratios, ratios[1:]))
     assert crossings >= 8, "the schedule must cross the gate both ways"
     assert plane.reprices == 1
-    assert view.rebuilds == 1
-    assert set(view.link_scales) == {tuple(sorted((me, hot)))}
+    assert plane.router_rebuilds == 1
+    assert set(plane._scales) == {hot}
 
 
 def test_schedule_five_links_in_one_interval_are_one_rebuild():
     """(d) Coalescing: five links inflate inside one interval; the plane
-    decides once, the view mutates once, one router is built."""
+    decides once, and one router is built."""
     plane, view, base, clock = _fed_plane(n_peers=10)
     me = plane.peer_id
     adjacent = sorted(plane._adjacent)
     assert len(adjacent) >= 7
     hot = set(adjacent[:5])
-    fired = []
-    view.add_route_listener(fired.append)
     inflated = [False]
 
     def rtt_of(q, t):
@@ -737,142 +728,175 @@ def test_schedule_five_links_in_one_interval_are_one_rebuild():
     # converges and settles within the one interval
     _run_schedule(plane, clock, rtt_of, intervals=2, per_interval=32)
     assert plane.reprices == 5
-    assert view.rebuilds == 1
-    assert len(fired) == 1
-    assert set(view.link_scales) == {tuple(sorted((me, q))) for q in hot}
+    assert plane.router_rebuilds == 1
+    assert set(plane._scales) == hot
+    assert view.router is not base.router
 
 
-def _all_pairs(router):
-    return [(a, b) for a in router.peers for b in router.peers]
+def _cold(graph, me, scales, down):
+    """The reference: the router the constructor builds cold from the
+    deltas a sequence of mutations should have left."""
+    overrides = {
+        tuple(sorted((me, q))): float(graph.edges[me, q]["delay"]) * k
+        for q, k in scales.items()
+    }
+    for u, v in graph.edges:
+        if u in down or v in down:
+            overrides[tuple(sorted((u, v)))] = float("inf")
+    return OverlayRouter(graph, delay_overrides=overrides), overrides
 
 
-def _warm(router):
-    """Memoise every reachable pair in all three per-pair caches."""
-    for a, b in _all_pairs(router):
-        if router.reachable(a, b):
-            router.link_index_list(a, b)
-
-
-def _cached(router, pair):
-    return (
-        router._path_cache.get(pair), router._links_cache.get(pair),
-        router._link_idx_list_cache.get(pair),
-    )
-
-
-def _moved(old, new):
-    """Reference for the invalidation contract: the pairs that differ in
-    delay or in path between two routers, found the slow way."""
-    out = set()
-    for a, b in _all_pairs(old):
-        if old.reachable(a, b) != new.reachable(a, b) or old.delay(a, b) != new.delay(a, b):
-            out.add((a, b))
-        elif old.reachable(a, b) and old.path(a, b) != new.path(a, b):
-            out.add((a, b))
-    return out
-
-
-def test_view_mutation_equals_fresh_router_and_names_the_moved_pairs():
-    """(e) Whatever sequence of mutations led to it, the view's router is
-    the router the constructor builds from the same overrides; pairs a
-    mutation did not move keep their memoised lists — the same objects —
-    and listeners are handed exactly the pairs it did move."""
+def test_view_mutation_equals_fresh_router():
+    """(e) Whatever sequence of mutations led to it, the daemon's router
+    is the router the constructor builds from the same overrides, over the
+    same graph and link order; each mutation builds exactly one router,
+    and a reset goes back to the shared one."""
     base = _overlay(n_peers=12)
     graph = base.graph
-    _warm(base.router)
-    view = MeasuredOverlayView(base)
-    heard = []
-    view.add_route_listener(heard.append)
-    links = base.router.link_order
-    declared = {link: float(graph.edges[link]["delay"]) for link in links}
-    down_peer = max(base.peers(), key=graph.degree)
+    me = max(base.peers(), key=graph.degree)
+    plane, view = _plane(base, me)
+    q = sorted(plane._adjacent)
+    down_peer = max((p for p in base.peers() if p != me), key=graph.degree)
     steps = [
-        lambda: view.set_link_scales({links[0]: 6.0, links[5]: 2.5, links[9]: 1.6}),
-        lambda: view.set_link_scales({links[0]: None, links[3]: 4.0}),
-        lambda: view.set_peer_down(down_peer),
-        lambda: view.clear_peer_down(down_peer),
-        lambda: view.reset(),
+        (lambda: plane.set_link_scales({q[0]: 6.0, q[1]: 2.5, q[2]: 1.6}),
+         {q[0]: 6.0, q[1]: 2.5, q[2]: 1.6}, set()),
+        (lambda: plane.set_link_scales({q[0]: None, q[3]: 4.0}),
+         {q[1]: 2.5, q[2]: 1.6, q[3]: 4.0}, set()),
+        (lambda: plane.mark_path_down(down_peer), {q[1]: 2.5, q[2]: 1.6, q[3]: 4.0}, {down_peer}),
+        (lambda: plane.mark_path_up(down_peer), {q[1]: 2.5, q[2]: 1.6, q[3]: 4.0}, set()),
+        (lambda: plane.rebind(plane.endpoint), {}, set()),
     ]
-    for step in steps:
-        old = view.router
-        before = {pair: _cached(old, pair) for pair in _all_pairs(old)}
+    for step, scales, down in steps:
+        rebuilds = plane.router_rebuilds
         step()
-        overrides = {link: declared[link] * k for link, k in view.link_scales.items()}
-        for link in links:
-            if set(link) & view.down_peers:
-                overrides[link] = float("inf")
-        fresh = OverlayRouter(graph, delay_overrides=overrides)
+        fresh, overrides = _cold(graph, me, scales, down)
         new = view.router
         np.testing.assert_array_equal(new._dist, fresh._dist)
-        moved = _moved(old, fresh)
-        assert moved, "every step of this schedule moves some pair"
-        assert len(heard[-1]) == len(set(heard[-1])) and set(heard[-1]) == moved
+        assert new.graph is graph and new.link_order == base.router.link_order
         if not overrides:
-            assert new is base.router
+            assert new is base.router and plane.router_rebuilds == rebuilds
             continue
-        for pair in _all_pairs(new):
-            if pair not in moved:
-                # carried over, not recomputed: identical objects
-                assert all(x is y for x, y in zip(_cached(new, pair), before[pair]))
-            else:
-                assert _cached(new, pair) == (None, None, None)
-            if fresh.reachable(*pair):
-                assert new.path(*pair) == fresh.path(*pair)
-                assert new.links(*pair) == fresh.links(*pair)
-                assert new.link_index_list(*pair) == fresh.link_index_list(*pair)
-    assert len(heard) == len(steps)
-    assert view.rebuilds == 4  # the reset went back to the shared router
+        assert plane.router_rebuilds == rebuilds + 1
+        for a in base.peers():
+            for b in base.peers():
+                if fresh.reachable(a, b):
+                    assert new.path(a, b) == fresh.path(a, b)
+                    assert new.links(a, b) == fresh.links(a, b)
+                    assert new.link_index_list(a, b) == fresh.link_index_list(a, b)
+    assert plane.router_rebuilds == 4
 
 
-def test_link_reprice_drops_exactly_the_moved_pair_qos():
-    """A link re-price is no registry change: BCP keeps every component
-    Qp vector and every link-QoS entry the re-price did not move (the
-    parent flushed both caches on each of ten re-prices per compose)."""
+def _grid_engine():
+    """A unit-delay grid (equal-cost paths everywhere, so which
+    predecessor dijkstra records can change with a far-away weight) with a
+    distinct loss per link, wired the way a measuring daemon is: a BCP over
+    its own copy of the overlay, and a plane on the centre peer."""
+    g = nx.convert_node_labels_to_integers(nx.grid_2d_graph(4, 3))
+    for i, (u, v) in enumerate(g.edges):
+        g.edges[u, v].update(delay=1.0, loss_add=0.001 * (i + 1))
+    view = Overlay(graph=g, router=OverlayRouter(g))
+    plane = MeasurementPlane(4, _NoCalls(), view, clock=_Clock())
+    return BCP(view, None, None), plane
+
+
+def _daemon_engine():
+    """A measuring daemon of an unstarted loopback cluster, as booted (its
+    plane on a hand clock: no loop runs)."""
     cluster = LiveCluster(ClusterConfig(n_peers=8, seed=7))
-    shared = cluster.scenario.net.bcp
-    base = cluster.scenario.overlay
-    view = MeasuredOverlayView(base)
-    bcp = BCP(view, shared.pool.clone_empty(overlay=view), shared.registry, config=shared.config)
-    for a, b in _all_pairs(base.router):
-        bcp._link_qos(a, b)
-    for spec in cluster.scenario.population:
-        bcp._qp_as_qos(spec)
-    comp_qos, comp_entries = bcp._comp_qos, dict(bcp._comp_qos)
-    pair_entries = dict(bcp._pair_qos)
-    assert comp_entries and len(pair_entries) == base.n_peers ** 2
-    heard = []
-    view.add_route_listener(heard.append)
-    link = base.router.link_order[0]
-    assert view.set_link_scales({link: 6.0})
-    moved = set(heard[-1])
-    assert moved and moved == _moved(base.router, view.router)
-    assert bcp._comp_qos is comp_qos and bcp._comp_qos == comp_entries
-    assert all(bcp._comp_qos[k] is v for k, v in comp_entries.items())
-    assert set(pair_entries) - set(bcp._pair_qos) == moved
-    assert all(bcp._pair_qos[k] is v for k, v in pair_entries.items() if k not in moved)
-    # the refill prices the moved pairs on the new router
-    a, b = link
-    assert bcp._link_qos(a, b).get("delay") == view.router.delay(a, b) != base.router.delay(a, b)
-    # an argument-less clear (registry change) still flushes both
-    bcp.clear_caches()
-    assert not bcp._pair_qos and not bcp._comp_qos
+    graph = cluster.scenario.overlay.graph
+    daemon = cluster.daemons[max(graph.nodes, key=graph.degree)]
+    daemon.measurement._clock = _Clock()
+    return daemon.bcp, daemon.measurement
+
+
+_ENGINES = {}
+
+_MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("scale"), st.integers(0, 6), st.sampled_from([None, 0.5, 2.0, 3.0, 6.0])),
+        st.tuples(st.just("down"), st.integers(0, 11)),
+        st.tuples(st.just("up"), st.integers(0, 11)),
+        st.tuples(st.just("reset")),
+    ),
+    max_size=6,
+)
+
+
+@fuzz_settings(40)
+@given(world=st.sampled_from(["daemon", "grid"]), mutations=_MUTATIONS)
+def test_every_engine_read_after_plane_mutations_equals_a_cold_router(world, mutations):
+    """A memo lives with its router.  After any sequence of plane
+    mutations, every read through the daemon's engine — BCP's link QoS,
+    the overlay's path loss, the router's links, link indices and delay
+    rows — equals the same read from a router built cold from the deltas,
+    ties included, though every memo was warm before each mutation."""
+    if world not in _ENGINES:
+        _ENGINES[world] = _grid_engine() if world == "grid" else _daemon_engine()
+    bcp, plane = _ENGINES[world]
+    view, me = bcp.overlay, plane.peer_id
+    graph, peers = view.graph, sorted(view.graph.nodes)
+    neighbours = sorted(plane._adjacent)
+    plane.rebind(plane.endpoint)
+    scales, down = {}, set()
+
+    def check():
+        cold, overrides = _cold(graph, me, scales, down)
+        router = view.router
+        assert plane.private == bool(overrides)
+        for a in peers:
+            assert router.delays_to(a, peers) == cold.delays_to(a, peers)
+            for b in peers:
+                if a == b:
+                    loss = 0.0
+                elif cold.reachable(a, b):
+                    loss = sum(float(graph.edges[link]["loss_add"]) for link in cold.links(a, b))
+                else:
+                    loss = float("inf")
+                assert bcp._link_qos(a, b).values == {"delay": cold.delay(a, b), "loss": loss}
+                assert view.path_loss_add(a, b) == loss
+                if cold.reachable(a, b):
+                    assert router.links(a, b) == cold.links(a, b)
+                    assert router.link_index_list(a, b) == cold.link_index_list(a, b)
+                else:
+                    assert not router.reachable(a, b)
+
+    check()
+    for kind, *args in mutations:
+        if kind == "scale":
+            q, k = neighbours[args[0] % len(neighbours)], args[1]
+            plane.set_link_scales({q: k})
+            if k is None:
+                scales.pop(q, None)
+            else:
+                scales[q] = k
+        elif kind == "down":
+            plane.mark_path_down(peers[args[0] % len(peers)])
+            down.add(peers[args[0] % len(peers)])
+        elif kind == "up":
+            plane.mark_path_up(peers[args[0] % len(peers)])
+            down.discard(peers[args[0] % len(peers)])
+        else:
+            plane.rebind(plane.endpoint)
+            scales.clear()
+            down.clear()
+        check()
 
 
 def test_scores_read_the_delays_of_the_router_a_reprice_installs():
     """BCP ranks duplicates on one delay row per ranking peer, which the
-    router keeps: after a delta swaps the view's router the ranking reads
+    router keeps: after a delta swaps the daemon's router the ranking reads
     the new router's delays, and after a reset the shared router's again
-    (a row kept across the swap would rank on delays the view no longer
+    (a row kept across the swap would rank on delays the daemon no longer
     has)."""
     cluster = LiveCluster(ClusterConfig(n_peers=8, seed=7))
     shared = cluster.scenario.net.bcp
     base = cluster.scenario.overlay
-    view = MeasuredOverlayView(base)
+    probe = Probe.initial(cluster.scenario.requests.next_request(), 8)
+    here = probe.current_peer
+    plane, view = _plane(base, here)
     delay_only = NextHopWeights(delay=1.0, bandwidth=0.0, failure=0.0)
     config = dataclasses.replace(shared.config, nexthop_weights=delay_only)
     bcp = BCP(view, shared.pool.clone_empty(overlay=view), shared.registry, config=config)
-    probe = Probe.initial(cluster.scenario.requests.next_request(), 8)
-    here = probe.current_peer
     comps = [ServiceMetadata.from_spec(spec) for spec in cluster.scenario.population]
 
     def scores_from_latency():
@@ -882,10 +906,10 @@ def test_scores_read_the_delays_of_the_router_a_reprice_installs():
 
     before = bcp._score_components(probe, comps)
     assert before == scores_from_latency()
-    assert view.set_link_scales({tuple(sorted((here, n))): 5.0 for n in base.graph[here]})
+    plane.set_link_scales({n: 5.0 for n in base.graph[here]})
     after = bcp._score_components(probe, comps)
     assert after == scores_from_latency() != before
-    view.reset()
+    plane.rebind(plane.endpoint)
     assert bcp._score_components(probe, comps) == scores_from_latency() == before
 
 
@@ -900,9 +924,7 @@ def test_probes_go_only_where_traffic_has_not_measured(monkeypatch):
     me = max(base.peers(), key=base.graph.degree)
     clock = _Clock()
     interval = measurement.PROBE_INTERVAL
-    plane = MeasurementPlane(
-        me, _NoCalls(), view=MeasuredOverlayView(base), clock=clock
-    )
+    plane, _ = _plane(base, me, clock)
     busy, idle, dead, flaky = plane.neighbours
     rtt = 0.01
     probed = []

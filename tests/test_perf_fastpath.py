@@ -189,40 +189,6 @@ class TestWaveLookupCache:
 
 
 # ----------------------------------------------------------------------
-# registry TTL cache vs liveness
-# ----------------------------------------------------------------------
-class TestRegistryCacheLiveness:
-    def test_cached_entries_filter_departed_peers(self):
-        from repro.discovery.registry import ServiceRegistry
-
-        w = MicroWorld(n_peers=6)
-        registry = ServiceRegistry(w.dht, cache_ttl=60.0)
-        w.registry = registry
-        w.place("fa", 2)
-        w.place("fa", 4)
-        first = registry.lookup("fa", origin_peer=0, now=0.0)
-        assert not first.from_cache
-        registry.peer_departed(4)
-        cached = registry.lookup("fa", origin_peer=0, now=1.0)
-        assert cached.from_cache
-        assert [c.peer for c in cached.components] == [2]
-        # include_down bypasses the liveness filter but not the cache
-        full = registry.lookup("fa", origin_peer=0, now=2.0, include_down=True)
-        assert sorted(c.peer for c in full.components) == [2, 4]
-
-    def test_cache_expires_after_ttl(self):
-        from repro.discovery.registry import ServiceRegistry
-
-        w = MicroWorld(n_peers=6)
-        registry = ServiceRegistry(w.dht, cache_ttl=10.0)
-        w.registry = registry
-        w.place("fa", 2)
-        registry.lookup("fa", origin_peer=0, now=0.0)
-        assert registry.lookup("fa", origin_peer=0, now=5.0).from_cache
-        assert not registry.lookup("fa", origin_peer=0, now=10.0).from_cache
-
-
-# ----------------------------------------------------------------------
 # perf harness
 # ----------------------------------------------------------------------
 class TestPhaseTimer:
@@ -260,22 +226,6 @@ class TestPhaseTimer:
         for key in ("wall_probe", "wall_selection", "wall_setup"):
             assert key in result.phases
             assert result.phases[key] >= 0.0
-
-
-# ----------------------------------------------------------------------
-# cache invalidation plumbing
-# ----------------------------------------------------------------------
-class TestCacheInvalidation:
-    def test_overlay_clear_reaches_router_and_bcp(self):
-        w = MicroWorld(n_peers=6)
-        w.place("fa", 2)
-        w.place("fb", 3)
-        assert w.bcp.compose(w.request(FunctionGraph.linear(["fa", "fb"]))).success
-        assert w.bcp._pair_qos and w.bcp._comp_qos
-        assert w.overlay.router._path_cache
-        w.overlay.clear_caches()
-        assert not w.bcp._pair_qos and not w.bcp._comp_qos
-        assert not w.overlay.router._path_cache
 
 
 # ----------------------------------------------------------------------

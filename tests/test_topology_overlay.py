@@ -119,7 +119,7 @@ class TestLossModel:
         ov = mesh_overlay(ip, 15, k=3, rng=np.random.default_rng(9))
         a, b = 0, 14
         links = ov.router.links(a, b)
-        total = sum(ov.link_loss_add(u, v) for u, v in links)
+        total = sum(ov.graph.edges[link]["loss_add"] for link in links)
         assert ov.path_loss_add(a, b) == pytest.approx(total)
 
     def test_self_path_loss_zero(self, ip):

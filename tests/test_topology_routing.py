@@ -202,64 +202,3 @@ class TestReweighted:
         assert other.path(a, b) != before
         assert base.path(a, b) == before  # the base's memoized paths are its own
         assert base.reweighted({}).path(a, b) == before  # and overrides do not stick
-
-
-class TestChangedPairs:
-    """``changed_pairs`` + ``adopt_cache``: a router that takes over from
-    another keeps what still holds and re-walks only what moved.  The
-    reference is a cold router, which memoises nothing it did not walk."""
-
-    @staticmethod
-    def grid():
-        # unit delays: equal-cost paths everywhere, so which predecessor
-        # dijkstra records for a pair can change with a far-away weight
-        g = nx.grid_2d_graph(5, 5)
-        g = nx.convert_node_labels_to_integers(g)
-        nx.set_edge_attributes(g, 1.0, "delay")
-        return g
-
-    @staticmethod
-    def pairs(router):
-        return [(a, b) for a in router.peers for b in router.peers]
-
-    def test_identical_routers_change_nothing(self):
-        base = OverlayRouter(self.grid())
-        assert base.changed_pairs(base.reweighted({})) == []
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_carried_cache_answers_like_a_cold_router_ties_included(self, seed):
-        g = self.grid()
-        rng = np.random.default_rng(seed)
-        links = [tuple(sorted(e)) for e in g.edges]
-        old = OverlayRouter(g)
-        for step in range(4):
-            for a, b in self.pairs(old):
-                if old.reachable(a, b):
-                    old.link_index_list(a, b)
-            picked = rng.choice(len(links), size=6, replace=False)
-            overrides = {links[i]: float(rng.choice([0.5, 2.0, 3.0, np.inf])) for i in picked}
-            new = old.reweighted(overrides)
-            changed = old.changed_pairs(new)
-            new.adopt_cache(old, changed)
-            cold = OverlayRouter(g, delay_overrides=overrides)
-            moved = set(changed)
-            assert len(moved) == len(changed)
-            for a, b in self.pairs(new):
-                same_delay = old.delay(a, b) == cold.delay(a, b)
-                both = old.reachable(a, b) and cold.reachable(a, b)
-                same_path = both and old.path(a, b) == cold.path(a, b)
-                if (a, b) not in moved:
-                    # unchanged means unchanged: delay, path, and the very lists
-                    assert same_delay and (same_path or not cold.reachable(a, b))
-                    if both:
-                        assert new.path(a, b) is old.path(a, b)
-                        assert new.links(a, b) is old.links(a, b)
-                        assert new.link_index_list(a, b) is old.link_index_list(a, b)
-                else:
-                    assert (a, b) not in new._path_cache
-                    assert not (same_delay and same_path)
-                if cold.reachable(a, b):
-                    assert new.path(a, b) == cold.path(a, b)
-                    assert new.links(a, b) == cold.links(a, b)
-                    assert new.link_index_list(a, b) == cold.link_index_list(a, b)
-            old = new
