@@ -65,14 +65,13 @@ def enumerate_candidates(
     duplicates: Dict[str, List[ServiceMetadata]],
     overlay: Overlay,
     alive: Callable[[int], bool] = lambda p: True,
-    max_patterns: int = 8,
     limit: Optional[int] = None,
 ) -> List[CandidateGraph]:
     """Every complete service graph over every composition pattern."""
     fg = request.function_graph
     out: List[CandidateGraph] = []
     seen: Set[Tuple] = set()
-    for _, pattern in fg.composition_patterns(max_patterns):
+    for _, pattern in fg.composition_patterns():
         order = pattern.topological_order()
         pools = []
         for fn in order:
@@ -114,11 +113,10 @@ def _quality_consistent(pattern, assignment: Dict[str, ServiceMetadata]) -> bool
 def optimal_probe_count(
     request: CompositeRequest,
     duplicates: Dict[str, List[ServiceMetadata]],
-    max_patterns: int = 8,
 ) -> int:
     """Probes the unbounded flooding scheme needs: Σ over patterns of Π Zᵢ."""
     total = 0
-    for _, pattern in request.function_graph.composition_patterns(max_patterns):
+    for _, pattern in request.function_graph.composition_patterns():
         prod = 1
         for fn in pattern.functions:
             prod *= max(len(duplicates.get(fn, [])), 0)
@@ -154,10 +152,10 @@ class OptimalComposer(CompositionStrategy):
             self.DEFAULT_MAX_SEARCH_SPACE if max_search_space is None else max_search_space
         )
 
-    def compose(self, request, budget=None, confirm=True, now=None) -> CompositionResult:
+    def compose(self, request, budget=None, confirm=True) -> CompositionResult:
         ctx = self.ctx
         duplicates = ctx.duplicates(request)
-        probes = optimal_probe_count(request, duplicates, ctx.max_patterns)
+        probes = optimal_probe_count(request, duplicates)
         if probes > self.max_search_space:
             raise SearchSpaceExceeded(
                 f"optimal composition over {probes} candidate graphs exceeds the "
@@ -172,9 +170,7 @@ class OptimalComposer(CompositionStrategy):
             ctx.overlay,
             ctx.pool,
             alive=ctx.alive_fn,
-            cost_weights=ctx.cost_weights,
             objective=ctx.objective,
-            max_patterns=ctx.max_patterns,
             node_limit=None,  # exhaustive-equivalent: run to proven optimality
             top_k=64,
             counters=counters,
@@ -196,7 +192,7 @@ class RandomComposer(CompositionStrategy):
         super().__init__(ctx)
         self.rng = as_generator(ctx.rng if rng is None else rng)
 
-    def compose(self, request, budget=None, confirm=True, now=None) -> CompositionResult:
+    def compose(self, request, budget=None, confirm=True) -> CompositionResult:
         ctx = self.ctx
         duplicates = ctx.duplicates(request)
         alive = ctx.alive_fn
@@ -240,7 +236,7 @@ class RandomComposer(CompositionStrategy):
             result.session_tokens = [token]
         else:
             pool.release(token)
-        result.best_cost = psi_cost(graph, pool, self.ctx.cost_weights)
+        result.best_cost = psi_cost(graph, pool)
         result.success = True
         return result
 
@@ -251,7 +247,7 @@ class StaticComposer(RandomComposer):
 
     name = "static"
 
-    def compose(self, request, budget=None, confirm=True, now=None) -> CompositionResult:
+    def compose(self, request, budget=None, confirm=True) -> CompositionResult:
         ctx = self.ctx
         assignment: Dict[str, ServiceMetadata] = {}
         for fn in request.function_graph.functions:
@@ -328,27 +324,25 @@ class CentralizedComposer(CompositionStrategy):
         self.ctx.ensure_ledger().record("state_update", 512, n * (n - 1))
         self.refreshes += 1
 
-    def compose(self, request, budget=None, confirm=True, now=None) -> CompositionResult:
+    def compose(self, request, budget=None, confirm=True) -> CompositionResult:
         ctx = self.ctx
         if not self._cached_available:
             self.refresh()
         duplicates = ctx.duplicates(request)
-        combos = optimal_probe_count(request, duplicates, ctx.max_patterns)
+        combos = optimal_probe_count(request, duplicates)
         if combos > self.max_search_space:
             raise SearchSpaceExceeded(
                 f"centralized composition over {combos} candidate graphs exceeds "
                 f"the size guard ({self.max_search_space}); raise max_search_space "
                 f"or use an anytime strategy ('backtrack' or 'decompose') instead"
             )
-        candidates = enumerate_candidates(
-            request, duplicates, ctx.overlay, ctx.alive_fn, ctx.max_patterns
-        )
+        candidates = enumerate_candidates(request, duplicates, ctx.overlay, ctx.alive_fn)
         # rank on the cached view: filter by Qreq, order by ψλ
         qualified: List[CandidateGraph] = []
         for cand in candidates:
             if not request.qos.satisfied_by(cand.qos):
                 continue
-            cand.cost = psi_cost(cand.graph, self._view, ctx.cost_weights)
+            cand.cost = psi_cost(cand.graph, self._view)
             if math.isfinite(cand.cost):
                 qualified.append(cand)
         qualified.sort(key=lambda c: (c.cost, c.qos.values.get("delay", 0.0)))

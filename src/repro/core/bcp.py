@@ -41,7 +41,6 @@ from ..perf.timers import PhaseTimer
 from ..sim.metrics import MessageLedger
 from ..sim.rng import as_generator
 from ..topology.overlay import Overlay
-from .cost import CostWeights
 from .function_graph import CommutationPair, FunctionGraph
 from .probe import Probe
 from .qos import QoSVector
@@ -62,6 +61,8 @@ __all__ = [
 
 SOURCE_ID = -1  # pseudo component id for the application sender
 DEST_ID = -2  # pseudo component id for the receiver
+HOP_PROCESSING_DELAY = 0.002  # per-hop probe handling cost (s)
+COMPONENT_INIT_DELAY = 0.050  # per-component init during the ack pass (s)
 
 
 @dataclass(frozen=True)
@@ -90,16 +91,10 @@ class BCPConfig:
 
     budget: int = 16
     quota_policy: QuotaPolicy = field(default_factory=ReplicationProportionalQuota)
-    cost_weights: Optional[CostWeights] = None  # None -> uniform over pool types
     nexthop_weights: NextHopWeights = field(default_factory=NextHopWeights)
     collect_timeout: float = 5.0  # destination's probe collection window (s)
-    hop_processing_delay: float = 0.002  # per-hop probe handling cost (s)
-    component_init_delay: float = 0.050  # per-component init during ack pass (s)
-    max_patterns: int = 8  # commutation pattern expansion cap
-    max_candidates: int = 512  # DAG merge cap
     explore_commutations: bool = True  # ablation: exchangeable orders on/off
     soft_allocation: bool = True  # ablation: probe-time reservations on/off
-    qos_pruning: bool = True  # ablation: per-hop violation drops on/off
     metric_selection: bool = True  # ablation: composite metric vs random pruning
     objective: str = "cost"  # destination ranking: "cost" (ψλ) or "delay"
 
@@ -205,7 +200,6 @@ class BCP:
         request: CompositeRequest,
         budget: Optional[int] = None,
         confirm: bool = True,
-        now: Optional[float] = None,
     ) -> CompositionResult:
         """Run the full BCP protocol for one request.
 
@@ -223,7 +217,7 @@ class BCP:
         try:
             with timer.phase("probe"):
                 arrivals, discovery_time = self._probe_phase(
-                    request, beta, result, tokens, now, wave
+                    request, beta, result, tokens, wave
                 )
             result.phases["discovery"] = discovery_time
             with timer.phase("selection"):
@@ -255,7 +249,6 @@ class BCP:
         beta: int,
         result: CompositionResult,
         tokens: Set[Tuple],
-        now: Optional[float],
         wave: Optional[WaveLookupCache] = None,
     ) -> Tuple[List[Probe], float]:
         cfg = self.config
@@ -276,7 +269,7 @@ class BCP:
                 self.take_arrival(probe, tokens, result, arrivals)
                 continue
             children, lookup_rtt = self._expand(
-                probe, tokens, result, seen_children, now, wave
+                probe, tokens, result, seen_children, wave
             )
             if probe.branch == ():  # the source's initial lookups = discovery phase
                 discovery_time = lookup_rtt
@@ -290,7 +283,6 @@ class BCP:
         tokens: Set[Tuple],
         result: CompositionResult,
         seen_children: Set[Tuple],
-        now: Optional[float],
         wave: Optional[WaveLookupCache] = None,
     ) -> Tuple[List[Probe], float]:
         """Per-hop probe processing (Steps 2.1–2.4) at ``probe.current_peer``."""
@@ -308,7 +300,7 @@ class BCP:
         lookups: List[List[ServiceMetadata]] = []
         max_rtt = 0.0
         for fn, _, _, _ in candidates:
-            res = lookup(fn, probe.current_peer, now=now)
+            res = lookup(fn, probe.current_peer)
             lookups.append(res.components)
             max_rtt = max(max_rtt, res.rtt)
         children: List[Probe] = []
@@ -440,12 +432,11 @@ class BCP:
         tokens: Set[Tuple],
     ) -> Optional[Probe]:
         """Step 2.1 at the receiving peer: QoS/resource check + soft allocation."""
-        cfg = self.config
         request = probe.request
         rid = request.request_id
         link_qos = self._link_qos(probe.current_peer, comp.peer)
         qos = probe.qos.plus(link_qos, self._qp_as_qos(comp))
-        if cfg.qos_pruning and request.qos.violation(qos) > 0:
+        if request.qos.violation(qos) > 0:
             return None
         # bandwidth admission on the overlay path carrying this service link
         last = probe.last_component()
@@ -458,7 +449,7 @@ class BCP:
         if not self._reserve_peer(comp_token, comp.peer, comp.resources, tokens):
             return None
         # link_qos already carries latency(current_peer, comp.peer)
-        elapsed = probe.elapsed + lookup_rtt + cfg.hop_processing_delay + link_qos.get("delay")
+        elapsed = probe.elapsed + lookup_rtt + HOP_PROCESSING_DELAY + link_qos.get("delay")
         return probe.spawn(fn, comp, graph, applied, qos, budget, elapsed)
 
     def _final_hop(
@@ -472,19 +463,14 @@ class BCP:
         assert last is not None
         link_qos = self._link_qos(probe.current_peer, request.dest_peer)
         qos = probe.qos + link_qos
-        if self.config.qos_pruning and request.qos.violation(qos) > 0:
+        if request.qos.violation(qos) > 0:
             return None
         link_token = (request.request_id, "link", last.component_id, DEST_ID)
         if not self._reserve_path(
             link_token, probe.current_peer, request.dest_peer, probe.out_bandwidth, tokens
         ):
             return None
-        elapsed = (
-            probe.elapsed
-            + self.config.hop_processing_delay
-            + link_qos.get("delay")
-        )
-        return probe.arrived(qos, elapsed)
+        return probe.arrived(qos, probe.elapsed + HOP_PROCESSING_DELAY + link_qos.get("delay"))
 
     def take_arrival(
         self,
@@ -526,16 +512,8 @@ class BCP:
         if not arrivals:
             self.fail(result, "no probe reached the destination")
             return False
-        candidates = merge_probes(
-            request,
-            arrivals,
-            self.overlay,
-            max_patterns=cfg.max_patterns,
-            max_candidates=cfg.max_candidates,
-        )
-        selection = select_composition(
-            candidates, request.qos, pool, cfg.cost_weights, objective=cfg.objective
-        )
+        candidates = merge_probes(request, arrivals, self.overlay)
+        selection = select_composition(candidates, request.qos, pool, objective=cfg.objective)
         result.qualified = selection.qualified
         if selection.best is None:
             self.fail(result, f"no qualified service graph among {len(candidates)} candidates")
@@ -559,7 +537,7 @@ class BCP:
             t = sum(
                 self.overlay.latency(u, v) for u, v in zip(peers, peers[1:]) if u != v
             )
-            t += cfg.component_init_delay * (len(peers) - 2)
+            t += COMPONENT_INIT_DELAY * (len(peers) - 2)
             ack_time = max(ack_time, t)
             self.ledger.record("bcp_ack", 128, max(len(peers) - 1, 1))
         arrivals_done = max((c.arrival_elapsed for c in result.qualified), default=0.0)

@@ -167,14 +167,8 @@ class SpiderNet:
         """
         if budget is None and self.budget_policy is not None:
             budget = self.budget_policy.budget_for(request)
-        if self.composer is not None:
-            result = self.composer.compose(
-                request, budget=budget, confirm=confirm, now=self.loop.time()
-            )
-        else:
-            result = self.bcp.compose(
-                request, budget=budget, confirm=confirm, now=self.loop.time()
-            )
+        composer = self.bcp if self.composer is None else self.composer
+        result = composer.compose(request, budget=budget, confirm=confirm)
         if self.budget_policy is not None:
             self.budget_policy.record_outcome(result)
         return result

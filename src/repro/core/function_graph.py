@@ -22,6 +22,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 __all__ = ["FunctionGraph", "FunctionGraphError", "CommutationPair"]
 
+MAX_PATTERNS = 8  # commutation patterns a composer expands per request
+
 CommutationPair = FrozenSet[str]
 
 
@@ -219,9 +221,10 @@ class FunctionGraph:
         return fg
 
     def composition_patterns(
-        self, max_patterns: Optional[int] = None
+        self, max_patterns: int = MAX_PATTERNS
     ) -> List[Tuple[FrozenSet[CommutationPair], "FunctionGraph"]]:
-        """All concrete orders derivable by applying commutation subsets.
+        """The concrete orders derivable by applying commutation subsets,
+        at most ``max_patterns`` of them.
 
         Returns ``[(applied_pairs, pattern_graph), ...]`` starting with the
         original order (empty set).  Non-adjacent results of earlier swaps
@@ -232,14 +235,14 @@ class FunctionGraph:
         patterns: List[Tuple[FrozenSet[CommutationPair], FunctionGraph]] = [
             (frozenset(), self)
         ]
-        if max_patterns is not None and max_patterns < 1:
+        if max_patterns < 1:
             raise FunctionGraphError(f"max_patterns must be >= 1, got {max_patterns}")
         seen: Set[FrozenSet[Tuple[str, str]]] = {self.edges}
         frontier = [(frozenset(), self)]
         while frontier:
             applied, graph = frontier.pop(0)
             for pair in self.commutations:
-                if max_patterns is not None and len(patterns) >= max_patterns:
+                if len(patterns) >= max_patterns:
                     return patterns
                 if pair in applied:
                     continue

@@ -88,12 +88,11 @@ def merge_probes(
     request: CompositeRequest,
     arrivals: Sequence[Probe],
     overlay: Overlay,
-    max_patterns: int = 8,
     max_candidates: int = 512,
 ) -> List[CandidateGraph]:
     """Merge branch probes into complete, deduplicated candidate graphs."""
     fg = request.function_graph
-    patterns = fg.composition_patterns(max_patterns)
+    patterns = fg.composition_patterns()
     candidates: List[CandidateGraph] = []
     seen: Set[Tuple] = set()
     hops: Dict[Tuple[int, int], Tuple[float, float]] = {}  # (latency, loss) per peer pair
@@ -167,7 +166,6 @@ def select_composition(
     candidates: Sequence[CandidateGraph],
     qos_req: QoSRequirement,
     pool: ResourcePool,
-    weights: Optional[CostWeights] = None,
     objective: str = "cost",
 ) -> SelectionOutcome:
     """Filter by Qreq, rank, return best + all qualified graphs.
@@ -179,8 +177,7 @@ def select_composition(
     """
     if objective not in ("cost", "delay"):
         raise ValueError(f"unknown selection objective {objective!r}")
-    if weights is None:
-        weights = CostWeights.uniform(pool.resource_types)
+    weights = CostWeights.uniform(pool.resource_types)
     qualified: List[CandidateGraph] = []
     for cand in candidates:
         if not qos_req.satisfied_by(cand.qos):

@@ -64,8 +64,6 @@ class RecoveryConfig:
     heartbeat_interval: Optional[float] = None  # None -> oracle detection
     proactive: bool = True  # ablation: backups on/off
     reactive: bool = True  # fall back to re-running BCP when backups fail
-    replenish: bool = True  # refill backups from the qualified pool
-    recompose_budget: Optional[int] = None  # budget for reactive BCP (None -> default)
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval is not None and self.heartbeat_interval <= 0:
@@ -324,9 +322,7 @@ class SessionManager:
 
     def _reactive_recover(self, session: ServiceSession) -> bool:
         """All backups unusable: re-run BCP (the reactive path)."""
-        result = self.bcp.compose(
-            session.request, budget=self.config.recompose_budget, confirm=True
-        )
+        result = self.bcp.compose(session.request, confirm=True)
         if not result.success or result.best is None:
             return False
         session.tokens = list(result.session_tokens)
@@ -369,8 +365,7 @@ class SessionManager:
         self._replenish(session)
 
     def _replenish(self, session: ServiceSession) -> None:
-        if not self.config.replenish:
-            return
+        """Refill the backups from the qualified pool."""
         while len(session.backups) < session.target_backups and session.spare_qualified:
             chosen = {c.graph.signature() for c in session.backups}
             chosen.add(session.current.signature())

@@ -58,7 +58,6 @@ class PrunedBacktrackingComposer(CompositionStrategy):
         request: CompositeRequest,
         budget: Optional[int] = None,
         confirm: bool = True,
-        now: Optional[float] = None,
     ) -> CompositionResult:
         ctx = self.ctx
         counters = OpCounters()
@@ -72,9 +71,7 @@ class PrunedBacktrackingComposer(CompositionStrategy):
                 ctx.overlay,
                 ctx.pool,
                 alive=ctx.alive_fn,
-                cost_weights=ctx.cost_weights,
                 objective=ctx.objective,
-                max_patterns=ctx.max_patterns,
                 dominance=self.dominance,
                 node_limit=self.node_limit,
                 top_k=self.top_k,

@@ -26,7 +26,6 @@ from ...perf.counters import OpCounters
 from ...sim.metrics import MessageLedger
 from ...topology.overlay import Overlay
 from ..bcp import BCP, BCPConfig, CompositionResult
-from ..cost import CostWeights
 from ..request import CompositeRequest
 from ..resources import ResourcePool
 from ..selection import SelectionOutcome, admit_graph
@@ -52,9 +51,8 @@ class UnknownStrategyError(ValueError):
 class StrategyContext:
     """Everything a composer may bind to: one overlay/pool/registry triple.
 
-    ``config`` carries the shared tunables (cost weights, pattern cap,
-    ranking objective) so every strategy ranks candidates exactly like
-    BCP's destination step.  ``bcp`` is the probing engine to delegate to
+    ``config`` carries the shared ranking objective, so every strategy
+    ranks candidates exactly like BCP's destination step.  ``bcp`` is the probing engine to delegate to
     when the BCP strategy is selected — passing the already-built engine
     keeps it bit-identical to direct calls (same rng, caches, ledger).
     """
@@ -92,16 +90,8 @@ class StrategyContext:
         return self.config or BCPConfig()
 
     @property
-    def cost_weights(self) -> Optional[CostWeights]:
-        return self.effective_config.cost_weights
-
-    @property
     def objective(self) -> str:
         return self.effective_config.objective
-
-    @property
-    def max_patterns(self) -> int:
-        return self.effective_config.max_patterns
 
     @property
     def alive_fn(self) -> Callable[[int], bool]:
@@ -148,11 +138,10 @@ class CompositionStrategy(ABC):
         request: CompositeRequest,
         budget: Optional[int] = None,
         confirm: bool = True,
-        now: Optional[float] = None,
     ) -> CompositionResult:
-        """Compose one request.  ``budget``/``now`` only matter to BCP
-        (probing budget β, virtual clock); global-view strategies accept
-        and ignore them so every caller can treat strategies uniformly."""
+        """Compose one request.  ``budget`` only matters to BCP (probing
+        budget β); global-view strategies accept and ignore it so every
+        caller can treat strategies uniformly."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r}>"
@@ -240,10 +229,8 @@ class BCPStrategy(CompositionStrategy):
     name = "bcp"
     requires_global_view = False
 
-    def compose(self, request, budget=None, confirm=True, now=None) -> CompositionResult:
-        result = self.ctx.ensure_bcp().compose(
-            request, budget=budget, confirm=confirm, now=now
-        )
+    def compose(self, request, budget=None, confirm=True) -> CompositionResult:
+        result = self.ctx.ensure_bcp().compose(request, budget=budget, confirm=confirm)
         counters = OpCounters()
         counters.incr("probes_sent", result.probes_sent)
         counters.incr("arrivals", result.candidates_examined)

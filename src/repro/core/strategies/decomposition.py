@@ -146,12 +146,11 @@ class DecompositionComposer(CompositionStrategy):
         request: CompositeRequest,
         budget: Optional[int] = None,
         confirm: bool = True,
-        now: Optional[float] = None,
     ) -> CompositionResult:
         ctx = self.ctx
         counters = OpCounters()
         timer = PhaseTimer()
-        weights = ctx.cost_weights or CostWeights.uniform(ctx.pool.resource_types)
+        weights = CostWeights.uniform(ctx.pool.resource_types)
         objective = ctx.objective
         with timer.phase("candidates"):
             duplicates = ctx.duplicates(request)
@@ -172,9 +171,7 @@ class DecompositionComposer(CompositionStrategy):
             delay_pressure = 1.0 / bounds["delay"] if "delay" in bounds else 0.0
             loss_pressure = 1.0 / bounds["loss"] if "loss" in bounds else 0.0
             stitch_budget = [self.stitch_node_limit]
-            for _, pattern in request.function_graph.composition_patterns(
-                ctx.max_patterns
-            ):
+            for _, pattern in request.function_graph.composition_patterns():
                 segments = _layer_segments(pattern, self.partition_size)
                 counters.incr("segments", len(segments))
                 with timer.phase("segment_beam"):
@@ -215,9 +212,7 @@ class DecompositionComposer(CompositionStrategy):
                     ctx.overlay,
                     ctx.pool,
                     alive=ctx.alive_fn,
-                    cost_weights=weights,
                     objective=objective,
-                    max_patterns=ctx.max_patterns,
                     node_limit=self.fallback_node_limit,
                     counters=counters,
                     candidates=candidates,

@@ -630,9 +630,7 @@ def search_compositions(
     overlay: Overlay,
     pool: ResourcePool,
     alive: Callable[[int], bool] = lambda p: True,
-    cost_weights: Optional[CostWeights] = None,
     objective: str = "cost",
-    max_patterns: int = 8,
     dominance: bool = True,
     node_limit: Optional[int] = None,
     top_k: int = 32,
@@ -653,7 +651,7 @@ def search_compositions(
     """
     if objective not in ("cost", "delay"):
         raise ValueError(f"unknown selection objective {objective!r}")
-    weights = cost_weights or CostWeights.uniform(pool.resource_types)
+    weights = CostWeights.uniform(pool.resource_types)
     counters = counters if counters is not None else OpCounters()
     fg = request.function_graph
     if candidates is None:
@@ -665,7 +663,7 @@ def search_compositions(
     exhausted = True
     if candidates is not None:
         budget = [node_limit if node_limit is not None else -1]
-        for _, pattern in fg.composition_patterns(max_patterns):
+        for _, pattern in fg.composition_patterns():
             state = PatternState(
                 pattern, candidates, request, overlay, pool, weights, counters
             )

@@ -106,7 +106,6 @@ class ServiceRegistry:
         self,
         function: str,
         origin_peer: int,
-        now: Optional[float] = None,
         include_down: bool = False,
     ) -> LookupResult:
         """Return the duplicate list for ``function`` as seen from a peer."""
@@ -173,7 +172,6 @@ class WaveLookupCache:
         self,
         function: str,
         origin_peer: int,
-        now: Optional[float] = None,
         include_down: bool = False,
     ) -> LookupResult:
         key = (origin_peer, function, include_down)
@@ -184,9 +182,7 @@ class WaveLookupCache:
             self.hits += 1
             return result
         snap = self.ledger.snapshot()
-        result = self.registry.lookup(
-            function, origin_peer, now=now, include_down=include_down
-        )
+        result = self.registry.lookup(function, origin_peer, include_down=include_down)
         self._memo[key] = (result, self.ledger.delta_since(snap))
         self.misses += 1
         return result

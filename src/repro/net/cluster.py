@@ -53,6 +53,8 @@ from ..sim.vtime import loop_time
 
 __all__ = ["ClusterConfig", "LiveCluster"]
 
+STOP_GRACE = 0.1  # seconds in-flight composes get to end before stop cancels them
+
 
 @dataclass
 class ClusterConfig:
@@ -264,14 +266,15 @@ class LiveCluster:
             )
         )
 
-    async def stop(self, grace: float = 0.1) -> None:
+    async def stop(self) -> None:
         """Tear the cluster down in dependency order.
 
         1. Measurement planes stop first — a probe fired after its
            daemon stopped would book a spurious failure.
         2. Pending compose sessions are aborted (their futures resolve
            to structured failures) and in-flight :meth:`compose` tasks
-           get ``grace`` seconds to observe that before being cancelled.
+           get :data:`STOP_GRACE` seconds to observe that before being
+           cancelled.
         3. Daemons stop: wall/expiry timers cancelled, spawned protocol
            tasks drained.
         4. The transport closes last, so every step above may still use
@@ -287,7 +290,7 @@ class LiveCluster:
             daemon.abort_pending("cluster stopping")
         tasks = [t for t in self._compose_tasks if not t.done()]
         if tasks:
-            _, pending = await asyncio.wait(tasks, timeout=grace)
+            _, pending = await asyncio.wait(tasks, timeout=STOP_GRACE)
             for task in pending:
                 task.cancel()
             if pending:

@@ -27,7 +27,7 @@ later request from its sender carries a mark past its id; a request
 below the mark is dropped with no reply and no handler run, and a
 handler that finishes after the mark passed its id caches nothing.  For
 a sender that goes quiet, whose mark no longer moves, ``reply_ttl``
-(seconds) and ``reply_cache`` (entries, across books) remain the
+(seconds) and :data:`REPLY_CACHE` (entries, across books) remain the
 backstop; a book whose last entry goes is deleted.
 """
 
@@ -60,6 +60,10 @@ __all__ = [
     "eager",
 ]
 
+BACKOFF_FACTOR = 2.0  # each retry's backoff is this many times the last
+BACKOFF_JITTER = 0.5  # a backoff is scaled by up to 1 + this (seeded)
+REPLY_CACHE = 8192  # cached replies kept across books, at most
+
 
 class RpcError(RuntimeError):
     """A call failed for a non-timeout reason (e.g. remote handler error)."""
@@ -87,20 +91,17 @@ class RpcFailure:
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retries: ``retries`` re-sends after the first attempt, each
-    preceded by ``backoff * factor**(attempt-1)`` seconds of sleep, scaled
-    by up to ``1 + jitter`` (uniform, from the endpoint's seeded RNG)."""
+    preceded by ``backoff * BACKOFF_FACTOR**(attempt-1)`` seconds of sleep,
+    scaled by up to ``1 + BACKOFF_JITTER`` (uniform, from the endpoint's
+    seeded RNG)."""
 
     timeout: float = 2.0
     retries: int = 3
     backoff: float = 0.05
-    factor: float = 2.0
-    jitter: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0 or self.retries < 0:
-            raise ValueError("timeout must be > 0 and retries >= 0")
-        if self.backoff < 0 or self.factor < 1.0 or self.jitter < 0:
-            raise ValueError("need backoff >= 0, factor >= 1, jitter >= 0")
+        if self.timeout <= 0 or self.retries < 0 or self.backoff < 0:
+            raise ValueError("need timeout > 0, retries >= 0 and backoff >= 0")
 
 
 _INFLIGHT = object()  # reply-cache sentinel: handler still running
@@ -315,7 +316,6 @@ class RpcEndpoint:
         peer_id: int,
         retry: Optional[RetryPolicy] = None,
         seed: int = 0,
-        reply_cache: int = 8192,
         reply_ttl: float = 120.0,
         clock: Optional[Callable[[], float]] = None,
         incarnation: Optional[str] = None,
@@ -346,7 +346,6 @@ class RpcEndpoint:
         # (src, incarnation) -> its _Book, the least recently written first
         self._books: "OrderedDict[tuple, _Book]" = OrderedDict()
         self._cached = 0  # entries in all books
-        self._reply_cache = reply_cache
         # requests being served and sends that suspended (a dial, backpressure)
         self._tasks: Set[asyncio.Task] = set()
         self.calls_sent = 0
@@ -542,8 +541,8 @@ class RpcEndpoint:
             self._fail(x)
             return
         self.retries_performed += 1
-        delay = policy.backoff * policy.factor ** (x.attempts - 1)
-        delay *= 1.0 + policy.jitter * float(self._rng.random())
+        delay = policy.backoff * BACKOFF_FACTOR ** (x.attempts - 1)
+        delay *= 1.0 + BACKOFF_JITTER * float(self._rng.random())
         x.deadline = self._deadlines.add(
             asyncio.get_running_loop().time() + delay, self._attempt, x
         )
@@ -709,7 +708,7 @@ class RpcEndpoint:
     def _sweep(self, now: float) -> None:
         """The backstop for a sender gone quiet, whose mark no longer moves:
         from the least recently written book on, drop the replies past
-        ``reply_ttl`` and the oldest past ``reply_cache``; a book goes with
+        ``reply_ttl`` and the oldest past :data:`REPLY_CACHE`; a book goes with
         its last entry."""
         books = self._books
         while books:
@@ -718,7 +717,7 @@ class RpcEndpoint:
             while replies:
                 msg_id = next(iter(replies))
                 expires = replies[msg_id][0]
-                if self._cached <= self._reply_cache and (expires is None or expires > now):
+                if self._cached <= REPLY_CACHE and (expires is None or expires > now):
                     return
                 del replies[msg_id]
                 self._cached -= 1

@@ -179,18 +179,6 @@ class TestQoSPruning:
         assert result.best.component("fa").peer == 2
         assert len(result.qualified) == 1
 
-    def test_pruning_disabled_keeps_violators_until_selection(self):
-        world = MicroWorld(config=BCPConfig(budget=16, qos_pruning=False))
-        world.place("fa", peer=7, delay=0.400)
-        req = world.request(
-            FunctionGraph.linear(["fa"]), source=0, dest=1, delay_bound=0.010
-        )
-        result = world.bcp.compose(req)
-        # the probe reaches the destination but fails qualification there
-        assert not result.success
-        assert result.candidates_examined == 1
-        assert "no qualified" in result.failure_reason
-
 
 class TestResourceChecks:
     def test_oversized_component_not_admitted(self):
@@ -474,30 +462,3 @@ class TestCommutationInsideDagBranch:
         assert any(o.index("fb1") < o.index("fb2") for o in orders)
         for cand in result.qualified:
             assert set(cand.graph.assignment) == {"fa", "fb1", "fb2", "fc", "fd"}
-
-    def test_max_patterns_cap_respected(self):
-        world = MicroWorld(n_peers=12, config=BCPConfig(budget=64, max_patterns=1))
-        for fn, p in (("fa", 2), ("fb1", 3), ("fb2", 4), ("fc", 5), ("fd", 6)):
-            world.place(fn, peer=p)
-        req = world.request(self.graph(), source=0, dest=11)
-        result = world.bcp.compose(req, confirm=False)
-        assert result.success
-        orders = {tuple(c.graph.pattern.topological_order()) for c in result.qualified}
-        assert len(orders) == 1  # only the original pattern merged
-
-    def test_max_candidates_caps_merge(self):
-        world = MicroWorld(
-            n_peers=12,
-            config=BCPConfig(
-                budget=128,
-                max_candidates=3,
-                quota_policy=ReplicationProportionalQuota(fraction=1.0, cap=10**6),
-            ),
-        )
-        for fn in ("fa", "fb1", "fb2", "fc", "fd"):
-            for p in (2, 3, 4):
-                world.place(fn, peer=p)
-        req = world.request(self.graph(), source=0, dest=11)
-        result = world.bcp.compose(req, confirm=False)
-        assert result.success
-        assert len(result.qualified) <= 3

@@ -119,7 +119,7 @@ PLANE_CALLS = {
 # (Python 3.12's float sum() is compensated)
 SYNC_CALLS = {
     (3, 11): {
-        "repro.core": 14203, "repro.topology": 3003, "repro.dht": 4214, "repro.sim": 1037,
+        "repro.core": 14203, "repro.topology": 3003, "repro.dht": 4214, "repro.sim": 1030,
         "repro.discovery": 589, "repro.services": 526, "repro.perf": 63,
     },
 }
@@ -131,7 +131,7 @@ PAPER_COMPOSES = 20
 PAPER_TESTBED = dict(n_peers=200, n_functions=6, seed=5)
 PAPER_CALLS = {
     (3, 11): {
-        "repro.core": 111635, "repro.topology": 99836, "repro.sim": 44701,
+        "repro.core": 111635, "repro.topology": 99836, "repro.sim": 44681,
         "repro.dht": 42223, "repro.services": 40157, "repro.discovery": 3995,
         "repro.perf": 180,
     },

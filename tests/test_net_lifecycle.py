@@ -24,7 +24,7 @@ from repro.core.function_graph import FunctionGraph
 from repro.core.qos import QoSRequirement, loss_to_additive
 from repro.core.request import CompositeRequest
 from repro.core.resources import ResourceVector
-from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec
+from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec, rpc
 from repro.sim import vtime
 from repro.net.rpc import RetryPolicy, RpcError
 from repro.workload.generator import function_names
@@ -423,7 +423,7 @@ def test_a_killed_path_peer_fails_its_session_and_no_other():
     failed_after, pinged, spared_now, retry, soft, errors = vtime.run(scenario())
     assert errors == [] and soft == {}
     budget = sum(
-        retry.timeout + retry.backoff * retry.factor**a * (1 + retry.jitter)
+        retry.timeout + retry.backoff * rpc.BACKOFF_FACTOR**a * (1 + rpc.BACKOFF_JITTER)
         for a in range(retry.retries + 1)
     )
     assert failed_after <= INTERVAL + budget

@@ -566,7 +566,7 @@ class TestRpc:
 
     def test_lossy_link_retries_until_reply(self):
         async def scenario():
-            policy = RetryPolicy(timeout=0.05, retries=8, backoff=0.005, jitter=0.0)
+            policy = RetryPolicy(timeout=0.05, retries=8, backoff=0.005)
             t = LoopbackTransport(loss=0.4, seed=7)
             a = RpcEndpoint(t, 0, retry=policy, seed=1)
             b = RpcEndpoint(t, 1, retry=policy, seed=2)
@@ -802,4 +802,4 @@ class TestPolicyAndDedup:
         with pytest.raises(ValueError):
             RetryPolicy(retries=-1)
         with pytest.raises(ValueError):
-            RetryPolicy(factor=0.5)
+            RetryPolicy(backoff=-0.01)

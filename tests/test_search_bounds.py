@@ -439,7 +439,7 @@ def test_state_after_an_interrupted_search_equals_a_fresh_one():
         LargeGraphConfig(kind="layered", n_functions=20, candidate_density=4, seed=2)
     )
     ctx = world.net.strategy_context()
-    weights = ctx.cost_weights or CostWeights.uniform(ctx.pool.resource_types)
+    weights = CostWeights.uniform(ctx.pool.resource_types)
     candidates = prepare_candidates(
         world.request.function_graph.functions, ctx.duplicates(world.request),
         ctx.pool, weights, ctx.alive_fn,
@@ -588,7 +588,7 @@ def compose_cell(kind, size, objective):
     ctx = dataclasses.replace(
         ctx, config=dataclasses.replace(ctx.effective_config, objective=objective)
     )
-    weights = ctx.cost_weights or CostWeights.uniform(ctx.pool.resource_types)
+    weights = CostWeights.uniform(ctx.pool.resource_types)
     for name in CAPS:
         result = create_strategy(name, ctx, **CAPS[name]).compose(
             world.request, confirm=False
