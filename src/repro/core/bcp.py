@@ -228,7 +228,9 @@ class BCP:
             return result
         finally:
             if not result.success or not confirm:
-                for token in tokens:
+                # in a fixed order, so the float residues a cancel leaves
+                # on a link do not depend on the hash seed
+                for token in sorted(tokens):
                     self.pool.cancel(token)
                 result.session_tokens = [] if not result.success else result.session_tokens
             # wall-clock breakdown (CPU spent in this process, distinct
@@ -558,7 +560,7 @@ class BCP:
         self.time_setup(result)
         # keep the winning graph's reservations; drop the rest
         keep = self._tokens_of(best, request.request_id)
-        for token in list(tokens):
+        for token in sorted(tokens):
             if token not in keep:
                 self.pool.cancel(token)
                 tokens.discard(token)
