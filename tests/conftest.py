@@ -24,6 +24,15 @@ settings.register_profile(
 )
 
 
+def pytest_addoption(parser):
+    # the compose-cost CI job's paper-scale rows, too slow for tier-1
+    parser.addoption(
+        "--paper-scale",
+        action="store_true",
+        help="also run the count gate's 1000-peer sync row",
+    )
+
+
 @pytest.fixture(scope="session")
 def ip_graph():
     return generate_ip_network(200, rng=np.random.default_rng(1234))

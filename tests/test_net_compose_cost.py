@@ -40,13 +40,14 @@ the same under every ``PYTHONHASHSEED``; like the loop counts they are
 pinned per interpreter version, and they are read without ``-X dev``,
 whose asyncio debug mode makes calls of its own.
 
-The same call table is read off the synchronous engine twice: composing
-the gate's seven requests of the same scenario (the per-hop work both
-substrates share, with no wire), and composing twenty requests on a
-200-peer overlay after one warm-up (the paper's scale, where ranking
-duplicates is most of a compose).  Both also pin a SHA-256 over what
-each compose returned, so a change that moves the calls shows whether
-it moved a selection too.
+The same call table is read off the synchronous engine: composing the
+gate's seven requests of the same scenario (the per-hop work both
+substrates share, with no wire), composing forty requests on a 200-peer
+overlay after one warm-up (where ranking duplicates is most of a
+compose), and, under ``pytest --paper-scale``, twenty on the paper's
+1000-peer testbed.  Each also pins a SHA-256 over what each compose
+returned, so a change that moves the calls shows whether it moved a
+selection too.
 """
 
 import asyncio
@@ -139,6 +140,20 @@ PAPER_CALLS = {
     },
 }
 PAPER_DIGEST = {(3, 11): "2014e30bbddba1becf99215197fe81dcc917e661df156a0466d244485a36f3b9"}
+
+# the paper's own testbed size: twenty sync composes on a 1000-peer
+# overlay (2000 routers), after one warm-up.  Building it takes seconds,
+# so it runs only under ``--paper-scale`` (the compose-cost CI job)
+PAPER_1000_COMPOSES = 20
+PAPER_1000_TESTBED = dict(n_peers=1000, n_functions=6, seed=5)
+PAPER_1000_CALLS = {
+    (3, 11): {
+        "repro.core": 239465, "repro.topology": 603283, "repro.sim": 177339,
+        "repro.services": 167806, "repro.dht": 33982, "repro.discovery": 3686,
+        "repro.perf": 180,
+    },
+}
+PAPER_1000_DIGEST = {(3, 11): "e8ecb81cbb60a1e1beb748dfb8a9db8cf5eb363d1b04a2c3aaea3fee72206a70"}
 
 # a constant delay moves no estimate: nothing is re-priced
 PLANE_STATS = {
@@ -359,6 +374,13 @@ def paper_counts():
 
 
 @pytest.fixture(scope="module")
+def paper_1000_counts(pytestconfig):
+    if not pytestconfig.getoption("paper_scale"):
+        pytest.skip("the 1000-peer row runs under --paper-scale")
+    return _sync_count(PAPER_1000_COMPOSES, **PAPER_1000_TESTBED)
+
+
+@pytest.fixture(scope="module")
 def plane_counts():
     return _count(ClusterConfig(n_peers=16, n_functions=6, seed=5, latency=PLANE_LATENCY))
 
@@ -436,3 +458,13 @@ def test_paper_scale_sync_composes_make_exactly_the_pinned_python_calls_per_laye
     assert paper_counts["digest"] == _loop_pins(PAPER_DIGEST, paper_counts)
     pinned = _call_pins(PAPER_CALLS, paper_counts["calls_by_row"])
     assert paper_counts["calls_by_row"] == pinned
+
+
+def test_thousand_peer_sync_composes_make_exactly_the_pinned_python_calls_per_layer(
+    paper_1000_counts,
+):
+    counts = paper_1000_counts
+    assert counts["succeeded"] == PAPER_1000_COMPOSES
+    assert counts["digest"] == _loop_pins(PAPER_1000_DIGEST, counts)
+    pinned = _call_pins(PAPER_1000_CALLS, counts["calls_by_row"])
+    assert counts["calls_by_row"] == pinned
