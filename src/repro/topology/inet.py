@@ -17,9 +17,10 @@ module implements the same *class* of generator:
    delay proportional to Euclidean distance plus a per-hop constant,
    so shortest IP paths have heterogeneous, metric-like latencies.
 
-The output is an undirected :class:`networkx.Graph` with ``delay``
-(seconds) and ``bandwidth`` (Mbps) edge attributes and ``pos`` node
-attributes.
+The output is an undirected :class:`~repro.topology.graph.Graph` with
+``delay`` (seconds) and ``bandwidth`` (Mbps) edge attributes and ``pos``
+node attributes.  Step 5 draws one random value per edge, in the graph's
+edge order, so that order is part of the topology.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from ..sim.rng import as_generator
+from .graph import Graph, is_connected
 
 __all__ = ["power_law_degree_sequence", "generate_ip_network", "TopologyError"]
 
@@ -70,7 +71,7 @@ def power_law_degree_sequence(
 
 
 def _preferential_attach(
-    g: nx.Graph,
+    g: Graph,
     stubs: np.ndarray,
     new_node: int,
     attached: "set[int]",
@@ -100,7 +101,7 @@ def generate_ip_network(
     hop_delay: float = 0.002,
     bandwidth_range: tuple[float, float] = (10.0, 1000.0),
     rng=None,
-) -> nx.Graph:
+) -> Graph:
     """Generate a connected power-law router-level topology.
 
     Parameters mirror the role Inet-3.0 plays in the paper: ``n`` routers
@@ -116,7 +117,7 @@ def generate_ip_network(
     order = np.argsort(-degrees)  # highest degree first
     stubs = degrees.copy()
 
-    g: nx.Graph = nx.Graph()
+    g = Graph()
     g.add_nodes_from(range(n))
 
     if n == 1:
@@ -147,7 +148,8 @@ def generate_ip_network(
 
     # Step 5: geometric embedding and link annotations
     pos = rng.random((n, 2))
-    nx.set_node_attributes(g, {i: tuple(pos[i]) for i in range(n)}, "pos")
+    for i in range(n):
+        g.nodes[i]["pos"] = tuple(pos[i])
     lo, hi = bandwidth_range
     if lo <= 0 or hi < lo:
         raise TopologyError(f"bad bandwidth range {bandwidth_range}")
@@ -156,15 +158,15 @@ def generate_ip_network(
         dist = float(np.hypot(*(pos[u] - pos[v])))
         g.edges[u, v]["delay"] = hop_delay + delay_per_unit * dist
         # core links (both endpoints high degree) skew toward high bandwidth
-        boost = 0.5 if (g.degree[u] > 3 and g.degree[v] > 3) else 0.0
+        boost = 0.5 if (g.degree(u) > 3 and g.degree(v) > 3) else 0.0
         frac = min(1.0, rng.random() * (1.0 - boost) + boost)
         g.edges[u, v]["bandwidth"] = math.exp(log_lo + frac * (log_hi - log_lo))
 
-    assert n <= 1 or nx.is_connected(g), "generator must produce a connected graph"
+    assert n <= 1 or is_connected(g), "generator must produce a connected graph"
     return g
 
 
-def _fill_degrees(g: nx.Graph, stubs: np.ndarray, rng: np.random.Generator) -> None:
+def _fill_degrees(g: Graph, stubs: np.ndarray, rng: np.random.Generator) -> None:
     """Greedy stub matching: repeatedly join the two stub-richest nodes."""
     # Work on a shuffled candidate list to avoid deterministic pathologies.
     for _ in range(4):  # a few passes; leftover stubs are acceptable (Inet's are too)

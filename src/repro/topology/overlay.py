@@ -26,13 +26,12 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import networkx as nx
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
 
 from ..sim.rng import as_generator
+from .graph import Graph, connected_components
 from .inet import TopologyError
-from .routing import IPRouter, OverlayRouter, graph_to_sparse
+from .routing import IPRouter, OverlayRouter
 
 __all__ = [
     "Overlay",
@@ -40,8 +39,10 @@ __all__ = [
     "random_overlay",
     "wan_overlay",
     "select_peers",
-    "peer_delay_matrix",
 ]
+
+# delay (s) of a link that joins a stray overlay component to the main one
+PATCH_DELAY = 0.08
 
 
 @dataclass
@@ -58,10 +59,10 @@ class Overlay:
     daemon's measurement plane does to the daemon's copy of the overlay.
     """
 
-    graph: nx.Graph
+    graph: Graph
     router: OverlayRouter
     ip_of: Optional[Dict[int, int]] = None
-    ip_graph: Optional[nx.Graph] = None
+    ip_graph: Optional[Graph] = None
     kind: str = "overlay"
 
     @property
@@ -80,7 +81,7 @@ class Overlay:
         return self.router.path_loss_add(a, b)
 
 
-def select_peers(ip_graph: nx.Graph, n_peers: int, rng=None) -> List[int]:
+def select_peers(ip_graph: Graph, n_peers: int, rng=None) -> List[int]:
     """Randomly select ``n_peers`` routers to host SpiderNet peers."""
     rng = as_generator(rng)
     n = ip_graph.number_of_nodes()
@@ -89,30 +90,19 @@ def select_peers(ip_graph: nx.Graph, n_peers: int, rng=None) -> List[int]:
     return [int(v) for v in rng.choice(n, size=n_peers, replace=False)]
 
 
-def peer_delay_matrix(ip_graph: nx.Graph, peer_routers: List[int]) -> np.ndarray:
-    """IP shortest-path delay between every pair of peers (P×P)."""
-    matrix, nodelist = graph_to_sparse(ip_graph, "delay")
-    index = {v: i for i, v in enumerate(nodelist)}
-    rows = [index[r] for r in peer_routers]
-    dist = dijkstra(matrix, directed=False, indices=rows)
-    return dist[:, rows]
-
-
 def _annotate_and_wrap(
-    g: nx.Graph,
+    g: Graph,
     ip_of: Optional[Dict[int, int]],
-    ip_graph: Optional[nx.Graph],
+    ip_graph: Optional[Graph],
     kind: str,
 ) -> Overlay:
-    if g.number_of_nodes() > 1 and not nx.is_connected(g):
-        # Patch connectivity: link each extra component to the giant one by
-        # its lowest-latency candidate pair.  Real overlays bootstrap this way.
-        comps = sorted(nx.connected_components(g), key=len, reverse=True)
-        main = comps[0]
-        anchor = min(main)
+    comps = sorted(connected_components(g), key=len, reverse=True)
+    if len(comps) > 1:
+        # Patch connectivity: link each extra component's lowest peer to the
+        # lowest peer of the largest one.  Real overlays bootstrap this way.
+        anchor = min(comps[0])
         for comp in comps[1:]:
-            v = min(comp)
-            g.add_edge(v, anchor, delay=g.graph.get("patch_delay", 0.08), bandwidth=10.0)
+            g.add_edge(min(comp), anchor, delay=PATCH_DELAY, bandwidth=10.0)
     # per-link loss rate grows with propagation delay (longer WAN paths
     # cross more lossy segments); stored in the additive −log domain so
     # the QoS layer can simply sum it (see repro.core.qos)
@@ -124,7 +114,7 @@ def _annotate_and_wrap(
 
 
 def mesh_overlay(
-    ip_graph: nx.Graph,
+    ip_graph: Graph,
     n_peers: int,
     k: int = 4,
     access_bandwidth: tuple[float, float] = (5.0, 100.0),
@@ -133,9 +123,9 @@ def mesh_overlay(
     """Topologically-aware mesh: each peer connects to its k IP-nearest peers."""
     rng = as_generator(rng)
     routers = select_peers(ip_graph, n_peers, rng)
-    dist = peer_delay_matrix(ip_graph, routers)
-    ip_router = IPRouter(ip_graph)
-    g = nx.Graph()
+    ip_router = IPRouter(ip_graph)  # one run per peer router: delays and bottlenecks
+    dist = ip_router.delay_matrix(routers)
+    g = Graph()
     g.add_nodes_from(range(n_peers))
     access = rng.uniform(*access_bandwidth, size=n_peers)
     order = np.argsort(dist, axis=1)
@@ -156,7 +146,7 @@ def mesh_overlay(
 
 
 def random_overlay(
-    ip_graph: nx.Graph,
+    ip_graph: Graph,
     n_peers: int,
     k: int = 4,
     access_bandwidth: tuple[float, float] = (5.0, 100.0),
@@ -165,10 +155,10 @@ def random_overlay(
     """Each peer links to k uniformly random other peers (control topology)."""
     rng = as_generator(rng)
     routers = select_peers(ip_graph, n_peers, rng)
-    dist = peer_delay_matrix(ip_graph, routers)
-    ip_router = IPRouter(ip_graph)
+    ip_router = IPRouter(ip_graph)  # one run per peer router: delays and bottlenecks
+    dist = ip_router.delay_matrix(routers)
     access = rng.uniform(*access_bandwidth, size=n_peers)
-    g = nx.Graph()
+    g = Graph()
     g.add_nodes_from(range(n_peers))
     for p in range(n_peers):
         others = [q for q in range(n_peers) if q != p]
@@ -214,11 +204,10 @@ def wan_overlay(
         (1, 0): transatlantic_rtt_ms,
     }
     access = rng.uniform(*access_bandwidth, size=n_peers)
-    g = nx.Graph()
+    g = Graph()
     g.add_nodes_from(range(n_peers))
-    nx.set_node_attributes(
-        g, {p: ("US" if regions[p] == 0 else "EU") for p in range(n_peers)}, "region"
-    )
+    for p in range(n_peers):
+        g.nodes[p]["region"] = "US" if regions[p] == 0 else "EU"
     for a in range(n_peers):
         for b in range(a + 1, n_peers):
             median = medians_ms[(int(regions[a]), int(regions[b]))]

@@ -1,105 +1,137 @@
 """Shortest-path routing over the IP layer and the overlay.
 
 The paper's simulator "performs IP-layer and overlay-layer data routing
-using shortest path routing".  We provide both layers:
+using shortest path routing".  We provide both layers, on one routine:
 
-* :class:`IPRouter` — delay-weighted Dijkstra over the router graph,
-  vectorised with :func:`scipy.sparse.csgraph.dijkstra` from a set of
-  source nodes (the peers), so mapping overlay links onto IP paths for
-  hundreds of peers over thousands of routers stays fast.
+* :func:`shortest_paths` — single-source Dijkstra with a binary heap over
+  an index adjacency.  A node's predecessor is set only when its distance
+  strictly improves, so where two paths tie exactly the one found first
+  (from the node settled first) is kept, and a distance is the float sum
+  along its path from the source, in path order.
+* :class:`IPRouter` — delay-weighted shortest paths on the router graph,
+  one :func:`shortest_paths` run per source router asked about (the
+  peers' routers), kept with its predecessors: overlay construction reads
+  both the delays between peers and the bottleneck bandwidth of each
+  overlay link's IP path from the same run.
 * :class:`OverlayRouter` — all-pairs shortest paths over the (much
-  smaller) overlay graph, with cached predecessor matrices so overlay
-  paths (the ℘ⱼ of Eq. 1, whose bottleneck bandwidth the cost function
-  consumes) can be reconstructed in O(path length).
+  smaller) overlay graph, one run per peer, with each source's distance
+  row and predecessor row kept so overlay paths (the ℘ⱼ of Eq. 1, whose
+  bottleneck bandwidth the cost function consumes) can be reconstructed
+  in O(path length).
 """
 
 from __future__ import annotations
 
 import copy
+import heapq
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
-__all__ = ["IPRouter", "OverlayRouter", "graph_to_sparse"]
+from .graph import Graph
+
+__all__ = ["IPRouter", "NoPathError", "OverlayRouter", "shortest_paths"]
+
+# the predecessor of a source, and of a node it does not reach
+NO_PREDECESSOR = -9999
+
+Adjacency = List[List[Tuple[int, float]]]
 
 
-def graph_to_sparse(
-    g: nx.Graph,
-    weight: str = "delay",
-    nodelist: Optional[Sequence[int]] = None,
-    overrides: Optional[Dict[Tuple[int, int], float]] = None,
-) -> Tuple[csr_matrix, List[int]]:
-    """Convert a networkx graph to a CSR adjacency matrix of ``weight``.
+class NoPathError(LookupError):
+    """Raised for a path between two nodes that no route connects."""
 
-    ``overrides`` substitutes weights for individual edges, keyed by the
-    canonical ``tuple(sorted((u, v)))`` link.  An override of ``inf``
-    effectively removes the edge from shortest-path computation (scipy's
-    ``dijkstra`` never relaxes through a non-finite weight) while keeping
-    the edge *present*, so edge iteration order — and every array indexed
-    by it — is unchanged.
-    """
-    nodelist = list(g.nodes) if nodelist is None else list(nodelist)
-    index = {v: i for i, v in enumerate(nodelist)}
-    rows, cols, vals = [], [], []
-    for u, v, data in g.edges(data=True):
-        if u not in index or v not in index:
-            continue
-        w = float(data[weight])
-        if overrides:
-            w = overrides.get((u, v) if u < v else (v, u), w)
-        if not np.isfinite(w):
-            continue  # csr stores explicit values; omit the edge instead
-        rows.extend((index[u], index[v]))
-        cols.extend((index[v], index[u]))
-        vals.extend((w, w))
-    n = len(nodelist)
-    return csr_matrix((vals, (rows, cols)), shape=(n, n)), nodelist
+
+def _adjacency(n: int, edges: Iterable[Tuple[int, int, float]]) -> Adjacency:
+    """Index adjacency of an undirected graph on ``0..n-1`` from ``(i, j,
+    weight)`` triples.  A non-finite weight leaves its edge out of every
+    shortest path (the edge stays in the graph)."""
+    adj: Adjacency = [[] for _ in range(n)]
+    for i, j, w in edges:
+        if w < math.inf:
+            adj[i].append((j, w))
+            adj[j].append((i, w))
+    return adj
+
+
+def shortest_paths(adj: Adjacency, source: int) -> Tuple[List[float], List[int]]:
+    """Dijkstra from ``source`` over non-negative weights: the distance to
+    every node (``inf`` if unreached) and its predecessor on the path
+    (:data:`NO_PREDECESSOR` for the source and unreached nodes)."""
+    dist = [math.inf] * len(adj)
+    pred = [NO_PREDECESSOR] * len(adj)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        d, u = pop(heap)
+        if d > dist[u]:
+            continue  # a stale entry: u was settled closer
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                push(heap, (nd, v))
+    return dist, pred
+
+
+def _walk(pred: Sequence[int], i: int, j: int) -> List[int]:
+    """Indices along the path ``i`` → ``j`` recorded in ``i``'s predecessor row."""
+    hops = [j]
+    while pred[j] >= 0:
+        j = pred[j]
+        hops.append(j)
+    if hops[-1] != i:
+        raise NoPathError
+    hops.reverse()
+    return hops
 
 
 class IPRouter:
     """Delay-based shortest paths on the router-level graph."""
 
-    def __init__(self, ip_graph: nx.Graph) -> None:
+    def __init__(self, ip_graph: Graph) -> None:
         self.graph = ip_graph
-        self._matrix, self._nodelist = graph_to_sparse(ip_graph, "delay")
-        self._index = {v: i for i, v in enumerate(self._nodelist)}
-        self._delay_cache: Dict[int, np.ndarray] = {}
-        self._pred_cache: Dict[int, np.ndarray] = {}
+        self._nodelist = list(ip_graph.nodes)
+        index = self._index = {v: i for i, v in enumerate(self._nodelist)}
+        self._adj = _adjacency(
+            len(self._nodelist),
+            ((index[u], index[v], float(d)) for u, v, d in ip_graph.edges(data="delay")),
+        )
+        self._trees: Dict[int, Tuple[List[float], List[int]]] = {}
 
-    def delays_from(self, src: int) -> np.ndarray:
-        """Vector of shortest-path delays from ``src`` to every router."""
+    def _tree(self, src: int) -> Tuple[List[float], List[int]]:
         if src not in self._index:
             raise KeyError(f"unknown router {src}")
         i = self._index[src]
-        if i not in self._delay_cache:
-            dist, pred = dijkstra(
-                self._matrix, directed=False, indices=i, return_predecessors=True
-            )
-            self._delay_cache[i] = dist
-            self._pred_cache[i] = pred
-        return self._delay_cache[i]
+        tree = self._trees.get(i)
+        if tree is None:
+            tree = self._trees[i] = shortest_paths(self._adj, i)
+        return tree
+
+    def delays_from(self, src: int) -> List[float]:
+        """Shortest-path delays from ``src`` to every router, in node order."""
+        return self._tree(src)[0]
 
     def delay(self, src: int, dst: int) -> float:
-        return float(self.delays_from(src)[self._index[dst]])
+        return self.delays_from(src)[self._index[dst]]
+
+    def delay_matrix(self, routers: Sequence[int]) -> np.ndarray:
+        """Shortest-path delays between every pair of ``routers`` (P×P)."""
+        cols = [self._index[r] for r in routers]
+        return np.array([[row[j] for j in cols] for row in map(self.delays_from, routers)])
 
     def path(self, src: int, dst: int) -> List[int]:
         """Router-level path (inclusive of endpoints)."""
-        self.delays_from(src)
-        pred = self._pred_cache[self._index[src]]
-        j = self._index[dst]
-        if self._index[src] == j:
-            return [src]
-        hops = [j]
-        while pred[j] >= 0:
-            j = pred[j]
-            hops.append(j)
-        if hops[-1] != self._index[src]:
-            raise nx.NetworkXNoPath(f"no IP path {src}->{dst}")
-        return [self._nodelist[k] for k in reversed(hops)]
+        pred = self._tree(src)[1]
+        try:
+            hops = _walk(pred, self._index[src], self._index[dst])
+        except NoPathError:
+            raise NoPathError(f"no IP path {src}->{dst}") from None
+        return [self._nodelist[k] for k in hops]
 
     def path_bandwidth(self, src: int, dst: int) -> float:
         """Bottleneck link bandwidth along the delay-shortest IP path."""
@@ -112,14 +144,17 @@ class IPRouter:
 class OverlayRouter:
     """All-pairs shortest paths over the overlay graph (delay metric).
 
-    Precomputes the full P×P delay and predecessor matrices once (the
-    overlay has at most ~1000 peers, so this is a few MB); exposes
-    ``delay``, ``path`` (peer sequence) and ``links`` (overlay edge
-    sequence) used by bandwidth admission along service links.
+    Computes every peer's distance and predecessor rows once (one
+    :func:`shortest_paths` run per peer; the overlay has at most ~1000
+    peers); exposes ``delay``, ``path`` (peer sequence) and ``links``
+    (overlay edge sequence) used by bandwidth admission along service
+    links.  The rows are compact ``array`` rows: a float and an int per
+    pair, as a NumPy matrix would hold them, where lists of Python
+    objects would take four times the memory at 1000 peers.
 
     A router's routes never change, so everything derived from them is
     memoized on the router itself: ``path``/``links``/``link_index_list``
-    pay the predecessor-matrix walk once per (src, dst) pair and serve
+    pay the predecessor-row walk once per (src, dst) pair and serve
     dict hits afterwards — these are the hottest calls of BCP probing
     (bandwidth admission and ψλ evaluate them per candidate per hop) —
     and ``path_loss_add`` keeps each pair's additive loss beside them.
@@ -132,34 +167,46 @@ class OverlayRouter:
 
     def __init__(
         self,
-        overlay_graph: nx.Graph,
+        overlay_graph: Graph,
         delay_overrides: Optional[Dict[Tuple[int, int], float]] = None,
     ) -> None:
         self.graph = overlay_graph
-        self._overrides = dict(delay_overrides) if delay_overrides else {}
-        matrix, self._nodelist = graph_to_sparse(
-            overlay_graph, "delay", overrides=self._overrides or None
-        )
-        self._index = {v: i for i, v in enumerate(self._nodelist)}
-        self._dist, self._pred = dijkstra(matrix, directed=False, return_predecessors=True)
+        self._nodelist = list(overlay_graph.nodes)
+        index = self._index = {v: i for i, v in enumerate(self._nodelist)}
         # canonical link ordering shared with bandwidth queries
         # (ResourcePool keeps its capacity/usage lists in this order)
         self._link_order: List[Tuple[int, int]] = [
-            tuple(sorted((u, v))) for u, v in overlay_graph.edges
+            (u, v) if u < v else (v, u) for u, v in overlay_graph.edges
         ]
         self._link_index: Dict[Tuple[int, int], int] = {
             l: i for i, l in enumerate(self._link_order)
         }
-        # endpoints (matrix indices) and declared delays of the edges, in
-        # link order: all reweighted() needs of the graph
-        self._edge_ends = np.array(
-            [(self._index[u], self._index[v]) for u, v in self._link_order], dtype=np.intp
-        ).reshape(-1, 2)
-        self._edge_delays = np.array(
-            [float(d) for _, _, d in overlay_graph.edges(data="delay")], dtype=float
-        )
+        # endpoints (node indices) and declared delays of the edges, in
+        # link order: all the routing needs of the graph
+        self._edge_ends = [(index[u], index[v]) for u, v in self._link_order]
+        self._edge_delays = [float(d) for _, _, d in overlay_graph.edges(data="delay")]
+        self._route(dict(delay_overrides) if delay_overrides else {})
         self._cache_enabled = True
         self.clear_cache()
+
+    def _route(self, overrides: Dict[Tuple[int, int], float]) -> None:
+        """Every peer's distance and predecessor rows, with ``overrides``
+        (canonical-link keyed) in place of the declared delays."""
+        self._overrides = overrides
+        delays = list(self._edge_delays)
+        for link, delay in overrides.items():
+            i = self._link_index.get(link)
+            if i is not None:
+                delays[i] = delay
+        adj = _adjacency(
+            len(self._nodelist), ((i, j, w) for (i, j), w in zip(self._edge_ends, delays))
+        )
+        self._dist: List[array] = []
+        self._pred: List[array] = []
+        for source in range(len(adj)):
+            dist, pred = shortest_paths(adj, source)
+            self._dist.append(array("d", dist))
+            self._pred.append(array("i", pred))
 
     @property
     def peers(self) -> List[int]:
@@ -185,30 +232,12 @@ class OverlayRouter:
 
         Equal to ``OverlayRouter(graph, delay_overrides=overrides)``, but
         only the shortest paths are recomputed: the node index, the link
-        order and the edge arrays are this router's own, shared — walking
-        the networkx graph again cost more than the ``dijkstra`` it fed.
-        The shared :attr:`link_order` is also what keeps capacity/usage
-        lists indexed by it (:class:`~repro.core.resources.ResourcePool`)
-        valid.  The new router starts with empty memos."""
-        delays = self._edge_delays.copy()
-        for link, delay in overrides.items():
-            i = self._link_index.get(link)
-            if i is not None:
-                delays[i] = delay
-        live = np.isfinite(delays)  # csr stores explicit values: omit the edge
-        rows, cols = self._edge_ends[live].T
-        delays = delays[live]
-        n = len(self._nodelist)
+        order and the edge lists are this router's own, shared.  The shared
+        :attr:`link_order` is also what keeps capacity/usage lists indexed
+        by it (:class:`~repro.core.resources.ResourcePool`) valid.  The new
+        router starts with empty memos."""
         out = copy.copy(self)
-        out._overrides = dict(overrides)
-        matrix = csr_matrix(
-            (
-                np.concatenate((delays, delays)),
-                (np.concatenate((rows, cols)), np.concatenate((cols, rows))),
-            ),
-            shape=(n, n),
-        )
-        out._dist, out._pred = dijkstra(matrix, directed=False, return_predecessors=True)
+        out._route(dict(overrides))
         out.clear_cache()
         return out
 
@@ -218,34 +247,28 @@ class OverlayRouter:
         self.clear_cache()
 
     def clear_cache(self) -> None:
-        """Drop all memoized paths/links/indices, losses and delay rows."""
+        """Drop all memoized paths/links/indices and losses."""
         self._path_cache: Dict[Tuple[int, int], List[int]] = {}
         self._links_cache: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         self._link_idx_list_cache: Dict[Tuple[int, int], List[int]] = {}
         self._loss_cache: Dict[Tuple[int, int], float] = {}
-        self._delay_rows: Dict[int, List[float]] = {}
 
     def delay(self, src: int, dst: int) -> float:
         try:
-            return float(self._dist[self._index[src], self._index[dst]])
+            return self._dist[self._index[src]][self._index[dst]]
         except KeyError as exc:
             raise KeyError(f"unknown peer {exc.args[0]}") from None
 
     def delays_to(self, src: int, dsts: Sequence[int]) -> List[float]:
-        """``[delay(src, d) for d in dsts]`` as one read of ``src``'s row.
-
-        The row is the delay matrix's, as a Python list (its floats equal
-        ``delay``'s to the bit), kept per source until :meth:`clear_cache`:
+        """``[delay(src, d) for d in dsts]`` as one read of ``src``'s row:
         BCP's next-hop metric reads the delays to every duplicate it
         ranks from the peer it ranks them at."""
-        row = self._delay_rows.get(src)
-        if row is None:
-            row = self._delay_rows[src] = self._dist[self._index[src]].tolist()
+        row = self._dist[self._index[src]]
         index = self._index
         return [row[index[d]] for d in dsts]
 
     def reachable(self, src: int, dst: int) -> bool:
-        return np.isfinite(self._dist[self._index[src], self._index[dst]])
+        return self._dist[self._index[src]][self._index[dst]] < math.inf
 
     def path_loss_add(self, src: int, dst: int) -> float:
         """Additive (−log survival) loss along the routed path src→dst,
@@ -259,7 +282,7 @@ class OverlayRouter:
             edges = self.graph.edges
             try:
                 hit = sum(float(edges[link]["loss_add"]) for link in self.links(src, dst))
-            except nx.NetworkXNoPath:
+            except NoPathError:
                 hit = math.inf
             if self._cache_enabled:
                 self._loss_cache[key] = hit
@@ -272,17 +295,16 @@ class OverlayRouter:
         if hit is not None:
             return hit
         i, j = self._index[src], self._index[dst]
-        if i == j:
-            hops_out = [src]
-        else:
-            if not np.isfinite(self._dist[i, j]):
-                raise nx.NetworkXNoPath(f"no overlay path {src}->{dst}")
-            hops = [j]
-            k = j
-            while self._pred[i, k] >= 0:
-                k = self._pred[i, k]
-                hops.append(k)
-            hops_out = [self._nodelist[h] for h in reversed(hops)]
+        # _walk inline: a cold pair's walk is on BCP's hot path
+        pred = self._pred[i]
+        hops = [j]
+        while pred[j] >= 0:
+            j = pred[j]
+            hops.append(j)
+        if hops[-1] != i:
+            raise NoPathError(f"no overlay path {src}->{dst}")
+        nodelist = self._nodelist
+        hops_out = [nodelist[h] for h in reversed(hops)]
         if self._cache_enabled:
             self._path_cache[key] = hops_out
         return hops_out
@@ -295,7 +317,7 @@ class OverlayRouter:
         if hit is not None:
             return hit
         hops = self.path(src, dst)
-        out = [tuple(sorted((a, b))) for a, b in zip(hops, hops[1:])]
+        out = [(a, b) if a < b else (b, a) for a, b in zip(hops, hops[1:])]
         if self._cache_enabled:
             self._links_cache[key] = out
         return out
@@ -325,4 +347,4 @@ class OverlayRouter:
 
     def delay_matrix(self) -> np.ndarray:
         """The full pairwise delay matrix, indexed by :attr:`peers` order."""
-        return self._dist.copy()
+        return np.array(self._dist)

@@ -24,7 +24,6 @@ import asyncio
 import copy
 import dataclasses
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given
@@ -38,6 +37,7 @@ from repro.sim import vtime
 from repro.net.measurement import LinkEstimator, MeasurementPlane
 from repro.net.rpc import RetryPolicy
 from repro.sim.tracing import EventTrace
+from repro.topology.graph import Graph
 from repro.topology.overlay import Overlay
 from repro.topology.routing import OverlayRouter
 
@@ -791,7 +791,13 @@ def _grid_engine():
     predecessor dijkstra records can change with a far-away weight) with a
     distinct loss per link, wired the way a measuring daemon is: a BCP over
     its own copy of the overlay, and a plane on the centre peer."""
-    g = nx.convert_node_labels_to_integers(nx.grid_2d_graph(4, 3))
+    g = Graph()
+    g.add_nodes_from(range(12))
+    for n in range(12):  # node n at row n // 3, column n % 3
+        if n + 3 < 12:
+            g.add_edge(n, n + 3)
+        if n % 3 < 2:
+            g.add_edge(n, n + 1)
     for i, (u, v) in enumerate(g.edges):
         g.edges[u, v].update(delay=1.0, loss_add=0.001 * (i + 1))
     view = Overlay(graph=g, router=OverlayRouter(g))
@@ -906,7 +912,7 @@ def test_scores_read_the_delays_of_the_router_a_reprice_installs():
 
     before = bcp._score_components(probe, comps)
     assert before == scores_from_latency()
-    plane.set_link_scales({n: 5.0 for n in base.graph[here]})
+    plane.set_link_scales({n: 5.0 for n in base.graph.neighbors(here)})
     after = bcp._score_components(probe, comps)
     assert after == scores_from_latency() != before
     plane.rebind(plane.endpoint)

@@ -12,6 +12,8 @@ from repro.topology.inet import (
     power_law_degree_sequence,
 )
 
+from worlds import as_networkx
+
 
 class TestDegreeSequence:
     def test_length_and_bounds(self):
@@ -57,7 +59,7 @@ class TestGenerateIPNetwork:
     def test_connected_across_seeds(self):
         for seed in range(8):
             g = generate_ip_network(150, rng=np.random.default_rng(seed))
-            assert nx.is_connected(g)
+            assert nx.is_connected(as_networkx(g))
 
     def test_node_count(self):
         g = generate_ip_network(77, rng=np.random.default_rng(0))

@@ -9,11 +9,13 @@ import pytest
 from repro.topology.inet import TopologyError, generate_ip_network
 from repro.topology.overlay import (
     mesh_overlay,
-    peer_delay_matrix,
     random_overlay,
     select_peers,
     wan_overlay,
 )
+from repro.topology.routing import IPRouter
+
+from worlds import as_networkx
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +36,7 @@ class TestSelectPeers:
 class TestPeerDelayMatrix:
     def test_shape_symmetry_zero_diagonal(self, ip):
         routers = select_peers(ip, 10, rng=np.random.default_rng(1))
-        m = peer_delay_matrix(ip, routers)
+        m = IPRouter(ip).delay_matrix(routers)
         assert m.shape == (10, 10)
         assert np.allclose(m, m.T)
         assert np.allclose(np.diag(m), 0.0)
@@ -43,7 +45,7 @@ class TestPeerDelayMatrix:
 
 def _common_overlay_checks(ov, n):
     assert ov.n_peers == n
-    assert nx.is_connected(ov.graph)
+    assert nx.is_connected(as_networkx(ov.graph))
     for u, v, d in ov.graph.edges(data=True):
         assert d["delay"] >= 0
         assert d["bandwidth"] > 0
@@ -94,13 +96,13 @@ class TestWanOverlay:
 
     def test_regions_assigned(self):
         ov = wan_overlay(50, us_fraction=0.7, rng=np.random.default_rng(7))
-        regions = nx.get_node_attributes(ov.graph, "region")
+        regions = dict(ov.graph.nodes(data="region"))
         assert set(regions.values()) <= {"US", "EU"}
         assert sum(1 for r in regions.values() if r == "US") > 20
 
     def test_transatlantic_slower_than_intra_us(self):
         ov = wan_overlay(80, rng=np.random.default_rng(8))
-        regions = nx.get_node_attributes(ov.graph, "region")
+        regions = dict(ov.graph.nodes(data="region"))
         intra, inter = [], []
         for u, v, d in ov.graph.edges(data=True):
             if regions[u] == regions[v] == "US":

@@ -1,11 +1,32 @@
-"""Unit tests for IP-layer and overlay-layer shortest-path routing."""
+"""Unit tests for IP-layer and overlay-layer shortest-path routing.
+
+networkx and scipy (test-only dependencies) are the reference oracles:
+``scipy.sparse.csgraph.dijkstra`` is what the routers ran before they ran
+their own, and the property test below holds the routine to its
+distances bit for bit and to its predecessors exactly.
+"""
+
+import math
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
+from repro.topology.graph import Graph
 from repro.topology.inet import generate_ip_network
-from repro.topology.routing import IPRouter, OverlayRouter, graph_to_sparse
+from repro.topology.routing import (
+    IPRouter,
+    NoPathError,
+    OverlayRouter,
+    _adjacency,
+    shortest_paths,
+)
+
+from worlds import as_networkx, fuzz_settings
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +40,7 @@ def ip_router(ip):
 
 
 def small_weighted_graph():
-    g = nx.Graph()
+    g = Graph()
     g.add_edge(0, 1, delay=1.0, bandwidth=10.0)
     g.add_edge(1, 2, delay=1.0, bandwidth=5.0)
     g.add_edge(0, 2, delay=5.0, bandwidth=100.0)
@@ -27,24 +48,9 @@ def small_weighted_graph():
     return g
 
 
-class TestGraphToSparse:
-    def test_round_trip_weights(self):
-        g = small_weighted_graph()
-        m, nodes = graph_to_sparse(g, "delay")
-        assert m.shape == (4, 4)
-        assert m[0, 1] == 1.0 and m[1, 0] == 1.0
-        assert m[0, 2] == 5.0
-
-    def test_nodelist_subset(self):
-        g = small_weighted_graph()
-        m, nodes = graph_to_sparse(g, "delay", nodelist=[0, 1])
-        assert m.shape == (2, 2)
-        assert m[0, 1] == 1.0
-
-
 class TestIPRouter:
     def test_matches_networkx_dijkstra(self, ip, ip_router):
-        lengths = nx.single_source_dijkstra_path_length(ip, 0, weight="delay")
+        lengths = nx.single_source_dijkstra_path_length(as_networkx(ip), 0, weight="delay")
         for node in list(ip.nodes)[:20]:
             assert ip_router.delay(0, node) == pytest.approx(lengths[node])
 
@@ -88,7 +94,7 @@ class TestOverlayRouter:
         g = small_weighted_graph()
         router = OverlayRouter(g)
         for a in g.nodes:
-            lengths = nx.single_source_dijkstra_path_length(g, a, weight="delay")
+            lengths = nx.single_source_dijkstra_path_length(as_networkx(g), a, weight="delay")
             for b in g.nodes:
                 assert router.delay(a, b) == pytest.approx(lengths[b])
 
@@ -112,7 +118,7 @@ class TestOverlayRouter:
         g.add_node(99)  # isolated
         router = OverlayRouter(g)
         assert not router.reachable(0, 99)
-        with pytest.raises(nx.NetworkXNoPath):
+        with pytest.raises(NoPathError):
             router.path(0, 99)
 
     def test_unknown_peer_raises(self):
@@ -188,7 +194,7 @@ class TestReweighted:
         assert cut.links(0, 3) == [(0, 2), (2, 3)]
         island = base.reweighted({(2, 3): float("inf")})
         assert not island.reachable(0, 3)
-        with pytest.raises(nx.NetworkXNoPath):
+        with pytest.raises(NoPathError):
             island.path(0, 3)
         # the edge set, and so every array indexed by link order, is unchanged
         assert cut.link_order == island.link_order == base.link_order
@@ -202,3 +208,82 @@ class TestReweighted:
         assert other.path(a, b) != before
         assert base.path(a, b) == before  # the base's memoized paths are its own
         assert base.reweighted({}).path(a, b) == before  # and overrides do not stick
+
+
+def _scipy_all_pairs(n, edges):
+    """The routers' former routine: scipy's Dijkstra over a symmetric CSR
+    matrix of the finite-weight edges."""
+    rows, cols, vals = [], [], []
+    for i, j, w in edges:
+        if math.isfinite(w):
+            rows += (i, j)
+            cols += (j, i)
+            vals += (w, w)
+    matrix = csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return dijkstra(matrix, directed=False, return_predecessors=True)
+
+
+def _all_pairs(n, edges):
+    adj = _adjacency(n, edges)
+    trees = [shortest_paths(adj, s) for s in range(n)]
+    return np.array([d for d, _ in trees]), np.array([p for _, p in trees])
+
+
+@st.composite
+def weighted_graphs(draw, weights):
+    n = draw(st.integers(1, 24))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return n, [(i, j, draw(weights)) for i, j in chosen]
+
+
+# continuous weights, as the generators draw them (exact path ties are
+# then ones the graph's structure makes), with a few links priced out
+_DRAWN = st.one_of(st.floats(1e-4, 0.05), st.just(math.inf))
+
+
+class TestAgainstScipy:
+    @fuzz_settings(200)
+    @given(graph=weighted_graphs(_DRAWN), seed=st.integers(0, 2**32 - 1))
+    def test_distances_bit_equal_and_predecessors_equal(self, graph, seed):
+        n, edges = graph
+        rng = np.random.default_rng(seed)  # distinct weights: no settle-order ties
+        edges = [(i, j, w if math.isinf(w) else float(rng.uniform(1e-4, 0.05))) for i, j, w in edges]
+        dist, pred = _all_pairs(n, edges)
+        ref_dist, ref_pred = _scipy_all_pairs(n, edges)
+        assert dist.tobytes() == ref_dist.tobytes()
+        np.testing.assert_array_equal(pred, ref_pred)
+
+    @fuzz_settings(200)
+    @given(graph=weighted_graphs(st.sampled_from([0.5, 1.0, 1.5, 2.0, math.inf])))
+    def test_distances_bit_equal_under_ties(self, graph):
+        """Where equal weights tie whole paths, which predecessor is kept
+        may differ from scipy's heap; the distances may not."""
+        n, edges = graph
+        dist, pred = _all_pairs(n, edges)
+        ref_dist, _ = _scipy_all_pairs(n, edges)
+        assert dist.tobytes() == ref_dist.tobytes()
+        for s in range(n):  # and every predecessor is on a shortest path
+            for v in range(n):
+                if pred[s, v] >= 0:
+                    w = min(w for i, j, w in edges if {i, j} == {int(pred[s, v]), v})
+                    assert dist[s, pred[s, v]] + w == dist[s, v]
+
+    def test_ip_router_matches_scipy_from_every_router(self, ip):
+        router = IPRouter(ip)
+        index = {v: i for i, v in enumerate(ip.nodes)}
+        edges = [(index[u], index[v], float(d)) for u, v, d in ip.edges(data="delay")]
+        ref_dist, ref_pred = _scipy_all_pairs(len(index), edges)
+        for src in ip.nodes:
+            dist, pred = router._tree(src)
+            assert np.array(dist).tobytes() == ref_dist[index[src]].tobytes()
+            assert list(pred) == list(ref_pred[index[src]])
+
+    def test_delay_matrix_reads_the_runs_of_the_peer_routers(self, ip):
+        routers = [7, 3, 90, 41]
+        router = IPRouter(ip)
+        m = router.delay_matrix(routers)
+        assert m.shape == (4, 4)
+        assert np.allclose(m, m.T)
+        assert np.all(np.diag(m) == 0.0)
+        assert m[1, 2] == router.delay(3, 90)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 from hypothesis import settings
 
@@ -23,6 +22,7 @@ from repro.core.strategies import StrategyContext
 from repro.dht.pastry import PastryNetwork
 from repro.discovery.registry import ServiceRegistry
 from repro.services.component import ComponentSpec, QualitySpec
+from repro.topology.graph import Graph
 from repro.topology.overlay import Overlay
 from repro.topology.routing import OverlayRouter
 
@@ -36,13 +36,24 @@ def fuzz_settings(examples: int) -> settings:
     return settings(max_examples=examples, deadline=None, derandomize=True)
 
 
+def as_networkx(g: Graph):
+    """``g`` as a ``networkx.Graph`` with the same nodes, edges and
+    attributes, added in ``g``'s order: the test-only reference."""
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(g.nodes(data=True))
+    h.add_edges_from(g.edges(data=True))
+    return h
+
+
 def micro_overlay(n_peers: int = 8, unit_delay: float = 0.010) -> Overlay:
     """A full mesh where latency(a, b) = unit_delay * |a - b|.
 
     Predictable by construction: the shortest path between two peers is
     always the direct link (metric is a line metric).
     """
-    g = nx.Graph()
+    g = Graph()
     g.add_nodes_from(range(n_peers))
     for a in range(n_peers):
         for b in range(a + 1, n_peers):
