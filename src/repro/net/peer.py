@@ -1215,7 +1215,9 @@ class PeerDaemon:
     async def _maintain(self, session: LiveSession) -> None:
         """Periodic liveness pings to the session's service peers, all of
         them at once: a check costs one round trip, whatever the path's
-        length.  A peer that does not answer fails the session."""
+        length.  A peer that does not answer ``alive`` fails the session:
+        no reply, an error reply and a stopped daemon's ``alive: False``
+        alike."""
         peers = sorted(set(session.graph.peers()) - {self.peer_id})
         seq = 0
         while not self.stopped and not session.failed:
@@ -1225,8 +1227,9 @@ class PeerDaemon:
             seq += 1
             ping = codec.MaintenancePing(session.request_id, seq)
             replies = await asyncio.gather(*(self._control(peer, ping) for peer in peers))
-            session.pings += sum(reply is not None for reply in replies)
-            dead = [peer for peer, reply in zip(peers, replies) if reply is None]
+            alive = [isinstance(reply, dict) and reply.get("alive") is True for reply in replies]
+            session.pings += sum(alive)
+            dead = [peer for peer, up in zip(peers, alive) if not up]
             if dead:
                 session.failed = True
                 self._trace("session_failure", request=session.request_id, failed_peer=dead[0])

@@ -432,6 +432,40 @@ def test_a_killed_path_peer_fails_its_session_and_no_other():
         assert not failed and pings > pinged[rid]
 
 
+def test_a_stopped_path_peer_fails_its_session_on_the_next_ping():
+    """A daemon that stopped but whose transport still answers replies
+    ``alive: False``: that is a dead peer, not a live one."""
+
+    async def scenario():
+        cluster, pings = _maintained()
+        request = next(
+            r
+            for r in cluster.scenario.requests.batch(10)
+            if (sync := cluster.scenario.net.bcp.compose(r, confirm=False)).success
+            and set(sync.best.peers()) - {r.source_peer, r.dest_peer}
+        )
+        async with cluster:
+            result = await cluster.compose(request, confirm=True, timeout=60)
+            session = cluster.daemons[request.source_peer].sessions[request.request_id]
+            victim = min(
+                set(_path_peers(session, request.source_peer)) - {request.dest_peer}
+            )
+            await asyncio.sleep(1.5 * INTERVAL)
+            assert not session.failed and session.pings > 0
+            cluster.daemons[victim].stop()  # the transport stays up
+            answered = len(pings)
+            await asyncio.sleep(INTERVAL + 4 * ONE_WAY)  # the next ping's round trip
+            failed = session.failed
+            victim_answered = [p for p in pings[answered:] if p[0] == victim]
+            soft, errors = _settled(cluster, skip={victim})
+        return result, failed, victim_answered, soft, errors
+
+    result, failed, victim_answered, soft, errors = vtime.run(scenario())
+    assert result.success and errors == [] and soft == {}
+    assert victim_answered, "fixture: the stopped daemon's transport must still answer"
+    assert failed
+
+
 # ----------------------------------------------------------------------
 # stop and kill under load, on the real loop
 # ----------------------------------------------------------------------
