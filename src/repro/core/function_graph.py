@@ -271,18 +271,20 @@ class FunctionGraph:
 
     @cached_property
     def _branches(self) -> Tuple[Tuple[str, ...], ...]:
+        # an explicit stack, not a recursive closure: a closure that calls
+        # itself is a reference cycle through ``self``, which would leave
+        # every graph to the cycle collector
         out: List[Tuple[str, ...]] = []
-
-        def dfs(f: str, path: List[str]) -> None:
-            succ = self.successors(f)
+        stack: List[List[str]] = []
+        for src in self.sources():
+            stack.append([src])
+        while stack:
+            path = stack.pop()
+            succ = self.successors(path[-1])
             if not succ:
                 out.append(tuple(path))
-                return
             for s in succ:
-                dfs(s, path + [s])
-
-        for src in self.sources():
-            dfs(src, [src])
+                stack.append(path + [s])
         return tuple(sorted(out))
 
     def __len__(self) -> int:

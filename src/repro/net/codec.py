@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
@@ -278,13 +279,34 @@ def _str_at(buf: bytes, pos: int, strs: List[str]) -> Tuple[str, int]:
 # directory's ServiceMetadata entries — inside every probe and report
 # frame.  Blob-typed objects are encoded against fresh tables, so their
 # bytes depend on nothing outside the object: the sender caches the
-# encoding (tag and length included) per live object (the strong
-# reference keeps ``id()`` unique), and the receiver caches the decode per
-# unique byte string, returning one shared immutable instance thereafter.
-# Blobs carry no cross-frame protocol state, so frame loss or reordering
-# cannot desynchronize them.
-_ENC_BLOBS: Dict[int, Tuple[Any, bytes]] = {}  # id(obj) -> (obj, tagged blob)
-_DEC_BLOBS: Dict[bytes, Any] = {}  # type id, length and payload -> obj
+# encoding (tag and length included) per live object, and the receiver
+# caches the decode per unique byte string, returning one shared
+# immutable instance while it lives.  Both memos hold their objects
+# weakly (see _hold): an entry goes when its object does, so a finished
+# compose's request and function graph are freed with their last
+# reference, and an ``id()`` key always names the live object it was made
+# for.  Blobs carry no cross-frame protocol state, so frame loss or
+# reordering cannot desynchronize them.
+_ENC_BLOBS: Dict[int, Tuple[Any, bytes]] = {}  # id(obj) -> (held obj, tagged blob)
+_DEC_BLOBS: Dict[bytes, Any] = {}  # type id, length and payload -> held obj
+_WEAK = weakref.ref
+
+
+def _hold(obj: Any, memo: Dict, key: Any) -> Any:
+    """What ``memo[key]`` keeps of ``obj``: a weak reference that deletes
+    the entry when ``obj`` dies, or ``obj`` itself when its class takes no
+    weak reference (a slots class: ServiceMetadata, a directory row, whose
+    entry lives as long as strongly as before)."""
+
+    def forget(ref: weakref.ref) -> None:
+        entry = memo.get(key)
+        if entry is ref or (type(entry) is tuple and entry[0] is ref):
+            del memo[key]
+
+    try:
+        return _WEAK(obj, forget)
+    except TypeError:
+        return obj
 
 
 def _blob(v: Any, tid: int) -> bytes:
@@ -292,7 +314,8 @@ def _blob(v: Any, tid: int) -> bytes:
     sub = _Packer()
     _BIN_PACKERS[tid](sub, v)
     blob = _S_BLOB.pack(_T_BLOB, tid, len(sub.out)) + sub.out
-    _memoize(_ENC_BLOBS, id(v), (v, blob))
+    key = id(v)
+    _memoize(_ENC_BLOBS, key, (_hold(v, _ENC_BLOBS, key), blob))
     return blob
 
 
@@ -303,6 +326,8 @@ def _unblob(key: bytes) -> Any:
     if tid >= len(_BIN_UNPACKERS):
         raise CodecError(f"unknown binary type id {tid}")
     obj = _DEC_BLOBS.get(key)
+    if type(obj) is _WEAK:
+        obj = obj()
     if obj is None:
         blob = key[5:]
         if len(blob) != _S_I.unpack_from(key, 1)[0]:
@@ -311,7 +336,7 @@ def _unblob(key: bytes) -> Any:
         obj = _BIN_UNPACKERS[tid](sub)
         if sub.pos != len(blob):
             raise CodecError("trailing bytes inside binary payload")
-        _memoize(_DEC_BLOBS, key, obj)
+        _memoize(_DEC_BLOBS, key, _hold(obj, _DEC_BLOBS, key))
     return obj
 
 
@@ -933,6 +958,8 @@ class _Obj(_Kind):
         g.line(at + 1, f"{stop} = pos + 6 + length(buf, pos + 2)[0]")
         g.line(at + 1, f"{key} = buf[pos + 1:{stop}]")
         g.line(at + 1, f"{t} = dec_blobs.get({key})")
+        g.line(at + 1, f"if type({t}) is weak:")
+        g.line(at + 2, f"{t} = {t}()")
         g.line(at + 1, f"if {t} is None:")
         g.line(at + 2, f"{t} = unblob({key})")
         g.line(at + 1, f"pos = {stop}")
@@ -1117,6 +1144,7 @@ _GEN_SCOPE: Dict[str, Any] = {
     "present": _S_PRESENT.pack,
     "enc_blobs": _ENC_BLOBS,
     "dec_blobs": _DEC_BLOBS,
+    "weak": _WEAK,
     "unblob": _unblob,
     "bundle": _S_BUNDLE.pack,
     "peer_row": _S_PEER_ROW.pack,

@@ -23,7 +23,8 @@ every probe child, and one of closed windows every request id
 
 What a finished exchange or a stopped cluster leaves must also go with
 its last reference, not wait for the cycle collector: a finished or
-failed RPC exchange, and the event loop a loopback or TCP cluster ran on.
+failed RPC exchange, a finished compose's request and function graphs,
+and the event loop a loopback or TCP cluster ran on.
 """
 
 import asyncio
@@ -34,6 +35,8 @@ from collections import defaultdict
 
 import pytest
 
+from repro.core.function_graph import FunctionGraph
+from repro.core.request import CompositeRequest
 from repro.net import ClusterConfig, LiveCluster, MeasurementConfig, codec
 from repro.net.rpc import RetryPolicy, RpcError, _Exchange
 from repro.sim import vtime
@@ -212,6 +215,40 @@ def test_a_finished_exchange_goes_without_the_cycle_collector():
         assert vtime.run(scenario()) == 0
     finally:
         gc.enable()
+
+
+def test_finished_composes_leave_no_request_or_function_graph_without_the_cycle_collector():
+    """The codec's cross-frame blob memos hold their objects weakly, and a
+    function graph is in no reference cycle of its own, so a finished
+    compose's decoded request and function graphs go with their last
+    reference: what stays alive does not grow with the composes run."""
+
+    async def scenario():
+        cluster = _small_cluster()
+        requests = cluster.scenario.requests.batch(40)
+        own = {id(r) for r in requests} | {id(r.function_graph) for r in requests}
+        alive = []
+        async with cluster:
+            for batch in (requests[:10], requests[10:]):
+                for request in batch:
+                    await cluster.compose(request, confirm=False, timeout=60)
+                for daemon in cluster.daemons.values():
+                    await daemon.drain()
+                alive.append(
+                    sum(
+                        type(o) in (CompositeRequest, FunctionGraph) and id(o) not in own
+                        for o in gc.get_objects()
+                    )
+                )
+        return alive
+
+    gc.collect()
+    gc.disable()
+    try:
+        after_ten, after_forty = vtime.run(scenario())
+    finally:
+        gc.enable()
+    assert after_forty == after_ten
 
 
 def test_a_failed_call_leaves_no_exchange_without_the_cycle_collector():
