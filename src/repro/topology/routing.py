@@ -101,18 +101,20 @@ class IPRouter:
             len(self._nodelist),
             ((index[u], index[v], float(d)) for u, v, d in ip_graph.edges(data="delay")),
         )
-        self._trees: Dict[int, Tuple[List[float], List[int]]] = {}
+        self._trees: Dict[int, Tuple[array, array]] = {}
 
-    def _tree(self, src: int) -> Tuple[List[float], List[int]]:
+    def _tree(self, src: int) -> Tuple[array, array]:
+        """``src``'s distance and predecessor rows, as compact ``array`` rows."""
         if src not in self._index:
             raise KeyError(f"unknown router {src}")
         i = self._index[src]
         tree = self._trees.get(i)
         if tree is None:
-            tree = self._trees[i] = shortest_paths(self._adj, i)
+            dist, pred = shortest_paths(self._adj, i)
+            tree = self._trees[i] = (array("d", dist), array("i", pred))
         return tree
 
-    def delays_from(self, src: int) -> List[float]:
+    def delays_from(self, src: int) -> Sequence[float]:
         """Shortest-path delays from ``src`` to every router, in node order."""
         return self._tree(src)[0]
 
