@@ -294,9 +294,9 @@ _WEAK = weakref.ref
 
 def _hold(obj: Any, memo: Dict, key: Any) -> Any:
     """What ``memo[key]`` keeps of ``obj``: a weak reference that deletes
-    the entry when ``obj`` dies, or ``obj`` itself when its class takes no
-    weak reference (a slots class: ServiceMetadata, a directory row, whose
-    entry lives as long as strongly as before)."""
+    the entry when ``obj`` dies, or ``obj`` itself, held strongly as
+    before, when its class takes no weak reference (the slots class
+    ServiceMetadata: a directory row, which outlives the composes)."""
 
     def forget(ref: weakref.ref) -> None:
         entry = memo.get(key)

@@ -152,7 +152,7 @@ class OverlayRouter:
     (overlay edge sequence) used by bandwidth admission along service
     links.  The rows are compact ``array`` rows: a float and an int per
     pair, as a NumPy matrix would hold them, where lists of Python
-    objects would take four times the memory at 1000 peers.
+    objects would take more than three times the memory.
 
     A router's routes never change, so everything derived from them is
     memoized on the router itself: ``path``/``links``/``link_index_list``

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
+import networkx as nx
 import numpy as np
 from hypothesis import settings
 
@@ -36,11 +37,9 @@ def fuzz_settings(examples: int) -> settings:
     return settings(max_examples=examples, deadline=None, derandomize=True)
 
 
-def as_networkx(g: Graph):
+def as_networkx(g: Graph) -> nx.Graph:
     """``g`` as a ``networkx.Graph`` with the same nodes, edges and
     attributes, added in ``g``'s order: the test-only reference."""
-    import networkx as nx
-
     h = nx.Graph()
     h.add_nodes_from(g.nodes(data=True))
     h.add_edges_from(g.edges(data=True))
