@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..topology.overlay import Overlay
+from ..topology.routing import NoPathError
 
 __all__ = ["ResourceVector", "InsufficientResources", "ResourcePool", "DEFAULT_RESOURCE_TYPES"]
 
@@ -90,10 +91,10 @@ class ResourceVector:
 
 @dataclass
 class _Claim:
-    """One token's reservations on peers and links."""
+    """One token's reservations on peers and links (by link index)."""
 
     peers: List[Tuple[int, ResourceVector]] = field(default_factory=list)
-    links: List[Tuple[Link, float]] = field(default_factory=list)
+    links: List[Tuple[int, float]] = field(default_factory=list)
     soft: bool = True
 
 
@@ -123,10 +124,10 @@ class ResourcePool:
             p: ResourceVector.zero(resource_types) for p in peers
         }
         # link bandwidth lives in two float lists indexed by the router's
-        # canonical link order: a path's bottleneck is a loop over its
-        # cached index list (2-5 links), with no per-link dict lookup
+        # canonical link order: a path's bottleneck is a walk up the
+        # source's shortest-path tree (2-5 links), with no per-link dict
+        # lookup
         link_order = overlay.router.link_order
-        self._link_index: Dict[Link, int] = {l: i for i, l in enumerate(link_order)}
         self._link_cap: List[float] = [
             float(overlay.graph.edges[l]["bandwidth"]) for l in link_order
         ]
@@ -171,9 +172,7 @@ class ResourcePool:
         )
 
     def link_available(self, link: Link) -> float:
-        i = self._link_index.get(link)
-        if i is None:  # not canonically ordered
-            i = self._link_index[tuple(sorted(link))]
+        i = self.overlay.router.link_index(*link)
         return max(self._link_cap[i] - self._link_used[i], 0.0)
 
     def path_available_bandwidth(self, src: int, dst: int) -> float:
@@ -189,17 +188,28 @@ class ResourcePool:
         return low if low > 0.0 else 0.0
 
     def paths_available_bandwidth(self, src: int, dsts: Sequence[int]) -> List[float]:
-        """``[path_available_bandwidth(src, d) for d in dsts]`` in one call,
-        with the same arithmetic: BCP's next-hop metric reads the headroom
-        of the path to every duplicate it ranks."""
+        """``[path_available_bandwidth(src, d) for d in dsts]`` in one call:
+        BCP's next-hop metric reads the headroom of the path to every
+        duplicate it ranks.  Each path is walked up ``src``'s shortest-path
+        tree from its destination, reading every link's headroom on the
+        way (``min`` is exact, so the order of the walk is not the value)."""
+        index, pred, pedge = self.overlay.router.tree(src)
+        root = index[src]
         cap, used = self._link_cap, self._link_used
         out = []
-        for idx in self.overlay.router.link_index_lists(src, dsts):
+        for dst in dsts:
+            j = index[dst]
+            p = pred[j]
             low = math.inf
-            for i in idx:
-                v = cap[i] - used[i]
+            while p >= 0:
+                k = pedge[j]
+                v = cap[k] - used[k]
                 if v < low:
                     low = v
+                j = p
+                p = pred[j]
+            if j != root:
+                raise NoPathError(f"no overlay path {src}->{dst}")
             out.append(low if low > 0.0 else 0.0)
         return out
 
@@ -230,17 +240,15 @@ class ResourcePool:
         """Tentatively reserve bandwidth on every link of the overlay path."""
         if src == dst or bandwidth <= 0:
             return True
-        router = self.overlay.router
-        idx = router.link_index_list(src, dst)
+        idx = self.overlay.router.link_index_list(src, dst)
         cap, used = self._link_cap, self._link_used
         for i in idx:
             if max(cap[i] - used[i], 0.0) + 1e-12 < bandwidth:
                 return False
         for i in idx:
             used[i] += bandwidth
-        links = router.links(src, dst)
         claim = self._claims.setdefault(token, _Claim())
-        claim.links.extend([(l, bandwidth) for l in links])
+        claim.links.extend([(i, bandwidth) for i in idx])
         return True
 
     def confirm(self, token: Hashable) -> None:
@@ -280,8 +288,7 @@ class ResourcePool:
         for peer, req in claim.peers:
             self._used[peer] = self._used[peer] - req
         used = self._link_used
-        for link, bw in claim.links:
-            i = self._link_index[link]
+        for i, bw in claim.links:
             used[i] = max(used[i] - bw, 0.0)
 
     # ------------------------------------------------------------------
@@ -309,7 +316,8 @@ class ResourcePool:
             (p, {t: req.get(t) for t in req.types() if req.get(t)})
             for p, req in claim.peers
         ]
-        return peers, list(claim.links)
+        order = self.overlay.router.link_order
+        return peers, [(order[i], bw) for i, bw in claim.links]
 
     def utilisation(self, peer: int, rtype: str) -> float:
         cap = self._capacity[peer].get(rtype)
@@ -324,7 +332,7 @@ class ResourcePool:
                     raise AssertionError(
                         f"peer {p} over-allocated {t}: {used.get(t)} > {cap.get(t)}"
                     )
-        for l, i in self._link_index.items():
+        for i, l in enumerate(self.overlay.router.link_order):
             used, cap = self._link_used[i], self._link_cap[i]
             if used > cap + 1e-6:
                 raise AssertionError(f"link {l} over-allocated: {used} > {cap}")

@@ -24,12 +24,16 @@ from typing import Any, List, Tuple
 __all__ = ["SharedStateGuard", "SharedStateViolation"]
 
 # every public read/write of the shared ServiceRegistry goes through its
-# access hook; these are the pool/DHT surfaces sealed by monkey-patching
+# access hook; these are the pool/DHT surfaces sealed by monkey-patching:
+# every public pool method but ``clone_empty``, which builds each daemon's
+# own pool
 POOL_METHODS = (
+    "capacity",
     "available",
     "available_amount",
-    "path_available_bandwidth",
     "link_available",
+    "path_available_bandwidth",
+    "paths_available_bandwidth",
     "can_host",
     "can_carry",
     "soft_allocate_peer",
@@ -38,8 +42,11 @@ POOL_METHODS = (
     "cancel",
     "release",
     "transfer",
+    "active_tokens",
     "has_token",
+    "claim_usage",
     "utilisation",
+    "check_invariants",
 )
 DHT_STORAGE_METHODS = ("put", "get", "remove_values")
 

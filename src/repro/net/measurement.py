@@ -39,10 +39,11 @@ without touching the simulator substrates:
   interval.  That router keeps the static topology's edge set and
   canonical link order (so :class:`~repro.core.resources.ResourcePool`
   lists stay aligned) but re-prices individual links and prices
-  down-peer links at ``inf``.  **A memo lives with its router:** the new
-  router starts with empty path and loss memos, and BCP refills its
-  per-pair link QoS when the router it read them from is no longer the
-  one installed, so nothing has to be told what a re-price moved.
+  down-peer links at ``inf``.  **Routes live with their router:** the
+  new router answers every path and loss read from its own shortest-path
+  rows, and BCP refills its per-pair link QoS when the router it read
+  them from is no longer the one installed, so nothing has to be told
+  what a re-price moved.
 
 **Parity by construction, under load too.**  Wall-clock RTTs and modeled
 delays live in different unit systems, so measurements are applied as

@@ -247,7 +247,9 @@ class _WaveLoadView:
     ) -> None:
         self._pool = pool
         self._peer_used = peer_used
-        self._link_used = link_used
+        # the wave's link reports, re-keyed by the router's link index
+        link_index = pool.overlay.router.link_index
+        self._link_used = {link_index(u, v): bw for (u, v), bw in link_used.items()}
 
     @property
     def resource_types(self):
@@ -260,12 +262,12 @@ class _WaveLoadView:
     def path_available_bandwidth(self, src: int, dst: int) -> float:
         if src == dst:
             return math.inf
-        # the router's links and the wave's reports are canonically ordered
-        links = self._pool.overlay.router.links(src, dst)
-        if not links:
-            return math.inf
-        available, wave = self._pool.link_available, self._link_used
-        low = min(available(l) - wave.get(l, 0.0) for l in links)
+        pool, wave = self._pool, self._link_used
+        cap, used = pool._link_cap, pool._link_used
+        low = min(
+            max(cap[i] - used[i], 0.0) - wave.get(i, 0.0)
+            for i in pool.overlay.router.link_index_list(src, dst)
+        )
         return low if low > 0.0 else 0.0
 
 

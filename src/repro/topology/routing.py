@@ -4,20 +4,21 @@ The paper's simulator "performs IP-layer and overlay-layer data routing
 using shortest path routing".  We provide both layers, on one routine:
 
 * :func:`shortest_paths` — single-source Dijkstra with a binary heap over
-  an index adjacency.  A node's predecessor is set only when its distance
-  strictly improves, so where two paths tie exactly the one found first
-  (from the node settled first) is kept, and a distance is the float sum
-  along its path from the source, in path order.
+  an index adjacency.  A node's predecessor, and the edge it was reached
+  by, are set only when its distance strictly improves, so where two
+  paths tie exactly the one found first (from the node settled first) is
+  kept, and a distance is the float sum along its path from the source,
+  in path order.
 * :class:`IPRouter` — delay-weighted shortest paths on the router graph,
   one :func:`shortest_paths` run per source router asked about (the
   peers' routers), kept with its predecessors: overlay construction reads
   both the delays between peers and the bottleneck bandwidth of each
   overlay link's IP path from the same run.
 * :class:`OverlayRouter` — all-pairs shortest paths over the (much
-  smaller) overlay graph, one run per peer, with each source's distance
-  row and predecessor row kept so overlay paths (the ℘ⱼ of Eq. 1, whose
-  bottleneck bandwidth the cost function consumes) can be reconstructed
-  in O(path length).
+  smaller) overlay graph, one run per peer, with each source's distance,
+  predecessor and parent-edge rows kept: every overlay path (the ℘ⱼ of
+  Eq. 1, whose bottleneck bandwidth the cost function consumes) is read
+  off them in O(path length).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = ["IPRouter", "NoPathError", "OverlayRouter", "shortest_paths"]
 # the predecessor of a source, and of a node it does not reach
 NO_PREDECESSOR = -9999
 
-Adjacency = List[List[Tuple[int, float]]]
+Adjacency = List[List[Tuple[int, float, int]]]
 
 
 class NoPathError(LookupError):
@@ -46,22 +47,25 @@ class NoPathError(LookupError):
 
 def _adjacency(n: int, edges: Iterable[Tuple[int, int, float]]) -> Adjacency:
     """Index adjacency of an undirected graph on ``0..n-1`` from ``(i, j,
-    weight)`` triples.  A non-finite weight leaves its edge out of every
-    shortest path (the edge stays in the graph)."""
+    weight)`` triples: each node's ``(neighbour, weight, k)``, ``k`` the
+    edge's position in ``edges``.  A non-finite weight leaves its edge out
+    of every shortest path (the edge stays in the graph)."""
     adj: Adjacency = [[] for _ in range(n)]
-    for i, j, w in edges:
+    for k, (i, j, w) in enumerate(edges):
         if w < math.inf:
-            adj[i].append((j, w))
-            adj[j].append((i, w))
+            adj[i].append((j, w, k))
+            adj[j].append((i, w, k))
     return adj
 
 
-def shortest_paths(adj: Adjacency, source: int) -> Tuple[List[float], List[int]]:
+def shortest_paths(adj: Adjacency, source: int) -> Tuple[List[float], List[int], List[int]]:
     """Dijkstra from ``source`` over non-negative weights: the distance to
-    every node (``inf`` if unreached) and its predecessor on the path
-    (:data:`NO_PREDECESSOR` for the source and unreached nodes)."""
+    every node (``inf`` if unreached), its predecessor on the path and its
+    parent edge, the ``k`` of the edge joining the two
+    (:data:`NO_PREDECESSOR` for both at the source and unreached nodes)."""
     dist = [math.inf] * len(adj)
     pred = [NO_PREDECESSOR] * len(adj)
+    pedge = [NO_PREDECESSOR] * len(adj)
     dist[source] = 0.0
     heap = [(0.0, source)]
     pop, push = heapq.heappop, heapq.heappush
@@ -69,13 +73,14 @@ def shortest_paths(adj: Adjacency, source: int) -> Tuple[List[float], List[int]]
         d, u = pop(heap)
         if d > dist[u]:
             continue  # a stale entry: u was settled closer
-        for v, w in adj[u]:
+        for v, w, k in adj[u]:
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = u
+                pedge[v] = k
                 push(heap, (nd, v))
-    return dist, pred
+    return dist, pred, pedge
 
 
 def _walk(pred: Sequence[int], i: int, j: int) -> List[int]:
@@ -110,7 +115,7 @@ class IPRouter:
         i = self._index[src]
         tree = self._trees.get(i)
         if tree is None:
-            dist, pred = shortest_paths(self._adj, i)
+            dist, pred, _ = shortest_paths(self._adj, i)
             tree = self._trees[i] = (array("d", dist), array("i", pred))
         return tree
 
@@ -146,25 +151,23 @@ class IPRouter:
 class OverlayRouter:
     """All-pairs shortest paths over the overlay graph (delay metric).
 
-    Computes every peer's distance and predecessor rows once (one
-    :func:`shortest_paths` run per peer; the overlay has at most ~1000
-    peers); exposes ``delay``, ``path`` (peer sequence) and ``links``
-    (overlay edge sequence) used by bandwidth admission along service
-    links.  The rows are compact ``array`` rows: a float and an int per
-    pair, as a NumPy matrix would hold them, where lists of Python
-    objects would take more than three times the memory.
+    Computes every peer's distance, predecessor and parent-edge rows once
+    (one :func:`shortest_paths` run per peer; the overlay has at most
+    ~1000 peers).  The rows are compact ``array`` rows: a float and two
+    ints per pair, as a NumPy matrix would hold them, where lists of
+    Python objects would take more than three times the memory.
 
-    A router's routes never change, so everything derived from them is
-    memoized on the router itself: ``path``/``links``/``link_index_list``
-    pay the predecessor-row walk once per (src, dst) pair and serve
-    dict hits afterwards — these are the hottest calls of BCP probing
-    (bandwidth admission and ψλ evaluate them per candidate per hop) —
-    and ``path_loss_add`` keeps each pair's additive loss beside them.
-    Cached lists are shared: treat them as read-only.  Routing that
-    changes is a *new* router (:meth:`reweighted`, what the measurement
-    plane installs), which starts with empty memos; a memo kept outside
-    the router (BCP's per-pair link QoS) remembers which router it was
-    filled from and refills when that is no longer the one installed.
+    Every route read walks the source's rows, in O(path length), and
+    memoizes nothing: ``delay`` and ``delays_to`` read the distance row;
+    ``path`` (peer sequence) walks the predecessors; ``link_index_list``
+    (indices into :attr:`link_order`, what
+    :class:`~repro.core.resources.ResourcePool` keeps its per-link
+    capacity and usage lists by), ``links`` and ``path_loss_add`` walk the
+    parent edges, and :meth:`tree` hands the pool both rows for its
+    headroom reads.  Routing that changes is a *new* router
+    (:meth:`reweighted`, what the measurement plane installs); a memo kept
+    outside the router (BCP's per-pair link QoS) remembers which router it
+    was filled from and refills when that is no longer the one installed.
     """
 
     def __init__(
@@ -183,17 +186,21 @@ class OverlayRouter:
         self._link_index: Dict[Tuple[int, int], int] = {
             l: i for i, l in enumerate(self._link_order)
         }
-        # endpoints (node indices) and declared delays of the edges, in
-        # link order: all the routing needs of the graph
+        # endpoints (node indices), declared delays and additive losses of
+        # the edges, in link order: all the routing needs of the graph (a
+        # link without ``loss_add`` holds ``None``, so a loss read over it
+        # raises)
         self._edge_ends = [(index[u], index[v]) for u, v in self._link_order]
         self._edge_delays = [float(d) for _, _, d in overlay_graph.edges(data="delay")]
+        self._edge_losses = [
+            None if x is None else float(x) for _, _, x in overlay_graph.edges(data="loss_add")
+        ]
         self._route(dict(delay_overrides) if delay_overrides else {})
-        self._cache_enabled = True
-        self.clear_cache()
 
     def _route(self, overrides: Dict[Tuple[int, int], float]) -> None:
-        """Every peer's distance and predecessor rows, with ``overrides``
-        (canonical-link keyed) in place of the declared delays."""
+        """Every peer's distance, predecessor and parent-edge rows, with
+        ``overrides`` (canonical-link keyed) in place of the declared
+        delays."""
         self._overrides = overrides
         delays = list(self._edge_delays)
         for link, delay in overrides.items():
@@ -205,10 +212,12 @@ class OverlayRouter:
         )
         self._dist: List[array] = []
         self._pred: List[array] = []
+        self._pedge: List[array] = []
         for source in range(len(adj)):
-            dist, pred = shortest_paths(adj, source)
+            dist, pred, pedge = shortest_paths(adj, source)
             self._dist.append(array("d", dist))
             self._pred.append(array("i", pred))
+            self._pedge.append(array("i", pedge))
 
     @property
     def peers(self) -> List[int]:
@@ -218,6 +227,10 @@ class OverlayRouter:
     def link_order(self) -> List[Tuple[int, int]]:
         """Canonically ordered overlay links, defining list indices."""
         return list(self._link_order)
+
+    def link_index(self, u: int, v: int) -> int:
+        """The position in :attr:`link_order` of the link joining ``u`` and ``v``."""
+        return self._link_index[(u, v) if u < v else (v, u)]
 
     def link_delay(self, u: int, v: int) -> float:
         """Effective one-hop weight of an overlay edge (override-aware)."""
@@ -236,24 +249,10 @@ class OverlayRouter:
         only the shortest paths are recomputed: the node index, the link
         order and the edge lists are this router's own, shared.  The shared
         :attr:`link_order` is also what keeps capacity/usage lists indexed
-        by it (:class:`~repro.core.resources.ResourcePool`) valid.  The new
-        router starts with empty memos."""
+        by it (:class:`~repro.core.resources.ResourcePool`) valid."""
         out = copy.copy(self)
         out._route(dict(overrides))
-        out.clear_cache()
         return out
-
-    def set_path_cache(self, enabled: bool) -> None:
-        """Toggle path memoization (A/B tests); always clears the cache."""
-        self._cache_enabled = enabled
-        self.clear_cache()
-
-    def clear_cache(self) -> None:
-        """Drop all memoized paths/links/indices and losses."""
-        self._path_cache: Dict[Tuple[int, int], List[int]] = {}
-        self._links_cache: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        self._link_idx_list_cache: Dict[Tuple[int, int], List[int]] = {}
-        self._loss_cache: Dict[Tuple[int, int], float] = {}
 
     def delay(self, src: int, dst: int) -> float:
         try:
@@ -272,80 +271,56 @@ class OverlayRouter:
     def reachable(self, src: int, dst: int) -> bool:
         return self._dist[self._index[src]][self._index[dst]] < math.inf
 
+    def tree(self, src: int) -> Tuple[Dict[int, int], array, array]:
+        """``src``'s shortest-path tree: ``(index, pred, pedge)``, where
+        ``index`` maps a peer to its node index, ``pred[j]`` is node ``j``'s
+        parent and ``pedge[j]`` the :attr:`link_order` index of the link
+        between them (both :data:`NO_PREDECESSOR` at ``src`` and at nodes it
+        does not reach).  The router's own rows: read-only."""
+        i = self._index[src]
+        return self._index, self._pred[i], self._pedge[i]
+
+    def path(self, src: int, dst: int) -> List[int]:
+        """Overlay peer path from src to dst (inclusive)."""
+        i, j = self._index[src], self._index[dst]
+        try:
+            hops = _walk(self._pred[i], i, j)
+        except NoPathError:
+            raise NoPathError(f"no overlay path {src}->{dst}") from None
+        nodelist = self._nodelist
+        return [nodelist[h] for h in hops]
+
+    def link_index_list(self, src: int, dst: int) -> List[int]:
+        """Indices (into :attr:`link_order`) of the path's links, in path
+        order: what :class:`~repro.core.resources.ResourcePool` reads its
+        per-link capacity/usage lists by."""
+        i, j = self._index[src], self._index[dst]
+        pred, pedge = self._pred[i], self._pedge[i]
+        out = []
+        p = pred[j]
+        while p >= 0:
+            out.append(pedge[j])
+            j = p
+            p = pred[j]
+        if j != i:
+            raise NoPathError(f"no overlay path {src}->{dst}")
+        out.reverse()
+        return out
+
+    def links(self, src: int, dst: int) -> List[Tuple[int, int]]:
+        """Overlay links (canonically ordered pairs) along the path."""
+        order = self._link_order
+        return [order[k] for k in self.link_index_list(src, dst)]
+
     def path_loss_add(self, src: int, dst: int) -> float:
         """Additive (−log survival) loss along the routed path src→dst,
         the sum of its links' ``loss_add`` in path order; ``inf`` when dst
         is unreachable, like the delay metric."""
-        if src == dst:
-            return 0.0
-        key = (src, dst)
-        hit = self._loss_cache.get(key)
-        if hit is None:
-            edges = self.graph.edges
-            try:
-                hit = sum(float(edges[link]["loss_add"]) for link in self.links(src, dst))
-            except NoPathError:
-                hit = math.inf
-            if self._cache_enabled:
-                self._loss_cache[key] = hit
-        return hit
-
-    def path(self, src: int, dst: int) -> List[int]:
-        """Overlay peer path from src to dst (inclusive).  Read-only."""
-        key = (src, dst)
-        hit = self._path_cache.get(key)
-        if hit is not None:
-            return hit
-        i, j = self._index[src], self._index[dst]
-        # _walk inline: a cold pair's walk is on BCP's hot path
-        pred = self._pred[i]
-        hops = [j]
-        while pred[j] >= 0:
-            j = pred[j]
-            hops.append(j)
-        if hops[-1] != i:
-            raise NoPathError(f"no overlay path {src}->{dst}")
-        nodelist = self._nodelist
-        hops_out = [nodelist[h] for h in reversed(hops)]
-        if self._cache_enabled:
-            self._path_cache[key] = hops_out
-        return hops_out
-
-    def links(self, src: int, dst: int) -> List[Tuple[int, int]]:
-        """Overlay links (canonically ordered pairs) along the path.
-        Read-only: the returned list is shared with the cache."""
-        key = (src, dst)
-        hit = self._links_cache.get(key)
-        if hit is not None:
-            return hit
-        hops = self.path(src, dst)
-        out = [(a, b) if a < b else (b, a) for a, b in zip(hops, hops[1:])]
-        if self._cache_enabled:
-            self._links_cache[key] = out
-        return out
-
-    def link_index_list(self, src: int, dst: int) -> List[int]:
-        """Indices (into :attr:`link_order`) of the path's links: what
-        :class:`~repro.core.resources.ResourcePool` reads its per-link
-        capacity/usage lists by.  Read-only: shared with the cache."""
-        key = (src, dst)
-        hit = self._link_idx_list_cache.get(key)
-        if hit is not None:
-            return hit
-        out = [self._link_index[l] for l in self.links(src, dst)]
-        if self._cache_enabled:
-            self._link_idx_list_cache[key] = out
-        return out
-
-    def link_index_lists(self, src: int, dsts: Sequence[int]) -> List[List[int]]:
-        """``[link_index_list(src, d) for d in dsts]`` in one call: a
-        cached list is read inline, and only a miss walks the path."""
-        cache = self._link_idx_list_cache
-        out = []
-        for dst in dsts:
-            hit = cache.get((src, dst))
-            out.append(hit if hit is not None else self.link_index_list(src, dst))
-        return out
+        try:
+            idx = self.link_index_list(src, dst)
+        except NoPathError:
+            return math.inf
+        return sum(map(self._edge_losses.__getitem__, idx))
 
     def delay_matrix(self) -> np.ndarray:
         """The full pairwise delay matrix, indexed by :attr:`peers` order."""

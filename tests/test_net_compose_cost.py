@@ -104,15 +104,15 @@ PLANE_DIGEST = "ffab1c567083e96c08f972097672ec6c81e8c1119c30e6ca4ce710c2a7e59919
 # and an object's death runs the callback that drops its entry (one more)
 CALLS = {
     (3, 11): {
-        "repro.net.codec": 10343, "repro.net": 19786, "asyncio": 16135,
-        "repro.core": 14967, "repro.sim": 4747, "repro.topology": 3118,
+        "repro.net.codec": 10343, "repro.net": 19793, "asyncio": 16135,
+        "repro.core": 14748, "repro.sim": 4747, "repro.topology": 2181,
         "repro.dht": 3607, "repro.services": 562,
     },
 }
 PLANE_CALLS = {
     (3, 11): {
-        "repro.net.codec": 11821, "repro.net": 26796, "asyncio": 23016,
-        "repro.core": 14967, "repro.sim": 15459, "repro.topology": 3118,
+        "repro.net.codec": 11821, "repro.net": 26803, "asyncio": 23016,
+        "repro.core": 14748, "repro.sim": 15459, "repro.topology": 2181,
         "repro.dht": 3607, "repro.services": 562,
     },
 }
@@ -124,21 +124,22 @@ PLANE_CALLS = {
 # (Python 3.12's float sum() is compensated)
 SYNC_CALLS = {
     (3, 11): {
-        "repro.core": 14203, "repro.topology": 3140, "repro.dht": 4214, "repro.sim": 1030,
+        "repro.core": 14203, "repro.topology": 1907, "repro.dht": 4214, "repro.sim": 1030,
         "repro.discovery": 589, "repro.services": 526, "repro.perf": 63,
     },
 }
 SYNC_DIGEST = {(3, 11): "740607d151624f04b20f942f2ff33f6bd35bbb67cc8907ac82e01cefeabb3081"}
 
 # the paper-scale row: forty sync composes on a 200-peer overlay, after
-# one warm-up (the route caches are still cold for most pairs).  Soft
+# one warm-up (no route is memoized: a route read walks the router's
+# rows, as in the warm-up).  Soft
 # tokens are cancelled in sorted order, so the link loads a compose
 # leaves, and so the digest, are the same under every PYTHONHASHSEED
 PAPER_COMPOSES = 40
 PAPER_TESTBED = dict(n_peers=200, n_functions=6, seed=5)
 PAPER_CALLS = {
     (3, 11): {
-        "repro.core": 215206, "repro.topology": 139421, "repro.sim": 84843,
+        "repro.core": 215206, "repro.topology": 22044, "repro.sim": 84843,
         "repro.dht": 82899, "repro.services": 75954, "repro.discovery": 7771,
         "repro.perf": 360,
     },
@@ -152,7 +153,7 @@ PAPER_1000_COMPOSES = 20
 PAPER_1000_TESTBED = dict(n_peers=1000, n_functions=6, seed=5)
 PAPER_1000_CALLS = {
     (3, 11): {
-        "repro.core": 239465, "repro.topology": 604749, "repro.sim": 177339,
+        "repro.core": 239465, "repro.topology": 11663, "repro.sim": 177339,
         "repro.services": 167806, "repro.dht": 33982, "repro.discovery": 3686,
         "repro.perf": 180,
     },

@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.resources import ResourcePool
 from repro.dht.id_space import key_for
 from repro.net import ClusterConfig, LiveCluster, SharedStateViolation
 from repro.net.directory import DirectorySlice
@@ -74,21 +75,36 @@ def test_directory_slice_store_is_idempotent_by_component():
 # ----------------------------------------------------------------------
 # guard
 # ----------------------------------------------------------------------
+# the one public pool method a live cluster calls on the shared pool:
+# it builds each daemon's own
+UNSEALED_POOL_METHODS = {"clone_empty"}
+
+
 def test_guard_seals_registry_pool_and_dht_storage():
     cluster = _cluster()
     net = cluster.net
+    pool_methods = sorted(
+        name
+        for name, member in vars(ResourcePool).items()
+        if callable(member) and not name.startswith("_")
+    )
+    sealed = [name for name in pool_methods if name not in UNSEALED_POOL_METHODS]
+    assert set(pool_methods) >= UNSEALED_POOL_METHODS
     guard = SharedStateGuard()
     guard.seal(net.registry, net.pool, net.dht)
     try:
         with pytest.raises(SharedStateViolation):
             net.registry.lookup("anything", 0)
-        with pytest.raises(SharedStateViolation):
-            net.pool.available_amount(0, "cpu")
+        for name in sealed:  # whatever the arguments, the call trips first
+            with pytest.raises(SharedStateViolation):
+                getattr(net.pool, name)(0)
         with pytest.raises(SharedStateViolation):
             net.dht.get(key_for("anything"), 0)
     finally:
         guard.unseal()
-    assert len(guard.violations) == 3
+    assert guard.violations == (
+        ["registry.lookup"] + [f"pool.{name}" for name in sealed] + ["dht.get"]
+    )
     # unsealed: the shared objects work again (sim-mode reuse)
     assert net.pool.available_amount(0, "cpu") >= 0.0
 

@@ -3,8 +3,8 @@ overlay, and the live loop from degradation to rerouting and from death
 to recovery.
 
 Unit layers first (:class:`LinkEstimator` EWMA/baseline/decay math, the
-plane's shared-router-until-material contract and its memos living with
-the router), then the integrated behaviours the plane exists for:
+plane's shared-router-until-material contract and every read following
+the installed router), then the integrated behaviours the plane exists for:
 
 * every RPC round-trip is measured for free, with no probe sent;
 * active probes are real frames charged to the ``net_measure`` ledger
@@ -37,11 +37,10 @@ from repro.sim import vtime
 from repro.net.measurement import LinkEstimator, MeasurementPlane
 from repro.net.rpc import RetryPolicy
 from repro.sim.tracing import EventTrace
-from repro.topology.graph import Graph
 from repro.topology.overlay import Overlay
 from repro.topology.routing import OverlayRouter
 
-from worlds import fuzz_settings
+from worlds import fuzz_settings, grid_graph
 
 
 # ----------------------------------------------------------------------
@@ -787,19 +786,10 @@ def test_view_mutation_equals_fresh_router():
 
 
 def _grid_engine():
-    """A unit-delay grid (equal-cost paths everywhere, so which
-    predecessor dijkstra records can change with a far-away weight) with a
-    distinct loss per link, wired the way a measuring daemon is: a BCP over
-    its own copy of the overlay, and a plane on the centre peer."""
-    g = Graph()
-    g.add_nodes_from(range(12))
-    for n in range(12):  # node n at row n // 3, column n % 3
-        if n + 3 < 12:
-            g.add_edge(n, n + 3)
-        if n % 3 < 2:
-            g.add_edge(n, n + 1)
-    for i, (u, v) in enumerate(g.edges):
-        g.edges[u, v].update(delay=1.0, loss_add=0.001 * (i + 1))
+    """The unit-delay grid (:func:`worlds.grid_graph`) wired the way a
+    measuring daemon is: a BCP over its own copy of the overlay, and a
+    plane on the centre peer."""
+    g = grid_graph()
     view = Overlay(graph=g, router=OverlayRouter(g))
     plane = MeasurementPlane(4, _NoCalls(), view, clock=_Clock())
     return BCP(view, None, None), plane
@@ -831,11 +821,12 @@ _MUTATIONS = st.lists(
 @fuzz_settings(40)
 @given(world=st.sampled_from(["daemon", "grid"]), mutations=_MUTATIONS)
 def test_every_engine_read_after_plane_mutations_equals_a_cold_router(world, mutations):
-    """A memo lives with its router.  After any sequence of plane
-    mutations, every read through the daemon's engine — BCP's link QoS,
-    the overlay's path loss, the router's links, link indices and delay
-    rows — equals the same read from a router built cold from the deltas,
-    ties included, though every memo was warm before each mutation."""
+    """Every read follows the installed router.  After any sequence of
+    plane mutations, every read through the daemon's engine — BCP's link
+    QoS, the overlay's path loss, the router's links, link indices and
+    delay rows — equals the same read from a router built cold from the
+    deltas, ties included, though BCP's link-QoS memo was warm before
+    each mutation."""
     if world not in _ENGINES:
         _ENGINES[world] = _grid_engine() if world == "grid" else _daemon_engine()
     bcp, plane = _ENGINES[world]

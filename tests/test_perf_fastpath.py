@@ -1,23 +1,29 @@
-"""Equivalence and cache-semantics tests for the composition fast path.
+"""Equivalence tests for the composition fast path.
 
-The fast path (route/link caching, wave-scoped discovery memoization)
-is only admissible if it is *behaviour-preserving*: every test here pins
-an optimized code path against its reference implementation, culminating
-in a seeded 200-request A/B run with every cache disabled.
+The fast path (route reads off the router's rows, the pool's link lists,
+wave-scoped discovery memoization) is only admissible if it is
+*behaviour-preserving*: every test here pins an optimized code path
+against a reference derivation, culminating in a seeded 200-request A/B
+run with the discovery memo disabled.
 """
 
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.bcp import BCPConfig
 from repro.core.function_graph import FunctionGraph
+from repro.core.resources import ResourcePool, ResourceVector
 from repro.discovery.registry import ServiceRegistry
 from repro.perf import PhaseTimer
+from repro.topology.overlay import Overlay
+from repro.topology.routing import NoPathError, OverlayRouter
 from repro.workload.generator import RequestConfig
 from repro.workload.scenarios import simulation_testbed
 
-from worlds import MicroWorld, micro_overlay
+from worlds import MicroWorld, fuzz_settings, grid_graph, micro_overlay
 
 
 def unmemoized(monkeypatch):
@@ -38,60 +44,100 @@ def structural_signature(graph):
 
 
 # ----------------------------------------------------------------------
-# route / link caching
+# route reads against a derivation from path() and the edge attributes
 # ----------------------------------------------------------------------
-class TestRouterCaching:
-    def all_pairs(self, router):
-        peers = list(router.peers)
-        return [(a, b) for a in peers for b in peers if a != b]
+# micro meshes (delay unit·|a − b|: a direct link ties a chain of shorter
+# ones) and the unit-delay grid, re-priced on some links from a set of
+# weights that tie whole paths exactly, ``inf`` pricing a link out
+_WORLDS = st.one_of(
+    st.tuples(st.just("micro"), st.integers(2, 7), st.sampled_from([0.010, 0.25, 1.0])),
+    st.tuples(st.just("grid")),
+)
+_WEIGHTS = st.sampled_from([0.5, 1.0, 2.0, 3.0, math.inf])
 
-    def test_cached_paths_match_uncached(self):
-        cached = micro_overlay(n_peers=6).router
-        fresh = micro_overlay(n_peers=6).router
-        fresh.set_path_cache(False)
-        for a, b in self.all_pairs(cached):
-            assert cached.path(a, b) == fresh.path(a, b)
-            assert cached.links(a, b) == fresh.links(a, b)
-            assert cached.link_index_list(a, b) == fresh.link_index_list(a, b)
 
-    def test_repeat_lookup_returns_same_answer(self):
-        router = micro_overlay(n_peers=5).router
-        first = router.path(0, 4)
-        assert router.path(0, 4) == first
-        assert router.link_index_list(0, 4) == router.link_index_list(0, 4)
+def _overlay(world, overrides_of):
+    graph = micro_overlay(world[1], world[2]).graph if world[0] == "micro" else grid_graph()
+    links = sorted(tuple(sorted(e)) for e in graph.edges)
+    overrides = {links[i % len(links)]: w for i, w in overrides_of}
+    return Overlay(graph=graph, router=OverlayRouter(graph, delay_overrides=overrides))
 
-    def test_link_index_list_names_path_links(self):
-        router = micro_overlay(n_peers=6).router
-        order = list(router.link_order)
-        for a, b in self.all_pairs(router):
-            named = [order[i] for i in router.link_index_list(a, b)]
-            want = [tuple(sorted(l)) for l in router.links(a, b)]
-            assert [tuple(sorted(l)) for l in named] == want
 
-    def test_clear_cache_empties_all_route_caches(self):
-        router = micro_overlay(n_peers=5).router
-        router.path(0, 4)
-        router.link_index_list(0, 4)
-        router.clear_cache()
-        assert not router._path_cache
-        assert not router._links_cache
-        assert not router._link_idx_list_cache
-        # still answers correctly after invalidation
-        assert router.path(0, 4)[0] == 0 and router.path(0, 4)[-1] == 4
+class TestRouteReadsAgainstPath:
+    @fuzz_settings(100)
+    @given(world=_WORLDS, overrides=st.lists(st.tuples(st.integers(0, 99), _WEIGHTS), max_size=5))
+    def test_links_indices_and_loss_are_the_path_s(self, world, overrides):
+        overlay = _overlay(world, overrides)
+        router, graph = overlay.router, overlay.graph
+        order = router.link_order
+        for a in router.peers:
+            for b in router.peers:
+                if not router.reachable(a, b):
+                    with pytest.raises(NoPathError):
+                        router.link_index_list(a, b)
+                    assert router.path_loss_add(a, b) == math.inf
+                    continue
+                path = router.path(a, b)
+                assert path[0] == a and path[-1] == b
+                links = [tuple(sorted(hop)) for hop in zip(path, path[1:])]
+                assert router.links(a, b) == links
+                assert router.link_index_list(a, b) == [order.index(l) for l in links]
+                assert router.path_loss_add(a, b) == sum(
+                    float(graph.edges[l]["loss_add"]) for l in links
+                )
+                # the path is the one the distance row was summed along
+                assert router.delay(a, b) == sum(router.link_delay(*l) for l in links)
+
+    @fuzz_settings(60)
+    @given(
+        world=_WORLDS,
+        overrides=st.lists(st.tuples(st.integers(0, 99), _WEIGHTS), max_size=5),
+        steps=st.lists(
+            st.tuples(st.integers(0, 99), st.integers(0, 99), st.sampled_from([1.5, 2.5, 4.0])),
+            max_size=12,
+        ),
+    )
+    def test_headroom_equals_the_bottleneck_under_random_claims(self, world, overrides, steps):
+        overlay = _overlay(world, overrides)
+        pool = ResourcePool(overlay, {p: ResourceVector({"cpu": 1.0}) for p in overlay.peers()})
+        peers = overlay.peers()
+        claims = {}
+
+        def check():
+            for a in peers:
+                dsts = [b for b in peers if overlay.router.reachable(a, b)]
+                want = [bottleneck(overlay, claims.values(), a, b) for b in dsts]
+                assert pool.paths_available_bandwidth(a, dsts) == want
+                assert [pool.path_available_bandwidth(a, b) for b in dsts] == want
+
+        check()
+        for n, (i, j, bw) in enumerate(steps):
+            a, b = peers[i % len(peers)], peers[j % len(peers)]
+            if n % 3 == 2 and claims:  # every third step frees the oldest claim
+                token = next(iter(claims))
+                pool.cancel(token)
+                del claims[token]
+            elif overlay.router.reachable(a, b) and pool.soft_allocate_path(n, a, b, bw):
+                claims[n] = (a, b, bw)
+            check()
 
 
 # ----------------------------------------------------------------------
 # link bandwidth store vs a test-side bottleneck
 # ----------------------------------------------------------------------
-def bottleneck(world, claims, a, b):
+def bottleneck(overlay, claims, a, b):
     """The oracle: the least of each path link's bandwidth minus the
     claims ``[(src, dst, bandwidth), ...]`` routed over it."""
     if a == b:
         return math.inf
-    router, graph = world.overlay.router, world.overlay.graph
-    left = {l: graph.edges[l]["bandwidth"] for l in router.links(a, b)}
+
+    def links(src, dst):
+        path = overlay.router.path(src, dst)
+        return [tuple(sorted(hop)) for hop in zip(path, path[1:])]
+
+    left = {l: overlay.graph.edges[l]["bandwidth"] for l in links(a, b)}
     for src, dst, bw in claims:
-        for l in router.links(src, dst):
+        for l in links(src, dst):
             if l in left:
                 left[l] -= bw
     return max(min(left.values()), 0.0)
@@ -102,7 +148,7 @@ class TestPoolVectorizedEquivalence:
         for a in range(6):
             for b in range(6):
                 assert world.pool.path_available_bandwidth(a, b) == bottleneck(
-                    world, claims, a, b
+                    world.overlay, claims, a, b
                 )
 
     def test_single_path_bandwidth_matches(self):
@@ -264,8 +310,6 @@ class TestFastPathEquivalence:
             bcp_config=BCPConfig(budget=32),
             seed=0,
         )
-        if not fast:
-            scenario.overlay.router.set_path_cache(False)
         outcomes = [
             self.outcome(scenario.net.compose(r, budget=32))
             for r in scenario.requests.batch(self.N_REQUESTS)

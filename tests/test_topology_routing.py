@@ -19,6 +19,7 @@ from scipy.sparse.csgraph import dijkstra
 from repro.topology.graph import Graph
 from repro.topology.inet import generate_ip_network
 from repro.topology.routing import (
+    NO_PREDECESSOR,
     IPRouter,
     NoPathError,
     OverlayRouter,
@@ -113,6 +114,12 @@ class TestOverlayRouter:
         assert router.path(2, 2) == [2]
         assert router.links(2, 2) == []
 
+    def test_a_graph_without_loss_fails_on_its_first_loss_read(self):
+        router = OverlayRouter(small_weighted_graph())  # no loss_add anywhere
+        assert router.path_loss_add(2, 2) == 0.0
+        with pytest.raises(TypeError):
+            router.path_loss_add(0, 3)
+
     def test_no_path_raises(self):
         g = small_weighted_graph()
         g.add_node(99)  # isolated
@@ -141,9 +148,6 @@ class TestOverlayRouter:
         dsts = [3, 0, 2, 2, 1]
         for src in router.peers:
             assert router.delays_to(src, dsts) == [router.delay(src, d) for d in dsts]
-            assert router.link_index_lists(src, dsts) == [
-                router.link_index_list(src, d) for d in dsts
-            ]
 
 
 class TestReweighted:
@@ -224,9 +228,20 @@ def _scipy_all_pairs(n, edges):
 
 
 def _all_pairs(n, edges):
+    """Distance and predecessor matrices, after checking every run's
+    parent edges: a reached node's is the edge (by its position in
+    ``edges``) that joins it to its predecessor, and the source's and an
+    unreached node's is :data:`NO_PREDECESSOR`, like their predecessor."""
     adj = _adjacency(n, edges)
     trees = [shortest_paths(adj, s) for s in range(n)]
-    return np.array([d for d, _ in trees]), np.array([p for _, p in trees])
+    for dist, pred, pedge in trees:
+        for v in range(n):
+            if pred[v] < 0:
+                assert pedge[v] == pred[v] == NO_PREDECESSOR
+            else:
+                i, j, w = edges[pedge[v]]
+                assert {i, j} == {pred[v], v} and dist[pred[v]] + w == dist[v]
+    return np.array([d for d, _, _ in trees]), np.array([p for _, p, _ in trees])
 
 
 @st.composite

@@ -66,6 +66,22 @@ def micro_overlay(n_peers: int = 8, unit_delay: float = 0.010) -> Overlay:
     return Overlay(graph=g, router=OverlayRouter(g), kind="micro")
 
 
+def grid_graph() -> Graph:
+    """A 4×3 grid of unit-delay links (equal-cost paths everywhere, so
+    which predecessor Dijkstra records can change with a far-away weight),
+    each link with its own loss and a bandwidth of 10."""
+    g = Graph()
+    g.add_nodes_from(range(12))
+    for n in range(12):  # node n at row n // 3, column n % 3
+        if n + 3 < 12:
+            g.add_edge(n, n + 3)
+        if n % 3 < 2:
+            g.add_edge(n, n + 1)
+    for i, (u, v) in enumerate(g.edges):
+        g.edges[u, v].update(delay=1.0, bandwidth=10.0, loss_add=0.001 * (i + 1))
+    return g
+
+
 class MicroWorld:
     """Overlay + pool + registry + BCP with hand-placed components."""
 
