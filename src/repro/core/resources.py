@@ -126,12 +126,14 @@ class ResourcePool:
         # link bandwidth lives in two float lists indexed by the router's
         # canonical link order: a path's bottleneck is a walk up the
         # source's shortest-path tree (2-5 links), with no per-link dict
-        # lookup
-        link_order = overlay.router.link_order
+        # lookup.  Every router over the overlay's graph (a reweighted one
+        # too) has this order, so the pool keeps the one it was built with
+        # to name a claim's links
+        self._link_order: List[Link] = overlay.router.link_order
         self._link_cap: List[float] = [
-            float(overlay.graph.edges[l]["bandwidth"]) for l in link_order
+            float(overlay.graph.edges[l]["bandwidth"]) for l in self._link_order
         ]
-        self._link_used: List[float] = [0.0] * len(link_order)
+        self._link_used: List[float] = [0.0] * len(self._link_order)
         self._claims: Dict[Hashable, _Claim] = {}
 
     def clone_empty(self, overlay: Optional[Overlay] = None) -> "ResourcePool":
@@ -316,7 +318,7 @@ class ResourcePool:
             (p, {t: req.get(t) for t in req.types() if req.get(t)})
             for p, req in claim.peers
         ]
-        order = self.overlay.router.link_order
+        order = self._link_order
         return peers, [(order[i], bw) for i, bw in claim.links]
 
     def utilisation(self, peer: int, rtype: str) -> float:
@@ -332,7 +334,7 @@ class ResourcePool:
                     raise AssertionError(
                         f"peer {p} over-allocated {t}: {used.get(t)} > {cap.get(t)}"
                     )
-        for i, l in enumerate(self.overlay.router.link_order):
+        for i, l in enumerate(self._link_order):
             used, cap = self._link_used[i], self._link_cap[i]
             if used > cap + 1e-6:
                 raise AssertionError(f"link {l} over-allocated: {used} > {cap}")

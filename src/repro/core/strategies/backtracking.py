@@ -4,8 +4,9 @@ The first of the two large-graph strategies: a depth-first
 branch-and-bound over per-function candidate lists (the shape of
 backtracking QoS-aware service selection, arXiv:1402.1309), built on the
 shared :mod:`~repro.core.strategies.search` engine — admissible QoS and
-ψλ lower bounds, dominance pruning, and marginal-benefit candidate
-ordering.
+ψλ lower bounds (the ψλ one prices links not yet placed), dominance
+pruning, and candidates tried cheapest ψλ bound first (fastest Qp first
+under the delay objective).
 
 Unlike the rewritten ``OptimalComposer`` (which must run to proven
 optimality or refuse), this strategy is *anytime*: ``node_limit`` caps

@@ -189,6 +189,9 @@ class DecompositionComposer(CompositionStrategy):
                     pattern, candidates, request, ctx.overlay, ctx.pool, weights,
                     counters,
                 )
+                if not state.placeable:
+                    counters.incr("pruned_unplaceable")
+                    continue
                 try:
                     with timer.phase("stitch"):
                         self._stitch(

@@ -19,10 +19,13 @@ could contain a strictly better solution):
   remainder over the paths starting at it, and the worst path through a
   frontier edge is the sum of the two (see :class:`PatternState`).
 * **Cost lower bound** — the assigned prefix contributes its exact ψλ
-  terms (mirroring :func:`~repro.core.cost.psi_cost` term by term); the
-  unassigned functions contribute at least their minimum resource term.
-  Link terms of unassigned edges are bounded by 0, keeping the bound
-  admissible.  Subtrees whose bound exceeds the incumbent are cut.
+  terms (mirroring :func:`~repro.core.cost.psi_cost` term by term); each
+  unassigned function contributes its least *row bound*: a candidate's
+  resource term plus its input links (and at a sink its final hop),
+  each priced at a floor of the rate it carries and from the cheapest
+  peer its sender could sit on (see :meth:`PatternState._cost_bounds`).
+  Subtrees whose bound exceeds the incumbent are cut, and under the cost
+  objective a function's candidates are tried cheapest row bound first.
 * **Dominance** — within a (peer, input-quality, output-quality) group,
   a candidate that is no better on any ψλ-relevant dimension (resource
   term, Qp delay, Qp loss, bandwidth factor) than another is discarded
@@ -63,6 +66,10 @@ __all__ = [
 ]
 
 _EPS = 1e-9
+# the cost bound's relative give: the running sums add ψλ's terms in
+# another order than psi_cost, and rem_res is kept by subtraction, so a
+# bound that is tight could exceed the graph's ψλ by a few ulps
+_SLACK = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -214,9 +221,10 @@ _Row = Tuple[
     Candidate, int, Tuple[bool, ...], int, float, float, float, float,
     Dict[int, _Link], Optional[_Link],
 ]
-# one function compiled for one state: (name, predecessors, rows, the
-# largest delay and loss remainder right behind it, its least res term)
-_Slot = Tuple[str, Tuple[str, ...], List[_Row], float, float, float]
+# one function compiled for one state: (name, predecessors, rows in
+# candidate order, the largest delay and loss remainder right behind it,
+# its least row bound, the rows in ascending row bound)
+_Slot = Tuple[str, Tuple[str, ...], List[_Row], float, float, float, List[_Row]]
 # the counts ``extend`` keeps as integers on the state until folded
 _HOT_COUNTS = (
     "expansions", "pruned_quality", "pruned_exhausted_link", "pruned_qos", "pruned_bound",
@@ -232,8 +240,11 @@ class PatternState:
     being assigned is still open.  The state keeps, incrementally:
 
     * exact ψλ terms of the assigned prefix (component resource terms +
-      every service link whose bandwidth is already determined) and the
-      minimum resource term of every unassigned function,
+      every service link whose bandwidth is already determined) and, in
+      ``rem_res``, the sum of every unassigned function's least row bound
+      (``row_bounds[f]``, one per candidate: a lower bound on the ψλ that
+      placing it adds — its resource term and its input and final links
+      at their cheapest),
     * ``head[f]`` for every assigned ``f``: its host peer, its output
       rate, the largest exact prefix QoS (link delay/loss + component
       Qp, the final hop included at a sink) over all paths ending at
@@ -251,7 +262,9 @@ class PatternState:
     the untouched sources).  No branch path is ever enumerated.
 
     Every candidate is compiled once into a row of ``slots[fn]`` (see
-    ``_Row``), with quality specs interned to small integer codes and
+    ``_Row``; the slot keeps its rows in candidate order and again in
+    ascending row bound, the order a cost search tries them in), with
+    quality specs interned to small integer codes and
     one compatibility table filled by ``QualitySpec.compatible_with``, so
     :meth:`extend` — the only place an extension is decided — is tuple
     reads and float arithmetic.  It counts what it does in integers on
@@ -263,6 +276,9 @@ class PatternState:
     sums, so a state that has been unwound equals a freshly built one
     exactly.  The overlay and the pool must not change while a state
     lives: link QoS and available bandwidth are read once per peer pair.
+    A function whose every row bound is ∞ (each of its rows meets an
+    exhausted link however the rest is placed) leaves ``placeable``
+    False, and no search starts on the state.
     """
 
     def __init__(
@@ -298,15 +314,17 @@ class PatternState:
         self.head: Dict[str, Tuple[int, float, float, float, int]] = {}
         self.partial_cost = 0.0
         self.rem_res = sum(self.min_res[f] for f in self.order)
+        # a function whose every row prices at ∞ can never be placed (and
+        # ∞ - ∞ would turn rem_res into NaN): no search may start
+        self.placeable = self.rem_res != math.inf
         self.expansions = self.pruned_quality = self.pruned_exhausted_link = 0
         self.pruned_qos = self.pruned_bound = 0
 
     # ------------------------------------------------------------------
     def _build_bounds(self) -> None:
         dest = self.request.dest_peer
-        self.min_res = {
-            f: min(c.res_term for c in self.candidates[f]) for f in self.order
-        }
+        self.row_bounds = self._cost_bounds()
+        self.min_res = {f: min(self.row_bounds[f]) for f in self.order}
         # cheapest possible last hop (sink candidate -> destination)
         hop_delay: Dict[str, float] = {}
         hop_loss: Dict[str, float] = {}
@@ -349,6 +367,78 @@ class PatternState:
             and self.tail_loss[s] <= self.loss_bound
             for s in self.sources
         )
+
+    def _cost_bounds(self) -> Dict[str, List[float]]:
+        """Per function, per candidate: a lower bound on the ψλ that
+        :meth:`extend` adds when it places that candidate, however the
+        predecessors are placed.
+
+        The rate on a link is bounded below by a *floor* per function, one
+        topological pass that mirrors ``extend``: a source's input is the
+        request's bandwidth, any other function's the largest of its
+        predecessors' floors, and its output that times the least
+        bandwidth factor among its candidates.  A row's bound is its
+        resource term, then each input link at its sender's floor from the
+        cheapest of the sender's candidate peers, then at a sink the final
+        hop at the row's own output floor — summed in ``extend``'s order,
+        every term no larger than the one ``extend`` adds.  A link with no
+        bandwidth left (``extend``'s exhausted-link cut) prices at ∞.
+
+        What a link costs falls as its available bandwidth grows, so the
+        cheapest link into a peer is the widest one; the paths out of
+        each sender peer are read in one pass."""
+        weight = self.weights.bandwidth_weight
+        widths = self.pool.paths_available_bandwidth
+
+        def price(available: float, rate: float) -> float:
+            if rate <= 0 or weight <= 0.0 or available == math.inf:
+                return 0.0
+            if available <= _EPS:
+                return math.inf
+            return weight * rate / available
+
+        request = self.request
+        dest = request.dest_peer
+        hosts = {f: sorted({c.meta.peer for c in self.candidates[f]}) for f in self.order}
+        floor: Dict[str, float] = {}  # the output rate floor of each function
+        bounds: Dict[str, List[float]] = {}
+        for fn in self.order:
+            cands = self.candidates[fn]
+            preds = self._preds[fn]
+            peers = hosts[fn]
+            # (the peers an input link can leave, the rate floor on it)
+            if preds:
+                senders = [(hosts[p], floor[p]) for p in preds]
+                in_floor = max(floor[p] for p in preds)
+            else:
+                in_floor = request.bandwidth
+                senders = [([request.source_peer], in_floor)]
+            floor[fn] = in_floor * min(c.meta.bandwidth_factor for c in cands)
+            # per input edge, per candidate peer: its cheapest link in
+            inputs: List[Dict[int, float]] = []
+            for from_peers, rate in senders:
+                widest = dict.fromkeys(peers, 0.0)
+                for q in from_peers:
+                    dsts = [v for v in peers if v != q]
+                    for v, width in zip(dsts, widths(q, dsts)):
+                        if width > widest[v]:
+                            widest[v] = width
+                inputs.append({
+                    v: 0.0 if v in from_peers else price(widest[v], rate) for v in peers
+                })
+            sink = not self._succs[fn]
+            row_bounds: List[float] = []
+            for c in cands:
+                peer = c.meta.peer
+                bound = c.res_term
+                for cheapest in inputs:
+                    bound += cheapest[peer]
+                if sink and peer != dest:
+                    rate = in_floor * c.meta.bandwidth_factor
+                    bound += price(self._link(peer, dest)[2], rate)
+                row_bounds.append(bound)
+            bounds[fn] = row_bounds
+        return bounds
 
     def _tails(
         self, min_qp: Dict[str, float], final_hop: Dict[str, float]
@@ -403,8 +493,14 @@ class PatternState:
                     self._link(peer, dest) if sink and peer != dest else None,
                 ))
             ahead_delay, ahead_loss = self._ahead[fn]
+            row_bounds = self.row_bounds[fn]
+            # a stable sort: rows of one bound keep the candidates' order
+            by_bound = [
+                rows[i] for i in sorted(range(len(rows)), key=row_bounds.__getitem__)
+            ]
             self.slots[fn] = (
-                fn, self._preds[fn], rows, ahead_delay, ahead_loss, self.min_res[fn]
+                fn, self._preds[fn], rows, ahead_delay, ahead_loss, self.min_res[fn],
+                by_bound,
             )
         self.path = [self.slots[fn] for fn in self.order]
 
@@ -430,9 +526,12 @@ class PatternState:
         row's input does not accept, a link with no bandwidth left (ψλ
         terms mirror psi_cost exactly), then — unless ``incumbent`` is
         None — the QoS bound of :meth:`extension_feasible` and the
-        incumbent's cutoff on the objective's lower bound.  Returns the
-        undo token, or None with the state untouched."""
-        fn, preds, _, ahead_delay, ahead_loss, min_res = slot
+        incumbent's cutoff on the objective's lower bound (for cost: the
+        prefix's exact terms plus the least row bound of every function
+        still open, less a relative ``_SLACK``).  What the row adds to
+        the prefix is never below its row bound.  Returns the undo token,
+        or None with the state untouched."""
+        fn, preds, _, ahead_delay, ahead_loss, min_res, _ = slot
         (cand, peer, accepts, out_code, factor, cost_delta, qp_delay, qp_loss,
          into, final) = row
         self.expansions += 1
@@ -492,7 +591,7 @@ class PatternState:
             ):
                 self.pruned_qos += 1
                 return None
-            if partial_cost + rem_res > incumbent.cost_cutoff:
+            if (partial_cost + rem_res) * _SLACK > incumbent.cost_cutoff:
                 self.pruned_bound += 1
                 return None
         undo = (fn, self.partial_cost, self.rem_res)
@@ -571,7 +670,7 @@ class PatternState:
         return delay <= self.delay_bound and loss <= self.loss_bound
 
     def cost_lower_bound(self) -> float:
-        return self.partial_cost + self.rem_res
+        return (self.partial_cost + self.rem_res) * _SLACK
 
     def delay_lower_bound(self) -> float:
         return self._frontier_worst()[0]
@@ -667,6 +766,9 @@ def search_compositions(
             state = PatternState(
                 pattern, candidates, request, overlay, pool, weights, counters
             )
+            if not state.placeable:
+                counters.incr("pruned_unplaceable")
+                continue
             try:
                 _dfs(state, 0, incumbent, budget, counters)
             except _NodeLimit:
@@ -717,7 +819,7 @@ def _descend(
         return
     slot = state.path[depth]
     extend = state.extend
-    for row in slot[2]:
+    for row in slot[6] if incumbent.objective == "cost" else slot[2]:
         _spend(budget)
         undo = extend(slot, row, incumbent)
         if undo is None:

@@ -105,14 +105,14 @@ PLANE_DIGEST = "ffab1c567083e96c08f972097672ec6c81e8c1119c30e6ca4ce710c2a7e59919
 CALLS = {
     (3, 11): {
         "repro.net.codec": 10343, "repro.net": 19793, "asyncio": 16135,
-        "repro.core": 14748, "repro.sim": 4747, "repro.topology": 2181,
+        "repro.core": 14748, "repro.sim": 4747, "repro.topology": 1990,
         "repro.dht": 3607, "repro.services": 562,
     },
 }
 PLANE_CALLS = {
     (3, 11): {
         "repro.net.codec": 11821, "repro.net": 26803, "asyncio": 23016,
-        "repro.core": 14748, "repro.sim": 15459, "repro.topology": 2181,
+        "repro.core": 14748, "repro.sim": 15459, "repro.topology": 1990,
         "repro.dht": 3607, "repro.services": 562,
     },
 }

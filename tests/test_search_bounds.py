@@ -12,6 +12,12 @@ sources and several sinks, in random walks and inside real searches.
 An exhaustive search must return the best value a brute-force
 enumeration finds, on drawn worlds with incompatible quality formats.
 
+The cost bound must never overestimate: on drawn worlds with varied
+bandwidth factors, shared hosts and exhausted links, every candidate
+row's bound is at most what ``extend`` charges for it under every
+placement of what comes before, and every state's ``cost_lower_bound()``
+at most the ψλ of every complete graph below it.
+
 The second half pins what the benchmark's six ``large-graph`` cells do
 under both objectives (best cost, complete graphs, stitch steps, cuts),
 that every qualified graph carries the exact leaf values, and that a
@@ -47,18 +53,26 @@ from repro.workload.largegraph import LargeGraphConfig, largegraph_world
 from worlds import MicroWorld, fuzz_settings, micro_context
 
 N_PEERS = 12
+FACTORS = (0.5, 1.0, 1.5, 2.0)
 
 
 def forked_world(
-    seed: int, n_functions: int = 9, per_function: int = 3, formats: bool = False
+    seed: int,
+    n_functions: int = 9,
+    per_function: int = 3,
+    formats: bool = False,
+    factors: bool = False,
 ):
     """A random DAG with at least two sources and two sinks, candidates
     scattered over a line-metric overlay; the destination hosts a sink
     candidate so the zero final hop is exercised too.  With ``formats``
     every component also reads and writes formats drawn from a small
-    alphabet (or the wildcard), so some service links are incompatible."""
+    alphabet (or the wildcard), so some service links are incompatible;
+    with ``factors`` it scales its output rate by a factor drawn from
+    {0.5, 1, 1.5, 2} (1 otherwise)."""
     rng = np.random.default_rng(seed)
     format_rng = np.random.default_rng([seed, 1])
+    factor_rng = np.random.default_rng([seed, 2])
     alphabet = ((), ("a",), ("b",), ("a", "b"))
     names = [f"f{i}" for i in range(n_functions)]
     inner = range(2, n_functions - 2)
@@ -87,6 +101,7 @@ def forked_world(
                 cpu=float(rng.uniform(2.0, 20.0)),
                 input_formats=alphabet[format_rng.integers(4)] if formats else (),
                 output_formats=alphabet[format_rng.integers(3)] if formats else (),
+                bandwidth_factor=float(factor_rng.choice(FACTORS)) if factors else 1.0,
             )
     dest = world.registry.duplicates(graph.sinks()[0])[0].peer
     source = int(rng.integers(0, N_PEERS))
@@ -432,6 +447,172 @@ def test_infeasible_root_cuts_every_first_extension():
 
 
 # ----------------------------------------------------------------------
+# the cost bound never overestimates
+# ----------------------------------------------------------------------
+def crowded_world(seed: int):
+    """Five peers on a line, so candidates often share a host, a random DAG
+    of four or five functions with output factors from ``FACTORS``, and
+    background claims that leave some peer-to-peer links partly used and
+    some with no bandwidth at all."""
+    rng = np.random.default_rng(seed)
+    n_peers, n_functions = 5, int(rng.integers(4, 6))
+    names = [f"f{i}" for i in range(n_functions)]
+    edges = set()
+    for i in range(1, n_functions):
+        for j in rng.choice(i, size=int(rng.integers(1, min(i, 2) + 1)), replace=False):
+            edges.add((names[int(j)], names[i]))
+    world = MicroWorld(n_peers=n_peers)
+    for fn in names:
+        for _ in range(int(rng.integers(1, 4))):
+            world.place(
+                fn,
+                int(rng.integers(0, n_peers)),
+                cpu=float(rng.uniform(2.0, 20.0)),
+                bandwidth_factor=float(rng.choice(FACTORS)),
+            )
+    for a in range(n_peers - 1):  # every link joins two neighbours
+        used = float(rng.choice([0.0, 10.0, rng.uniform(1.0, 9.5)]))
+        assert world.pool.soft_allocate_path(("background", a), a, a + 1, used)
+    source, dest = (int(p) for p in rng.choice(n_peers, size=2, replace=False))
+    request = world.request(
+        FunctionGraph.from_edges(names, edges), source=source, dest=dest,
+        bandwidth=float(rng.uniform(0.5, 3.0)),
+    )
+    return world, request
+
+
+def check_cost_bounds(state):
+    """Place every candidate of every function under every placement of
+    the functions before it, the way a search without cutoffs would, and
+    check at each step that the row's bound is at most what ``extend``
+    charged, and at each state reached that ``cost_lower_bound()`` is at
+    most the ψλ of every complete graph below it.  Returns the number of
+    complete graphs."""
+    leaves = 0
+
+    def walk(depth):
+        """The least ψλ among the complete graphs below the state."""
+        nonlocal leaves
+        if depth == len(state.path):
+            leaves += 1
+            return psi_cost(state.complete_graph(), state.pool, state.weights)
+        slot = state.path[depth]
+        fn, rows = slot[0], slot[2]
+        best = math.inf
+        for bound, row in zip(state.row_bounds[fn], rows):
+            base = state.partial_cost
+            state.partial_cost = 0.0  # so the state's sum is the charge itself
+            undo = state.extend(slot, row, None)
+            charged = state.partial_cost
+            state.partial_cost = base
+            if undo is None:
+                continue
+            assert bound <= charged, (fn, row[0].meta.component_id)
+            state.partial_cost = base + charged  # what extend leaves
+            below = walk(depth + 1)
+            assert state.cost_lower_bound() <= below
+            best = min(best, below)
+            state.unassign(undo)
+            state.partial_cost = base
+        return best
+
+    least = walk(0)
+    assert state.cost_lower_bound() <= least
+    if not state.placeable:
+        assert leaves == 0
+    return leaves
+
+
+@fuzz_settings(60)
+@given(
+    seed=st.integers(0, 2**16),
+    n_functions=st.integers(4, 6),
+    per_function=st.integers(1, 3),
+)
+def test_the_cost_bound_is_admissible_on_forked_worlds(seed, n_functions, per_function):
+    world, request = forked_world(seed, n_functions, per_function, factors=True)
+    assert check_cost_bounds(build_state(world, request)) > 0
+
+
+@fuzz_settings(100)
+@given(seed=st.integers(0, 2**16))
+def test_the_cost_bound_is_admissible_on_crowded_worlds(seed):
+    world, request = crowded_world(seed)
+    check_cost_bounds(build_state(world, request))
+
+
+def test_crowded_worlds_reach_every_case_the_bound_prices():
+    """The property above sees shared hosts, partly used and exhausted
+    links and unplaceable functions, and its bounds are often tight."""
+    seen = {"shared host": 0, "exhausted link": 0, "unplaceable": 0, "link priced": 0}
+    for seed in range(40):
+        world, request = crowded_world(seed)
+        state = build_state(world, request)
+        if not state.placeable:
+            seen["unplaceable"] += 1
+            continue
+        for fn in state.order:
+            hosts = {c.meta.peer for c in state.candidates[fn]}
+            for p in state.pattern.predecessors(fn):
+                if hosts & {c.meta.peer for c in state.candidates[p]}:
+                    seen["shared host"] += 1
+            for c, bound in zip(state.candidates[fn], state.row_bounds[fn]):
+                if math.isinf(bound):
+                    seen["exhausted link"] += 1
+                elif bound > c.res_term:
+                    seen["link priced"] += 1
+    assert all(seen.values()), seen
+
+
+def test_unplaceable_patterns_are_cut_before_the_search():
+    """A request whose only first function sits behind an exhausted link:
+    no row can be placed, the pattern is cut up front and counted, and
+    the search expands nothing."""
+    world = MicroWorld(n_peers=4)
+    world.place("a", 2)
+    world.place("b", 3)
+    assert world.pool.soft_allocate_path("background", 1, 2, 10.0)
+    request = world.request(
+        FunctionGraph.from_edges(["a", "b"], [("a", "b")]), source=1, dest=3
+    )
+    state = build_state(world, request)
+    assert state.row_bounds["a"] == [math.inf] and not state.placeable
+    outcome = search_compositions(
+        request, micro_context(world).duplicates(request), world.overlay, world.pool,
+        node_limit=None,
+    )
+    assert outcome.best is None and outcome.exhausted
+    assert outcome.counters["pruned_unplaceable"] == 1
+    assert outcome.counters["expansions"] == 0
+
+
+@pytest.mark.parametrize("objective", ["cost", "delay"])
+def test_rows_are_tried_cheapest_bound_first_under_the_cost_objective(objective):
+    """``slot[2]`` keeps the candidates' order (``assign`` and the stitch
+    index it); the search walks ``slot[6]``, ascending row bound with ties
+    in candidate order, and only under the cost objective."""
+    world, request = forked_world(seed=4, factors=True)
+    state = build_state(world, request, objective)
+    reordered = 0
+    for fn in state.order:
+        slot = state.slots[fn]
+        assert [row[0] for row in slot[2]] == state.candidates[fn]
+        bounds = state.row_bounds[fn]
+        ranked = sorted(range(len(bounds)), key=lambda i: (bounds[i], i))
+        assert slot[6] == [slot[2][i] for i in ranked]
+        reordered += ranked != sorted(ranked)
+    assert reordered
+    tried = []
+    with mock.patch.object(
+        PatternState, "extend",
+        lambda self, slot, row, incumbent: tried.append(row) or None,
+    ):
+        _dfs(state, 0, _Incumbent(objective, 1), [-1], state.counters)
+    first = state.path[0]
+    assert tried == (first[6] if objective == "cost" else first[2])
+
+
+# ----------------------------------------------------------------------
 # undo restores, it does not subtract
 # ----------------------------------------------------------------------
 def test_state_after_an_interrupted_search_equals_a_fresh_one():
@@ -520,24 +701,24 @@ def test_every_qualified_graph_carries_its_exact_leaf_values(objective):
 # seed are bench/workloads.py's LargeGraph
 GOLDEN = {
     ("layered", 20): {
-        "backtrack": (0.36049374123982036, {"complete_graphs": 7, "pruned_bound": 11233}),
+        "backtrack": (0.3476585398311254, {"complete_graphs": 2, "pruned_bound": 11238}),
         "decompose": (0.373900871681481, {
-            "stitch_expansions": 4336, "expansions": 11471,
-            "complete_graphs": 5, "pruned_bound": 3790,
+            "stitch_expansions": 2896, "expansions": 7116,
+            "complete_graphs": 5, "pruned_bound": 2530,
         }),
     },
     ("layered", 50): {
-        "backtrack": (0.47459245219015084, {"complete_graphs": 18, "pruned_bound": 11199}),
+        "backtrack": (0.35495881831940557, {"complete_graphs": 7, "pruned_bound": 11208}),
         "decompose": (0.4847639815792715, {
-            "stitch_expansions": 8000, "expansions": 24507,
-            "complete_graphs": 10, "pruned_bound": 6986,
+            "stitch_expansions": 8000, "expansions": 27039,
+            "complete_graphs": 10, "pruned_bound": 6985,
         }),
     },
     ("random", 30): {
-        "backtrack": (0.41365991358431864, {"complete_graphs": 13, "pruned_bound": 11218}),
+        "backtrack": (0.3448547282674019, {"complete_graphs": 19, "pruned_bound": 11214}),
         "decompose": (0.4604661900631606, {
-            "stitch_expansions": 8000, "expansions": 34615,
-            "complete_graphs": 17, "pruned_bound": 6981,
+            "stitch_expansions": 8000, "expansions": 32711,
+            "complete_graphs": 17, "pruned_bound": 6982,
         }),
     },
 }
